@@ -93,10 +93,9 @@ func (b *Backend) ValidateRcpt(from, rcpt mail.Address) *smtp.Reply {
 		return &smtp.Reply{Code: 553, Text: "mailbox name not allowed"}
 	}
 	if b.grey != nil {
-		// The SMTP server resolves the client IP; it is not available
-		// here, so the greylist keys on sender+recipient with a
-		// placeholder network when unset. Deliver() re-checks with the
-		// real client IP for accounting.
+		// smtp.Backend does not pass the client IP to ValidateRcpt, so
+		// the greylist keys on sender+recipient with a placeholder
+		// network. Nothing re-checks later with the real IP.
 		if b.grey.Check("0.0.0.0", from, rcpt) == greylist.TempReject {
 			return &smtp.Reply{Code: 451, Text: "greylisted, please retry later"}
 		}

@@ -19,8 +19,8 @@ func TestSplitVerb(t *testing.T) {
 		{"", "", ""},
 	}
 	for _, c := range cases {
-		verb, args := splitVerb(c.line)
-		if verb != c.verb || args != c.args {
+		verb, args := splitVerb([]byte(c.line))
+		if string(verb) != c.verb || string(args) != c.args {
 			t.Errorf("splitVerb(%q) = %q, %q; want %q, %q", c.line, verb, args, c.verb, c.args)
 		}
 	}
@@ -51,20 +51,28 @@ func TestParsePath(t *testing.T) {
 }
 
 func TestParamInt(t *testing.T) {
-	if n, ok := paramInt("SIZE=12345 BODY=8BITMIME", "SIZE"); !ok || n != 12345 {
-		t.Fatalf("paramInt = %d, %v", n, ok)
+	cases := []struct {
+		params string
+		n      int
+		ok     bool
+	}{
+		{"SIZE=12345 BODY=8BITMIME", 12345, true},
+		{"size=99", 99, true},
+		{"BODY=8BITMIME", 0, true}, // absent: no declaration
+		{"", 0, true},
+		{"SIZE=0", 0, true},
+		{"SIZE=abc", 0, false},
+		{"SIZE=-5", 0, false},
+		{"SIZE=+5", 0, false},
+		{"SIZE=", 0, false},
+		{"SIZE", 0, false},
+		{"SIZE=99999999999999999999", 0, false},
+		{"BODY=8BITMIME SIZE=1x", 0, false},
 	}
-	if n, ok := paramInt("size=99", "SIZE"); !ok || n != 99 {
-		t.Fatalf("case-insensitive paramInt = %d, %v", n, ok)
-	}
-	if _, ok := paramInt("BODY=8BITMIME", "SIZE"); ok {
-		t.Fatal("missing param found")
-	}
-	if _, ok := paramInt("SIZE=abc", "SIZE"); ok {
-		t.Fatal("non-numeric param accepted")
-	}
-	if _, ok := paramInt("", "SIZE"); ok {
-		t.Fatal("empty params found something")
+	for _, c := range cases {
+		if n, ok := paramInt(c.params, "SIZE"); ok != c.ok || (ok && n != c.n) {
+			t.Errorf("paramInt(%q) = %d, %v; want %d, %v", c.params, n, ok, c.n, c.ok)
+		}
 	}
 }
 

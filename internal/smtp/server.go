@@ -12,8 +12,10 @@ package smtp
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -41,6 +43,7 @@ var (
 	replyBadSequence   = &Reply{503, "bad sequence of commands"}
 	replySyntax        = &Reply{501, "syntax error in parameters"}
 	replyUnknown       = &Reply{500, "command not recognized"}
+	replyLineTooLong   = &Reply{500, "line too long"}
 	replyOK            = &Reply{250, "OK"}
 	replyStartData     = &Reply{354, "start mail input; end with <CRLF>.<CRLF>"}
 	replyBye           = &Reply{221, "closing connection"}
@@ -71,7 +74,8 @@ type Config struct {
 	MaxMessageBytes int
 	// MaxRecipients caps RCPT count per transaction. 0 = 100.
 	MaxRecipients int
-	// ReadTimeout bounds each command read. 0 = 5 minutes.
+	// ReadTimeout bounds each wait for the client to send more: a peer
+	// silent for this long is disconnected. 0 = 5 minutes.
 	ReadTimeout time.Duration
 	// Now supplies message receipt timestamps; nil = time.Now.
 	Now func() time.Time
@@ -202,12 +206,33 @@ func (s *Server) Shutdown(timeout time.Duration) bool {
 	return false
 }
 
+const (
+	// maxCommandLine caps a command line, line ending included. RFC 5321
+	// §4.5.3.1.4 requires at least 512; the rest is room for MAIL
+	// parameters. DATA lines are not capped: they count against
+	// MaxMessageBytes instead.
+	maxCommandLine = 1024
+	// readBufSize is the session's read buffer. It must exceed
+	// maxCommandLine so a legal command always fits.
+	readBufSize = 4096
+	// maxBodyReserve is the most a transaction's SIZE= may reserve for the
+	// body before the bytes arrive: the value is the peer's claim, not a
+	// fact, so a session never holds more than this on its say-so.
+	maxBodyReserve = 64 << 10
+)
+
 // session is the per-connection state machine.
+//
+// It touches the network in exactly one place, fill, and only when the
+// read buffer holds no complete line: replies accumulate in bw until
+// then, so a pipelined group of commands is answered in one write.
 type session struct {
-	srv    *Server
-	conn   net.Conn
-	br     *bufio.Reader
-	bw     *bufio.Writer
+	srv  *Server
+	conn net.Conn
+	bw   *bufio.Writer
+	// buf[r:w] is what has been read from conn and not yet consumed.
+	buf    []byte
+	r, w   int
 	remote string // client IP (dotted quad)
 
 	helo string
@@ -215,7 +240,9 @@ type session struct {
 	// gotFrom distinguishes "MAIL FROM:<>" (null sender, legal) from
 	// "no MAIL yet".
 	gotFrom bool
-	rcpts   []mail.Address
+	// size is the transaction's SIZE= declaration, 0 when absent.
+	size  int
+	rcpts []mail.Address
 }
 
 // ServeConn runs one SMTP session on conn. Exposed so tests and the
@@ -224,8 +251,8 @@ func (s *Server) ServeConn(conn net.Conn) {
 	sess := &session{
 		srv:  s,
 		conn: conn,
-		br:   bufio.NewReader(conn),
 		bw:   bufio.NewWriter(conn),
+		buf:  make([]byte, readBufSize),
 	}
 	if addr, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
 		sess.remote = addr.IP.String()
@@ -233,84 +260,133 @@ func (s *Server) ServeConn(conn net.Conn) {
 		sess.remote = host
 	}
 	sess.run()
+	// Whatever ended the session, the replies it still owes (221 after
+	// QUIT) go out; on a dead connection this fails at once.
+	_ = sess.bw.Flush()
 }
 
-func (s *session) reply(r *Reply) error {
-	if _, err := fmt.Fprintf(s.bw, "%d %s\r\n", r.Code, r.Text); err != nil {
+// fill blocks until the client has sent more, appending it to buf. It is
+// the session's only network round: pending replies are flushed first (RFC
+// 2920 §3.2: before waiting, not per command), and the idle deadline is
+// armed once for the read. Callers consume every complete line before
+// calling it and leave less than a buffer's worth unread.
+func (s *session) fill() error {
+	if err := s.bw.Flush(); err != nil {
 		return err
 	}
-	return s.bw.Flush()
-}
-
-func (s *session) replyLines(code int, lines ...string) error {
-	for i, l := range lines {
-		sep := "-"
-		if i == len(lines)-1 {
-			sep = " "
-		}
-		if _, err := fmt.Fprintf(s.bw, "%d%s%s\r\n", code, sep, l); err != nil {
-			return err
-		}
+	if s.r > 0 {
+		s.w = copy(s.buf, s.buf[s.r:s.w])
+		s.r = 0
 	}
-	return s.bw.Flush()
-}
-
-func (s *session) readLine() (string, error) {
 	if err := s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.ReadTimeout)); err != nil {
-		return "", err
+		return err
 	}
-	line, err := s.br.ReadString('\n')
-	if err != nil {
-		return "", err
+	n, err := s.conn.Read(s.buf[s.w:])
+	s.w += n
+	if n > 0 {
+		return nil // a read may deliver bytes and an error; the error repeats
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	if err == nil {
+		err = io.ErrNoProgress
+	}
+	return err
+}
+
+// reply queues a single-line reply; fill or the end of the session sends
+// it. bufio.Writer keeps the first write error and reports it from Flush.
+func (s *session) reply(r *Reply) { s.replyLine(r.Code, ' ', r.Text) }
+
+func (s *session) replyLines(code int, lines ...string) {
+	for i, l := range lines {
+		sep := byte('-')
+		if i == len(lines)-1 {
+			sep = ' '
+		}
+		s.replyLine(code, sep, l)
+	}
+}
+
+func (s *session) replyLine(code int, sep byte, text string) {
+	b := strconv.AppendInt(s.bw.AvailableBuffer(), int64(code), 10)
+	b = append(b, sep)
+	b = append(b, text...)
+	b = append(b, '\r', '\n')
+	_, _ = s.bw.Write(b)
+}
+
+var errLineTooLong = errors.New("smtp: command line too long")
+
+// readLine returns the next command line without its line ending. The
+// slice aliases the read buffer and is valid until the next read. A line
+// longer than maxCommandLine is discarded through its LF, in bounded
+// memory, and reported as errLineTooLong; the session carries on.
+func (s *session) readLine() ([]byte, error) {
+	tooLong := false
+	for {
+		if i := bytes.IndexByte(s.buf[s.r:s.w], '\n'); i >= 0 {
+			line := s.buf[s.r : s.r+i]
+			s.r += i + 1
+			if tooLong || i >= maxCommandLine {
+				return nil, errLineTooLong
+			}
+			return bytes.TrimRight(line, "\r"), nil
+		}
+		if s.w-s.r >= maxCommandLine {
+			tooLong = true
+			s.r = s.w
+		}
+		if err := s.fill(); err != nil {
+			return nil, err
+		}
+	}
 }
 
 func (s *session) run() {
-	if err := s.reply(&Reply{220, s.srv.cfg.Hostname + " ESMTP ready"}); err != nil {
-		return
-	}
+	s.replyLine(220, ' ', s.srv.cfg.Hostname+" ESMTP ready")
 	for {
 		line, err := s.readLine()
+		if errors.Is(err, errLineTooLong) {
+			s.reply(replyLineTooLong)
+			continue
+		}
 		if err != nil {
 			return
 		}
 		verb, args := splitVerb(line)
-		switch verb {
+		switch string(verb) {
 		case "HELO":
 			s.reset()
-			s.helo = args
-			err = s.reply(&Reply{250, s.srv.cfg.Hostname})
+			s.helo = string(args)
+			s.replyLine(250, ' ', s.srv.cfg.Hostname)
 		case "EHLO":
 			s.reset()
-			s.helo = args
-			err = s.replyLines(250,
+			s.helo = string(args)
+			s.replyLines(250,
 				s.srv.cfg.Hostname+" greets you",
 				"SIZE "+strconv.Itoa(s.srv.cfg.MaxMessageBytes),
 				"PIPELINING",
 				"8BITMIME",
 			)
 		case "MAIL":
-			err = s.handleMail(args)
+			s.handleMail(string(args))
 		case "RCPT":
-			err = s.handleRcpt(args)
+			s.handleRcpt(string(args))
 		case "DATA":
-			err = s.handleData()
+			if err := s.handleData(); err != nil {
+				return
+			}
 		case "RSET":
 			s.reset()
-			err = s.reply(replyOK)
+			s.reply(replyOK)
 		case "NOOP":
-			err = s.reply(replyOK)
+			s.reply(replyOK)
 		case "VRFY":
-			err = s.reply(replyCannotVerify)
+			s.reply(replyCannotVerify)
 		case "QUIT":
-			_ = s.reply(replyBye)
+			s.reply(replyBye)
 			return
 		default:
-			err = s.reply(replyUnknown)
-		}
-		if err != nil {
-			return
+			s.reply(replyUnknown)
 		}
 	}
 }
@@ -318,15 +394,23 @@ func (s *session) run() {
 func (s *session) reset() {
 	s.from = mail.Address{}
 	s.gotFrom = false
-	s.rcpts = nil
+	s.size = 0
+	s.rcpts = s.rcpts[:0]
 }
 
-func splitVerb(line string) (verb, args string) {
+// splitVerb splits a command line into its verb, upper-cased in place,
+// and its trimmed arguments. Both alias line.
+func splitVerb(line []byte) (verb, args []byte) {
 	verb = line
-	if i := strings.IndexByte(line, ' '); i >= 0 {
-		verb, args = line[:i], strings.TrimSpace(line[i+1:])
+	if i := bytes.IndexByte(line, ' '); i >= 0 {
+		verb, args = line[:i], bytes.TrimSpace(line[i+1:])
 	}
-	return strings.ToUpper(verb), args
+	for i, c := range verb {
+		if 'a' <= c && c <= 'z' {
+			verb[i] = c - 'a' + 'A'
+		}
+	}
+	return verb, args
 }
 
 // parsePath extracts the address from "FROM:<a@b>" / "TO:<a@b>" syntax,
@@ -354,84 +438,100 @@ func cutPrefixFold(s, prefix string) (string, bool) {
 	return s[len(prefix):], true
 }
 
-func (s *session) handleMail(args string) error {
-	if s.helo == "" {
-		return s.reply(replyBadSequence)
-	}
-	if s.gotFrom {
-		return s.reply(replyBadSequence)
+func (s *session) handleMail(args string) {
+	if s.helo == "" || s.gotFrom {
+		s.reply(replyBadSequence)
+		return
 	}
 	path, params, ok := parsePath(args, "FROM")
 	if !ok {
-		return s.reply(replySyntax)
+		s.reply(replySyntax)
+		return
 	}
 	addr, err := mail.ParseAddress(path)
 	if err != nil {
-		return s.reply(replyMailboxSyntax)
+		s.reply(replyMailboxSyntax)
+		return
 	}
-	if size, found := paramInt(params, "SIZE"); found && size > s.srv.cfg.MaxMessageBytes {
-		return s.reply(replyTooBig)
+	size, ok := paramInt(params, "SIZE")
+	if !ok {
+		s.reply(replySyntax)
+		return
+	}
+	if size > s.srv.cfg.MaxMessageBytes {
+		s.reply(replyTooBig)
+		return
 	}
 	if r := s.srv.backend.ValidateSender(addr); r != nil {
-		return s.reply(r)
+		s.reply(r)
+		return
 	}
 	s.from = addr
 	s.gotFrom = true
-	return s.reply(replyOK)
+	s.size = size
+	s.reply(replyOK)
 }
 
-func paramInt(params, key string) (int, bool) {
+// paramInt returns the value of key in an ESMTP parameter list, 0 when key
+// is absent. ok is false when key is there with anything but an unsigned
+// decimal that fits an int.
+func paramInt(params, key string) (n int, ok bool) {
 	for _, p := range strings.Fields(params) {
-		k, v, ok := strings.Cut(p, "=")
-		if ok && strings.EqualFold(k, key) {
-			n, err := strconv.Atoi(v)
-			if err == nil {
-				return n, true
-			}
+		k, v, _ := strings.Cut(p, "=")
+		if strings.EqualFold(k, key) {
+			u, err := strconv.ParseUint(v, 10, strconv.IntSize-1)
+			return int(u), err == nil
 		}
 	}
-	return 0, false
+	return 0, true
 }
 
-func (s *session) handleRcpt(args string) error {
+func (s *session) handleRcpt(args string) {
 	if !s.gotFrom {
-		return s.reply(replyBadSequence)
+		s.reply(replyBadSequence)
+		return
 	}
 	if len(s.rcpts) >= s.srv.cfg.MaxRecipients {
-		return s.reply(&Reply{452, "too many recipients"})
+		s.reply(&Reply{452, "too many recipients"})
+		return
 	}
 	path, _, ok := parsePath(args, "TO")
 	if !ok {
-		return s.reply(replySyntax)
+		s.reply(replySyntax)
+		return
 	}
 	addr, err := mail.ParseAddress(path)
 	if err != nil || addr.IsNull() {
-		return s.reply(replyMailboxSyntax)
+		s.reply(replyMailboxSyntax)
+		return
 	}
 	if r := s.srv.backend.ValidateRcpt(s.from, addr); r != nil {
-		return s.reply(r)
+		s.reply(r)
+		return
 	}
 	s.rcpts = append(s.rcpts, addr)
-	return s.reply(replyOK)
+	s.reply(replyOK)
 }
 
+// handleData returns an error only when the connection failed mid-body.
 func (s *session) handleData() error {
 	if !s.gotFrom {
-		return s.reply(replyBadSequence)
+		s.reply(replyBadSequence)
+		return nil
 	}
 	if len(s.rcpts) == 0 {
-		return s.reply(replyNoValidRcpts)
+		s.reply(replyNoValidRcpts)
+		return nil
 	}
-	if err := s.reply(replyStartData); err != nil {
-		return err
-	}
+	s.reply(replyStartData)
 	body, err := s.readData()
+	if errors.Is(err, errTooBig) {
+		// readData drained to the terminator, so the session survives.
+		s.reset()
+		s.reply(replyTooBig)
+		return nil
+	}
 	if err != nil {
-		if errors.Is(err, errTooBig) {
-			// Drain until terminator already handled; report and reset.
-			s.reset()
-			return s.reply(replyTooBig)
-		}
 		return err
 	}
 
@@ -461,49 +561,123 @@ func (s *session) handleData() error {
 	}
 	s.reset()
 	if delivered == 0 && firstErr != nil {
-		return s.reply(firstErr)
+		s.reply(firstErr)
+		return nil
 	}
-	return s.reply(&Reply{250, fmt.Sprintf("OK, delivered to %d recipient(s)", delivered)})
+	s.replyLine(250, ' ', "OK, delivered to "+strconv.Itoa(delivered)+" recipient(s)")
+	return nil
 }
 
 var errTooBig = errors.New("smtp: message too large")
 
-// readData consumes a dot-terminated DATA body, undoing dot-stuffing.
+// readData consumes a dot-terminated DATA body from the read buffer,
+// refilling it as needed, and leaves whatever follows the terminator
+// unread. Once the body outgrows MaxMessageBytes it keeps consuming to the
+// terminator, storing nothing, and returns errTooBig.
 func (s *session) readData() (string, error) {
-	var b strings.Builder
+	d := dataReader{max: s.srv.cfg.MaxMessageBytes}
+	d.body.Grow(min(s.size, maxBodyReserve))
 	for {
-		line, err := s.readLine()
-		if err != nil {
+		n, done := d.feed(s.buf[s.r:s.w])
+		s.r += n
+		if done {
+			if d.tooBig {
+				return "", errTooBig
+			}
+			return d.body.String(), nil
+		}
+		if err := s.fill(); err != nil {
 			return "", err
 		}
-		if line == "." {
-			return b.String(), nil
-		}
-		if strings.HasPrefix(line, ".") {
-			line = line[1:] // dot-unstuffing per RFC 5321 §4.5.2
-		}
-		if b.Len()+len(line)+2 > s.srv.cfg.MaxMessageBytes {
-			// Keep consuming to the terminator so the session survives.
-			for {
-				l, err := s.readLine()
-				if err != nil {
-					return "", err
-				}
-				if l == "." {
-					return "", errTooBig
-				}
-			}
-		}
-		b.WriteString(line)
-		b.WriteString("\r\n")
 	}
 }
 
+// dataReader turns the wire form of a DATA body into the stored one, in
+// pieces of any size: a piece may hold many lines and may end anywhere in
+// one, so a line longer than the read buffer needs no buffer of its own.
+// Per line (RFC 5321 §4.5.2): one leading dot is dropped, a line that is
+// only that dot ends the body, trailing CRs and the LF become one CRLF.
+type dataReader struct {
+	body   strings.Builder
+	max    int
+	tooBig bool
+	// midLine: the previous piece ended inside the current line.
+	midLine bool
+	// dotOnly: the current line is, so far, a dot followed by CRs only —
+	// the terminator if the LF comes next.
+	dotOnly bool
+	// heldCR counts CRs not yet stored: they are the line ending unless
+	// more of the line follows them.
+	heldCR int
+}
+
+// feed consumes p up to and including the terminator line, if p holds it,
+// and reports how much it consumed and whether the body is complete.
+func (d *dataReader) feed(p []byte) (n int, done bool) {
+	for n < len(p) {
+		line := p[n:]
+		i := bytes.IndexByte(line, '\n')
+		eol := i >= 0
+		if eol {
+			line = line[:i]
+		}
+		n += len(line)
+		if eol {
+			n++
+		}
+		if !d.midLine {
+			d.dotOnly = len(line) > 0 && line[0] == '.'
+			if d.dotOnly {
+				line = line[1:]
+			}
+		}
+		d.midLine = !eol
+
+		text := bytes.TrimRight(line, "\r")
+		if len(text) > 0 {
+			d.dotOnly = false
+			if d.reserve(d.heldCR + len(text)) {
+				for ; d.heldCR > 0; d.heldCR-- {
+					d.body.WriteByte('\r')
+				}
+				d.body.Write(text)
+			}
+			d.heldCR = 0
+		}
+		d.heldCR += len(line) - len(text)
+
+		if eol {
+			if d.dotOnly {
+				return n, true
+			}
+			d.heldCR = 0
+			if d.reserve(0) {
+				d.body.WriteString("\r\n")
+			}
+		}
+	}
+	return n, false
+}
+
+// reserve reports whether k more bytes of the current line may be stored:
+// they and the line's CRLF must fit in max. The first time they do not,
+// what was stored is released and nothing is stored again.
+func (d *dataReader) reserve(k int) bool {
+	if !d.tooBig && d.body.Len()+k+2 > d.max {
+		d.tooBig = true
+		d.body.Reset()
+	}
+	return !d.tooBig
+}
+
 // extractHeaders pulls Subject, From and Auto-Submitted out of a raw
-// message body. Auto-Submitted normalises "no" (and absence) to "" so
-// consumers can treat any non-empty value as "this is automated mail".
+// message body, reading no further than the header block. Auto-Submitted
+// normalises "no" (and absence) to "" so consumers can treat any non-empty
+// value as "this is automated mail".
 func extractHeaders(body string) (subject string, headerFrom mail.Address, autoSubmitted string) {
-	for _, line := range strings.Split(body, "\r\n") {
+	for body != "" {
+		var line string
+		line, body, _ = strings.Cut(body, "\r\n")
 		if line == "" {
 			break // end of headers
 		}

@@ -1,6 +1,7 @@
 package smtp
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -54,7 +55,7 @@ func (b *recordingBackend) messages() []*mail.Message {
 }
 
 // startServer runs a Server on a random TCP port and returns its address.
-func startServer(t *testing.T, backend Backend) (string, *Server) {
+func startServer(t testing.TB, backend Backend) (string, *Server) {
 	t.Helper()
 	srv := NewServer(Config{Hostname: "mta.corp.example", ReadTimeout: 5 * time.Second}, backend)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -66,7 +67,7 @@ func startServer(t *testing.T, backend Backend) (string, *Server) {
 	return l.Addr().String(), srv
 }
 
-func dialOK(t *testing.T, addr string) *Client {
+func dialOK(t testing.TB, addr string) *Client {
 	t.Helper()
 	c, err := Dial(addr, 2*time.Second)
 	if err != nil {
@@ -447,33 +448,65 @@ func TestBuildMessage(t *testing.T) {
 	}
 }
 
+// BenchmarkTransactionOverTCP is the quick look at the session's cost per
+// transaction: body size × how the client talks. lockstep is smtp.Client
+// (a write and a wait per command); pipelined is what a production MTA and
+// crbench's load generator do — MAIL+RCPT+DATA in one write with SIZE=,
+// then the body in one write.
 func BenchmarkTransactionOverTCP(b *testing.B) {
-	backend := newBackend()
-	srv := NewServer(Config{Hostname: "mta", ReadTimeout: 5 * time.Second}, backend)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve(l) //nolint:errcheck
-	defer srv.Close()
-
-	c, err := Dial(l.Addr().String(), 2*time.Second)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Hello("bench.example.com"); err != nil {
-		b.Fatal(err)
-	}
-	body := BuildMessage(alice, bob, "bench", strings.Repeat("x", 1024))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.SendMail(alice, []mail.Address{bob}, body); err != nil {
-			b.Fatal(err)
-		}
+	for _, kb := range []int{1, 16} {
+		text := strings.Repeat(strings.Repeat("x", 76)+"\r\n", kb<<10/78)
+		body := BuildMessage(alice, bob, "bench", text)
+		b.Run(fmt.Sprintf("%dKB/lockstep", kb), func(b *testing.B) {
+			c := benchDial(b)
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.SendMail(alice, []mail.Address{bob}, body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("%dKB/pipelined", kb), func(b *testing.B) {
+			c := benchDial(b)
+			wire := []byte(body + ".\r\n")
+			envelope := []byte(fmt.Sprintf("MAIL FROM:<%s> SIZE=%d\r\nRCPT TO:<%s>\r\nDATA\r\n", alice, len(wire), bob))
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.conn.Write(envelope); err != nil {
+					b.Fatal(err)
+				}
+				for _, want := range []int{250, 250, 354} {
+					if _, err := c.readReply(want); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := c.conn.Write(wire); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := c.readReply(250); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
+
+// benchDial starts a server that accepts and drops everything and returns
+// a client past EHLO.
+func benchDial(b *testing.B) *Client {
+	addr, _ := startServer(b, discardBackend{})
+	return dialOK(b, addr)
+}
+
+type discardBackend struct{}
+
+func (discardBackend) ValidateSender(mail.Address) *Reply    { return nil }
+func (discardBackend) ValidateRcpt(_, _ mail.Address) *Reply { return nil }
+func (discardBackend) Deliver(*mail.Message) *Reply          { return nil }
 
 func TestShutdownWaitsForInFlightSession(t *testing.T) {
 	b := newBackend()
