@@ -15,7 +15,6 @@ package repro_test
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,9 +27,7 @@ import (
 	"repro/internal/filters"
 	"repro/internal/mail"
 	"repro/internal/reputation"
-	"repro/internal/simnet"
 	"repro/internal/whitelist"
-	"repro/internal/workload"
 )
 
 var (
@@ -463,26 +460,6 @@ func BenchmarkEngineWithReputation(b *testing.B) {
 	b.ReportMetric(float64(m.ReputationFastPath)/float64(m.MTAIncoming)*100, "%fast-path")
 }
 
-// BenchmarkFleetSimulation measures raw simulation throughput: one full
-// simulated day across a small fleet per iteration.
-func BenchmarkFleetSimulation(b *testing.B) {
-	r := sharedRun(b) // ensure world assembly is excluded from timing
-	_ = r
-	b.ReportAllocs()
-	b.ResetTimer()
-	run := experiments.NewRun(experiments.RunConfig{
-		Seed: 7, Companies: 4, Days: 1, UserScale: 0.1, VolumeScale: 0.05,
-	})
-	for i := 0; i < b.N; i++ {
-		run.Fleet.Run(1)
-	}
-	var incoming int64
-	for _, c := range run.Fleet.Companies {
-		incoming += c.Engine.Metrics().MTAIncoming
-	}
-	b.ReportMetric(float64(incoming)/float64(b.N+1), "msgs/day")
-}
-
 // BenchmarkChallengeStatusAggregation measures the analysis pipeline
 // itself (records scan) rather than the simulation.
 func BenchmarkChallengeStatusAggregation(b *testing.B) {
@@ -491,69 +468,5 @@ func BenchmarkChallengeStatusAggregation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = r.Fleet.Net.DeliveryStats()
-	}
-}
-
-// Sanity: the shared bench run must reproduce the paper's qualitative
-// findings; if calibration drifts, fail loudly rather than report
-// nonsense metrics.
-func TestBenchRunSanity(t *testing.T) {
-	benchOnce.Do(func() {
-		benchRun = experiments.NewRun(experiments.Quick(42))
-	})
-	r := benchRun
-	rt := experiments.ComputeRatios(r)
-	if rt.ReflectionCR < 0.08 || rt.ReflectionCR > 0.35 {
-		t.Errorf("R at CR = %v, outside the paper's neighbourhood", rt.ReflectionCR)
-	}
-	ds := experiments.DeliveryStatus(r)
-	if ds.Total == 0 || ds.Fractions[simnet.StatusPending] > 0.1 {
-		t.Errorf("challenge records degenerate: %+v", ds)
-	}
-	ct := experiments.CaptchaTries(r)
-	if ct.MaxTries > 5 {
-		t.Errorf("max CAPTCHA tries = %d; the paper never saw more than five", ct.MaxTries)
-	}
-}
-
-// quickFleetCfg builds the workload config matching the experiments
-// Quick preset, with an explicit worker-pool size.
-func quickFleetCfg(seed int64, workers int) workload.Config {
-	q := experiments.Quick(seed)
-	cfg := workload.DefaultConfig(seed, q.Companies)
-	cfg.Workers = workers
-	for i := range cfg.Profiles {
-		p := &cfg.Profiles[i]
-		p.Users = max(5, int(float64(p.Users)*q.UserScale))
-		p.DailyVolume = max(100, int(float64(p.DailyVolume)*q.VolumeScale))
-	}
-	return cfg
-}
-
-// BenchmarkFleetParallel measures the epoch-barrier worker pool against
-// the serial baseline on the same Quick-sized fleet. The timed region is
-// Fleet.Run only (world assembly excluded); aggregate results are
-// worker-count-invariant (TestWorkerCountInvariance in
-// internal/experiments), so the sub-benchmarks differ in wall-clock
-// only. cmd/bench records the same comparison to BENCH_fleet.json.
-func BenchmarkFleetParallel(b *testing.B) {
-	days := experiments.Quick(42).Days
-	for _, workers := range []int{1, max(4, runtime.GOMAXPROCS(0))} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			var msgs int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				mail.ResetIDCounter()
-				f := workload.NewFleet(quickFleetCfg(42, workers))
-				b.StartTimer()
-				f.Run(days)
-				b.StopTimer()
-				for _, c := range f.Companies {
-					msgs += c.Engine.Metrics().MTAIncoming
-				}
-			}
-			b.ReportMetric(float64(msgs)/b.Elapsed().Seconds(), "msgs/sec")
-		})
 	}
 }

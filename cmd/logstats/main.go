@@ -7,6 +7,7 @@
 //
 //	logstats -f cr.log           # parallel scan of a log file
 //	logstats < cr.log            # aggregate a stream (pipe, zcat, ...)
+//	logstats -f <(zcat cr.log.gz)  # -f on a FIFO streams it too
 //	logstats -demo               # simulate a small fleet, log it, parse it
 //	logstats -per-company -f cr.log
 //	logstats -progress -f cr.log # events/sec heartbeat on stderr
@@ -36,7 +37,7 @@ func main() {
 		perCompany = flag.Bool("per-company", false, "print one row per company")
 		seed       = flag.Int64("seed", 1, "demo fleet seed")
 		walSeg     = flag.String("wal", "", "pretty-print a write-ahead-log segment file and exit")
-		file       = flag.String("f", "", "scan this log file instead of stdin (enables range-split parallelism)")
+		file       = flag.String("f", "", "scan this log file instead of stdin (a regular file is range-split across workers)")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel scan workers")
 		progress   = flag.Bool("progress", false, "print scan progress to stderr every 5s")
 	)
@@ -99,7 +100,11 @@ func main() {
 		log.Fatalf("scan: %v", err)
 	}
 	if agg.Lines == 0 {
-		fmt.Fprintln(os.Stderr, "no log lines on stdin (use -demo for a synthetic run)")
+		if *file != "" {
+			fmt.Fprintf(os.Stderr, "no log lines in %s\n", *file)
+		} else {
+			fmt.Fprintln(os.Stderr, "no log lines on stdin (use -demo for a synthetic run)")
+		}
 		os.Exit(1)
 	}
 

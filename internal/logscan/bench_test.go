@@ -12,8 +12,9 @@ import (
 // TestDecodeAllocs pins the decode path's allocation budget: in
 // aggregation mode (SkipMsgID, warmed interner) a line costs zero
 // allocations; keeping the per-event message ID costs exactly the one
-// string it must mint. The bench gate's ≤2 allocs/event headroom on top
-// of this covers interner misses on high-cardinality values.
+// string it must mint. crbench's logscan.allocs_per_event reports the
+// whole-scan figure on top of this, interner misses on high-cardinality
+// values included.
 func TestDecodeAllocs(t *testing.T) {
 	lines := [][]byte{
 		[]byte("2010-07-01T10:00:00Z corp mta-accept msg=m-1 from=a@b.example size=4096"),
@@ -61,22 +62,12 @@ func BenchmarkParseLineBytes(b *testing.B) {
 	}
 }
 
-// BenchmarkParseLineSerial is the strings.Fields baseline the decoder
-// replaces, for the same line.
-func BenchmarkParseLineSerial(b *testing.B) {
-	line := "2010-07-01T10:00:00Z scn-03 mta-drop msg=scn-03-004242 reason=unknown-recipient size=4200"
-	b.SetBytes(int64(len(line)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := maillog.ParseLine(line); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkLogScan runs the full parallel scan over an in-memory
 // synthetic log at several worker counts, reporting events/sec and
-// allocs/event — the in-tree twin of `bench -logscan`.
+// allocs/event — the in-tree twin of crbench's logscan_600k workload,
+// and the target to profile the crawler with:
+//
+//	go test -run '^$' -bench BenchmarkLogScan -cpuprofile cpu.pb.gz ./internal/logscan/
 func BenchmarkLogScan(b *testing.B) {
 	const n = 100000
 	log := genLog(b, n, 42)
@@ -95,18 +86,5 @@ func BenchmarkLogScan(b *testing.B) {
 			perOp := b.Elapsed().Seconds() / float64(b.N)
 			b.ReportMetric(float64(events)/perOp, "events/sec")
 		})
-	}
-}
-
-// BenchmarkParseAllSerial is the end-to-end serial baseline ParseAll
-// over the same log.
-func BenchmarkParseAllSerial(b *testing.B) {
-	log := genLog(b, 100000, 42)
-	b.SetBytes(int64(len(log)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := maillog.ParseAll(bytes.NewReader(log)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

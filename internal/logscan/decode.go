@@ -95,11 +95,12 @@ func nextToken(buf []byte) (tok, rest []byte) {
 }
 
 // ParseLineBytes parses one log line into e, overwriting it completely.
-// It is the zero-copy counterpart of maillog.ParseLine: the input is
-// tokenized by slicing buf in place, the Event's inline pairs are
-// filled first (the same machinery AppendFormat encodes from), and
-// every string except the per-event message ID comes from the intern
-// table. buf is not retained; it may be a reused read buffer.
+// It is the decoder for the format maillog.Event.AppendFormat writes:
+// the input is tokenized by slicing buf in place, the Event's inline
+// pairs are filled first (the same machinery AppendFormat encodes
+// from), and every string except the per-event message ID comes from
+// the intern table. buf is not retained; it may be a reused read
+// buffer.
 func (d *Decoder) ParseLineBytes(buf []byte, e *maillog.Event) error {
 	*e = maillog.Event{}
 	ts, rest := nextToken(buf)
@@ -175,8 +176,8 @@ func parseTimestamp(b []byte) (time.Time, bool) {
 	}
 	t := time.Date(year, time.Month(month), day, hour, minute, sec, 0, time.UTC)
 	// time.Date normalizes out-of-range days (Feb 30 -> Mar 2);
-	// time.Parse rejects them. Reject likewise so both decoders agree
-	// on what a bad line is.
+	// time.Parse rejects them. Reject likewise so a bad line is exactly
+	// what time.Parse would call one.
 	if t.Day() != day || t.Month() != time.Month(month) || t.Year() != year {
 		return time.Time{}, false
 	}

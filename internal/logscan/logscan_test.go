@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -57,7 +58,7 @@ func genLog(t testing.TB, n int, seed int64) []byte {
 }
 
 // TestParseLineBytesMatchesParseLine: the zero-copy decoder and the
-// serial maillog.ParseLine must agree on classification and content for
+// serial refParseLine must agree on classification and content for
 // good and bad lines alike.
 func TestParseLineBytesMatchesParseLine(t *testing.T) {
 	cases := []string{
@@ -77,11 +78,11 @@ func TestParseLineBytesMatchesParseLine(t *testing.T) {
 	}
 	d := logscan.NewDecoder()
 	for _, line := range cases {
-		want, werr := maillog.ParseLine(line)
+		want, werr := refParseLine(line)
 		var e maillog.Event
 		gerr := d.ParseLineBytes([]byte(line), &e)
 		if (werr == nil) != (gerr == nil) {
-			t.Errorf("%q: ParseLine err=%v, ParseLineBytes err=%v", line, werr, gerr)
+			t.Errorf("%q: refParseLine err=%v, ParseLineBytes err=%v", line, werr, gerr)
 			continue
 		}
 		if werr != nil {
@@ -122,7 +123,7 @@ func (f forceStream) Read(p []byte) (int, error) { return f.r.Read(p) }
 // TestWorkerCountInvariance is the determinism proof: for 1/2/4/8
 // workers, over both the range-split and the streaming path, the merged
 // aggregate is identical to each other and to the serial
-// maillog.ParseAll baseline — bit for bit, bad lines included.
+// refParseAll baseline — bit for bit, bad lines included.
 func TestWorkerCountInvariance(t *testing.T) {
 	log := genLog(t, 20000, 17)
 	// Salt the input with the hostile cases a crawler meets: blank
@@ -136,7 +137,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	sb.Write(log[cut:])
 	input := sb.Bytes()
 
-	serial, err := maillog.ParseAll(bytes.NewReader(input))
+	serial, err := refParseAll(bytes.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +152,14 @@ func TestWorkerCountInvariance(t *testing.T) {
 			t.Fatalf("workers=%d ranged: %v", workers, err)
 		}
 		if !reflect.DeepEqual(ranged, serial) {
-			t.Fatalf("workers=%d: range-split aggregate differs from serial ParseAll", workers)
+			t.Fatalf("workers=%d: range-split aggregate differs from serial refParseAll", workers)
 		}
 		streamed, err := logscan.Scan(forceStream{bytes.NewReader(input)}, opts)
 		if err != nil {
 			t.Fatalf("workers=%d streamed: %v", workers, err)
 		}
 		if !reflect.DeepEqual(streamed, serial) {
-			t.Fatalf("workers=%d: streaming aggregate differs from serial ParseAll", workers)
+			t.Fatalf("workers=%d: streaming aggregate differs from serial refParseAll", workers)
 		}
 	}
 }
@@ -193,7 +194,7 @@ func TestScanFile(t *testing.T) {
 	if err := os.WriteFile(path, log, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	want, err := maillog.ParseAll(bytes.NewReader(log))
+	want, err := refParseAll(bytes.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +203,48 @@ func TestScanFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("ScanFile aggregate differs from serial ParseAll")
+		t.Fatal("ScanFile aggregate differs from serial refParseAll")
 	}
 	if _, err := logscan.ScanFile(filepath.Join(t.TempDir(), "missing.log"), logscan.Options{}); err == nil {
 		t.Fatal("missing file did not error")
+	}
+}
+
+// TestScanFileFIFO: -f on a FIFO (what `logstats -f <(zcat cr.log.gz)`
+// hands it) is streamed, not range-split over the zero size a pipe
+// reports.
+func TestScanFileFIFO(t *testing.T) {
+	log := genLog(t, 5000, 3)
+	path := filepath.Join(t.TempDir(), "cr.fifo")
+	if err := syscall.Mkfifo(path, 0o600); err != nil {
+		t.Skipf("mkfifo: %v", err)
+	}
+	written := make(chan error, 1)
+	go func() {
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			written <- err
+			return
+		}
+		_, err = f.Write(log)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		written <- err
+	}()
+	got, err := logscan.ScanFile(path, logscan.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refParseAll(bytes.NewReader(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ScanFile on a FIFO: %d lines, want %d", got.Lines, want.Lines)
+	}
+	if err := <-written; err != nil {
+		t.Fatalf("writer: %v", err)
 	}
 }
 
@@ -250,7 +289,7 @@ func (e errReader) Read(p []byte) (int, error) {
 }
 
 // TestStreamReadError: a mid-stream read failure surfaces as a wrapped
-// error alongside the partial aggregate.
+// error naming the line reached, alongside the partial aggregate.
 func TestStreamReadError(t *testing.T) {
 	log := genLog(t, 1000, 5)
 	boom := errors.New("pipe burst")
@@ -258,7 +297,10 @@ func TestStreamReadError(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped %v", err, boom)
 	}
-	if agg == nil || agg.Lines == 0 {
+	if !strings.Contains(err.Error(), "line 1000") {
+		t.Fatalf("error lacks line number: %v", err)
+	}
+	if agg == nil || agg.Lines != 1000 {
 		t.Fatal("partial aggregate missing")
 	}
 }

@@ -13,11 +13,11 @@ import (
 	"repro/internal/maillog"
 )
 
-// MaxLineLen mirrors maillog.MaxLineLen: lines longer than this are
-// counted as bad and skipped, in every scan mode, so the parallel
-// scanner and the serial ParseAll classify identical inputs
-// identically.
-const MaxLineLen = maillog.MaxLineLen
+// MaxLineLen is the longest log line a scan decodes. A longer line is
+// counted as one bad line and skipped through its newline, in both scan
+// modes, so a hostile or corrupt log costs a bounded buffer and never
+// aborts the crawl.
+const MaxLineLen = 1024 * 1024
 
 // flushEvery is how many events a worker folds locally before flushing
 // into the shared progress counters. Coarse enough to keep the atomics
@@ -79,6 +79,8 @@ type tally struct {
 	opts   *Options
 	events int64 // events since last flush
 	bytes  int64 // bytes since last flush
+	// lines and bad are agg.Lines and agg.BadLines at the last flush.
+	lines, bad int64
 }
 
 func newTally(opts *Options) *tally {
@@ -111,35 +113,29 @@ func (t *tally) oversized(n int64) {
 	t.bytes += n
 }
 
-// flush publishes the local batch to the shared counters.
+// flush publishes everything folded since the last flush — events,
+// bytes, lines and bad lines — to the shared counters. Workers call it
+// every flushEvery events and once when their input ends.
 func (t *tally) flush() {
-	if t.events > 0 {
-		totalEvents.Add(t.events)
-	}
+	lines, bad := t.agg.Lines-t.lines, t.agg.BadLines-t.bad
+	totalEvents.Add(t.events)
+	totalBadLines.Add(bad)
 	if c := t.opts.Counter; c != nil {
 		c.Events.Add(t.events)
+		c.Lines.Add(lines)
+		c.BadLines.Add(bad)
 		c.Bytes.Add(t.bytes)
 	}
 	t.events, t.bytes = 0, 0
-}
-
-// finish flushes the batch plus the per-shard line totals.
-func (t *tally) finish() {
-	t.flush()
-	totalBadLines.Add(t.agg.BadLines)
-	if c := t.opts.Counter; c != nil {
-		c.Lines.Add(t.agg.Lines)
-		c.BadLines.Add(t.agg.BadLines)
-	}
+	t.lines, t.bad = t.agg.Lines, t.agg.BadLines
 }
 
 // Scan aggregates a decision-log stream in parallel. Inputs backed by a
 // random-access source — a regular file, bytes.Reader, strings.Reader —
 // are range-split across workers with no producer in the way; anything
-// else (a pipe, stdin) falls back to a bounded single-reader producer
-// feeding worker-owned block buffers. The result is bit-for-bit
-// identical to maillog.ParseAll on the same bytes, for any worker
-// count.
+// else (a pipe, a FIFO, stdin) falls back to a bounded single-reader
+// producer feeding worker-owned block buffers. Both paths yield the
+// same aggregate, bit for bit, for any worker count.
 func Scan(r io.Reader, opts Options) (*maillog.Aggregate, error) {
 	type sizedReaderAt interface {
 		io.ReaderAt
@@ -156,18 +152,16 @@ func Scan(r io.Reader, opts Options) (*maillog.Aggregate, error) {
 	return scanStream(r, opts)
 }
 
-// ScanFile range-splits one log file across the configured workers.
+// ScanFile opens one log and scans it: a regular file is range-split
+// across the configured workers, anything else (a FIFO, /dev/stdin, a
+// shell process substitution) is streamed.
 func ScanFile(path string, opts Options) (*maillog.Aggregate, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	return ScanReaderAt(f, fi.Size(), opts)
+	return Scan(f, opts)
 }
 
 // ScanReaderAt splits [0,size) into worker-count byte ranges and scans
@@ -193,7 +187,7 @@ func ScanReaderAt(r io.ReaderAt, size int64, opts Options) (*maillog.Aggregate, 
 		go func(i int, start, end int64) {
 			defer wg.Done()
 			errs[i] = scanRange(r, start, end, size, t)
-			t.finish()
+			t.flush()
 		}(i, start, end)
 	}
 	wg.Wait()
@@ -316,7 +310,7 @@ func scanStream(r io.Reader, opts Options) (*maillog.Aggregate, error) {
 				}
 				free <- block[:0:cap(block)]
 			}
-			t.finish()
+			t.flush()
 		}()
 	}
 
@@ -366,7 +360,7 @@ func scanStream(r io.Reader, opts Options) (*maillog.Aggregate, error) {
 	ship()
 	close(work)
 	wg.Wait()
-	prodTally.finish()
+	prodTally.flush()
 
 	agg := maillog.NewAggregate()
 	agg.Merge(prodTally.agg)

@@ -1,25 +1,23 @@
-// Package maillog implements the measurement methodology of the paper's
-// §2: the authors never had live access to the CR engines — they parsed
-// the MTAs' and challenge engines' daily logs plus the web server's
-// access logs, loaded the extracted events into Postgres and aggregated
-// from there.
+// Package maillog implements the emit half of the measurement
+// methodology of the paper's §2: the authors never had live access to
+// the CR engines — they parsed the MTAs' and challenge engines' daily
+// logs plus the web server's access logs, loaded the extracted events
+// into Postgres and aggregated from there.
 //
-// This package provides the same two halves: an Emitter that renders the
-// engine's decision points as structured log lines (one event per line,
-// syslog-flavoured key=value), and a Parser/Aggregator that reconstruct
-// the paper's statistics *from the text logs alone*. The experiments
-// package cross-validates the log-derived aggregates against the
+// This package renders the engine's decision points as structured log
+// lines (one event per line, syslog-flavoured key=value) and defines the
+// Aggregate that reconstructs the paper's statistics from those lines
+// alone. Package logscan decodes the lines and folds them into an
+// Aggregate; the tests hold that log-derived aggregate to the engines'
 // in-process counters, which is exactly the consistency check the
 // original methodology depends on.
 package maillog
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -175,9 +173,6 @@ func (e Event) FieldMap() map[string]string {
 	return m
 }
 
-// timeLayout is RFC3339 without a zone (logs are UTC by convention).
-const timeLayout = "2006-01-02T15:04:05Z"
-
 // Format renders the event as a single log line:
 //
 //	2010-07-01T10:00:00Z company-03 mta-drop msg=abc reason=unknown-recipient
@@ -238,8 +233,9 @@ func (e Event) AppendFormat(dst []byte) []byte {
 	return dst
 }
 
-// appendTime renders t in timeLayout ("2006-01-02T15:04:05Z") without
-// the allocation time.Format makes.
+// appendTime renders t as "2006-01-02T15:04:05Z" (RFC 3339 without a
+// zone: logs are UTC by convention) without the allocation time.Format
+// makes.
 func appendTime(dst []byte, t time.Time) []byte {
 	year, month, day := t.Date()
 	hour, minute, sec := t.Clock()
@@ -263,39 +259,6 @@ func append2(dst []byte, n int) []byte {
 
 func append4(dst []byte, n int) []byte {
 	return append(dst, byte('0'+n/1000%10), byte('0'+n/100%10), byte('0'+n/10%10), byte('0'+n%10))
-}
-
-// ParseLine parses one log line back into an Event. Fields land in the
-// inline pairs first (spilling into the Fields map only past their
-// capacity), mirroring MakeEvent, so a parse→AppendFormat round trip is
-// as alloc-light as the emit path; use Field or FieldMap — not the
-// Fields map directly — to read them.
-func ParseLine(line string) (Event, error) {
-	parts := strings.Fields(line)
-	if len(parts) < 3 {
-		return Event{}, fmt.Errorf("maillog: short line %q", line)
-	}
-	t, err := time.Parse(timeLayout, parts[0])
-	if err != nil {
-		return Event{}, fmt.Errorf("maillog: bad timestamp in %q: %v", line, err)
-	}
-	e := Event{
-		Time:    t,
-		Company: parts[1],
-		Kind:    Kind(parts[2]),
-	}
-	for _, kv := range parts[3:] {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return Event{}, fmt.Errorf("maillog: bad field %q in %q", kv, line)
-		}
-		if k == "msg" {
-			e.MsgID = v
-			continue
-		}
-		e.AddField(k, v)
-	}
-	return e, nil
 }
 
 // Writer serialises events to an io.Writer, one line each. It is not
@@ -521,53 +484,4 @@ func (a *Aggregate) Companies() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// MaxLineLen is the longest log line the parsers accept, matching the
-// historical 1 MiB bufio.Scanner cap. Longer lines are counted as bad
-// and skipped — they no longer abort the scan.
-const MaxLineLen = 1024 * 1024
-
-// ParseAll consumes a log stream, aggregating every parsable line. Bad
-// lines are counted, not fatal — exactly how a daily log crawler must
-// behave. That includes over-long lines: anything past MaxLineLen is
-// discarded up to the next newline and counted as one bad line, where
-// the old bufio.Scanner loop aborted with ErrTooLong and silently
-// returned a truncated aggregate. A real read error is returned wrapped
-// with the line number reached, alongside the partial aggregate.
-func ParseAll(r io.Reader) (*Aggregate, error) {
-	agg := NewAggregate()
-	br := bufio.NewReaderSize(r, MaxLineLen)
-	for {
-		chunk, err := br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			// Oversized line: count it once, discard to the newline.
-			agg.Lines++
-			agg.BadLines++
-			for err == bufio.ErrBufferFull {
-				_, err = br.ReadSlice('\n')
-			}
-			if err == io.EOF {
-				return agg, nil
-			}
-			if err != nil {
-				return agg, fmt.Errorf("maillog: read error after line %d: %w", agg.Lines, err)
-			}
-			continue
-		}
-		if line := strings.TrimSpace(string(chunk)); line != "" {
-			agg.Lines++
-			if e, perr := ParseLine(line); perr != nil {
-				agg.BadLines++
-			} else {
-				agg.Add(e)
-			}
-		}
-		if err == io.EOF {
-			return agg, nil
-		}
-		if err != nil {
-			return agg, fmt.Errorf("maillog: read error after line %d: %w", agg.Lines, err)
-		}
-	}
 }

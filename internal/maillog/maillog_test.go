@@ -13,12 +13,30 @@ import (
 	"repro/internal/core"
 	"repro/internal/dnssim"
 	"repro/internal/filters"
+	"repro/internal/logscan"
 	"repro/internal/mail"
 	"repro/internal/maillog"
 	"repro/internal/whitelist"
 )
 
 var t0 = time.Date(2010, 7, 1, 10, 0, 0, 0, time.UTC)
+
+// parseLine decodes one line the way every reader of the log does.
+func parseLine(line string) (maillog.Event, error) {
+	var e maillog.Event
+	err := logscan.NewDecoder().ParseLineBytes([]byte(line), &e)
+	return e, err
+}
+
+// scanLog aggregates a whole log the way logstats does.
+func scanLog(t *testing.T, log string) *maillog.Aggregate {
+	t.Helper()
+	agg, err := logscan.Scan(strings.NewReader(log), logscan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return agg
+}
 
 func TestEventFormatParseRoundTrip(t *testing.T) {
 	e := maillog.Event{
@@ -32,20 +50,20 @@ func TestEventFormatParseRoundTrip(t *testing.T) {
 	if line != "2010-07-01T10:00:00Z company-03 mta-drop msg=m-123 reason=unknown-recipient size=4096" {
 		t.Fatalf("Format = %q", line)
 	}
-	got, err := maillog.ParseLine(line)
+	got, err := parseLine(line)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Time.Equal(e.Time) || got.Company != e.Company || got.Kind != e.Kind || got.MsgID != e.MsgID {
 		t.Fatalf("round trip lost header: %+v", got)
 	}
-	// ParseLine fills the inline pairs, not the Fields map; Field and
+	// The decoder fills the inline pairs, not the Fields map; Field and
 	// FieldMap are the storage-agnostic readers.
 	if got.Field("reason") != "unknown-recipient" || got.Field("size") != "4096" {
 		t.Fatalf("round trip lost fields: %+v", got.FieldMap())
 	}
 	if got.Fields != nil {
-		t.Fatalf("ParseLine allocated an overflow map for %d fields", got.NumFields())
+		t.Fatalf("decoder allocated an overflow map for %d fields", got.NumFields())
 	}
 }
 
@@ -70,8 +88,8 @@ func TestParseLineErrors(t *testing.T) {
 		"not-a-time company kind",
 		"2010-07-01T10:00:00Z c deliver brokenfield",
 	} {
-		if _, err := maillog.ParseLine(bad); err == nil {
-			t.Errorf("ParseLine(%q) succeeded", bad)
+		if _, err := parseLine(bad); err == nil {
+			t.Errorf("parseLine(%q) succeeded", bad)
 		}
 	}
 }
@@ -93,11 +111,7 @@ func TestWriterAndParseAll(t *testing.T) {
 		t.Fatalf("Count = %d", w.Count())
 	}
 
-	input := sb.String() + "garbage line here that fails parsing but has words\n\n"
-	agg, err := maillog.ParseAll(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := scanLog(t, sb.String()+"garbage line here that fails parsing but has words\n\n")
 	if agg.Lines != 4 || agg.BadLines != 1 {
 		t.Fatalf("lines=%d bad=%d", agg.Lines, agg.BadLines)
 	}
@@ -176,11 +190,7 @@ func TestLogDerivedStatsMatchEngineCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	agg, err := maillog.ParseAll(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	logStats := agg.Total()
+	logStats := scanLog(t, sb.String()).Total()
 	m := eng.Metrics()
 
 	if logStats.Incoming != m.MTAIncoming {
@@ -218,12 +228,12 @@ func TestLogDerivedStatsMatchEngineCounters(t *testing.T) {
 	}
 }
 
-// TestParseLineInlinePairSpill: ParseLine keeps up to four fields in the
+// TestParseLineInlinePairSpill: the decoder keeps up to four fields in the
 // inline pairs and spills the rest into the overflow map, and both
 // storage forms read back identically.
 func TestParseLineInlinePairSpill(t *testing.T) {
 	line := "2010-07-01T10:00:00Z corp deliver msg=m-9 a=1 b=2 c=3 d=4 e=5 f=6"
-	e, err := maillog.ParseLine(line)
+	e, err := parseLine(line)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,30 +253,8 @@ func TestParseLineInlinePairSpill(t *testing.T) {
 	}
 }
 
-// TestParseAllOversizedLine: a line past the 1 MiB cap used to abort the
-// whole scan with bufio.ErrTooLong and a silently-truncated aggregate;
-// now it counts as one bad line and the scan continues.
-func TestParseAllOversizedLine(t *testing.T) {
-	var sb strings.Builder
-	sb.WriteString("2010-07-01T10:00:00Z corp mta-accept msg=m-1 size=100\n")
-	sb.WriteString(strings.Repeat("x", maillog.MaxLineLen+100))
-	sb.WriteByte('\n')
-	sb.WriteString("2010-07-01T10:00:01Z corp challenge msg=m-1\n")
-
-	agg, err := maillog.ParseAll(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("oversized line aborted the scan: %v", err)
-	}
-	if agg.Lines != 3 || agg.BadLines != 1 {
-		t.Fatalf("lines=%d bad=%d, want 3/1", agg.Lines, agg.BadLines)
-	}
-	tot := agg.Total()
-	if tot.Incoming != 1 || tot.Challenges != 1 {
-		t.Fatalf("events around the oversized line lost: %+v", tot)
-	}
-}
-
-// errAfterReader returns a read error once the wrapped reader drains.
+// errAfterReader returns a read error once the wrapped reader drains. It
+// has no ReadAt, so logscan reads it on the streaming path.
 type errAfterReader struct {
 	r   io.Reader
 	err error
@@ -286,7 +274,7 @@ func TestParseAllErrorCarriesLineNumber(t *testing.T) {
 	input := "2010-07-01T10:00:00Z corp mta-accept msg=m-1\n" +
 		"2010-07-01T10:00:01Z corp challenge msg=m-1\n"
 	boom := errors.New("disk on fire")
-	agg, err := maillog.ParseAll(&errAfterReader{r: strings.NewReader(input), err: boom})
+	agg, err := logscan.Scan(&errAfterReader{r: strings.NewReader(input), err: boom}, logscan.Options{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped %v", err, boom)
 	}
@@ -314,22 +302,11 @@ func TestAggregateMerge(t *testing.T) {
 	}
 	lines := strings.SplitAfter(sb.String(), "\n")
 
-	serial, err := maillog.ParseAll(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := scanLog(t, sb.String())
 	for _, cut := range []int{0, 1, 37, len(lines)} {
 		merged := maillog.NewAggregate()
-		a, err := maillog.ParseAll(strings.NewReader(strings.Join(lines[:cut], "")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := maillog.ParseAll(strings.NewReader(strings.Join(lines[cut:], "")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		merged.Merge(a)
-		merged.Merge(b)
+		merged.Merge(scanLog(t, strings.Join(lines[:cut], "")))
+		merged.Merge(scanLog(t, strings.Join(lines[cut:], "")))
 		if !reflect.DeepEqual(merged, serial) {
 			t.Fatalf("cut %d: merged shards differ from serial aggregate", cut)
 		}
@@ -352,11 +329,7 @@ func TestBounceAndLoopEventsTally(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	agg, err := maillog.ParseAll(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tot := agg.Total()
+	tot := scanLog(t, sb.String()).Total()
 	if tot.Bounces["no-user"] != 2 || tot.Bounces["blocklisted"] != 1 {
 		t.Fatalf("bounces = %v", tot.Bounces)
 	}
@@ -364,11 +337,7 @@ func TestBounceAndLoopEventsTally(t *testing.T) {
 		t.Fatalf("loop suppressed = %d", tot.LoopSuppressed)
 	}
 	// Merge preserves both tallies.
-	agg2, err := maillog.ParseAll(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tot.Merge(agg2.Total())
+	tot.Merge(scanLog(t, sb.String()).Total())
 	if tot.Bounces["no-user"] != 4 || tot.LoopSuppressed != 2 {
 		t.Fatalf("merged = %+v", tot)
 	}
