@@ -15,8 +15,10 @@
 //	hi bob
 //	.
 //
-// The server logs each decision; challenges print their URL, which you
-// can open in a browser to solve the CAPTCHA and release the message.
+// The server logs each decision. Without -smarthost, challenges print
+// their URL, which you can open in a browser to solve the CAPTCHA and
+// release the message; with -smarthost they are mailed, and the URL,
+// which carries the CAPTCHA token, stays out of the log.
 package main
 
 import (
@@ -181,9 +183,6 @@ func main() {
 	}
 
 	var queue *outbound.Queue
-	sendChallenge := func(ch core.OutboundChallenge) {
-		log.Printf("CHALLENGE to %s for message %s — solve at %s", ch.To, ch.MsgID, ch.URL)
-	}
 	if *smarthost != "" {
 		ocfg := outbound.Config{
 			Dial:       func() (*smtp.Client, error) { return smtp.Dial(*smarthost, 10*time.Second) },
@@ -202,13 +201,8 @@ func main() {
 		if n := queue.Restore(); n > 0 {
 			log.Printf("outbound: restored %d pending challenge(s) from the recovered spool", n)
 		}
-		base := sendChallenge
-		sendChallenge = func(ch core.OutboundChallenge) {
-			base(ch)
-			queue.Enqueue(ch)
-		}
 	}
-	eng := core.New(cfg, clk, resolver, chain, wl, sendChallenge)
+	eng := core.New(cfg, clk, resolver, chain, wl, challengeSender(queue))
 	eng.SetReputation(rep)
 	// Admission control: the gateway consults ctl before accepting DATA
 	// (shed mail gets 451/421, never a silent drop), the engine feeds
@@ -361,6 +355,21 @@ func drain(ctl *overload.Controller, srv *smtp.Server, queue *outbound.Queue, sa
 		if err := walLog.Close(); err != nil {
 			log.Printf("wal close: %v", err)
 		}
+	}
+}
+
+// challengeSender is how the server hands on each challenge. With a
+// smarthost queue the challenge goes out by mail and nothing is logged:
+// its URL carries the CAPTCHA token, and whoever holds the token can
+// release the message and whitelist its sender, so the token must not
+// sit in a log file too. Without one (the log-only demo the package doc
+// describes) the log is the only way to reach the URL, so it is printed.
+func challengeSender(queue *outbound.Queue) core.ChallengeSender {
+	if queue != nil {
+		return queue.Sender()
+	}
+	return func(ch core.OutboundChallenge) {
+		log.Printf("CHALLENGE to %s for message %s — solve at %s", ch.To, ch.MsgID, ch.URL)
 	}
 }
 

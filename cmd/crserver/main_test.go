@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"log"
 	"net"
 	"os"
 	"strings"
@@ -41,6 +43,25 @@ func (s *smarthostFake) count() int {
 	return len(s.accepted)
 }
 
+// newSmarthost starts a fake smarthost on loopback for the test's
+// lifetime and returns it with an outbound queue that delivers to it.
+func newSmarthost(t *testing.T) (*smarthostFake, *outbound.Queue) {
+	t.Helper()
+	sh := &smarthostFake{}
+	srv := smtp.NewServer(smtp.Config{Hostname: "smarthost.example", ReadTimeout: 5 * time.Second}, sh)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l) //nolint:errcheck
+	t.Cleanup(func() { srv.Close() })
+	return sh, outbound.NewQueue(outbound.Config{
+		Dial:       func() (*smtp.Client, error) { return smtp.Dial(l.Addr().String(), 2*time.Second) },
+		HeloDomain: "corp.example",
+		MaxQueued:  10,
+	})
+}
+
 // TestDrainGraceful is the shutdown e2e: an in-flight SMTP session is
 // allowed to finish (its mid-drain transaction is tempfailed 421, never
 // dropped), new connections are refused, the outbound challenge queue
@@ -50,20 +71,7 @@ func TestDrainGraceful(t *testing.T) {
 	clk := clock.Real{}
 
 	// Fake smarthost the outbound queue drains into.
-	sh := &smarthostFake{}
-	shSrv := smtp.NewServer(smtp.Config{Hostname: "smarthost.example", ReadTimeout: 5 * time.Second}, sh)
-	shL, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go shSrv.Serve(shL) //nolint:errcheck
-	defer shSrv.Close()
-
-	queue := outbound.NewQueue(outbound.Config{
-		Dial:       func() (*smtp.Client, error) { return smtp.Dial(shL.Addr().String(), 2*time.Second) },
-		HeloDomain: "corp.example",
-		MaxQueued:  10,
-	})
+	sh, queue := newSmarthost(t)
 
 	dns := dnssim.NewServer()
 	dns.RegisterMailDomain("example.com", "192.0.2.1")
@@ -166,5 +174,69 @@ func TestDrainGraceful(t *testing.T) {
 	// The shed is accounted as a draining tempfail, not a drop.
 	if ctl.Metrics().Shed[overload.ReasonDraining] == 0 {
 		t.Error("mid-drain shed not recorded with reason draining")
+	}
+}
+
+// TestChallengeTokenStaysOutOfLog: a challenge URL carries the CAPTCHA
+// token, and solving it releases the message and whitelists the sender.
+// With a smarthost the challenge is mailed and the token must reach the
+// smarthost only, never the server log; in the log-only demo the log is
+// where the URL goes.
+func TestChallengeTokenStaysOutOfLog(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+
+	sh, queue := newSmarthost(t)
+
+	clk := clock.Real{}
+	dns := dnssim.NewServer()
+	dns.RegisterMailDomain("example.com", "192.0.2.1")
+	var issued []core.OutboundChallenge
+	send := challengeSender(queue)
+	eng := core.New(core.Config{
+		Name:             "token-test",
+		Domains:          []string{"corp.example"},
+		ChallengeFrom:    mail.MustParseAddress("challenge@corp.example"),
+		ChallengeBaseURL: "http://cr.corp.example",
+	}, clk, dns, nil, whitelist.NewStore(clk), func(ch core.OutboundChallenge) {
+		issued = append(issued, ch)
+		send(ch)
+	})
+	eng.AddUser(mail.MustParseAddress("bob@corp.example"))
+	eng.Receive(&mail.Message{
+		ID:           mail.NewID("gray"),
+		EnvelopeFrom: mail.MustParseAddress("alice@example.com"),
+		Rcpt:         mail.MustParseAddress("bob@corp.example"),
+		Subject:      "hello",
+		Size:         100,
+		ClientIP:     "192.0.2.1",
+		Received:     clk.Now(),
+	})
+	if len(issued) != 1 || issued[0].Token == "" || !strings.Contains(issued[0].URL, issued[0].Token) {
+		t.Fatalf("want one challenge whose URL carries its token, got %+v", issued)
+	}
+	token := issued[0].Token
+	if _, err := queue.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	sh.mu.Lock()
+	var mailed string
+	for _, m := range sh.accepted {
+		mailed += m.Body
+	}
+	sh.mu.Unlock()
+	if !strings.Contains(mailed, token) {
+		t.Errorf("the challenge mailed to the smarthost lacks its token %q", token)
+	}
+	if strings.Contains(logged.String(), token) {
+		t.Errorf("the server log holds the CAPTCHA token with a smarthost set:\n%s", logged.String())
+	}
+
+	logged.Reset()
+	challengeSender(nil)(issued[0])
+	if !strings.Contains(logged.String(), issued[0].URL) {
+		t.Errorf("log-only mode did not log the solve URL; log:\n%s", logged.String())
 	}
 }

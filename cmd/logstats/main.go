@@ -6,7 +6,8 @@
 // size of the paper's 90M-event corpus splits across every core.
 //
 //	logstats -f cr.log           # parallel scan of a log file
-//	logstats < cr.log            # aggregate a stream (pipe, zcat, ...)
+//	logstats < cr.log            # stdin: range-split too when it is a file
+//	zcat cr.log.gz | logstats    # a pipe is streamed
 //	logstats -f <(zcat cr.log.gz)  # -f on a FIFO streams it too
 //	logstats -demo               # simulate a small fleet, log it, parse it
 //	logstats -per-company -f cr.log

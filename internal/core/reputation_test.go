@@ -209,7 +209,7 @@ func TestReputationEndToEnd(t *testing.T) {
 	agg := maillog.NewAggregate()
 	var fastPathEvents int64
 	for _, ev := range e.events {
-		agg.Add(ev)
+		agg.Add(&ev)
 		if ev.Kind == maillog.KindReputation && ev.Field("action") == "fast-path" {
 			fastPathEvents++
 			if ev.Field("band") != "trusted" || ev.Field("keys") == "" {

@@ -63,7 +63,8 @@ func BenchmarkParseLineBytes(b *testing.B) {
 }
 
 // BenchmarkLogScan runs the full parallel scan over an in-memory
-// synthetic log at several worker counts, reporting events/sec and
+// synthetic log at several worker counts, and once more on the stream
+// path a pipe takes (all workers), reporting events/sec and
 // allocs/event — the in-tree twin of crbench's logscan_600k workload,
 // and the target to profile the crawler with:
 //
@@ -71,13 +72,13 @@ func BenchmarkParseLineBytes(b *testing.B) {
 func BenchmarkLogScan(b *testing.B) {
 	const n = 100000
 	log := genLog(b, n, 42)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	run := func(name string, scan func() (*maillog.Aggregate, error)) {
+		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(log)))
 			b.ReportAllocs()
 			var events int64
 			for i := 0; i < b.N; i++ {
-				agg, err := logscan.ScanReaderAt(bytes.NewReader(log), int64(len(log)), logscan.Options{Workers: workers})
+				agg, err := scan()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -87,4 +88,12 @@ func BenchmarkLogScan(b *testing.B) {
 			b.ReportMetric(float64(events)/perOp, "events/sec")
 		})
 	}
+	for _, workers := range []int{1, 2, 4} {
+		run(fmt.Sprintf("workers=%d", workers), func() (*maillog.Aggregate, error) {
+			return logscan.ScanReaderAt(bytes.NewReader(log), int64(len(log)), logscan.Options{Workers: workers})
+		})
+	}
+	run("stream", func() (*maillog.Aggregate, error) {
+		return logscan.Scan(forceStream{bytes.NewReader(log)}, logscan.Options{})
+	})
 }

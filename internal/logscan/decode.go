@@ -12,7 +12,9 @@ package logscan
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math/bits"
 	"time"
 
 	"repro/internal/maillog"
@@ -53,6 +55,18 @@ type Decoder struct {
 	SkipMsgID bool
 
 	strs map[string]string
+
+	// The last company token and its interned string: a log's lines
+	// come in runs from one installation, so most lines repeat it.
+	lastCo string
+
+	// The last timestamp token that passed parseTimestamp and the time
+	// it decoded to. Log lines arrive in time order and most share
+	// their second with the line before, so a byte-identical token
+	// skips the parse; any other token is parsed and validated afresh.
+	lastTS [20]byte
+	lastT  time.Time
+	haveTS bool
 }
 
 // NewDecoder returns a Decoder with an empty intern table.
@@ -76,23 +90,47 @@ func (d *Decoder) intern(b []byte) string {
 
 // asciiSpace mirrors the ASCII half of strings.Fields' separator set,
 // which is all a log line can contain (values may not contain spaces).
-func asciiSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f' || c == '\n'
-}
+// A table lookup is one load where a compare chain is six branches.
+var asciiSpace = [256]bool{' ': true, '\t': true, '\r': true, '\v': true, '\f': true, '\n': true}
 
 // nextToken returns the first token of buf and the remainder after it.
 // An empty token means buf held only whitespace.
+//
+// The token's end is found eight bytes at a time: every separator is
+// below 0x21, and (w - 0x21*lo8) &^ w & hi8 flags the bytes of w below
+// 0x21. Borrows only run upward, so the lowest flagged byte is exactly
+// the first such byte; a control byte that is not a separator is
+// stepped over and the search goes on.
 func nextToken(buf []byte) (tok, rest []byte) {
 	i := 0
-	for i < len(buf) && asciiSpace(buf[i]) {
+	for i < len(buf) && asciiSpace[buf[i]] {
 		i++
 	}
 	j := i
-	for j < len(buf) && !asciiSpace(buf[j]) {
+	for j+8 <= len(buf) {
+		w := binary.LittleEndian.Uint64(buf[j:])
+		m := (w - 0x21*lo8) &^ w & hi8
+		if m == 0 {
+			j += 8
+			continue
+		}
+		k := j + bits.TrailingZeros64(m)/8
+		if asciiSpace[buf[k]] {
+			return buf[i:k], buf[k:]
+		}
+		j = k + 1
+	}
+	for j < len(buf) && !asciiSpace[buf[j]] {
 		j++
 	}
 	return buf[i:j], buf[j:]
 }
+
+// Byte-lane constants for nextToken's eight-at-a-time search.
+const (
+	lo8 = 0x0101010101010101
+	hi8 = 0x8080808080808080
+)
 
 // ParseLineBytes parses one log line into e, overwriting it completely.
 // It is the decoder for the format maillog.Event.AppendFormat writes:
@@ -109,12 +147,15 @@ func (d *Decoder) ParseLineBytes(buf []byte, e *maillog.Event) error {
 	if len(kind) == 0 {
 		return ErrShortLine
 	}
-	t, ok := parseTimestamp(ts)
+	t, ok := d.timestamp(ts)
 	if !ok {
 		return ErrBadTimestamp
 	}
 	e.Time = t
-	e.Company = d.intern(co)
+	if string(co) != d.lastCo {
+		d.lastCo = d.intern(co)
+	}
+	e.Company = d.lastCo
 	e.Kind = maillog.Kind(d.intern(kind))
 	for {
 		var tok []byte
@@ -135,6 +176,20 @@ func (d *Decoder) ParseLineBytes(buf []byte, e *maillog.Event) error {
 		}
 		e.AddField(d.intern(k), d.intern(v))
 	}
+}
+
+// timestamp is parseTimestamp behind a one-entry memo: a token equal
+// to the last one that parsed returns its time without re-parsing.
+func (d *Decoder) timestamp(b []byte) (time.Time, bool) {
+	if d.haveTS && string(b) == string(d.lastTS[:]) {
+		return d.lastT, true
+	}
+	t, ok := parseTimestamp(b)
+	if ok {
+		copy(d.lastTS[:], b)
+		d.lastT, d.haveTS = t, true
+	}
+	return t, ok
 }
 
 // parseTimestamp decodes the fixed "2006-01-02T15:04:05Z" layout

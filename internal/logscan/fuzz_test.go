@@ -88,39 +88,61 @@ func FuzzParseLineBytes(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("0000-10-01T0:00:00Z 0 00"))
 	f.Add([]byte("2010-07-01T10:00:00.5Z c deliver"))
+	f.Add([]byte("2010-07-01T10:00:00Z co\x01\x02mpany\x1f deliver via=\x00x\x7f\tb=1"))
 	f.Fuzz(func(t *testing.T, line []byte) {
-		ascii := true
-		for _, c := range line {
-			if c >= 0x80 {
-				ascii = false
-				break
-			}
-		}
-		if !ascii {
-			return
-		}
+		checkAgainstRef(t, logscan.NewDecoder(), line)
+	})
+}
+
+// FuzzParseLineSequence feeds up to three lines through ONE decoder,
+// holding each to refParseLine. The decoder carries state from line to
+// line — the timestamp and company memos — which a fresh decoder per
+// input never exercises: a line must mean the same whatever line came
+// before it.
+func FuzzParseLineSequence(f *testing.F) {
+	f.Add("2010-07-01T10:00:00Z c deliver via=digest", "2010-07-01T10:00:00Z c web-solve", "2010-07-01T10:00:00Z d challenge")
+	f.Add("2010-07-01T10:00:00Z c deliver", "2010-07-01T10:00:0xZ c deliver", "2010-07-01T10:00:00 c deliver")
+	f.Add("2010-02-28T23:59:59Z c deliver", "2010-02-29T00:00:00Z c deliver", "2010-02-28T23:59:59Z c deliver")
+	f.Add("2012-02-28T23:59:59Z c deliver", "2012-02-29T00:00:00Z c deliver", "2012-02-29T00:00:00Z c web-visit")
+	f.Add("2010-07-01T10:00:00Z c deliver", "2010-07-01T10:00:01Z c deliver", "2010-07-01T10:00:59Z c deliver")
+	f.Add("2010-07-01T10:00:00Z c deliver", "2010-07-01T10:00:60Z c deliver", "2010-07-01T10:00:00Z c")
+	f.Fuzz(func(t *testing.T, a, b, c string) {
 		d := logscan.NewDecoder()
-		var got maillog.Event
-		gerr := d.ParseLineBytes(line, &got)
-		want, werr := refParseLine(string(line))
-		if (gerr == nil) != (werr == nil) {
-			if werr == nil && len(strings.Fields(string(line))[0]) != 20 {
-				return
-			}
-			t.Fatalf("classification split on %q: bytes=%v serial=%v", line, gerr, werr)
-		}
-		if gerr != nil {
-			return
-		}
-		if !got.Time.Equal(want.Time) || got.Company != want.Company || got.Kind != want.Kind || got.MsgID != want.MsgID {
-			t.Fatalf("header drift on %q: %+v vs %+v", line, got, want)
-		}
-		if !reflect.DeepEqual(got.FieldMap(), want.FieldMap()) {
-			t.Fatalf("field drift on %q: %v vs %v", line, got.FieldMap(), want.FieldMap())
-		}
-		// And both render back to the same bytes.
-		if g, w := string(got.AppendFormat(nil)), string(want.AppendFormat(nil)); g != w {
-			t.Fatalf("render drift on %q: %q vs %q", line, g, w)
+		for _, line := range []string{a, b, c} {
+			checkAgainstRef(t, d, []byte(line))
 		}
 	})
+}
+
+// checkAgainstRef decodes line with d and compares the result with
+// refParseLine, within the exemptions FuzzParseLineBytes documents.
+func checkAgainstRef(t *testing.T, d *logscan.Decoder, line []byte) {
+	t.Helper()
+	var got maillog.Event
+	gerr := d.ParseLineBytes(line, &got)
+	for _, c := range line {
+		if c >= 0x80 {
+			return
+		}
+	}
+	want, werr := refParseLine(string(line))
+	if (gerr == nil) != (werr == nil) {
+		if werr == nil && len(strings.Fields(string(line))[0]) != 20 {
+			return
+		}
+		t.Fatalf("classification split on %q: bytes=%v serial=%v", line, gerr, werr)
+	}
+	if gerr != nil {
+		return
+	}
+	if !got.Time.Equal(want.Time) || got.Company != want.Company || got.Kind != want.Kind || got.MsgID != want.MsgID {
+		t.Fatalf("header drift on %q: %+v vs %+v", line, got, want)
+	}
+	if !reflect.DeepEqual(got.FieldMap(), want.FieldMap()) {
+		t.Fatalf("field drift on %q: %v vs %v", line, got.FieldMap(), want.FieldMap())
+	}
+	// And both render back to the same bytes.
+	if g, w := string(got.AppendFormat(nil)), string(want.AppendFormat(nil)); g != w {
+		t.Fatalf("render drift on %q: %q vs %q", line, g, w)
+	}
 }

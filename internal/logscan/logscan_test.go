@@ -248,6 +248,39 @@ func TestScanFileFIFO(t *testing.T) {
 	}
 }
 
+// TestStreamAllocs: the pipe path circulates its block buffers whole,
+// so a log many blocks long costs a bounded number of allocations —
+// the blocks, the read buffer, the shard aggregates — not one per line.
+// The log repeats a few lines so interner misses stay out of the count.
+func TestStreamAllocs(t *testing.T) {
+	lines := []string{
+		"2010-07-01T10:00:00Z company-01 mta-accept msg=m-1 from=a@b.example size=4096",
+		"2010-07-01T10:00:00Z company-02 mta-drop msg=m-2 reason=unknown-recipient size=900",
+		"2010-07-01T10:00:01Z company-01 dispatch msg=m-3 spool=gray",
+		"2010-07-01T10:00:01Z company-03 challenge msg=m-4 to=sender@remote.example",
+		"2010-07-01T10:00:02Z company-02 deliver msg=m-5 via=whitelist",
+	}
+	const reps = 20000 // ~7 MiB: seven 1 MiB blocks, more than the free list holds
+	input := []byte(strings.Repeat(strings.Join(lines, "\n")+"\n", reps))
+	n := len(lines) * reps
+	for _, workers := range []int{1, 2} {
+		var agg *maillog.Aggregate
+		allocs := testing.AllocsPerRun(1, func() {
+			var err error
+			agg, err = logscan.Scan(forceStream{bytes.NewReader(input)}, logscan.Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if agg.Lines != int64(n) || agg.BadLines != 0 {
+			t.Fatalf("workers=%d: lines=%d bad=%d, want %d/0", workers, agg.Lines, agg.BadLines, n)
+		}
+		if allocs > float64(n/100) {
+			t.Errorf("workers=%d: stream scan of %d lines made %.0f allocations, want at most %d", workers, n, allocs, n/100)
+		}
+	}
+}
+
 // TestScanCounters: the progress counters converge on the true totals
 // once the scan finishes.
 func TestScanCounters(t *testing.T) {

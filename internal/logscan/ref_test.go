@@ -75,7 +75,7 @@ func refParseAll(r io.Reader) (*maillog.Aggregate, error) {
 			if e, perr := refParseLine(line); perr != nil {
 				agg.BadLines++
 			} else {
-				agg.Add(e)
+				agg.Add(&e)
 			}
 		}
 		if err == io.EOF {

@@ -99,7 +99,7 @@ func (t *tally) line(d *Decoder, e *maillog.Event, raw []byte) {
 		t.agg.BadLines++
 		return
 	}
-	t.agg.Add(*e)
+	t.agg.Add(e)
 	t.events++
 	if t.events >= flushEvery {
 		t.flush()
@@ -131,11 +131,12 @@ func (t *tally) flush() {
 }
 
 // Scan aggregates a decision-log stream in parallel. Inputs backed by a
-// random-access source — a regular file, bytes.Reader, strings.Reader —
-// are range-split across workers with no producer in the way; anything
-// else (a pipe, a FIFO, stdin) falls back to a bounded single-reader
-// producer feeding worker-owned block buffers. Both paths yield the
-// same aggregate, bit for bit, for any worker count.
+// random-access source — a regular file (stdin redirected from one
+// too), bytes.Reader, strings.Reader — are range-split across workers
+// with no producer in the way; anything else (a pipe, a FIFO) falls
+// back to a bounded single-reader producer feeding worker-owned block
+// buffers. Both paths yield the same aggregate, bit for bit, for any
+// worker count.
 func Scan(r io.Reader, opts Options) (*maillog.Aggregate, error) {
 	type sizedReaderAt interface {
 		io.ReaderAt
@@ -298,8 +299,10 @@ func scanStream(r io.Reader, opts Options) (*maillog.Aggregate, error) {
 			d := NewDecoder()
 			d.SkipMsgID = true
 			var e maillog.Event
-			for block := range work {
-				for len(block) > 0 {
+			for buf := range work {
+				// Recycle buf, not the walked slice: that ends with
+				// no capacity left.
+				for block := buf; len(block) > 0; {
 					nl := bytes.IndexByte(block, '\n')
 					if nl < 0 {
 						t.line(d, &e, block)
@@ -308,7 +311,7 @@ func scanStream(r io.Reader, opts Options) (*maillog.Aggregate, error) {
 					t.line(d, &e, block[:nl+1])
 					block = block[nl+1:]
 				}
-				free <- block[:0:cap(block)]
+				free <- buf[:0]
 			}
 			t.flush()
 		}()

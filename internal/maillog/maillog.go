@@ -304,7 +304,7 @@ func (lw *Writer) Flush() error {
 // from the parsed logs, sufficient to derive Figure 1/2/3, the
 // reflection ratio and the solve rates.
 type Aggregate struct {
-	// Per company; "" keys the fleet-wide total.
+	// Per company; Total sums them into the fleet-wide row.
 	ByCompany map[string]*CompanyAggregate
 	// Lines and parse failures, for data-quality reporting.
 	Lines    int64
@@ -371,50 +371,56 @@ func NewAggregate() *Aggregate {
 	return &Aggregate{ByCompany: make(map[string]*CompanyAggregate)}
 }
 
-// Add incorporates one event.
-func (a *Aggregate) Add(e Event) {
-	for _, key := range []string{e.Company, ""} {
-		c := a.ByCompany[key]
-		if c == nil {
-			c = newCompanyAggregate()
-			a.ByCompany[key] = c
+// Add incorporates one event into its company's row. The fleet-wide
+// row is not kept alongside: Total sums the company rows on demand, so
+// the per-event fold touches one row, not two.
+func (a *Aggregate) Add(e *Event) {
+	c := a.row(e.Company)
+	switch e.Kind {
+	case KindMTAAccept:
+		c.Incoming++
+		if s, err := strconv.ParseInt(e.Field("size"), 10, 64); err == nil {
+			c.InBytes += s
 		}
-		switch e.Kind {
-		case KindMTAAccept:
-			c.Incoming++
-			if s, err := strconv.ParseInt(e.Field("size"), 10, 64); err == nil {
-				c.InBytes += s
-			}
-		case KindMTADrop:
-			c.Incoming++
-			c.MTADrops[e.Field("reason")]++
-			if s, err := strconv.ParseInt(e.Field("size"), 10, 64); err == nil {
-				c.InBytes += s
-			}
-		case KindDispatch:
-			c.Spools[e.Field("spool")]++
-		case KindFilterDrop:
-			c.FilterDrops[e.Field("filter")]++
-		case KindChallenge:
-			c.Challenges++
-		case KindDeliver:
-			c.Deliveries[e.Field("via")]++
-		case KindWebVisit:
-			c.WebVisits++
-		case KindWebSolve:
-			c.WebSolves++
-		case KindDegraded:
-			c.Degraded[e.Field("component")]++
-		case KindReputation:
-			c.Reputation[e.Field("action")]++
-		case KindOverload:
-			c.Overload[e.Field("reason")]++
-		case KindBounce:
-			c.Bounces[e.Field("class")]++
-		case KindLoopSuppressed:
-			c.LoopSuppressed++
+	case KindMTADrop:
+		c.Incoming++
+		c.MTADrops[e.Field("reason")]++
+		if s, err := strconv.ParseInt(e.Field("size"), 10, 64); err == nil {
+			c.InBytes += s
 		}
+	case KindDispatch:
+		c.Spools[e.Field("spool")]++
+	case KindFilterDrop:
+		c.FilterDrops[e.Field("filter")]++
+	case KindChallenge:
+		c.Challenges++
+	case KindDeliver:
+		c.Deliveries[e.Field("via")]++
+	case KindWebVisit:
+		c.WebVisits++
+	case KindWebSolve:
+		c.WebSolves++
+	case KindDegraded:
+		c.Degraded[e.Field("component")]++
+	case KindReputation:
+		c.Reputation[e.Field("action")]++
+	case KindOverload:
+		c.Overload[e.Field("reason")]++
+	case KindBounce:
+		c.Bounces[e.Field("class")]++
+	case KindLoopSuppressed:
+		c.LoopSuppressed++
 	}
+}
+
+// row returns the named company's row, creating it empty on first use.
+func (a *Aggregate) row(company string) *CompanyAggregate {
+	c := a.ByCompany[company]
+	if c == nil {
+		c = newCompanyAggregate()
+		a.ByCompany[company] = c
+	}
+	return c
 }
 
 // Merge folds another aggregate into a, summing every counter. It is
@@ -430,12 +436,7 @@ func (a *Aggregate) Merge(b *Aggregate) {
 	a.Lines += b.Lines
 	a.BadLines += b.BadLines
 	for name, cb := range b.ByCompany {
-		ca := a.ByCompany[name]
-		if ca == nil {
-			ca = newCompanyAggregate()
-			a.ByCompany[name] = ca
-		}
-		ca.Merge(cb)
+		a.row(name).Merge(cb)
 	}
 }
 
@@ -466,21 +467,21 @@ func mergeCounts(dst, src map[string]int64) {
 	}
 }
 
-// Total returns the fleet-wide aggregate.
+// Total returns the fleet-wide aggregate: a fresh sum of every
+// company row.
 func (a *Aggregate) Total() *CompanyAggregate {
-	if c := a.ByCompany[""]; c != nil {
-		return c
+	tot := newCompanyAggregate()
+	for _, c := range a.ByCompany {
+		tot.Merge(c)
 	}
-	return newCompanyAggregate()
+	return tot
 }
 
 // Companies returns the company names present, sorted.
 func (a *Aggregate) Companies() []string {
 	out := make([]string, 0, len(a.ByCompany))
 	for k := range a.ByCompany {
-		if k != "" {
-			out = append(out, k)
-		}
+		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out

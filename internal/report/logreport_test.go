@@ -12,7 +12,8 @@ func logFixture() *maillog.Aggregate {
 	at := time.Date(2010, 7, 1, 10, 0, 0, 0, time.UTC)
 	agg := maillog.NewAggregate()
 	add := func(co string, kind maillog.Kind, kvs ...string) {
-		agg.Add(maillog.MakeEvent(at, co, kind, "m-1", kvs...))
+		e := maillog.MakeEvent(at, co, kind, "m-1", kvs...)
+		agg.Add(&e)
 		agg.Lines++
 	}
 	add("acme", maillog.KindMTAAccept, "size", "1000")
