@@ -14,9 +14,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -24,34 +27,75 @@ import (
 	"repro/internal/faults"
 )
 
+// renderers are the -only artifacts drawn from the one shared fleet run.
+var renderers = map[string]func(*experiments.Run) string{
+	"fig1":      experiments.RenderLifecycle,
+	"table1":    experiments.RenderGeneral,
+	"fig4a":     experiments.RenderDeliveryStatus,
+	"fig4b":     experiments.RenderCaptchaTries,
+	"ratios":    experiments.RenderRatios,
+	"fig5":      experiments.RenderCorrelations,
+	"fig6":      experiments.RenderClustering,
+	"fig7":      experiments.RenderDelayCDF,
+	"fig8":      experiments.RenderSolveTime,
+	"fig9":      experiments.RenderChurn,
+	"fig10":     experiments.RenderDailyPending,
+	"fig11":     experiments.RenderBlacklisting,
+	"fig12":     experiments.RenderSPF,
+	"ablations": experiments.RenderAblations,
+}
+
+// specials are the -only artifacts that run fleets of their own (or, for
+// crashrestart, a single installation) instead of the shared run.
+var specials = []string{"chaos", "surge", "crashrestart", "reputation"}
+
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command; it returns the process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		preset      = flag.String("preset", "standard", "run size: quick | standard")
-		seed        = flag.Int64("seed", 42, "simulation seed (equal seeds reproduce exactly)")
-		companies   = flag.Int("companies", 0, "override company count")
-		days        = flag.Int("days", 0, "override simulated days")
-		only        = flag.String("only", "", "render one artifact: fig1|table1|fig4a|fig4b|ratios|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|ablations|chaos|reputation|surge|crashrestart")
-		crashes     = flag.Int("crashes", 6, "crash points for -only crashrestart")
-		sensitivity = flag.Int("sensitivity", 0, "instead of one run, simulate N seeds and print the cross-seed stability table")
-		faultPlan   = flag.String("fault-plan", "", "JSON fault plan file applied to the run (default plan for -only chaos)")
+		preset      = fs.String("preset", "standard", "run size: quick | standard")
+		seed        = fs.Int64("seed", 42, "simulation seed (equal seeds reproduce exactly)")
+		companies   = fs.Int("companies", 0, "override company count")
+		days        = fs.Int("days", 0, "override simulated days")
+		only        = fs.String("only", "", "render one artifact: fig1|table1|fig4a|fig4b|ratios|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|ablations|chaos|reputation|surge|crashrestart")
+		crashes     = fs.Int("crashes", 6, "crash points for -only crashrestart")
+		sensitivity = fs.Int("sensitivity", 0, "instead of one run, simulate N seeds and print the cross-seed stability table")
+		faultPlan   = fs.String("fault-plan", "", "JSON fault plan file applied to the run (default plan for -only chaos)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// Reject a bad -only before any simulation: the standard preset
+	// takes seconds to simulate, and a typo should not cost them.
+	artifact := strings.ToLower(*only)
+	if artifact != "" && renderers[artifact] == nil && !slices.Contains(specials, artifact) {
+		fmt.Fprintf(stderr, "unknown artifact %q\n", *only)
+		return 2
+	}
 
 	var plan *faults.Plan
 	if *faultPlan != "" {
 		var err error
 		plan, err = faults.LoadFile(*faultPlan)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fault plan: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "fault plan: %v\n", err)
+			return 2
 		}
-		fmt.Fprintf(os.Stderr, "fault plan active:\n%s", plan.Describe())
+		fmt.Fprintf(stderr, "fault plan active:\n%s", plan.Describe())
 	}
 
 	if *sensitivity > 0 {
-		fmt.Fprintf(os.Stderr, "running %d independently-seeded quick fleets...\n", *sensitivity)
-		fmt.Println(experiments.Sensitivity(*seed, *sensitivity).Render())
-		return
+		fmt.Fprintf(stderr, "running %d independently-seeded quick fleets...\n", *sensitivity)
+		fmt.Fprintln(stdout, experiments.Sensitivity(*seed, *sensitivity).Render())
+		return 0
 	}
 
 	var cfg experiments.RunConfig
@@ -61,8 +105,8 @@ func main() {
 	case "standard":
 		cfg = experiments.Standard(*seed)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown preset %q\n", *preset)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown preset %q\n", *preset)
+		return 2
 	}
 	if *companies > 0 {
 		cfg.Companies = *companies
@@ -72,78 +116,57 @@ func main() {
 	}
 	cfg.FaultPlan = plan
 
-	// The chaos artifact runs the fleet twice (clean and faulted) and
-	// diffs, so it is special-cased ahead of the single-run renderers.
-	if strings.ToLower(*only) == "chaos" {
-		fmt.Fprintf(os.Stderr, "chaos run: %d companies, %d simulated days, seed %d (x2)...\n",
+	switch artifact {
+	case "chaos":
+		// The chaos artifact runs the fleet twice (clean and faulted) and
+		// diffs.
+		fmt.Fprintf(stderr, "chaos run: %d companies, %d simulated days, seed %d (x2)...\n",
 			cfg.Companies, cfg.Days, cfg.Seed)
-		fmt.Println(experiments.Chaos(cfg, plan).Render())
-		return
-	}
-	// The surge artifact sweeps burst intensities with admission control
-	// on, one fleet run per intensity.
-	if strings.ToLower(*only) == "surge" {
-		fmt.Fprintf(os.Stderr, "surge sweep: %d companies, %d simulated days, seed %d (x%d intensities)...\n",
+		fmt.Fprintln(stdout, experiments.Chaos(cfg, plan).Render())
+		return 0
+	case "surge":
+		// The surge artifact sweeps burst intensities with admission
+		// control on, one fleet run per intensity.
+		fmt.Fprintf(stderr, "surge sweep: %d companies, %d simulated days, seed %d (x%d intensities)...\n",
 			cfg.Companies, cfg.Days, cfg.Seed, len(experiments.SurgeIntensities))
-		fmt.Println(experiments.Surge(cfg).Render())
-		return
-	}
-	// The crash-restart artifact exercises the WAL durability contract
-	// on a single installation rather than the fleet: seeded traffic,
-	// seeded crashes with torn tails, byte-identical recovery.
-	if strings.ToLower(*only) == "crashrestart" {
-		fmt.Fprintf(os.Stderr, "crash-restart durability: %d seeded crash point(s), seed %d...\n",
+		fmt.Fprintln(stdout, experiments.Surge(cfg).Render())
+		return 0
+	case "crashrestart":
+		// The crash-restart artifact exercises the WAL durability
+		// contract on a single installation rather than the fleet: seeded
+		// traffic, seeded crashes with torn tails, byte-identical
+		// recovery.
+		fmt.Fprintf(stderr, "crash-restart durability: %d seeded crash point(s), seed %d...\n",
 			*crashes, cfg.Seed)
 		rep, err := experiments.CrashRestart(cfg.Seed, *crashes)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "crash-restart: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "crash-restart: %v\n", err)
+			return 1
 		}
-		fmt.Println(rep.Render())
+		fmt.Fprintln(stdout, rep.Render())
 		if !rep.Pass() {
-			os.Exit(1)
+			return 1
 		}
-		return
-	}
-	// Likewise the reputation ablation: two identically-seeded fleets,
-	// with and without the sender-reputation stage.
-	if strings.ToLower(*only) == "reputation" {
-		fmt.Fprintf(os.Stderr, "reputation ablation: %d companies, %d simulated days, seed %d (x2)...\n",
+		return 0
+	case "reputation":
+		// Likewise the reputation ablation: two identically-seeded
+		// fleets, with and without the sender-reputation stage.
+		fmt.Fprintf(stderr, "reputation ablation: %d companies, %d simulated days, seed %d (x2)...\n",
 			cfg.Companies, cfg.Days, cfg.Seed)
-		fmt.Println(experiments.ReputationAblation(cfg.Seed, cfg.Companies, cfg.Days).Render())
-		return
+		fmt.Fprintln(stdout, experiments.ReputationAblation(cfg.Seed, cfg.Companies, cfg.Days).Render())
+		return 0
 	}
 
-	fmt.Fprintf(os.Stderr, "building fleet: %d companies, %d simulated days, seed %d...\n",
+	fmt.Fprintf(stderr, "building fleet: %d companies, %d simulated days, seed %d...\n",
 		cfg.Companies, cfg.Days, cfg.Seed)
 	start := time.Now()
-	run := experiments.NewRun(cfg)
-	fmt.Fprintf(os.Stderr, "simulation complete in %v\n\n", time.Since(start).Round(time.Millisecond))
+	r := experiments.NewRun(cfg)
+	fmt.Fprintf(stderr, "simulation complete in %v\n\n", time.Since(start).Round(time.Millisecond))
 
-	renderers := map[string]func(*experiments.Run) string{
-		"fig1":      experiments.RenderLifecycle,
-		"table1":    experiments.RenderGeneral,
-		"fig4a":     experiments.RenderDeliveryStatus,
-		"fig4b":     experiments.RenderCaptchaTries,
-		"ratios":    experiments.RenderRatios,
-		"fig5":      experiments.RenderCorrelations,
-		"fig6":      experiments.RenderClustering,
-		"fig7":      experiments.RenderDelayCDF,
-		"fig8":      experiments.RenderSolveTime,
-		"fig9":      experiments.RenderChurn,
-		"fig10":     experiments.RenderDailyPending,
-		"fig11":     experiments.RenderBlacklisting,
-		"fig12":     experiments.RenderSPF,
-		"ablations": experiments.RenderAblations,
+	if artifact != "" {
+		fmt.Fprintln(stdout, renderers[artifact](r))
+		return 0
 	}
-	if *only != "" {
-		f, ok := renderers[strings.ToLower(*only)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown artifact %q\n", *only)
-			os.Exit(2)
-		}
-		fmt.Println(f(run))
-		return
-	}
-	fmt.Println(experiments.RenderAll(run))
+	fmt.Fprintln(stdout, experiments.RenderAll(r))
+	return 0
 }

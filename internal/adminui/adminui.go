@@ -47,18 +47,6 @@ type Server struct {
 	wal      *wal.Log
 	saver    *store.Saver
 	outQ     *outbound.Queue
-	syncFn   func() SyncStats
-}
-
-// SyncStats carries the fleet driver's sparse-barrier and
-// steal-scheduler counters for /metrics. It mirrors
-// workload.SyncStats field-for-field so a fleet host can adapt with a
-// one-line closure, without adminui depending on the workload package.
-type SyncStats struct {
-	BarriersFired   int64
-	BarriersSkipped int64
-	Steals          int64
-	TrapHitsApplied int64
 }
 
 // New returns the admin UI over engine.
@@ -72,11 +60,6 @@ func (s *Server) SetResolverCaches(dns *dnscache.Cache, rbl *dnscache.RBLCache) 
 	s.dnsCache = dns
 	s.rblCache = rbl
 }
-
-// SetSyncSource registers a callback supplying the fleet's sparse-
-// barrier counters so /metrics exports barrier_fired_total,
-// barrier_skipped_total and steal_count_total (nil detaches).
-func (s *Server) SetSyncSource(fn func() SyncStats) { s.syncFn = fn }
 
 // SetOverload registers the deployment's admission controller so
 // /metrics exports its counters and /overload renders its state.
@@ -285,13 +268,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "rbl_cache_hits %d\n", st.Hits)
 		fmt.Fprintf(w, "rbl_cache_negative_hits %d\n", st.NegHits)
 		fmt.Fprintf(w, "rbl_cache_hit_rate %.4f\n", st.HitRate())
-	}
-	if s.syncFn != nil {
-		ss := s.syncFn()
-		fmt.Fprintf(w, "barrier_fired_total %d\n", ss.BarriersFired)
-		fmt.Fprintf(w, "barrier_skipped_total %d\n", ss.BarriersSkipped)
-		fmt.Fprintf(w, "steal_count_total %d\n", ss.Steals)
-		fmt.Fprintf(w, "trap_hits_applied_total %d\n", ss.TrapHitsApplied)
 	}
 	if s.ctl != nil {
 		om := s.ctl.Metrics()

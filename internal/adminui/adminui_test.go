@@ -222,29 +222,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestSyncMetrics exercises the sparse-barrier counter export.
-func TestSyncMetrics(t *testing.T) {
-	eng, _, _, _ := fixture(t)
-	ui := New(eng)
-	srv := httptest.NewServer(ui.Handler())
-	t.Cleanup(srv.Close)
-	if _, body := get(t, srv.URL+"/metrics"); strings.Contains(body, "barrier_fired_total") {
-		t.Fatal("sync counters exported without a source")
-	}
-	ui.SetSyncSource(func() SyncStats {
-		return SyncStats{BarriersFired: 42, BarriersSkipped: 126, Steals: 7, TrapHitsApplied: 3}
-	})
-	_, body := get(t, srv.URL+"/metrics")
-	for _, want := range []string{
-		"barrier_fired_total 42", "barrier_skipped_total 126",
-		"steal_count_total 7", "trap_hits_applied_total 3",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, body)
-		}
-	}
-}
-
 // TestOverloadPageAndMetrics exercises the /overload page and the
 // admission counters exported on /metrics.
 func TestOverloadPageAndMetrics(t *testing.T) {

@@ -60,3 +60,34 @@ func TestChaosRenderDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosPlanFile runs the sample fault plan that README cites for
+// `reproduce -fault-plan` through the quick preset: the file must load,
+// every rule that reaches the fleet must fire, and the render is pinned
+// in testdata like the clean reproduction.
+func TestChaosPlanFile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two Quick runs")
+	}
+	plan, err := faults.LoadFile("testdata/chaos-plan.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Name != "example-chaos" || len(plan.Rules) != 4 {
+		t.Fatalf("plan = %q with %d rules, want example-chaos with 4", plan.Name, len(plan.Rules))
+	}
+	rep := Chaos(Quick(7), plan)
+	if rep.Base.Incoming == 0 || rep.Base.Incoming != rep.Faulted.Incoming {
+		t.Fatalf("incoming: base %d, faulted %d", rep.Base.Incoming, rep.Faulted.Incoming)
+	}
+	// The simulated fleet has no smarthost, so that rule never fires.
+	for _, key := range []string{"rbl:spamhaus/outage", "dns/timeout", "av/error"} {
+		if rep.Faulted.FaultCounts[key] == 0 {
+			t.Errorf("fault %s never injected: %v", key, rep.Faulted.FaultCounts)
+		}
+	}
+	if got := rep.Faulted.FilterDropped["rbl"]; got != 0 {
+		t.Errorf("faulted run dropped %d via rbl during a 100%% outage", got)
+	}
+	checkGolden(t, "testdata/chaos-quick-seed7.txt", rep.Render())
+}

@@ -10,10 +10,10 @@ import (
 
 // TestWorkerCountInvariance is the parallel-fleet determinism contract:
 // the same seed must produce bit-for-bit identical results whether the
-// fleet runs serially or on a worker pool. Companies execute on
+// fleet runs serially or on several workers. Companies execute on
 // independent lanes with derived RNG streams and join at hourly epoch
 // barriers, so the worker count can only change scheduling, never
-// outcomes.
+// outcomes — down to the last character of every rendered artifact.
 func TestWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple full Quick runs")
@@ -25,6 +25,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 	serial := run(1)
 	lcS, gS, ccS := Lifecycle(serial), General(serial), serial.Fleet.ClassCounts()
+	renderS, syncS := RenderAll(serial), serial.Fleet.SyncStats()
 	for _, workers := range []int{2, 4, 8, 16} {
 		parallel := run(workers)
 		if lcP := Lifecycle(parallel); !reflect.DeepEqual(lcS, lcP) {
@@ -36,12 +37,13 @@ func TestWorkerCountInvariance(t *testing.T) {
 		if ccP := parallel.Fleet.ClassCounts(); !reflect.DeepEqual(ccS, ccP) {
 			t.Errorf("class counts diverge:\nworkers=1: %v\nworkers=%d: %v", ccS, workers, ccP)
 		}
+		if diff := firstDiffs(renderS, RenderAll(parallel), 5); diff != "" {
+			t.Errorf("RenderAll diverges between workers=1 and workers=%d:\n%s", workers, diff)
+		}
 		// The sparse fire/skip pattern is part of the contract: a skipped
 		// barrier under one worker count but not another would mean the
 		// predicate saw different staged effects.
-		syncS, syncP := serial.Fleet.SyncStats(), parallel.Fleet.SyncStats()
-		syncS.Steals, syncP.Steals = 0, 0 // scheduling detail, not an outcome
-		if !reflect.DeepEqual(syncS, syncP) {
+		if syncP := parallel.Fleet.SyncStats(); !reflect.DeepEqual(syncS, syncP) {
 			t.Errorf("barrier pattern diverges:\nworkers=1: %+v\nworkers=%d: %+v", syncS, workers, syncP)
 		}
 	}
@@ -83,7 +85,7 @@ func TestSurgeWorkerCountInvariance(t *testing.T) {
 // configuration — a FaultPlan (which forces serial lane execution, since
 // the injector draws from one shared RNG) together with a SurgePlan,
 // admission controllers and a 10× burst — and checks that a requested
-// worker pool still changes nothing. It also asserts the sparse-barrier
+// worker count still changes nothing. It also asserts the sparse-barrier
 // ledger is genuinely exercised on this path: chaos runs go through the
 // same fire/skip predicate as parallel ones.
 func TestChaosSurgeWorkerCountInvariance(t *testing.T) {

@@ -35,7 +35,7 @@ type RunConfig struct {
 	// FaultPlan, when non-nil, runs the whole workload under the
 	// internal/faults injection layer (the chaos experiment).
 	FaultPlan *faults.Plan
-	// Workers is the fleet worker-pool size (see workload.Config.Workers):
+	// Workers is the fleet's lane worker count (see workload.Config.Workers):
 	// 0 means GOMAXPROCS, 1 runs serially; results are identical for
 	// every value.
 	Workers int

@@ -107,8 +107,8 @@ type Config struct {
 	// HeloDomain is announced on each session.
 	HeloDomain string
 	// RetrySchedule are the waits between attempts; when exhausted the
-	// item expires. Defaults to a conventional backoff. The same ladder
-	// paces a failing destination domain: after k consecutive
+	// item expires. Defaults to resilience.MTARetrySchedule. The same
+	// ladder paces a failing destination domain: after k consecutive
 	// domain-level failures, the whole domain waits RetrySchedule[k-1]
 	// (capped at the last rung) before its next batch.
 	RetrySchedule []time.Duration
@@ -149,11 +149,6 @@ type Config struct {
 	// domain a single Flush attempts (0 = unbounded). A domain in
 	// half-open always gets exactly one probe item.
 	MaxPerDomainInFlight int
-}
-
-// DefaultRetrySchedule is a conventional MTA backoff.
-var DefaultRetrySchedule = []time.Duration{
-	15 * time.Minute, time.Hour, 4 * time.Hour, 12 * time.Hour, 24 * time.Hour,
 }
 
 // domainLedger is the per-destination-domain health state: the circuit
@@ -216,7 +211,7 @@ func NewQueue(cfg Config) *Queue {
 		cfg.HeloDomain = "cr.invalid"
 	}
 	if len(cfg.RetrySchedule) == 0 {
-		cfg.RetrySchedule = DefaultRetrySchedule
+		cfg.RetrySchedule = resilience.MTARetrySchedule
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = len(cfg.RetrySchedule) + 1

@@ -1,12 +1,13 @@
 // Package resilience provides the small hardening primitives the CR
 // pipeline wraps around its network-dependent components: a three-state
-// circuit breaker (closed → open → half-open) and a jittered exponential
-// backoff for bounded retries.
+// circuit breaker (closed → open → half-open), a jittered exponential
+// backoff for bounded retries, and the MTA queue's retry ladder.
 //
-// Both are clock-injected so the simulation exercises them in virtual
-// time — breaker trip/recovery cycles and backoff schedules are tested
-// without a single real sleep — and both are safe for concurrent use, as
-// a live deployment shares them across SMTP sessions.
+// The breaker and the backoff are clock-injected so the simulation
+// exercises them in virtual time — breaker trip/recovery cycles and
+// backoff schedules are tested without a single real sleep — and both
+// are safe for concurrent use, as a live deployment shares them across
+// SMTP sessions.
 package resilience
 
 import (
@@ -18,6 +19,16 @@ import (
 
 	"repro/internal/clock"
 )
+
+// MTARetrySchedule is a conventional MTA queue's retry ladder: the waits
+// between delivery attempts to a transiently failing destination, growing
+// over roughly two days, after which the message expires (the study's
+// "expired after many unsuccessful attempts"). The live outbound queue
+// and the simulated network's challenge delivery both use it; neither
+// may modify it.
+var MTARetrySchedule = []time.Duration{
+	15 * time.Minute, time.Hour, 4 * time.Hour, 12 * time.Hour, 24 * time.Hour,
+}
 
 // State is a circuit breaker's position.
 type State int

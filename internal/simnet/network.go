@@ -13,6 +13,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/mail"
 	"repro/internal/rbl"
+	"repro/internal/resilience"
 )
 
 // ChallengeStatus is the final delivery status of one challenge email,
@@ -105,7 +106,7 @@ type Company struct {
 // used under epoch-barrier parallel execution, plus the buffer of trap
 // hits deferred to the next barrier. A lane is only ever touched by the
 // one worker advancing its company within an epoch (and by the barrier
-// flush, which the worker-pool join sequences after), so it needs no
+// flush, which the epoch's worker join sequences after), so it needs no
 // locking of its own.
 type lane struct {
 	clk      *clock.Sim
@@ -150,9 +151,6 @@ type Config struct {
 	Seed int64
 	// TransitDelay is the base SMTP transit time for a challenge.
 	TransitDelay time.Duration
-	// RetrySchedule are the delays between delivery attempts to a
-	// transiently-failing server; when exhausted the challenge expires.
-	RetrySchedule []time.Duration
 	// EmitDSNs, when true, turns every bounced or expired challenge into
 	// a real delivery-status-notification message delivered back to the
 	// originating company's MTA-IN (null envelope sender, per RFC 3464).
@@ -166,13 +164,6 @@ type Config struct {
 	// garbles the machine-readable block of an emitted DSN, modelling a
 	// reporting MTA whose bounce format the parser cannot read.
 	Injector faults.Injector
-}
-
-// DefaultRetrySchedule mirrors a conventional MTA queue: growing backoff
-// over roughly two days, then give up (the study's "expired after many
-// unsuccessful attempts").
-var DefaultRetrySchedule = []time.Duration{
-	15 * time.Minute, time.Hour, 4 * time.Hour, 12 * time.Hour, 24 * time.Hour,
 }
 
 // Network is the simulated Internet: remote servers, blocklist
@@ -209,9 +200,6 @@ type Network struct {
 func New(clk *clock.Sim, sched *clock.Scheduler, dns *dnssim.Server, providers []*rbl.Provider, traps *rbl.TrapRegistry, cfg Config) *Network {
 	if cfg.TransitDelay <= 0 {
 		cfg.TransitDelay = 30 * time.Second
-	}
-	if len(cfg.RetrySchedule) == 0 {
-		cfg.RetrySchedule = DefaultRetrySchedule
 	}
 	return &Network{
 		clk:       clk,
@@ -516,13 +504,13 @@ func (n *Network) emitDSN(c *Company, rec *ChallengeRecord, srcIP, status, reaso
 
 func (n *Network) retryOrExpire(c *Company, rec *ChallengeRecord) {
 	idx := rec.Attempts - 1
-	if idx >= len(n.cfg.RetrySchedule) {
+	if idx >= len(resilience.MTARetrySchedule) {
 		rec.Status = StatusExpired
 		n.emitDSN(c, rec, "", "4.4.7", "delivery time expired")
 		return
 	}
 	_, sched := n.laneCtx(c)
-	sched.After(n.cfg.RetrySchedule[idx], func() { n.attemptDelivery(c, rec) })
+	sched.After(resilience.MTARetrySchedule[idx], func() { n.attemptDelivery(c, rec) })
 }
 
 // scheduleRecipientReaction decides, per the mailbox behavior profile,

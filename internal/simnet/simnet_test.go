@@ -11,6 +11,7 @@ import (
 	"repro/internal/filters"
 	"repro/internal/mail"
 	"repro/internal/rbl"
+	"repro/internal/resilience"
 	"repro/internal/whitelist"
 )
 
@@ -154,8 +155,8 @@ func TestChallengeExpiresForUnreachableServer(t *testing.T) {
 	if rec.Status != StatusExpired {
 		t.Fatalf("status = %v, want expired", rec.Status)
 	}
-	if rec.Attempts != len(DefaultRetrySchedule)+1 {
-		t.Fatalf("attempts = %d, want %d", rec.Attempts, len(DefaultRetrySchedule)+1)
+	if rec.Attempts != len(resilience.MTARetrySchedule)+1 {
+		t.Fatalf("attempts = %d, want %d", rec.Attempts, len(resilience.MTARetrySchedule)+1)
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/simnet"
 	"repro/internal/spf"
-	"repro/internal/trace"
 	"repro/internal/whitelist"
 )
 
@@ -36,15 +35,16 @@ type Config struct {
 	// ScaleVolume multiplies every company's DailyVolume (use <1 for
 	// fast experiment runs; the proportions are volume-invariant).
 	ScaleVolume float64
-	// Workers is the worker-pool size for Run: companies advance in
-	// parallel on a work-stealing lane scheduler, rendezvousing at
-	// hourly epoch edges where cross-lane barriers fire only for epochs
-	// with staged effects (see ledger.go). 0 means GOMAXPROCS; 1 runs
-	// the same epoch algorithm serially. Results are identical
-	// for every value — each company owns its clock, scheduler and RNG
-	// streams, and cross-company effects apply only at barriers in
-	// company-name order. A FaultPlan forces 1 (the injector draws from
-	// one shared RNG whose order must stay reproducible).
+	// Workers is the number of goroutines Run advances lanes on:
+	// companies advance in parallel, claiming lanes off one shared
+	// counter and rendezvousing at hourly epoch edges where cross-lane
+	// barriers fire only for epochs with staged effects (see
+	// ledger.go). 0 means GOMAXPROCS; 1 runs the same epoch loop
+	// serially. Results are identical for every value — each company
+	// owns its clock, scheduler and RNG streams, and cross-company
+	// effects apply only at barriers in company-name order. A FaultPlan
+	// forces 1 (the injector draws from one shared RNG whose order must
+	// stay reproducible).
 	Workers int
 
 	// World population.
@@ -139,10 +139,6 @@ type Config struct {
 	// (the maillog stream the paper's measurement pipeline parsed).
 	// Called from the simulation goroutine; must be fast.
 	LogSink func(maillog.Event)
-	// TraceSink, when non-nil, receives every generated message as a
-	// trace.Record so workloads can be frozen to disk and replayed
-	// against differently-configured engines (internal/trace).
-	TraceSink func(trace.Record)
 }
 
 // DefaultConfig returns a Config with n companies and the stock world,
@@ -252,9 +248,9 @@ type Fleet struct {
 	classCounts map[Class]int64
 	day         int
 
-	// ledger is the sparse-barrier / steal-scheduler bookkeeping
-	// (ledger.go): epoch, fired/skipped-barrier, steal and trap-hit
-	// counters plus the shared-clock watermark.
+	// ledger is the sparse-barrier bookkeeping (ledger.go): epoch,
+	// fired/skipped-barrier and trap-hit counters plus the shared-clock
+	// watermark.
 	ledger syncLedger
 }
 
@@ -336,7 +332,6 @@ const (
 	saltCampaignCovers
 	saltCampaignTargets
 	saltSurge
-	saltSteal
 )
 
 // deriveSeed hashes a base seed and salts into the seed of an
@@ -582,11 +577,10 @@ type companyLane struct {
 	rng     *rand.Rand
 	ids     *mail.IDSource
 
-	// Sink buffers: maillog/trace events are buffered per lane and
-	// flushed at the epoch barrier in lane (company-name) order, so the
-	// streams the measurement pipeline sees are worker-count-invariant.
-	logBuf   []maillog.Event
-	traceBuf []trace.Record
+	// Sink buffer: maillog events are buffered per lane and flushed at
+	// the epoch barrier in lane (company-name) order, so the stream the
+	// measurement pipeline sees is worker-count-invariant.
+	logBuf []maillog.Event
 
 	// Ground-truth staging: written lock-free on the lane goroutine,
 	// merged into Fleet.truth/grayLog/classCounts behind f.mu at each

@@ -19,8 +19,8 @@ import (
 // fire/skip pattern — and with it every effect's virtual apply time —
 // is identical for any worker count.
 
-// SyncStats is a snapshot of the sparse-barrier and steal-scheduler
-// counters accumulated across Run calls.
+// SyncStats is a snapshot of the sparse-barrier counters accumulated
+// across Run calls.
 type SyncStats struct {
 	// Epochs is the number of one-hour epochs executed.
 	Epochs int64
@@ -31,21 +31,21 @@ type SyncStats struct {
 	// BarriersSkipped counts epochs with no staged effect, skipped with
 	// only a watermark bookkeeping update.
 	BarriersSkipped int64
-	// Steals counts lane work items executed by a worker other than the
-	// one they were dealt to at epoch start.
+	// Steals is always 0: lanes are no longer dealt to workers, so none
+	// is stolen. It stays only because the benchmark module reports it
+	// as workload.steals, and goes when that metric does.
 	Steals int64
 	// TrapHitsApplied counts staged spamtrap hits applied at barriers.
 	TrapHitsApplied int64
 }
 
-// syncLedger holds the counters behind SyncStats. Steals are bumped by
-// pool workers mid-epoch (hence atomics); the rest only by the
-// coordinator between epochs.
+// syncLedger holds the counters behind SyncStats. Only the coordinator
+// writes them, between epochs; atomics let another goroutine read them
+// without racing it.
 type syncLedger struct {
 	epochs      atomic.Int64
 	fired       atomic.Int64
 	skipped     atomic.Int64
-	steals      atomic.Int64
 	trapApplied atomic.Int64
 	// watermark is the virtual time of the last fired barrier, i.e. how
 	// far the *shared* clock has advanced (lanes may be ahead of it
@@ -53,13 +53,12 @@ type syncLedger struct {
 	watermark atomic.Int64 // unix nanos
 }
 
-// SyncStats returns the sparse-barrier / steal-scheduler counters.
+// SyncStats returns the sparse-barrier counters.
 func (f *Fleet) SyncStats() SyncStats {
 	return SyncStats{
 		Epochs:          f.ledger.epochs.Load(),
 		BarriersFired:   f.ledger.fired.Load(),
 		BarriersSkipped: f.ledger.skipped.Load(),
-		Steals:          f.ledger.steals.Load(),
 		TrapHitsApplied: f.ledger.trapApplied.Load(),
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -15,7 +16,6 @@ import (
 	"repro/internal/greylist"
 	"repro/internal/mail"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // Run advances the simulation by the given number of days, generating
@@ -25,11 +25,11 @@ import (
 // §5.1 blacklist poll.
 //
 // Companies execute on independent lanes advanced in one-hour epochs by
-// a persistent work-stealing pool of Config.Workers goroutines
-// (schedule.go). Cross-lane synchronization is *sparse*: at each epoch
-// rendezvous the effect ledger (ledger.go) decides whether any
-// cross-company effect was staged — trap hits, a due checker poll, a
-// pending shared-scheduler event — and only then does the barrier fire;
+// Config.Workers goroutines (advanceLanes). Cross-lane synchronization
+// is *sparse*: at each epoch rendezvous the effect ledger (ledger.go)
+// decides whether any cross-company effect was staged — trap hits, a
+// due checker poll, a pending shared-scheduler event — and only then
+// does the barrier fire;
 // idle epochs are skipped with a watermark advance and the shared clock
 // stays frozen. The last epoch of every day always fires, so public
 // accessors are consistent whenever Run returns. All effects apply in
@@ -39,13 +39,12 @@ func (f *Fleet) Run(days int) {
 	if days <= 0 {
 		return
 	}
-	ls := newLaneScheduler(f, f.workers())
-	defer ls.stop()
+	workers := f.workers()
 	for d := 0; d < days; d++ {
 		dayStart := f.scheduleDay()
 		for h := 1; h <= 24; h++ {
 			epochEnd := dayStart.Add(time.Duration(h) * time.Hour)
-			ls.advance(epochEnd)
+			f.advanceLanes(epochEnd, workers)
 			f.ledger.epochs.Add(1)
 			// The day's final epoch always fires: it bounds sink-buffer
 			// growth and leaves the shared clock, merged state and day
@@ -62,7 +61,34 @@ func (f *Fleet) Run(days int) {
 	}
 }
 
-// workers resolves the effective worker-pool size.
+// advanceLanes runs every lane to end and returns once all are parked
+// there (the epoch rendezvous). The caller and workers-1 goroutines
+// claim lane indices off one shared counter until none is left, so a
+// lane stuck in a campaign burst holds up only the worker running it;
+// workers == 1 starts no goroutine and runs the same loop alone. Lanes
+// are independent within an epoch (shared state is frozen between
+// fired barriers and cross-lane effects are staged, see ledger.go), so
+// which worker runs a lane cannot change any result.
+func (f *Fleet) advanceLanes(end time.Time, workers int) {
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(f.lanes)); i = next.Add(1) - 1 {
+			f.lanes[i].sched.RunUntil(end)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// workers resolves the effective number of lane workers.
 func (f *Fleet) workers() int {
 	w := f.Cfg.Workers
 	if w <= 0 {
@@ -164,8 +190,8 @@ func (f *Fleet) laneTruth(ln *companyLane, id string) (Class, bool) {
 	return c, ok
 }
 
-// flushSinks drains every lane's buffered maillog/trace events to the
-// configured sinks, in canonical lane order.
+// flushSinks drains every lane's buffered maillog events to the
+// configured sink, in canonical lane order.
 func (f *Fleet) flushSinks() {
 	for _, ln := range f.lanes {
 		if f.Cfg.LogSink != nil {
@@ -174,12 +200,6 @@ func (f *Fleet) flushSinks() {
 			}
 		}
 		ln.logBuf = ln.logBuf[:0]
-		if f.Cfg.TraceSink != nil {
-			for _, r := range ln.traceBuf {
-				f.Cfg.TraceSink(r)
-			}
-		}
-		ln.traceBuf = ln.traceBuf[:0]
 	}
 }
 
@@ -259,10 +279,6 @@ func (f *Fleet) injectClass(ln *companyLane, class Class) {
 	comp, p := ln.comp, ln.profile
 	msg := f.buildMessage(ln, p, class)
 	ln.classCounts[class]++
-
-	if f.Cfg.TraceSink != nil {
-		ln.traceBuf = append(ln.traceBuf, trace.FromMessage(comp.Name, msg, class.String()))
-	}
 
 	// Greylisting (when enabled) gates messages that would otherwise be
 	// accepted: real senders' MTAs retry after the delay, botnet cannons

@@ -58,42 +58,3 @@ func TestFleetRBLCacheHitRate(t *testing.T) {
 		t.Fatalf("RBL cache hit rate = %.3f, want >= 0.85 (stats %+v)", rate, st)
 	}
 }
-
-// TestLaneDeque pins the deque discipline: the owner pops LIFO from the
-// tail, thieves steal FIFO from the head, and the two meet exactly once
-// per item.
-func TestLaneDeque(t *testing.T) {
-	var d laneDeque
-	d.reset(0, 5) // items 0..4
-
-	if li, ok := d.pop(); !ok || li != 4 {
-		t.Fatalf("pop = %d,%v, want 4 (LIFO tail)", li, ok)
-	}
-	if li, ok := d.steal(); !ok || li != 0 {
-		t.Fatalf("steal = %d,%v, want 0 (FIFO head)", li, ok)
-	}
-	if li, ok := d.steal(); !ok || li != 1 {
-		t.Fatalf("steal = %d,%v, want 1", li, ok)
-	}
-	if li, ok := d.pop(); !ok || li != 3 {
-		t.Fatalf("pop = %d,%v, want 3", li, ok)
-	}
-	if li, ok := d.pop(); !ok || li != 2 {
-		t.Fatalf("pop = %d,%v, want 2", li, ok)
-	}
-	if _, ok := d.pop(); ok {
-		t.Fatal("pop on empty deque succeeded")
-	}
-	if _, ok := d.steal(); ok {
-		t.Fatal("steal on empty deque succeeded")
-	}
-
-	// reset reuses the backing array and restores both ends.
-	d.reset(10, 12)
-	if li, _ := d.steal(); li != 10 {
-		t.Fatalf("steal after reset = %d, want 10", li)
-	}
-	if li, _ := d.pop(); li != 11 {
-		t.Fatalf("pop after reset = %d, want 11", li)
-	}
-}
