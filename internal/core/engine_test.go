@@ -294,6 +294,37 @@ func TestAuthorizeFromDigest(t *testing.T) {
 	}
 }
 
+func TestPendingForUserOldestFirst(t *testing.T) {
+	e := newEnv(t, false)
+	e.dns.AddPTR("192.0.2.10", "mail.example.com")
+	bob := mail.MustParseAddress("bob@corp.example")
+
+	first := e.goodMsg("ann@example.com", "bob@corp.example")
+	e.eng.Receive(first)
+	e.clk.Advance(time.Hour)
+	// Two messages queued at the same instant: the message ID breaks the
+	// tie, whatever order they arrived in.
+	late := e.goodMsg("cid@example.com", "bob@corp.example")
+	late.ID = "m-b"
+	early := e.goodMsg("dee@example.com", "bob@corp.example")
+	early.ID = "m-a"
+	e.eng.Receive(late)
+	e.eng.Receive(early)
+
+	pending := e.eng.PendingForUser(bob)
+	var got []string
+	for _, it := range pending {
+		got = append(got, it.MsgID)
+	}
+	want := []string{first.ID, "m-a", "m-b"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("pending = %v, want %v", got, want)
+	}
+	if !pending[0].Queued.Equal(t0) || !pending[1].Queued.Equal(t0.Add(time.Hour)) {
+		t.Fatalf("queue times = %v, %v", pending[0].Queued, pending[1].Queued)
+	}
+}
+
 func TestAuthorizeFromDigestWrongUser(t *testing.T) {
 	e := newEnv(t, false)
 	e.dns.AddPTR("192.0.2.10", "mail.example.com")

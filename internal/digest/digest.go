@@ -1,5 +1,6 @@
-// Package digest builds the daily quarantine summaries the CR product
-// mails to each protected user.
+// Package digest holds the daily quarantine summaries the CR product
+// mails to each protected user: the Item lines a digest lists, and the
+// Book of digest sizes the measurement reads.
 //
 // The digest is the manual escape hatch of a challenge-response system:
 // when a legitimate sender cannot or will not solve the challenge (most
@@ -11,9 +12,6 @@
 package digest
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -28,32 +26,12 @@ type Item struct {
 	Queued  time.Time
 }
 
-// Digest is the daily summary for one user.
-type Digest struct {
-	User  mail.Address
-	Date  time.Time // midnight of the digest day
-	Items []Item
-}
-
-// Render formats the digest as the plain-text email body the product
-// sends, one line per quarantined message.
-func (d *Digest) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Daily quarantine digest for %s — %s\r\n", d.User, d.Date.Format("2006-01-02"))
-	fmt.Fprintf(&b, "%d message(s) awaiting your decision:\r\n\r\n", len(d.Items))
-	for i, it := range d.Items {
-		fmt.Fprintf(&b, "%3d. [%s] %q from %s (queued %s)\r\n",
-			i+1, it.MsgID, it.Subject, it.Sender, it.Queued.Format("Jan 02 15:04"))
-	}
-	b.WriteString("\r\nReply with AUTHORIZE <n> or DELETE <n>.\r\n")
-	return b.String()
-}
-
-// Book records every digest generated, indexed by user and day, so the
-// Figure 10 analysis (daily pending-message counts per user) reads
-// directly from it. Safe for concurrent use; the history is lock-striped
-// by user key so every company lane recording its end-of-day digests in
-// the same epoch lands on a different stripe instead of one mutex.
+// Book records the size of every daily digest, per user and in day
+// order, which is what the Figure 10 analysis (daily pending-message
+// counts per user) reads. Safe for concurrent use; the counts are
+// lock-striped by user key so every company lane recording its
+// end-of-day digests in the same epoch lands on a different stripe
+// instead of one mutex.
 type Book struct {
 	stripes [bookStripes]bookStripe
 }
@@ -61,15 +39,15 @@ type Book struct {
 const bookStripes = 16
 
 type bookStripe struct {
-	mu      sync.Mutex
-	history map[string][]*Digest // by user key, in generation order
+	mu     sync.Mutex
+	counts map[string][]int // by user key, one per recorded day
 }
 
 // NewBook returns an empty digest book.
 func NewBook() *Book {
 	b := &Book{}
 	for i := range b.stripes {
-		b.stripes[i].history = make(map[string][]*Digest)
+		b.stripes[i].counts = make(map[string][]int)
 	}
 	return b
 }
@@ -83,78 +61,22 @@ func (b *Book) stripeFor(key string) *bookStripe {
 	return &b.stripes[h%bookStripes]
 }
 
-// Record builds the digest for user on day from the given pending items
-// and stores it. Items are sorted by queue time (oldest first) to match
-// the product's presentation. Empty digests are recorded too: a zero on
-// the Figure 10 time series is data, not absence of data.
-func (b *Book) Record(user mail.Address, day time.Time, items []Item) *Digest {
-	sorted := make([]Item, len(items))
-	copy(sorted, items)
-	sort.Slice(sorted, func(i, j int) bool {
-		if !sorted[i].Queued.Equal(sorted[j].Queued) {
-			return sorted[i].Queued.Before(sorted[j].Queued)
-		}
-		return sorted[i].MsgID < sorted[j].MsgID
-	})
-	d := &Digest{User: user, Date: day.Truncate(24 * time.Hour), Items: sorted}
+// Record appends the size of user's next daily digest: pending messages
+// awaiting a decision. Empty digests are recorded too: a zero on the
+// Figure 10 time series is data, not absence of data.
+func (b *Book) Record(user mail.Address, pending int) {
 	key := user.Key()
 	st := b.stripeFor(key)
 	st.mu.Lock()
-	st.history[key] = append(st.history[key], d)
+	st.counts[key] = append(st.counts[key], pending)
 	st.mu.Unlock()
-	return d
 }
 
 // Series returns the daily pending counts for user, in order.
 func (b *Book) Series(user mail.Address) []int {
-	st := b.stripeFor(user.Key())
+	key := user.Key()
+	st := b.stripeFor(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	hs := st.history[user.Key()]
-	out := make([]int, len(hs))
-	for i, d := range hs {
-		out[i] = len(d.Items)
-	}
-	return out
-}
-
-// Latest returns the most recent digest for user, or nil.
-func (b *Book) Latest(user mail.Address) *Digest {
-	st := b.stripeFor(user.Key())
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	hs := st.history[user.Key()]
-	if len(hs) == 0 {
-		return nil
-	}
-	return hs[len(hs)-1]
-}
-
-// Users returns the user keys with at least one digest, sorted.
-func (b *Book) Users() []string {
-	var out []string
-	for i := range b.stripes {
-		st := &b.stripes[i]
-		st.mu.Lock()
-		for k := range st.history {
-			out = append(out, k)
-		}
-		st.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out
-}
-
-// MeanSize returns the mean number of items across all digests of user,
-// or 0 if none.
-func (b *Book) MeanSize(user mail.Address) float64 {
-	s := b.Series(user)
-	if len(s) == 0 {
-		return 0
-	}
-	total := 0
-	for _, n := range s {
-		total += n
-	}
-	return float64(total) / float64(len(s))
+	return append([]int(nil), st.counts[key]...)
 }

@@ -1,111 +1,36 @@
 package digest
 
 import (
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/mail"
 )
 
-var (
-	t0  = time.Date(2010, 7, 1, 0, 0, 0, 0, time.UTC)
-	bob = mail.MustParseAddress("bob@corp.example")
-)
-
-func items(n int, base time.Time) []Item {
-	out := make([]Item, n)
-	for i := range out {
-		out[i] = Item{
-			MsgID:   mail.NewID("d"),
-			Sender:  mail.MustParseAddress("s@x.example"),
-			Subject: "pending message",
-			Queued:  base.Add(time.Duration(n-i) * time.Minute), // reverse order on purpose
-		}
-	}
-	return out
-}
-
-func TestRecordSortsByQueueTime(t *testing.T) {
-	b := NewBook()
-	d := b.Record(bob, t0, items(3, t0))
-	for i := 1; i < len(d.Items); i++ {
-		if d.Items[i].Queued.Before(d.Items[i-1].Queued) {
-			t.Fatal("digest items not sorted oldest-first")
-		}
-	}
-}
-
-func TestRecordDoesNotMutateInput(t *testing.T) {
-	b := NewBook()
-	in := items(3, t0)
-	first := in[0].MsgID
-	b.Record(bob, t0, in)
-	if in[0].MsgID != first {
-		t.Fatal("Record mutated caller's slice")
-	}
-}
+var bob = mail.MustParseAddress("bob@corp.example")
 
 func TestSeries(t *testing.T) {
 	b := NewBook()
-	b.Record(bob, t0, items(2, t0))
-	b.Record(bob, t0.Add(24*time.Hour), nil) // empty day recorded as 0
-	b.Record(bob, t0.Add(48*time.Hour), items(5, t0))
+	if got := b.Series(bob); len(got) != 0 {
+		t.Fatalf("Series on empty book = %v", got)
+	}
+	b.Record(bob, 2)
+	b.Record(bob, 0) // empty day recorded as 0
+	b.Record(bob, 5)
+	b.Record(mail.MustParseAddress("amy@corp.example"), 9)
 	got := b.Series(bob)
 	want := []int{2, 0, 5}
 	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Fatalf("Series = %v, want %v", got, want)
 	}
-}
-
-func TestLatest(t *testing.T) {
-	b := NewBook()
-	if b.Latest(bob) != nil {
-		t.Fatal("Latest on empty book != nil")
+	// The returned slice is the caller's: writing it leaves the book alone.
+	got[0] = 99
+	if again := b.Series(bob); again[0] != 2 {
+		t.Fatalf("Series aliases the book: %v", again)
 	}
-	b.Record(bob, t0, items(1, t0))
-	b.Record(bob, t0.Add(24*time.Hour), items(4, t0))
-	if got := b.Latest(bob); len(got.Items) != 4 {
-		t.Fatalf("Latest items = %d, want 4", len(got.Items))
-	}
-}
-
-func TestMeanSize(t *testing.T) {
-	b := NewBook()
-	if b.MeanSize(bob) != 0 {
-		t.Fatal("MeanSize on empty book != 0")
-	}
-	b.Record(bob, t0, items(2, t0))
-	b.Record(bob, t0.Add(24*time.Hour), items(4, t0))
-	if got := b.MeanSize(bob); got != 3 {
-		t.Fatalf("MeanSize = %v, want 3", got)
-	}
-}
-
-func TestUsers(t *testing.T) {
-	b := NewBook()
-	b.Record(mail.MustParseAddress("zoe@corp.example"), t0, nil)
-	b.Record(mail.MustParseAddress("amy@corp.example"), t0, nil)
-	u := b.Users()
-	if len(u) != 2 || u[0] != "amy@corp.example" {
-		t.Fatalf("Users = %v", u)
-	}
-}
-
-func TestRenderContainsItemsAndInstructions(t *testing.T) {
-	b := NewBook()
-	d := b.Record(bob, t0, []Item{{
-		MsgID:   "m-77",
-		Sender:  mail.MustParseAddress("news@letters.example"),
-		Subject: "weekly update",
-		Queued:  t0,
-	}})
-	out := d.Render()
-	for _, want := range []string{"bob@corp.example", "m-77", "weekly update", "news@letters.example", "AUTHORIZE", "1 message(s)"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Render missing %q:\n%s", want, out)
-		}
+	// Users are keyed case-insensitively, as Address.Key is.
+	if got := b.Series(mail.MustParseAddress("BOB@corp.example")); len(got) != 3 {
+		t.Fatalf("Series(BOB) = %v", got)
 	}
 }
 
@@ -116,11 +41,19 @@ func TestConcurrentRecord(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			b.Record(bob, t0.Add(time.Duration(i)*24*time.Hour), items(i%4, t0))
+			b.Record(bob, i%4)
 		}(i)
 	}
 	wg.Wait()
-	if got := len(b.Series(bob)); got != 30 {
-		t.Fatalf("Series length = %d, want 30", got)
+	got := b.Series(bob)
+	if len(got) != 30 {
+		t.Fatalf("Series length = %d, want 30", len(got))
+	}
+	sum := 0
+	for _, n := range got {
+		sum += n
+	}
+	if sum != 7*(0+1+2+3)+0+1 { // i%4 summed over i = 0..29
+		t.Fatalf("Series sums to %d", sum)
 	}
 }

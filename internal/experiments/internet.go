@@ -243,11 +243,10 @@ type SPFResult struct {
 // spool.
 func SPFWhatIf(r *Run) SPFResult {
 	checker := spf.New(r.Fleet.DNS)
-	gl := r.Fleet.GrayLog()
 	fails := make(map[SPFCategory]int)
 	totals := make(map[SPFCategory]int)
 	for _, rec := range r.Fleet.Net.Records() {
-		entry, ok := gl[rec.Challenge.MsgID]
+		entry, ok := r.Fleet.GrayContext(rec.Challenge.MsgID)
 		if !ok {
 			continue
 		}

@@ -1,6 +1,7 @@
 package mail
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -90,6 +91,30 @@ func appendID(dst []byte, prefix string, n uint64) []byte {
 		dst = append(dst, '0')
 	}
 	return append(dst, tmp[i:]...)
+}
+
+// ParseID splits an ID minted by NewID or an IDSource into its prefix and
+// sequence number: the inverse of appendID. The prefix is everything
+// before the last '-', so it may itself contain '-'. ok is false unless
+// id is exactly what appendID renders for the pair: at least six digits,
+// zero-padded only up to six, and a value that fits in a uint64.
+func ParseID(id string) (prefix string, n uint64, ok bool) {
+	dash := strings.LastIndexByte(id, '-')
+	if dash < 0 {
+		return "", 0, false
+	}
+	digits := id[dash+1:]
+	if len(digits) < 6 || len(digits) > 6 && digits[0] == '0' {
+		return "", 0, false
+	}
+	for i := 0; i < len(digits); i++ {
+		d := uint64(digits[i] - '0')
+		if d > 9 || n > (math.MaxUint64-d)/10 {
+			return "", 0, false
+		}
+		n = n*10 + d
+	}
+	return id[:dash], n, true
 }
 
 // NewID returns a process-unique message ID with the given prefix. IDs are

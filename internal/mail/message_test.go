@@ -1,6 +1,7 @@
 package mail
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -125,4 +126,69 @@ func TestHeadersSortedKeys(t *testing.T) {
 	if len(keys) != 2 || keys[0] != "Alpha" || keys[1] != "Zeta" {
 		t.Fatalf("SortedKeys = %v", keys)
 	}
+}
+
+func TestParseID(t *testing.T) {
+	cases := []struct {
+		id     string
+		prefix string
+		n      uint64
+		ok     bool
+	}{
+		{"msg-000001", "msg", 1, true},
+		{"company-07-000042", "company-07", 42, true},
+		{"dsn-company-07-000003", "dsn-company-07", 3, true},
+		{"c-999999", "c", 999999, true},
+		{"c-1000000", "c", 1000000, true}, // wider than the pad
+		{"c-18446744073709551615", "c", math.MaxUint64, true},
+		{"-000000", "", 0, true},
+		{"c-18446744073709551616", "", 0, false}, // overflows uint64
+		{"c-0000001", "", 0, false},              // padded past six digits
+		{"c-00001", "", 0, false},                // short of the pad
+		{"c-", "", 0, false},
+		{"c", "", 0, false},
+		{"", "", 0, false},
+		{"c-00000x", "", 0, false},
+		{"c-+00001", "", 0, false},
+		{"c-000001-", "", 0, false},
+		{"<c-000001>", "", 0, false},
+	}
+	for _, c := range cases {
+		prefix, n, ok := ParseID(c.id)
+		if prefix != c.prefix || n != c.n || ok != c.ok {
+			t.Errorf("ParseID(%q) = (%q, %d, %v), want (%q, %d, %v)",
+				c.id, prefix, n, ok, c.prefix, c.n, c.ok)
+		}
+	}
+}
+
+func TestParseIDInvertsIDSource(t *testing.T) {
+	src := NewIDSource("company-03")
+	for i := uint64(1); i <= 3; i++ {
+		if prefix, n, ok := ParseID(src.Next()); !ok || prefix != "company-03" || n != i {
+			t.Fatalf("ID %d parsed as (%q, %d, %v)", i, prefix, n, ok)
+		}
+	}
+}
+
+// FuzzParseID holds ParseID to being the exact inverse of appendID: every
+// rendered (prefix, n) parses back to itself, and every string ParseID
+// accepts renders back to the same bytes.
+func FuzzParseID(f *testing.F) {
+	f.Add("company-00", uint64(1), "company-00-000001")
+	f.Add("dsn-company-46", uint64(1234567), "c-1234567")
+	f.Add("", uint64(0), "-000000")
+	f.Add("a-b-", uint64(math.MaxUint64), "c-18446744073709551616")
+	f.Add("x", uint64(7), "c-0000007")
+	f.Fuzz(func(t *testing.T, prefix string, n uint64, s string) {
+		id := string(appendID(nil, prefix, n))
+		if p, m, ok := ParseID(id); !ok || p != prefix || m != n {
+			t.Fatalf("ParseID(%q) = (%q, %d, %v), want (%q, %d, true)", id, p, m, ok, prefix, n)
+		}
+		if p, m, ok := ParseID(s); ok {
+			if back := string(appendID(nil, p, m)); back != s {
+				t.Fatalf("ParseID(%q) = (%q, %d), which renders as %q", s, p, m, back)
+			}
+		}
+	})
 }

@@ -10,8 +10,9 @@ import (
 
 // Class is the ground-truth label of a generated message. The CR system
 // never sees it; the measurement pipeline uses it to score outcomes and
-// to drive simulated user behaviour (digest weeding).
-type Class int
+// to drive simulated user behaviour (digest weeding). One byte, because
+// the fleet keeps one per generated message.
+type Class uint8
 
 // Traffic classes.
 const (
@@ -73,6 +74,17 @@ func (c Class) String() string {
 // by the simulated digest weeding).
 func (c Class) Wanted() bool {
 	return c == ClassWhite || c == ClassLegitNew || c == ClassNewsletter
+}
+
+// graySpool reports whether a message of this class can enter the gray
+// spool, the only place its ground truth is ever read (digest weeding,
+// spurious-delivery scoring, the Figure 12 SPF what-if).
+func (c Class) graySpool() bool {
+	switch c {
+	case ClassLegitNew, ClassNewsletter, ClassSpam, ClassNullSender, ClassRelayAttempt:
+		return true
+	}
+	return false
 }
 
 // subjectWords is the vocabulary for generated subjects. Subjects are

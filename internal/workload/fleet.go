@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -181,13 +184,11 @@ type botIP struct {
 	listed bool
 }
 
-// GrayEntry is the per-challenged-message context the offline SPF
-// experiment (Figure 12) joins against challenge records.
+// GrayEntry is the context of one gray-spooled message that the offline
+// SPF experiment (Figure 12) re-evaluates for each challenge record.
 type GrayEntry struct {
-	MsgID    string
 	From     mail.Address
 	ClientIP string
-	Subject  string
 }
 
 // Fleet is the fully-assembled world: simulated clock, DNS, blocklists,
@@ -239,14 +240,10 @@ type Fleet struct {
 	spamCamps     []*Campaign
 	newsCamps     []*Campaign
 
-	// mu guards the merged shared state below. Lanes read it mid-epoch
-	// (laneTruth fallback) under the read lock; the only writers are the
-	// barrier merge and the day counter, which run with all lanes parked.
-	mu          sync.RWMutex
-	truth       map[string]Class
-	grayLog     map[string]GrayEntry
-	classCounts map[Class]int64
-	day         int
+	// mu guards the day counter, written only between days with every
+	// lane parked. Per-message measurement state lives on the lanes.
+	mu  sync.RWMutex
+	day int
 
 	// ledger is the sparse-barrier bookkeeping (ledger.go): epoch,
 	// fired/skipped-barrier and trap-hit counters plus the shared-clock
@@ -266,21 +263,18 @@ func NewFleet(cfg Config) *Fleet {
 		cfg.ScaleVolume = 1
 	}
 	f := &Fleet{
-		Cfg:         cfg,
-		Clk:         clock.NewSim(FleetStart),
-		Start:       FleetStart,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		profiles:    make(map[string]CompanyProfile),
-		users:       make(map[string][]mail.Address),
-		seededWL:    make(map[mail.Address][]mail.Address),
-		seededBL:    make(map[mail.Address][]mail.Address),
-		rejectedBy:  make(map[string]mail.Address),
-		activity:    make(map[mail.Address]float64),
-		greylists:   make(map[string]*greylist.Store),
-		reputation:  make(map[string]*reputation.Store),
-		truth:       make(map[string]Class),
-		grayLog:     make(map[string]GrayEntry),
-		classCounts: make(map[Class]int64),
+		Cfg:        cfg,
+		Clk:        clock.NewSim(FleetStart),
+		Start:      FleetStart,
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		profiles:   make(map[string]CompanyProfile),
+		users:      make(map[string][]mail.Address),
+		seededWL:   make(map[mail.Address][]mail.Address),
+		seededBL:   make(map[mail.Address][]mail.Address),
+		rejectedBy: make(map[string]mail.Address),
+		activity:   make(map[mail.Address]float64),
+		greylists:  make(map[string]*greylist.Store),
+		reputation: make(map[string]*reputation.Store),
 	}
 	f.Sched = clock.NewScheduler(f.Clk)
 	f.DNS = dnssim.NewServer()
@@ -565,9 +559,9 @@ func (f *Fleet) drawSpoof(trapShare float64) mail.Address {
 
 // companyLane is the per-company execution context: its own virtual
 // clock, scheduler, RNG stream, message-ID source, sink buffers and
-// ground-truth staging maps. A lane is advanced by exactly one worker
-// per epoch, so everything here is single-threaded; lane-local state is
-// merged into the shared maps behind f.mu only at epoch barriers.
+// the ground truth of the messages it generated. A lane is advanced by
+// exactly one worker per epoch, so everything here is single-threaded;
+// the Fleet's accessors read it between Run calls.
 type companyLane struct {
 	idx     int // profile index: the stable salt for derived RNG streams
 	comp    *simnet.Company
@@ -582,12 +576,12 @@ type companyLane struct {
 	// measurement pipeline sees is worker-count-invariant.
 	logBuf []maillog.Event
 
-	// Ground-truth staging: written lock-free on the lane goroutine,
-	// merged into Fleet.truth/grayLog/classCounts behind f.mu at each
-	// epoch barrier (mergeLaneState). The injection hot path therefore
-	// never touches the shared mutex.
-	truth       map[string]Class
-	grayLog     map[string]GrayEntry
+	// Ground truth, one byte per generated message: truth[n-1] is the
+	// class of the message ids minted as sequence number n (ids mints
+	// nothing else). gray holds the Figure 12 context of the messages
+	// that entered the gray spool, sorted by sequence number.
+	truth       []Class
+	gray        []graySlot
 	classCounts [ClassSpam + 1]int64
 
 	// covering is the precomputed subset of spam campaigns whose
@@ -635,8 +629,6 @@ func (f *Fleet) buildCompanies() {
 			clk:     clock.NewSim(FleetStart),
 			rng:     rand.New(rand.NewSource(deriveSeed(f.Cfg.Seed, saltLaneRNG, int64(i)))),
 			ids:     mail.NewIDSource(p.Name),
-			truth:   make(map[string]Class),
-			grayLog: make(map[string]GrayEntry),
 			targets: make(map[int][]mail.Address),
 			names:   newInterner(),
 		}
@@ -820,35 +812,82 @@ func (f *Fleet) Day() int {
 	return f.day
 }
 
-// Truth returns the ground-truth class of a generated message.
+// graySlot is one gray-spooled message's context, keyed by the sequence
+// number of its ID.
+type graySlot struct {
+	seq uint64
+	GrayEntry
+}
+
+// bySeq orders gray slots by sequence number for binary search.
+func bySeq(g graySlot, seq uint64) int { return cmp.Compare(g.seq, seq) }
+
+// laneOf returns the lane that minted msgID and the ID's sequence
+// number, or nil for an ID no lane minted (DSNs, other prefixes).
+func (f *Fleet) laneOf(msgID string) (*companyLane, uint64) {
+	prefix, seq, ok := mail.ParseID(msgID)
+	if !ok {
+		return nil, 0
+	}
+	i, found := slices.BinarySearchFunc(f.lanes, prefix, func(ln *companyLane, name string) int {
+		return strings.Compare(ln.comp.Name, name)
+	})
+	if !found {
+		return nil, 0
+	}
+	return f.lanes[i], seq
+}
+
+// truthOf returns the class of the lane's message with sequence number
+// seq, if that message could reach the gray spool.
+func (ln *companyLane) truthOf(seq uint64) (Class, bool) {
+	if seq == 0 || seq > uint64(len(ln.truth)) {
+		return 0, false
+	}
+	c := ln.truth[seq-1]
+	if !c.graySpool() {
+		return 0, false
+	}
+	return c, true
+}
+
+// Truth returns the ground-truth class of a generated message that could
+// reach the gray spool; any other ID reports false. Call it between Run
+// calls.
 func (f *Fleet) Truth(msgID string) (Class, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	c, ok := f.truth[msgID]
-	return c, ok
+	ln, seq := f.laneOf(msgID)
+	if ln == nil {
+		return 0, false
+	}
+	return ln.truthOf(seq)
 }
 
-// ClassCounts returns how many messages of each class were generated.
+// ClassCounts returns how many messages of each class were generated
+// (classes never generated are absent). Call it between Run calls.
 func (f *Fleet) ClassCounts() map[Class]int64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make(map[Class]int64, len(f.classCounts))
-	for k, v := range f.classCounts {
-		out[k] = v
+	out := make(map[Class]int64)
+	for _, ln := range f.lanes {
+		for cl, n := range ln.classCounts {
+			if n != 0 {
+				out[Class(cl)] += n
+			}
+		}
 	}
 	return out
 }
 
-// GrayLog returns the per-message context captured for messages that
-// entered the gray spool, keyed by message ID.
-func (f *Fleet) GrayLog() map[string]GrayEntry {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make(map[string]GrayEntry, len(f.grayLog))
-	for k, v := range f.grayLog {
-		out[k] = v
+// GrayContext returns the context captured when a generated message
+// entered the gray spool. Call it between Run calls.
+func (f *Fleet) GrayContext(msgID string) (GrayEntry, bool) {
+	ln, seq := f.laneOf(msgID)
+	if ln == nil {
+		return GrayEntry{}, false
 	}
-	return out
+	i, found := slices.BinarySearchFunc(ln.gray, seq, bySeq)
+	if !found {
+		return GrayEntry{}, false
+	}
+	return ln.gray[i].GrayEntry, true
 }
 
 // Users returns the protected accounts of a company.

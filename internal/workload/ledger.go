@@ -26,7 +26,7 @@ type SyncStats struct {
 	Epochs int64
 	// BarriersFired counts epochs whose barrier ran the full cross-lane
 	// work (clock advance, provider sweeps, trap-hit flush, checker
-	// poll, state merge, sink flush).
+	// poll, sink flush).
 	BarriersFired int64
 	// BarriersSkipped counts epochs with no staged effect, skipped with
 	// only a watermark bookkeeping update.
@@ -103,7 +103,7 @@ func (f *Fleet) barrierDue(epochEnd time.Time) bool {
 // blocklist listings eagerly (Provider.Sweep), apply staged trap hits
 // in company-name order, invalidate the RBL memo for exactly the IPs
 // whose answers may have changed, poll the §5.1 checker when due, and
-// fold lane staging into the shared state. All lanes are parked.
+// flush the lanes' log buffers. All lanes are parked.
 func (f *Fleet) fireBarrier(epochEnd time.Time) {
 	f.ledger.fired.Add(1)
 	f.Clk.AdvanceTo(epochEnd)
@@ -138,7 +138,6 @@ func (f *Fleet) fireBarrier(epochEnd time.Time) {
 			f.Checker.Poll(f.allOutIPs())
 		}
 	}
-	f.mergeLaneState()
 	f.flushSinks()
 	f.ledger.watermark.Store(epochEnd.UnixNano())
 }

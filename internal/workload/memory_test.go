@@ -1,0 +1,49 @@
+package workload
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/mail"
+)
+
+// liveBytesPerEmail bounds the fleet's live heap per generated email at
+// the end of heapGuardConfig's run. The fleet keeps per-company state
+// (whitelists, quarantine, reputation), one byte of ground truth per
+// message and the context of gray-spooled ones: 78 B per email. When it
+// kept the truth and the gray context in maps keyed by message ID, the
+// same run held 125 B per email. The bound is 78 B plus 25 %, so a map
+// entry per message that creeps back fails it.
+const liveBytesPerEmail = 98
+
+// heapGuardConfig is smallConfig with enough traffic that per-message
+// state outweighs the fleet's fixed set-up.
+func heapGuardConfig() Config {
+	cfg := smallConfig(41)
+	for i := range cfg.Profiles {
+		cfg.Profiles[i].DailyVolume = 2000
+	}
+	return cfg
+}
+
+func TestLiveHeapPerEmail(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a 6-day fleet")
+	}
+	mail.ResetIDCounter()
+	f := NewFleet(heapGuardConfig())
+	f.Run(6)
+	var emails int64
+	for _, n := range f.ClassCounts() {
+		emails += n
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(f)
+	perEmail := float64(ms.HeapAlloc) / float64(emails)
+	t.Logf("%d emails, %.1f MB live, %.0f B/email", emails, float64(ms.HeapAlloc)/1e6, perEmail)
+	if perEmail > liveBytesPerEmail {
+		t.Fatalf("live heap %.0f B per generated email, bound %d", perEmail, liveBytesPerEmail)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -144,50 +145,10 @@ func (f *Fleet) scheduleDay() time.Time {
 			})
 		}
 		ln.sched.At(dayStart.Add(23*time.Hour+50*time.Minute), func() {
-			f.dailyChores(ln, dayIdx)
+			f.dailyChores(ln)
 		})
 	}
 	return dayStart
-}
-
-// mergeLaneState folds every lane's staged ground-truth writes (truth
-// labels, gray-spool context, class counts) into the shared maps under
-// one f.mu acquisition per barrier. During the epoch the lanes write
-// these lock-free into lane-local staging, so the per-message hot path
-// never contends on f.mu; readers of the public accessors see state
-// complete up to the last barrier.
-func (f *Fleet) mergeLaneState() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, ln := range f.lanes {
-		for id, c := range ln.truth {
-			f.truth[id] = c
-		}
-		clear(ln.truth)
-		for id, g := range ln.grayLog {
-			f.grayLog[id] = g
-		}
-		clear(ln.grayLog)
-		for cl, n := range ln.classCounts {
-			if n != 0 {
-				f.classCounts[Class(cl)] += n
-				ln.classCounts[cl] = 0
-			}
-		}
-	}
-}
-
-// laneTruth looks up a message's ground-truth class: the lane's staging
-// map first (entries from the current epoch, lock-free), then the shared
-// merged map.
-func (f *Fleet) laneTruth(ln *companyLane, id string) (Class, bool) {
-	if c, ok := ln.truth[id]; ok {
-		return c, true
-	}
-	f.mu.RLock()
-	c, ok := f.truth[id]
-	f.mu.RUnlock()
-	return c, ok
 }
 
 // flushSinks drains every lane's buffered maillog events to the
@@ -267,8 +228,8 @@ func drawClass(rng *rand.Rand, m Mix) Class {
 
 // injectOne generates and delivers one message to a company's MTA-IN.
 // It runs on the lane's goroutine: all randomness comes from the lane
-// RNG, and ground-truth writes stage in lane-local maps merged at the
-// next barrier (mergeLaneState) — no shared lock per message.
+// RNG, and ground truth goes to the lane's own tables — no shared lock
+// per message.
 func (f *Fleet) injectOne(ln *companyLane) {
 	f.injectClass(ln, drawClass(ln.rng, ln.profile.Mix))
 }
@@ -333,17 +294,19 @@ func (f *Fleet) deliverNow(ln *companyLane, msg *mail.Message, class Class, atte
 		putMsg(msg)
 		return
 	}
-	// Capture gray-spool context for the offline SPF what-if (E14),
-	// staged lane-locally and merged at the barrier.
-	switch class {
-	case ClassLegitNew, ClassNewsletter, ClassSpam, ClassRelayAttempt, ClassNullSender:
-		ln.grayLog[msg.ID] = GrayEntry{
-			MsgID:    msg.ID,
-			From:     msg.EnvelopeFrom,
-			ClientIP: msg.ClientIP,
-			Subject:  msg.Subject,
-		}
+	// Capture gray-spool context for the offline SPF what-if (E14).
+	if class.graySpool() {
+		_, seq, _ := mail.ParseID(msg.ID)
+		ln.addGray(seq, GrayEntry{From: msg.EnvelopeFrom, ClientIP: msg.ClientIP})
 	}
+}
+
+// addGray records a gray-spooled message's context in sequence order.
+// Messages reach the engine in ID order except after a greylist or
+// admission retry, so the insert is almost always an append.
+func (ln *companyLane) addGray(seq uint64, g GrayEntry) {
+	i, _ := slices.BinarySearchFunc(ln.gray, seq, bySeq)
+	ln.gray = slices.Insert(ln.gray, i, graySlot{seq, g})
 }
 
 // buildMessage constructs the mail.Message for a class, drawing from the
@@ -354,14 +317,8 @@ func (f *Fleet) buildMessage(ln *companyLane, p CompanyProfile, class Class) *ma
 	rng := ln.rng
 	m := getMsg()
 	m.ID = ln.ids.Next()
+	ln.truth = append(ln.truth, class)
 	m.Received = ln.clk.Now()
-	// Ground truth is only consulted for messages that can reach the
-	// gray spool (digest weeding, spurious-delivery scoring); skipping
-	// the rest keeps long runs lean.
-	switch class {
-	case ClassLegitNew, ClassNewsletter, ClassSpam, ClassNullSender, ClassRelayAttempt:
-		ln.truth[m.ID] = class
-	}
 
 	users := f.users[comp.Name]
 	randUser := func() mail.Address { return users[rng.Intn(len(users))] }
@@ -560,13 +517,12 @@ func (ln *companyLane) numbered(prefix string, n int) string {
 // dailyChores records digests, simulates digest weeding and outbound
 // user mail, and expires old quarantine entries — for one lane's
 // company, on that lane's goroutine.
-func (f *Fleet) dailyChores(ln *companyLane, dayIdx int) {
-	today := f.Start.Add(time.Duration(dayIdx) * day)
+func (f *Fleet) dailyChores(ln *companyLane) {
 	comp, p := ln.comp, ln.profile
 	eng := comp.Engine
 	for _, u := range f.users[comp.Name] {
 		pending := eng.PendingForUser(u)
-		f.Digests.Record(u, today, pending)
+		f.Digests.Record(u, len(pending))
 
 		diligent := ln.rng.Float64() < p.DigestDiligence
 		if diligent && len(pending) > 0 {
@@ -587,7 +543,11 @@ func (f *Fleet) dailyChores(ln *companyLane, dayIdx int) {
 // wanted mail, delete junk, leave the rest.
 func (f *Fleet) weedDigest(ln *companyLane, u mail.Address, pending []digest.Item) {
 	for _, item := range pending {
-		class, _ := f.laneTruth(ln, item.MsgID)
+		// Only the lane's own truth is read: other lanes are running.
+		var class Class
+		if owner, seq := f.laneOf(item.MsgID); owner == ln {
+			class, _ = ln.truthOf(seq)
+		}
 		authorize := class.Wanted() && ln.rng.Float64() < f.Cfg.DigestAuthorizeProb
 		del := !class.Wanted() && ln.rng.Float64() < f.Cfg.DigestDeleteProb
 		switch {
