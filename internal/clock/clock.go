@@ -1,10 +1,9 @@
 // Package clock provides time abstractions for the CR-filter simulator.
 //
 // Every component in this repository that needs "now" takes a Clock rather
-// than calling time.Now directly. Production deployments (cmd/crserver,
-// examples/company) inject Real; the measurement experiments inject Sim so
-// that six months of simulated mail traffic run in seconds and every run is
-// deterministic.
+// than calling time.Now directly. A live deployment (cmd/crserver) injects
+// Real; the measurement experiments inject Sim so that six months of
+// simulated mail traffic run in seconds and every run is deterministic.
 package clock
 
 import (

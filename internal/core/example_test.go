@@ -1,12 +1,4 @@
-// Quickstart: the challenge-response engine in ~60 lines.
-//
-// Build an engine for one company, feed it three messages — one from a
-// whitelisted contact, one from a stranger, one from a blacklisted
-// sender — then solve the stranger's challenge and watch the message get
-// delivered and the sender whitelisted.
-//
-//	go run ./examples/quickstart
-package main
+package core_test
 
 import (
 	"fmt"
@@ -20,7 +12,14 @@ import (
 	"repro/internal/whitelist"
 )
 
-func main() {
+// ExampleEngine is the challenge-response engine in ~60 lines: build an
+// engine for one company, feed it three messages — one from a
+// whitelisted contact, one from a stranger, one from a blacklisted
+// sender — then solve the stranger's challenge and watch the message get
+// delivered and the sender whitelisted.
+//
+//	go test -run ExampleEngine -v ./internal/core/
+func ExampleEngine() {
 	// Substrate: a virtual clock and a private DNS (the engine verifies
 	// that sender domains resolve, like the studied product's MTA-IN).
 	clk := clock.NewSim(time.Date(2010, 7, 1, 9, 0, 0, 0, time.UTC))
@@ -86,4 +85,19 @@ func main() {
 	}
 	fmt.Printf("\nstranger now whitelisted: %v\n",
 		eng.Whitelists().IsWhite(bob, mail.MustParseAddress("stranger@example.com")))
+
+	// Output:
+	// == three senders write to bob ==
+	// friend@example.com       -> MTA says "accepted"
+	//   -> challenge emailed to stranger@example.com: http://cr.corp.example/challenge/tok-a7ecbff2-0000
+	// stranger@example.com     -> MTA says "accepted"
+	// spammer@example.com      -> MTA says "accepted"
+	//
+	// spools: white=1 black=1 gray=1, challenges=1, quarantined=1
+	//
+	// stranger opens the challenge: "What is 64 plus 1? (digits only)"
+	// delivered to bob@corp.example from friend@example.com       via whitelist after 0s
+	// delivered to bob@corp.example from stranger@example.com     via challenge after 12m0s
+	//
+	// stranger now whitelisted: true
 }

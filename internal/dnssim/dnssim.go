@@ -72,12 +72,11 @@ type zone struct {
 
 // Server is the in-memory DNS database. It is safe for concurrent use.
 type Server struct {
-	mu      sync.RWMutex
-	zones   map[string]*zone  // by lower-case domain
-	ptr     map[string]string // by dotted-quad IP
-	fail    map[string]error  // injected failure per domain
-	inj     faults.Injector   // optional whole-resolver fault source
-	timeout time.Duration     // per-lookup deadline for injected latency
+	mu    sync.RWMutex
+	zones map[string]*zone  // by lower-case domain
+	ptr   map[string]string // by dotted-quad IP
+	fail  map[string]error  // injected failure per domain
+	inj   faults.Injector   // optional whole-resolver fault source
 	// Query counters are atomics so lookups — reads of the zone data —
 	// can run under the read lock and concurrent lanes never serialize
 	// on the simulated nameserver.
@@ -104,10 +103,9 @@ type Stats struct {
 // NewServer returns an empty DNS server.
 func NewServer() *Server {
 	return &Server{
-		zones:   make(map[string]*zone),
-		ptr:     make(map[string]string),
-		fail:    make(map[string]error),
-		timeout: DefaultQueryTimeout,
+		zones: make(map[string]*zone),
+		ptr:   make(map[string]string),
+		fail:  make(map[string]error),
 	}
 }
 
@@ -130,21 +128,12 @@ func (s *Server) SetInjector(inj faults.Injector) {
 // masked by a stale cached answer.
 func (s *Server) Gen() uint64 { return s.gen.Load() }
 
-// SetQueryTimeout overrides the per-lookup deadline (default 5s).
-func (s *Server) SetQueryTimeout(d time.Duration) {
-	s.mu.Lock()
-	if d > 0 {
-		s.timeout = d
-	}
-	s.mu.Unlock()
-}
-
 // inject consults the fault injector for one lookup. Caller holds s.mu.
 func (s *Server) inject() error {
 	if s.inj == nil {
 		return nil
 	}
-	d := s.inj.Decide("dns", s.timeout)
+	d := s.inj.Decide("dns", DefaultQueryTimeout)
 	if d.Err == nil {
 		return nil
 	}

@@ -45,7 +45,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -90,12 +89,6 @@ var (
 	// ErrInjected is returned for KindError.
 	ErrInjected = errors.New("faults: injected error")
 )
-
-// IsInjected reports whether err originates from an injector.
-func IsInjected(err error) bool {
-	return errors.Is(err, ErrTimeout) || errors.Is(err, ErrOutage) ||
-		errors.Is(err, ErrTempfail) || errors.Is(err, ErrInjected)
-}
 
 // Duration is a time.Duration that (un)marshals as a Go duration string
 // ("250ms", "4h"), so fault plans stay human-editable JSON.
@@ -415,27 +408,6 @@ func (s *Set) Consulted() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.asked
-}
-
-// RenderCounts formats the fired-fault counters, sorted by key.
-func (s *Set) RenderCounts() string {
-	counts := s.Counts()
-	if len(counts) == 0 {
-		return "no faults fired"
-	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		fmt.Fprintf(&b, "%-28s %d", k, counts[k])
-	}
-	return b.String()
 }
 
 // TornWrite models what a crash leaves of an un-synced write: an

@@ -1,5 +1,5 @@
 // Package gateway adapts the CR engine to the SMTP server: it is the glue
-// a live deployment (cmd/crserver, examples/company) uses to run the
+// a live deployment (cmd/crserver) uses to run the
 // paper's product for real — TCP SMTP in, dispatcher decisions out, with
 // MTA-IN rejections surfaced as proper SMTP status codes at RCPT time
 // exactly like the studied MTAs did (550 no-such-user for 62.36% of their

@@ -64,23 +64,6 @@ func (a Address) Key() string {
 	return strings.ToLower(a.Local) + "@" + a.Domain
 }
 
-// AppendKey appends the canonical Key form to dst without the
-// intermediate string Key allocates.
-func (a Address) AppendKey(dst []byte) []byte {
-	if a.IsNull() {
-		return append(dst, '<', '>')
-	}
-	for i := 0; i < len(a.Local); i++ {
-		c := a.Local[i]
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		dst = append(dst, c)
-	}
-	dst = append(dst, '@')
-	return append(dst, a.Domain...)
-}
-
 // Canonical returns the address in its canonical form: the local part
 // lower-cased (Domain is already lower-case from parsing). Two addresses
 // are the same mailbox exactly when their Canonical values are equal, so

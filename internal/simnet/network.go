@@ -254,13 +254,6 @@ func (n *Network) AddRemote(r *RemoteServer) {
 	n.dns.RegisterMailDomain(r.Domain, r.IP)
 }
 
-// Remote returns the server for domain, or nil.
-func (n *Network) Remote(domain string) *RemoteServer {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.remotes[domain]
-}
-
 // AttachCompany wires a company's engine to the network: its challenges
 // are delivered through the simulated Internet from its ChallengeIP.
 func (n *Network) AttachCompany(c *Company) {

@@ -219,10 +219,3 @@ func (r *RemoteServer) Lookup(addr mail.Address) (Persona, Behavior, bool) {
 	}
 	return p, r.behaviors[addr.Key()], true
 }
-
-// Mailboxes returns the number of registered mailboxes.
-func (r *RemoteServer) Mailboxes() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.mailboxes)
-}

@@ -84,36 +84,57 @@ func (w *world) inject(senderAddr string, clientIP string) *mail.Message {
 }
 
 func TestChallengeDeliveredAndSolvedByLegitSender(t *testing.T) {
-	w := newWorld(t, 1)
-	r := w.addRemote("example.com", "192.0.2.10")
-	// Guarantee a deterministic solve: visit always, solve always.
-	b := DefaultBehavior(PersonaLegit)
-	b.VisitProb, b.SolveProbGivenVisit = 1, 1
-	r.AddMailboxBehavior("alice", PersonaLegit, b)
+	for _, tc := range []struct {
+		name     string
+		persona  Persona
+		domain   string
+		remoteIP string
+		clientIP string // the SMTP client the message arrives from
+	}{
+		{"legit sender", PersonaLegit, "example.com", "192.0.2.10", "192.0.2.10"},
+		// §4.1's spurious delivery: spam from a botnet host spoofs an
+		// innocent bystander, who opens the misdirected challenge and
+		// solves it, so the spam is delivered and the spoofed address
+		// whitelisted.
+		{"spoofed bystander", PersonaInnocent, "bystander.example", "203.0.113.5", "100.64.0.9"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, 1)
+			r := w.addRemote(tc.domain, tc.remoteIP)
+			// The botnet host has reverse DNS and is on no blocklist, so
+			// the filter chain lets its message through to the gray spool.
+			w.dns.AddPTR("100.64.0.9", "dsl-9.isp.example")
+			// Guarantee a deterministic solve: visit always, solve always.
+			b := DefaultBehavior(tc.persona)
+			b.VisitProb, b.SolveProbGivenVisit = 1, 1
+			r.AddMailboxBehavior("alice", tc.persona, b)
 
-	w.inject("alice@example.com", "192.0.2.10")
-	if got := len(w.net.Records()); got != 1 {
-		t.Fatalf("records = %d, want 1", got)
-	}
-	w.sched.RunFor(7 * 24 * time.Hour)
+			sender := "alice@" + tc.domain
+			w.inject(sender, tc.clientIP)
+			if got := len(w.net.Records()); got != 1 {
+				t.Fatalf("records = %d, want 1", got)
+			}
+			w.sched.RunFor(7 * 24 * time.Hour)
 
-	rec := w.net.Records()[0]
-	if rec.Status != StatusDelivered {
-		t.Fatalf("status = %v", rec.Status)
-	}
-	if !rec.Solved || !rec.Visited {
-		t.Fatalf("record not solved: %+v", rec)
-	}
-	if rec.CaptchaAttempts < 1 || rec.CaptchaAttempts > 5 {
-		t.Fatalf("attempts = %d, want 1..5 (paper: never >5)", rec.CaptchaAttempts)
-	}
-	// Engine side: message delivered via challenge, sender whitelisted.
-	eng := w.comp.Engine
-	if eng.Metrics().Delivered[core.ViaChallenge] != 1 {
-		t.Fatal("engine did not deliver on solve")
-	}
-	if !eng.Whitelists().IsWhite(mail.MustParseAddress("bob@corp.example"), mail.MustParseAddress("alice@example.com")) {
-		t.Fatal("sender not whitelisted after solve")
+			rec := w.net.Records()[0]
+			if rec.Status != StatusDelivered {
+				t.Fatalf("status = %v", rec.Status)
+			}
+			if !rec.Solved || !rec.Visited {
+				t.Fatalf("record not solved: %+v", rec)
+			}
+			if rec.CaptchaAttempts < 1 || rec.CaptchaAttempts > 5 {
+				t.Fatalf("attempts = %d, want 1..5 (paper: never >5)", rec.CaptchaAttempts)
+			}
+			// Engine side: message delivered via challenge, sender whitelisted.
+			eng := w.comp.Engine
+			if eng.Metrics().Delivered[core.ViaChallenge] != 1 {
+				t.Fatal("engine did not deliver on solve")
+			}
+			if !eng.Whitelists().IsWhite(mail.MustParseAddress("bob@corp.example"), mail.MustParseAddress(sender)) {
+				t.Fatal("sender not whitelisted after solve")
+			}
+		})
 	}
 }
 
@@ -163,6 +184,17 @@ func TestChallengeExpiresForUnreachableServer(t *testing.T) {
 func TestChallengeToTrapListsServerIP(t *testing.T) {
 	w := newWorld(t, 5)
 	w.addRemote("lure.example", "192.0.2.77")
+	// A partner that screens inbound mail against SpamHaus, which lists
+	// after three trap hits in a day for 72 h (StandardProviders).
+	spamhaus, spamhausTTL := w.provs[2], 72*time.Hour
+	partner := w.addRemote("partner.example", "192.0.2.123")
+	partner.Screen = spamhaus
+	partner.AddMailbox("client", PersonaLegit)
+	client := mail.MustParseAddress("client@partner.example")
+	if got := w.net.SendUserMail(w.comp, client); got != UserMailDelivered {
+		t.Fatalf("user mail before the trap hits = %v, want delivered", got)
+	}
+
 	// Five distinct trap addresses: the engine challenges each sender
 	// once (repeat senders are deduplicated), so distinct senders are
 	// needed to accumulate trap hits.
@@ -186,6 +218,20 @@ func TestChallengeToTrapListsServerIP(t *testing.T) {
 	}
 	if !listed {
 		t.Fatal("challenge IP not blacklisted after repeated trap hits")
+	}
+
+	// §5.1: the challenge IP is also the user mail IP, so the listing
+	// bounces ordinary user mail at the partner...
+	if got := w.net.SendUserMail(w.comp, client); got != UserMailBouncedBlacklisted {
+		t.Fatalf("user mail while listed = %v, want bounced-blacklisted", got)
+	}
+	// ...until the listing expires with no further hits.
+	w.sched.RunFor(spamhausTTL)
+	if spamhaus.IsListed(w.comp.MailIP) {
+		t.Fatalf("still listed %v after the last trap hit", spamhausTTL)
+	}
+	if got := w.net.SendUserMail(w.comp, client); got != UserMailDelivered {
+		t.Fatalf("user mail after the listing TTL = %v, want delivered", got)
 	}
 }
 
