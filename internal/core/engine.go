@@ -821,12 +821,16 @@ func itoa(n int) string { return strconv.Itoa(n) }
 func (e *Engine) dispatch(msg *mail.Message) {
 	e.c.dispatchBytes.Add(int64(msg.Size))
 	user, sender := msg.Rcpt, msg.EnvelopeFrom
+	var black, white bool
+	if !sender.IsNull() {
+		black, white = e.wl.Classify(user, sender)
+	}
 	switch {
-	case !sender.IsNull() && e.wl.IsBlack(user, sender):
+	case black: // a sender on both lists is blacklisted
 		e.c.spoolBlack.Add(1)
 		e.emit(maillog.KindDispatch, msg.ID, "spool", Black.String())
 		e.recordRep(sender, msg.ClientIP, reputation.Spam)
-	case !sender.IsNull() && e.wl.IsWhite(user, sender):
+	case white:
 		e.c.spoolWhite.Add(1)
 		e.emit(maillog.KindDispatch, msg.ID, "spool", White.String())
 		e.deliver(msg, ViaWhitelist)

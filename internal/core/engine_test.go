@@ -163,18 +163,33 @@ func TestDispatchWhite(t *testing.T) {
 }
 
 func TestDispatchBlack(t *testing.T) {
-	e := newEnv(t, false)
-	bob := mail.MustParseAddress("bob@corp.example")
-	spammer := mail.MustParseAddress("junk@example.com")
-	e.eng.Whitelists().AddBlack(bob, spammer)
+	for _, tc := range []struct {
+		name     string
+		white    bool   // also whitelist the sender
+		from, to string // the message's envelope
+	}{
+		{"blacklist only", false, "junk@example.com", "bob@corp.example"},
+		{"on both lists, black wins", true, "junk@example.com", "bob@corp.example"},
+		{"mixed case", false, "Junk@example.com", "BOB@corp.example"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, false)
+			bob := mail.MustParseAddress("bob@corp.example")
+			spammer := mail.MustParseAddress("junk@example.com")
+			e.eng.Whitelists().AddBlack(bob, spammer)
+			if tc.white {
+				e.eng.Whitelists().AddWhite(bob, spammer, whitelist.SourceManual)
+			}
 
-	m := e.goodMsg("junk@example.com", "bob@corp.example")
-	if r := e.eng.Receive(m); r != Accepted {
-		t.Fatalf("verdict = %v", r)
-	}
-	met := e.eng.Metrics()
-	if met.SpoolBlack != 1 || len(e.eng.Deliveries()) != 0 || e.eng.QuarantineLen() != 0 {
-		t.Fatalf("blacklisted mail mishandled: %+v", met)
+			m := e.goodMsg(tc.from, tc.to)
+			if r := e.eng.Receive(m); r != Accepted {
+				t.Fatalf("verdict = %v", r)
+			}
+			met := e.eng.Metrics()
+			if met.SpoolBlack != 1 || met.SpoolWhite != 0 || len(e.eng.Deliveries()) != 0 || e.eng.QuarantineLen() != 0 {
+				t.Fatalf("blacklisted mail mishandled: %+v", met)
+			}
+		})
 	}
 }
 

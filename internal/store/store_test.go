@@ -50,7 +50,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !dst.IsWhite(bob, mail.MustParseAddress("alice@example.com")) {
 		t.Fatal("alice lost")
 	}
-	if !dst.IsBlack(bob, mail.MustParseAddress("spammer@junk.example")) {
+	if black, _ := dst.Classify(bob, mail.MustParseAddress("spammer@junk.example")); !black {
 		t.Fatal("blacklist lost")
 	}
 	carol := mail.MustParseAddress("carol@corp.example")

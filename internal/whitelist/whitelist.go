@@ -64,19 +64,66 @@ type Entry struct {
 	Added  time.Time
 }
 
-// List is one user's whitelist (or blacklist). Not safe for concurrent
+// list is one user's whitelist (or blacklist). Not safe for concurrent
 // use on its own; Store serialises access.
 //
-// Entries are keyed by the canonical sender Address (see
-// mail.Address.Canonical), so membership checks on the dispatch hot
-// path need no key-string allocation.
-type List struct {
-	entries map[mail.Address]Entry // by canonical sender address
-	log     []Entry                // append-only change log (additions only)
+// The append-only log is the only copy of an entry. index maps the
+// canonical sender Address (see mail.Address.Canonical) to the log
+// position of its current entry, so membership checks on the dispatch
+// hot path need no key-string allocation. A removal drops the index
+// entry and keeps the log: the paper counts additions only.
+type list struct {
+	log   []Entry                // change log (additions only), in apply order
+	index map[mail.Address]int32 // canonical sender -> position in log
 }
 
-func newList() *List {
-	return &List{entries: make(map[mail.Address]Entry)}
+// has reports whether the canonical sender sk is on the list.
+func (l *list) has(sk mail.Address) bool {
+	_, ok := l.index[sk]
+	return ok
+}
+
+// add appends e to the log as the current entry of the canonical
+// sender sk.
+func (l *list) add(sk mail.Address, e Entry) {
+	if l.index == nil {
+		l.index = make(map[mail.Address]int32)
+	}
+	l.index[sk] = int32(len(l.log))
+	l.log = append(l.log, e)
+}
+
+// insert adds e under the canonical sender sk unless sk is already
+// present: on replay and import the existing entry wins.
+func (l *list) insert(sk mail.Address, e Entry) {
+	if !l.has(sk) {
+		l.add(sk, e)
+	}
+}
+
+// entries returns the current entries sorted by addition time, then
+// address; nil when there are none.
+func (l *list) entries() []Entry {
+	if len(l.index) == 0 {
+		return nil
+	}
+	out := make([]Entry, 0, len(l.index))
+	for _, i := range l.index {
+		out = append(out, l.log[i])
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if !out[i].Added.Equal(out[j].Added) {
+			return out[i].Added.Before(out[j].Added)
+		}
+		return out[i].Addr.Key() < out[j].Addr.Key()
+	})
+	return out
+}
+
+// account holds both of one user's lists, so a dispatch probes the
+// user once.
+type account struct {
+	white, black list
 }
 
 // MutOp identifies the kind of list mutation carried by a Mutation.
@@ -118,18 +165,13 @@ type Store struct {
 	clk clock.Clock
 
 	mu      sync.RWMutex
-	white   map[mail.Address]*List // by canonical user address
-	black   map[mail.Address]*List
+	users   map[mail.Address]*account // by canonical user address
 	journal func(Mutation)
 }
 
 // NewStore returns an empty store using clk for entry timestamps.
 func NewStore(clk clock.Clock) *Store {
-	return &Store{
-		clk:   clk,
-		white: make(map[mail.Address]*List),
-		black: make(map[mail.Address]*List),
-	}
+	return &Store{clk: clk, users: make(map[mail.Address]*account)}
 }
 
 // SetJournal installs the change-journal hook. The hook is invoked with
@@ -150,35 +192,26 @@ func (s *Store) Apply(m Mutation) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch m.Op {
-	case MutAddWhite, MutAddBlack:
-		lists := s.white
-		if m.Op == MutAddBlack {
-			lists = s.black
-		}
-		l := s.list(lists, m.User)
-		sk := m.Entry.Addr.Canonical()
-		if _, ok := l.entries[sk]; ok {
-			return
-		}
-		l.entries[sk] = m.Entry
-		l.log = append(l.log, m.Entry)
+	case MutAddWhite:
+		s.account(m.User).white.insert(m.Entry.Addr.Canonical(), m.Entry)
+	case MutAddBlack:
+		s.account(m.User).black.insert(m.Entry.Addr.Canonical(), m.Entry)
 	case MutRemoveWhite:
-		l := s.white[m.User.Canonical()]
-		if l == nil {
-			return
+		if a := s.users[m.User.Canonical()]; a != nil {
+			delete(a.white.index, m.Entry.Addr.Canonical())
 		}
-		delete(l.entries, m.Entry.Addr.Canonical())
 	}
 }
 
-func (s *Store) list(m map[mail.Address]*List, user mail.Address) *List {
+// account returns user's account, creating it if absent.
+func (s *Store) account(user mail.Address) *account {
 	uk := user.Canonical()
-	l := m[uk]
-	if l == nil {
-		l = newList()
-		m[uk] = l
+	a := s.users[uk]
+	if a == nil {
+		a = new(account)
+		s.users[uk] = a
 	}
-	return l
+	return a
 }
 
 // AddWhite adds sender to user's whitelist with the given source. Adding
@@ -189,34 +222,27 @@ func (s *Store) list(m map[mail.Address]*List, user mail.Address) *List {
 func (s *Store) AddWhite(user, sender mail.Address, src Source) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l := s.list(s.white, user)
-	sk := sender.Canonical()
-	if _, ok := l.entries[sk]; ok {
-		return false
-	}
-	e := Entry{Addr: sender, Source: src, Added: s.clk.Now()}
-	l.entries[sk] = e
-	l.log = append(l.log, e)
-	if s.journal != nil {
-		s.journal(Mutation{Op: MutAddWhite, User: user, Entry: e})
-	}
-	return true
+	return s.add(&s.account(user).white, MutAddWhite, user, sender, src)
 }
 
 // AddBlack adds sender to user's blacklist. Returns true if new.
 func (s *Store) AddBlack(user, sender mail.Address) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l := s.list(s.black, user)
+	return s.add(&s.account(user).black, MutAddBlack, user, sender, SourceManual)
+}
+
+// add puts sender on l, one of user's lists, unless it is there, and
+// journals the addition as op. The caller holds s.mu.
+func (s *Store) add(l *list, op MutOp, user, sender mail.Address, src Source) bool {
 	sk := sender.Canonical()
-	if _, ok := l.entries[sk]; ok {
+	if l.has(sk) {
 		return false
 	}
-	e := Entry{Addr: sender, Source: SourceManual, Added: s.clk.Now()}
-	l.entries[sk] = e
-	l.log = append(l.log, e)
+	e := Entry{Addr: sender, Source: src, Added: s.clk.Now()}
+	l.add(sk, e)
 	if s.journal != nil {
-		s.journal(Mutation{Op: MutAddBlack, User: user, Entry: e})
+		s.journal(Mutation{Op: op, User: user, Entry: e})
 	}
 	return true
 }
@@ -226,54 +252,41 @@ func (s *Store) AddBlack(user, sender mail.Address) bool {
 func (s *Store) RemoveWhite(user, sender mail.Address) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l := s.white[user.Canonical()]
-	if l == nil {
+	a := s.users[user.Canonical()]
+	if a == nil {
 		return false
 	}
 	sk := sender.Canonical()
-	if _, ok := l.entries[sk]; !ok {
+	if !a.white.has(sk) {
 		return false
 	}
-	delete(l.entries, sk)
+	delete(a.white.index, sk)
 	if s.journal != nil {
 		s.journal(Mutation{Op: MutRemoveWhite, User: user, Entry: Entry{Addr: sender, Added: s.clk.Now()}})
 	}
 	return true
 }
 
+// Classify reports whether sender is on user's blacklist and whether it
+// is on user's whitelist, with one user probe under one read lock. A
+// sender can be on both; the caller decides which wins.
+func (s *Store) Classify(user, sender mail.Address) (black, white bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	a := s.users[user.Canonical()]
+	if a == nil {
+		return false, false
+	}
+	sk := sender.Canonical()
+	return a.black.has(sk), a.white.has(sk)
+}
+
 // IsWhite reports whether sender is on user's whitelist.
 func (s *Store) IsWhite(user, sender mail.Address) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	l := s.white[user.Canonical()]
-	if l == nil {
-		return false
-	}
-	_, ok := l.entries[sender.Canonical()]
-	return ok
-}
-
-// IsBlack reports whether sender is on user's blacklist.
-func (s *Store) IsBlack(user, sender mail.Address) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	l := s.black[user.Canonical()]
-	if l == nil {
-		return false
-	}
-	_, ok := l.entries[sender.Canonical()]
-	return ok
-}
-
-// WhiteSize returns the number of entries on user's whitelist.
-func (s *Store) WhiteSize(user mail.Address) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	l := s.white[user.Canonical()]
-	if l == nil {
-		return 0
-	}
-	return len(l.entries)
+	a := s.users[user.Canonical()]
+	return a != nil && a.white.has(sender.Canonical())
 }
 
 // AdditionsBetween returns the number of whitelist entries user gained in
@@ -283,8 +296,8 @@ func (s *Store) WhiteSize(user mail.Address) int {
 func (s *Store) AdditionsBetween(user mail.Address, from, to time.Time, sources ...Source) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	l := s.white[user.Canonical()]
-	if l == nil {
+	a := s.users[user.Canonical()]
+	if a == nil {
 		return 0
 	}
 	want := func(src Source) bool {
@@ -299,42 +312,12 @@ func (s *Store) AdditionsBetween(user mail.Address, from, to time.Time, sources 
 		return false
 	}
 	n := 0
-	for _, e := range l.log {
+	for _, e := range a.white.log {
 		if !e.Added.Before(from) && e.Added.Before(to) && want(e.Source) {
 			n++
 		}
 	}
 	return n
-}
-
-// ModifiedUsers returns, sorted, the users whose whitelists gained at
-// least one non-seed entry in [from, to).
-func (s *Store) ModifiedUsers(from, to time.Time) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []string
-	for user, l := range s.white {
-		for _, e := range l.log {
-			if e.Source != SourceSeed && !e.Added.Before(from) && e.Added.Before(to) {
-				out = append(out, user.Key())
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Users returns all user keys with a whitelist, sorted.
-func (s *Store) Users() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.white))
-	for user := range s.white {
-		out = append(out, user.Key())
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ExportedList is the serialisable form of one user's lists, used by the
@@ -350,48 +333,21 @@ type ExportedList struct {
 func (s *Store) Export() []ExportedList {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	users := make(map[mail.Address]bool)
-	for u := range s.white {
-		users[u] = true
-	}
-	for u := range s.black {
-		users[u] = true
-	}
-	keys := make([]mail.Address, 0, len(users))
-	for u := range users {
-		keys = append(keys, u)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Key() < keys[j].Key() })
-
-	dump := func(l *List) []Entry {
-		if l == nil {
-			return nil
-		}
-		out := make([]Entry, 0, len(l.entries))
-		for _, e := range l.entries {
-			out = append(out, e)
-		}
-		sort.Slice(out, func(i, j int) bool {
-			if !out[i].Added.Equal(out[j].Added) {
-				return out[i].Added.Before(out[j].Added)
-			}
-			return out[i].Addr.Key() < out[j].Addr.Key()
-		})
-		return out
-	}
-	out := make([]ExportedList, 0, len(keys))
-	for _, u := range keys {
+	out := make([]ExportedList, 0, len(s.users))
+	for u, a := range s.users {
 		out = append(out, ExportedList{
 			User:  u.Key(),
-			White: dump(s.white[u]),
-			Black: dump(s.black[u]),
+			White: a.white.entries(),
+			Black: a.black.entries(),
 		})
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].User < out[j].User })
 	return out
 }
 
 // Import merges exported lists into the store, preserving the original
 // sources and timestamps. Existing entries win (Import never overwrites).
+// Every user named gets an account, even one with empty lists.
 func (s *Store) Import(lists []ExportedList) error {
 	for _, l := range lists {
 		user, err := mail.ParseAddress(l.User)
@@ -399,23 +355,12 @@ func (s *Store) Import(lists []ExportedList) error {
 			return fmt.Errorf("whitelist: bad user %q: %v", l.User, err)
 		}
 		s.mu.Lock()
-		wl := s.list(s.white, user)
+		a := s.account(user)
 		for _, e := range l.White {
-			sk := e.Addr.Canonical()
-			if _, ok := wl.entries[sk]; ok {
-				continue
-			}
-			wl.entries[sk] = e
-			wl.log = append(wl.log, e)
+			a.white.insert(e.Addr.Canonical(), e)
 		}
-		bl := s.list(s.black, user)
 		for _, e := range l.Black {
-			sk := e.Addr.Canonical()
-			if _, ok := bl.entries[sk]; ok {
-				continue
-			}
-			bl.entries[sk] = e
-			bl.log = append(bl.log, e)
+			a.black.insert(e.Addr.Canonical(), e)
 		}
 		s.mu.Unlock()
 	}
@@ -427,8 +372,8 @@ func (s *Store) CountBySource() map[Source]int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[Source]int)
-	for _, l := range s.white {
-		for _, e := range l.log {
+	for _, a := range s.users {
+		for _, e := range a.white.log {
 			out[e.Source]++
 		}
 	}

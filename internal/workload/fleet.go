@@ -221,13 +221,13 @@ type Fleet struct {
 
 	rng        *rand.Rand
 	profiles   map[string]CompanyProfile
-	users      map[string][]mail.Address       // company -> protected users
-	seededWL   map[mail.Address][]mail.Address // canonical user -> seeded contacts
-	seededBL   map[mail.Address][]mail.Address // canonical user -> blacklisted senders
-	rejectedBy map[string]mail.Address         // company -> its rejected sender
-	activity   map[mail.Address]float64        // canonical user -> outbound-activity multiplier
-	greylists  map[string]*greylist.Store      // company -> greylist (when enabled)
-	reputation map[string]*reputation.Store    // company -> reputation store (when enabled)
+	users      map[string][]mail.Address    // company -> protected users
+	seededWL   map[mail.Address][]int32     // canonical user -> seeded contacts (legitPool indices)
+	seededBL   map[mail.Address][]int32     // canonical user -> blacklisted senders (innocents indices)
+	rejectedBy map[string]mail.Address      // company -> its rejected sender
+	activity   map[mail.Address]float64     // canonical user -> outbound-activity multiplier
+	greylists  map[string]*greylist.Store   // company -> greylist (when enabled)
+	reputation map[string]*reputation.Store // company -> reputation store (when enabled)
 
 	legitPool     []mail.Address
 	innocents     []mail.Address
@@ -269,8 +269,8 @@ func NewFleet(cfg Config) *Fleet {
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		profiles:   make(map[string]CompanyProfile),
 		users:      make(map[string][]mail.Address),
-		seededWL:   make(map[mail.Address][]mail.Address),
-		seededBL:   make(map[mail.Address][]mail.Address),
+		seededWL:   make(map[mail.Address][]int32),
+		seededBL:   make(map[mail.Address][]int32),
 		rejectedBy: make(map[string]mail.Address),
 		activity:   make(map[mail.Address]float64),
 		greylists:  make(map[string]*greylist.Store),
@@ -739,19 +739,19 @@ func (f *Fleet) buildCompanies() {
 			au := f.rng.Float64()
 			f.activity[addr.Canonical()] = au * au * 3
 			nSeed := f.Cfg.Profiles[i].SeedWhitelist
-			seeds := make([]mail.Address, 0, nSeed)
+			seeds := make([]int32, 0, nSeed)
 			for s := 0; s < nSeed; s++ {
-				contact := f.legitPool[f.rng.Intn(len(f.legitPool))]
-				if wl.AddWhite(addr, contact, whitelist.SourceSeed) {
-					seeds = append(seeds, contact)
+				k := f.rng.Intn(len(f.legitPool))
+				if wl.AddWhite(addr, f.legitPool[k], whitelist.SourceSeed) {
+					seeds = append(seeds, int32(k))
 				}
 			}
 			f.seededWL[addr.Canonical()] = seeds
-			bl := make([]mail.Address, 0, 2)
+			bl := make([]int32, 0, 2)
 			for s := 0; s < 2; s++ {
-				bad := f.innocents[f.rng.Intn(len(f.innocents))]
-				if wl.AddBlack(addr, bad) {
-					bl = append(bl, bad)
+				k := f.rng.Intn(len(f.innocents))
+				if wl.AddBlack(addr, f.innocents[k]) {
+					bl = append(bl, int32(k))
 				}
 			}
 			f.seededBL[addr.Canonical()] = bl

@@ -389,7 +389,7 @@ func (f *Fleet) buildMessage(ln *companyLane, p CompanyProfile, class Class) *ma
 		if len(seeds) == 0 {
 			m.EnvelopeFrom = f.legitPool[rng.Intn(len(f.legitPool))]
 		} else {
-			m.EnvelopeFrom = seeds[rng.Intn(len(seeds))]
+			m.EnvelopeFrom = f.legitPool[seeds[rng.Intn(len(seeds))]]
 		}
 		m.Subject = makeSubject(rng, "re")
 		m.Size = 4000 + rng.Intn(45000)
@@ -402,7 +402,7 @@ func (f *Fleet) buildMessage(ln *companyLane, p CompanyProfile, class Class) *ma
 		if len(bl) == 0 {
 			m.EnvelopeFrom = f.innocents[rng.Intn(len(f.innocents))]
 		} else {
-			m.EnvelopeFrom = bl[rng.Intn(len(bl))]
+			m.EnvelopeFrom = f.innocents[bl[rng.Intn(len(bl))]]
 		}
 		m.Subject = makeSubject(rng, "")
 		m.Size = 1500 + rng.Intn(4000)
@@ -565,7 +565,7 @@ func (f *Fleet) sendOutbound(ln *companyLane, u mail.Address) {
 	var to mail.Address
 	seeds := f.seededWL[u.Canonical()]
 	if len(seeds) > 0 && ln.rng.Float64() < 0.8 {
-		to = seeds[ln.rng.Intn(len(seeds))]
+		to = f.legitPool[seeds[ln.rng.Intn(len(seeds))]]
 	} else {
 		to = f.legitPool[ln.rng.Intn(len(f.legitPool))]
 	}
