@@ -4,8 +4,8 @@
 // installation "crashes" — the on-disk state is cloned with the
 // un-synced tail torn by the fault injector, exactly what a power cut
 // leaves — and a cold recovery (snapshot + WAL suffix replay) must
-// reproduce the pre-crash whitelist and reputation state byte for
-// byte, with zero acknowledged (fsynced) mutations lost.
+// reproduce the pre-crash whitelist, reputation and outbound spool
+// state byte for byte, with zero acknowledged (fsynced) mutations lost.
 //
 // The paper's product kept its whitelists as the asset of record
 // (§4.3); this experiment is the proof that our recovery protocol
@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/faults"
-	"repro/internal/greylist"
 	"repro/internal/mail"
 	"repro/internal/reputation"
 	"repro/internal/spool"
@@ -98,10 +97,7 @@ func (r *CrashRestartReport) SpoolPass() bool {
 // crashInstall is one generation of the installation under test: live
 // stores with the journal attached, plus the paths recovery needs.
 type crashInstall struct {
-	wl  *whitelist.Store
-	rep *reputation.Store
-	gl  *greylist.Store
-	sp  *spool.State
+	st  store.Stores
 	rec *spool.Recorder
 	log *wal.Log
 	dir string // holds state.json + wal/
@@ -139,27 +135,28 @@ func CrashRestart(seed int64, crashes int) (*CrashRestartReport, error) {
 	// step with the live log, and a crash truncates it to what survived.
 	var committed []wal.Record
 
+	newStores := func() store.Stores {
+		return store.Stores{
+			Whitelist:  whitelist.NewStore(clk),
+			Reputation: reputation.NewStore(reputation.Config{}, clk),
+			Spool:      spool.NewState(),
+		}
+	}
 	newInstall := func(gen int) (*crashInstall, error) {
 		dir := filepath.Join(root, fmt.Sprintf("gen-%03d", gen))
 		if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
 			return nil, err
 		}
-		return &crashInstall{
-			wl:  whitelist.NewStore(clk),
-			rep: reputation.NewStore(reputation.Config{}, clk),
-			gl:  greylist.New(greylist.Config{}, clk),
-			sp:  spool.NewState(),
-			dir: dir,
-		}, nil
+		return &crashInstall{st: newStores(), dir: dir}, nil
 	}
 
 	attach := func(ci *crashInstall) {
 		j := wal.NewJournal(ci.log)
 		j.SetTap(func(r wal.Record) { committed = append(committed, r) })
-		j.Attach(ci.wl, ci.rep, ci.gl)
+		j.Attach(ci.st.Whitelist, ci.st.Reputation)
 		// Spool transitions journal through the same path the outbound
 		// queue uses in production: Recorder -> Journal.Emit.
-		ci.rec = &spool.Recorder{State: ci.sp, Emit: j.Emit}
+		ci.rec = &spool.Recorder{State: ci.st.Spool, Emit: j.Emit}
 	}
 
 	live, err := newInstall(0)
@@ -201,7 +198,7 @@ func CrashRestart(seed int64, crashes int) (*CrashRestartReport, error) {
 		})
 	}
 	randPending := func() (spool.Item, bool) {
-		p := live.sp.Pending()
+		p := live.st.Spool.Pending()
 		if len(p) == 0 {
 			return spool.Item{}, false
 		}
@@ -213,13 +210,11 @@ func CrashRestart(seed int64, crashes int) (*CrashRestartReport, error) {
 		s := sender(rng.Intn(200))
 		switch rng.Intn(14) {
 		case 0, 1, 2:
-			live.wl.AddWhite(u, s, whitelist.Source(rng.Intn(5)))
+			live.st.Whitelist.AddWhite(u, s, whitelist.Source(rng.Intn(5)))
 		case 3:
-			live.wl.AddBlack(u, s)
+			live.st.Whitelist.AddBlack(u, s)
 		case 4:
-			live.wl.RemoveWhite(u, s)
-		case 5:
-			live.gl.Check(fmt.Sprintf("203.0.113.%d", rng.Intn(64)), s, u)
+			live.st.Whitelist.RemoveWhite(u, s)
 		case 10, 11:
 			spoolEnqueue()
 		case 12:
@@ -237,7 +232,7 @@ func CrashRestart(seed int64, crashes int) (*CrashRestartReport, error) {
 				spoolEnqueue()
 			}
 		default:
-			live.rep.Record(s, fmt.Sprintf("198.51.100.%d", rng.Intn(64)), reputation.Outcome(rng.Intn(6)))
+			live.st.Reputation.Record(s, fmt.Sprintf("198.51.100.%d", rng.Intn(64)), reputation.Outcome(rng.Intn(6)))
 		}
 		report.Mutations++
 		clk.Advance(time.Duration(1+rng.Intn(600)) * time.Second)
@@ -254,8 +249,7 @@ func CrashRestart(seed int64, crashes int) (*CrashRestartReport, error) {
 		if err := live.log.Rotate(); err != nil {
 			return err
 		}
-		st := store.Stores{Whitelist: live.wl, Reputation: live.rep, Greylist: live.gl, Spool: live.sp}
-		if err := store.SaveFile(live.snapPath(), "crash-restart", st, cut, clk.Now()); err != nil {
+		if err := store.SaveFile(live.snapPath(), "crash-restart", live.st, cut, clk.Now()); err != nil {
 			return err
 		}
 		_, err := live.log.CompactThrough(cut)
@@ -322,8 +316,7 @@ func CrashRestart(seed int64, crashes int) (*CrashRestartReport, error) {
 		}
 
 		// Cold boot on the crash image.
-		st := store.Stores{Whitelist: next.wl, Reputation: next.rep, Greylist: next.gl, Spool: next.sp}
-		rec, err := store.Recover(next.snapPath(), crashWALOpts(next.walDir()), st)
+		rec, err := store.Recover(next.snapPath(), crashWALOpts(next.walDir()), next.st)
 		if err != nil {
 			return nil, fmt.Errorf("crash %d: recovery refused to boot: %w", c, err)
 		}
@@ -338,28 +331,20 @@ func CrashRestart(seed int64, crashes int) (*CrashRestartReport, error) {
 
 		// Shadow copy: fold the committed record sequence 1..RecoveredLSN
 		// into fresh stores. Recovery (snapshot + suffix replay) must land
-		// on exactly this state — whitelist and reputation byte-identical.
-		// (The greylist is excluded: its sweep deletes expired tuples
-		// without journalling them, an allowed divergence because expired
-		// tuples are semantically absent either way.)
-		shadowWL := whitelist.NewStore(clk)
-		shadowRep := reputation.NewStore(reputation.Config{}, clk)
-		shadowGL := greylist.New(greylist.Config{}, clk)
-		shadowSp := spool.NewState()
+		// on exactly this state: every journalled store byte-identical.
+		shadow := newStores()
 		m := point.RecoveredLSN
 		if m > uint64(len(committed)) {
 			point.Detail = fmt.Sprintf("recovered LSN %d beyond %d committed records", m, len(committed))
 		} else {
+			replay := shadow.Replay()
 			for _, r := range committed[:m] {
-				if err := wal.Apply(r, shadowWL, shadowRep, shadowGL); err != nil {
+				if err := replay(r); err != nil {
 					return nil, fmt.Errorf("crash %d: shadow fold: %w", c, err)
 				}
-				if err := spool.Apply(r, shadowSp); err != nil {
-					return nil, fmt.Errorf("crash %d: shadow spool fold: %w", c, err)
-				}
 			}
-			wlA, wlB := mustJSON(shadowWL.Export()), mustJSON(next.wl.Export())
-			repA, repB := mustJSON(shadowRep.Export()), mustJSON(next.rep.Export())
+			wlA, wlB := mustJSON(shadow.Whitelist.Export()), mustJSON(next.st.Whitelist.Export())
+			repA, repB := mustJSON(shadow.Reputation.Export()), mustJSON(next.st.Reputation.Export())
 			switch {
 			case !bytes.Equal(wlA, wlB):
 				point.Detail = "whitelist diverged from shadow"
@@ -368,7 +353,7 @@ func CrashRestart(seed int64, crashes int) (*CrashRestartReport, error) {
 			default:
 				point.StateIdentical = true
 			}
-			spA, spB := mustJSON(shadowSp.Export()), mustJSON(next.sp.Export())
+			spA, spB := mustJSON(shadow.Spool.Export()), mustJSON(next.st.Spool.Export())
 			if bytes.Equal(spA, spB) {
 				point.SpoolIdentical = true
 			} else if point.Detail == "" {

@@ -16,7 +16,6 @@ package greylist
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -81,15 +80,6 @@ type entry struct {
 	passedAt  time.Time // zero until promoted
 }
 
-// ExportedTuple is the serialisable (and journalled) form of one tuple's
-// state: the absolute state after a transition, so re-applying any
-// in-order suffix of the journal is idempotent (last writer wins).
-type ExportedTuple struct {
-	Key       string    `json:"key"`
-	FirstSeen time.Time `json:"first_seen"`
-	PassedAt  time.Time `json:"passed_at"`
-}
-
 // Store is the greylist database. Safe for concurrent use.
 type Store struct {
 	cfg Config
@@ -99,7 +89,6 @@ type Store struct {
 	tuples  map[string]*entry
 	stats   Stats
 	sweepAt time.Time
-	journal func(ExportedTuple)
 }
 
 // New returns an empty greylist.
@@ -145,86 +134,35 @@ func (s *Store) Check(clientIP string, from, to mail.Address) Verdict {
 	if !ok {
 		s.tuples[k] = &entry{firstSeen: now}
 		s.stats.FirstSeen++
-		s.emit(k, now, time.Time{})
 		return TempReject
 	}
 	if !e.passedAt.IsZero() {
 		if now.Sub(e.passedAt) <= s.cfg.PassTTL {
 			s.stats.KnownAccept++
 			e.passedAt = now // sliding TTL
-			s.emit(k, e.firstSeen, now)
 			return Accept
 		}
 		// Pass expired: start over.
 		e.firstSeen = now
 		e.passedAt = time.Time{}
 		s.stats.FirstSeen++
-		s.emit(k, now, time.Time{})
 		return TempReject
 	}
 	age := now.Sub(e.firstSeen)
 	switch {
 	case age < s.cfg.Delay:
-		// No state change; early retries are not journalled.
+		// No state change.
 		s.stats.EarlyRetry++
 		return TempReject
 	case age > s.cfg.Window:
 		// The retry came absurdly late; treat as first contact.
 		e.firstSeen = now
 		s.stats.FirstSeen++
-		s.emit(k, now, time.Time{})
 		return TempReject
 	default:
 		e.passedAt = now
 		s.stats.Passed++
-		s.emit(k, e.firstSeen, now)
 		return Accept
-	}
-}
-
-// emit journals a tuple's post-transition state. Caller holds s.mu.
-func (s *Store) emit(k string, firstSeen, passedAt time.Time) {
-	if s.journal != nil {
-		s.journal(ExportedTuple{Key: k, FirstSeen: firstSeen, PassedAt: passedAt})
-	}
-}
-
-// SetJournal installs the change-journal hook, invoked with the store
-// lock held after every tuple state transition (sweep deletions are not
-// journalled: expired tuples are semantically absent either way, and the
-// sweep re-runs after recovery). The hook must not call back into the
-// store.
-func (s *Store) SetJournal(fn func(ExportedTuple)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.journal = fn
-}
-
-// Apply sets a tuple to the journalled absolute state (WAL replay).
-func (s *Store) Apply(t ExportedTuple) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tuples[t.Key] = &entry{firstSeen: t.FirstSeen, passedAt: t.PassedAt}
-}
-
-// Export returns every tracked tuple sorted by key, for snapshots.
-func (s *Store) Export() []ExportedTuple {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ExportedTuple, 0, len(s.tuples))
-	for k, e := range s.tuples {
-		out = append(out, ExportedTuple{Key: k, FirstSeen: e.firstSeen, PassedAt: e.passedAt})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// Import replaces the state of the listed tuples (snapshot load).
-func (s *Store) Import(tuples []ExportedTuple) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, t := range tuples {
-		s.tuples[t.Key] = &entry{firstSeen: t.FirstSeen, passedAt: t.PassedAt}
 	}
 }
 

@@ -301,7 +301,7 @@ func TestJournalReplayRebuildsQueue(t *testing.T) {
 	// "Crash": rebuild state purely from the journal.
 	sp2 := spool.NewState()
 	for _, r := range tap.records() {
-		if err := spool.Apply(r, sp2); err != nil {
+		if err := sp2.Apply(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -374,7 +374,7 @@ func TestCrashAtEveryTransition(t *testing.T) {
 		enqueued := make(map[string]bool)
 		acked := make(map[string]bool)
 		for _, r := range recs[:k] {
-			if err := spool.Apply(r, sp); err != nil {
+			if err := sp.Apply(r); err != nil {
 				t.Fatal(err)
 			}
 			switch r.Op {

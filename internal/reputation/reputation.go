@@ -34,6 +34,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/faults"
 	"repro/internal/mail"
+	"repro/internal/wal"
 )
 
 // Outcome is one classification event recorded against a sender.
@@ -273,7 +274,7 @@ type Store struct {
 	// in order and a snapshot never misses a journalled observation.
 	// Without a journal the hot path never touches it.
 	walMu   sync.Mutex
-	journal func(sender mail.Address, ip string, o Outcome, at time.Time) uint64
+	journal func(wal.Record) uint64
 
 	records       atomic.Int64
 	lookups       atomic.Int64
@@ -397,7 +398,14 @@ func (s *Store) Record(sender mail.Address, ip string, o Outcome) {
 		// the pair serialised so shard state never lags a smaller LSN
 		// behind a larger one and Export sees every journalled record.
 		s.walMu.Lock()
-		lsn := s.journal(sender, ip, o, now)
+		lsn := s.journal(wal.Record{
+			Time:   now,
+			Op:     wal.OpReputation,
+			Origin: o.String(),
+			Sender: sender.String(),
+			IP:     ip,
+			Value:  int64(o),
+		})
 		s.apply(keys[:n], o, now, lsn)
 		s.walMu.Unlock()
 	} else {
@@ -407,10 +415,11 @@ func (s *Store) Record(sender mail.Address, ip string, o Outcome) {
 }
 
 // SetJournal installs the change-journal hook. The hook appends one
-// observation record and returns its LSN (or zero if the append was
-// dropped). It must be installed before the store sees concurrent use
-// and must not call back into the store.
-func (s *Store) SetJournal(fn func(sender mail.Address, ip string, o Outcome, at time.Time) uint64) {
+// observation record (op reputation: Sender, IP, Value = Outcome) and
+// returns its LSN (or zero if the append was dropped). It must be
+// installed before the store sees concurrent use and must not call back
+// into the store.
+func (s *Store) SetJournal(fn func(wal.Record) uint64) {
 	s.journal = fn
 }
 
@@ -434,29 +443,40 @@ func (s *Store) apply(keys []repKey, o Outcome, at time.Time, lsn uint64) {
 	}
 }
 
-// Apply re-applies a journalled observation during WAL replay. The
-// per-entry LSN guard makes it idempotent: a record whose effect is
-// already in the snapshot (entry.lsn >= record LSN) is skipped, so
-// replaying any in-order suffix of the journal converges to the exact
-// live-store bits.
-func (s *Store) Apply(sender mail.Address, ip string, o Outcome, at time.Time, lsn uint64) {
+// Apply re-applies a journalled observation during WAL replay; records
+// of other stores are ignored. The per-entry LSN guard makes it
+// idempotent: a record whose effect is already in the snapshot
+// (entry.lsn >= record LSN) is skipped, so replaying any in-order
+// suffix of the journal converges to the exact live-store bits.
+func (s *Store) Apply(r wal.Record) error {
+	if r.Op != wal.OpReputation {
+		return nil
+	}
+	sender, err := mail.ParseAddress(r.Sender)
+	if err != nil {
+		return fmt.Errorf("reputation: record %d sender %q: %v", r.LSN, r.Sender, err)
+	}
+	if r.Value < 0 || r.Value >= nOutcomes {
+		return fmt.Errorf("reputation: record %d outcome %d out of range", r.LSN, r.Value)
+	}
 	var keys [3]repKey
-	n := keysFor(sender, ip, &keys)
+	n := keysFor(sender, r.IP, &keys)
 	for _, key := range keys[:n] {
 		sh := s.shardFor(key)
 		sh.mu.Lock()
 		e := sh.entries[key]
 		if e == nil {
-			e = &entry{last: at}
+			e = &entry{last: r.Time}
 			sh.entries[key] = e
 		}
-		if lsn > e.lsn {
-			e.decayTo(at, s.cfg.HalfLife)
-			e.counts[o]++
-			e.lsn = lsn
+		if r.LSN > e.lsn {
+			e.decayTo(r.Time, s.cfg.HalfLife)
+			e.counts[Outcome(r.Value)]++
+			e.lsn = r.LSN
 		}
 		sh.mu.Unlock()
 	}
+	return nil
 }
 
 // KeyScore is one key's contribution to a verdict.

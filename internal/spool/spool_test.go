@@ -131,7 +131,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	direct.ApplyTerminal("m1", StatusExpired, 2, 5)
 	for i, r := range recs {
 		r.LSN = uint64(i + 1)
-		if err := Apply(r, replayed); err != nil {
+		if err := replayed.Apply(r); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 	}
@@ -144,10 +144,10 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 
 func TestApplyIgnoresForeignOps(t *testing.T) {
 	s := NewState()
-	if err := Apply(wal.Record{Op: wal.OpWhiteAdd, User: "u", Sender: "x@y.example"}, s); err != nil {
+	if err := s.Apply(wal.Record{Op: wal.OpWhiteAdd, User: "u", Sender: "x@y.example"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Apply(wal.Record{Op: wal.OpSpoolSent, User: "never-enqueued"}, s); err != nil {
+	if err := s.Apply(wal.Record{Op: wal.OpSpoolSent, User: "never-enqueued"}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 0 {
@@ -174,7 +174,7 @@ func TestRecorderJournalsThenApplies(t *testing.T) {
 	// The in-memory state must equal the fold of what was journalled.
 	shadow := NewState()
 	for _, r := range journalled {
-		if err := Apply(r, shadow); err != nil {
+		if err := shadow.Apply(r); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,9 +1,6 @@
 package store
 
-import (
-	"repro/internal/spool"
-	"repro/internal/wal"
-)
+import "repro/internal/wal"
 
 // Recovery is the result of a boot-time Recover.
 type Recovery struct {
@@ -30,10 +27,12 @@ type Recovery struct {
 // LSN > cut and replay again on top of a snapshot that may already
 // contain them — which is safe because every store's Apply is
 // idempotent (whitelist: insert-if-absent / delete; reputation:
-// per-entry LSN guard; greylist: absolute state; spool: per-item LSN
-// guard plus a terminal-fate set). Conversely every record with
-// LSN <= cut is guaranteed inside the snapshot: each store serialises
-// (apply, journal) pairs against its export.
+// per-entry LSN guard; spool: per-item LSN guard plus a terminal-fate
+// set). Conversely every record with LSN <= cut is guaranteed inside
+// the snapshot: each store serialises (apply, journal) pairs against
+// its export. Each record goes to every wired store's Apply, which
+// decodes its own ops and ignores the rest; an op no store claims (the
+// reserved greylist op of older logs) replays as a no-op.
 //
 // A torn WAL tail is truncated, never fatal: the only hard failures are
 // I/O errors and a snapshot newer than this build understands.
@@ -46,12 +45,7 @@ func Recover(snapPath string, walOpts wal.Options, st Stores) (*Recovery, error)
 	if snap != nil {
 		fromLSN = snap.WalLSN
 	}
-	log, stats, err := wal.Open(walOpts, fromLSN, func(r wal.Record) error {
-		if err := wal.Apply(r, st.Whitelist, st.Reputation, st.Greylist); err != nil {
-			return err
-		}
-		return spool.Apply(r, st.Spool)
-	})
+	log, stats, err := wal.Open(walOpts, fromLSN, st.Replay())
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/greylist"
 	"repro/internal/mail"
 	"repro/internal/reputation"
 	"repro/internal/wal"
@@ -41,22 +40,20 @@ func TestRecoverSnapshotPlusWALSuffix(t *testing.T) {
 	clk := clock.NewSim(t0)
 	wl := whitelist.NewStore(clk)
 	rep := reputation.NewStore(reputation.Config{}, clk)
-	gl := greylist.New(greylist.Config{}, clk)
-	live := Stores{Whitelist: wl, Reputation: rep, Greylist: gl}
+	live := Stores{Whitelist: wl, Reputation: rep}
 
 	log, _, err := wal.Open(wal.Options{Dir: walDir, Manual: true}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j := wal.NewJournal(log)
-	j.Attach(wl, rep, gl)
+	j.Attach(wl, rep)
 
 	user := mail.MustParseAddress("alice@corp.example")
 	mutate := func(i int) {
 		sender := mail.MustParseAddress(fmt.Sprintf("sender%d@remote.example", i))
 		wl.AddWhite(user, sender, whitelist.Source(i%5))
 		rep.Record(sender, fmt.Sprintf("198.51.100.%d", i), reputation.Outcome(i%6))
-		gl.Check(fmt.Sprintf("203.0.113.%d", i), sender, user)
 		clk.Advance(41 * time.Minute)
 	}
 	for i := 0; i < 12; i++ {
@@ -89,7 +86,6 @@ func TestRecoverSnapshotPlusWALSuffix(t *testing.T) {
 	cold := Stores{
 		Whitelist:  whitelist.NewStore(clk2),
 		Reputation: reputation.NewStore(reputation.Config{}, clk2),
-		Greylist:   greylist.New(greylist.Config{}, clk2),
 	}
 	rec, err := Recover(snapPath, wal.Options{Dir: walDir, Manual: true}, cold)
 	if err != nil {
@@ -136,7 +132,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := wal.NewJournal(log)
-	j.Attach(wl, nil, nil)
+	j.Attach(wl)
 	user := mail.MustParseAddress("alice@corp.example")
 	for i := 0; i < 10; i++ {
 		wl.AddWhite(user, mail.MustParseAddress(fmt.Sprintf("s%d@remote.example", i)), whitelist.SourceChallenge)

@@ -31,9 +31,9 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/greylist"
 	"repro/internal/reputation"
 	"repro/internal/spool"
+	"repro/internal/wal"
 	"repro/internal/whitelist"
 )
 
@@ -51,8 +51,32 @@ var maxSnapshotBytes int64 = 256 << 20
 type Stores struct {
 	Whitelist  *whitelist.Store
 	Reputation *reputation.Store
-	Greylist   *greylist.Store
 	Spool      *spool.State
+}
+
+// Replay returns a fold of one WAL record into every wired store. Each
+// store's Apply ignores the ops of the others, so the fold hands every
+// record to all of them. Nil fields are left out here, where their
+// static type is known, so no typed-nil pointer is ever called.
+func (st Stores) Replay() func(wal.Record) error {
+	var applies []func(wal.Record) error
+	if st.Whitelist != nil {
+		applies = append(applies, st.Whitelist.Apply)
+	}
+	if st.Reputation != nil {
+		applies = append(applies, st.Reputation.Apply)
+	}
+	if st.Spool != nil {
+		applies = append(applies, st.Spool.Apply)
+	}
+	return func(r wal.Record) error {
+		for _, apply := range applies {
+			if err := apply(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // Snapshot is the serialised durable state of one installation.
@@ -66,8 +90,6 @@ type Snapshot struct {
 	// store is wired). Counters round-trip through JSON bit-for-bit, so
 	// a restore reproduces every score exactly.
 	Reputation []reputation.ExportedEntry `json:"reputation,omitempty"`
-	// Greylist carries the greylist tuple table.
-	Greylist []greylist.ExportedTuple `json:"greylist,omitempty"`
 	// Spool carries the outbound challenge spool: the pending items and
 	// the terminal fates needed for idempotent WAL replay.
 	Spool *spool.ExportedState `json:"spool,omitempty"`
@@ -92,9 +114,6 @@ func Save(w io.Writer, name string, st Stores, walLSN uint64, now time.Time) err
 	}
 	if st.Reputation != nil {
 		snap.Reputation = st.Reputation.Export()
-	}
-	if st.Greylist != nil {
-		snap.Greylist = st.Greylist.Export()
 	}
 	if st.Spool != nil {
 		sp := st.Spool.Export()
@@ -131,9 +150,6 @@ func Load(r io.Reader, st Stores) (*Snapshot, error) {
 	}
 	if st.Reputation != nil && len(snap.Reputation) > 0 {
 		st.Reputation.Import(snap.Reputation)
-	}
-	if st.Greylist != nil && len(snap.Greylist) > 0 {
-		st.Greylist.Import(snap.Greylist)
 	}
 	if st.Spool != nil && snap.Spool != nil {
 		if err := st.Spool.Import(*snap.Spool); err != nil {

@@ -1,8 +1,10 @@
 // Package wal implements the durable write-ahead log for the filter's
-// mutable state: every whitelist, reputation and greylist mutation is
-// appended as a framed record before (or atomically with) its in-memory
-// effect, so a crash loses at most the un-fsynced tail instead of a
-// whole snapshot interval.
+// mutable state: every whitelist, reputation and outbound-spool
+// mutation is appended as a framed record before (or atomically with)
+// its in-memory effect, so a crash loses at most the un-fsynced tail
+// instead of a whole snapshot interval. Each store encodes and replays
+// its own records (see Journaled); the log only frames, orders and
+// persists them.
 //
 // On-disk layout: a directory of segment files named wal-%016x.seg by
 // the LSN of their first record. Each segment starts with an 8-byte
@@ -45,8 +47,10 @@ const (
 	// OpReputation records one outcome observation (Value =
 	// reputation.Outcome) against Sender/IP.
 	OpReputation
-	// OpGreylist sets one greylist tuple (User = tuple key, Time =
-	// first-seen, Aux = passed-at unix nanoseconds or 0).
+	// OpGreylist is reserved: it set one greylist tuple (User = tuple
+	// key, Time = first-seen, Aux = passed-at unix nanoseconds or 0)
+	// when the greylist was journalled. Nothing writes it now, and
+	// replay ignores it like any op no store claims.
 	OpGreylist
 	// OpSpoolEnqueue admits one outbound challenge into the durable
 	// spool (User = original message ID, Sender = destination address,
@@ -100,8 +104,8 @@ func (o Op) String() string {
 
 // Record is one journalled mutation. Field use varies by Op (see the Op
 // constants); Origin names the event that produced the mutation (the
-// engine's whitelist source, the reputation outcome, "greylist", ...)
-// so operators reading a dump can see *why* state changed.
+// engine's whitelist source, the reputation outcome, the spool's error
+// class, ...) so operators reading a dump can see *why* state changed.
 type Record struct {
 	LSN    uint64
 	Time   time.Time

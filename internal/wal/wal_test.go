@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,12 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/faults"
-	"repro/internal/greylist"
-	"repro/internal/mail"
-	"repro/internal/reputation"
-	"repro/internal/whitelist"
 )
 
 var t0 = time.Date(2006, 10, 1, 0, 0, 0, 0, time.UTC)
@@ -429,89 +423,6 @@ func TestFaultInjection(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-}
-
-// TestJournalRoundTrip drives real stores through the journal, replays
-// the log into fresh stores, and requires byte-identical exports.
-func TestJournalRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openManual(t, dir, 0, nil)
-	clk := clock.NewSim(t0)
-	wl := whitelist.NewStore(clk)
-	rep := reputation.NewStore(reputation.Config{}, clk)
-	gl := greylist.New(greylist.Config{}, clk)
-	j := NewJournal(l)
-	var tapped []Record
-	j.SetTap(func(r Record) { tapped = append(tapped, r) })
-	j.Attach(wl, rep, gl)
-
-	user := mail.MustParseAddress("alice@corp.example")
-	for i := 0; i < 30; i++ {
-		sender := mail.MustParseAddress(fmt.Sprintf("Sender%d@remote.example", i))
-		wl.AddWhite(user, sender, whitelist.Source(i%5))
-		rep.Record(sender, fmt.Sprintf("198.51.100.%d", i), reputation.Outcome(i%6))
-		gl.Check(fmt.Sprintf("203.0.113.%d", i), sender, user)
-		clk.Advance(3 * time.Hour)
-	}
-	wl.AddBlack(user, mail.MustParseAddress("evil@spam.example"))
-	wl.RemoveWhite(user, mail.MustParseAddress("sender3@remote.example"))
-	rep.Record(mail.Null, "203.0.113.9", reputation.Bounced)
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(tapped) == 0 {
-		t.Fatal("tap saw no records")
-	}
-	for i, r := range tapped {
-		if r.LSN != uint64(i+1) {
-			t.Fatalf("tap record %d has LSN %d", i, r.LSN)
-		}
-	}
-
-	clk2 := clock.NewSim(clk.Now())
-	wl2 := whitelist.NewStore(clk2)
-	rep2 := reputation.NewStore(reputation.Config{}, clk2)
-	gl2 := greylist.New(greylist.Config{}, clk2)
-	l2, st := openManual(t, dir, 0, func(r Record) error { return Apply(r, wl2, rep2, gl2) })
-	defer l2.Close()
-	if st.Replayed != len(tapped) {
-		t.Fatalf("replayed %d, committed %d", st.Replayed, len(tapped))
-	}
-
-	mustJSON := func(v any) []byte {
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	if a, b := mustJSON(wl.Export()), mustJSON(wl2.Export()); !bytes.Equal(a, b) {
-		t.Fatalf("whitelist exports differ\n%s\n%s", a, b)
-	}
-	if a, b := mustJSON(rep.Export()), mustJSON(rep2.Export()); !bytes.Equal(a, b) {
-		t.Fatalf("reputation exports differ\n%s\n%s", a, b)
-	}
-	// Greylist: sweep deletions are deliberately not journalled (expired
-	// tuples are semantically absent either way), so the live store is a
-	// subset of the replayed one; every surviving tuple must match
-	// exactly and every extra replayed tuple must be expired.
-	replayed := make(map[string]greylist.ExportedTuple)
-	for _, tu := range gl2.Export() {
-		replayed[tu.Key] = tu
-	}
-	live := gl.Export()
-	for _, tu := range live {
-		got, ok := replayed[tu.Key]
-		if !ok || got != tu {
-			t.Fatalf("live greylist tuple %q missing or differing after replay", tu.Key)
-		}
-	}
-	if len(replayed) < len(live) {
-		t.Fatalf("replayed greylist smaller than live: %d < %d", len(replayed), len(live))
-	}
 }
 
 func TestDump(t *testing.T) {

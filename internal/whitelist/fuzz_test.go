@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/mail"
+	"repro/internal/wal"
 )
 
 // The fuzzer's address alphabet: few enough that operations collide,
@@ -62,7 +63,10 @@ func (r *opReader) entries() []Entry {
 
 // FuzzStoreOps decodes its input into a sequence of at most maxFuzzOps
 // store operations, runs each on Store and on refStore, and fails at
-// the first operation after which the two disagree on any read.
+// the first operation after which the two disagree on any read. Store
+// journals and replays WAL records while refStore speaks Mutations, so
+// replays feed Store the encoded Mutation and the journals are compared
+// through the same encoder.
 func FuzzStoreOps(f *testing.F) {
 	f.Add([]byte{})
 	// Add, remove, advance, re-add: the log keeps both additions.
@@ -74,8 +78,9 @@ func FuzzStoreOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		clk := clock.NewSim(t0)
 		got, want := NewStore(clk), newRefStore(clk)
-		var gotJ, wantJ []Mutation
-		got.SetJournal(func(m Mutation) { gotJ = append(gotJ, m) })
+		var gotJ []wal.Record
+		var wantJ []Mutation
+		got.SetJournal(func(r wal.Record) uint64 { gotJ = append(gotJ, r); return 0 })
 		want.SetJournal(func(m Mutation) { wantJ = append(wantJ, m) })
 		r := opReader(data)
 		for step := 0; len(r) > 0 && step < maxFuzzOps; step++ {
@@ -97,7 +102,9 @@ func FuzzStoreOps(f *testing.F) {
 			case 3:
 				m := Mutation{Op: MutOp(r.next() % 3), User: r.user(), Entry: r.entry()}
 				op = "Apply " + m.Op.String()
-				got.Apply(m)
+				if err := got.Apply(m.record()); err != nil {
+					t.Fatal(err)
+				}
 				want.Apply(m)
 			case 4:
 				l := []ExportedList{{User: r.user().String(), White: r.entries(), Black: r.entries()}}
@@ -117,8 +124,13 @@ func FuzzStoreOps(f *testing.F) {
 			}
 			compareStores(t, step, op, got, want, clk.Now())
 		}
-		if !reflect.DeepEqual(gotJ, wantJ) {
-			t.Fatalf("journal\n got %+v\nwant %+v", gotJ, wantJ)
+		if len(gotJ) != len(wantJ) {
+			t.Fatalf("journal has %d records, reference %d mutations", len(gotJ), len(wantJ))
+		}
+		for i, m := range wantJ {
+			if !reflect.DeepEqual(gotJ[i], m.record()) {
+				t.Fatalf("journal record %d\n got %+v\nwant %+v", i, gotJ[i], m.record())
+			}
 		}
 	})
 }

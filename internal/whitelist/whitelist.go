@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/mail"
+	"repro/internal/wal"
 )
 
 // Source identifies how an entry was added to a list.
@@ -150,13 +151,56 @@ func (o MutOp) String() string {
 	}
 }
 
-// Mutation is one state change to a user's lists, as handed to the
-// change journal. For removals only Entry.Addr and Entry.Added (the
-// removal time) are meaningful.
+// Mutation is one state change to a user's lists. For removals only
+// Entry.Addr and Entry.Added (the removal time) are meaningful.
 type Mutation struct {
 	Op    MutOp
 	User  mail.Address
 	Entry Entry
+}
+
+// record encodes m as its WAL record. Origin and Value carry the entry
+// source ("remove" and 0 for a removal).
+func (m Mutation) record() wal.Record {
+	r := wal.Record{
+		Time:   m.Entry.Added,
+		User:   m.User.String(),
+		Sender: m.Entry.Addr.String(),
+		Origin: m.Entry.Source.String(),
+		Value:  int64(m.Entry.Source),
+	}
+	switch m.Op {
+	case MutAddWhite:
+		r.Op = wal.OpWhiteAdd
+	case MutAddBlack:
+		r.Op = wal.OpBlackAdd
+	case MutRemoveWhite:
+		r.Op = wal.OpWhiteRemove
+		r.Origin, r.Value = "remove", 0
+	}
+	return r
+}
+
+// mutationOf decodes a list record; ok is false for any other op.
+func mutationOf(r wal.Record) (m Mutation, ok bool, err error) {
+	switch r.Op {
+	case wal.OpWhiteAdd:
+		m.Op = MutAddWhite
+	case wal.OpBlackAdd:
+		m.Op = MutAddBlack
+	case wal.OpWhiteRemove:
+		m.Op = MutRemoveWhite
+	default:
+		return m, false, nil
+	}
+	if m.User, err = mail.ParseAddress(r.User); err != nil {
+		return m, false, fmt.Errorf("whitelist: record %d user %q: %v", r.LSN, r.User, err)
+	}
+	if m.Entry.Addr, err = mail.ParseAddress(r.Sender); err != nil {
+		return m, false, fmt.Errorf("whitelist: record %d sender %q: %v", r.LSN, r.Sender, err)
+	}
+	m.Entry.Source, m.Entry.Added = Source(r.Value), r.Time
+	return m, true, nil
 }
 
 // Store holds the white- and blacklists of every user of one company's
@@ -166,7 +210,7 @@ type Store struct {
 
 	mu      sync.RWMutex
 	users   map[mail.Address]*account // by canonical user address
-	journal func(Mutation)
+	journal func(wal.Record) uint64
 }
 
 // NewStore returns an empty store using clk for entry timestamps.
@@ -175,20 +219,26 @@ func NewStore(clk clock.Clock) *Store {
 }
 
 // SetJournal installs the change-journal hook. The hook is invoked with
-// the store lock held, once per applied mutation, in apply order; it
-// must not call back into the store. Replays via Apply and bulk Import
+// the store lock held, once per applied mutation, in apply order, with
+// the mutation's WAL record; it must not call back into the store. The
+// LSN it returns is not kept: list replay is idempotent without one. Replays via Apply and bulk Import
 // are not journalled (they reconstruct state that is already durable).
-func (s *Store) SetJournal(fn func(Mutation)) {
+func (s *Store) SetJournal(fn func(wal.Record) uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.journal = fn
 }
 
-// Apply re-applies a journalled mutation during WAL replay. Additions
-// are insert-if-absent (replaying a mutation whose effect is already in
-// the snapshot is a no-op), removals delete-if-present, so replaying any
-// in-order suffix of the mutation history is idempotent.
-func (s *Store) Apply(m Mutation) {
+// Apply re-applies a journalled list record during WAL replay; records
+// of other stores are ignored. Additions are insert-if-absent
+// (replaying a mutation whose effect is already in the snapshot is a
+// no-op), removals delete-if-present, so replaying any in-order suffix
+// of the mutation history is idempotent.
+func (s *Store) Apply(r wal.Record) error {
+	m, ok, err := mutationOf(r)
+	if !ok {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch m.Op {
@@ -201,6 +251,7 @@ func (s *Store) Apply(m Mutation) {
 			delete(a.white.index, m.Entry.Addr.Canonical())
 		}
 	}
+	return nil
 }
 
 // account returns user's account, creating it if absent.
@@ -242,7 +293,7 @@ func (s *Store) add(l *list, op MutOp, user, sender mail.Address, src Source) bo
 	e := Entry{Addr: sender, Source: src, Added: s.clk.Now()}
 	l.add(sk, e)
 	if s.journal != nil {
-		s.journal(Mutation{Op: op, User: user, Entry: e})
+		s.journal(Mutation{Op: op, User: user, Entry: e}.record())
 	}
 	return true
 }
@@ -262,7 +313,7 @@ func (s *Store) RemoveWhite(user, sender mail.Address) bool {
 	}
 	delete(a.white.index, sk)
 	if s.journal != nil {
-		s.journal(Mutation{Op: MutRemoveWhite, User: user, Entry: Entry{Addr: sender, Added: s.clk.Now()}})
+		s.journal(Mutation{Op: MutRemoveWhite, User: user, Entry: Entry{Addr: sender, Added: s.clk.Now()}}.record())
 	}
 	return true
 }
