@@ -167,6 +167,10 @@ type OutboundChallenge struct {
 	Token string
 	From  mail.Address // the installation's challenge sender address
 	To    mail.Address // the original (possibly spoofed) envelope sender
+	// ClientIP is the address the challenged message came from, carried
+	// so the measurement pipeline can re-run SPF over it (Figure 12).
+	// The spool does not persist it.
+	ClientIP string
 	// Subject is the quarantined message's subject, carried so the
 	// measurement pipeline can run the §4.1 campaign clustering over
 	// challenged messages.
@@ -1038,14 +1042,15 @@ func (e *Engine) challengeOrQuarantine(msg *mail.Message) GrayOutcome {
 	e.recordRep(msg.EnvelopeFrom, msg.ClientIP, reputation.Challenged)
 	if send := e.sendCh.Load(); send != nil {
 		(*send)(OutboundChallenge{
-			MsgID:   msg.ID,
-			Token:   ch.Token,
-			From:    e.cfg.ChallengeFrom,
-			To:      msg.EnvelopeFrom,
-			Subject: msg.Subject,
-			URL:     e.captcha.URL(e.cfg.ChallengeBaseURL, ch.Token),
-			Size:    e.cfg.ChallengeSize,
-			Issued:  e.clk.Now(),
+			MsgID:    msg.ID,
+			Token:    ch.Token,
+			From:     e.cfg.ChallengeFrom,
+			To:       msg.EnvelopeFrom,
+			ClientIP: msg.ClientIP,
+			Subject:  msg.Subject,
+			URL:      e.captcha.URL(e.cfg.ChallengeBaseURL, ch.Token),
+			Size:     e.cfg.ChallengeSize,
+			Issued:   e.clk.Now(),
 		})
 	}
 	return GrayChallenged

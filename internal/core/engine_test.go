@@ -219,6 +219,24 @@ func TestDispatchGrayChallenged(t *testing.T) {
 	}
 }
 
+func TestChallengeCarriesClientIP(t *testing.T) {
+	// The measurement pipeline re-runs SPF over the challenged message's
+	// client (Figure 12), so the challenge must carry it.
+	e := newEnv(t, false)
+	e.dns.AddPTR("192.0.2.77", "relay.example.com")
+	m := e.goodMsg("alice@example.com", "bob@corp.example")
+	m.ClientIP = "192.0.2.77"
+	if r := e.eng.Receive(m); r != Accepted {
+		t.Fatalf("verdict = %v", r)
+	}
+	if len(e.sent) != 1 {
+		t.Fatalf("challenges emitted = %d, want 1", len(e.sent))
+	}
+	if ch := e.sent[0]; ch.MsgID != m.ID || ch.ClientIP != m.ClientIP {
+		t.Fatalf("challenge %s from client %q, want %s from %q", ch.MsgID, ch.ClientIP, m.ID, m.ClientIP)
+	}
+}
+
 func TestGrayDroppedByFilters(t *testing.T) {
 	e := newEnv(t, false)
 	// No PTR for this client: reverse-DNS filter drops.

@@ -246,8 +246,7 @@ func SPFWhatIf(r *Run) SPFResult {
 	fails := make(map[SPFCategory]int)
 	totals := make(map[SPFCategory]int)
 	for _, rec := range r.Fleet.Net.Records() {
-		entry, ok := r.Fleet.GrayContext(rec.Challenge.MsgID)
-		if !ok {
+		if _, ok := r.Fleet.Truth(rec.MsgID); !ok {
 			continue
 		}
 		var cat SPFCategory
@@ -262,10 +261,7 @@ func SPFWhatIf(r *Run) SPFResult {
 			cat = SPFExpired
 		}
 		totals[cat]++
-		if entry.From.IsNull() {
-			continue
-		}
-		if checker.Check(entry.ClientIP, entry.From.Domain) == spf.Fail {
+		if checker.Check(rec.ClientIP, rec.To.Domain) == spf.Fail {
 			fails[cat]++
 		}
 	}

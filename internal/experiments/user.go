@@ -66,17 +66,17 @@ func Clustering(r *Run) ClusteringResult {
 		truth := rec.Status.Bounced()
 		bounced := truth
 		if r.Cfg.EmitDSNs {
-			bounced = observedBounced(rec.Challenge.MsgID)
+			bounced = observedBounced(rec.MsgID)
 		}
 		if truth {
 			out.TruthBounced++
-			if observedBounced(rec.Challenge.MsgID) {
+			if observedBounced(rec.MsgID) {
 				out.ObservedBounced++
 			}
 		}
 		items = append(items, cluster.Item{
-			Subject: rec.Challenge.Subject,
-			Sender:  rec.Challenge.To,
+			Subject: rec.Subject,
+			Sender:  rec.To,
 			Bounced: bounced,
 			Solved:  rec.Solved,
 		})
@@ -171,7 +171,7 @@ func SolveTimeDist(r *Run) SolveTimeResult {
 		if !rec.Solved {
 			continue
 		}
-		mins := rec.SolvedAt.Sub(rec.Challenge.Issued).Minutes()
+		mins := rec.SolveDelay.Minutes()
 		h.Add(mins)
 		total++
 		if mins <= 240 {
@@ -331,14 +331,6 @@ type CorrelationResult struct {
 // Correlations computes E7.
 func Correlations(r *Run) CorrelationResult {
 	var out CorrelationResult
-	solvedByCompany := make(map[string]int)
-	sentByCompany := make(map[string]int)
-	for _, rec := range r.Fleet.Net.Records() {
-		sentByCompany[rec.Company]++
-		if rec.Solved {
-			solvedByCompany[rec.Company]++
-		}
-	}
 	for _, c := range r.Fleet.Companies {
 		m := c.Engine.Metrics()
 		if m.MTAIncoming == 0 {
@@ -356,8 +348,14 @@ func Correlations(r *Run) CorrelationResult {
 		out.WhitePct = append(out.WhitePct, whitePct)
 		out.Reflection = append(out.Reflection, refl)
 		capPct := 0.0
-		if sentByCompany[c.Name] > 0 {
-			capPct = float64(solvedByCompany[c.Name]) / float64(sentByCompany[c.Name])
+		if recs := r.Fleet.Net.CompanyRecords(c.Name); len(recs) > 0 {
+			solved := 0
+			for _, rec := range recs {
+				if rec.Solved {
+					solved++
+				}
+			}
+			capPct = float64(solved) / float64(len(recs))
 		}
 		out.CaptchaPct = append(out.CaptchaPct, capPct)
 	}

@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -18,7 +19,7 @@ import (
 
 // ChallengeStatus is the final delivery status of one challenge email,
 // the classification behind Figure 4(a).
-type ChallengeStatus int
+type ChallengeStatus uint8
 
 // Challenge delivery outcomes.
 const (
@@ -65,21 +66,27 @@ func (s ChallengeStatus) Bounced() bool {
 }
 
 // ChallengeRecord tracks one challenge through delivery and solving.
+// The network keeps one per challenge until the end of the run, so it
+// holds only what a figure reads. Records are stored per company: the
+// sending company, and with it the source IP and the challenge sender
+// address, are not repeated in each.
 type ChallengeRecord struct {
-	Challenge core.OutboundChallenge
-	Company   string
-	FromIP    string
-	Status    ChallengeStatus
-	Attempts  int // delivery attempts
-	Delivered time.Time
-	Visited   bool
-	Solved    bool
-	SolvedAt  time.Time
+	MsgID string       // the challenged message
+	To    mail.Address // the challenged (possibly spoofed) sender
+	// Subject and ClientIP are the challenged message's, for the §4.1
+	// campaign clustering and the Figure 12 SPF what-if.
+	Subject  string
+	ClientIP string
+	// SolveDelay is the time from issue to a successful solve.
+	SolveDelay time.Duration
+	Status     ChallengeStatus
+	Attempts   uint8 // delivery attempts
 	// CaptchaAttempts is the number of answer submissions used on a
 	// successful solve (1 = first try).
-	CaptchaAttempts int
+	CaptchaAttempts uint8
+	Visited         bool
+	Solved          bool
 	TrapHit         bool
-	Persona         Persona // meaningful when delivered to an existing mailbox
 }
 
 // Company is one CR installation attached to the network.
@@ -366,22 +373,35 @@ func (n *Network) Companies() []*Company {
 // delay. The delivery agent then walks the retry schedule.
 func (n *Network) SubmitChallenge(c *Company, ch core.OutboundChallenge) {
 	rec := &ChallengeRecord{
-		Challenge: ch,
-		Company:   c.Name,
-		FromIP:    c.ChallengeIP,
-		Status:    StatusPending,
+		MsgID:    ch.MsgID,
+		To:       ch.To,
+		Subject:  ch.Subject,
+		ClientIP: ch.ClientIP,
+		Status:   StatusPending,
 	}
 	n.mu.Lock()
 	n.records[c.Name] = append(n.records[c.Name], rec)
 	n.mu.Unlock()
+	d := &delivery{rec: rec, token: ch.Token, issued: ch.Issued}
 	_, sched := n.laneCtx(c)
-	sched.After(n.cfg.TransitDelay, func() { n.attemptDelivery(c, rec) })
+	sched.After(n.cfg.TransitDelay, func() { n.attemptDelivery(c, d) })
 }
 
-// attemptDelivery tries to hand rec to the destination server once.
-func (n *Network) attemptDelivery(c *Company, rec *ChallengeRecord) {
+// delivery is a challenge in flight: its record plus what only the
+// delivery agent and the recipient's reaction read. It lives as long as
+// the scheduler holds an event for it.
+type delivery struct {
+	rec    *ChallengeRecord
+	token  string
+	issued time.Time
+}
+
+// attemptDelivery tries to hand the challenge to the destination server
+// once.
+func (n *Network) attemptDelivery(c *Company, d *delivery) {
+	rec := d.rec
 	rec.Attempts++
-	to := rec.Challenge.To
+	to := rec.To
 	clk, _ := n.laneCtx(c)
 
 	n.mu.Lock()
@@ -402,15 +422,15 @@ func (n *Network) attemptDelivery(c *Company, rec *ChallengeRecord) {
 	}
 
 	if remote.Unreachable || clk.Now().Before(remote.DownUntil) {
-		n.retryOrExpire(c, rec)
+		n.retryOrExpire(c, d)
 		return
 	}
 
 	// Destination screens inbound mail against its blocklist: a listed
 	// challenge-server IP gets a 5xx (permanent) rejection.
-	if remote.Screen != nil && remote.Screen.IsListed(rec.FromIP) {
+	if remote.Screen != nil && remote.Screen.IsListed(c.ChallengeIP) {
 		rec.Status = StatusBouncedBlacklisted
-		n.emitDSN(c, rec, remote.IP, "5.7.1", "550 connection refused: "+rec.FromIP+" listed on "+remote.Screen.Name())
+		n.emitDSN(c, rec, remote.IP, "5.7.1", "550 connection refused: "+c.ChallengeIP+" listed on "+remote.Screen.Name())
 		return
 	}
 
@@ -420,17 +440,16 @@ func (n *Network) attemptDelivery(c *Company, rec *ChallengeRecord) {
 	// listing state never depends on lane interleaving.
 	if n.traps != nil && n.traps.IsTrap(to) {
 		rec.Status = StatusDelivered
-		rec.Delivered = clk.Now()
 		rec.TrapHit = true
 		if c.lane != nil {
-			c.lane.trapHits = append(c.lane.trapHits, trapHit{to: to, ip: rec.FromIP})
+			c.lane.trapHits = append(c.lane.trapHits, trapHit{to: to, ip: c.ChallengeIP})
 		} else {
-			n.traps.Hit(to, rec.FromIP)
+			n.traps.Hit(to, c.ChallengeIP)
 		}
 		return
 	}
 
-	persona, behavior, exists := remote.Lookup(to)
+	_, behavior, exists := remote.Lookup(to)
 	if !exists {
 		rec.Status = StatusBouncedNoUser
 		// The spoofed-sender signature: the reputation store learns that
@@ -446,9 +465,7 @@ func (n *Network) attemptDelivery(c *Company, rec *ChallengeRecord) {
 	}
 
 	rec.Status = StatusDelivered
-	rec.Delivered = clk.Now()
-	rec.Persona = persona
-	n.scheduleRecipientReaction(c, rec, behavior)
+	n.scheduleRecipientReaction(c, d, behavior)
 }
 
 // emitDSN synthesises the delivery-status notification a remote (or the
@@ -473,7 +490,7 @@ func (n *Network) emitDSN(c *Company, rec *ChallengeRecord, srcIP, status, reaso
 	if c.lane != nil {
 		id = c.lane.ids.Next()
 	}
-	body := mail.FormatDSNBody(rec.Challenge.To.String(), status, reason, rec.Challenge.MsgID)
+	body := mail.FormatDSNBody(rec.To.String(), status, reason, rec.MsgID)
 	if n.cfg.Injector != nil {
 		if d := n.cfg.Injector.Decide("outbound-dsn", 0); d.Err != nil {
 			// A garbling reporting MTA: the machine-readable block is
@@ -485,7 +502,7 @@ func (n *Network) emitDSN(c *Company, rec *ChallengeRecord, srcIP, status, reaso
 	dsn := &mail.Message{
 		ID:           id,
 		EnvelopeFrom: mail.Null,
-		Rcpt:         rec.Challenge.From,
+		Rcpt:         c.Engine.Config().ChallengeFrom,
 		Subject:      "Undelivered Mail Returned to Sender",
 		Body:         body,
 		Size:         1200 + len(reason),
@@ -495,21 +512,21 @@ func (n *Network) emitDSN(c *Company, rec *ChallengeRecord, srcIP, status, reaso
 	sched.After(n.cfg.TransitDelay, func() { c.Engine.Receive(dsn) })
 }
 
-func (n *Network) retryOrExpire(c *Company, rec *ChallengeRecord) {
-	idx := rec.Attempts - 1
+func (n *Network) retryOrExpire(c *Company, d *delivery) {
+	idx := int(d.rec.Attempts) - 1
 	if idx >= len(resilience.MTARetrySchedule) {
-		rec.Status = StatusExpired
-		n.emitDSN(c, rec, "", "4.4.7", "delivery time expired")
+		d.rec.Status = StatusExpired
+		n.emitDSN(c, d.rec, "", "4.4.7", "delivery time expired")
 		return
 	}
 	_, sched := n.laneCtx(c)
-	sched.After(resilience.MTARetrySchedule[idx], func() { n.attemptDelivery(c, rec) })
+	sched.After(resilience.MTARetrySchedule[idx], func() { n.attemptDelivery(c, d) })
 }
 
 // scheduleRecipientReaction decides, per the mailbox behavior profile,
 // whether the challenge URL gets visited and solved, and schedules those
 // actions in virtual time.
-func (n *Network) scheduleRecipientReaction(c *Company, rec *ChallengeRecord, b Behavior) {
+func (n *Network) scheduleRecipientReaction(c *Company, d *delivery, b Behavior) {
 	var visit, solve bool
 	var delay time.Duration
 	attempts := 1
@@ -538,9 +555,10 @@ func (n *Network) scheduleRecipientReaction(c *Company, rec *ChallengeRecord, b 
 	clk, sched := n.laneCtx(c)
 	sched.After(delay, func() {
 		svc := c.Engine.Captcha()
-		if _, err := svc.Visit(rec.Challenge.Token); err != nil {
+		if _, err := svc.Visit(d.token); err != nil {
 			return // expired or already resolved via digest
 		}
+		rec := d.rec
 		rec.Visited = true
 		if !solve {
 			return
@@ -549,18 +567,18 @@ func (n *Network) scheduleRecipientReaction(c *Company, rec *ChallengeRecord, b 
 		// wrong try is a real Solve call so the service's attempt
 		// counters match Figure 4(b).
 		for i := 0; i < attempts-1; i++ {
-			_ = svc.Solve(rec.Challenge.Token, "wrong-answer")
+			_ = svc.Solve(d.token, "wrong-answer")
 		}
-		ans, err := svc.Answer(rec.Challenge.Token)
+		ans, err := svc.Answer(d.token)
 		if err != nil {
 			return
 		}
-		if err := svc.Solve(rec.Challenge.Token, ans); err != nil {
+		if err := svc.Solve(d.token, ans); err != nil {
 			return
 		}
 		rec.Solved = true
-		rec.SolvedAt = clk.Now()
-		rec.CaptchaAttempts = attempts
+		rec.SolveDelay = clk.Now().Sub(d.issued)
+		rec.CaptchaAttempts = uint8(attempts)
 	})
 }
 
@@ -620,6 +638,14 @@ func (n *Network) Records() []*ChallengeRecord {
 	return out
 }
 
+// CompanyRecords returns a snapshot of one company's challenge records
+// in submission order.
+func (n *Network) CompanyRecords(name string) []*ChallengeRecord {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return slices.Clone(n.records[name])
+}
+
 // DeliveryStats aggregates challenge records into the Figure 4(a)
 // distribution plus the solve/visit bookkeeping of §3.2.
 type DeliveryStats struct {
@@ -671,7 +697,7 @@ func (n *Network) AttemptsHistogram() map[int]int {
 	for _, recs := range n.records {
 		for _, r := range recs {
 			if r.Solved && r.CaptchaAttempts > 0 {
-				out[r.CaptchaAttempts]++
+				out[int(r.CaptchaAttempts)]++
 			}
 		}
 	}

@@ -176,7 +176,7 @@ func TestChallengeExpiresForUnreachableServer(t *testing.T) {
 	if rec.Status != StatusExpired {
 		t.Fatalf("status = %v, want expired", rec.Status)
 	}
-	if rec.Attempts != len(resilience.MTARetrySchedule)+1 {
+	if int(rec.Attempts) != len(resilience.MTARetrySchedule)+1 {
 		t.Fatalf("attempts = %d, want %d", rec.Attempts, len(resilience.MTARetrySchedule)+1)
 	}
 }
@@ -497,8 +497,22 @@ func TestTransientOutageDeliversLate(t *testing.T) {
 	if !rec.Solved {
 		t.Fatal("late-delivered challenge not solved")
 	}
-	// Delivery happened after the outage ended.
-	if rec.Delivered.Before(t0.Add(3 * time.Hour)) {
-		t.Fatalf("delivered at %v, during the outage", rec.Delivered)
+	// Delivery happened on the first attempt after the outage ended:
+	// attempt k leaves at submission + transit + the first k-1 waits of
+	// the retry ladder.
+	attemptAt := func(k int) time.Time {
+		at := t0.Add(w.net.cfg.TransitDelay)
+		for _, wait := range resilience.MTARetrySchedule[:k-1] {
+			at = at.Add(wait)
+		}
+		return at
+	}
+	downUntil := t0.Add(3 * time.Hour)
+	k := int(rec.Attempts)
+	if at := attemptAt(k); at.Before(downUntil) {
+		t.Fatalf("delivered on attempt %d at %v, during the outage", k, at)
+	}
+	if at := attemptAt(k - 1); !at.Before(downUntil) {
+		t.Fatalf("attempt %d at %v was already after the outage, yet delivery took attempt %d", k-1, at, k)
 	}
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -182,13 +181,6 @@ type botIP struct {
 	ip     string
 	hasPTR bool
 	listed bool
-}
-
-// GrayEntry is the context of one gray-spooled message that the offline
-// SPF experiment (Figure 12) re-evaluates for each challenge record.
-type GrayEntry struct {
-	From     mail.Address
-	ClientIP string
 }
 
 // Fleet is the fully-assembled world: simulated clock, DNS, blocklists,
@@ -578,10 +570,8 @@ type companyLane struct {
 
 	// Ground truth, one byte per generated message: truth[n-1] is the
 	// class of the message ids minted as sequence number n (ids mints
-	// nothing else). gray holds the Figure 12 context of the messages
-	// that entered the gray spool, sorted by sequence number.
+	// nothing else).
 	truth       []Class
-	gray        []graySlot
 	classCounts [ClassSpam + 1]int64
 
 	// covering is the precomputed subset of spam campaigns whose
@@ -812,16 +802,6 @@ func (f *Fleet) Day() int {
 	return f.day
 }
 
-// graySlot is one gray-spooled message's context, keyed by the sequence
-// number of its ID.
-type graySlot struct {
-	seq uint64
-	GrayEntry
-}
-
-// bySeq orders gray slots by sequence number for binary search.
-func bySeq(g graySlot, seq uint64) int { return cmp.Compare(g.seq, seq) }
-
 // laneOf returns the lane that minted msgID and the ID's sequence
 // number, or nil for an ID no lane minted (DSNs, other prefixes).
 func (f *Fleet) laneOf(msgID string) (*companyLane, uint64) {
@@ -874,20 +854,6 @@ func (f *Fleet) ClassCounts() map[Class]int64 {
 		}
 	}
 	return out
-}
-
-// GrayContext returns the context captured when a generated message
-// entered the gray spool. Call it between Run calls.
-func (f *Fleet) GrayContext(msgID string) (GrayEntry, bool) {
-	ln, seq := f.laneOf(msgID)
-	if ln == nil {
-		return GrayEntry{}, false
-	}
-	i, found := slices.BinarySearchFunc(ln.gray, seq, bySeq)
-	if !found {
-		return GrayEntry{}, false
-	}
-	return ln.gray[i].GrayEntry, true
 }
 
 // Users returns the protected accounts of a company.

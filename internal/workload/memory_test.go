@@ -10,12 +10,13 @@ import (
 // liveBytesPerEmail bounds the fleet's live heap per generated email at
 // the end of heapGuardConfig's run. The fleet keeps per-company state
 // (whitelists, quarantine, reputation), one byte of ground truth per
-// message and the context of gray-spooled ones: 74 B per email. When it
+// message and one slim record per challenge: 49 B per email. When it
 // kept the truth and the gray context in maps keyed by message ID, the
-// same run held 125 B per email, and 78 B while each whitelist entry
-// was stored three times. The bound is 74 B plus 25 %, so a map entry
-// per message that creeps back fails it.
-const liveBytesPerEmail = 92
+// same run held 125 B per email, 78 B while each whitelist entry was
+// stored three times, and 74 B while it kept the context of every
+// gray-spooled message and a full challenge per record. The bound is
+// 49 B plus 25 %, so a map entry per message that creeps back fails it.
+const liveBytesPerEmail = 61
 
 // heapGuardConfig is smallConfig with enough traffic that per-message
 // state outweighs the fleet's fixed set-up.

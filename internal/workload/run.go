@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -282,31 +281,16 @@ func (f *Fleet) deliverToEngine(ln *companyLane, msg *mail.Message, class Class)
 	f.admitAndDeliver(ln, msg, class, 0)
 }
 
-// deliverNow performs the actual engine handoff and captures gray-spool
-// context. attempt counts prior admission sheds of this message.
+// deliverNow performs the actual engine handoff. attempt counts prior
+// admission sheds of this message.
 func (f *Fleet) deliverNow(ln *companyLane, msg *mail.Message, class Class, attempt int) {
 	if attempt > 0 && class.Wanted() {
 		ln.surgeStats.hamRecovered++
 	}
-	verdict := ln.comp.Engine.Receive(msg)
-	if verdict != 0 { // core.Accepted == 0
+	if ln.comp.Engine.Receive(msg) != 0 { // core.Accepted == 0
 		// MTA rejections retain nothing: recycle the message.
 		putMsg(msg)
-		return
 	}
-	// Capture gray-spool context for the offline SPF what-if (E14).
-	if class.graySpool() {
-		_, seq, _ := mail.ParseID(msg.ID)
-		ln.addGray(seq, GrayEntry{From: msg.EnvelopeFrom, ClientIP: msg.ClientIP})
-	}
-}
-
-// addGray records a gray-spooled message's context in sequence order.
-// Messages reach the engine in ID order except after a greylist or
-// admission retry, so the insert is almost always an append.
-func (ln *companyLane) addGray(seq uint64, g GrayEntry) {
-	i, _ := slices.BinarySearchFunc(ln.gray, seq, bySeq)
-	ln.gray = slices.Insert(ln.gray, i, graySlot{seq, g})
 }
 
 // buildMessage constructs the mail.Message for a class, drawing from the

@@ -53,7 +53,7 @@ func TestTruthTable(t *testing.T) {
 	// and the ones still pending in a digest.
 	var looked []string
 	for _, rec := range f.Net.Records() {
-		looked = append(looked, rec.Challenge.MsgID)
+		looked = append(looked, rec.MsgID)
 	}
 	challenged := len(looked)
 	for _, c := range f.Companies {

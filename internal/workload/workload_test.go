@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mail"
+	"repro/internal/maillog"
 )
 
 // smallConfig returns a fast fleet: 4 companies, tiny volumes.
@@ -291,27 +292,36 @@ func TestGrayLogCapturesChallengedContext(t *testing.T) {
 		mail.ResetIDCounter()
 		cfg := smallConfig(17)
 		cfg.UseGreylisting = greylist
+		// The decision log names the sender each challenge went to.
+		challenged := make(map[string]string)
+		cfg.LogSink = func(ev maillog.Event) {
+			if ev.Kind == maillog.KindChallenge {
+				challenged[ev.MsgID] = ev.Field("to")
+			}
+		}
 		f := NewFleet(cfg)
 		f.Run(2)
 		recs := f.Net.Records()
 		if len(recs) == 0 {
 			t.Fatalf("greylisting %v: no challenge records", greylist)
 		}
-		// Every challenge record joins against the gray context of the
-		// message it challenged: sent to that message's envelope sender,
-		// about a message that came from a known client.
-		for _, r := range recs {
-			e, ok := f.GrayContext(r.Challenge.MsgID)
-			if !ok {
-				t.Fatalf("greylisting %v: challenge %s has no gray context", greylist, r.Challenge.MsgID)
-			}
-			if e.ClientIP == "" || e.From != r.Challenge.To {
-				t.Fatalf("greylisting %v: challenge %s to %s: gray context %+v", greylist, r.Challenge.MsgID, r.Challenge.To, e)
-			}
+		if len(recs) != len(challenged) {
+			t.Fatalf("greylisting %v: %d challenge records, %d challenge events", greylist, len(recs), len(challenged))
 		}
-		for _, id := range []string{"company-99-000001", "dsn-company-00-000001", "company-00-000000", "bogus"} {
-			if e, ok := f.GrayContext(id); ok {
-				t.Fatalf("GrayContext(%q) = %+v, want none", id, e)
+		// Every challenge record carries the Figure 12 context of the
+		// message it challenged: sent to that message's envelope sender,
+		// about a message that came from a known client, and minted by
+		// a lane, so it has ground truth.
+		for _, r := range recs {
+			to, ok := challenged[r.MsgID]
+			if !ok || r.To.Key() != to {
+				t.Fatalf("greylisting %v: challenge %s to %s, decision log says %q", greylist, r.MsgID, r.To, to)
+			}
+			if r.ClientIP == "" {
+				t.Fatalf("greylisting %v: challenge %s has no client IP", greylist, r.MsgID)
+			}
+			if _, ok := f.Truth(r.MsgID); !ok {
+				t.Fatalf("greylisting %v: challenge %s has no ground truth", greylist, r.MsgID)
 			}
 		}
 	}
