@@ -38,6 +38,7 @@ import (
 	"repro/internal/dnscache"
 	"repro/internal/dnssim"
 	"repro/internal/faults"
+	"repro/internal/faults/seam"
 	"repro/internal/filters"
 	"repro/internal/gateway"
 	"repro/internal/mail"
@@ -65,7 +66,7 @@ func main() {
 		permitAll = flag.Bool("resolve-all", true, "treat every sender domain as resolvable (no real DNS in the sandbox)")
 		statePath = flag.String("state", "", "whitelist snapshot file (loaded at boot, saved periodically and on SIGINT)")
 		smarthost = flag.String("smarthost", "", "next-hop SMTP server for outgoing challenges (host:port); empty = log only")
-		faultPlan = flag.String("fault-plan", "", "JSON fault plan file; injects faults into DNS, the blocklist, the scanner, the smarthost path and state saves")
+		faultPlan = flag.String("fault-plan", "", "JSON fault plan file; injects faults into DNS (dns), the blocklist (rbl:local-dnsbl), the scanner (av), the reputation store (reputation), the smarthost path (smarthost, smarthost-dial, domain:<d>), the outbound-spool journal (wal-spool, with -smarthost and -wal-dir), the WAL (wal-append, wal-fsync, with -wal-dir) and state saves (store)")
 		faultSeed = flag.Int64("fault-seed", 1, "seed for the fault injector's RNG (with -fault-plan)")
 		maxQueued = flag.Int("max-outbound", 1000, "bound on in-flight outbound challenges; overflow defers (0 = unbounded)")
 		drainWait = flag.Duration("drain-timeout", 10*time.Second, "how long SIGTERM waits for in-flight SMTP sessions before force-closing")
@@ -79,16 +80,18 @@ func main() {
 	dns := dnssim.NewServer()
 	provider := rbl.NewProvider("local-dnsbl", rbl.DefaultPolicy(), clk)
 
+	// Without a plan set stays nil, so every seam returns its input, and
+	// inj stays a nil interface for the owners that consult the plan
+	// themselves (reputation, the WAL, state saves, the smarthost path).
+	var set *faults.Set
 	var inj faults.Injector
 	if *faultPlan != "" {
 		plan, err := faults.LoadFile(*faultPlan)
 		if err != nil {
 			log.Fatalf("fault plan: %v", err)
 		}
-		set := faults.New(plan, *faultSeed, clk)
+		set = faults.New(plan, *faultSeed, clk)
 		inj = set
-		dns.SetInjector(set)
-		provider.SetInjector(set)
 		log.Printf("fault injection active (seed %d):\n%s", *faultSeed, plan.Describe())
 	}
 
@@ -96,21 +99,18 @@ func main() {
 	// faults must reach every consumer un-cached). The live server uses
 	// the same TTL + negative caching + single-flight path the fleet
 	// simulation exercises; /metrics reports the hit rates.
-	var resolver dnssim.Resolver = dns
+	resolver := seam.Resolver(dns, set)
+	rblBackend := seam.RBL(provider, set)
 	var dnsCache *dnscache.Cache
 	var rblCache *dnscache.RBLCache
-	var rblBackend filters.RBLBackend = provider
-	if inj == nil {
+	if set == nil {
 		dnsCache = dnscache.New(dns, dnscache.Options{Clock: clk, Gen: dns.Gen})
 		resolver = dnsCache
 		rblCache = dnscache.NewRBL(provider, clk, 0)
 		rblBackend = rblCache
 	}
 
-	av := filters.NewAntivirus()
-	if inj != nil {
-		av.SetInjector(inj)
-	}
+	av := seam.Antivirus(filters.NewAntivirus(), set)
 	harden := func(pr filters.Prober, mode filters.DegradeMode) filters.Filter {
 		return filters.Harden(pr, mode, filters.HardenOpts{
 			Breaker: resilience.NewBreaker(pr.Name(), resilience.DefaultBreakerConfig(), clk),
@@ -192,7 +192,7 @@ func main() {
 			Spool:      sp,
 		}
 		if journal != nil {
-			ocfg.Journal = journal.Emit
+			ocfg.Journal = seam.Journal(journal.Emit, set)
 		}
 		queue = outbound.NewQueue(ocfg)
 		// Re-enqueue challenges that were pending in the recovered spool:

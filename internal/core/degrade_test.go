@@ -7,6 +7,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/dnssim"
 	"repro/internal/faults"
+	"repro/internal/faults/seam"
 	"repro/internal/filters"
 	"repro/internal/mail"
 	"repro/internal/maillog"
@@ -14,18 +15,17 @@ import (
 	"repro/internal/whitelist"
 )
 
-// dnsBlackout installs a 100% resolver outage on e.dns.
-func dnsBlackout(e *env) {
-	e.dns.SetInjector(faults.New(&faults.Plan{Rules: []faults.Rule{
-		{Target: "dns", Kind: faults.KindTimeout},
-	}}, 1, e.clk))
+// dnsTimeouts times out a share p of resolver lookups (p 0: all).
+func dnsTimeouts(p float64) *faults.Plan {
+	return &faults.Plan{Rules: []faults.Rule{
+		{Target: "dns", Kind: faults.KindTimeout, Probability: p},
+	}}
 }
 
 func TestDNSDegradeFailOpenAccepts(t *testing.T) {
-	e := newEnv(t, false)
+	e := newFaultedEnv(t, false, dnsTimeouts(0), 1)
 	var events []maillog.Event
 	e.eng.SetEventSink(func(ev maillog.Event) { events = append(events, ev) })
-	dnsBlackout(e)
 
 	m := e.goodMsg("alice@example.com", "bob@corp.example")
 	if r := e.eng.Receive(m); r != Accepted {
@@ -60,12 +60,9 @@ func TestDNSDegradeFailClosedDrops(t *testing.T) {
 		ChallengeFrom:    mail.MustParseAddress("challenge@corp.example"),
 		ChallengeBaseURL: "http://cr.corp.example",
 		DNSDegrade:       filters.FailClosed,
-	}, clk, dns, nil, wl, nil)
+	}, clk, seam.Resolver(dns, faults.New(dnsTimeouts(0), 1, clk)), nil, wl, nil)
 	eng.AddUser(mail.MustParseAddress("bob@corp.example"))
 	dns.RegisterMailDomain("example.com", "192.0.2.10")
-	dns.SetInjector(faults.New(&faults.Plan{Rules: []faults.Rule{
-		{Target: "dns", Kind: faults.KindTimeout},
-	}}, 1, clk))
 
 	m := &mail.Message{
 		ID:           mail.NewID("m"),
@@ -89,14 +86,11 @@ func TestDNSDegradeFailClosedDrops(t *testing.T) {
 }
 
 func TestDNSRetriesAbsorbTransientFault(t *testing.T) {
-	e := newEnv(t, false)
 	// FailDomain with a timeout error makes ResolvableErr report a
 	// temporary failure; clearing it between engine retries is not
 	// possible (retries are immediate), so instead use a probabilistic
 	// injected fault low enough that 3 attempts almost surely pass.
-	e.dns.SetInjector(faults.New(&faults.Plan{Rules: []faults.Rule{
-		{Target: "dns", Kind: faults.KindTimeout, Probability: 0.5},
-	}}, 3, e.clk))
+	e := newFaultedEnv(t, false, dnsTimeouts(0.5), 3)
 	accepted, degraded := 0, 0
 	for i := 0; i < 50; i++ {
 		m := e.goodMsg("alice@example.com", "bob@corp.example")
@@ -123,11 +117,11 @@ func TestMetricsSnapshotConcurrentWithDegradedWrites(t *testing.T) {
 	clk := clock.NewSim(t0)
 	dns := dnssim.NewServer()
 	prov := rbl.NewProvider("spamhaus", rbl.DefaultPolicy(), clk)
-	prov.SetInjector(faults.New(&faults.Plan{Rules: []faults.Rule{
+	down := seam.RBL(prov, faults.New(&faults.Plan{Rules: []faults.Rule{
 		{Target: "rbl:*", Kind: faults.KindOutage},
 	}}, 1, clk))
 	chain := filters.NewChain(
-		filters.Harden(filters.NewRBL(prov), filters.FailOpen, filters.HardenOpts{}),
+		filters.Harden(filters.NewRBL(down), filters.FailOpen, filters.HardenOpts{}),
 	)
 	eng := New(Config{
 		Name:             "corp",

@@ -741,37 +741,12 @@ func (e *Engine) checkMTAIn(msg *mail.Message) (reason MTAReason, degraded bool)
 func (e *Engine) resolverOK(domain string) (ok, degraded bool) {
 	attempts := e.cfg.DNSRetries + 1
 	for i := 0; i < attempts; i++ {
-		ok, err := e.lookupResolvable(domain)
+		ok, err := e.resolver.ResolvableErr(domain)
 		if err == nil {
 			return ok, false
 		}
 	}
 	return e.cfg.DNSDegrade == filters.FailOpen, true
-}
-
-// lookupResolvable makes one resolvability probe. The error channel
-// carries temporary resolver failures only; authoritative negatives
-// return (false, nil).
-func (e *Engine) lookupResolvable(domain string) (bool, error) {
-	// Both dnssim.Server and the dnscache layer expose the combined
-	// "any record at all" probe; assert on the capability, not the type,
-	// so a cache can front the resolver transparently.
-	if s, ok := e.resolver.(interface {
-		ResolvableErr(domain string) (bool, error)
-	}); ok {
-		return s.ResolvableErr(domain)
-	}
-	if _, err := e.resolver.LookupMX(domain); err == nil {
-		return true, nil
-	} else if dnssim.IsTemporary(err) {
-		return false, err
-	}
-	if _, err := e.resolver.LookupA(domain); err == nil {
-		return true, nil
-	} else if dnssim.IsTemporary(err) {
-		return false, err
-	}
-	return false, nil
 }
 
 // Receive is the full per-message pipeline: MTA-IN checks, then dispatch.

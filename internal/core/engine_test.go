@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/dnssim"
+	"repro/internal/faults"
+	"repro/internal/faults/seam"
 	"repro/internal/filters"
 	"repro/internal/mail"
 	"repro/internal/rbl"
@@ -27,11 +29,23 @@ type env struct {
 
 func newEnv(t *testing.T, openRelay bool) *env {
 	t.Helper()
+	return newFaultedEnv(t, openRelay, nil, 0)
+}
+
+// newFaultedEnv is newEnv with the engine and the reverse-DNS filter
+// resolving through plan's "dns" seam (plan nil: the bare server).
+func newFaultedEnv(t *testing.T, openRelay bool, plan *faults.Plan, seed int64) *env {
+	t.Helper()
 	e := &env{clk: clock.NewSim(t0), dns: dnssim.NewServer()}
+	var set *faults.Set
+	if plan != nil {
+		set = faults.New(plan, seed, e.clk)
+	}
+	resolver := seam.Resolver(e.dns, set)
 	e.rblProv = rbl.NewProvider("spamhaus", rbl.DefaultPolicy(), e.clk)
 	chain := filters.NewChain(
 		filters.NewAntivirus(),
-		filters.NewReverseDNS(e.dns),
+		filters.NewReverseDNS(resolver),
 		filters.NewRBL(e.rblProv),
 	)
 	wl := whitelist.NewStore(e.clk)
@@ -46,7 +60,7 @@ func newEnv(t *testing.T, openRelay bool) *env {
 		ChallengeSize:    1800,
 		Seed:             7,
 	}
-	e.eng = New(cfg, e.clk, e.dns, chain, wl, nil)
+	e.eng = New(cfg, e.clk, resolver, chain, wl, nil)
 	e.eng.SetChallengeSender(func(ch OutboundChallenge) { e.sent = append(e.sent, ch) })
 	e.eng.AddUser(mail.MustParseAddress("bob@corp.example"))
 

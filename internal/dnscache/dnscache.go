@@ -16,9 +16,9 @@
 //   - Entries expire on the *virtual* clock, never the wall clock.
 //   - Both backends expose a generation counter that increments on every
 //     mutation (dnssim.Server.Gen: record changes, RemoveDomain,
-//     FailDomain, injector swaps; rbl.Provider.Gen: listing/delisting
-//     events). Each lookup compares generations and flushes the whole
-//     cache on change, so a cached answer can never mask a mutation.
+//     FailDomain; rbl.Provider.Gen: listing/delisting events). Each
+//     lookup compares generations and flushes the whole cache on change,
+//     so a cached answer can never mask a mutation.
 //   - Temporary failures (timeouts, injected outages) are never cached:
 //     the caller must see every one, or fault injection would be
 //     silently absorbed. Authoritative negatives (NXDOMAIN / no such
@@ -74,8 +74,8 @@ type Options struct {
 	// NegTTL is the authoritative-negative lifetime; DefaultNegTTL if zero.
 	NegTTL time.Duration
 	// Gen, when non-nil, is polled on every lookup; a change flushes the
-	// entire cache. Wire it to dnssim.Server.Gen so RemoveDomain,
-	// FailDomain and fault-plan transitions invalidate immediately.
+	// entire cache. Wire it to dnssim.Server.Gen so RemoveDomain and
+	// FailDomain invalidate immediately.
 	Gen func() uint64
 }
 
@@ -132,9 +132,9 @@ type cacheShard struct {
 }
 
 // Cache is a read-through TTL cache over a dnssim.Resolver. It
-// implements dnssim.Resolver itself (plus ResolvableErr), so it can be
-// dropped in anywhere a resolver is accepted — core.Engine, the
-// reverse-DNS filter, spf.Checker, the workload generator.
+// implements dnssim.Resolver itself, so it can be dropped in anywhere a
+// resolver is accepted — core.Engine, the reverse-DNS filter,
+// spf.Checker, the workload generator.
 type Cache struct {
 	backend dnssim.Resolver
 	opts    Options
@@ -357,18 +357,12 @@ func (c *Cache) LookupTXT(domain string) ([]string, error) {
 	return e.list, nil
 }
 
-// resolvableProber matches dnssim.Server's combined "any record at all"
-// probe with its temporary-failure channel.
-type resolvableProber interface {
-	ResolvableErr(domain string) (bool, error)
-}
-
 // ResolvableErr caches the MTA-IN sender-domain probe. An unresolvable
 // domain is the NXDOMAIN case and is cached with the negative TTL;
 // temporary resolver failures pass through uncached.
 func (c *Cache) ResolvableErr(domain string) (bool, error) {
 	e, err := c.do(ckey{qResolvable, domain}, func(e *entry) error {
-		ok, err := c.probeResolvable(domain)
+		ok, err := c.backend.ResolvableErr(domain)
 		e.ok = ok
 		e.neg = err == nil && !ok
 		return err
@@ -377,31 +371,6 @@ func (c *Cache) ResolvableErr(domain string) (bool, error) {
 		return false, err
 	}
 	return e.ok, nil
-}
-
-// Resolvable is ResolvableErr with the error folded into "no".
-func (c *Cache) Resolvable(domain string) bool {
-	ok, _ := c.ResolvableErr(domain)
-	return ok
-}
-
-func (c *Cache) probeResolvable(domain string) (bool, error) {
-	if p, ok := c.backend.(resolvableProber); ok {
-		return p.ResolvableErr(domain)
-	}
-	// Generic fallback: any MX or A record makes the domain resolvable;
-	// a temporary failure on either probe is surfaced, not cached.
-	if _, err := c.backend.LookupMX(domain); err == nil {
-		return true, nil
-	} else if dnssim.IsTemporary(err) {
-		return false, err
-	}
-	if _, err := c.backend.LookupA(domain); err == nil {
-		return true, nil
-	} else if dnssim.IsTemporary(err) {
-		return false, err
-	}
-	return false, nil
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -453,7 +422,7 @@ type rblShard struct {
 	entries map[string]rblEntry
 }
 
-// RBLCache memoizes rbl.Provider.Query answers. It satisfies the
+// RBLCache memoizes rbl.Provider listing answers. It satisfies the
 // filters.RBLBackend surface, so filters.NewRBL accepts it in place of
 // the raw provider.
 //
@@ -531,8 +500,8 @@ func (c *RBLCache) shardFor(ip string) *rblShard {
 	return &c.shards[h%rblStripes]
 }
 
-// Query returns the memoized listing state for ip. Errors (injected
-// outages/timeouts) are never cached.
+// Query returns the memoized listing state for ip. It never fails: the
+// provider always answers.
 func (c *RBLCache) Query(ip string) (bool, error) {
 	sh := c.shardFor(ip)
 	// Hit fast path: entries are immutable values replaced wholesale by
@@ -561,10 +530,7 @@ func (c *RBLCache) Query(ip string) (bool, error) {
 	c.misses.Add(1)
 	gen := c.p.Gen()
 
-	listed, err := c.p.Query(ip)
-	if err != nil {
-		return false, err
-	}
+	listed := c.p.IsListed(ip)
 
 	// Store only if the provider did not mutate while we queried;
 	// otherwise our answer may already be stale.

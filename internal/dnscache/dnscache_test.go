@@ -146,6 +146,7 @@ func (b *blockingResolver) LookupA(string) ([]string, error) {
 func (b *blockingResolver) LookupMX(string) ([]dnssim.MX, error) { return nil, dnssim.ErrNoRecord }
 func (b *blockingResolver) LookupPTR(string) (string, error)     { return "", dnssim.ErrNXDomain }
 func (b *blockingResolver) LookupTXT(string) ([]string, error)   { return nil, dnssim.ErrNoRecord }
+func (b *blockingResolver) ResolvableErr(string) (bool, error)   { return true, nil }
 
 func TestSingleflightCollapse(t *testing.T) {
 	back := &blockingResolver{release: make(chan struct{}), started: make(chan struct{}, 16)}

@@ -17,8 +17,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/faults"
 )
 
 // Lookup errors.
@@ -30,18 +28,20 @@ var (
 	ErrNoRecord = errors.New("dnssim: no such record")
 	// ErrTimeout is an injected temporary failure (SERVFAIL/timeout).
 	ErrTimeout = errors.New("dnssim: query timed out")
+	// ErrUnreachable is a nameserver that does not answer at all (the
+	// "dns" outage fault), as opposed to one that answers slowly.
+	ErrUnreachable = errors.New("dnssim: nameserver unreachable")
 )
 
 // IsTemporary reports whether err represents a temporary DNS failure, after
 // which a caller may retry, as opposed to an authoritative negative answer.
-// Injected timeouts/outages from the fault substrate count as temporary.
 func IsTemporary(err error) bool {
-	return errors.Is(err, ErrTimeout) || errors.Is(err, faults.ErrTimeout) ||
-		errors.Is(err, faults.ErrOutage)
+	return errors.Is(err, ErrTimeout) || errors.Is(err, ErrUnreachable)
 }
 
-// DefaultQueryTimeout is the per-lookup deadline injected latency is
-// compared against: an answer slower than this is a timeout.
+// DefaultQueryTimeout is the per-lookup deadline a resolver fault's
+// injected latency is compared against: an answer slower than this is a
+// timeout.
 const DefaultQueryTimeout = 5 * time.Second
 
 // MX is a mail-exchanger record.
@@ -51,7 +51,7 @@ type MX struct {
 }
 
 // Resolver is the query interface the CR system components use. Server
-// implements it; tests may substitute stubs.
+// implements it; dnscache and the fault seam wrap it.
 type Resolver interface {
 	// LookupA returns the IPv4 addresses of host.
 	LookupA(host string) ([]string, error)
@@ -61,6 +61,9 @@ type Resolver interface {
 	LookupPTR(ip string) (string, error)
 	// LookupTXT returns the TXT strings of domain.
 	LookupTXT(domain string) ([]string, error)
+	// ResolvableErr reports whether domain has any record at all; a
+	// non-nil error is a temporary failure, never "does not exist".
+	ResolvableErr(domain string) (bool, error)
 }
 
 // zone holds all records for one domain name.
@@ -76,14 +79,12 @@ type Server struct {
 	zones map[string]*zone  // by lower-case domain
 	ptr   map[string]string // by dotted-quad IP
 	fail  map[string]error  // injected failure per domain
-	inj   faults.Injector   // optional whole-resolver fault source
 	// Query counters are atomics so lookups — reads of the zone data —
 	// can run under the read lock and concurrent lanes never serialize
 	// on the simulated nameserver.
 	queries  atomic.Int64
 	nxdomain atomic.Int64
 	timeouts atomic.Int64
-	outages  atomic.Int64
 	// gen counts zone-data mutations so caching layers (internal/dnscache)
 	// can invalidate without subscribing to every mutation site.
 	gen atomic.Uint64
@@ -94,10 +95,6 @@ type Stats struct {
 	Queries  int64
 	NXDomain int64
 	Timeouts int64
-	// Outages counts injected hard outages (faults.KindOutage), kept
-	// separate from Timeouts so a chaos report can tell "the nameserver
-	// is down" from "the nameserver is slow".
-	Outages int64
 }
 
 // NewServer returns an empty DNS server.
@@ -109,41 +106,11 @@ func NewServer() *Server {
 	}
 }
 
-// SetInjector installs a fault injector consulted (target "dns") on every
-// lookup. Injected timeouts (and latency at or above the query timeout)
-// surface as ErrTimeout-class errors; injected outages keep their own
-// identity (faults.ErrOutage, counted in Stats.Outages). Both are
-// temporary per IsTemporary. Pass nil to clear.
-func (s *Server) SetInjector(inj faults.Injector) {
-	s.mu.Lock()
-	s.inj = inj
-	s.mu.Unlock()
-	s.gen.Add(1)
-}
-
 // Gen returns the zone-data generation, which increments on every
-// mutation (record registration, RemoveDomain, FailDomain, injector
-// changes). A resolver cache compares generations on each lookup and
-// flushes on change, so an injected fault or a deleted domain is never
-// masked by a stale cached answer.
+// mutation (record registration, RemoveDomain, FailDomain). A resolver
+// cache compares generations on each lookup and flushes on change, so a
+// failed or deleted domain is never masked by a stale cached answer.
 func (s *Server) Gen() uint64 { return s.gen.Load() }
-
-// inject consults the fault injector for one lookup. Caller holds s.mu.
-func (s *Server) inject() error {
-	if s.inj == nil {
-		return nil
-	}
-	d := s.inj.Decide("dns", DefaultQueryTimeout)
-	if d.Err == nil {
-		return nil
-	}
-	if d.Kind == faults.KindOutage {
-		s.outages.Add(1)
-		return fmt.Errorf("dnssim: nameserver unreachable: %w", d.Err)
-	}
-	s.timeouts.Add(1)
-	return fmt.Errorf("%w: %v", ErrTimeout, d.Err)
-}
 
 func key(domain string) string { return strings.ToLower(strings.TrimSuffix(domain, ".")) }
 
@@ -215,24 +182,15 @@ func (s *Server) FailDomain(domain string, err error) {
 	s.fail[key(domain)] = err
 }
 
-// Resolvable reports whether domain has any record at all — the check the
-// MTA-IN applies to sender domains ("Unable to resolve the domain", 4.19%
-// of drops in the study). A domain with only an MX record is resolvable.
-func (s *Server) Resolvable(domain string) bool {
-	ok, _ := s.ResolvableErr(domain)
-	return ok
-}
-
-// ResolvableErr is Resolvable with the temporary-failure channel exposed:
-// an injected resolver fault (or a FailDomain timeout) returns a non-nil
-// error so the caller can apply its degradation policy instead of
-// silently treating "DNS is down" as "domain does not exist".
+// ResolvableErr implements Resolver. A domain with any record at all,
+// even only an MX, is resolvable: the check the MTA-IN applies to sender
+// domains ("Unable to resolve the domain", 4.19% of drops in the study).
+// A FailDomain timeout returns a non-nil error so the caller can apply
+// its degradation policy instead of silently treating "DNS is down" as
+// "domain does not exist".
 func (s *Server) ResolvableErr(domain string) (bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if err := s.inject(); err != nil {
-		return false, err
-	}
 	if err, bad := s.fail[key(domain)]; bad {
 		if IsTemporary(err) {
 			return false, fmt.Errorf("%w (domain %s)", ErrTimeout, domain)
@@ -245,9 +203,6 @@ func (s *Server) ResolvableErr(domain string) (bool, error) {
 
 func (s *Server) pre(domain string) (*zone, error) {
 	s.queries.Add(1)
-	if err := s.inject(); err != nil {
-		return nil, err
-	}
 	if err, ok := s.fail[key(domain)]; ok {
 		if errors.Is(err, ErrTimeout) {
 			s.timeouts.Add(1)
@@ -299,9 +254,6 @@ func (s *Server) LookupPTR(ip string) (string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.queries.Add(1)
-	if err := s.inject(); err != nil {
-		return "", err
-	}
 	h, ok := s.ptr[ip]
 	if !ok {
 		s.nxdomain.Add(1)
@@ -332,7 +284,6 @@ func (s *Server) Stats() Stats {
 		Queries:  s.queries.Load(),
 		NXDomain: s.nxdomain.Load(),
 		Timeouts: s.timeouts.Load(),
-		Outages:  s.outages.Load(),
 	}
 }
 

@@ -85,8 +85,8 @@ func TestFailDomainInjection(t *testing.T) {
 	if !IsTemporary(err) {
 		t.Fatalf("injected failure not temporary: %v", err)
 	}
-	if s.Resolvable("flaky.example.com") {
-		t.Fatal("failed domain reported resolvable")
+	if ok, err := s.ResolvableErr("flaky.example.com"); ok || !IsTemporary(err) {
+		t.Fatalf("failed domain: resolvable %v, err %v; want a temporary error", ok, err)
 	}
 	s.FailDomain("flaky.example.com", nil)
 	if _, err := s.LookupA("flaky.example.com"); err != nil {
@@ -97,11 +97,11 @@ func TestFailDomainInjection(t *testing.T) {
 func TestResolvable(t *testing.T) {
 	s := NewServer()
 	s.AddMX("mx-only.example.com", "mail.example.com", 10)
-	if !s.Resolvable("mx-only.example.com") {
-		t.Fatal("domain with only MX must be resolvable")
+	if ok, err := s.ResolvableErr("mx-only.example.com"); !ok || err != nil {
+		t.Fatalf("domain with only MX: %v, %v; must be resolvable", ok, err)
 	}
-	if s.Resolvable("ghost.example.com") {
-		t.Fatal("unregistered domain reported resolvable")
+	if ok, err := s.ResolvableErr("ghost.example.com"); ok || err != nil {
+		t.Fatalf("unregistered domain: %v, %v; want an authoritative no", ok, err)
 	}
 }
 
@@ -117,7 +117,7 @@ func TestRemoveDomain(t *testing.T) {
 func TestRegisterMailDomain(t *testing.T) {
 	s := NewServer()
 	s.RegisterMailDomain("corp.example", "198.51.100.1")
-	if !s.Resolvable("corp.example") {
+	if ok, _ := s.ResolvableErr("corp.example"); !ok {
 		t.Fatal("registered domain not resolvable")
 	}
 	mx, err := s.LookupMX("corp.example")

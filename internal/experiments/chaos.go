@@ -37,7 +37,8 @@ type ChaosSummary struct {
 	// FaultCounts is the injector's per-target injection tally (empty on
 	// the clean run).
 	FaultCounts map[string]int64
-	// StaleAnswers counts RBL queries served from injected stale data.
+	// StaleAnswers counts RBL queries served from injected stale data:
+	// the "rbl:<name>/stale" entries of FaultCounts, summed.
 	StaleAnswers int64
 }
 
@@ -78,8 +79,10 @@ func summarizeRun(r *Run) ChaosSummary {
 	if r.Fleet.Injector != nil {
 		s.FaultCounts = r.Fleet.Injector.Counts()
 	}
-	for _, p := range r.Fleet.Providers {
-		s.StaleAnswers += p.StaleAnswers()
+	for k, n := range s.FaultCounts {
+		if strings.HasPrefix(k, "rbl:") && strings.HasSuffix(k, "/"+string(faults.KindStale)) {
+			s.StaleAnswers += n
+		}
 	}
 	return s
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -90,4 +92,57 @@ func TestChaosPlanFile(t *testing.T) {
 		t.Errorf("faulted run dropped %d via rbl during a 100%% outage", got)
 	}
 	checkGolden(t, "testdata/chaos-quick-seed7.txt", rep.Render())
+}
+
+// TestChaosStaleAnswersFromCounts: the rbl-stale-answers row is the sum
+// of the injector's "rbl:<name>/stale" tallies (the golden plan has no
+// stale rule, so this is its only check).
+func TestChaosStaleAnswersFromCounts(t *testing.T) {
+	plan := &faults.Plan{Name: "stale-zone", Rules: []faults.Rule{
+		{Target: "rbl:spamhaus", Kind: faults.KindStale, Probability: 0.5},
+	}}
+	rep := Chaos(tiny(11), plan)
+	stale := rep.Faulted.FaultCounts["rbl:spamhaus/stale"]
+	if stale == 0 || rep.Faulted.StaleAnswers != stale || rep.Base.StaleAnswers != 0 {
+		t.Fatalf("stale answers base %d, faulted %d; counts %v",
+			rep.Base.StaleAnswers, rep.Faulted.StaleAnswers, rep.Faulted.FaultCounts)
+	}
+	// A stale zone never errors, so nothing degrades; it only hides
+	// listings, so the filter drops less.
+	if n := rep.Faulted.FilterDegraded["rbl"]; n != 0 {
+		t.Fatalf("stale answers degraded the rbl filter %d times", n)
+	}
+	if rep.Faulted.FilterDropped["rbl"] >= rep.Base.FilterDropped["rbl"] {
+		t.Fatalf("rbl drops did not fall: base %d, faulted %d",
+			rep.Base.FilterDropped["rbl"], rep.Faulted.FilterDropped["rbl"])
+	}
+	want := fmt.Sprintf("%-34s %12d %12d %+12d", "rbl-stale-answers", 0, stale, stale)
+	if !strings.Contains(rep.Render(), want) {
+		t.Fatalf("render lacks %q:\n%s", want, rep.Render())
+	}
+}
+
+// TestRenderLeavesFaultPlanAlone: rendering a finished faulted run draws
+// nothing from its fault plan. Fig. 12's offline SPF what-if describes
+// the senders' published policy, so it reads the zone data, not the
+// product's faulted resolver.
+func TestRenderLeavesFaultPlanAlone(t *testing.T) {
+	cfg := tiny(7)
+	cfg.FaultPlan = &faults.Plan{Rules: []faults.Rule{
+		{Target: "dns", Kind: faults.KindTimeout, Probability: 0.05},
+	}}
+	r := NewRun(cfg)
+	consulted, counts := r.Fleet.Injector.Consulted(), r.Fleet.Injector.Counts()
+	if consulted == 0 || counts["dns/timeout"] == 0 {
+		t.Fatalf("the run never faulted: consulted %d, counts %v", consulted, counts)
+	}
+	if !strings.Contains(RenderAll(r), "Figure 12") {
+		t.Fatal("render lacks Figure 12")
+	}
+	if got := r.Fleet.Injector.Consulted(); got != consulted {
+		t.Fatalf("rendering consulted the fault plan %d more times", got-consulted)
+	}
+	if got := r.Fleet.Injector.Counts(); !reflect.DeepEqual(got, counts) {
+		t.Fatalf("rendering injected faults: %v, was %v", got, counts)
+	}
 }

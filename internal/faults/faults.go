@@ -11,22 +11,33 @@
 // injection point in the pipeline consult one seeded Injector, so chaos
 // runs stay byte-for-byte reproducible.
 //
-// Injection points and their target names:
+// Targets and their owners. Where the product already consumes an
+// interface, a decorator in internal/faults/seam applies the target
+// around it and the leaf package knows nothing of faults:
 //
-//	dns             dnssim.Server lookups (timeout / SERVFAIL / latency)
-//	rbl:<name>      one blocklist provider's query interface (outage / stale)
-//	rbl:*           every provider
-//	av              the antivirus scanner backend (clamd-style daemon down)
-//	smarthost       per-item challenge delivery (4xx storms, send errors)
-//	smarthost-dial  the smarthost session/dial itself; "smarthost*" covers both
-//	store           durable-state snapshot writes
-//	reputation      sender-reputation store lookups
-//	surge           per-message engine service latency (overload/surge runs)
-//	wal-append      write-ahead-log record appends (internal/wal)
-//	wal-fsync       write-ahead-log group-commit fsyncs (durability stalls)
-//	wal-spool       outbound-spool journal appends (per-transition drops)
-//	outbound-dsn    DSN generation at the remote MTA (malformed bounces)
-//	domain:<name>   one destination domain's delivery path (dark MX)
+//	dns             seam.Resolver     every resolver lookup (timeout / outage / latency)
+//	rbl:<name>      seam.RBL          one blocklist backend's query (outage / stale); rbl:* every provider
+//	av              seam.Antivirus    the scanner backend (clamd-style daemon down)
+//	wal-spool       seam.Journal      outbound-spool journal appends (per-transition drops)
+//
+// The rest have no such seam and are consulted by their owner:
+//
+//	smarthost       outbound.Queue    per-item challenge delivery (4xx storms, send errors)
+//	smarthost-dial  outbound.Queue    the smarthost session/dial; "smarthost*" covers both
+//	domain:<name>   outbound.Queue    one destination domain's delivery path (dark MX)
+//	reputation      reputation.Store  sender-reputation lookups and writes
+//	wal-append      wal.Log           write-ahead-log record appends
+//	wal-fsync       wal.Log           group-commit fsyncs (durability stalls)
+//	store           store.Saver       durable-state snapshot writes
+//	outbound-dsn    simnet.Network    DSN generation at the remote MTA (malformed bounces)
+//	surge           workload lanes    per-message engine service latency (overload runs)
+//
+// Why those stay: outbound.Dialer returns a concrete *smtp.Client, so the
+// smarthost path has no interface to wrap; the engine holds a concrete
+// *reputation.Store; outbound-dsn and surge are on the simulator's side
+// of the wire, not the product's; and wal and store write files directly.
+// Because wal keeps importing this package (filters reaches it through
+// reputation), the decorators live in the seam subpackage.
 //
 // Unknown targets are rejected at plan load: Validate checks every
 // rule's target against this list (plus "rbl:<name>" and prefix

@@ -1,0 +1,158 @@
+// Package seam applies a fault plan at the interfaces the product
+// already consumes: the resolver, the blocklist backend, the antivirus
+// prober and the outbound-spool journal. Each decorator consults its
+// target once per call, immediately before delegating, so the plan's
+// single RNG draws in the order the calls arrive and a failed call never
+// reaches the backend.
+//
+// A nil *faults.Set returns the input unchanged: a deployment without a
+// fault plan runs exactly the undecorated code.
+//
+// The decorators live here rather than in faults because wal imports
+// faults (its wal-append and wal-fsync targets have no interface seam),
+// and filters depends on wal through reputation.
+package seam
+
+import (
+	"fmt"
+
+	"repro/internal/dnssim"
+	"repro/internal/faults"
+	"repro/internal/filters"
+	"repro/internal/mail"
+	"repro/internal/rbl"
+	"repro/internal/wal"
+)
+
+// Resolver returns r with target "dns" consulted before every lookup.
+// An injected outage fails with dnssim.ErrUnreachable; every other
+// fault, including latency at or above dnssim.DefaultQueryTimeout, with
+// dnssim.ErrTimeout. Both are dnssim.IsTemporary.
+func Resolver(r dnssim.Resolver, set *faults.Set) dnssim.Resolver {
+	if set == nil {
+		return r
+	}
+	return resolver{r, set}
+}
+
+type resolver struct {
+	inner dnssim.Resolver
+	set   *faults.Set
+}
+
+func (r resolver) fault() error {
+	d := r.set.Decide("dns", dnssim.DefaultQueryTimeout)
+	switch {
+	case d.Err == nil:
+		return nil
+	case d.Kind == faults.KindOutage:
+		return fmt.Errorf("%w: %w", dnssim.ErrUnreachable, d.Err)
+	default:
+		return fmt.Errorf("%w: %v", dnssim.ErrTimeout, d.Err)
+	}
+}
+
+func (r resolver) LookupA(host string) ([]string, error) {
+	if err := r.fault(); err != nil {
+		return nil, err
+	}
+	return r.inner.LookupA(host)
+}
+
+func (r resolver) LookupMX(domain string) ([]dnssim.MX, error) {
+	if err := r.fault(); err != nil {
+		return nil, err
+	}
+	return r.inner.LookupMX(domain)
+}
+
+func (r resolver) LookupPTR(ip string) (string, error) {
+	if err := r.fault(); err != nil {
+		return "", err
+	}
+	return r.inner.LookupPTR(ip)
+}
+
+func (r resolver) LookupTXT(domain string) ([]string, error) {
+	if err := r.fault(); err != nil {
+		return nil, err
+	}
+	return r.inner.LookupTXT(domain)
+}
+
+func (r resolver) ResolvableErr(domain string) (bool, error) {
+	if err := r.fault(); err != nil {
+		return false, err
+	}
+	return r.inner.ResolvableErr(domain)
+}
+
+// RBL returns b with target "rbl:<name>" consulted before every query,
+// against rbl.DefaultQueryTimeout. A fault fails the query; a stale
+// fault answers "not listed" without an error, the silent wrong answer
+// of a blocklist zone that stopped updating.
+func RBL(b filters.RBLBackend, set *faults.Set) filters.RBLBackend {
+	if set == nil {
+		return b
+	}
+	return blocklist{b, set, "rbl:" + b.Name()}
+}
+
+type blocklist struct {
+	filters.RBLBackend
+	set    *faults.Set
+	target string
+}
+
+func (b blocklist) Query(ip string) (bool, error) {
+	d := b.set.Decide(b.target, rbl.DefaultQueryTimeout)
+	if d.Err != nil {
+		return false, fmt.Errorf("rbl: %s query: %w", b.Name(), d.Err)
+	}
+	if d.Kind == faults.KindStale {
+		return false, nil
+	}
+	return b.RBLBackend.Query(ip)
+}
+
+// Antivirus returns p with target "av" consulted before every probe: a
+// fault is a scanner-backend error, which the hardened chain resolves by
+// its degradation policy.
+func Antivirus(p filters.Prober, set *faults.Set) filters.Prober {
+	if set == nil {
+		return p
+	}
+	return scanner{p, set}
+}
+
+type scanner struct {
+	filters.Prober
+	set *faults.Set
+}
+
+func (s scanner) Check(msg *mail.Message) filters.Result {
+	r, _ := s.Probe(msg)
+	return r
+}
+
+func (s scanner) Probe(msg *mail.Message) (filters.Result, error) {
+	if d := s.set.Decide("av", 0); d.Err != nil {
+		return filters.Result{}, fmt.Errorf("%s: scanner backend: %w", s.Name(), d.Err)
+	}
+	return s.Prober.Probe(msg)
+}
+
+// Journal returns emit with target "wal-spool" consulted before every
+// append: a fault drops the append (LSN 0), and the spool recorder still
+// applies the transition in memory. A nil emit stays nil.
+func Journal(emit func(wal.Record) uint64, set *faults.Set) func(wal.Record) uint64 {
+	if set == nil || emit == nil {
+		return emit
+	}
+	return func(r wal.Record) uint64 {
+		if set.Decide("wal-spool", 0).Err != nil {
+			return 0
+		}
+		return emit(r)
+	}
+}

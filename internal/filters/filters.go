@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"repro/internal/dnssim"
-	"repro/internal/faults"
 	"repro/internal/rbl"
 	"repro/internal/reputation"
 	"repro/internal/resilience"
@@ -101,12 +100,10 @@ func (m DegradeMode) String() string {
 // exercises the same code path a ClamAV-style engine would: a scan over
 // the body with a signature set. Real deployments talk to a scanner
 // daemon (clamd) over a socket, so the scan can fail independently of
-// the message — the optional injector models that backend (target "av").
+// the message; a fault plan's "av" target models that backend around
+// the Prober (internal/faults/seam).
 type Antivirus struct {
 	signatures []string
-
-	mu  sync.Mutex
-	inj faults.Injector
 }
 
 // EICAR is the standard antivirus test signature; included by default.
@@ -120,30 +117,14 @@ func NewAntivirus(signatures ...string) *Antivirus {
 // Name implements Filter.
 func (a *Antivirus) Name() string { return "antivirus" }
 
-// SetInjector installs a fault source for the scanner backend.
-func (a *Antivirus) SetInjector(inj faults.Injector) {
-	a.mu.Lock()
-	a.inj = inj
-	a.mu.Unlock()
-}
-
 // Check implements Filter: Drop if any signature occurs in the body.
 func (a *Antivirus) Check(msg *mail.Message) Result {
 	r, _ := a.Probe(msg)
 	return r
 }
 
-// Probe implements Prober: an injected scanner-backend fault is an
-// infrastructure error; otherwise scan the body.
+// Probe implements Prober. The in-process scan itself never fails.
 func (a *Antivirus) Probe(msg *mail.Message) (Result, error) {
-	a.mu.Lock()
-	inj := a.inj
-	a.mu.Unlock()
-	if inj != nil {
-		if d := inj.Decide("av", 0); d.Err != nil {
-			return Result{}, fmt.Errorf("antivirus: scanner backend: %w", d.Err)
-		}
-	}
 	for _, sig := range a.signatures {
 		if strings.Contains(msg.Body, sig) {
 			return Result{Drop, "virus signature " + truncate(sig, 24)}, nil
@@ -206,7 +187,8 @@ func (f *ReverseDNS) Probe(msg *mail.Message) (Result, error) {
 
 // RBLBackend is the lookup surface the RBL filter needs. *rbl.Provider
 // implements it directly; dnscache.RBLCache memoizes it with a TTL on
-// the virtual clock.
+// the virtual clock, and a fault plan's "rbl:<name>" target wraps it
+// (internal/faults/seam).
 type RBLBackend interface {
 	Name() string
 	Query(ip string) (bool, error)
@@ -236,7 +218,7 @@ func (f *RBL) Check(msg *mail.Message) Result {
 	return r
 }
 
-// Probe implements Prober, using the provider's fallible Query path so a
+// Probe implements Prober, using the backend's fallible Query path so a
 // provider outage surfaces as an error instead of a silent "not listed".
 func (f *RBL) Probe(msg *mail.Message) (Result, error) {
 	if msg.ClientIP == "" {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/dnssim"
-	"repro/internal/faults"
 	"repro/internal/mail"
 	"repro/internal/rbl"
 	"repro/internal/resilience"
@@ -33,6 +32,33 @@ func (f *flakyProber) Probe(msg *mail.Message) (Result, error) {
 		return Result{}, f.err
 	}
 	return Result{Verdict: Pass}, nil
+}
+
+// downBackend fails every query while down, as an unreachable
+// blocklist does.
+type downBackend struct {
+	RBLBackend
+	down bool
+}
+
+func (b *downBackend) Query(ip string) (bool, error) {
+	if b.down {
+		return false, errors.New("rbl: " + b.Name() + " query: unreachable")
+	}
+	return b.RBLBackend.Query(ip)
+}
+
+// downResolver times out every PTR lookup while down.
+type downResolver struct {
+	dnssim.Resolver
+	down bool
+}
+
+func (r *downResolver) LookupPTR(ip string) (string, error) {
+	if r.down {
+		return "", dnssim.ErrTimeout
+	}
+	return r.Resolver.LookupPTR(ip)
 }
 
 func TestHardenedRetriesAbsorbTransientFaults(t *testing.T) {
@@ -98,19 +124,17 @@ func TestHardenedBreakerShortCircuits(t *testing.T) {
 }
 
 func TestChainRunRecordsDegradations(t *testing.T) {
-	// An RBL filter whose provider is under a 100% injected outage: the
-	// hardened chain fails open and reports the degradation, instead of
-	// silently passing (or dropping) the mail.
+	// An RBL filter whose provider is unreachable: the hardened chain
+	// fails open and reports the degradation, instead of silently
+	// passing (or dropping) the mail.
 	clk := clock.NewSim(t0)
 	provider := rbl.NewProvider("spamhaus", rbl.DefaultPolicy(), clk)
 	provider.AddStatic("198.51.100.66")
-	provider.SetInjector(faults.New(&faults.Plan{Rules: []faults.Rule{
-		{Target: "rbl:*", Kind: faults.KindOutage},
-	}}, 1, clk))
+	backend := &downBackend{RBLBackend: provider, down: true}
 
 	chain := NewChain(
 		NewAntivirus(),
-		Harden(NewRBL(provider), FailOpen, HardenOpts{Seed: 1}),
+		Harden(NewRBL(backend), FailOpen, HardenOpts{Seed: 1}),
 	)
 	o := chain.Run(msgFrom("198.51.100.66", "a@b.example"))
 	if o.Result.Verdict != Pass || o.DroppedBy != "" {
@@ -123,7 +147,7 @@ func TestChainRunRecordsDegradations(t *testing.T) {
 		t.Fatalf("DegradedStats = %v", chain.DegradedStats())
 	}
 	// A listed IP that the outage hid: without the outage it drops.
-	provider.SetInjector(nil)
+	backend.down = false
 	o = chain.Run(msgFrom("198.51.100.66", "a@b.example"))
 	if o.DroppedBy != "rbl" || len(o.Degraded) != 0 {
 		t.Fatalf("post-outage outcome = %+v", o)
@@ -131,10 +155,7 @@ func TestChainRunRecordsDegradations(t *testing.T) {
 }
 
 func TestReverseDNSProbeSeparatesChannels(t *testing.T) {
-	dns := dnssim.NewServer()
-	dns.SetInjector(faults.New(&faults.Plan{Rules: []faults.Rule{
-		{Target: "dns", Kind: faults.KindTimeout},
-	}}, 1, clock.NewSim(t0)))
+	dns := &downResolver{Resolver: dnssim.NewServer(), down: true}
 	f := NewReverseDNS(dns)
 	// Probe surfaces the resolver fault as an error...
 	if _, err := f.Probe(msgFrom("192.0.2.10", "a@b.example")); err == nil {
@@ -144,7 +165,7 @@ func TestReverseDNSProbeSeparatesChannels(t *testing.T) {
 	if r := f.Check(msgFrom("192.0.2.10", "a@b.example")); r.Verdict != Drop {
 		t.Fatal("legacy Check changed behaviour")
 	}
-	dns.SetInjector(nil)
+	dns.down = false
 	// An authoritative no-PTR is a verdict, not an error.
 	r, err := f.Probe(msgFrom("192.0.2.10", "a@b.example"))
 	if err != nil || r.Verdict != Drop {

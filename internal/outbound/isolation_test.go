@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/faults"
+	"repro/internal/faults/seam"
 	"repro/internal/resilience"
 	"repro/internal/smtp"
 	"repro/internal/spool"
@@ -426,21 +427,20 @@ func TestCrashAtEveryTransition(t *testing.T) {
 	}
 }
 
-// TestWalSpoolFaultDropsAppendsFailOpen: the "wal-spool" injector
-// target starves the spool journal, and the queue keeps delivering —
+// TestWalSpoolFaultDropsAppendsFailOpen: the "wal-spool" fault
+// starves the spool journal, and the queue keeps delivering —
 // durability degrades, the mail path does not.
 func TestWalSpoolFaultDropsAppendsFailOpen(t *testing.T) {
 	sh, addr := startSmarthost(t)
-	inj := faults.New(&faults.Plan{Rules: []faults.Rule{
+	set := faults.New(&faults.Plan{Rules: []faults.Rule{
 		{Target: "wal-spool", Kind: faults.KindError},
 	}}, 1, clock.Real{})
 	tap := &journalTap{}
 	q := NewQueue(Config{
 		Dial:       func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
 		HeloDomain: "cr.corp.example",
-		Injector:   inj,
 		Spool:      spool.NewState(),
-		Journal:    tap.emit,
+		Journal:    seam.Journal(tap.emit, set),
 	})
 	q.Enqueue(challengeTo("alice@example.com"))
 	if _, err := q.Flush(); err != nil {

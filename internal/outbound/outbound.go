@@ -121,8 +121,7 @@ type Config struct {
 	// is decided per item — tempfail synthesizes a 421, other faults
 	// surface as connection errors. A "smarthost*" rule covers both.
 	// Target "domain:<name>" is decided per item for the destination
-	// domain and fails only that domain (the dark-MX scenario); target
-	// "wal-spool" drops the item's journal append (fail-open).
+	// domain and fails only that domain (the dark-MX scenario).
 	Injector faults.Injector
 	// MaxQueued bounds the number of items in the active delivery queue
 	// (any state — the queue also holds terminal items for reporting).
@@ -224,10 +223,6 @@ func NewQueue(cfg Config) *Queue {
 	}
 	q := &Queue{cfg: cfg, domains: make(map[string]*domainLedger)}
 	q.rec = &spool.Recorder{State: cfg.Spool, Emit: cfg.Journal}
-	if cfg.Injector != nil {
-		inj := cfg.Injector
-		q.rec.Gate = func() bool { return inj.Decide("wal-spool", 0).Err == nil }
-	}
 	return q
 }
 

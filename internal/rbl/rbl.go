@@ -20,14 +20,12 @@
 package rbl
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/faults"
 	"repro/internal/mail"
 )
 
@@ -50,8 +48,8 @@ func DefaultPolicy() Policy {
 	return Policy{HitThreshold: 3, Window: 24 * time.Hour, ListingTTL: 72 * time.Hour}
 }
 
-// DefaultQueryTimeout is the per-query deadline injected latency is
-// compared against on the Query path.
+// DefaultQueryTimeout is the per-query deadline a blocklist fault's
+// injected latency is compared against.
 const DefaultQueryTimeout = 3 * time.Second
 
 // Provider is one simulated DNS blocklist. It is safe for concurrent
@@ -65,15 +63,13 @@ type Provider struct {
 	clk    clock.Clock
 
 	mu       sync.RWMutex
-	inj      faults.Injector        // optional fault source for Query
 	hits     map[string][]time.Time // recent trap hits per IP
 	listings map[string]time.Time   // IP -> listed-until
 	manual   map[string]bool        // permanently listed (known spammers)
 	history  map[string][]Interval  // completed + open listing intervals
-	stale    atomic.Int64           // queries answered from "stale" data
 	// gen counts listing-state mutations (new listings, sweeps, static
-	// adds, injector changes) so a memoizing lookup layer can invalidate
-	// on blacklist/delist events instead of polling.
+	// adds) so a memoizing lookup layer can invalidate on blacklist/delist
+	// events instead of polling.
 	gen atomic.Uint64
 }
 
@@ -99,49 +95,18 @@ func NewProvider(name string, policy Policy, clk clock.Clock) *Provider {
 // Name returns the provider's name.
 func (p *Provider) Name() string { return p.name }
 
-// SetInjector installs a fault injector consulted on the Query path
-// (target "rbl:<name>"). IsListed — the ground-truth view used by remote
-// servers screening their own inbound mail — is deliberately unaffected:
-// faults model the CR installation's lookup channel, not the listing
-// database itself. Pass nil to clear.
-func (p *Provider) SetInjector(inj faults.Injector) {
-	p.mu.Lock()
-	p.inj = inj
-	p.mu.Unlock()
-	p.gen.Add(1)
-}
-
 // Gen returns the listing-state generation; it increments whenever the
-// answer Query could give for some IP changes (new listing, sweep,
-// static add, injector swap). Cache layers compare generations per
-// lookup (legacy mode) or use it as a store-after-miss guard (explicit
-// invalidation mode).
+// answer IsListed could give for some IP changes (new listing, sweep,
+// static add). Cache layers compare generations per lookup (legacy
+// mode) or use it as a store-after-miss guard (explicit invalidation
+// mode).
 func (p *Provider) Gen() uint64 { return p.gen.Load() }
 
-// Query is the fallible lookup the CR filter chain uses: it consults the
-// injector and returns an error for an injected outage/timeout, a stale
-// (always-unlisted) answer for KindStale, and the true listing state
-// otherwise.
-func (p *Provider) Query(ip string) (bool, error) {
-	p.mu.RLock()
-	inj := p.inj
-	p.mu.RUnlock()
-	if inj != nil {
-		d := inj.Decide("rbl:"+p.name, DefaultQueryTimeout)
-		if d.Err != nil {
-			return false, fmt.Errorf("rbl: %s query: %w", p.name, d.Err)
-		}
-		if d.Kind == faults.KindStale {
-			p.stale.Add(1)
-			return false, nil
-		}
-	}
-	return p.IsListed(ip), nil
-}
-
-// StaleAnswers returns how many queries were served from injected stale
-// data (and therefore silently answered "not listed").
-func (p *Provider) StaleAnswers() int64 { return p.stale.Load() }
+// Query is IsListed on the fallible lookup surface the CR filter chain
+// uses (filters.RBLBackend). The provider itself always answers; an
+// unreachable or stale blocklist is a fault plan's "rbl:<name>" target,
+// applied around the backend by internal/faults/seam.
+func (p *Provider) Query(ip string) (bool, error) { return p.IsListed(ip), nil }
 
 // AddStatic permanently lists ip — used to seed the providers with the
 // "known spammer" population that the product's RBL filter catches.

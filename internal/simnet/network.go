@@ -197,10 +197,9 @@ type Network struct {
 	// each slice has a deterministic order regardless of worker count.
 	records  map[string][]*ChallengeRecord
 	userMail map[UserMailOutcome]int64
-	// resolvable optionally overrides dns.Resolvable on the delivery
-	// path, letting the fleet route the per-attempt domain probe through
-	// its resolver cache.
-	resolvable func(domain string) bool
+	// resolver answers the delivery path's per-attempt domain probe
+	// (default: the DNS server itself).
+	resolver dnssim.Resolver
 }
 
 // New assembles a Network.
@@ -212,6 +211,7 @@ func New(clk *clock.Sim, sched *clock.Scheduler, dns *dnssim.Server, providers [
 		clk:       clk,
 		sched:     sched,
 		dns:       dns,
+		resolver:  dns,
 		providers: providers,
 		traps:     traps,
 		cfg:       cfg,
@@ -223,23 +223,15 @@ func New(clk *clock.Sim, sched *clock.Scheduler, dns *dnssim.Server, providers [
 	}
 }
 
-// SetResolvable overrides the domain-resolvability probe used on the
-// challenge delivery path (default: the DNS server's Resolvable). The
-// fleet points it at its dnscache layer.
-func (n *Network) SetResolvable(f func(domain string) bool) {
-	n.mu.Lock()
-	n.resolvable = f
-	n.mu.Unlock()
-}
+// SetResolver routes the challenge delivery path's domain probe through
+// r instead of the DNS server itself. Call it before traffic flows. The
+// fleet points it at the product's resolver, so the probe shares its
+// cache or its "dns" fault.
+func (n *Network) SetResolver(r dnssim.Resolver) { n.resolver = r }
 
 func (n *Network) domainResolvable(domain string) bool {
-	n.mu.Lock()
-	f := n.resolvable
-	n.mu.Unlock()
-	if f != nil {
-		return f(domain)
-	}
-	return n.dns.Resolvable(domain)
+	ok, _ := n.resolver.ResolvableErr(domain)
+	return ok
 }
 
 // DNS returns the network's DNS server.

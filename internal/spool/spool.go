@@ -437,37 +437,25 @@ func (s *State) Apply(r wal.Record) error {
 // sequence a recovery would replay. Emit is the journal sink
 // (wal.Journal.Emit); nil runs the spool in memory only. Like the
 // store hooks, journalling is fail-open: a dropped append (Emit
-// returning 0, or Gate refusing) still applies the transition, with an
-// unguarded LSN.
+// returning 0) still applies the transition, with an unguarded LSN.
 type Recorder struct {
 	State *State
 	Emit  func(wal.Record) uint64
-	// Gate, when set, is consulted before each append (the wal-spool
-	// fault target); returning false drops the append but not the
-	// in-memory transition.
-	Gate func() bool
 
 	mu      sync.Mutex
 	dropped int
 }
 
-// Dropped returns how many transitions were journalled as LSN 0
-// (append dropped or gated off).
+// Dropped returns how many transitions were journalled as LSN 0.
 func (rc *Recorder) Dropped() int {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	return rc.dropped
 }
 
-// emit appends r if the journal is enabled and permitted.
+// emit appends r if the journal is enabled.
 func (rc *Recorder) emit(r wal.Record) uint64 {
 	if rc.Emit == nil {
-		return 0
-	}
-	if rc.Gate != nil && !rc.Gate() {
-		rc.mu.Lock()
-		rc.dropped++
-		rc.mu.Unlock()
 		return 0
 	}
 	lsn := rc.Emit(r)

@@ -186,19 +186,16 @@ func TestRecorderJournalsThenApplies(t *testing.T) {
 }
 
 func TestRecorderFailOpen(t *testing.T) {
-	// A gated-off or dropped append still applies the transition.
+	// A dropped append still applies the transition.
 	st := NewState()
-	gate := false
 	rc := &Recorder{
 		State: st,
 		Emit:  func(wal.Record) uint64 { return 0 }, // journal drops everything
-		Gate:  func() bool { return gate },
 	}
 	rc.Enqueue(t0, chal("m1"))
 	if st.Len() != 1 {
-		t.Fatal("gated enqueue lost the in-memory transition")
+		t.Fatal("dropped enqueue lost the in-memory transition")
 	}
-	gate = true
 	rc.Terminal(t0, "m1", StatusSent, "", "", 1)
 	if _, ok := st.Fate("m1"); !ok {
 		t.Fatal("dropped append lost the terminal transition")

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/faults"
 	"repro/internal/mail"
 	"repro/internal/reputation"
 	"repro/internal/whitelist"
@@ -264,5 +266,46 @@ func TestSaverRecordsDuration(t *testing.T) {
 	}
 	if st := bad.Stats(); st.Attempts != 1 || st.Failed != 1 || st.LastDuration != 0 {
 		t.Fatalf("failed-save stats = %+v", st)
+	}
+}
+
+// TestSaverStoreFaultKeepsPreviousSnapshot: under a "store" error plan
+// (the target crserver wires into its Saver) Save fails and counts the
+// failure, and the snapshot already on disk stays byte-identical.
+func TestSaverStoreFaultKeepsPreviousSnapshot(t *testing.T) {
+	clk := clock.NewSim(t0)
+	wl := populated(clk)
+	path := filepath.Join(t.TempDir(), "state.json")
+	if err := SaveFile(path, "corp", Stores{Whitelist: wl}, 0, clk.Now()); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	plan, err := faults.Parse(strings.NewReader(`{"rules":[{"target":"store","kind":"error"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := faults.New(plan, 1, clk)
+	s := &Saver{Path: path, Name: "corp", Injector: set}
+	wl.AddWhite(bob, mail.MustParseAddress("erin@example.com"), whitelist.SourceDigest)
+	clk.Advance(time.Hour)
+	if err := s.Save(Stores{Whitelist: wl}, 0, clk.Now()); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("Save under a store fault = %v, want the injected error", err)
+	}
+	if st := s.Stats(); st.Attempts != 1 || st.Failed != 1 || !st.LastSuccess.IsZero() {
+		t.Fatalf("stats = %+v, want one failed attempt", st)
+	}
+	if got := set.Counts()["store/error"]; got != 1 {
+		t.Fatalf("store/error fired %d times, want 1", got)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Fatal("a failed save changed the previous snapshot")
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/dnscache"
 	"repro/internal/dnssim"
 	"repro/internal/faults"
+	"repro/internal/faults/seam"
 	"repro/internal/filters"
 	"repro/internal/greylist"
 	"repro/internal/mail"
@@ -207,9 +208,10 @@ type Fleet struct {
 	// a FaultPlan, for the same reason).
 	RBLCache *dnscache.RBLCache
 
-	lanes   []*companyLane  // company-name-sorted execution lanes
-	resolve dnssim.Resolver // DNSCache when enabled, else DNS
-	outIPs  []string        // cached allOutIPs result
+	lanes      []*companyLane     // company-name-sorted execution lanes
+	resolve    dnssim.Resolver    // DNSCache, or DNS behind the "dns" seam
+	rblBackend filters.RBLBackend // RBLCache, or the provider behind the "rbl:" seam
+	outIPs     []string           // cached allOutIPs result
 
 	rng        *rand.Rand
 	profiles   map[string]CompanyProfile
@@ -274,15 +276,9 @@ func NewFleet(cfg Config) *Fleet {
 	f.Traps = rbl.NewTrapRegistry(f.Providers...)
 	f.Checker = rbl.NewChecker(f.Providers...)
 	f.Digests = digest.NewBook()
+	netCfg := simnet.Config{Seed: cfg.Seed + 1, EmitDSNs: cfg.EmitDSNs}
 	if cfg.FaultPlan != nil {
 		f.Injector = faults.New(cfg.FaultPlan, cfg.Seed+77, f.Clk)
-		f.DNS.SetInjector(f.Injector)
-		for _, p := range f.Providers {
-			p.SetInjector(f.Injector)
-		}
-	}
-	netCfg := simnet.Config{Seed: cfg.Seed + 1, EmitDSNs: cfg.EmitDSNs}
-	if f.Injector != nil {
 		netCfg.Injector = f.Injector
 	}
 	f.Net = simnet.New(f.Clk, f.Sched, f.DNS, f.Providers, f.Traps, netCfg)
@@ -290,9 +286,11 @@ func NewFleet(cfg Config) *Fleet {
 	// The resolver-cache path: every engine, probe filter, SPF checker
 	// and the workload generator resolve through one TTL cache with
 	// negative caching and single-flight collapse. Under a fault plan the
-	// caches stay off — an injected fault must reach every consumer, and
-	// the injector's per-decision RNG draws must keep their exact order.
-	f.resolve = f.DNS
+	// caches stay off and the seams wrap the raw backends instead — an
+	// injected fault must reach every consumer, and the injector's
+	// per-decision RNG draws must keep their exact order.
+	f.resolve = seam.Resolver(f.DNS, f.Injector)
+	f.rblBackend = seam.RBL(f.filterProvider(), f.Injector)
 	if f.Injector == nil {
 		f.DNSCache = dnscache.New(f.DNS, dnscache.Options{Clock: f.Clk, Gen: f.DNS.Gen})
 		f.resolve = f.DNSCache
@@ -301,8 +299,9 @@ func NewFleet(cfg Config) *Fleet {
 		// delists + flushed trap hits, see fireBarrier). Negative entries
 		// for the never-listed majority therefore persist run-long.
 		f.RBLCache = dnscache.NewRBLExplicit(f.filterProvider(), f.Clk)
-		f.Net.SetResolvable(f.DNSCache.Resolvable)
+		f.rblBackend = f.RBLCache
 	}
+	f.Net.SetResolver(f.resolve)
 
 	f.buildWorld()
 	f.buildCampaigns()
@@ -624,10 +623,7 @@ func (f *Fleet) buildCompanies() {
 		}
 		ln.sched = clock.NewScheduler(ln.clk)
 
-		av := filters.NewAntivirus()
-		if f.Injector != nil {
-			av.SetInjector(f.Injector)
-		}
+		av := seam.Antivirus(filters.NewAntivirus(), f.Injector)
 		// Every auxiliary filter runs behind a breaker + retrier with an
 		// explicit degradation policy: the scan fails closed (unscanned
 		// mail is held), the advisory lookups fail open (an outage must
@@ -640,14 +636,10 @@ func (f *Fleet) buildCompanies() {
 				Seed:    seed + n,
 			})
 		}
-		var rblBackend filters.RBLBackend = f.filterProvider()
-		if f.RBLCache != nil {
-			rblBackend = f.RBLCache
-		}
 		chainFilters := []filters.Filter{
 			harden(av, filters.FailClosed, 1),
 			harden(filters.NewReverseDNS(f.resolve), filters.FailOpen, 2),
-			harden(filters.NewRBL(rblBackend), filters.FailOpen, 3),
+			harden(filters.NewRBL(f.rblBackend), filters.FailOpen, 3),
 		}
 		if f.Cfg.UseSPFFilter {
 			chainFilters = append(chainFilters, harden(filters.NewSPF(spf.New(f.resolve)), filters.FailOpen, 4))
