@@ -102,6 +102,8 @@ func TestDigestPageEmptyState(t *testing.T) {
 
 func TestAuthorizeDeliversAndWhitelists(t *testing.T) {
 	eng, clk, msg, srv := fixture(t)
+	var ds []core.Delivery
+	eng.SetInboxSink(func(d core.Delivery, _ *mail.Message) { ds = append(ds, d) })
 	clk.Advance(26 * time.Hour)
 	code, body := post(t, srv.URL+"/digest/bob@corp.example/authorize?msg="+msg.ID)
 	if code != http.StatusOK || !strings.Contains(body, "whitelisted") {
@@ -111,7 +113,6 @@ func TestAuthorizeDeliversAndWhitelists(t *testing.T) {
 	if !eng.Whitelists().IsWhite(bob, msg.EnvelopeFrom) {
 		t.Fatal("sender not whitelisted")
 	}
-	ds := eng.Deliveries()
 	if len(ds) != 1 || ds[0].Via != core.ViaDigest || ds[0].Delay() != 26*time.Hour {
 		t.Fatalf("deliveries = %+v", ds)
 	}

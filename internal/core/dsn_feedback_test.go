@@ -8,6 +8,7 @@ import (
 	"repro/internal/dnssim"
 	"repro/internal/filters"
 	"repro/internal/mail"
+	"repro/internal/maillog"
 	"repro/internal/rbl"
 	"repro/internal/reputation"
 	"repro/internal/whitelist"
@@ -29,8 +30,21 @@ func (e *env) dsnFor(origID, finalRcpt, status, diag string) *mail.Message {
 	}
 }
 
+// bounceEvents installs an event sink on e's engine that keeps its
+// bounce events.
+func (e *env) bounceEvents() *[]maillog.Event {
+	var evs []maillog.Event
+	e.eng.SetEventSink(func(ev maillog.Event) {
+		if ev.Kind == maillog.KindBounce {
+			evs = append(evs, ev)
+		}
+	})
+	return &evs
+}
+
 func TestDSNFeedbackCorrelatesBounce(t *testing.T) {
 	e := newEnv(t, false)
+	bounces := e.bounceEvents()
 	m := e.goodMsg("alice@example.com", "bob@corp.example")
 	if r := e.eng.Receive(m); r != Accepted {
 		t.Fatalf("verdict = %v, want Accepted", r)
@@ -50,14 +64,14 @@ func TestDSNFeedbackCorrelatesBounce(t *testing.T) {
 	if mt.ChallengeBounced["no-user"] != 1 || mt.DSNOrphaned != 0 {
 		t.Fatalf("bounced = %v, orphaned = %d", mt.ChallengeBounced, mt.DSNOrphaned)
 	}
-	obs := e.eng.ObservedBounces()
-	if obs[m.ID] != "no-user" {
-		t.Fatalf("observed bounces = %v", obs)
+	if evs := *bounces; len(evs) != 1 || evs[0].MsgID != m.ID || evs[0].Field("class") != "no-user" {
+		t.Fatalf("bounce events = %+v", evs)
 	}
 }
 
 func TestDSNOrphanedWhenUncorrelated(t *testing.T) {
 	e := newEnv(t, false)
+	bounces := e.bounceEvents()
 	// A DSN for a message this engine never challenged (backscatter of
 	// someone else's spam) is counted but never becomes evidence.
 	if r := e.eng.Receive(e.dsnFor("msg-never-seen", "x@y.example", "5.1.1", "550 no")); r != Accepted {
@@ -67,8 +81,10 @@ func TestDSNOrphanedWhenUncorrelated(t *testing.T) {
 	if mt.DSNOrphaned != 1 || len(mt.ChallengeBounced) != 0 {
 		t.Fatalf("orphaned = %d, bounced = %v", mt.DSNOrphaned, mt.ChallengeBounced)
 	}
-	if len(e.eng.ObservedBounces()) != 0 {
-		t.Fatal("uncorrelated DSN recorded as an observed bounce")
+	// The DSN is still logged under its original ID; with no sender to
+	// name, the event carries the final recipient's domain.
+	if evs := *bounces; len(evs) != 1 || evs[0].MsgID != "msg-never-seen" || evs[0].Field("domain") != "y.example" {
+		t.Fatalf("bounce events = %+v", evs)
 	}
 }
 

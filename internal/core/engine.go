@@ -409,8 +409,8 @@ type counters struct {
 // challenge sender, reputation store) are atomic pointers loaded without
 // locking; the read-mostly account tables (users, rejected) sit behind an
 // RWMutex; and e.mu — the only remaining exclusive lock — guards just the
-// quarantine state machine (quarantine + byRcpt index + pendingChallenge),
-// the challenge rate window and the delivery log.
+// quarantine state machine (quarantine + byRcpt index + pendingChallenge)
+// and the challenge rate window.
 type Engine struct {
 	cfg      Config
 	clk      clock.Clock
@@ -440,16 +440,9 @@ type Engine struct {
 	// sender) pair so a sender is challenged at most once per mailbox
 	// at a time; later messages queue behind the first.
 	pendingChallenge map[pairKey][]string // pair -> quarantined msg IDs
-	// observedBounces records, per originating gray message ID, the DSN
-	// class of a bounce correlated back to its challenge. It is the
-	// engine's own (log-derived, non-omniscient) view of challenge
-	// fates; the clustering experiments cross-validate it against
-	// simulator truth.
-	observedBounces map[string]string
 	// rate limiting window state.
 	rateWindowStart time.Time
 	rateWindowCount int
-	deliveries      []Delivery
 
 	c counters
 }
@@ -493,7 +486,6 @@ func New(cfg Config, clk clock.Clock, resolver dnssim.Resolver, chain *filters.C
 		quarantine:       make(map[string]*quarantined),
 		byRcpt:           make(map[mail.Address]map[string]*quarantined),
 		pendingChallenge: make(map[pairKey][]string),
-		observedBounces:  make(map[string]string),
 	}
 	if sendCh != nil {
 		e.sendCh.Store(&sendCh)
@@ -1035,7 +1027,7 @@ func (e *Engine) challengeOrQuarantine(msg *mail.Message) GrayOutcome {
 // null-sender message. If the message parses as a delivery status
 // notification whose original message ID matches an outstanding
 // challenged quarantine item, the originating gray message is marked
-// bounced (visible through ObservedBounces and the ChallengeBounced
+// bounced (visible through the bounce event and the ChallengeBounced
 // counters) and — for the spoofed-sender bounce classes, no-user and
 // no-domain — the sender takes a reputation penalty. A blocklisted
 // bounce (5.7.1) is the *challenge sender's* standing with the remote
@@ -1056,7 +1048,6 @@ func (e *Engine) processDSN(msg *mail.Message) bool {
 		if q, ok := e.quarantine[d.OriginalMessageID]; ok && q.challenged {
 			correlated = true
 			sender = q.msg.EnvelopeFrom
-			e.observedBounces[d.OriginalMessageID] = class
 		}
 		e.mu.Unlock()
 	}
@@ -1087,43 +1078,26 @@ func (e *Engine) processDSN(msg *mail.Message) bool {
 	return true
 }
 
-// ObservedBounces returns the engine's log-derived view of challenge
-// fates: originating gray message ID to DSN bounce class, for every
-// challenge whose bounce came back and was correlated. The clustering
-// experiments cross-validate this map against simulator truth.
-func (e *Engine) ObservedBounces() map[string]string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[string]string, len(e.observedBounces))
-	for k, v := range e.observedBounces {
-		out[k] = v
-	}
-	return out
-}
-
-// deliver records a delivery to the user's inbox.
+// deliver hands a message to the user's inbox: it is counted, logged
+// and passed to the inbox sink, if one is installed.
 func (e *Engine) deliver(msg *mail.Message, via DeliveryVia) {
-	now := e.clk.Now()
-	queued := msg.Received
-	if queued.IsZero() {
-		queued = now
-	}
-	d := Delivery{
-		MsgID:       msg.ID,
-		User:        msg.Rcpt,
-		Sender:      msg.EnvelopeFrom,
-		Via:         via,
-		QueuedAt:    queued,
-		DeliveredAt: now,
-	}
-	e.mu.Lock()
-	e.deliveries = append(e.deliveries, d)
-	e.mu.Unlock()
 	e.c.delivered[via].Add(1)
 	e.emit(maillog.KindDeliver, msg.ID, "via", via.String())
 	e.recordRep(msg.EnvelopeFrom, msg.ClientIP, reputation.Delivered)
 	if inbox := e.inbox.Load(); inbox != nil {
-		(*inbox)(d, msg)
+		now := e.clk.Now()
+		queued := msg.Received
+		if queued.IsZero() {
+			queued = now
+		}
+		(*inbox)(Delivery{
+			MsgID:       msg.ID,
+			User:        msg.Rcpt,
+			Sender:      msg.EnvelopeFrom,
+			Via:         via,
+			QueuedAt:    queued,
+			DeliveredAt: now,
+		}, msg)
 	}
 }
 
@@ -1286,15 +1260,6 @@ func (e *Engine) QuarantineLen() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.quarantine)
-}
-
-// Deliveries returns a copy of the delivery log.
-func (e *Engine) Deliveries() []Delivery {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Delivery, len(e.deliveries))
-	copy(out, e.deliveries)
-	return out
 }
 
 // Metrics returns a deep-copied snapshot of the engine counters, merged

@@ -148,16 +148,20 @@ func TestQuarantineExpirySweepUnderLoad(t *testing.T) {
 	}
 }
 
-// TestDeliveriesSnapshotIsolated: the returned slice must not alias
-// internal state.
+// TestDeliveriesSnapshotIsolated: a whitelisted message reaches the
+// inbox sink as exactly one ViaWhitelist Delivery naming the message.
 func TestDeliveriesSnapshotIsolated(t *testing.T) {
 	e := newEnv(t, false)
 	bob := mail.MustParseAddress("bob@corp.example")
 	e.eng.AddManualWhitelist(bob, mail.MustParseAddress("a@example.com"))
-	e.eng.Receive(e.goodMsg("a@example.com", "bob@corp.example"))
-	ds := e.eng.Deliveries()
-	ds[0].MsgID = "mutated"
-	if e.eng.Deliveries()[0].MsgID == "mutated" {
-		t.Fatal("Deliveries returned aliased storage")
+	var got []Delivery
+	e.eng.SetInboxSink(func(d Delivery, _ *mail.Message) { got = append(got, d) })
+	m := e.goodMsg("a@example.com", "bob@corp.example")
+	e.eng.Receive(m)
+	if len(got) != 1 {
+		t.Fatalf("inbox sink received %d deliveries, want 1", len(got))
+	}
+	if got[0].Via != ViaWhitelist || got[0].MsgID != m.ID {
+		t.Fatalf("delivery = %+v, want ViaWhitelist of %s", got[0], m.ID)
 	}
 }

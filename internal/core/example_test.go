@@ -43,6 +43,11 @@ func ExampleEngine() {
 	bob := mail.MustParseAddress("bob@corp.example")
 	eng.AddUser(bob)
 	eng.AddManualWhitelist(bob, mail.MustParseAddress("friend@example.com"))
+	// The inbox sink sees every delivery; a deployment files the
+	// message into a mailbox (internal/mailbox), this one keeps the
+	// record to print at the end.
+	var inbox []core.Delivery
+	eng.SetInboxSink(func(d core.Delivery, _ *mail.Message) { inbox = append(inbox, d) })
 	eng.Whitelists().AddBlack(bob, mail.MustParseAddress("spammer@example.com"))
 
 	send := func(from, subject string) {
@@ -79,7 +84,7 @@ func ExampleEngine() {
 		panic(err)
 	}
 
-	for _, d := range eng.Deliveries() {
+	for _, d := range inbox {
 		fmt.Printf("delivered to %s from %-24s via %-9s after %v\n",
 			d.User, d.Sender, d.Via, d.Delay())
 	}

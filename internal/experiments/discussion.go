@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/report"
 )
@@ -33,26 +35,17 @@ type DiscussionResult struct {
 // Discussion computes the §6 aggregate.
 func Discussion(r *Run) DiscussionResult {
 	var out DiscussionResult
-	var total, white, chall, digest, overDay int
-	delayed := make([]float64, 0, 1024)
-	for _, c := range r.Fleet.Companies {
-		for _, d := range c.Engine.Deliveries() {
-			total++
-			switch d.Via {
-			case core.ViaWhitelist:
-				white++
-			case core.ViaChallenge:
-				chall++
-			case core.ViaDigest:
-				digest++
-			}
-			if d.Via != core.ViaWhitelist {
-				mins := d.Delay().Minutes()
-				delayed = append(delayed, mins)
-				if mins > 24*60 {
-					overDay++
-				}
-			}
+	delivered := r.Aggregate().All.Delivered
+	white, chall, digest := delivered[core.ViaWhitelist], delivered[core.ViaChallenge], delivered[core.ViaDigest]
+	total := white + chall + digest
+	dd := r.Fleet.Delayed()
+	delayed := make([]float64, 0, len(dd.Challenge)+len(dd.Digest))
+	overDay := 0
+	for _, d := range append(dd.Challenge, dd.Digest...) {
+		mins := d.Minutes()
+		delayed = append(delayed, mins)
+		if mins > 24*60 {
+			overDay++
 		}
 	}
 	if total > 0 {
@@ -71,15 +64,10 @@ func Discussion(r *Run) DiscussionResult {
 	return out
 }
 
+// median returns the upper median of xs, leaving xs untouched.
 func median(xs []float64) float64 {
-	// Selection by sorting a copy; n is small (delivery log).
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
+	cp := slices.Clone(xs)
+	slices.Sort(cp)
 	return cp[len(cp)/2]
 }
 

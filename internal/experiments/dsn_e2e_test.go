@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/mail"
 )
 
 // TestDSNFeedbackCrossValidation is the end-to-end acceptance check for
@@ -15,6 +16,7 @@ func TestDSNFeedbackCrossValidation(t *testing.T) {
 	cfg.EmitDSNs = true
 	r := NewRun(cfg)
 	cl := Clustering(r)
+	t.Logf("bounced challenges: truth %d, observed %d", cl.TruthBounced, cl.ObservedBounced)
 	if cl.TruthBounced == 0 {
 		t.Fatal("run produced no bounced challenges to validate against")
 	}
@@ -28,17 +30,21 @@ func TestDSNFeedbackCrossValidation(t *testing.T) {
 			cl.BounceAgreement, cl.ObservedBounced, cl.TruthBounced)
 	}
 
-	// The engines' per-class counters carry the same evidence.
+	// The engines' per-class counters carry the same evidence: each
+	// observed bounce is a DSN some engine matched to a challenged
+	// quarantine item, so the matched counts of the classes Clustering
+	// reads add up to the observed set.
 	var bounced, loops int64
 	for _, c := range r.Fleet.Companies {
 		m := c.Engine.Metrics()
-		for _, n := range m.ChallengeBounced {
-			bounced += n
+		for _, class := range []mail.DSNClass{mail.DSNNoUser, mail.DSNNoDomain, mail.DSNBlocklisted} {
+			bounced += m.ChallengeBounced[string(class)]
 		}
 		loops += m.ChallengeLoopSuppressed
 	}
-	if bounced == 0 {
-		t.Fatal("no engine counted a correlated challenge bounce")
+	if bounced != int64(cl.ObservedBounced) {
+		t.Fatalf("engines matched %d challenge bounce(s), clustering observed %d",
+			bounced, cl.ObservedBounced)
 	}
 	if loops != 0 {
 		t.Fatalf("loop suppression fired %d time(s) in a single-CR fleet", loops)
@@ -72,8 +78,12 @@ func TestDSNGarbledByFaultDegradesSafely(t *testing.T) {
 		t.Fatalf("parsed %d bounce(s) out of 100%% garbled DSNs", cl.ObservedBounced)
 	}
 	for _, c := range r.Fleet.Companies {
-		if n := len(c.Engine.ObservedBounces()); n != 0 {
-			t.Fatalf("engine %s observed %d bounce(s) from garbage", c.Name, n)
+		var n int64
+		for _, k := range c.Engine.Metrics().ChallengeBounced {
+			n += k
+		}
+		if n != 0 {
+			t.Fatalf("engine %s counted %d challenge bounce(s) from garbage", c.Name, n)
 		}
 	}
 }

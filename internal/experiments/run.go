@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/mail"
+	"repro/internal/maillog"
 	"repro/internal/overload"
 	"repro/internal/workload"
 )
@@ -71,6 +72,11 @@ func Standard(seed int64) RunConfig {
 type Run struct {
 	Cfg   RunConfig
 	Fleet *workload.Fleet
+
+	// bounced holds, with EmitDSNs, the gray message IDs that a logged
+	// bounce event names with a dead-recipient or blocklisting class,
+	// matched or orphaned: the decision log's view, not simulator truth.
+	bounced map[string]bool
 }
 
 // NewRun builds the world and simulates cfg.Days of traffic.
@@ -95,6 +101,19 @@ func NewRun(cfg RunConfig) *Run {
 	wcfg.SurgeBursts = cfg.SurgeBursts
 	wcfg.SurgePlan = cfg.SurgePlan
 	wcfg.EmitDSNs = cfg.EmitDSNs
+	var bounced map[string]bool
+	if cfg.EmitDSNs {
+		bounced = make(map[string]bool)
+		wcfg.LogSink = func(ev maillog.Event) {
+			if ev.Kind != maillog.KindBounce {
+				return
+			}
+			switch mail.DSNClass(ev.Field("class")) {
+			case mail.DSNNoUser, mail.DSNNoDomain, mail.DSNBlocklisted:
+				bounced[ev.MsgID] = true
+			}
+		}
+	}
 	for i := range wcfg.Profiles {
 		p := &wcfg.Profiles[i]
 		p.Users = max(5, int(float64(p.Users)*cfg.UserScale))
@@ -102,7 +121,7 @@ func NewRun(cfg RunConfig) *Run {
 	}
 	fleet := workload.NewFleet(wcfg)
 	fleet.Run(cfg.Days)
-	return &Run{Cfg: cfg, Fleet: fleet}
+	return &Run{Cfg: cfg, Fleet: fleet, bounced: bounced}
 }
 
 // AggregateMetrics sums engine metrics across the fleet, split by relay

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/mail"
 	"repro/internal/stats"
 	"repro/internal/whitelist"
@@ -27,8 +26,8 @@ type ClusteringResult struct {
 	// DSN cross-validation, meaningful when the run emitted DSNs
 	// (RunConfig.EmitDSNs): TruthBounced counts challenges the
 	// simulator bounced (omniscient truth); ObservedBounced counts
-	// challenges the engines independently learned about by parsing and
-	// correlating an inbound DSN; BounceAgreement is the fraction of
+	// those whose ID a parsed inbound DSN named in a bounce event;
+	// BounceAgreement is the fraction of
 	// truth bounces the DSN loop reproduced. The paper's methodology is
 	// log-derived, so the engines' own view must track truth.
 	TruthBounced    int
@@ -38,39 +37,25 @@ type ClusteringResult struct {
 
 // Clustering computes E8 and E16 from the challenge records. With DSNs
 // enabled, the per-item bounce flag comes from the engines' own DSN
-// feedback (what a real deployment can observe) and is cross-validated
-// against simulator truth; without DSNs it comes from simulator truth
-// directly.
+// feedback (the bounce events a real deployment logs) and is
+// cross-validated against simulator truth; without DSNs it comes from
+// simulator truth directly. The observed set is every no-user,
+// no-domain or blocklisted bounce event naming the challenged
+// message, whether or not the engine still held it in quarantine: a
+// DSN that arrives after a digest pick or delete is orphaned for the
+// engine's counters but still says the challenge bounced.
 func Clustering(r *Run) ClusteringResult {
-	// Merge every engine's DSN-observed bounce map: originating gray
-	// message ID -> bounce class.
-	observed := make(map[string]string)
-	if r.Cfg.EmitDSNs {
-		for _, c := range r.Fleet.Companies {
-			for id, class := range c.Engine.ObservedBounces() {
-				observed[id] = class
-			}
-		}
-	}
-	observedBounced := func(id string) bool {
-		switch observed[id] {
-		case "no-user", "no-domain", "blocklisted":
-			return true
-		}
-		return false
-	}
-
 	var out ClusteringResult
 	var items []cluster.Item
 	for _, rec := range r.Fleet.Net.Records() {
 		truth := rec.Status.Bounced()
 		bounced := truth
 		if r.Cfg.EmitDSNs {
-			bounced = observedBounced(rec.MsgID)
+			bounced = r.bounced[rec.MsgID]
 		}
 		if truth {
 			out.TruthBounced++
-			if observedBounced(rec.MsgID) {
+			if r.bounced[rec.MsgID] {
 				out.ObservedBounced++
 			}
 		}
@@ -97,18 +82,12 @@ func Clustering(r *Run) ClusteringResult {
 	clusters := cluster.Build(items, cfg)
 	out.Stats = cluster.Summarize(clusters)
 
-	var challenges int64
-	for _, c := range r.Fleet.Companies {
-		challenges += c.Engine.Metrics().ChallengesSent
-		for _, d := range c.Engine.Deliveries() {
-			if d.Via != core.ViaChallenge {
-				continue
-			}
-			if cls, ok := r.Fleet.Truth(d.MsgID); ok && cls == workload.ClassSpam {
-				out.SpuriousDeliveries++
-			}
+	for _, id := range r.Fleet.Delayed().ChallengeIDs {
+		if cls, ok := r.Fleet.Truth(id); ok && cls == workload.ClassSpam {
+			out.SpuriousDeliveries++
 		}
 	}
+	challenges := r.Aggregate().All.ChallengesSent
 	if challenges > 0 {
 		out.SpuriousPerChallenge = float64(out.SpuriousDeliveries) / float64(challenges)
 	}
@@ -130,19 +109,16 @@ type DelayCDFResult struct {
 	DigestUnder3Days  float64
 }
 
-// DelayCDF computes E9 from the engines' delivery logs.
+// DelayCDF computes E9 from the deliveries the fleet's inbox sinks
+// folded.
 func DelayCDF(r *Run) DelayCDFResult {
 	out := DelayCDFResult{Captcha: stats.NewCDF(), Digest: stats.NewCDF()}
-	for _, c := range r.Fleet.Companies {
-		for _, d := range c.Engine.Deliveries() {
-			mins := d.Delay().Minutes()
-			switch d.Via {
-			case core.ViaChallenge:
-				out.Captcha.Add(mins)
-			case core.ViaDigest:
-				out.Digest.Add(mins)
-			}
-		}
+	dd := r.Fleet.Delayed()
+	for _, d := range dd.Challenge {
+		out.Captcha.Add(d.Minutes())
+	}
+	for _, d := range dd.Digest {
+		out.Digest.Add(d.Minutes())
 	}
 	out.CaptchaUnder5Min = out.Captcha.FractionBelow(5)
 	out.CaptchaUnder30Min = out.Captcha.FractionBelow(30)

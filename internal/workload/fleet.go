@@ -566,6 +566,8 @@ type companyLane struct {
 	// the epoch barrier in lane (company-name) order, so the stream the
 	// measurement pipeline sees is worker-count-invariant.
 	logBuf []maillog.Event
+	// delayed folds the engine's inbox deliveries as they happen.
+	delayed DelayedDeliveries
 
 	// Ground truth, one byte per generated message: truth[n-1] is the
 	// class of the message ids minted as sequence number n (ids mints
@@ -686,6 +688,7 @@ func (f *Fleet) buildCompanies() {
 				ln.logBuf = append(ln.logBuf, ev)
 			})
 		}
+		eng.SetInboxSink(ln.delayed.add)
 		if f.Cfg.UseGreylisting {
 			f.greylists[p.Name] = greylist.New(greylist.DefaultConfig(), ln.clk)
 		}
@@ -832,6 +835,40 @@ func (f *Fleet) Truth(msgID string) (Class, bool) {
 		return 0, false
 	}
 	return ln.truthOf(seq)
+}
+
+// DelayedDeliveries holds the inbox deliveries that waited in
+// quarantine (Figure 7, §6): one delay per delivery via a solved
+// challenge or a digest pick, plus the message ID of each challenge
+// delivery. Whitelist deliveries are instant and only counted, in the
+// engines' Delivered metrics.
+type DelayedDeliveries struct {
+	Challenge    []time.Duration
+	ChallengeIDs []string // parallel to Challenge
+	Digest       []time.Duration
+}
+
+// add is a lane engine's inbox sink.
+func (d *DelayedDeliveries) add(del core.Delivery, _ *mail.Message) {
+	switch del.Via {
+	case core.ViaChallenge:
+		d.Challenge = append(d.Challenge, del.Delay())
+		d.ChallengeIDs = append(d.ChallengeIDs, del.MsgID)
+	case core.ViaDigest:
+		d.Digest = append(d.Digest, del.Delay())
+	}
+}
+
+// Delayed returns every lane's delayed deliveries, merged in lane order
+// into fresh slices. Call it between Run calls.
+func (f *Fleet) Delayed() DelayedDeliveries {
+	var out DelayedDeliveries
+	for _, ln := range f.lanes {
+		out.Challenge = append(out.Challenge, ln.delayed.Challenge...)
+		out.ChallengeIDs = append(out.ChallengeIDs, ln.delayed.ChallengeIDs...)
+		out.Digest = append(out.Digest, ln.delayed.Digest...)
+	}
+	return out
 }
 
 // ClassCounts returns how many messages of each class were generated

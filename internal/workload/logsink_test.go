@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,5 +83,48 @@ func TestFleetLogCrossValidation(t *testing.T) {
 	// count.
 	if int(tot.WebSolves) != f.Net.DeliveryStats().Solved {
 		t.Errorf("web solves: log %d vs network %d", tot.WebSolves, f.Net.DeliveryStats().Solved)
+	}
+}
+
+// TestInboxFoldMatchesLog: the lanes' inbox-sink fold and the decision
+// log see the same delayed deliveries — one delay per deliver event via
+// challenge or digest, and the challenge deliveries' message IDs.
+func TestInboxFoldMatchesLog(t *testing.T) {
+	mail.ResetIDCounter()
+	var logIDs []string
+	var logDigest int
+	cfg := smallConfig(29)
+	cfg.LogSink = func(ev maillog.Event) {
+		if ev.Kind != maillog.KindDeliver {
+			return
+		}
+		switch ev.Field("via") {
+		case "challenge":
+			logIDs = append(logIDs, ev.MsgID)
+		case "digest":
+			logDigest++
+		}
+	}
+	f := NewFleet(cfg)
+	f.Run(3)
+
+	dd := f.Delayed()
+	if len(logIDs) == 0 || logDigest == 0 {
+		t.Fatalf("log has %d challenge and %d digest deliveries; the run should have both", len(logIDs), logDigest)
+	}
+	if len(dd.Challenge) != len(logIDs) || len(dd.ChallengeIDs) != len(logIDs) {
+		t.Errorf("challenge deliveries: fold %d delays, %d IDs; log %d",
+			len(dd.Challenge), len(dd.ChallengeIDs), len(logIDs))
+	}
+	if len(dd.Digest) != logDigest {
+		t.Errorf("digest deliveries: fold %d, log %d", len(dd.Digest), logDigest)
+	}
+	// The log is flushed epoch by epoch and the fold is merged lane by
+	// lane, so only the sets of IDs compare.
+	got := slices.Clone(dd.ChallengeIDs)
+	slices.Sort(got)
+	slices.Sort(logIDs)
+	if !slices.Equal(got, logIDs) {
+		t.Errorf("challenge delivery IDs differ: fold %v, log %v", got, logIDs)
 	}
 }
