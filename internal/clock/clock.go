@@ -10,6 +10,7 @@ import (
 	"container/heap"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -25,24 +26,26 @@ type Real struct{}
 // Now returns time.Now().
 func (Real) Now() time.Time { return time.Now() }
 
-// Sim is a manually-advanced virtual clock. It is safe for concurrent use.
+// Sim is a manually-advanced virtual clock. It is safe for concurrent use
+// and lock-free: the current time is the start time plus an atomic
+// nanosecond offset, so Now is one atomic load and the fleet's lanes,
+// which read the shared clock on every blocklist query, never contend
+// on a lock.
 //
 // The zero value is not useful; construct with NewSim.
 type Sim struct {
-	mu  sync.Mutex
-	now time.Time
+	start time.Time
+	off   atomic.Int64 // nanoseconds since start; never decreases
 }
 
 // NewSim returns a simulated clock initialised to start.
 func NewSim(start time.Time) *Sim {
-	return &Sim{now: start}
+	return &Sim{start: start}
 }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.now
+	return s.start.Add(time.Duration(s.off.Load()))
 }
 
 // Advance moves the clock forward by d. It panics if d is negative:
@@ -51,19 +54,21 @@ func (s *Sim) Advance(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("clock: Advance by negative duration %v", d))
 	}
-	s.mu.Lock()
-	s.now = s.now.Add(d)
-	s.mu.Unlock()
+	s.off.Add(int64(d))
 }
 
 // Set jumps the clock to t. It panics if t is before the current time.
 func (s *Sim) Set(t time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t.Before(s.now) {
-		panic(fmt.Sprintf("clock: Set to %v before current %v", t, s.now))
+	to := int64(t.Sub(s.start))
+	for {
+		cur := s.off.Load()
+		if to < cur {
+			panic(fmt.Sprintf("clock: Set to %v before current %v", t, s.start.Add(time.Duration(cur))))
+		}
+		if s.off.CompareAndSwap(cur, to) {
+			return
+		}
 	}
-	s.now = t
 }
 
 // AdvanceTo is a monotone Set: it jumps the clock to t if t is later
@@ -71,10 +76,12 @@ func (s *Sim) Set(t time.Time) {
 // to bring a shared clock up to the barrier time without having to know
 // whether some drained event already moved it there.
 func (s *Sim) AdvanceTo(t time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t.After(s.now) {
-		s.now = t
+	to := int64(t.Sub(s.start))
+	for {
+		cur := s.off.Load()
+		if to <= cur || s.off.CompareAndSwap(cur, to) {
+			return
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -38,6 +39,87 @@ func TestSimAdvanceNegativePanics(t *testing.T) {
 		}
 	}()
 	c.Advance(-1)
+}
+
+// TestSimConcurrentMonotone runs readers against concurrent writers.
+// First AdvanceTo writers race each other, then Advance writers do. No
+// reader ever sees time go backwards, racing AdvanceTo calls leave the
+// largest target, every Advance lands on top of it, and Now allocates
+// nothing.
+func TestSimConcurrentMonotone(t *testing.T) {
+	c := NewSim(t0)
+	const readers, writers, steps = 4, 4, 500
+	stop := make(chan struct{})
+	errs := make(chan error, readers)
+	var rg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			prev := c.Now()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				now := c.Now()
+				if now.Before(prev) {
+					errs <- fmt.Errorf("Now went backwards: %v after %v", now, prev)
+					return
+				}
+				prev = now
+			}
+		}()
+	}
+
+	// Writer w's targets interleave with every other writer's; even
+	// writers climb and odd ones descend, so both the winning CAS and
+	// the no-op path run under contention.
+	target := func(w, i int) time.Time {
+		if w%2 == 1 {
+			i = steps - 1 - i
+		}
+		return t0.Add(time.Duration(i*writers+w) * time.Millisecond)
+	}
+	maxTarget := t0.Add(time.Duration((steps-1)*writers+writers-1) * time.Millisecond)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < steps; i++ {
+				c.AdvanceTo(target(w, i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := c.Now(); !got.Equal(maxTarget) {
+		t.Fatalf("after racing AdvanceTo: Now() = %v, want %v", got, maxTarget)
+	}
+
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < steps; i++ {
+				c.Advance(time.Second)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	rg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got, want := c.Now(), maxTarget.Add(writers*steps*time.Second); !got.Equal(want) {
+		t.Fatalf("final Now() = %v, want %v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = c.Now() }); allocs != 0 {
+		t.Fatalf("Now allocates %.1f times per call, want 0", allocs)
+	}
 }
 
 func TestRealClock(t *testing.T) {

@@ -1,15 +1,15 @@
 // Package dnscache puts a TTL cache with negative caching and
-// single-flight collapse in front of the simulated resolver, and an
-// equivalent memoized lookup in front of an RBL provider.
+// single-flight collapse in front of a resolver, and an equivalent
+// memoized lookup in front of an RBL provider.
 //
 // Real MTAs lean on resolver caches: sender-infrastructure lookups are
 // dominated by repeated queries for the same handful of domains and IPs
 // (the same observation drives the aggregated-history spam detectors in
-// the literature). The fleet driver exhibits exactly that skew — every
-// message from a legitimate domain re-resolves "mail.<domain>", every
-// probe chain re-queries the same blocklist for the same botnet IPs —
-// so a small cache removes most simulated-resolver traffic from the
-// per-message hot path.
+// the literature). cmd/crserver runs both caches and reports their
+// counters on /metrics. The simulated fleet does not: its zone data is
+// an in-memory map fixed once the fleet is built, and its blocklist
+// changes only at epoch barriers, so a cache in front of either would
+// only add lookups (DESIGN.md §8).
 //
 // Coherence rules (see DESIGN.md §8):
 //
@@ -36,9 +36,7 @@ import (
 	"repro/internal/rbl"
 )
 
-// Default lifetimes. Both are shorter than the fleet's one-hour epoch,
-// so every entry naturally expires across an epoch barrier and cached
-// state never leaks ordering effects between epochs.
+// Default lifetimes, on the cache's clock.
 const (
 	DefaultTTL    = 30 * time.Minute
 	DefaultNegTTL = 10 * time.Minute
@@ -396,26 +394,15 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// Flush drops every entry. Counters are preserved.
-func (c *Cache) Flush() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		clear(sh.entries)
-		sh.mu.Unlock()
-	}
-}
-
 // rblStripes is the RBL memo's lock-stripe count: concurrent lanes
 // querying different botnet IPs proceed without a cache-wide mutex.
 const rblStripes = 8
 
 // rblShard is one lock stripe of the RBL memo with its own generation
-// word (legacy mode flushes per stripe on first touch after a provider
-// mutation, exactly like the DNS cache's shards).
-// rblShard is one lock stripe of the RBL memo. The map is read under
-// mu.RLock on the hit fast path and written under mu.Lock; gen is
-// atomic so the legacy-mode fast path can compare it without any lock.
+// word: a stripe flushes on first touch after a provider mutation,
+// exactly like the DNS cache's shards. The map is read under mu.RLock
+// on the hit fast path and written under mu.Lock; gen is atomic so the
+// fast path can compare it without any lock.
 type rblShard struct {
 	mu      sync.RWMutex
 	gen     atomic.Uint64
@@ -424,29 +411,14 @@ type rblShard struct {
 
 // RBLCache memoizes rbl.Provider listing answers. It satisfies the
 // filters.RBLBackend surface, so filters.NewRBL accepts it in place of
-// the raw provider.
-//
-// Two coherence modes:
-//
-//   - Legacy (NewRBL): entries carry a TTL on the virtual clock and every
-//     lookup compares the provider's generation counter, flushing the
-//     touched stripe on change. Right for standalone deployments
-//     (cmd/crserver) where listing mutations arrive at arbitrary times.
-//
-//   - Explicit (NewRBLExplicit): entries never expire and generation
-//     changes do not flush. The owner calls Invalidate with exactly the
-//     IPs whose answers may have changed — the fleet does this at fired
-//     epoch barriers with the sweep's delisted IPs plus the flushed trap
-//     hits. Negative entries (the ~95% of queries for never-listed IPs)
-//     therefore survive indefinitely, which is what lifts the hit rate
-//     from ~5% (generation flush + sub-epoch TTL killed every entry) to
-//     >0.9. The store-after-miss generation guard is kept as a
-//     belt-and-braces check against concurrent mutation.
+// the raw provider. Entries carry a TTL on the virtual clock and every
+// lookup compares the provider's generation counter, flushing the
+// touched stripe on change: listing mutations in a standalone deployment
+// (cmd/crserver) arrive at arbitrary times.
 type RBLCache struct {
-	p        *rbl.Provider
-	clk      clock.Clock
-	ttl      time.Duration
-	explicit bool
+	p   *rbl.Provider
+	clk clock.Clock
+	ttl time.Duration
 
 	shards [rblStripes]rblShard
 
@@ -457,11 +429,11 @@ type RBLCache struct {
 
 type rblEntry struct {
 	listed bool
-	exp    time.Time // zero in explicit mode: valid until Invalidate
+	exp    time.Time
 }
 
-// NewRBL returns a legacy-mode memoizing cache over p (TTL + generation
-// flush). ttl <= 0 selects DefaultTTL.
+// NewRBL returns a memoizing cache over p (TTL + generation flush).
+// ttl <= 0 selects DefaultTTL.
 func NewRBL(p *rbl.Provider, clk clock.Clock, ttl time.Duration) *RBLCache {
 	if clk == nil {
 		panic("dnscache: NewRBL requires a clock")
@@ -475,16 +447,6 @@ func NewRBL(p *rbl.Provider, clk clock.Clock, ttl time.Duration) *RBLCache {
 		c.shards[i].entries = make(map[string]rblEntry)
 		c.shards[i].gen.Store(gen)
 	}
-	return c
-}
-
-// NewRBLExplicit returns an explicit-invalidation cache over p: entries
-// live until the owner calls Invalidate (or Flush). The owner must
-// invalidate every IP whose listing state may have changed — in the
-// fleet, at every fired epoch barrier.
-func NewRBLExplicit(p *rbl.Provider, clk clock.Clock) *RBLCache {
-	c := NewRBL(p, clk, 0)
-	c.explicit = true
 	return c
 }
 
@@ -505,13 +467,13 @@ func (c *RBLCache) shardFor(ip string) *rblShard {
 func (c *RBLCache) Query(ip string) (bool, error) {
 	sh := c.shardFor(ip)
 	// Hit fast path: entries are immutable values replaced wholesale by
-	// Invalidate/flush, so a generation-current hit needs only the read
-	// lock and concurrent lanes querying the memo never serialize.
-	if c.explicit || c.p.Gen() == sh.gen.Load() {
+	// a flush, so a generation-current hit needs only the read lock and
+	// concurrent callers querying the memo never serialize.
+	if c.p.Gen() == sh.gen.Load() {
 		sh.mu.RLock()
 		e, ok := sh.entries[ip]
 		sh.mu.RUnlock()
-		if ok && (c.explicit || (c.clk.Now().Before(e.exp) && c.p.Gen() == sh.gen.Load())) {
+		if ok && c.clk.Now().Before(e.exp) && c.p.Gen() == sh.gen.Load() {
 			c.hits.Add(1)
 			if !e.listed {
 				c.negHits.Add(1)
@@ -519,14 +481,12 @@ func (c *RBLCache) Query(ip string) (bool, error) {
 			return e.listed, nil
 		}
 	}
-	if !c.explicit {
-		sh.mu.Lock()
-		if g := c.p.Gen(); g != sh.gen.Load() {
-			sh.gen.Store(g)
-			clear(sh.entries)
-		}
-		sh.mu.Unlock()
+	sh.mu.Lock()
+	if g := c.p.Gen(); g != sh.gen.Load() {
+		sh.gen.Store(g)
+		clear(sh.entries)
 	}
+	sh.mu.Unlock()
 	c.misses.Add(1)
 	gen := c.p.Gen()
 
@@ -535,49 +495,12 @@ func (c *RBLCache) Query(ip string) (bool, error) {
 	// Store only if the provider did not mutate while we queried;
 	// otherwise our answer may already be stale.
 	if c.p.Gen() == gen {
-		e := rblEntry{listed: listed}
-		if !c.explicit {
-			e.exp = c.clk.Now().Add(c.ttl)
-		}
+		e := rblEntry{listed: listed, exp: c.clk.Now().Add(c.ttl)}
 		sh.mu.Lock()
 		sh.entries[ip] = e
 		sh.mu.Unlock()
 	}
 	return listed, nil
-}
-
-// Invalidate drops the memo entries for the given IPs. Explicit-mode
-// owners call it with every IP whose listing state may have changed
-// since the last call; unknown IPs are no-ops, duplicates are fine.
-func (c *RBLCache) Invalidate(ips ...string) {
-	for _, ip := range ips {
-		sh := c.shardFor(ip)
-		sh.mu.Lock()
-		delete(sh.entries, ip)
-		sh.mu.Unlock()
-	}
-}
-
-// Flush drops every memo entry. Counters are preserved.
-func (c *RBLCache) Flush() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		clear(sh.entries)
-		sh.mu.Unlock()
-	}
-}
-
-// Len returns the number of live memo entries.
-func (c *RBLCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // Stats returns a snapshot of the memo counters.

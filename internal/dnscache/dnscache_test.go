@@ -269,59 +269,6 @@ func TestRBLCacheMemoizationAndInvalidation(t *testing.T) {
 	}
 }
 
-// TestRBLCacheExplicitMode covers the fleet-facing cache mode: no TTL,
-// no generation-based flush — the owner invalidates exactly the IPs
-// whose answers may have changed (sweep delists + trap-hit sources) at
-// barrier time. Negative entries for never-listed IPs persist for the
-// whole run.
-func TestRBLCacheExplicitMode(t *testing.T) {
-	clk := clock.NewSim(t0)
-	p := rbl.NewProvider("fleetlist",
-		rbl.Policy{HitThreshold: 1, Window: time.Hour, ListingTTL: 2 * time.Hour}, clk)
-	c := NewRBLExplicit(p, clk)
-
-	// Negative entries never expire on their own: days of virtual time
-	// and provider gen churn elsewhere leave the memo intact.
-	if listed, _ := c.Query("10.9.9.9"); listed {
-		t.Fatal("unexpected listing")
-	}
-	p.AddStatic("10.8.8.8") // gen bump for an unrelated IP
-	clk.Advance(48 * time.Hour)
-	for i := 0; i < 5; i++ {
-		if listed, _ := c.Query("10.9.9.9"); listed {
-			t.Fatal("unexpected listing")
-		}
-	}
-	if st := c.Stats(); st.Misses != 1 || st.Hits != 5 {
-		t.Fatalf("stats = %+v, want 1 miss / 5 hits", st)
-	}
-
-	// Without invalidation the memo is allowed to go stale — that is the
-	// contract: the owner must call Invalidate for changed IPs.
-	p.ReportTrapHit("10.9.9.9")
-	if listed, _ := c.Query("10.9.9.9"); listed {
-		t.Fatal("explicit-mode memo refreshed without Invalidate")
-	}
-	c.Invalidate("10.9.9.9")
-	if listed, _ := c.Query("10.9.9.9"); !listed {
-		t.Fatal("Invalidate did not surface the new listing")
-	}
-
-	// Sweep + Invalidate surfaces the delist; untouched entries survive.
-	clk.Advance(3 * time.Hour)
-	c.Invalidate(p.Sweep(clk.Now())...)
-	if listed, _ := c.Query("10.9.9.9"); listed {
-		t.Fatal("swept listing still served from memo")
-	}
-	if c.Len() == 0 {
-		t.Fatal("unrelated entries dropped by Invalidate")
-	}
-	c.Flush()
-	if c.Len() != 0 {
-		t.Fatalf("Len after Flush = %d", c.Len())
-	}
-}
-
 // TestRBLCacheHitRateUnderTrapExtensions reproduces the fleet's real
 // query mix: an already-listed botnet IP keeps hitting spamtraps (each
 // hit extends its listing) while the filter chain re-queries a small set

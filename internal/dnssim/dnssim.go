@@ -189,27 +189,29 @@ func (s *Server) FailDomain(domain string, err error) {
 // its degradation policy instead of silently treating "DNS is down" as
 // "domain does not exist".
 func (s *Server) ResolvableErr(domain string) (bool, error) {
+	k := key(domain)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if err, bad := s.fail[key(domain)]; bad {
+	if err, bad := s.fail[k]; bad {
 		if IsTemporary(err) {
 			return false, fmt.Errorf("%w (domain %s)", ErrTimeout, domain)
 		}
 		return false, nil
 	}
-	_, ok := s.zones[key(domain)]
+	_, ok := s.zones[k]
 	return ok, nil
 }
 
 func (s *Server) pre(domain string) (*zone, error) {
 	s.queries.Add(1)
-	if err, ok := s.fail[key(domain)]; ok {
+	k := key(domain)
+	if err, ok := s.fail[k]; ok {
 		if errors.Is(err, ErrTimeout) {
 			s.timeouts.Add(1)
 		}
 		return nil, fmt.Errorf("%w (domain %s)", err, domain)
 	}
-	z := s.zones[key(domain)]
+	z := s.zones[k]
 	if z == nil {
 		s.nxdomain.Add(1)
 		return nil, fmt.Errorf("%w: %s", ErrNXDomain, domain)

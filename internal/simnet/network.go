@@ -301,9 +301,7 @@ func (n *Network) laneCtx(c *Company) (*clock.Sim, *clock.Scheduler) {
 // fired epoch barriers, after all lanes have reached the barrier and
 // before any lane resumes, so blocklist providers see an update order —
 // and therefore produce listing decisions — independent of worker count.
-// When onIP is non-nil it is called once per applied hit with the source
-// IP (the fleet feeds these to its RBL memo invalidation).
-func (n *Network) FlushTrapHits(onIP func(ip string)) int {
+func (n *Network) FlushTrapHits() int {
 	flushed := 0
 	for _, c := range n.companiesSorted() {
 		if c.lane == nil {
@@ -311,9 +309,6 @@ func (n *Network) FlushTrapHits(onIP func(ip string)) int {
 		}
 		for _, h := range c.lane.trapHits {
 			n.traps.Hit(h.to, h.ip)
-			if onIP != nil {
-				onIP(h.ip)
-			}
 			flushed++
 		}
 		c.lane.trapHits = c.lane.trapHits[:0]

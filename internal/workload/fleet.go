@@ -12,7 +12,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/digest"
-	"repro/internal/dnscache"
 	"repro/internal/dnssim"
 	"repro/internal/faults"
 	"repro/internal/faults/seam"
@@ -200,17 +199,10 @@ type Fleet struct {
 	Start     time.Time
 	// Injector is the active fault source (nil without Config.FaultPlan).
 	Injector *faults.Set
-	// DNSCache fronts DNS for every engine, filter and the workload
-	// generator (nil under a FaultPlan: injected resolver faults must
-	// reach every consumer un-cached).
-	DNSCache *dnscache.Cache
-	// RBLCache memoizes the filter blocklist's Query answers (nil under
-	// a FaultPlan, for the same reason).
-	RBLCache *dnscache.RBLCache
 
 	lanes      []*companyLane     // company-name-sorted execution lanes
-	resolve    dnssim.Resolver    // DNSCache, or DNS behind the "dns" seam
-	rblBackend filters.RBLBackend // RBLCache, or the provider behind the "rbl:" seam
+	resolve    dnssim.Resolver    // DNS behind the "dns" seam
+	rblBackend filters.RBLBackend // the filter provider behind the "rbl:" seam
 	outIPs     []string           // cached allOutIPs result
 
 	rng        *rand.Rand
@@ -283,24 +275,13 @@ func NewFleet(cfg Config) *Fleet {
 	}
 	f.Net = simnet.New(f.Clk, f.Sched, f.DNS, f.Providers, f.Traps, netCfg)
 
-	// The resolver-cache path: every engine, probe filter, SPF checker
-	// and the workload generator resolve through one TTL cache with
-	// negative caching and single-flight collapse. Under a fault plan the
-	// caches stay off and the seams wrap the raw backends instead — an
-	// injected fault must reach every consumer, and the injector's
-	// per-decision RNG draws must keep their exact order.
+	// Every engine, probe filter, SPF checker and the workload generator
+	// read the in-memory zone and the filter blocklist directly, behind
+	// the fault seams (a no-op without a fault plan). No cache sits in
+	// front: the zone is fixed once NewFleet returns, and the blocklist
+	// changes only at fired barriers while every lane is parked.
 	f.resolve = seam.Resolver(f.DNS, f.Injector)
 	f.rblBackend = seam.RBL(f.filterProvider(), f.Injector)
-	if f.Injector == nil {
-		f.DNSCache = dnscache.New(f.DNS, dnscache.Options{Clock: f.Clk, Gen: f.DNS.Gen})
-		f.resolve = f.DNSCache
-		// Explicit-invalidation mode: entries live until a fired barrier
-		// invalidates exactly the IPs whose listing state changed (sweep
-		// delists + flushed trap hits, see fireBarrier). Negative entries
-		// for the never-listed majority therefore persist run-long.
-		f.RBLCache = dnscache.NewRBLExplicit(f.filterProvider(), f.Clk)
-		f.rblBackend = f.RBLCache
-	}
 	f.Net.SetResolver(f.resolve)
 
 	f.buildWorld()
@@ -584,8 +565,11 @@ type companyLane struct {
 	covering []*Campaign
 	// targets memoises this company's harvested recipient list per
 	// campaign ID. Deterministic per (seed, campaign, company), so each
-	// lane computes its own copy without cross-lane sharing.
-	targets map[int][]mail.Address
+	// lane computes its own copy without cross-lane sharing. targetRNG
+	// is re-seeded for each campaign's stream, so every memo draws from
+	// one source instead of allocating its own.
+	targets   map[int][]mail.Address
+	targetRNG *rand.Rand
 
 	active  []*Campaign // pickSpamCampaign scratch, reused per call
 	names   interner    // hot-string interner ("mail.<domain>" …)
@@ -615,13 +599,14 @@ func (f *Fleet) buildCompanies() {
 		// itself) runs on the lane clock, which only this company's
 		// worker advances. The shared f.Clk moves at epoch barriers.
 		ln := &companyLane{
-			idx:     i,
-			profile: p,
-			clk:     clock.NewSim(FleetStart),
-			rng:     rand.New(rand.NewSource(deriveSeed(f.Cfg.Seed, saltLaneRNG, int64(i)))),
-			ids:     mail.NewIDSource(p.Name),
-			targets: make(map[int][]mail.Address),
-			names:   newInterner(),
+			idx:       i,
+			profile:   p,
+			clk:       clock.NewSim(FleetStart),
+			rng:       rand.New(rand.NewSource(deriveSeed(f.Cfg.Seed, saltLaneRNG, int64(i)))),
+			ids:       mail.NewIDSource(p.Name),
+			targets:   make(map[int][]mail.Address),
+			names:     newInterner(),
+			targetRNG: rand.New(rand.NewSource(0)),
 		}
 		ln.sched = clock.NewScheduler(ln.clk)
 
@@ -773,10 +758,12 @@ func (f *Fleet) buildCompanies() {
 	// derived from (seed, campaign, company) — the §5.1 decorrelation of
 	// blacklisting risk from company size. Computing it eagerly here
 	// (48 campaigns × lanes is trivial) removes a per-campaign mutex
-	// acquisition from every generated spam message.
+	// acquisition from every generated spam message. One source,
+	// re-seeded per pair, yields exactly each pair's fresh stream.
+	rng := rand.New(rand.NewSource(0))
 	for _, ln := range f.lanes {
 		for _, c := range f.spamCamps {
-			rng := rand.New(rand.NewSource(deriveSeed(f.Cfg.Seed, saltCampaignCovers, int64(c.ID), int64(ln.idx))))
+			rng.Seed(deriveSeed(f.Cfg.Seed, saltCampaignCovers, int64(c.ID), int64(ln.idx)))
 			if rng.Float64() < 0.3 {
 				ln.covering = append(ln.covering, c)
 			}

@@ -101,9 +101,8 @@ func (f *Fleet) barrierDue(epochEnd time.Time) bool {
 // fireBarrier runs the full cross-lane barrier at epochEnd: advance the
 // shared clock from the watermark, drain the shared scheduler, expire
 // blocklist listings eagerly (Provider.Sweep), apply staged trap hits
-// in company-name order, invalidate the RBL memo for exactly the IPs
-// whose answers may have changed, poll the §5.1 checker when due, and
-// flush the lanes' log buffers. All lanes are parked.
+// in company-name order, poll the §5.1 checker when due, and flush the
+// lanes' log buffers. All lanes are parked.
 func (f *Fleet) fireBarrier(epochEnd time.Time) {
 	f.ledger.fired.Add(1)
 	f.Clk.AdvanceTo(epochEnd)
@@ -112,25 +111,11 @@ func (f *Fleet) fireBarrier(epochEnd time.Time) {
 	// Provider sweeps close expired listings before the staged hits
 	// apply — the same visible order the lazy expiry used to give (an
 	// expired listing is dead before a hit at epochEnd can re-list).
-	// The filter list's delisted IPs plus every trap-hit source IP form
-	// the precise invalidation set for the RBL memo.
-	var stale []string
-	filter := f.filterProvider()
 	for _, p := range f.Providers {
-		swept := p.Sweep(epochEnd)
-		if p == filter && f.RBLCache != nil {
-			stale = append(stale, swept...)
-		}
+		p.Sweep(epochEnd)
 	}
-	var onIP func(string)
-	if f.RBLCache != nil {
-		onIP = func(ip string) { stale = append(stale, ip) }
-	}
-	if applied := f.Net.FlushTrapHits(onIP); applied > 0 {
+	if applied := f.Net.FlushTrapHits(); applied > 0 {
 		f.ledger.trapApplied.Add(int64(applied))
-	}
-	if len(stale) > 0 {
-		f.RBLCache.Invalidate(stale...)
 	}
 
 	if f.Cfg.CheckerPeriod > 0 {

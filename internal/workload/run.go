@@ -480,8 +480,8 @@ func (f *Fleet) laneTargets(c *Campaign, ln *companyLane) []mail.Address {
 	}
 	users := f.users[ln.comp.Name]
 	n := min(max(len(users)*2/5, 5), len(users))
-	rng := rand.New(rand.NewSource(deriveSeed(f.Cfg.Seed, saltCampaignTargets, int64(c.ID), int64(ln.idx))))
-	perm := rng.Perm(len(users))
+	ln.targetRNG.Seed(deriveSeed(f.Cfg.Seed, saltCampaignTargets, int64(c.ID), int64(ln.idx)))
+	perm := ln.targetRNG.Perm(len(users))
 	ts := make([]mail.Address, n)
 	for i := 0; i < n; i++ {
 		ts[i] = users[perm[i]]
