@@ -28,10 +28,11 @@ type Item struct {
 
 // Book records the size of every daily digest, per user and in day
 // order, which is what the Figure 10 analysis (daily pending-message
-// counts per user) reads. Safe for concurrent use; the counts are
-// lock-striped by user key so every company lane recording its
-// end-of-day digests in the same epoch lands on a different stripe
-// instead of one mutex.
+// counts per user) reads. Safe for concurrent use; the counts are keyed
+// by canonical address (mail.Address.Canonical, which allocates nothing
+// for a lower-case local part) and lock-striped by it, so every company
+// lane recording its end-of-day digests in the same epoch lands on a
+// different stripe instead of one mutex.
 type Book struct {
 	stripes [bookStripes]bookStripe
 }
@@ -40,23 +41,27 @@ const bookStripes = 16
 
 type bookStripe struct {
 	mu     sync.Mutex
-	counts map[string][]int // by user key, one per recorded day
+	counts map[mail.Address][]int // by canonical user, one per recorded day
 }
 
 // NewBook returns an empty digest book.
 func NewBook() *Book {
 	b := &Book{}
 	for i := range b.stripes {
-		b.stripes[i].counts = make(map[string][]int)
+		b.stripes[i].counts = make(map[mail.Address][]int)
 	}
 	return b
 }
 
-// stripeFor maps a user key to its stripe (FNV-1a).
-func (b *Book) stripeFor(key string) *bookStripe {
+// stripeFor maps a canonical user to its stripe (FNV-1a over the local
+// part, then the domain).
+func (b *Book) stripeFor(user mail.Address) *bookStripe {
 	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
+	for i := 0; i < len(user.Local); i++ {
+		h = (h ^ uint32(user.Local[i])) * 16777619
+	}
+	for i := 0; i < len(user.Domain); i++ {
+		h = (h ^ uint32(user.Domain[i])) * 16777619
 	}
 	return &b.stripes[h%bookStripes]
 }
@@ -65,7 +70,7 @@ func (b *Book) stripeFor(key string) *bookStripe {
 // awaiting a decision. Empty digests are recorded too: a zero on the
 // Figure 10 time series is data, not absence of data.
 func (b *Book) Record(user mail.Address, pending int) {
-	key := user.Key()
+	key := user.Canonical()
 	st := b.stripeFor(key)
 	st.mu.Lock()
 	st.counts[key] = append(st.counts[key], pending)
@@ -74,7 +79,7 @@ func (b *Book) Record(user mail.Address, pending int) {
 
 // Series returns the daily pending counts for user, in order.
 func (b *Book) Series(user mail.Address) []int {
-	key := user.Key()
+	key := user.Canonical()
 	st := b.stripeFor(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -28,7 +28,8 @@ func TestSeries(t *testing.T) {
 	if again := b.Series(bob); again[0] != 2 {
 		t.Fatalf("Series aliases the book: %v", again)
 	}
-	// Users are keyed case-insensitively, as Address.Key is.
+	// Users are keyed by canonical address: the local part
+	// case-insensitively.
 	if got := b.Series(mail.MustParseAddress("BOB@corp.example")); len(got) != 3 {
 		t.Fatalf("Series(BOB) = %v", got)
 	}

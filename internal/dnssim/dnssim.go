@@ -6,7 +6,9 @@
 // the RBL filter queries DNS blocklists, and the offline SPF experiment of
 // §5.2 evaluates TXT records. dnssim provides all of these against a zone
 // store populated by the workload generator, with per-domain failure
-// injection so tests can exercise temporary-error paths.
+// injection so tests can exercise temporary-error paths. A zone that no
+// longer changes can be frozen (Server.Freeze): its lookups then take no
+// lock at all.
 package dnssim
 
 import (
@@ -32,6 +34,25 @@ var (
 	// "dns" outage fault), as opposed to one that answers slowly.
 	ErrUnreachable = errors.New("dnssim: nameserver unreachable")
 )
+
+// lookupError is an authoritative negative answer: kind (ErrNXDomain or
+// ErrNoRecord) about name, with the record type asked for when there is
+// one. Its text is built only when printed, so a miss costs no
+// formatting.
+type lookupError struct {
+	kind error
+	rr   string // "A", "MX", "TXT", "PTR"; "" for a domain-level NXDOMAIN
+	name string
+}
+
+func (e *lookupError) Error() string {
+	if e.rr == "" {
+		return e.kind.Error() + ": " + e.name
+	}
+	return e.kind.Error() + ": " + e.rr + " " + e.name
+}
+
+func (e *lookupError) Unwrap() error { return e.kind }
 
 // IsTemporary reports whether err represents a temporary DNS failure, after
 // which a caller may retry, as opposed to an authoritative negative answer.
@@ -73,28 +94,19 @@ type zone struct {
 	txt []string
 }
 
-// Server is the in-memory DNS database. It is safe for concurrent use.
+// Server is the in-memory DNS database. It is safe for concurrent use:
+// lookups take the read lock and mutations the write lock until Freeze,
+// after which the zone is read-only and lookups take no lock, so
+// concurrent readers write no shared memory at all.
 type Server struct {
-	mu    sync.RWMutex
-	zones map[string]*zone  // by lower-case domain
-	ptr   map[string]string // by dotted-quad IP
-	fail  map[string]error  // injected failure per domain
-	// Query counters are atomics so lookups — reads of the zone data —
-	// can run under the read lock and concurrent lanes never serialize
-	// on the simulated nameserver.
-	queries  atomic.Int64
-	nxdomain atomic.Int64
-	timeouts atomic.Int64
+	mu     sync.RWMutex
+	frozen atomic.Bool
+	zones  map[string]*zone  // by lower-case domain
+	ptr    map[string]string // by dotted-quad IP
+	fail   map[string]error  // injected failure per domain
 	// gen counts zone-data mutations so caching layers (internal/dnscache)
 	// can invalidate without subscribing to every mutation site.
 	gen atomic.Uint64
-}
-
-// Stats counts queries served, for the measurement pipeline.
-type Stats struct {
-	Queries  int64
-	NXDomain int64
-	Timeouts int64
 }
 
 // NewServer returns an empty DNS server.
@@ -112,6 +124,24 @@ func NewServer() *Server {
 // failed or deleted domain is never masked by a stale cached answer.
 func (s *Server) Gen() uint64 { return s.gen.Load() }
 
+// Freeze makes the zone read-only: every later mutation panics, and
+// lookups no longer take the lock. Call it once the zone is complete,
+// before the readers start; freezing twice is harmless.
+func (s *Server) Freeze() {
+	s.mu.Lock()
+	s.frozen.Store(true)
+	s.mu.Unlock()
+}
+
+// lock takes the write lock for a mutation; a frozen zone panics.
+func (s *Server) lock() {
+	s.mu.Lock()
+	if s.frozen.Load() {
+		s.mu.Unlock()
+		panic("dnssim: mutation of a frozen zone")
+	}
+}
+
 func key(domain string) string { return strings.ToLower(strings.TrimSuffix(domain, ".")) }
 
 func (s *Server) zoneFor(domain string, create bool) *zone {
@@ -126,7 +156,7 @@ func (s *Server) zoneFor(domain string, create bool) *zone {
 
 // AddA registers A records for host.
 func (s *Server) AddA(host string, ips ...string) {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	z := s.zoneFor(host, true)
 	z.a = append(z.a, ips...)
@@ -135,7 +165,7 @@ func (s *Server) AddA(host string, ips ...string) {
 
 // AddMX registers a mail exchanger for domain.
 func (s *Server) AddMX(domain, host string, pref int) {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	z := s.zoneFor(domain, true)
 	z.mx = append(z.mx, MX{Host: host, Pref: pref})
@@ -145,7 +175,7 @@ func (s *Server) AddMX(domain, host string, pref int) {
 
 // AddPTR registers a reverse mapping for ip.
 func (s *Server) AddPTR(ip, host string) {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	s.ptr[ip] = key(host)
 	s.gen.Add(1)
@@ -153,7 +183,7 @@ func (s *Server) AddPTR(ip, host string) {
 
 // AddTXT appends a TXT record for domain (e.g. an SPF policy).
 func (s *Server) AddTXT(domain, txt string) {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	z := s.zoneFor(domain, true)
 	z.txt = append(z.txt, txt)
@@ -163,7 +193,7 @@ func (s *Server) AddTXT(domain, txt string) {
 // RemoveDomain deletes every record of domain, turning future queries into
 // NXDOMAIN. Used to model domains that disappear mid-simulation.
 func (s *Server) RemoveDomain(domain string) {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	delete(s.zones, key(domain))
 	s.gen.Add(1)
@@ -172,7 +202,7 @@ func (s *Server) RemoveDomain(domain string) {
 // FailDomain injects err for all queries about domain (pass nil to clear).
 // Use ErrTimeout to model an unreachable nameserver.
 func (s *Server) FailDomain(domain string, err error) {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	defer s.gen.Add(1)
 	if err == nil {
@@ -190,8 +220,10 @@ func (s *Server) FailDomain(domain string, err error) {
 // "domain does not exist".
 func (s *Server) ResolvableErr(domain string) (bool, error) {
 	k := key(domain)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	if !s.frozen.Load() {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+	}
 	if err, bad := s.fail[k]; bad {
 		if IsTemporary(err) {
 			return false, fmt.Errorf("%w (domain %s)", ErrTimeout, domain)
@@ -203,32 +235,29 @@ func (s *Server) ResolvableErr(domain string) (bool, error) {
 }
 
 func (s *Server) pre(domain string) (*zone, error) {
-	s.queries.Add(1)
 	k := key(domain)
 	if err, ok := s.fail[k]; ok {
-		if errors.Is(err, ErrTimeout) {
-			s.timeouts.Add(1)
-		}
 		return nil, fmt.Errorf("%w (domain %s)", err, domain)
 	}
 	z := s.zones[k]
 	if z == nil {
-		s.nxdomain.Add(1)
-		return nil, fmt.Errorf("%w: %s", ErrNXDomain, domain)
+		return nil, &lookupError{kind: ErrNXDomain, name: domain}
 	}
 	return z, nil
 }
 
 // LookupA implements Resolver.
 func (s *Server) LookupA(host string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	if !s.frozen.Load() {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+	}
 	z, err := s.pre(host)
 	if err != nil {
 		return nil, err
 	}
 	if len(z.a) == 0 {
-		return nil, fmt.Errorf("%w: A %s", ErrNoRecord, host)
+		return nil, &lookupError{kind: ErrNoRecord, rr: "A", name: host}
 	}
 	out := make([]string, len(z.a))
 	copy(out, z.a)
@@ -237,14 +266,16 @@ func (s *Server) LookupA(host string) ([]string, error) {
 
 // LookupMX implements Resolver.
 func (s *Server) LookupMX(domain string) ([]MX, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	if !s.frozen.Load() {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+	}
 	z, err := s.pre(domain)
 	if err != nil {
 		return nil, err
 	}
 	if len(z.mx) == 0 {
-		return nil, fmt.Errorf("%w: MX %s", ErrNoRecord, domain)
+		return nil, &lookupError{kind: ErrNoRecord, rr: "MX", name: domain}
 	}
 	out := make([]MX, len(z.mx))
 	copy(out, z.mx)
@@ -253,47 +284,42 @@ func (s *Server) LookupMX(domain string) ([]MX, error) {
 
 // LookupPTR implements Resolver.
 func (s *Server) LookupPTR(ip string) (string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.queries.Add(1)
+	if !s.frozen.Load() {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+	}
 	h, ok := s.ptr[ip]
 	if !ok {
-		s.nxdomain.Add(1)
-		return "", fmt.Errorf("%w: PTR %s", ErrNXDomain, ip)
+		return "", &lookupError{kind: ErrNXDomain, rr: "PTR", name: ip}
 	}
 	return h, nil
 }
 
 // LookupTXT implements Resolver.
 func (s *Server) LookupTXT(domain string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	if !s.frozen.Load() {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+	}
 	z, err := s.pre(domain)
 	if err != nil {
 		return nil, err
 	}
 	if len(z.txt) == 0 {
-		return nil, fmt.Errorf("%w: TXT %s", ErrNoRecord, domain)
+		return nil, &lookupError{kind: ErrNoRecord, rr: "TXT", name: domain}
 	}
 	out := make([]string, len(z.txt))
 	copy(out, z.txt)
 	return out, nil
 }
 
-// Stats returns a snapshot of the query counters.
-func (s *Server) Stats() Stats {
-	return Stats{
-		Queries:  s.queries.Load(),
-		NXDomain: s.nxdomain.Load(),
-		Timeouts: s.timeouts.Load(),
-	}
-}
-
 // Domains returns all registered domain names, sorted. Intended for
 // debugging and deterministic iteration in experiments.
 func (s *Server) Domains() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	if !s.frozen.Load() {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+	}
 	out := make([]string, 0, len(s.zones))
 	for d := range s.zones {
 		out = append(out, d)

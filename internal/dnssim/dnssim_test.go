@@ -25,12 +25,46 @@ func TestLookupA(t *testing.T) {
 
 func TestLookupANXDomain(t *testing.T) {
 	s := NewServer()
-	_, err := s.LookupA("missing.example")
-	if !errors.Is(err, ErrNXDomain) {
-		t.Fatalf("err = %v, want NXDOMAIN", err)
+	s.AddA("present.example", "192.0.2.1")
+	// A miss is an answer, not a change: asking again gives the same
+	// NXDOMAIN, and the zone's other names still resolve.
+	for i := 0; i < 2; i++ {
+		_, err := s.LookupA("missing.example")
+		if !errors.Is(err, ErrNXDomain) || err.Error() != "dnssim: NXDOMAIN: missing.example" {
+			t.Fatalf("lookup %d: err = %v, want NXDOMAIN for missing.example", i, err)
+		}
 	}
-	if st := s.Stats(); st.NXDomain != 1 || st.Queries != 1 {
-		t.Fatalf("stats = %+v", st)
+	if ips, err := s.LookupA("present.example"); err != nil || len(ips) != 1 || ips[0] != "192.0.2.1" {
+		t.Fatalf("present.example = %v, %v", ips, err)
+	}
+}
+
+// TestNegativeAnswerTexts pins the text and the sentinel of every
+// authoritative negative answer.
+func TestNegativeAnswerTexts(t *testing.T) {
+	s := NewServer()
+	s.AddTXT("txt-only.example", "v=spf1 -all")
+	s.AddA("a-only.example", "192.0.2.1")
+	lookupErr := func(_ any, err error) error { return err }
+	for _, tc := range []struct {
+		err  error
+		want error
+		text string
+	}{
+		{lookupErr(s.LookupA("nowhere.example")), ErrNXDomain, "dnssim: NXDOMAIN: nowhere.example"},
+		{lookupErr(s.LookupMX("Nowhere.Example.")), ErrNXDomain, "dnssim: NXDOMAIN: Nowhere.Example."},
+		{lookupErr(s.LookupTXT("nowhere.example")), ErrNXDomain, "dnssim: NXDOMAIN: nowhere.example"},
+		{lookupErr(s.LookupPTR("192.0.2.99")), ErrNXDomain, "dnssim: NXDOMAIN: PTR 192.0.2.99"},
+		{lookupErr(s.LookupA("txt-only.example")), ErrNoRecord, "dnssim: no such record: A txt-only.example"},
+		{lookupErr(s.LookupMX("a-only.example")), ErrNoRecord, "dnssim: no such record: MX a-only.example"},
+		{lookupErr(s.LookupTXT("a-only.example")), ErrNoRecord, "dnssim: no such record: TXT a-only.example"},
+	} {
+		if !errors.Is(tc.err, tc.want) || tc.err.Error() != tc.text {
+			t.Errorf("err = %v, want %q wrapping %v", tc.err, tc.text, tc.want)
+		}
+		if IsTemporary(tc.err) {
+			t.Errorf("%v reads as temporary", tc.err)
+		}
 	}
 }
 
@@ -168,6 +202,91 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			s.LookupA(fmt.Sprintf("d%d.example.com", i)) //nolint:errcheck
 		}(i)
+	}
+	wg.Wait()
+}
+
+func TestFreezeRejectsMutations(t *testing.T) {
+	s := NewServer()
+	s.RegisterMailDomain("corp.example", "198.51.100.1")
+	s.Freeze()
+	s.Freeze() // idempotent
+	gen := s.Gen()
+	for name, mutate := range map[string]func(){
+		"AddA":               func() { s.AddA("new.example", "192.0.2.1") },
+		"AddMX":              func() { s.AddMX("corp.example", "mx2.corp.example", 20) },
+		"AddPTR":             func() { s.AddPTR("192.0.2.1", "new.example") },
+		"AddTXT":             func() { s.AddTXT("corp.example", "v=spf1 -all") },
+		"RemoveDomain":       func() { s.RemoveDomain("corp.example") },
+		"FailDomain":         func() { s.FailDomain("corp.example", ErrTimeout) },
+		"RegisterMailDomain": func() { s.RegisterMailDomain("other.example", "198.51.100.2") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a frozen zone did not panic", name)
+				}
+			}()
+			mutate()
+		}()
+	}
+	// The panics released the lock and changed nothing.
+	if g := s.Gen(); g != gen {
+		t.Fatalf("gen moved %d -> %d", gen, g)
+	}
+	if mx, err := s.LookupMX("corp.example"); err != nil || len(mx) != 1 {
+		t.Fatalf("MX after rejected mutations = %v, %v", mx, err)
+	}
+	if _, err := s.LookupA("new.example"); !errors.Is(err, ErrNXDomain) {
+		t.Fatalf("rejected AddA took effect: %v", err)
+	}
+}
+
+// TestFrozenConcurrentReaders asks every kind of question of a zone
+// before freezing it, then from several goroutines at once after: the
+// lock-free answers must be the locked ones (run it under -race).
+func TestFrozenConcurrentReaders(t *testing.T) {
+	s := NewServer()
+	for i := 0; i < 20; i++ {
+		d := fmt.Sprintf("d%02d.example", i)
+		s.RegisterMailDomain(d, fmt.Sprintf("198.51.100.%d", i+1))
+		if i%3 == 0 {
+			s.AddTXT(d, "v=spf1 -all")
+		}
+	}
+	s.FailDomain("d19.example", ErrTimeout)
+	answers := func() []string {
+		var out []string
+		add := func(v any, err error) { out = append(out, fmt.Sprint(v, err)) }
+		for i := 0; i < 22; i++ {
+			d := fmt.Sprintf("d%02d.example", i)
+			add(s.LookupA(d))
+			add(s.LookupA("mail." + d))
+			add(s.LookupMX(d))
+			add(s.LookupTXT(d))
+			add(s.LookupPTR(fmt.Sprintf("198.51.100.%d", i+1)))
+			add(s.ResolvableErr(d))
+		}
+		add(s.Domains(), nil)
+		return out
+	}
+	want := answers()
+	s.Freeze()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				got := answers()
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("answer %d after Freeze = %q, want %q", i, got[i], want[i])
+						return
+					}
+				}
+			}
+		}()
 	}
 	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/report"
@@ -12,9 +13,10 @@ import (
 )
 
 // RenderAll runs every experiment driver against the run and renders the
-// full set of paper artifacts as text, in paper order.
+// full set of paper artifacts as text, in paper order. The drivers only
+// read the finished run, so the sections render concurrently and are
+// joined in order afterwards.
 func RenderAll(r *Run) string {
-	var b strings.Builder
 	sections := []func(*Run) string{
 		RenderLifecycle,
 		RenderGeneral,
@@ -32,8 +34,19 @@ func RenderAll(r *Run) string {
 		RenderDiscussion,
 		RenderAblations,
 	}
-	for _, f := range sections {
-		b.WriteString(f(r))
+	out := make([]string, len(sections))
+	var wg sync.WaitGroup
+	for i, render := range sections {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = render(r)
+		}()
+	}
+	wg.Wait()
+	var b strings.Builder
+	for _, s := range out {
+		b.WriteString(s)
 		b.WriteString("\n")
 	}
 	return b.String()

@@ -46,8 +46,9 @@ type ClusteringResult struct {
 // engine's counters but still says the challenge bounced.
 func Clustering(r *Run) ClusteringResult {
 	var out ClusteringResult
-	var items []cluster.Item
-	for _, rec := range r.Fleet.Net.Records() {
+	recs := r.Fleet.Net.Records()
+	items := make([]cluster.Item, 0, len(recs))
+	for _, rec := range recs {
 		truth := rec.Status.Bounced()
 		bounced := truth
 		if r.Cfg.EmitDSNs {

@@ -94,6 +94,14 @@ func (l *list) add(sk mail.Address, e Entry) {
 	l.log = append(l.log, e)
 }
 
+// reserve sizes an empty list for n entries.
+func (l *list) reserve(n int) {
+	if l.index == nil {
+		l.index = make(map[mail.Address]int32, n)
+		l.log = make([]Entry, 0, n)
+	}
+}
+
 // insert adds e under the canonical sender sk unless sk is already
 // present: on replay and import the existing entry wins.
 func (l *list) insert(sk mail.Address, e Entry) {
@@ -274,6 +282,18 @@ func (s *Store) AddWhite(user, sender mail.Address, src Source) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.add(&s.account(user).white, MutAddWhite, user, sender, src)
+}
+
+// Reserve sizes user's empty lists for white and black entries, so a
+// bulk load does not regrow them entry by entry. Like an addition, it
+// gives user an account; lists that already hold entries are left as
+// they are.
+func (s *Store) Reserve(user mail.Address, white, black int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	a := s.account(user)
+	a.white.reserve(white)
+	a.black.reserve(black)
 }
 
 // AddBlack adds sender to user's blacklist. Returns true if new.

@@ -293,6 +293,31 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReserveChangesNoContent loads the same lists with and without
+// Reserve beforehand, and once more after a Reserve on lists that
+// already hold entries: every store must export the same lists.
+func TestReserveChangesNoContent(t *testing.T) {
+	load := func(s *Store, from, to int) {
+		for i := from; i < to; i++ {
+			s.AddWhite(bob, mail.MustParseAddress(fmt.Sprintf("w%d@x.example", i%7)), SourceSeed)
+			s.AddBlack(bob, mail.MustParseAddress(fmt.Sprintf("b%d@x.example", i%3)))
+		}
+	}
+	plain, reserved := NewStore(clock.NewSim(t0)), NewStore(clock.NewSim(t0))
+	load(plain, 0, 10)
+	reserved.Reserve(bob, 10, 10)
+	load(reserved, 0, 5)
+	reserved.Reserve(bob, 10, 10) // non-empty lists: a no-op
+	load(reserved, 5, 10)
+	want, got := plain.Export(), reserved.Export()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("export with Reserve = %v, want %v", got, want)
+	}
+	if n := whiteLen(reserved, bob); n != 7 {
+		t.Fatalf("whitelist size = %d, want 7", n)
+	}
+}
+
 func TestImportIdempotent(t *testing.T) {
 	clk := clock.NewSim(t0)
 	src := NewStore(clk)

@@ -37,12 +37,12 @@ type Config struct {
 	// ScaleVolume multiplies every company's DailyVolume (use <1 for
 	// fast experiment runs; the proportions are volume-invariant).
 	ScaleVolume float64
-	// Workers is the number of goroutines Run advances lanes on:
-	// companies advance in parallel, claiming lanes off one shared
-	// counter and rendezvousing at hourly epoch edges where cross-lane
-	// barriers fire only for epochs with staged effects (see
-	// ledger.go). 0 means GOMAXPROCS; 1 runs the same epoch loop
-	// serially. Results are identical for every value — each company
+	// Workers is the number of goroutines Run advances lanes on (and
+	// NewFleet builds the companies on): companies advance in
+	// parallel, claiming lanes off one shared counter and rendezvousing
+	// at hourly epoch edges where cross-lane barriers fire only for
+	// epochs with staged effects (see ledger.go). 0 means GOMAXPROCS;
+	// 1 runs the same epoch loop serially. Results are identical for every value — each company
 	// owns its clock, scheduler and RNG streams, and cross-company
 	// effects apply only at barriers in company-name order. A FaultPlan
 	// forces 1 (the injector draws from one shared RNG whose order must
@@ -278,8 +278,8 @@ func NewFleet(cfg Config) *Fleet {
 	// Every engine, probe filter, SPF checker and the workload generator
 	// read the in-memory zone and the filter blocklist directly, behind
 	// the fault seams (a no-op without a fault plan). No cache sits in
-	// front: the zone is fixed once NewFleet returns, and the blocklist
-	// changes only at fired barriers while every lane is parked.
+	// front: the zone is frozen once built, and the blocklist changes
+	// only at fired barriers while every lane is parked.
 	f.resolve = seam.Resolver(f.DNS, f.Injector)
 	f.rblBackend = seam.RBL(f.filterProvider(), f.Injector)
 	f.Net.SetResolver(f.resolve)
@@ -287,6 +287,9 @@ func NewFleet(cfg Config) *Fleet {
 	f.buildWorld()
 	f.buildCampaigns()
 	f.buildCompanies()
+	// Lanes read the zone without a lock from here on; a mutation would
+	// panic (TestFleetZoneStaticDuringRun pins that none happens).
+	f.DNS.Freeze()
 	return f
 }
 
@@ -566,14 +569,21 @@ type companyLane struct {
 	// targets memoises this company's harvested recipient list per
 	// campaign ID. Deterministic per (seed, campaign, company), so each
 	// lane computes its own copy without cross-lane sharing. targetRNG
-	// is re-seeded for each campaign's stream, so every memo draws from
-	// one source instead of allocating its own.
+	// is re-seeded for each campaign's stream, so every memo (and, in
+	// buildCompany, every covering draw) uses one source instead of
+	// allocating its own.
 	targets   map[int][]mail.Address
 	targetRNG *rand.Rand
 
-	active  []*Campaign // pickSpamCampaign scratch, reused per call
-	names   interner    // hot-string interner ("mail.<domain>" …)
-	scratch []byte      // byte scratch for name minting and intern probes
+	// active and activeWeight are the covering campaigns active on day
+	// activeDay and their summed weight, rebuilt by pickSpamCampaign
+	// when the day changes (-1 before the first pick).
+	active       []*Campaign
+	activeWeight float64
+	activeDay    int
+
+	names   interner // hot-string interner ("mail.<domain>" …)
+	scratch []byte   // byte scratch for name minting and intern probes
 
 	// Overload admission (nil unless Config.Overload): the controller
 	// runs on the lane clock and its events buffer into logBuf like the
@@ -585,165 +595,62 @@ type companyLane struct {
 	surgeStats laneSurgeStats
 }
 
+// companyDraws holds the values one company's build takes from the
+// shared f.rng, per user, in the order a serial build draws them.
+type companyDraws struct {
+	activity []float64 // outbound-activity multiplier
+	white    []int32   // SeedWhitelist legitPool indices per user, flat
+	black    []int32   // two innocents indices per user, flat
+}
+
+// builtCompany is a company as a build worker leaves it: its draws, its
+// lane, engine and stores, and what the serial publish pass still has
+// to record in the fleet's shared maps.
+type builtCompany struct {
+	companyDraws
+	ln       *companyLane
+	users    []mail.Address
+	seededWL [][]int32 // per user: the seeded contacts the whitelist took
+	seededBL [][]int32 // per user: the blacklisted senders it took
+	banned   mail.Address
+	rep      *reputation.Store
+	gl       *greylist.Store
+}
+
+// buildCompanies builds one lane per profile in three passes, so the
+// costly middle one runs on the lane workers and the result does not
+// depend on how many there are:
+//
+//  1. serially, in profile order, draw every f.rng value the companies
+//     consume (drawCompany);
+//  2. on f.workers goroutines claiming companies off one counter, the
+//     largest first, build each company's lane, engine, stores,
+//     whitelist seeding and covering list (buildCompany), touching no
+//     shared state;
+//  3. serially, in profile order, record the companies in the fleet's
+//     maps, the DNS zone and the network (publishCompany).
 func (f *Fleet) buildCompanies() {
-	for i, p := range f.Cfg.Profiles {
-		f.profiles[p.Name] = p
-		challengeIP := fmt.Sprintf("198.51.100.%d", 1+i*2)
-		mailIP := challengeIP
-		if p.SplitMTAOut {
-			mailIP = fmt.Sprintf("198.51.100.%d", 2+i*2)
-		}
+	profiles := f.Cfg.Profiles
+	built := make([]builtCompany, len(profiles))
+	for i, p := range profiles {
+		built[i].companyDraws = f.drawCompany(p)
+	}
 
-		// The lane: every time-dependent component below (breakers,
-		// whitelist TTLs, greylist windows, reputation decay, the engine
-		// itself) runs on the lane clock, which only this company's
-		// worker advances. The shared f.Clk moves at epoch barriers.
-		ln := &companyLane{
-			idx:       i,
-			profile:   p,
-			clk:       clock.NewSim(FleetStart),
-			rng:       rand.New(rand.NewSource(deriveSeed(f.Cfg.Seed, saltLaneRNG, int64(i)))),
-			ids:       mail.NewIDSource(p.Name),
-			targets:   make(map[int][]mail.Address),
-			names:     newInterner(),
-			targetRNG: rand.New(rand.NewSource(0)),
-		}
-		ln.sched = clock.NewScheduler(ln.clk)
+	// Whitelist and blacklist seeding dominates a company's build, so
+	// the companies with the most list entries are claimed first and
+	// the last claims are short.
+	order := make([]int, len(profiles))
+	for i := range order {
+		order[i] = i
+	}
+	entries := func(i int) int { return profiles[i].Users * (profiles[i].SeedWhitelist + 2) }
+	slices.SortStableFunc(order, func(a, b int) int { return entries(b) - entries(a) })
+	runClaimed(len(order), f.workers(len(order)), func(k int) {
+		f.buildCompany(order[k], &built[order[k]])
+	})
 
-		av := seam.Antivirus(filters.NewAntivirus(), f.Injector)
-		// Every auxiliary filter runs behind a breaker + retrier with an
-		// explicit degradation policy: the scan fails closed (unscanned
-		// mail is held), the advisory lookups fail open (an outage must
-		// not silently drop real mail). Without a fault plan the probes
-		// never fail, so the hardened chain behaves identically.
-		seed := f.Cfg.Seed + int64(i)*7919
-		harden := func(pr filters.Prober, mode filters.DegradeMode, n int64) filters.Filter {
-			return filters.Harden(pr, mode, filters.HardenOpts{
-				Breaker: resilience.NewBreaker(p.Name+"/"+pr.Name(), resilience.DefaultBreakerConfig(), ln.clk),
-				Seed:    seed + n,
-			})
-		}
-		chainFilters := []filters.Filter{
-			harden(av, filters.FailClosed, 1),
-			harden(filters.NewReverseDNS(f.resolve), filters.FailOpen, 2),
-			harden(filters.NewRBL(f.rblBackend), filters.FailOpen, 3),
-		}
-		if f.Cfg.UseSPFFilter {
-			chainFilters = append(chainFilters, harden(filters.NewSPF(spf.New(f.resolve)), filters.FailOpen, 4))
-		}
-		var rep *reputation.Store
-		if f.Cfg.UseReputation {
-			repCfg := reputation.DefaultConfig()
-			if f.Injector != nil {
-				repCfg.Injector = f.Injector
-			}
-			rep = reputation.NewStore(repCfg, ln.clk)
-			f.reputation[p.Name] = rep
-			// The reputation check heads the chain so suspect senders are
-			// dropped before any probe filter spends a lookup on them.
-			chainFilters = append([]filters.Filter{
-				harden(filters.NewReputation(rep), filters.FailOpen, 5),
-			}, chainFilters...)
-		}
-		chain := filters.NewChain(chainFilters...)
-		wl := whitelist.NewStore(ln.clk)
-		relayDomains := []string(nil)
-		if p.OpenRelay {
-			relayDomains = []string{"relay-" + p.Domain}
-		}
-		eng := core.New(core.Config{
-			Name:                 p.Name,
-			Domains:              []string{p.Domain},
-			OpenRelay:            p.OpenRelay,
-			RelayDomains:         relayDomains,
-			QuarantineTTL:        30 * day,
-			ChallengeFrom:        mail.Address{Local: "challenge", Domain: p.Domain},
-			ChallengeBaseURL:     "http://cr." + p.Domain,
-			ChallengeSize:        1800,
-			Seed:                 f.Cfg.Seed + int64(i)*7919,
-			MaxChallengesPerHour: f.Cfg.ChallengeCapPerHour,
-		}, ln.clk, f.resolve, chain, wl, nil)
-		if rep != nil {
-			eng.SetReputation(rep)
-		}
-		if f.Cfg.LogSink != nil {
-			// Buffer events on the lane; the barrier flushes them to the
-			// user's sink in canonical order (see Fleet.flushSinks).
-			eng.SetEventSink(func(ev maillog.Event) {
-				ln.logBuf = append(ln.logBuf, ev)
-			})
-		}
-		eng.SetInboxSink(ln.delayed.add)
-		if f.Cfg.UseGreylisting {
-			f.greylists[p.Name] = greylist.New(greylist.DefaultConfig(), ln.clk)
-		}
-		if f.Cfg.Overload != nil {
-			oc := *f.Cfg.Overload
-			oc.Name = p.Name
-			oc.Clock = ln.clk
-			oc.EventSink = func(ev maillog.Event) {
-				ln.logBuf = append(ln.logBuf, ev)
-			}
-			ln.ctl = overload.New(oc)
-			// Under queue pressure the engine sheds its probe-filter
-			// work (fail-open degradation) before admissions themselves
-			// start tempfailing mail.
-			eng.SetPressure(ln.ctl.Pressured)
-		}
-		if f.Cfg.SurgePlan != nil {
-			ln.surge = faults.New(f.Cfg.SurgePlan,
-				deriveSeed(f.Cfg.Seed, saltSurge, int64(i)), ln.clk)
-		}
-		f.DNS.RegisterMailDomain(p.Domain, challengeIP)
-
-		// Protected accounts plus their seeded white/blacklists.
-		users := make([]mail.Address, p.Users)
-		for u := range users {
-			addr := mail.Address{Local: fmt.Sprintf("user%04d", u), Domain: p.Domain}
-			users[u] = addr
-			eng.AddUser(addr)
-			// Outbound activity is heavily skewed across users (most
-			// people send little mail; a few send a lot), which is what
-			// produces the paper's Figure 9 churn distribution: a
-			// dominant low-churn mode with a long tail.
-			au := f.rng.Float64()
-			f.activity[addr.Canonical()] = au * au * 3
-			nSeed := f.Cfg.Profiles[i].SeedWhitelist
-			seeds := make([]int32, 0, nSeed)
-			for s := 0; s < nSeed; s++ {
-				k := f.rng.Intn(len(f.legitPool))
-				if wl.AddWhite(addr, f.legitPool[k], whitelist.SourceSeed) {
-					seeds = append(seeds, int32(k))
-				}
-			}
-			f.seededWL[addr.Canonical()] = seeds
-			bl := make([]int32, 0, 2)
-			for s := 0; s < 2; s++ {
-				k := f.rng.Intn(len(f.innocents))
-				if wl.AddBlack(addr, f.innocents[k]) {
-					bl = append(bl, int32(k))
-				}
-			}
-			f.seededBL[addr.Canonical()] = bl
-		}
-		f.users[p.Name] = users
-
-		// One administratively rejected sender per company.
-		banned := mail.Address{Local: "banned-" + p.Name, Domain: f.innocents[0].Domain}
-		eng.RejectSender(banned)
-		f.rejectedBy[p.Name] = banned
-
-		comp := &simnet.Company{
-			Name:        p.Name,
-			Engine:      eng,
-			ChallengeIP: challengeIP,
-			MailIP:      mailIP,
-		}
-		ln.comp = comp
-		f.Net.AttachCompanyLane(comp, ln.clk, ln.sched,
-			deriveSeed(f.Cfg.Seed, saltNetLane, int64(i)))
-		f.Companies = append(f.Companies, comp)
-		f.lanes = append(f.lanes, ln)
+	for i := range built {
+		f.publishCompany(&built[i])
 	}
 
 	// Canonical lane order: company name. Barrier-side iteration (sink
@@ -753,28 +660,230 @@ func (f *Fleet) buildCompanies() {
 		return f.lanes[i].comp.Name < f.lanes[j].comp.Name
 	})
 
-	// Precompute each lane's covering-campaign list. Coverage is random
-	// per (campaign, company) with probability 0.3, drawn from a stream
-	// derived from (seed, campaign, company) — the §5.1 decorrelation of
-	// blacklisting risk from company size. Computing it eagerly here
-	// (48 campaigns × lanes is trivial) removes a per-campaign mutex
-	// acquisition from every generated spam message. One source,
-	// re-seeded per pair, yields exactly each pair's fresh stream.
-	rng := rand.New(rand.NewSource(0))
-	for _, ln := range f.lanes {
-		for _, c := range f.spamCamps {
-			rng.Seed(deriveSeed(f.Cfg.Seed, saltCampaignCovers, int64(c.ID), int64(ln.idx)))
-			if rng.Float64() < 0.3 {
-				ln.covering = append(ln.covering, c)
-			}
-		}
-	}
-
 	// The outbound-IP set the §5.1 checker polls: companies are fixed
 	// after build, so compute it once here instead of every simulated
 	// day (invalidate by clearing f.outIPs if companies ever change).
 	f.outIPs = nil
 	f.outIPs = f.allOutIPs()
+}
+
+// drawCompany draws, from f.rng, the per-user values of profile p's
+// build: each user's outbound activity, then their whitelist seeds, then
+// their two blacklisted senders.
+func (f *Fleet) drawCompany(p CompanyProfile) companyDraws {
+	d := companyDraws{
+		activity: make([]float64, p.Users),
+		white:    make([]int32, 0, p.Users*p.SeedWhitelist),
+		black:    make([]int32, 0, p.Users*2),
+	}
+	for u := range d.activity {
+		// Outbound activity is heavily skewed across users (most people
+		// send little mail; a few send a lot), which is what produces
+		// the paper's Figure 9 churn distribution: a dominant low-churn
+		// mode with a long tail.
+		au := f.rng.Float64()
+		d.activity[u] = au * au * 3
+		for s := 0; s < p.SeedWhitelist; s++ {
+			d.white = append(d.white, int32(f.rng.Intn(len(f.legitPool))))
+		}
+		for s := 0; s < 2; s++ {
+			d.black = append(d.black, int32(f.rng.Intn(len(f.innocents))))
+		}
+	}
+	return d
+}
+
+// buildCompany builds company i from b's draws into b. It runs on a
+// build worker, beside other companies' builds: it reads only state
+// fixed before buildCompanies and writes only b.
+func (f *Fleet) buildCompany(i int, b *builtCompany) {
+	p := f.Cfg.Profiles[i]
+	challengeIP := fmt.Sprintf("198.51.100.%d", 1+i*2)
+	mailIP := challengeIP
+	if p.SplitMTAOut {
+		mailIP = fmt.Sprintf("198.51.100.%d", 2+i*2)
+	}
+
+	// The lane: every time-dependent component below (breakers,
+	// whitelist TTLs, greylist windows, reputation decay, the engine
+	// itself) runs on the lane clock, which only this company's
+	// worker advances. The shared f.Clk moves at epoch barriers.
+	ln := &companyLane{
+		idx:       i,
+		profile:   p,
+		clk:       clock.NewSim(FleetStart),
+		rng:       rand.New(rand.NewSource(deriveSeed(f.Cfg.Seed, saltLaneRNG, int64(i)))),
+		ids:       mail.NewIDSource(p.Name),
+		targets:   make(map[int][]mail.Address),
+		names:     newInterner(),
+		targetRNG: rand.New(rand.NewSource(0)),
+		activeDay: -1,
+	}
+	ln.sched = clock.NewScheduler(ln.clk)
+	b.ln = ln
+
+	av := seam.Antivirus(filters.NewAntivirus(), f.Injector)
+	// Every auxiliary filter runs behind a breaker + retrier with an
+	// explicit degradation policy: the scan fails closed (unscanned
+	// mail is held), the advisory lookups fail open (an outage must
+	// not silently drop real mail). Without a fault plan the probes
+	// never fail, so the hardened chain behaves identically.
+	seed := f.Cfg.Seed + int64(i)*7919
+	harden := func(pr filters.Prober, mode filters.DegradeMode, n int64) filters.Filter {
+		return filters.Harden(pr, mode, filters.HardenOpts{
+			Breaker: resilience.NewBreaker(p.Name+"/"+pr.Name(), resilience.DefaultBreakerConfig(), ln.clk),
+			Seed:    seed + n,
+		})
+	}
+	chainFilters := []filters.Filter{
+		harden(av, filters.FailClosed, 1),
+		harden(filters.NewReverseDNS(f.resolve), filters.FailOpen, 2),
+		harden(filters.NewRBL(f.rblBackend), filters.FailOpen, 3),
+	}
+	if f.Cfg.UseSPFFilter {
+		chainFilters = append(chainFilters, harden(filters.NewSPF(spf.New(f.resolve)), filters.FailOpen, 4))
+	}
+	if f.Cfg.UseReputation {
+		repCfg := reputation.DefaultConfig()
+		if f.Injector != nil {
+			repCfg.Injector = f.Injector
+		}
+		b.rep = reputation.NewStore(repCfg, ln.clk)
+		// The reputation check heads the chain so suspect senders are
+		// dropped before any probe filter spends a lookup on them.
+		chainFilters = append([]filters.Filter{
+			harden(filters.NewReputation(b.rep), filters.FailOpen, 5),
+		}, chainFilters...)
+	}
+	chain := filters.NewChain(chainFilters...)
+	wl := whitelist.NewStore(ln.clk)
+	relayDomains := []string(nil)
+	if p.OpenRelay {
+		relayDomains = []string{"relay-" + p.Domain}
+	}
+	eng := core.New(core.Config{
+		Name:                 p.Name,
+		Domains:              []string{p.Domain},
+		OpenRelay:            p.OpenRelay,
+		RelayDomains:         relayDomains,
+		QuarantineTTL:        30 * day,
+		ChallengeFrom:        mail.Address{Local: "challenge", Domain: p.Domain},
+		ChallengeBaseURL:     "http://cr." + p.Domain,
+		ChallengeSize:        1800,
+		Seed:                 f.Cfg.Seed + int64(i)*7919,
+		MaxChallengesPerHour: f.Cfg.ChallengeCapPerHour,
+	}, ln.clk, f.resolve, chain, wl, nil)
+	if b.rep != nil {
+		eng.SetReputation(b.rep)
+	}
+	if f.Cfg.LogSink != nil {
+		// Buffer events on the lane; the barrier flushes them to the
+		// user's sink in canonical order (see Fleet.flushSinks).
+		eng.SetEventSink(func(ev maillog.Event) {
+			ln.logBuf = append(ln.logBuf, ev)
+		})
+	}
+	eng.SetInboxSink(ln.delayed.add)
+	if f.Cfg.UseGreylisting {
+		b.gl = greylist.New(greylist.DefaultConfig(), ln.clk)
+	}
+	if f.Cfg.Overload != nil {
+		oc := *f.Cfg.Overload
+		oc.Name = p.Name
+		oc.Clock = ln.clk
+		oc.EventSink = func(ev maillog.Event) {
+			ln.logBuf = append(ln.logBuf, ev)
+		}
+		ln.ctl = overload.New(oc)
+		// Under queue pressure the engine sheds its probe-filter
+		// work (fail-open degradation) before admissions themselves
+		// start tempfailing mail.
+		eng.SetPressure(ln.ctl.Pressured)
+	}
+	if f.Cfg.SurgePlan != nil {
+		ln.surge = faults.New(f.Cfg.SurgePlan,
+			deriveSeed(f.Cfg.Seed, saltSurge, int64(i)), ln.clk)
+	}
+
+	// Protected accounts plus their seeded white/blacklists.
+	nSeed := p.SeedWhitelist
+	b.users = make([]mail.Address, p.Users)
+	b.seededWL = make([][]int32, p.Users)
+	b.seededBL = make([][]int32, p.Users)
+	for u := range b.users {
+		addr := mail.Address{Local: fmt.Sprintf("user%04d", u), Domain: p.Domain}
+		b.users[u] = addr
+		eng.AddUser(addr)
+		wl.Reserve(addr, nSeed, 2)
+		seeds := make([]int32, 0, nSeed)
+		for _, k := range b.white[u*nSeed : (u+1)*nSeed] {
+			if wl.AddWhite(addr, f.legitPool[k], whitelist.SourceSeed) {
+				seeds = append(seeds, k)
+			}
+		}
+		b.seededWL[u] = seeds
+		bl := make([]int32, 0, 2)
+		for _, k := range b.black[u*2 : (u+1)*2] {
+			if wl.AddBlack(addr, f.innocents[k]) {
+				bl = append(bl, k)
+			}
+		}
+		b.seededBL[u] = bl
+	}
+
+	// One administratively rejected sender per company.
+	b.banned = mail.Address{Local: "banned-" + p.Name, Domain: f.innocents[0].Domain}
+	eng.RejectSender(b.banned)
+
+	ln.comp = &simnet.Company{
+		Name:        p.Name,
+		Engine:      eng,
+		ChallengeIP: challengeIP,
+		MailIP:      mailIP,
+	}
+
+	// The spam campaigns whose harvested lists include this company.
+	// Coverage is random per (campaign, company) with probability 0.3,
+	// drawn from a stream derived from (seed, campaign, company) — the
+	// §5.1 decorrelation of blacklisting risk from company size.
+	// Computing it here removes a per-campaign mutex acquisition from
+	// every generated spam message. The lane's targetRNG, re-seeded per
+	// pair, yields exactly each pair's fresh stream (laneTargets
+	// re-seeds it again before every use).
+	for _, c := range f.spamCamps {
+		ln.targetRNG.Seed(deriveSeed(f.Cfg.Seed, saltCampaignCovers, int64(c.ID), int64(i)))
+		if ln.targetRNG.Float64() < 0.3 {
+			ln.covering = append(ln.covering, c)
+		}
+	}
+}
+
+// publishCompany records a built company in the fleet: its profile,
+// stores and users in the shared maps, its domain in the DNS zone, its
+// lane on the network. buildCompanies calls it in profile order.
+func (f *Fleet) publishCompany(b *builtCompany) {
+	ln := b.ln
+	p := ln.profile
+	f.profiles[p.Name] = p
+	if b.rep != nil {
+		f.reputation[p.Name] = b.rep
+	}
+	if b.gl != nil {
+		f.greylists[p.Name] = b.gl
+	}
+	f.DNS.RegisterMailDomain(p.Domain, ln.comp.ChallengeIP)
+	for u, addr := range b.users {
+		k := addr.Canonical()
+		f.activity[k] = b.activity[u]
+		f.seededWL[k] = b.seededWL[u]
+		f.seededBL[k] = b.seededBL[u]
+	}
+	f.users[p.Name] = b.users
+	f.rejectedBy[p.Name] = b.banned
+	f.Net.AttachCompanyLane(ln.comp, ln.clk, ln.sched,
+		deriveSeed(f.Cfg.Seed, saltNetLane, int64(ln.idx)))
+	f.Companies = append(f.Companies, ln.comp)
+	f.lanes = append(f.lanes, ln)
 }
 
 // Day returns the current simulation day index (0-based).

@@ -15,7 +15,6 @@ import (
 	"repro/internal/filters"
 	"repro/internal/greylist"
 	"repro/internal/mail"
-	"repro/internal/simnet"
 )
 
 // Run advances the simulation by the given number of days, generating
@@ -39,7 +38,7 @@ func (f *Fleet) Run(days int) {
 	if days <= 0 {
 		return
 	}
-	workers := f.workers()
+	workers := f.workers(len(f.lanes))
 	for d := 0; d < days; d++ {
 		dayStart := f.scheduleDay()
 		for h := 1; h <= 24; h++ {
@@ -62,18 +61,27 @@ func (f *Fleet) Run(days int) {
 }
 
 // advanceLanes runs every lane to end and returns once all are parked
-// there (the epoch rendezvous). The caller and workers-1 goroutines
-// claim lane indices off one shared counter until none is left, so a
-// lane stuck in a campaign burst holds up only the worker running it;
-// workers == 1 starts no goroutine and runs the same loop alone. Lanes
-// are independent within an epoch (shared state is frozen between
-// fired barriers and cross-lane effects are staged, see ledger.go), so
-// which worker runs a lane cannot change any result.
+// there (the epoch rendezvous). Lanes are claimed off one shared counter
+// (runClaimed), so a lane stuck in a campaign burst holds up only the
+// worker running it. Lanes are independent within an epoch (shared
+// state is frozen between fired barriers and cross-lane effects are
+// staged, see ledger.go), so which worker runs a lane cannot change any
+// result.
 func (f *Fleet) advanceLanes(end time.Time, workers int) {
+	runClaimed(len(f.lanes), workers, func(i int) {
+		f.lanes[i].sched.RunUntil(end)
+	})
+}
+
+// runClaimed calls do(k) once for every k in [0, n) and returns when all
+// calls have. The caller and workers-1 goroutines claim k off one shared
+// counter until none is left; workers == 1 starts no goroutine and runs
+// the same loop alone. The fleet's build and its epoch loop share it.
+func runClaimed(n, workers int, do func(k int)) {
 	var next atomic.Int64
 	work := func() {
-		for i := next.Add(1) - 1; i < int64(len(f.lanes)); i = next.Add(1) - 1 {
-			f.lanes[i].sched.RunUntil(end)
+		for k := next.Add(1) - 1; k < int64(n); k = next.Add(1) - 1 {
+			do(int(k))
 		}
 	}
 	var wg sync.WaitGroup
@@ -88,8 +96,9 @@ func (f *Fleet) advanceLanes(end time.Time, workers int) {
 	wg.Wait()
 }
 
-// workers resolves the effective number of lane workers.
-func (f *Fleet) workers() int {
+// workers resolves the effective number of workers for n units of work
+// (lanes in Run, companies in buildCompanies).
+func (f *Fleet) workers(n int) int {
 	w := f.Cfg.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -100,7 +109,7 @@ func (f *Fleet) workers() int {
 	if f.Injector != nil {
 		w = 1
 	}
-	return max(1, min(w, len(f.lanes)))
+	return max(1, min(w, n))
 }
 
 // scheduleDay queues the current day's traffic on every lane and
@@ -437,28 +446,31 @@ func (f *Fleet) buildMessage(ln *companyLane, p CompanyProfile, class Class) *ma
 // pickSpamCampaign selects an active campaign covering the company, by
 // weight; it degrades to any covering campaign, then to any campaign
 // (spam never stops entirely). The covering list is precomputed per
-// lane (buildCompanies) and the active scratch slice is reused, so a
-// pick costs no locks and no steady-state allocations.
+// lane (buildCompany) and the active subset and its total weight only
+// change with the day, so the lane rebuilds them once per day and a
+// pick costs no locks and no allocations.
 func (f *Fleet) pickSpamCampaign(ln *companyLane) *Campaign {
 	// f.day is written only between days, while every lane is parked at
 	// the final barrier, so the unlocked read is safe.
-	dayIdx := f.day
-	active := ln.active[:0]
-	var total float64
-	for _, c := range ln.covering {
-		if c.ActiveOn(dayIdx) {
-			active = append(active, c)
-			total += c.Weight
+	if dayIdx := f.day; ln.activeDay != dayIdx {
+		ln.activeDay = dayIdx
+		ln.active = ln.active[:0]
+		ln.activeWeight = 0
+		for _, c := range ln.covering {
+			if c.ActiveOn(dayIdx) {
+				ln.active = append(ln.active, c)
+				ln.activeWeight += c.Weight
+			}
 		}
 	}
-	ln.active = active
+	active := ln.active
 	if len(active) == 0 {
 		if len(ln.covering) > 0 {
 			return ln.covering[ln.rng.Intn(len(ln.covering))]
 		}
 		return f.spamCamps[ln.rng.Intn(len(f.spamCamps))]
 	}
-	u := ln.rng.Float64() * total
+	u := ln.rng.Float64() * ln.activeWeight
 	for _, c := range active {
 		if u < c.Weight {
 			return c
@@ -576,6 +588,3 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		}
 	}
 }
-
-// _ = simnet reference kept: Company originates there.
-var _ *simnet.Company

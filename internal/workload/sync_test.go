@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -43,14 +44,94 @@ func TestSparseBarrierLedger(t *testing.T) {
 }
 
 // TestFleetZoneStaticDuringRun pins the premise that lets the fleet
-// read its in-memory zone without a resolver cache: no DNS record
-// changes once NewFleet returns. A change that mutates the zone mid-run
-// must put coherence back in front of every lane's lookups.
+// read its in-memory zone without a resolver cache or a lock: no DNS
+// record changes once NewFleet returns. NewFleet freezes the zone, so a
+// mutation mid-run panics; a change that needs one must unfreeze it and
+// put coherence back in front of every lane's lookups.
 func TestFleetZoneStaticDuringRun(t *testing.T) {
 	f := NewFleet(smallConfig(5))
 	before := f.DNS.Gen()
 	f.Run(3)
 	if after := f.DNS.Gen(); after != before {
 		t.Fatalf("DNS generation moved during Run: %d -> %d", before, after)
+	}
+}
+
+// TestBuildWorkerInvariance pins the parallel build: companies of
+// different sizes (so the largest-first claim order is not profile
+// order) built on 1 and 4 workers come out identical — users, activity,
+// seeded lists, lanes and their covering campaigns, every whitelist,
+// and the DNS zone.
+func TestBuildWorkerInvariance(t *testing.T) {
+	build := func(workers int) *Fleet {
+		cfg := smallConfig(11)
+		cfg.Profiles = DefaultConfig(11, 9).Profiles
+		for i := range cfg.Profiles {
+			cfg.Profiles[i].Users = 40 + (i*37)%60
+			cfg.Profiles[i].SeedWhitelist = 10 + 3*(i%7)
+		}
+		cfg.UseReputation = true
+		cfg.UseGreylisting = true
+		cfg.Workers = workers
+		return NewFleet(cfg)
+	}
+	serial, parallel := build(1), build(4)
+	for _, c := range []struct {
+		name   string
+		s1, s4 any
+	}{
+		{"users", serial.users, parallel.users},
+		{"activity", serial.activity, parallel.activity},
+		{"seededWL", serial.seededWL, parallel.seededWL},
+		{"seededBL", serial.seededBL, parallel.seededBL},
+		{"rejectedBy", serial.rejectedBy, parallel.rejectedBy},
+		{"profiles", serial.profiles, parallel.profiles},
+		{"DNS domains", serial.DNS.Domains(), parallel.DNS.Domains()},
+		{"DNS gen", serial.DNS.Gen(), parallel.DNS.Gen()},
+		{"outIPs", serial.outIPs, parallel.outIPs},
+	} {
+		if !reflect.DeepEqual(c.s1, c.s4) {
+			t.Errorf("%s differs between 1 and 4 build workers", c.name)
+		}
+	}
+	if len(serial.Companies) != len(parallel.Companies) || len(serial.lanes) != len(parallel.lanes) {
+		t.Fatalf("companies %d/%d, lanes %d/%d", len(serial.Companies), len(parallel.Companies),
+			len(serial.lanes), len(parallel.lanes))
+	}
+	for i, c := range serial.Companies {
+		p := parallel.Companies[i]
+		if c.Name != p.Name || c.ChallengeIP != p.ChallengeIP || c.MailIP != p.MailIP {
+			t.Errorf("company %d: %s %s %s vs %s %s %s", i, c.Name, c.ChallengeIP, c.MailIP,
+				p.Name, p.ChallengeIP, p.MailIP)
+		}
+		if !reflect.DeepEqual(c.Engine.Whitelists().Export(), p.Engine.Whitelists().Export()) {
+			t.Errorf("%s: whitelist export differs", c.Name)
+		}
+		if (serial.Reputation(c.Name) == nil) != (parallel.Reputation(c.Name) == nil) ||
+			(serial.Greylist(c.Name) == nil) != (parallel.Greylist(c.Name) == nil) {
+			t.Errorf("%s: reputation or greylist store missing on one side", c.Name)
+		}
+	}
+	campaignIDs := func(cs []*Campaign) []int {
+		ids := make([]int, len(cs))
+		for i, c := range cs {
+			ids[i] = c.ID
+		}
+		return ids
+	}
+	covered := 0
+	for i, ln := range serial.lanes {
+		pl := parallel.lanes[i]
+		if ln.comp.Name != pl.comp.Name || ln.idx != pl.idx {
+			t.Fatalf("lane %d: %s/%d vs %s/%d", i, ln.comp.Name, ln.idx, pl.comp.Name, pl.idx)
+		}
+		if a, b := campaignIDs(ln.covering), campaignIDs(pl.covering); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: covering %v vs %v", ln.comp.Name, a, b)
+		}
+		covered += len(ln.covering)
+	}
+	if len(serial.users) != 9 || len(serial.seededWL) == 0 || covered == 0 {
+		t.Fatalf("build produced %d companies, %d seeded users, %d coverings",
+			len(serial.users), len(serial.seededWL), covered)
 	}
 }
