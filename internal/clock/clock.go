@@ -7,7 +7,6 @@
 package clock
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -75,8 +74,11 @@ func (s *Sim) Set(t time.Time) {
 // than the current time and is a no-op otherwise. Epoch barriers use it
 // to bring a shared clock up to the barrier time without having to know
 // whether some drained event already moved it there.
-func (s *Sim) AdvanceTo(t time.Time) {
-	to := int64(t.Sub(s.start))
+func (s *Sim) AdvanceTo(t time.Time) { s.advanceOff(int64(t.Sub(s.start))) }
+
+// advanceOff moves the clock to offset to from its start if that is
+// later than the current time, and is a no-op otherwise.
+func (s *Sim) advanceOff(to int64) {
 	for {
 		cur := s.off.Load()
 		if to <= cur || s.off.CompareAndSwap(cur, to) {
@@ -85,32 +87,67 @@ func (s *Sim) AdvanceTo(t time.Time) {
 	}
 }
 
-// event is a scheduled callback.
+// event is a scheduled callback. at is the event's time as the
+// clock's own nanosecond offset from its start (Sim.off), saturating
+// like time.Time.Sub for instants centuries away; seq breaks ties FIFO
+// among events at the same instant. (at, seq) totally orders the queue
+// exactly as the event times and scheduling order do.
 type event struct {
-	at  time.Time
-	seq uint64 // tie-breaker: FIFO among events at the same instant
+	at  int64
+	seq uint64
 	fn  func()
 }
 
-// eventQueue is a min-heap of events ordered by (at, seq).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return q[i].seq < q[j].seq
+	return e.seq < o.seq
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+// eventQueue is a binary min-heap of events by value, ordered by
+// (at, seq): scheduling an event allocates nothing beyond the slice's
+// growth, and no comparison goes through an interface.
+type eventQueue []event
+
+func (q *eventQueue) push(e event) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].before(&h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	*q = h
+}
+
+// pop removes and returns the root. The queue must not be empty.
+func (q *eventQueue) pop() event {
+	h := *q
+	n := len(h) - 1
+	root := h[0]
+	h[0] = h[n]
+	h[n] = event{} // drop the callback reference
+	h = h[:n]
+	for i := 0; ; {
+		least, l := i, 2*i+1
+		if l < n && h[l].before(&h[least]) {
+			least = l
+		}
+		if r := l + 1; r < n && h[r].before(&h[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	*q = h
+	return root
 }
 
 // Scheduler executes callbacks at chosen virtual times on a Sim clock.
@@ -141,9 +178,10 @@ func (s *Scheduler) Clock() *Sim { return s.clock }
 // At schedules fn to run when the virtual clock reaches t. Events scheduled
 // for a time already in the past run at the next RunUntil step, in order.
 func (s *Scheduler) At(t time.Time, fn func()) {
+	at := int64(t.Sub(s.clock.start))
 	s.mu.Lock()
 	s.seq++
-	heap.Push(&s.pq, &event{at: t, seq: s.seq, fn: fn})
+	s.pq.push(event{at: at, seq: s.seq, fn: fn})
 	s.mu.Unlock()
 }
 
@@ -187,18 +225,18 @@ func (s *Scheduler) NextAt() (time.Time, bool) {
 	if len(s.pq) == 0 {
 		return time.Time{}, false
 	}
-	return s.pq[0].at, true
+	return s.clock.start.Add(time.Duration(s.pq[0].at)), true
 }
 
-// pop removes and returns the earliest event at or before horizon,
-// or nil if none qualifies.
-func (s *Scheduler) pop(horizon time.Time) *event {
+// pop removes and returns the earliest event at or before horizon (a
+// clock offset); ok is false if none qualifies.
+func (s *Scheduler) pop(horizon int64) (e event, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.pq) == 0 || s.pq[0].at.After(horizon) {
-		return nil
+	if len(s.pq) == 0 || s.pq[0].at > horizon {
+		return event{}, false
 	}
-	return heap.Pop(&s.pq).(*event)
+	return s.pq.pop(), true
 }
 
 // RunUntil executes queued events in time order, advancing the clock to
@@ -206,21 +244,18 @@ func (s *Scheduler) pop(horizon time.Time) *event {
 // Finally the clock is advanced to horizon. It returns the number of
 // events executed.
 func (s *Scheduler) RunUntil(horizon time.Time) int {
+	h := int64(horizon.Sub(s.clock.start))
 	n := 0
 	for {
-		e := s.pop(horizon)
-		if e == nil {
+		e, ok := s.pop(h)
+		if !ok {
 			break
 		}
-		if e.at.After(s.clock.Now()) {
-			s.clock.Set(e.at)
-		}
+		s.clock.advanceOff(e.at)
 		e.fn()
 		n++
 	}
-	if horizon.After(s.clock.Now()) {
-		s.clock.Set(horizon)
-	}
+	s.clock.advanceOff(h)
 	return n
 }
 

@@ -2,6 +2,8 @@ package clock
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -268,4 +270,48 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 		s.After(time.Duration(i%1000)*time.Millisecond, func() {})
 	}
 	s.RunFor(time.Hour)
+}
+
+// TestSchedulerMatchesTimeOrder pins the event heap's total order:
+// events fire by time, and in scheduling order among equal times, as a
+// stable sort of (time, scheduling order) gives.
+func TestSchedulerMatchesTimeOrder(t *testing.T) {
+	c := NewSim(t0)
+	s := NewScheduler(c)
+	rng := rand.New(rand.NewSource(1))
+	type ev struct {
+		at time.Time
+		id int
+	}
+	var want []ev
+	var got []int
+	schedule := func(at time.Time) {
+		id := len(want)
+		want = append(want, ev{at, id})
+		s.At(at, func() { got = append(got, id) })
+	}
+	for i := 0; i < 2000; i++ {
+		// Few distinct instants, so many events tie.
+		schedule(t0.Add(time.Duration(rng.Intn(300)) * time.Second))
+	}
+	s.RunUntil(t0.Add(time.Hour))
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at.Before(want[j].at) })
+	if len(got) != len(want) {
+		t.Fatalf("ran %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i].id {
+			t.Fatalf("event %d: ran #%d, want #%d", i, got[i], want[i].id)
+		}
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("Pending = %d after the run", s.Pending())
+	}
+	if at, ok := s.NextAt(); ok {
+		t.Fatalf("NextAt = %v on an empty queue", at)
+	}
+	s.At(t0.Add(2*time.Hour), func() {})
+	if at, ok := s.NextAt(); !ok || !at.Equal(t0.Add(2*time.Hour)) {
+		t.Fatalf("NextAt = %v, %v", at, ok)
+	}
 }

@@ -1255,6 +1255,29 @@ func (e *Engine) PendingForUser(user mail.Address) []digest.Item {
 	return out
 }
 
+// PendingCount returns how many quarantined messages await user, the
+// size of their digest, without building it.
+func (e *Engine) PendingCount(user mail.Address) int {
+	rk := user.Canonical()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.byRcpt[rk])
+}
+
+// Quarantined reports whether the message msgID sits in the quarantine.
+// The quarantine is the only place the engine keeps a *mail.Message
+// after Receive returns: from the moment the gray path quarantines it
+// until a solve, a digest authorize or delete, or expiry releases it.
+// A caller that owns an accepted message the engine did not quarantine,
+// and whose inbox sink (SetInboxSink) kept no pointer to it, may
+// therefore reuse it.
+func (e *Engine) Quarantined(msgID string) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	_, ok := e.quarantine[msgID]
+	return ok
+}
+
 // QuarantineLen returns the number of quarantined messages.
 func (e *Engine) QuarantineLen() int {
 	e.mu.Lock()

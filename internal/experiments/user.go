@@ -253,8 +253,9 @@ func DailyPending(r *Run) []PendingSeries {
 	}
 	var cands []cand
 	for _, c := range r.Fleet.Companies {
-		for _, u := range r.Fleet.Users(c.Name) {
-			s := r.Fleet.Digests.Series(u)
+		series := r.Fleet.DigestSeries(c.Name)
+		for i, u := range r.Fleet.Users(c.Name) {
+			s := series[i]
 			if len(s) > 0 {
 				cands = append(cands, cand{u, s})
 			}

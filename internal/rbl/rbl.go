@@ -225,58 +225,68 @@ func (p *Provider) History(ip string) []Interval {
 // TrapRegistry is the set of spamtrap addresses and the providers they
 // feed. Trap addresses look like ordinary mailboxes; a CR system cannot
 // tell it is challenging a trap — that is precisely the §5.1 hazard.
+//
+// The set is keyed by canonical address (mail.Address.Canonical), so a
+// lookup builds no string. Until Freeze, lookups take the read lock and
+// AddTrap the write lock; after it the set is read-only and IsTrap takes
+// no lock, so concurrent readers write no shared memory.
 type TrapRegistry struct {
 	mu        sync.RWMutex
-	traps     map[string]bool // address key -> is a trap
+	frozen    atomic.Bool
+	traps     map[mail.Address]bool // by canonical address
 	providers []*Provider
-	hits      int64
+	hits      atomic.Int64
 }
 
 // NewTrapRegistry returns an empty registry feeding the given providers.
 func NewTrapRegistry(providers ...*Provider) *TrapRegistry {
-	return &TrapRegistry{traps: make(map[string]bool), providers: providers}
+	return &TrapRegistry{traps: make(map[mail.Address]bool), providers: providers}
 }
 
-// AddTrap registers addr as a spamtrap.
+// Freeze makes the trap set read-only: a later AddTrap panics, and
+// lookups no longer take the lock. Call it once the set is complete,
+// before the readers start; freezing twice is harmless.
+func (t *TrapRegistry) Freeze() {
+	t.mu.Lock()
+	t.frozen.Store(true)
+	t.mu.Unlock()
+}
+
+// AddTrap registers addr as a spamtrap. It panics after Freeze.
 func (t *TrapRegistry) AddTrap(addr mail.Address) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.traps[addr.Key()] = true
+	if t.frozen.Load() {
+		panic("rbl: AddTrap on a frozen trap registry")
+	}
+	t.traps[addr.Canonical()] = true
 }
 
 // IsTrap reports whether addr is a registered trap.
 func (t *TrapRegistry) IsTrap(addr mail.Address) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.traps[addr.Key()]
+	if !t.frozen.Load() {
+		t.mu.RLock()
+		defer t.mu.RUnlock()
+	}
+	return t.traps[addr.Canonical()]
 }
 
 // Hit records a delivery from srcIP to the trap addr, feeding every
 // subscribed provider. It is a no-op if addr is not a trap. Returns
 // whether a trap was hit.
 func (t *TrapRegistry) Hit(addr mail.Address, srcIP string) bool {
-	t.mu.RLock()
-	isTrap := t.traps[addr.Key()]
-	providers := t.providers
-	t.mu.RUnlock()
-	if !isTrap {
+	if !t.IsTrap(addr) {
 		return false
 	}
-	t.mu.Lock()
-	t.hits++
-	t.mu.Unlock()
-	for _, p := range providers {
+	t.hits.Add(1)
+	for _, p := range t.providers {
 		p.ReportTrapHit(srcIP)
 	}
 	return true
 }
 
 // Hits returns the total number of trap hits recorded.
-func (t *TrapRegistry) Hits() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.hits
-}
+func (t *TrapRegistry) Hits() int64 { return t.hits.Load() }
 
 // Count returns the number of registered traps.
 func (t *TrapRegistry) Count() int {

@@ -297,3 +297,44 @@ func BenchmarkTrapHit(b *testing.B) {
 		reg.Hit(trap, "198.51.100.1")
 	}
 }
+
+// TestIsTrapMatchesKeyedSet pins IsTrap, keyed by canonical address, to
+// the string-keyed set it replaced (mail.Address.Key): the same answer
+// for mixed-case local parts, other domains and the null address, with
+// the null address registered as a trap and without.
+func TestIsTrapMatchesKeyedSet(t *testing.T) {
+	queries := []mail.Address{
+		{Local: "trap", Domain: "lure.example"},
+		{Local: "TRAP", Domain: "lure.example"},
+		{Local: "Trap", Domain: "lure.example"},
+		{Local: "mixed", Domain: "lure.example"},
+		{Local: "MiXeD", Domain: "lure.example"},
+		{Local: "trap", Domain: "other.example"},
+		{Local: "", Domain: "lure.example"},
+		mail.Null,
+	}
+	for _, traps := range [][]mail.Address{
+		{{Local: "trap", Domain: "lure.example"}, {Local: "MIXED", Domain: "lure.example"}},
+		{{Local: "Trap", Domain: "lure.example"}, mail.Null},
+	} {
+		reg := NewTrapRegistry()
+		ref := map[string]bool{}
+		for _, a := range traps {
+			reg.AddTrap(a)
+			ref[a.Key()] = true
+		}
+		for _, frozen := range []bool{false, true} {
+			if frozen {
+				reg.Freeze()
+			}
+			for _, q := range queries {
+				if got, want := reg.IsTrap(q), ref[q.Key()]; got != want {
+					t.Errorf("traps %v frozen=%v: IsTrap(%q) = %v, the Key() set says %v", traps, frozen, q, got, want)
+				}
+			}
+			if reg.Count() != len(ref) {
+				t.Errorf("Count = %d, want %d", reg.Count(), len(ref))
+			}
+		}
+	}
+}

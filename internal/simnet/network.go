@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -107,6 +108,13 @@ type Company struct {
 	// companies attached with AttachCompany, which share the network's
 	// global clock/scheduler/RNG.
 	lane *lane
+	// records are the company's challenge records in submission order,
+	// and userMail its outbound user-mail outcome counts. A lane
+	// company's are appended on its own lane and need no lock; any
+	// other company's are written under Network.mu. Readers take
+	// Network.mu between runs.
+	records  []*ChallengeRecord
+	userMail [UserMailFailed + 1]int64
 }
 
 // lane holds the per-company clock, scheduler, RNG stream and ID source
@@ -176,6 +184,10 @@ type Config struct {
 // Network is the simulated Internet: remote servers, blocklist
 // providers, spamtraps, and the delivery agent. Events run on the
 // caller's scheduler (virtual time).
+//
+// Once Freeze is called the remote servers, their mailboxes and the
+// trap set are read-only: a later mutation panics, and the delivery
+// path reads them without a lock.
 type Network struct {
 	clk       *clock.Sim
 	sched     *clock.Scheduler
@@ -185,6 +197,7 @@ type Network struct {
 	cfg       Config
 
 	mu        sync.Mutex
+	frozen    atomic.Bool
 	rng       *rand.Rand
 	remotes   map[string]*RemoteServer
 	companies map[string]*Company
@@ -192,11 +205,6 @@ type Network struct {
 	// (copy-on-write): barrier-time iteration grabs the slice under mu
 	// and walks it lock-free instead of re-sorting per barrier.
 	sorted []*Company
-	// records are kept per company: appends for one company only ever
-	// come from that company's lane (or the single driver thread), so
-	// each slice has a deterministic order regardless of worker count.
-	records  map[string][]*ChallengeRecord
-	userMail map[UserMailOutcome]int64
 	// resolver answers the delivery path's per-attempt domain probe
 	// (default: the DNS server itself).
 	resolver dnssim.Resolver
@@ -218,8 +226,6 @@ func New(clk *clock.Sim, sched *clock.Scheduler, dns *dnssim.Server, providers [
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		remotes:   make(map[string]*RemoteServer),
 		companies: make(map[string]*Company),
-		records:   make(map[string][]*ChallengeRecord),
-		userMail:  make(map[UserMailOutcome]int64),
 	}
 }
 
@@ -245,12 +251,44 @@ func (n *Network) Providers() []*rbl.Provider { return n.providers }
 
 // AddRemote registers a remote mail server and its DNS records. An
 // unreachable server still has DNS records (the spammer's spoofed domain
-// resolves; its mail server just never answers).
+// resolves; its mail server just never answers). It panics after
+// Freeze.
 func (n *Network) AddRemote(r *RemoteServer) {
 	n.mu.Lock()
+	if n.frozen.Load() {
+		n.mu.Unlock()
+		panic("simnet: AddRemote on a frozen network")
+	}
 	n.remotes[r.Domain] = r
 	n.mu.Unlock()
 	n.dns.RegisterMailDomain(r.Domain, r.IP)
+}
+
+// Freeze makes the remote-server table, every registered server's
+// mailboxes and the trap set read-only: AddRemote, AddMailbox and
+// AddTrap panic from here on, and lookups take no lock. Call it once
+// the world is built, before traffic flows; freezing twice is harmless.
+// A server's Screen, Unreachable and DownUntil fields are not covered.
+func (n *Network) Freeze() {
+	n.mu.Lock()
+	n.frozen.Store(true)
+	for _, r := range n.remotes {
+		r.freeze()
+	}
+	n.mu.Unlock()
+	if n.traps != nil {
+		n.traps.Freeze()
+	}
+}
+
+// remote returns the server registered for domain, or nil.
+func (n *Network) remote(domain string) *RemoteServer {
+	if n.frozen.Load() {
+		return n.remotes[domain]
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.remotes[domain]
 }
 
 // AttachCompany wires a company's engine to the network: its challenges
@@ -357,7 +395,8 @@ func (n *Network) Companies() []*Company {
 }
 
 // SubmitChallenge queues a challenge for delivery after the transit
-// delay. The delivery agent then walks the retry schedule.
+// delay. The delivery agent then walks the retry schedule. c must be
+// attached to n: its record is kept on c, where Records finds it.
 func (n *Network) SubmitChallenge(c *Company, ch core.OutboundChallenge) {
 	rec := &ChallengeRecord{
 		MsgID:    ch.MsgID,
@@ -366,9 +405,13 @@ func (n *Network) SubmitChallenge(c *Company, ch core.OutboundChallenge) {
 		ClientIP: ch.ClientIP,
 		Status:   StatusPending,
 	}
-	n.mu.Lock()
-	n.records[c.Name] = append(n.records[c.Name], rec)
-	n.mu.Unlock()
+	if c.lane != nil {
+		c.records = append(c.records, rec)
+	} else {
+		n.mu.Lock()
+		c.records = append(c.records, rec)
+		n.mu.Unlock()
+	}
 	d := &delivery{rec: rec, token: ch.Token, issued: ch.Issued}
 	_, sched := n.laneCtx(c)
 	sched.After(n.cfg.TransitDelay, func() { n.attemptDelivery(c, d) })
@@ -391,9 +434,7 @@ func (n *Network) attemptDelivery(c *Company, d *delivery) {
 	to := rec.To
 	clk, _ := n.laneCtx(c)
 
-	n.mu.Lock()
-	remote := n.remotes[to.Domain]
-	n.mu.Unlock()
+	remote := n.remote(to.Domain)
 
 	// No server for the domain (or no DNS): hard bounce. Without DSNs
 	// the transport layer reports the bounce directly; with DSNs the
@@ -572,11 +613,10 @@ func (n *Network) scheduleRecipientReaction(c *Company, d *delivery, b Behavior)
 // SendUserMail models one ordinary outbound message from a company user
 // through the company's MailIP, returning its fate. This is the §5.1
 // collateral-damage channel: if challenge backscatter got the shared IP
-// blacklisted, user mail bounces too.
+// blacklisted, user mail bounces too. c must be attached to n: the
+// outcome is counted on c, where UserMailStats finds it.
 func (n *Network) SendUserMail(c *Company, to mail.Address) UserMailOutcome {
-	n.mu.Lock()
-	remote := n.remotes[to.Domain]
-	n.mu.Unlock()
+	remote := n.remote(to.Domain)
 
 	outcome := UserMailDelivered
 	switch {
@@ -589,19 +629,28 @@ func (n *Network) SendUserMail(c *Company, to mail.Address) UserMailOutcome {
 			outcome = UserMailBouncedNoUser
 		}
 	}
-	n.mu.Lock()
-	n.userMail[outcome]++
-	n.mu.Unlock()
+	if c.lane != nil {
+		c.userMail[outcome]++
+	} else {
+		n.mu.Lock()
+		c.userMail[outcome]++
+		n.mu.Unlock()
+	}
 	return outcome
 }
 
-// UserMailStats returns the outbound user-mail outcome counters.
+// UserMailStats returns the outbound user-mail outcome counters, summed
+// over the companies; an outcome that never happened is absent.
 func (n *Network) UserMailStats() map[UserMailOutcome]int64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make(map[UserMailOutcome]int64, len(n.userMail))
-	for k, v := range n.userMail {
-		out[k] = v
+	out := make(map[UserMailOutcome]int64)
+	for _, c := range n.sorted {
+		for o, v := range c.userMail {
+			if v != 0 {
+				out[UserMailOutcome(o)] += v
+			}
+		}
 	}
 	return out
 }
@@ -611,16 +660,13 @@ func (n *Network) UserMailStats() map[UserMailOutcome]int64 {
 func (n *Network) Records() []*ChallengeRecord {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	names := make([]string, 0, len(n.records))
 	total := 0
-	for name, recs := range n.records {
-		names = append(names, name)
-		total += len(recs)
+	for _, c := range n.sorted {
+		total += len(c.records)
 	}
-	sort.Strings(names)
 	out := make([]*ChallengeRecord, 0, total)
-	for _, name := range names {
-		out = append(out, n.records[name]...)
+	for _, c := range n.sorted {
+		out = append(out, c.records...)
 	}
 	return out
 }
@@ -630,7 +676,10 @@ func (n *Network) Records() []*ChallengeRecord {
 func (n *Network) CompanyRecords(name string) []*ChallengeRecord {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return slices.Clone(n.records[name])
+	if c := n.companies[name]; c != nil {
+		return slices.Clone(c.records)
+	}
+	return nil
 }
 
 // DeliveryStats aggregates challenge records into the Figure 4(a)
@@ -649,8 +698,8 @@ func (n *Network) DeliveryStats() DeliveryStats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st := DeliveryStats{ByStatus: make(map[ChallengeStatus]int)}
-	for _, recs := range n.records {
-		for _, r := range recs {
+	for _, c := range n.sorted {
+		for _, r := range c.records {
 			st.Total++
 			st.ByStatus[r.Status]++
 			if r.TrapHit {
@@ -681,8 +730,8 @@ func (n *Network) AttemptsHistogram() map[int]int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	out := make(map[int]int)
-	for _, recs := range n.records {
-		for _, r := range recs {
+	for _, c := range n.sorted {
+		for _, r := range c.records {
 			if r.Solved && r.CaptchaAttempts > 0 {
 				out[int(r.CaptchaAttempts)]++
 			}

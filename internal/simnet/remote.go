@@ -13,6 +13,7 @@ package simnet
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/mail"
@@ -179,9 +180,20 @@ type RemoteServer struct {
 	// queued challenges get through (late, but delivered).
 	DownUntil time.Time
 
+	// mailboxes is keyed by canonical address (local part lower-cased),
+	// so a lookup builds no string. Until Freeze, lookups take the read
+	// lock and additions the write lock; after it the table is read-only
+	// and lookups take no lock.
 	mu        sync.RWMutex
-	mailboxes map[string]Persona // by lower-case local part
-	behaviors map[string]Behavior
+	frozen    atomic.Bool
+	mailboxes map[mail.Address]mailbox
+}
+
+// mailbox is one existing remote mailbox: who is behind it and how they
+// handle a challenge.
+type mailbox struct {
+	persona  Persona
+	behavior Behavior
 }
 
 // NewRemoteServer returns an empty remote mail server for domain.
@@ -189,8 +201,7 @@ func NewRemoteServer(domain, ip string) *RemoteServer {
 	return &RemoteServer{
 		Domain:    domain,
 		IP:        ip,
-		mailboxes: make(map[string]Persona),
-		behaviors: make(map[string]Behavior),
+		mailboxes: make(map[mail.Address]mailbox),
 	}
 }
 
@@ -200,22 +211,30 @@ func (r *RemoteServer) AddMailbox(local string, p Persona) {
 }
 
 // AddMailboxBehavior registers a mailbox with a custom behavior profile.
+// It panics once the server is frozen (Network.Freeze).
 func (r *RemoteServer) AddMailboxBehavior(local string, p Persona, b Behavior) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	key := mail.Address{Local: local, Domain: r.Domain}.Key()
-	r.mailboxes[key] = p
-	r.behaviors[key] = b
+	if r.frozen.Load() {
+		panic("simnet: AddMailbox on a frozen remote server " + r.Domain)
+	}
+	r.mailboxes[mail.Address{Local: local, Domain: r.Domain}.Canonical()] = mailbox{p, b}
+}
+
+// freeze makes the mailbox table read-only.
+func (r *RemoteServer) freeze() {
+	r.mu.Lock()
+	r.frozen.Store(true)
+	r.mu.Unlock()
 }
 
 // Lookup returns the persona and behavior for addr, and whether the
 // mailbox exists.
 func (r *RemoteServer) Lookup(addr mail.Address) (Persona, Behavior, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	p, ok := r.mailboxes[addr.Key()]
-	if !ok {
-		return 0, Behavior{}, false
+	if !r.frozen.Load() {
+		r.mu.RLock()
+		defer r.mu.RUnlock()
 	}
-	return p, r.behaviors[addr.Key()], true
+	mb, ok := r.mailboxes[addr.Canonical()]
+	return mb.persona, mb.behavior, ok
 }

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"repro/internal/mail"
 )
@@ -102,17 +101,21 @@ var subjectWords = []string{
 	"today", "trusted", "update", "urgent", "watches", "weekly", "winner",
 }
 
-// makeSubject builds a deterministic >=10-word subject from the rng.
+// makeSubject builds a deterministic >=10-word subject from the rng:
+// the prefix, if any, then the words, space-separated. The subject is
+// built in a stack buffer that fits the longest one, so it costs one
+// allocation, the returned string.
 func makeSubject(rng *rand.Rand, prefix string) string {
 	n := 10 + rng.Intn(4)
-	words := make([]string, 0, n+1)
-	if prefix != "" {
-		words = append(words, prefix)
-	}
+	var buf [192]byte
+	b := append(buf[:0], prefix...)
 	for i := 0; i < n; i++ {
-		words = append(words, subjectWords[rng.Intn(len(subjectWords))])
+		if len(b) > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, subjectWords[rng.Intn(len(subjectWords))]...)
 	}
-	return strings.Join(words, " ")
+	return string(b)
 }
 
 // SpoofMix is the distribution of envelope-sender categories used by

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/digest"
 	"repro/internal/dnssim"
 	"repro/internal/faults"
 	"repro/internal/faults/seam"
@@ -194,7 +193,6 @@ type Fleet struct {
 	Traps     *rbl.TrapRegistry
 	Net       *simnet.Network
 	Checker   *rbl.Checker
-	Digests   *digest.Book
 	Companies []*simnet.Company
 	Start     time.Time
 	// Injector is the active fault source (nil without Config.FaultPlan).
@@ -205,15 +203,7 @@ type Fleet struct {
 	rblBackend filters.RBLBackend // the filter provider behind the "rbl:" seam
 	outIPs     []string           // cached allOutIPs result
 
-	rng        *rand.Rand
-	profiles   map[string]CompanyProfile
-	users      map[string][]mail.Address    // company -> protected users
-	seededWL   map[mail.Address][]int32     // canonical user -> seeded contacts (legitPool indices)
-	seededBL   map[mail.Address][]int32     // canonical user -> blacklisted senders (innocents indices)
-	rejectedBy map[string]mail.Address      // company -> its rejected sender
-	activity   map[mail.Address]float64     // canonical user -> outbound-activity multiplier
-	greylists  map[string]*greylist.Store   // company -> greylist (when enabled)
-	reputation map[string]*reputation.Store // company -> reputation store (when enabled)
+	rng *rand.Rand
 
 	legitPool     []mail.Address
 	innocents     []mail.Address
@@ -249,25 +239,16 @@ func NewFleet(cfg Config) *Fleet {
 		cfg.ScaleVolume = 1
 	}
 	f := &Fleet{
-		Cfg:        cfg,
-		Clk:        clock.NewSim(FleetStart),
-		Start:      FleetStart,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		profiles:   make(map[string]CompanyProfile),
-		users:      make(map[string][]mail.Address),
-		seededWL:   make(map[mail.Address][]int32),
-		seededBL:   make(map[mail.Address][]int32),
-		rejectedBy: make(map[string]mail.Address),
-		activity:   make(map[mail.Address]float64),
-		greylists:  make(map[string]*greylist.Store),
-		reputation: make(map[string]*reputation.Store),
+		Cfg:   cfg,
+		Clk:   clock.NewSim(FleetStart),
+		Start: FleetStart,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 	f.Sched = clock.NewScheduler(f.Clk)
 	f.DNS = dnssim.NewServer()
 	f.Providers = rbl.StandardProviders(f.Clk)
 	f.Traps = rbl.NewTrapRegistry(f.Providers...)
 	f.Checker = rbl.NewChecker(f.Providers...)
-	f.Digests = digest.NewBook()
 	netCfg := simnet.Config{Seed: cfg.Seed + 1, EmitDSNs: cfg.EmitDSNs}
 	if cfg.FaultPlan != nil {
 		f.Injector = faults.New(cfg.FaultPlan, cfg.Seed+77, f.Clk)
@@ -287,9 +268,11 @@ func NewFleet(cfg Config) *Fleet {
 	f.buildWorld()
 	f.buildCampaigns()
 	f.buildCompanies()
-	// Lanes read the zone without a lock from here on; a mutation would
-	// panic (TestFleetZoneStaticDuringRun pins that none happens).
+	// Lanes read the zone, the remote servers' mailboxes and the trap
+	// set without a lock from here on; a mutation would panic
+	// (TestFleetZoneStaticDuringRun pins that none happens).
 	f.DNS.Freeze()
+	f.Net.Freeze()
 	return f
 }
 
@@ -533,10 +516,11 @@ func (f *Fleet) drawSpoof(trapShare float64) mail.Address {
 }
 
 // companyLane is the per-company execution context: its own virtual
-// clock, scheduler, RNG stream, message-ID source, sink buffers and
-// the ground truth of the messages it generated. A lane is advanced by
-// exactly one worker per epoch, so everything here is single-threaded;
-// the Fleet's accessors read it between Run calls.
+// clock, scheduler, RNG stream, message-ID source, users and their
+// per-user state, sink buffers and the ground truth of the messages it
+// generated. A lane is advanced by exactly one worker per epoch, so
+// everything here is single-threaded; the Fleet's accessors read it
+// between Run calls.
 type companyLane struct {
 	idx     int // profile index: the stable salt for derived RNG streams
 	comp    *simnet.Company
@@ -545,6 +529,24 @@ type companyLane struct {
 	sched   *clock.Scheduler
 	rng     *rand.Rand
 	ids     *mail.IDSource
+
+	// users are the company's protected accounts. The per-user slices
+	// beside them are indexed by a user's position in users: the seeded
+	// contacts the whitelist took (legitPool indices), the blacklisted
+	// senders it took (innocents indices) and the outbound-activity
+	// multiplier. digests holds one digest size per user per simulated
+	// day, day-major (day d, user u at d*len(users)+u).
+	users    []mail.Address
+	seededWL [][]int32
+	seededBL [][]int32
+	activity []float64
+	digests  []int32
+	banned   mail.Address      // the company's administratively rejected sender
+	gl       *greylist.Store   // nil unless Config.UseGreylisting
+	rep      *reputation.Store // nil unless Config.UseReputation
+
+	// free recycles the generated messages nothing retains any more.
+	free msgFree
 
 	// Sink buffer: maillog events are buffered per lane and flushed at
 	// the epoch barrier in lane (company-name) order, so the stream the
@@ -603,18 +605,11 @@ type companyDraws struct {
 	black    []int32   // two innocents indices per user, flat
 }
 
-// builtCompany is a company as a build worker leaves it: its draws, its
-// lane, engine and stores, and what the serial publish pass still has
-// to record in the fleet's shared maps.
+// builtCompany is a company as a build worker leaves it: its draws and
+// its lane, with the lane's engine, stores and per-user state.
 type builtCompany struct {
 	companyDraws
-	ln       *companyLane
-	users    []mail.Address
-	seededWL [][]int32 // per user: the seeded contacts the whitelist took
-	seededBL [][]int32 // per user: the blacklisted senders it took
-	banned   mail.Address
-	rep      *reputation.Store
-	gl       *greylist.Store
+	ln *companyLane
 }
 
 // buildCompanies builds one lane per profile in three passes, so the
@@ -627,8 +622,8 @@ type builtCompany struct {
 //     largest first, build each company's lane, engine, stores,
 //     whitelist seeding and covering list (buildCompany), touching no
 //     shared state;
-//  3. serially, in profile order, record the companies in the fleet's
-//     maps, the DNS zone and the network (publishCompany).
+//  3. serially, in profile order, record the companies in the DNS zone,
+//     the network and the fleet (publishCompany).
 func (f *Fleet) buildCompanies() {
 	profiles := f.Cfg.Profiles
 	built := make([]builtCompany, len(profiles))
@@ -748,11 +743,11 @@ func (f *Fleet) buildCompany(i int, b *builtCompany) {
 		if f.Injector != nil {
 			repCfg.Injector = f.Injector
 		}
-		b.rep = reputation.NewStore(repCfg, ln.clk)
+		ln.rep = reputation.NewStore(repCfg, ln.clk)
 		// The reputation check heads the chain so suspect senders are
 		// dropped before any probe filter spends a lookup on them.
 		chainFilters = append([]filters.Filter{
-			harden(filters.NewReputation(b.rep), filters.FailOpen, 5),
+			harden(filters.NewReputation(ln.rep), filters.FailOpen, 5),
 		}, chainFilters...)
 	}
 	chain := filters.NewChain(chainFilters...)
@@ -773,8 +768,8 @@ func (f *Fleet) buildCompany(i int, b *builtCompany) {
 		Seed:                 f.Cfg.Seed + int64(i)*7919,
 		MaxChallengesPerHour: f.Cfg.ChallengeCapPerHour,
 	}, ln.clk, f.resolve, chain, wl, nil)
-	if b.rep != nil {
-		eng.SetReputation(b.rep)
+	if ln.rep != nil {
+		eng.SetReputation(ln.rep)
 	}
 	if f.Cfg.LogSink != nil {
 		// Buffer events on the lane; the barrier flushes them to the
@@ -785,7 +780,7 @@ func (f *Fleet) buildCompany(i int, b *builtCompany) {
 	}
 	eng.SetInboxSink(ln.delayed.add)
 	if f.Cfg.UseGreylisting {
-		b.gl = greylist.New(greylist.DefaultConfig(), ln.clk)
+		ln.gl = greylist.New(greylist.DefaultConfig(), ln.clk)
 	}
 	if f.Cfg.Overload != nil {
 		oc := *f.Cfg.Overload
@@ -807,12 +802,13 @@ func (f *Fleet) buildCompany(i int, b *builtCompany) {
 
 	// Protected accounts plus their seeded white/blacklists.
 	nSeed := p.SeedWhitelist
-	b.users = make([]mail.Address, p.Users)
-	b.seededWL = make([][]int32, p.Users)
-	b.seededBL = make([][]int32, p.Users)
-	for u := range b.users {
+	ln.users = make([]mail.Address, p.Users)
+	ln.seededWL = make([][]int32, p.Users)
+	ln.seededBL = make([][]int32, p.Users)
+	ln.activity = b.activity
+	for u := range ln.users {
 		addr := mail.Address{Local: fmt.Sprintf("user%04d", u), Domain: p.Domain}
-		b.users[u] = addr
+		ln.users[u] = addr
 		eng.AddUser(addr)
 		wl.Reserve(addr, nSeed, 2)
 		seeds := make([]int32, 0, nSeed)
@@ -821,19 +817,19 @@ func (f *Fleet) buildCompany(i int, b *builtCompany) {
 				seeds = append(seeds, k)
 			}
 		}
-		b.seededWL[u] = seeds
+		ln.seededWL[u] = seeds
 		bl := make([]int32, 0, 2)
 		for _, k := range b.black[u*2 : (u+1)*2] {
 			if wl.AddBlack(addr, f.innocents[k]) {
 				bl = append(bl, k)
 			}
 		}
-		b.seededBL[u] = bl
+		ln.seededBL[u] = bl
 	}
 
 	// One administratively rejected sender per company.
-	b.banned = mail.Address{Local: "banned-" + p.Name, Domain: f.innocents[0].Domain}
-	eng.RejectSender(b.banned)
+	ln.banned = mail.Address{Local: "banned-" + p.Name, Domain: f.innocents[0].Domain}
+	eng.RejectSender(ln.banned)
 
 	ln.comp = &simnet.Company{
 		Name:        p.Name,
@@ -858,28 +854,12 @@ func (f *Fleet) buildCompany(i int, b *builtCompany) {
 	}
 }
 
-// publishCompany records a built company in the fleet: its profile,
-// stores and users in the shared maps, its domain in the DNS zone, its
-// lane on the network. buildCompanies calls it in profile order.
+// publishCompany records a built company: its domain in the DNS zone,
+// its lane on the network and in the fleet. buildCompanies calls it in
+// profile order.
 func (f *Fleet) publishCompany(b *builtCompany) {
 	ln := b.ln
-	p := ln.profile
-	f.profiles[p.Name] = p
-	if b.rep != nil {
-		f.reputation[p.Name] = b.rep
-	}
-	if b.gl != nil {
-		f.greylists[p.Name] = b.gl
-	}
-	f.DNS.RegisterMailDomain(p.Domain, ln.comp.ChallengeIP)
-	for u, addr := range b.users {
-		k := addr.Canonical()
-		f.activity[k] = b.activity[u]
-		f.seededWL[k] = b.seededWL[u]
-		f.seededBL[k] = b.seededBL[u]
-	}
-	f.users[p.Name] = b.users
-	f.rejectedBy[p.Name] = b.banned
+	f.DNS.RegisterMailDomain(ln.profile.Domain, ln.comp.ChallengeIP)
 	f.Net.AttachCompanyLane(ln.comp, ln.clk, ln.sched,
 		deriveSeed(f.Cfg.Seed, saltNetLane, int64(ln.idx)))
 	f.Companies = append(f.Companies, ln.comp)
@@ -893,6 +873,17 @@ func (f *Fleet) Day() int {
 	return f.day
 }
 
+// lane returns the lane of the named company, or nil.
+func (f *Fleet) lane(company string) *companyLane {
+	i, found := slices.BinarySearchFunc(f.lanes, company, func(ln *companyLane, name string) int {
+		return strings.Compare(ln.comp.Name, name)
+	})
+	if !found {
+		return nil
+	}
+	return f.lanes[i]
+}
+
 // laneOf returns the lane that minted msgID and the ID's sequence
 // number, or nil for an ID no lane minted (DSNs, other prefixes).
 func (f *Fleet) laneOf(msgID string) (*companyLane, uint64) {
@@ -900,13 +891,11 @@ func (f *Fleet) laneOf(msgID string) (*companyLane, uint64) {
 	if !ok {
 		return nil, 0
 	}
-	i, found := slices.BinarySearchFunc(f.lanes, prefix, func(ln *companyLane, name string) int {
-		return strings.Compare(ln.comp.Name, name)
-	})
-	if !found {
+	ln := f.lane(prefix)
+	if ln == nil {
 		return nil, 0
 	}
-	return f.lanes[i], seq
+	return ln, seq
 }
 
 // truthOf returns the class of the lane's message with sequence number
@@ -982,10 +971,45 @@ func (f *Fleet) ClassCounts() map[Class]int64 {
 }
 
 // Users returns the protected accounts of a company.
-func (f *Fleet) Users(company string) []mail.Address { return f.users[company] }
+func (f *Fleet) Users(company string) []mail.Address {
+	if ln := f.lane(company); ln != nil {
+		return ln.users
+	}
+	return nil
+}
+
+// DigestSeries returns, for each of company's users in Users order, the
+// size of their daily digest on every simulated day so far. Empty
+// digests are recorded too: a zero on the Figure 10 time series is
+// data, not absence of data. Call it between Run calls.
+func (f *Fleet) DigestSeries(company string) [][]int {
+	ln := f.lane(company)
+	if ln == nil {
+		return nil
+	}
+	n := len(ln.users)
+	out := make([][]int, n)
+	if n == 0 {
+		return out
+	}
+	days := len(ln.digests) / n
+	for u := range out {
+		s := make([]int, days)
+		for d := range s {
+			s[d] = int(ln.digests[d*n+u])
+		}
+		out[u] = s
+	}
+	return out
+}
 
 // Profile returns a company's profile.
-func (f *Fleet) Profile(company string) CompanyProfile { return f.profiles[company] }
+func (f *Fleet) Profile(company string) CompanyProfile {
+	if ln := f.lane(company); ln != nil {
+		return ln.profile
+	}
+	return CompanyProfile{}
+}
 
 // SpamCampaigns returns the botnet campaign list.
 func (f *Fleet) SpamCampaigns() []*Campaign { return f.spamCamps }
@@ -998,8 +1022,18 @@ func (f *Fleet) LegitPool() []mail.Address { return f.legitPool }
 
 // Greylist returns a company's greylist store (nil unless
 // UseGreylisting).
-func (f *Fleet) Greylist(company string) *greylist.Store { return f.greylists[company] }
+func (f *Fleet) Greylist(company string) *greylist.Store {
+	if ln := f.lane(company); ln != nil {
+		return ln.gl
+	}
+	return nil
+}
 
 // Reputation returns a company's sender-reputation store (nil unless
 // UseReputation).
-func (f *Fleet) Reputation(company string) *reputation.Store { return f.reputation[company] }
+func (f *Fleet) Reputation(company string) *reputation.Store {
+	if ln := f.lane(company); ln != nil {
+		return ln.rep
+	}
+	return nil
+}

@@ -11,13 +11,14 @@ import (
 // the end of heapGuardConfig's run. The fleet keeps per-company state
 // (whitelists, quarantine, reputation), one byte of ground truth per
 // message, one slim record per challenge and one delay per delayed
-// delivery: 41.3 B per email. When it kept the truth and the gray
-// context in maps keyed by message ID, the same run held 125 B per
-// email, 78 B while each whitelist entry was stored three times, 74 B
-// while it kept the context of every gray-spooled message and a full
-// challenge per record, and 48.8 B while every engine kept a record of
-// each delivery. The bound is 41.3 B plus 25 %, so a map entry per
-// message that creeps back fails it.
+// delivery: 40.4 B per email since the lanes hold their per-user state
+// in slices (41.5 B with it in fleet-wide maps). When it kept the truth
+// and the gray context in maps keyed by message ID, the same run held
+// 125 B per email, 78 B while each whitelist entry was stored three
+// times, 74 B while it kept the context of every gray-spooled message
+// and a full challenge per record, and 48.8 B while every engine kept a
+// record of each delivery. The bound is 41.3 B plus 25 %, so a map
+// entry per message that creeps back fails it.
 const liveBytesPerEmail = 52
 
 // heapGuardConfig is smallConfig with enough traffic that per-message

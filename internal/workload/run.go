@@ -193,16 +193,46 @@ func (f *Fleet) allOutIPs() []string {
 	return ips
 }
 
-// msgPool recycles mail.Message structs on the injection hot path. Only
-// messages nothing retains are returned to it (MTA rejections, abandoned
-// greylist retries — the large majority of generated traffic); accepted
-// messages may live on in an engine's quarantine. Pooled messages are
-// zeroed before reuse, so recycling cannot leak state between messages
-// or perturb simulation outcomes.
-var msgPool = sync.Pool{New: func() any { return new(mail.Message) }}
+// msgFree is a lane's free list of generated messages nothing retains
+// any more: MTA rejections, messages the greylist or an admission shed
+// dropped for good, and accepted messages the engine did not quarantine
+// (white, black and filter-dropped mail; deliverNow asks
+// Engine.Quarantined). The quarantine is the only place an engine keeps
+// a message, and the lane's inbox sink keeps only delays and IDs, so a
+// message put here is unreachable from everything but the list. Unlike
+// a sync.Pool, the list survives garbage collection and needs no
+// per-P pinning: only the lane's worker touches it.
+type msgFree struct {
+	list []*mail.Message
+	// Test hooks. off stops recycling (put drops the message); a
+	// non-nil poison is copied into every recycled message, so a reader
+	// that kept a pointer to one sees values no generated message has.
+	off    bool
+	poison *mail.Message
+}
 
-func getMsg() *mail.Message  { return msgPool.Get().(*mail.Message) }
-func putMsg(m *mail.Message) { *m = mail.Message{}; msgPool.Put(m) }
+// get returns a zeroed message, recycled when one is free.
+func (fl *msgFree) get() *mail.Message {
+	n := len(fl.list)
+	if n == 0 {
+		return new(mail.Message)
+	}
+	m := fl.list[n-1]
+	fl.list = fl.list[:n-1]
+	*m = mail.Message{}
+	return m
+}
+
+// put hands back a message nothing retains.
+func (fl *msgFree) put(m *mail.Message) {
+	if fl.off {
+		return
+	}
+	if fl.poison != nil {
+		*m = *fl.poison
+	}
+	fl.list = append(fl.list, m)
+}
 
 // bodyFiller backs generated message bodies: slicing a shared string
 // costs nothing per message, where strings.Repeat used to allocate.
@@ -245,14 +275,14 @@ func (f *Fleet) injectOne(ln *companyLane) {
 // injectClass generates and delivers one message of a fixed class
 // (surge bursts inject extra ClassSpam directly, bypassing the mix).
 func (f *Fleet) injectClass(ln *companyLane, class Class) {
-	comp, p := ln.comp, ln.profile
-	msg := f.buildMessage(ln, p, class)
+	comp := ln.comp
+	msg := f.buildMessage(ln, class)
 	ln.classCounts[class]++
 
 	// Greylisting (when enabled) gates messages that would otherwise be
 	// accepted: real senders' MTAs retry after the delay, botnet cannons
 	// mostly do not. Rejections for unknown users etc. stay permanent.
-	if gl := f.greylists[comp.Name]; gl != nil && comp.Engine.CheckMTAIn(msg) == core.Accepted {
+	if gl := ln.gl; gl != nil && comp.Engine.CheckMTAIn(msg) == core.Accepted {
 		if gl.Check(msg.ClientIP, msg.EnvelopeFrom, msg.Rcpt) == greylist.TempReject {
 			retries := class == ClassWhite || class == ClassLegitNew || class == ClassNewsletter ||
 				ln.rng.Float64() < f.Cfg.SpamRetryProb
@@ -261,7 +291,7 @@ func (f *Fleet) injectClass(ln *companyLane, class Class) {
 			}
 			delay := 16*time.Minute + time.Duration(ln.rng.Int63n(int64(30*time.Minute)))
 			if !retries {
-				putMsg(msg) // dropped by the greylist, never retried
+				ln.free.put(msg) // dropped by the greylist, never retried
 				return
 			}
 			ln.sched.After(delay, func() {
@@ -269,7 +299,7 @@ func (f *Fleet) injectClass(ln *companyLane, class Class) {
 				if gl.Check(msg.ClientIP, msg.EnvelopeFrom, msg.Rcpt) == greylist.Accept {
 					f.deliverToEngine(ln, msg, class)
 				} else {
-					putMsg(msg)
+					ln.free.put(msg)
 				}
 			})
 			return
@@ -291,29 +321,30 @@ func (f *Fleet) deliverToEngine(ln *companyLane, msg *mail.Message, class Class)
 }
 
 // deliverNow performs the actual engine handoff. attempt counts prior
-// admission sheds of this message.
+// admission sheds of this message. Unless the engine quarantined the
+// message, nothing holds it once Receive returns, and it is recycled.
 func (f *Fleet) deliverNow(ln *companyLane, msg *mail.Message, class Class, attempt int) {
 	if attempt > 0 && class.Wanted() {
 		ln.surgeStats.hamRecovered++
 	}
-	if ln.comp.Engine.Receive(msg) != 0 { // core.Accepted == 0
-		// MTA rejections retain nothing: recycle the message.
-		putMsg(msg)
+	eng := ln.comp.Engine
+	if eng.Receive(msg) != core.Accepted || !eng.Quarantined(msg.ID) {
+		ln.free.put(msg)
 	}
 }
 
 // buildMessage constructs the mail.Message for a class, drawing from the
 // lane RNG and minting a lane-scoped ID (globally unique because lane
 // prefixes are company names).
-func (f *Fleet) buildMessage(ln *companyLane, p CompanyProfile, class Class) *mail.Message {
-	comp := ln.comp
+func (f *Fleet) buildMessage(ln *companyLane, class Class) *mail.Message {
+	p := &ln.profile
 	rng := ln.rng
-	m := getMsg()
+	m := ln.free.get()
 	m.ID = ln.ids.Next()
 	ln.truth = append(ln.truth, class)
 	m.Received = ln.clk.Now()
 
-	users := f.users[comp.Name]
+	users := ln.users
 	randUser := func() mail.Address { return users[rng.Intn(len(users))] }
 	randBot := func() botIP { return f.botnet[rng.Intn(len(f.botnet))] }
 	legitIPFor := func(domain string) string {
@@ -358,7 +389,7 @@ func (f *Fleet) buildMessage(ln *companyLane, p CompanyProfile, class Class) *ma
 		m.ClientIP = randBot().ip
 
 	case ClassRejectedSender:
-		m.EnvelopeFrom = f.rejectedBy[comp.Name]
+		m.EnvelopeFrom = ln.banned
 		m.Rcpt = randUser()
 		m.Subject = "message from rejected sender"
 		m.Size = 1200
@@ -376,9 +407,9 @@ func (f *Fleet) buildMessage(ln *companyLane, p CompanyProfile, class Class) *ma
 		m.ClientIP = randBot().ip
 
 	case ClassWhite:
-		u := randUser()
-		m.Rcpt = u
-		seeds := f.seededWL[u.Canonical()]
+		u := rng.Intn(len(users))
+		m.Rcpt = users[u]
+		seeds := ln.seededWL[u]
 		if len(seeds) == 0 {
 			m.EnvelopeFrom = f.legitPool[rng.Intn(len(f.legitPool))]
 		} else {
@@ -389,9 +420,9 @@ func (f *Fleet) buildMessage(ln *companyLane, p CompanyProfile, class Class) *ma
 		m.ClientIP = legitIPFor(m.EnvelopeFrom.Domain)
 
 	case ClassBlack:
-		u := randUser()
-		m.Rcpt = u
-		bl := f.seededBL[u.Canonical()]
+		u := rng.Intn(len(users))
+		m.Rcpt = users[u]
+		bl := ln.seededBL[u]
 		if len(bl) == 0 {
 			m.EnvelopeFrom = f.innocents[rng.Intn(len(f.innocents))]
 		} else {
@@ -490,7 +521,7 @@ func (f *Fleet) laneTargets(c *Campaign, ln *companyLane) []mail.Address {
 	if ts, ok := ln.targets[c.ID]; ok {
 		return ts
 	}
-	users := f.users[ln.comp.Name]
+	users := ln.users
 	n := min(max(len(users)*2/5, 5), len(users))
 	ln.targetRNG.Seed(deriveSeed(f.Cfg.Seed, saltCampaignTargets, int64(c.ID), int64(ln.idx)))
 	perm := ln.targetRNG.Perm(len(users))
@@ -510,24 +541,25 @@ func (ln *companyLane) numbered(prefix string, n int) string {
 	return string(ln.scratch)
 }
 
-// dailyChores records digests, simulates digest weeding and outbound
-// user mail, and expires old quarantine entries — for one lane's
-// company, on that lane's goroutine.
+// dailyChores records digest sizes, simulates digest weeding and
+// outbound user mail, and expires old quarantine entries — for one
+// lane's company, on that lane's goroutine. Only a diligent user with
+// pending mail has their digest built.
 func (f *Fleet) dailyChores(ln *companyLane) {
-	comp, p := ln.comp, ln.profile
-	eng := comp.Engine
-	for _, u := range f.users[comp.Name] {
-		pending := eng.PendingForUser(u)
-		f.Digests.Record(u, len(pending))
+	p := &ln.profile
+	eng := ln.comp.Engine
+	for u, addr := range ln.users {
+		pending := eng.PendingCount(addr)
+		ln.digests = append(ln.digests, int32(pending))
 
 		diligent := ln.rng.Float64() < p.DigestDiligence
-		if diligent && len(pending) > 0 {
-			f.weedDigest(ln, u, pending)
+		if diligent && pending > 0 {
+			f.weedDigest(ln, addr, eng.PendingForUser(addr))
 		}
 
 		// Outbound mail: implicit whitelisting plus the §5.1
 		// user-mail exposure channel. Rates are per-user skewed.
-		nOut := poisson(ln.rng, p.OutboundPerUserDay*f.activity[u.Canonical()])
+		nOut := poisson(ln.rng, p.OutboundPerUserDay*ln.activity[u])
 		for i := 0; i < nOut; i++ {
 			f.sendOutbound(ln, u)
 		}
@@ -555,17 +587,18 @@ func (f *Fleet) weedDigest(ln *companyLane, u mail.Address, pending []digest.Ite
 	}
 }
 
-// sendOutbound models one outbound user message: 80% to an existing
-// contact, 20% to a brand-new address (which then gets auto-whitelisted).
-func (f *Fleet) sendOutbound(ln *companyLane, u mail.Address) {
+// sendOutbound models one outbound user message from the lane's user u:
+// 80% to an existing contact, 20% to a brand-new address (which then
+// gets auto-whitelisted).
+func (f *Fleet) sendOutbound(ln *companyLane, u int) {
 	var to mail.Address
-	seeds := f.seededWL[u.Canonical()]
+	seeds := ln.seededWL[u]
 	if len(seeds) > 0 && ln.rng.Float64() < 0.8 {
 		to = f.legitPool[seeds[ln.rng.Intn(len(seeds))]]
 	} else {
 		to = f.legitPool[ln.rng.Intn(len(f.legitPool))]
 	}
-	ln.comp.Engine.UserSentMail(u, to)
+	ln.comp.Engine.UserSentMail(ln.users[u], to)
 	f.Net.SendUserMail(ln.comp, to)
 }
 

@@ -139,7 +139,7 @@ func (f *Fleet) shedTempfail(ln *companyLane, msg *mail.Message, class Class, at
 		} else {
 			st.spamDropped++
 		}
-		putMsg(msg)
+		ln.free.put(msg)
 		return
 	}
 	st.retries++

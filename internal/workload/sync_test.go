@@ -59,9 +59,9 @@ func TestFleetZoneStaticDuringRun(t *testing.T) {
 
 // TestBuildWorkerInvariance pins the parallel build: companies of
 // different sizes (so the largest-first claim order is not profile
-// order) built on 1 and 4 workers come out identical — users, activity,
-// seeded lists, lanes and their covering campaigns, every whitelist,
-// and the DNS zone.
+// order) built on 1 and 4 workers come out identical — every lane's
+// profile, users, activity, seeded lists, rejected sender and covering
+// campaigns, every whitelist, and the DNS zone.
 func TestBuildWorkerInvariance(t *testing.T) {
 	build := func(workers int) *Fleet {
 		cfg := smallConfig(11)
@@ -80,12 +80,6 @@ func TestBuildWorkerInvariance(t *testing.T) {
 		name   string
 		s1, s4 any
 	}{
-		{"users", serial.users, parallel.users},
-		{"activity", serial.activity, parallel.activity},
-		{"seededWL", serial.seededWL, parallel.seededWL},
-		{"seededBL", serial.seededBL, parallel.seededBL},
-		{"rejectedBy", serial.rejectedBy, parallel.rejectedBy},
-		{"profiles", serial.profiles, parallel.profiles},
 		{"DNS domains", serial.DNS.Domains(), parallel.DNS.Domains()},
 		{"DNS gen", serial.DNS.Gen(), parallel.DNS.Gen()},
 		{"outIPs", serial.outIPs, parallel.outIPs},
@@ -119,19 +113,37 @@ func TestBuildWorkerInvariance(t *testing.T) {
 		}
 		return ids
 	}
-	covered := 0
+	covered, seeded := 0, 0
 	for i, ln := range serial.lanes {
 		pl := parallel.lanes[i]
 		if ln.comp.Name != pl.comp.Name || ln.idx != pl.idx {
 			t.Fatalf("lane %d: %s/%d vs %s/%d", i, ln.comp.Name, ln.idx, pl.comp.Name, pl.idx)
 		}
+		for _, c := range []struct {
+			name   string
+			s1, s4 any
+		}{
+			{"profile", ln.profile, pl.profile},
+			{"users", ln.users, pl.users},
+			{"activity", ln.activity, pl.activity},
+			{"seededWL", ln.seededWL, pl.seededWL},
+			{"seededBL", ln.seededBL, pl.seededBL},
+			{"banned", ln.banned, pl.banned},
+		} {
+			if !reflect.DeepEqual(c.s1, c.s4) {
+				t.Errorf("%s: lane %s differs between 1 and 4 build workers", ln.comp.Name, c.name)
+			}
+		}
 		if a, b := campaignIDs(ln.covering), campaignIDs(pl.covering); !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: covering %v vs %v", ln.comp.Name, a, b)
 		}
 		covered += len(ln.covering)
+		for _, seeds := range ln.seededWL {
+			seeded += len(seeds)
+		}
 	}
-	if len(serial.users) != 9 || len(serial.seededWL) == 0 || covered == 0 {
-		t.Fatalf("build produced %d companies, %d seeded users, %d coverings",
-			len(serial.users), len(serial.seededWL), covered)
+	if len(serial.lanes) != 9 || seeded == 0 || covered == 0 {
+		t.Fatalf("build produced %d companies, %d seeded contacts, %d coverings",
+			len(serial.lanes), seeded, covered)
 	}
 }

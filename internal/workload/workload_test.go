@@ -217,8 +217,13 @@ func TestFleetRunProducesPaperShapedTraffic(t *testing.T) {
 	}
 	// A digest was recorded for every user on every day.
 	for _, c := range f.Companies {
-		for _, u := range f.Users(c.Name) {
-			if got := len(f.Digests.Series(u)); got != 3 {
+		series := f.DigestSeries(c.Name)
+		users := f.Users(c.Name)
+		if len(series) != len(users) {
+			t.Fatalf("%s: %d digest series for %d users", c.Name, len(series), len(users))
+		}
+		for i, u := range users {
+			if got := len(series[i]); got != 3 {
 				t.Fatalf("%s has %d daily digests, want 3", u, got)
 			}
 		}
