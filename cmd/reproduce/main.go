@@ -6,7 +6,7 @@
 // Usage:
 //
 //	reproduce                  # standard run: 47 companies, 30 days
-//	reproduce -preset quick    # small fast run (benchmarks' preset)
+//	reproduce -preset quick    # small fast run (the tests' preset)
 //	reproduce -days 60 -seed 7 # custom
 //	reproduce -only fig4a      # a single artifact
 //	reproduce -preset quick -only chaos -fault-plan plan.json
@@ -27,27 +27,24 @@ import (
 	"repro/internal/faults"
 )
 
-// renderers are the -only artifacts drawn from the one shared fleet run.
-var renderers = map[string]func(*experiments.Run) string{
-	"fig1":      experiments.RenderLifecycle,
-	"table1":    experiments.RenderGeneral,
-	"fig4a":     experiments.RenderDeliveryStatus,
-	"fig4b":     experiments.RenderCaptchaTries,
-	"ratios":    experiments.RenderRatios,
-	"fig5":      experiments.RenderCorrelations,
-	"fig6":      experiments.RenderClustering,
-	"fig7":      experiments.RenderDelayCDF,
-	"fig8":      experiments.RenderSolveTime,
-	"fig9":      experiments.RenderChurn,
-	"fig10":     experiments.RenderDailyPending,
-	"fig11":     experiments.RenderBlacklisting,
-	"fig12":     experiments.RenderSPF,
-	"ablations": experiments.RenderAblations,
-}
-
 // specials are the -only artifacts that run fleets of their own (or, for
-// crashrestart, a single installation) instead of the shared run.
-var specials = []string{"chaos", "surge", "crashrestart", "reputation"}
+// crashrestart, a single installation) instead of the shared run. The
+// paired ablations in experiments.Paired run two fleets each.
+var specials = []string{"chaos", "surge", "crashrestart"}
+
+// artifacts lists every name -only accepts: the shared-run artifacts in
+// paper order, the specials, then the paired ablations sorted.
+func artifacts() []string {
+	var names, paired []string
+	for _, a := range experiments.Artifacts {
+		names = append(names, a.Name)
+	}
+	for name := range experiments.Paired {
+		paired = append(paired, name)
+	}
+	slices.Sort(paired)
+	return slices.Concat(names, specials, paired)
+}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -62,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed        = fs.Int64("seed", 42, "simulation seed (equal seeds reproduce exactly)")
 		companies   = fs.Int("companies", 0, "override company count")
 		days        = fs.Int("days", 0, "override simulated days")
-		only        = fs.String("only", "", "render one artifact: fig1|table1|fig4a|fig4b|ratios|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|ablations|chaos|reputation|surge|crashrestart")
+		only        = fs.String("only", "", "render one artifact: "+strings.Join(artifacts(), "|"))
 		crashes     = fs.Int("crashes", 6, "crash points for -only crashrestart")
 		sensitivity = fs.Int("sensitivity", 0, "instead of one run, simulate N seeds and print the cross-seed stability table")
 		faultPlan   = fs.String("fault-plan", "", "JSON fault plan file applied to the run (default plan for -only chaos)")
@@ -76,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Reject a bad -only before any simulation: the standard preset
 	// takes seconds to simulate, and a typo should not cost them.
 	artifact := strings.ToLower(*only)
-	if artifact != "" && renderers[artifact] == nil && !slices.Contains(specials, artifact) {
+	if artifact != "" && !slices.Contains(artifacts(), artifact) {
 		fmt.Fprintf(stderr, "unknown artifact %q\n", *only)
 		return 2
 	}
@@ -148,12 +145,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		return 0
-	case "reputation":
-		// Likewise the reputation ablation: two identically-seeded
-		// fleets, with and without the sender-reputation stage.
-		fmt.Fprintf(stderr, "reputation ablation: %d companies, %d simulated days, seed %d (x2)...\n",
-			cfg.Companies, cfg.Days, cfg.Seed)
-		fmt.Fprintln(stdout, experiments.ReputationAblation(cfg.Seed, cfg.Companies, cfg.Days).Render())
+	}
+	if ablation := experiments.Paired[artifact]; ablation != nil {
+		// A paired ablation: two identically-seeded fleets, with and
+		// without one mechanism.
+		fmt.Fprintf(stderr, "%s ablation: %d companies, %d simulated days, seed %d (x2)...\n",
+			artifact, cfg.Companies, cfg.Days, cfg.Seed)
+		fmt.Fprintln(stdout, ablation(cfg.Seed, cfg.Companies, cfg.Days))
 		return 0
 	}
 
@@ -163,9 +161,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	r := experiments.NewRun(cfg)
 	fmt.Fprintf(stderr, "simulation complete in %v\n\n", time.Since(start).Round(time.Millisecond))
 
-	if artifact != "" {
-		fmt.Fprintln(stdout, renderers[artifact](r))
-		return 0
+	for _, a := range experiments.Artifacts {
+		if a.Name == artifact {
+			fmt.Fprintln(stdout, a.Render(r))
+			return 0
+		}
 	}
 	fmt.Fprintln(stdout, experiments.RenderAll(r))
 	return 0

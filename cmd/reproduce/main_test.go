@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // TestUnknownArtifactRejectedBeforeRun pins that a bad -only fails fast:
@@ -21,13 +25,15 @@ func TestUnknownArtifactRejectedBeforeRun(t *testing.T) {
 	}
 }
 
-// TestOnlyRendersOneArtifact runs a valid single-run artifact and a
-// special one on a tiny fleet, in any letter case.
+// TestOnlyRendersOneArtifact runs a valid single-run artifact, in any
+// letter case, and every paired ablation on a tiny fleet, and checks
+// that every artifact the -only usage text names resolves.
 func TestOnlyRendersOneArtifact(t *testing.T) {
-	for _, tc := range []struct{ only, want string }{
-		{"FIG1", "Figure 1"},
-		{"reputation", "reputation"},
-	} {
+	cases := []struct{ only, want string }{{"FIG1", "Figure 1"}}
+	for name := range experiments.Paired {
+		cases = append(cases, struct{ only, want string }{name, "baseline"})
+	}
+	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
 		args := []string{"-preset", "quick", "-companies", "3", "-days", "2", "-only", tc.only}
 		if code := run(args, &stdout, &stderr); code != 0 {
@@ -35,6 +41,29 @@ func TestOnlyRendersOneArtifact(t *testing.T) {
 		}
 		if !strings.Contains(stdout.String(), tc.want) {
 			t.Errorf("-only %s: output lacks %q:\n%s", tc.only, tc.want, stdout.String())
+		}
+	}
+
+	var usage bytes.Buffer
+	if code := run([]string{"-h"}, io.Discard, &usage); code != 0 {
+		t.Fatalf("-h: exit = %d", code)
+	}
+	_, list, ok := strings.Cut(usage.String(), "render one artifact: ")
+	if !ok {
+		t.Fatalf("usage text names no artifacts:\n%s", usage.String())
+	}
+	list, _, _ = strings.Cut(list, "\n")
+	names := strings.Split(list, "|")
+	if want := len(experiments.Artifacts) + len(specials) + len(experiments.Paired); len(names) != want {
+		t.Errorf("usage names %d artifacts, want %d: %q", len(names), want, list)
+	}
+	shared := make(map[string]bool)
+	for _, a := range experiments.Artifacts {
+		shared[a.Name] = true
+	}
+	for _, name := range names {
+		if !shared[name] && !slices.Contains(specials, name) && experiments.Paired[name] == nil {
+			t.Errorf("usage names %q, which no shared-run artifact, special or paired ablation resolves", name)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/filters"
 	"repro/internal/mail"
 	"repro/internal/rbl"
+	"repro/internal/reputation"
 	"repro/internal/whitelist"
 )
 
@@ -557,6 +559,64 @@ func BenchmarkReceiveGray(b *testing.B) {
 		}
 		eng.Receive(m)
 	}
+}
+
+// BenchmarkEngineWithReputation measures the engine's gray-message path
+// with the reputation fast path hot: concurrent deliveries from a
+// trusted sender to rotating recipients, each skipping the probe chain.
+func BenchmarkEngineWithReputation(b *testing.B) {
+	clk := clock.NewSim(t0)
+	dns := dnssim.NewServer()
+	dns.RegisterMailDomain("letters.example", "198.51.100.5")
+	rep := reputation.NewStore(reputation.DefaultConfig(), clk)
+	eng := New(Config{
+		Name:             "bench",
+		Domains:          []string{"corp.example"},
+		ChallengeFrom:    mail.MustParseAddress("challenge@corp.example"),
+		ChallengeBaseURL: "http://cr.corp.example",
+	}, clk, dns, filters.NewChain(
+		filters.NewReputation(rep),
+		filters.NewAntivirus(),
+		filters.NewReverseDNS(dns),
+	), whitelist.NewStore(clk), func(OutboundChallenge) {})
+	eng.SetReputation(rep)
+	const nUsers = 256
+	users := make([]mail.Address, nUsers)
+	for i := range users {
+		users[i] = mail.MustParseAddress(fmt.Sprintf("u%03d@corp.example", i))
+		eng.AddUser(users[i])
+	}
+	news := mail.MustParseAddress("news@letters.example")
+	for i := 0; i < 4; i++ {
+		rep.Record(news, "198.51.100.5", reputation.Solved)
+	}
+	var next int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(atomic.AddInt64(&next, 7841))
+		for pb.Next() {
+			msg := &mail.Message{
+				ID:           mail.NewID("b"),
+				EnvelopeFrom: news,
+				Rcpt:         users[i%nUsers],
+				Subject:      "weekly digest",
+				Size:         4000,
+				ClientIP:     "198.51.100.5",
+				Received:     clk.Now(),
+			}
+			if v := eng.Receive(msg); v != Accepted {
+				b.Fatalf("verdict %v", v)
+			}
+			i++
+		}
+	})
+	b.StopTimer()
+	m := eng.Metrics()
+	if m.ReputationFastPath == 0 {
+		b.Fatal("fast path never taken; benchmark is not measuring it")
+	}
+	b.ReportMetric(float64(m.ReputationFastPath)/float64(m.MTAIncoming)*100, "%fast-path")
 }
 
 func BenchmarkReceiveWhite(b *testing.B) {

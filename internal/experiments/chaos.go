@@ -7,7 +7,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/faults"
@@ -140,12 +140,7 @@ func (r *ChaosReport) Render() string {
 	row("rbl-stale-answers", r.Base.StaleAnswers, r.Faulted.StaleAnswers)
 	if len(r.Faulted.FaultCounts) > 0 {
 		b.WriteString("\ninjected faults (target/kind):\n")
-		keys := make([]string, 0, len(r.Faulted.FaultCounts))
-		for k := range r.Faulted.FaultCounts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range sortedKeys(r.Faulted.FaultCounts) {
 			fmt.Fprintf(&b, "  %-32s %12d\n", k, r.Faulted.FaultCounts[k])
 		}
 	}
@@ -154,17 +149,17 @@ func (r *ChaosReport) Render() string {
 
 // unionKeys returns the sorted union of both maps' keys.
 func unionKeys(a, b map[string]int64) []string {
-	seen := make(map[string]bool, len(a)+len(b))
-	for k := range a {
-		seen[k] = true
+	keys := append(sortedKeys(a), sortedKeys(b)...)
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	for k := range b {
-		seen[k] = true
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(keys)
+	return keys
 }

@@ -116,3 +116,27 @@ func TestChaosSurgeWorkerCountInvariance(t *testing.T) {
 		t.Errorf("ledger not exercised on the serial chaos path: %+v", sync)
 	}
 }
+
+// TestPairedAblationsPinned pins the SPF and greylisting ablations at
+// (7, 6, 4) field for field, as they read when each ablation built its
+// own fleet. Both arms now build through newRun at the shared paired
+// sizing (users /8, volume /12), which must reproduce them exactly.
+func TestPairedAblationsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four fleet simulations")
+	}
+	wantSPF := SPFOnlineResult{
+		ChallengesBaseline: 328, ChallengesWithSPF: 319, ChallengeReduction: 0.027439024390243927,
+		SolvedBaseline: 13, SolvedWithSPF: 13, SolvedLost: 0, SPFDrops: 11,
+	}
+	if got := SPFOnline(7, 6, 4); got != wantSPF {
+		t.Errorf("SPFOnline(7, 6, 4) =\n%+v\nwant\n%+v", got, wantSPF)
+	}
+	wantGrey := GreylistResult{
+		ChallengesBaseline: 328, ChallengesWithGrey: 81, ChallengeReduction: 0.7530487804878049,
+		WhiteBaseline: 239, WhiteWithGrey: 271, TrapHitsBaseline: 3, TrapHitsWithGrey: 1,
+	}
+	if got := GreylistAblation(7, 6, 4); got != wantGrey {
+		t.Errorf("GreylistAblation(7, 6, 4) =\n%+v\nwant\n%+v", got, wantGrey)
+	}
+}

@@ -381,7 +381,7 @@ func TestRateCapAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two fleet simulations")
 	}
-	res := RateCapAblation(7, 6, 4, 1)
+	res := RateCapAblation(7, 6, 4)
 	if res.ChallengesCapped >= res.ChallengesBaseline {
 		t.Fatalf("cap did not reduce challenges: %d -> %d",
 			res.ChallengesBaseline, res.ChallengesCapped)

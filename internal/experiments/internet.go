@@ -4,11 +4,9 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/mail"
 	"repro/internal/simnet"
 	"repro/internal/spf"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // --- E1/E2/E3: Figure 1 lifecycle, Figure 2 MTA-IN, Figure 3 engine ---
@@ -338,162 +336,5 @@ func Blacklisting(r *Run) BlacklistResult {
 		out.SpearmanSizeListing = stats.Spearman(xs, ys)
 	}
 	out.TrapHits = r.Fleet.Traps.Hits()
-	return out
-}
-
-// RateCapResult compares two fleets differing only in the hourly
-// challenge cap — the mitigation for §6's deliberate-backscatter attack.
-type RateCapResult struct {
-	ChallengesBaseline int64
-	ChallengesCapped   int64
-	TrapHitsBaseline   int64
-	TrapHitsCapped     int64
-	RateLimited        int64
-	// SolvedBaseline/Capped: the cap delays/suppresses some legitimate
-	// challenges too — that is its cost.
-	SolvedBaseline int
-	SolvedCapped   int
-}
-
-// RateCapAblation runs two identically-seeded fleets, the second with a
-// per-engine hourly challenge cap.
-func RateCapAblation(seed int64, companies, days, capPerHour int) RateCapResult {
-	build := func(cap int) (int64, int64, int64, int) {
-		mail.ResetIDCounter()
-		cfg := workload.DefaultConfig(seed, companies)
-		cfg.ChallengeCapPerHour = cap
-		for i := range cfg.Profiles {
-			cfg.Profiles[i].Users = max(5, cfg.Profiles[i].Users/8)
-			cfg.Profiles[i].DailyVolume = max(200, cfg.Profiles[i].DailyVolume/6)
-		}
-		fleet := workload.NewFleet(cfg)
-		fleet.Run(days)
-		var challenges, limited int64
-		for _, c := range fleet.Companies {
-			m := c.Engine.Metrics()
-			challenges += m.ChallengesSent
-			limited += m.ChallengeRateLimited
-		}
-		return challenges, limited, fleet.Traps.Hits(), fleet.Net.DeliveryStats().Solved
-	}
-	chBase, _, trapsBase, solvedBase := build(0)
-	chCap, limited, trapsCap, solvedCap := build(capPerHour)
-	return RateCapResult{
-		ChallengesBaseline: chBase,
-		ChallengesCapped:   chCap,
-		TrapHitsBaseline:   trapsBase,
-		TrapHitsCapped:     trapsCap,
-		RateLimited:        limited,
-		SolvedBaseline:     solvedBase,
-		SolvedCapped:       solvedCap,
-	}
-}
-
-// GreylistResult compares two fleets differing only in SMTP greylisting
-// in front of the engines — the second §5.2-style "additional technique"
-// ablation.
-type GreylistResult struct {
-	ChallengesBaseline int64
-	ChallengesWithGrey int64
-	ChallengeReduction float64
-	// WhiteBaseline/WithGrey: whitelisted (wanted) deliveries must not
-	// drop — greylisting may only delay them.
-	WhiteBaseline int64
-	WhiteWithGrey int64
-	// TrapHitsBaseline/WithGrey: fewer challenges => fewer trap hits =>
-	// less blacklisting exposure.
-	TrapHitsBaseline int64
-	TrapHitsWithGrey int64
-}
-
-// GreylistAblation runs two identically-seeded small fleets, one with
-// greylisting enabled.
-func GreylistAblation(seed int64, companies, days int) GreylistResult {
-	build := func(useGrey bool) (int64, int64, int64) {
-		mail.ResetIDCounter()
-		cfg := workload.DefaultConfig(seed, companies)
-		cfg.UseGreylisting = useGrey
-		for i := range cfg.Profiles {
-			cfg.Profiles[i].Users = max(5, cfg.Profiles[i].Users/8)
-			cfg.Profiles[i].DailyVolume = max(100, cfg.Profiles[i].DailyVolume/12)
-		}
-		fleet := workload.NewFleet(cfg)
-		fleet.Run(days)
-		var challenges, white int64
-		for _, c := range fleet.Companies {
-			m := c.Engine.Metrics()
-			challenges += m.ChallengesSent
-			white += m.SpoolWhite
-		}
-		return challenges, white, fleet.Traps.Hits()
-	}
-	chBase, whiteBase, trapsBase := build(false)
-	chGrey, whiteGrey, trapsGrey := build(true)
-	out := GreylistResult{
-		ChallengesBaseline: chBase,
-		ChallengesWithGrey: chGrey,
-		WhiteBaseline:      whiteBase,
-		WhiteWithGrey:      whiteGrey,
-		TrapHitsBaseline:   trapsBase,
-		TrapHitsWithGrey:   trapsGrey,
-	}
-	if chBase > 0 {
-		out.ChallengeReduction = 1 - float64(chGrey)/float64(chBase)
-	}
-	return out
-}
-
-// SPFOnlineResult compares two fleets that differ only in whether the
-// SPF filter sits in the engine chain (§5.2's configuration question,
-// answered online instead of offline).
-type SPFOnlineResult struct {
-	ChallengesBaseline int64
-	ChallengesWithSPF  int64
-	// ChallengeReduction = 1 - with/without.
-	ChallengeReduction float64
-	SolvedBaseline     int
-	SolvedWithSPF      int
-	// SolvedLost = 1 - with/without (the false-positive cost).
-	SolvedLost float64
-	SPFDrops   int64
-}
-
-// SPFOnline runs the §5.2 ablation: two identically-seeded small fleets,
-// one with the SPF filter in the chain. Expensive relative to the other
-// drivers (it simulates twice); intended for the dedicated benchmark.
-func SPFOnline(seed int64, companies, days int) SPFOnlineResult {
-	build := func(useSPF bool) (*workload.Fleet, int64, int, int64) {
-		mail.ResetIDCounter()
-		cfg := workload.DefaultConfig(seed, companies)
-		cfg.UseSPFFilter = useSPF
-		for i := range cfg.Profiles {
-			cfg.Profiles[i].Users = max(5, cfg.Profiles[i].Users/8)
-			cfg.Profiles[i].DailyVolume = max(100, cfg.Profiles[i].DailyVolume/12)
-		}
-		fleet := workload.NewFleet(cfg)
-		fleet.Run(days)
-		var challenges, spfDrops int64
-		for _, c := range fleet.Companies {
-			m := c.Engine.Metrics()
-			challenges += m.ChallengesSent
-			spfDrops += m.FilterDropped["spf"]
-		}
-		return fleet, challenges, fleet.Net.DeliveryStats().Solved, spfDrops
-	}
-	_, chBase, solvedBase, _ := build(false)
-	_, chSPF, solvedSPF, drops := build(true)
-	out := SPFOnlineResult{
-		ChallengesBaseline: chBase,
-		ChallengesWithSPF:  chSPF,
-		SolvedBaseline:     solvedBase,
-		SolvedWithSPF:      solvedSPF,
-		SPFDrops:           drops,
-	}
-	if chBase > 0 {
-		out.ChallengeReduction = 1 - float64(chSPF)/float64(chBase)
-	}
-	if solvedBase > 0 {
-		out.SolvedLost = 1 - float64(solvedSPF)/float64(solvedBase)
-	}
 	return out
 }

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -12,35 +12,41 @@ import (
 	"repro/internal/whitelist"
 )
 
-// RenderAll runs every experiment driver against the run and renders the
-// full set of paper artifacts as text, in paper order. The drivers only
+// Artifacts are the artifacts drawn from one shared run, in paper
+// order, each under its reproduce -only name.
+var Artifacts = []struct {
+	Name   string
+	Render func(*Run) string
+}{
+	{"fig1", RenderLifecycle},
+	{"table1", RenderGeneral},
+	{"fig4a", RenderDeliveryStatus},
+	{"fig4b", RenderCaptchaTries},
+	{"ratios", RenderRatios},
+	{"fig5", RenderCorrelations},
+	{"fig6", RenderClustering},
+	{"fig7", RenderDelayCDF},
+	{"fig8", RenderSolveTime},
+	{"fig9", RenderChurn},
+	{"fig10", RenderDailyPending},
+	{"fig11", RenderBlacklisting},
+	{"fig12", RenderSPF},
+	{"discussion", RenderDiscussion},
+	{"ablations", RenderAblations},
+}
+
+// RenderAll runs every experiment driver against the run and renders
+// every artifact of Artifacts as text, in paper order. The drivers only
 // read the finished run, so the sections render concurrently and are
 // joined in order afterwards.
 func RenderAll(r *Run) string {
-	sections := []func(*Run) string{
-		RenderLifecycle,
-		RenderGeneral,
-		RenderDeliveryStatus,
-		RenderCaptchaTries,
-		RenderRatios,
-		RenderCorrelations,
-		RenderClustering,
-		RenderDelayCDF,
-		RenderSolveTime,
-		RenderChurn,
-		RenderDailyPending,
-		RenderBlacklisting,
-		RenderSPF,
-		RenderDiscussion,
-		RenderAblations,
-	}
-	out := make([]string, len(sections))
+	out := make([]string, len(Artifacts))
 	var wg sync.WaitGroup
-	for i, render := range sections {
+	for i, a := range Artifacts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out[i] = render(r)
+			out[i] = a.Render(r)
 		}()
 	}
 	wg.Wait()
@@ -90,12 +96,7 @@ func RenderLifecycle(r *Run) string {
 	g.AddBar("null-sender quarantine", lc.GrayBreakdown.NullSender)
 	g.AddBar("filter-dropped (open relay)", lc.OpenRelayGray.FilterDropped)
 	g.AddBar("challenged (open relay)", lc.OpenRelayGray.Challenged)
-	names := make([]string, 0, len(lc.FilterShares))
-	for n := range lc.FilterShares {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedKeys(lc.FilterShares) {
 		g.Addf("  drop share %-14s %s", n, report.Bar(lc.FilterShares[n], 40))
 	}
 	b.WriteString(g.Render())
@@ -202,17 +203,11 @@ func RenderCorrelations(r *Run) string {
 		if len(vals) == 0 {
 			return
 		}
-		mn, mx, sum := vals[0], vals[0], 0.0
+		sum := 0.0
 		for _, v := range vals {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
 			sum += v
 		}
-		h.Addf("%-12s min=%-10.3g mean=%-10.3g max=%-10.3g", label, mn, sum/float64(len(vals)), mx)
+		h.Addf("%-12s min=%-10.3g mean=%-10.3g max=%-10.3g", label, slices.Min(vals), sum/float64(len(vals)), slices.Max(vals))
 	}
 	summarize("users", co.Users)
 	summarize("emails/day", co.Emails)

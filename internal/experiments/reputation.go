@@ -1,5 +1,5 @@
-// Reputation ablation: two identically-seeded fleets, the second with
-// the sender-reputation engine wired in (workload.Config.UseReputation).
+// Reputation ablation: a paired ablation (paired.go) whose second fleet
+// has the sender-reputation engine wired in (workload.Config.UseReputation).
 // The driver reports what the subsystem buys — trusted senders skipping
 // the probe filters via the engine fast path, suspect senders dropped
 // before any probe runs — and what the score trajectories look like for
@@ -81,52 +81,25 @@ type ReputationResult struct {
 	StoreRecords int64
 }
 
-// ReputationAblation runs two identically-seeded small fleets, the
-// second with per-company sender-reputation stores feeding the adaptive
-// filter stage.
+// ReputationAblation runs the reputation ablation: the second fleet has
+// per-company sender-reputation stores feeding the adaptive filter
+// stage.
 func ReputationAblation(seed int64, companies, days int) ReputationResult {
-	type runSums struct {
-		challenges, white, gray, fastPath, suspectDrops, degraded int64
-	}
-	build := func(useRep bool) (*workload.Fleet, runSums) {
-		mail.ResetIDCounter()
-		cfg := workload.DefaultConfig(seed, companies)
-		cfg.UseReputation = useRep
-		for i := range cfg.Profiles {
-			cfg.Profiles[i].Users = max(5, cfg.Profiles[i].Users/8)
-			cfg.Profiles[i].DailyVolume = max(100, cfg.Profiles[i].DailyVolume/12)
-		}
-		fleet := workload.NewFleet(cfg)
-		fleet.Run(days)
-		var s runSums
-		for _, c := range fleet.Companies {
-			m := c.Engine.Metrics()
-			s.challenges += m.ChallengesSent
-			s.white += m.SpoolWhite
-			s.gray += m.SpoolGray
-			s.fastPath += m.ReputationFastPath
-			s.suspectDrops += m.FilterDropped["reputation"]
-			s.degraded += m.FilterDegraded["reputation"]
-		}
-		return fleet, s
-	}
-
-	_, base := build(false)
-	fleet, rep := build(true)
+	cfg := pairedConfig(seed, companies, days)
+	base := sumsOf(newRun(cfg, nil))
+	armed := newRun(cfg, func(c *workload.Config) { c.UseReputation = true })
+	fleet, rep := armed.Fleet, sumsOf(armed)
 
 	out := ReputationResult{
-		ChallengesBaseline: base.challenges,
-		ChallengesWithRep:  rep.challenges,
-		WhiteBaseline:      base.white,
-		WhiteWithRep:       rep.white,
-		GrayWithRep:        rep.gray,
-		FastPathHits:       rep.fastPath,
+		ChallengesBaseline: base.ChallengesSent,
+		ChallengesWithRep:  rep.ChallengesSent,
+		WhiteBaseline:      base.SpoolWhite,
+		WhiteWithRep:       rep.SpoolWhite,
+		GrayWithRep:        rep.SpoolGray,
+		FastPathHits:       rep.ReputationFastPath,
 		ProbesPerGray:      3, // av + reverse-dns + rbl behind the reputation check
-		SuspectDrops:       rep.suspectDrops,
-		DegradedLookups:    rep.degraded,
-	}
-	if fleet.Cfg.UseSPFFilter {
-		out.ProbesPerGray++
+		SuspectDrops:       rep.FilterDropped["reputation"],
+		DegradedLookups:    rep.FilterDegraded["reputation"],
 	}
 	out.ProbesSaved = out.FastPathHits * out.ProbesPerGray
 	if out.GrayWithRep > 0 {
@@ -170,10 +143,9 @@ func ReputationAblation(seed int64, companies, days int) ReputationResult {
 // Render formats the ablation as a deterministic report.
 func (r ReputationResult) Render() string {
 	var b strings.Builder
-	b.WriteString("Reputation ablation — identical seed, with vs without the sender-reputation stage\n\n")
-	fmt.Fprintf(&b, "%-36s %12s %12s\n", "counter", "baseline", "with-rep")
-	fmt.Fprintf(&b, "%-36s %12d %12d\n", "challenges sent", r.ChallengesBaseline, r.ChallengesWithRep)
-	fmt.Fprintf(&b, "%-36s %12d %12d\n", "white-spool deliveries", r.WhiteBaseline, r.WhiteWithRep)
+	b.WriteString(renderPaired("Reputation ablation — identical seed, with vs without the sender-reputation stage", "rep",
+		pairedRow{"challenges sent", r.ChallengesBaseline, r.ChallengesWithRep},
+		pairedRow{"white-spool deliveries", r.WhiteBaseline, r.WhiteWithRep}))
 	b.WriteString("\n")
 	fmt.Fprintf(&b, "gray spool (with-rep run):        %d\n", r.GrayWithRep)
 	fmt.Fprintf(&b, "fast-path hits (probe chain skipped): %d (%.2f%% of gray)\n",

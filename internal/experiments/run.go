@@ -1,17 +1,17 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation. Every driver consumes a shared fleet Run (one
 // simulated multi-month deployment across many companies) and reduces it
-// to the same rows/series the paper reports; cmd/reproduce renders them
-// and bench_test.go regenerates each artifact as a testing.B benchmark.
+// to the same rows/series the paper reports. The paired ablations
+// (Paired) instead run two identically-seeded fleets that differ in one
+// mechanism. Every fleet is built by NewRun; cmd/reproduce renders each
+// artifact, one at a time with -only <artifact>.
 //
-// The experiment IDs (E1..E16) and their mapping to paper artifacts are
+// The experiment IDs (E1..E17) and their mapping to paper artifacts are
 // indexed in DESIGN.md §3, and paper-vs-measured values are recorded in
 // EXPERIMENTS.md.
 package experiments
 
 import (
-	"math/rand"
-
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/mail"
@@ -55,8 +55,9 @@ type RunConfig struct {
 	EmitDSNs bool
 }
 
-// Quick is the preset used by unit tests and benchmarks: small but large
-// enough for every ratio to stabilise.
+// Quick is the preset used by unit tests and the golden renders
+// (reproduce -preset quick): small but large enough for every ratio to
+// stabilise.
 func Quick(seed int64) RunConfig {
 	return RunConfig{Seed: seed, Companies: 12, Days: 7, UserScale: 0.15, VolumeScale: 0.08}
 }
@@ -80,7 +81,12 @@ type Run struct {
 }
 
 // NewRun builds the world and simulates cfg.Days of traffic.
-func NewRun(cfg RunConfig) *Run {
+func NewRun(cfg RunConfig) *Run { return newRun(cfg, nil) }
+
+// newRun is NewRun with arm, when non-nil, applied to the fleet's
+// configuration last: the one mechanism a paired ablation switches on.
+// It is the only place in this package that builds a fleet.
+func newRun(cfg RunConfig, arm func(*workload.Config)) *Run {
 	if cfg.Companies <= 0 {
 		cfg.Companies = 47
 	}
@@ -119,6 +125,9 @@ func NewRun(cfg RunConfig) *Run {
 		p.Users = max(5, int(float64(p.Users)*cfg.UserScale))
 		p.DailyVolume = max(100, int(float64(p.DailyVolume)*cfg.VolumeScale))
 	}
+	if arm != nil {
+		arm(&wcfg)
+	}
 	fleet := workload.NewFleet(wcfg)
 	fleet.Run(cfg.Days)
 	return &Run{Cfg: cfg, Fleet: fleet, bounced: bounced}
@@ -154,10 +163,13 @@ func addInto(dst *core.Metrics, m core.Metrics) {
 	dst.ChallengeBytes += m.ChallengeBytes
 	dst.QuarantineOnly += m.QuarantineOnly
 	dst.ChallengeSuppressed += m.ChallengeSuppressed
+	dst.ChallengeRateLimited += m.ChallengeRateLimited
 	dst.QuarantineExpired += m.QuarantineExpired
 	dst.DigestDeleted += m.DigestDeleted
 	dst.MTADegradedAccept += m.MTADegradedAccept
 	dst.MTADegradedDrop += m.MTADegradedDrop
+	dst.ReputationFastPath += m.ReputationFastPath
+	dst.ReputationSuspect += m.ReputationSuspect
 	for k, v := range m.MTADropped {
 		dst.MTADropped[k] += v
 	}
@@ -190,10 +202,4 @@ func (r *Run) Aggregate() AggregateMetrics {
 		}
 	}
 	return agg
-}
-
-// rng returns a deterministic rand for presentation-level sampling
-// (e.g. picking the three Figure 10 archetype users).
-func (r *Run) rng() *rand.Rand {
-	return rand.New(rand.NewSource(r.Cfg.Seed + 99))
 }

@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -143,11 +142,7 @@ func (r *SurgeReport) Render() string {
 	}
 	b.WriteString("\nshed events by reason:\n")
 	for _, p := range r.Points {
-		keys := make([]string, 0, len(p.ShedBy))
-		for k := range p.ShedBy {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+		keys := sortedKeys(p.ShedBy)
 		fmt.Fprintf(&b, "  %-8s", fmt.Sprintf("%gx", p.Intensity))
 		if len(keys) == 0 {
 			b.WriteString(" (none)")

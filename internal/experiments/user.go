@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -181,10 +182,7 @@ type ChurnResult struct {
 
 // WhitelistChurn computes E11 over the run's final min(60, Days) days.
 func WhitelistChurn(r *Run) ChurnResult {
-	days := r.Cfg.Days
-	if days > 60 {
-		days = 60
-	}
+	days := min(r.Cfg.Days, 60)
 	to := r.Fleet.Clk.Now()
 	from := to.Add(-time.Duration(days) * 24 * time.Hour)
 
@@ -281,13 +279,7 @@ func DailyPending(r *Run) []PendingSeries {
 	}
 	var out []PendingSeries
 	for _, p := range picks {
-		ps := PendingSeries{User: p.user.String(), Series: p.s, Mean: mean(p.s)}
-		for _, v := range p.s {
-			if v > ps.Max {
-				ps.Max = v
-			}
-		}
-		out = append(out, ps)
+		out = append(out, PendingSeries{User: p.user.String(), Series: p.s, Mean: mean(p.s), Max: slices.Max(p.s)})
 	}
 	return out
 }

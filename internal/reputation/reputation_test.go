@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -263,4 +264,35 @@ func TestNullSenderAndEmptyIPIgnored(t *testing.T) {
 	if v := s.Score(mail.Null, ""); v.Band != Neutral || len(v.Keys) != 0 {
 		t.Fatalf("null-sender verdict = %+v", v)
 	}
+}
+
+// BenchmarkReputationLookup measures the lock-striped store under
+// parallel readers: every goroutine scores senders spread across all
+// shards, the contention profile of a busy MTA consulting reputation on
+// every gray message.
+func BenchmarkReputationLookup(b *testing.B) {
+	rep := NewStore(DefaultConfig(), clock.NewSim(t0))
+	const nSenders = 4096
+	senders := make([]mail.Address, nSenders)
+	ips := make([]string, nSenders)
+	for i := range senders {
+		senders[i] = mail.MustParseAddress(fmt.Sprintf("s%04d@dom%02d.example", i, i%64))
+		ips[i] = fmt.Sprintf("100.64.%d.%d", i/250, i%250+1)
+		rep.Record(senders[i], ips[i], Delivered)
+		rep.Record(senders[i], ips[i], Solved)
+	}
+	var next int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		// Stagger goroutines across the key space so they collide on
+		// shards the way independent SMTP sessions would.
+		i := int(atomic.AddInt64(&next, 977))
+		for pb.Next() {
+			if _, err := rep.Lookup(senders[i%nSenders], ips[i%nSenders]); err != nil {
+				b.Fatal(err)
+			}
+			i++
+		}
+	})
 }

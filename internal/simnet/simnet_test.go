@@ -28,7 +28,7 @@ type world struct {
 	comp  *Company
 }
 
-func newWorld(t *testing.T, seed int64) *world {
+func newWorld(t testing.TB, seed int64) *world {
 	t.Helper()
 	w := &world{clk: clock.NewSim(t0)}
 	w.sched = clock.NewScheduler(w.clk)
@@ -469,6 +469,30 @@ func BenchmarkChallengeRoundTrip(b *testing.B) {
 		}
 		eng.Receive(m)
 		w.sched.RunFor(time.Hour)
+	}
+}
+
+// BenchmarkChallengeStatusAggregation measures the Figure 4(a) records
+// scan itself rather than the simulation that fills it: DeliveryStats
+// over a network holding a few thousand challenge records, a third
+// delivered to mailboxes that solve and two thirds bounced no-user.
+func BenchmarkChallengeStatusAggregation(b *testing.B) {
+	w := newWorld(b, 1)
+	r := w.addRemote("example.com", "192.0.2.10")
+	for i := 0; i < 1000; i++ {
+		r.AddMailbox(fmt.Sprintf("s%d", i), PersonaLegit)
+	}
+	for i := 0; i < 3000; i++ {
+		w.inject(fmt.Sprintf("s%d@example.com", i), "192.0.2.10")
+	}
+	w.sched.RunFor(7 * 24 * time.Hour)
+	if st := w.net.DeliveryStats(); st.Total != 3000 || st.Solved == 0 {
+		b.Fatalf("setup recorded %d challenges, %d solved; want 3000 with some solved", st.Total, st.Solved)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = w.net.DeliveryStats()
 	}
 }
 
