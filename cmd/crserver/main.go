@@ -35,7 +35,6 @@ import (
 	"repro/internal/adminui"
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/dnscache"
 	"repro/internal/dnssim"
 	"repro/internal/faults"
 	"repro/internal/faults/seam"
@@ -95,20 +94,11 @@ func main() {
 		log.Printf("fault injection active (seed %d):\n%s", *faultSeed, plan.Describe())
 	}
 
-	// Resolver and blocklist caches (off under a fault plan: injected
-	// faults must reach every consumer un-cached). The live server uses
-	// the same TTL + negative caching + single-flight path the fleet
-	// simulation exercises; /metrics reports the hit rates.
+	// The zone and the blocklist are read directly: the zone is static
+	// once the server boots, so a cache in front of it could only add
+	// cost. Under a fault plan the seams inject into these reads.
 	resolver := seam.Resolver(dns, set)
 	rblBackend := seam.RBL(provider, set)
-	var dnsCache *dnscache.Cache
-	var rblCache *dnscache.RBLCache
-	if set == nil {
-		dnsCache = dnscache.New(dns, dnscache.Options{Clock: clk, Gen: dns.Gen})
-		resolver = dnsCache
-		rblCache = dnscache.NewRBL(provider, clk, 0)
-		rblBackend = rblCache
-	}
 
 	av := seam.Antivirus(filters.NewAntivirus(), set)
 	harden := func(pr filters.Prober, mode filters.DegradeMode) filters.Filter {
@@ -236,7 +226,6 @@ func main() {
 		mux := http.NewServeMux()
 		mux.Handle("/challenge/", eng.Captcha().Handler())
 		ui := adminui.New(eng)
-		ui.SetResolverCaches(dnsCache, rblCache)
 		ui.SetOverload(ctl)
 		ui.SetSaver(saver)
 		if walLog != nil {

@@ -2,13 +2,13 @@
 // it parses a CR decision log (as emitted by the engines' event sink)
 // and prints the aggregated statistics — the role the authors' Python
 // scripts + Postgres played over the MTAs' daily logs. The scan itself
-// runs on the parallel zero-allocation logscan engine, so a file the
-// size of the paper's 90M-event corpus splits across every core.
+// runs on the parallel zero-allocation logscan engine: one reader frames
+// lines into blocks that every core decodes, whatever the input is.
 //
 //	logstats -f cr.log           # parallel scan of a log file
-//	logstats < cr.log            # stdin: range-split too when it is a file
-//	zcat cr.log.gz | logstats    # a pipe is streamed
-//	logstats -f <(zcat cr.log.gz)  # -f on a FIFO streams it too
+//	logstats < cr.log            # the same scan on stdin
+//	zcat cr.log.gz | logstats    # a pipe is scanned the same way
+//	logstats -f <(zcat cr.log.gz)  # so is -f on a FIFO
 //	logstats -demo               # simulate a small fleet, log it, parse it
 //	logstats -per-company -f cr.log
 //	logstats -progress -f cr.log # events/sec heartbeat on stderr
@@ -38,7 +38,7 @@ func main() {
 		perCompany = flag.Bool("per-company", false, "print one row per company")
 		seed       = flag.Int64("seed", 1, "demo fleet seed")
 		walSeg     = flag.String("wal", "", "pretty-print a write-ahead-log segment file and exit")
-		file       = flag.String("f", "", "scan this log file instead of stdin (a regular file is range-split across workers)")
+		file       = flag.String("f", "", "scan this log file (or FIFO) instead of stdin")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel scan workers")
 		progress   = flag.Bool("progress", false, "print scan progress to stderr every 5s")
 	)

@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		only        = fs.String("only", "", "render one artifact: "+strings.Join(artifacts(), "|"))
 		crashes     = fs.Int("crashes", 6, "crash points for -only crashrestart")
 		sensitivity = fs.Int("sensitivity", 0, "instead of one run, simulate N seeds and print the cross-seed stability table")
-		faultPlan   = fs.String("fault-plan", "", "JSON fault plan file applied to the run (default plan for -only chaos)")
+		faultPlan   = fs.String("fault-plan", "", "JSON fault plan file applied to the run (default plan for -only chaos; refused by -sensitivity, -only crashrestart and the paired ablations)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -80,13 +80,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var plan *faults.Plan
 	if *faultPlan != "" {
+		// Sensitivity, crash-restart and the paired ablations build their
+		// own runs and take no fault plan: refuse the flag rather than
+		// drop it.
+		switch {
+		case *sensitivity > 0:
+			fmt.Fprintln(stderr, "-fault-plan is not applied by -sensitivity")
+			return 2
+		case artifact == "crashrestart" || experiments.Paired[artifact] != nil:
+			fmt.Fprintf(stderr, "-fault-plan is not applied by -only %s\n", artifact)
+			return 2
+		}
 		var err error
 		plan, err = faults.LoadFile(*faultPlan)
 		if err != nil {
 			fmt.Fprintf(stderr, "fault plan: %v\n", err)
 			return 2
 		}
-		fmt.Fprintf(stderr, "fault plan active:\n%s", plan.Describe())
+		fmt.Fprintf(stderr, "fault plan active:\n%s\n", plan.Describe())
 	}
 
 	if *sensitivity > 0 {

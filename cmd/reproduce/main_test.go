@@ -25,6 +25,35 @@ func TestUnknownArtifactRejectedBeforeRun(t *testing.T) {
 	}
 }
 
+// TestFaultPlanRefusedWhereIgnored: the sensitivity table, the
+// crash-restart artifact and every paired ablation build runs that take
+// no fault plan, so -fault-plan with any of them exits 2 at once, naming
+// the flag and the artifact, instead of printing a clean run.
+func TestFaultPlanRefusedWhereIgnored(t *testing.T) {
+	const plan = "../../internal/experiments/testdata/chaos-plan.json"
+	// Each case maps the flag the error names to the arguments that set it.
+	cases := map[string][]string{
+		"-sensitivity":       {"-sensitivity", "2"},
+		"-only crashrestart": {"-only", "crashrestart"},
+	}
+	for name := range experiments.Paired {
+		cases["-only "+name] = []string{"-only", name}
+	}
+	for named, extra := range cases {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-preset", "quick", "-companies", "3", "-days", "2", "-fault-plan", plan}, extra...)
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Fatalf("%v: exit = %d, want 2 (stderr %q)", extra, code, stderr.String())
+		}
+		if got, want := stderr.String(), "-fault-plan is not applied by "+named+"\n"; got != want {
+			t.Errorf("%v: stderr = %q, want %q", extra, got, want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: stdout = %q, want empty", extra, stdout.String())
+		}
+	}
+}
+
 // TestOnlyRendersOneArtifact runs a valid single-run artifact, in any
 // letter case, and every paired ablation on a tiny fleet, and checks
 // that every artifact the -only usage text names resolves.

@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/dnscache"
 	"repro/internal/logscan"
 	"repro/internal/mail"
 	"repro/internal/outbound"
@@ -40,25 +39,16 @@ import (
 
 // Server renders the digest UI for one engine.
 type Server struct {
-	engine   *core.Engine
-	dnsCache *dnscache.Cache
-	rblCache *dnscache.RBLCache
-	ctl      *overload.Controller
-	wal      *wal.Log
-	saver    *store.Saver
-	outQ     *outbound.Queue
+	engine *core.Engine
+	ctl    *overload.Controller
+	wal    *wal.Log
+	saver  *store.Saver
+	outQ   *outbound.Queue
 }
 
 // New returns the admin UI over engine.
 func New(engine *core.Engine) *Server {
 	return &Server{engine: engine}
-}
-
-// SetResolverCaches registers the process's resolver caches so /metrics
-// reports their hit rates (either may be nil).
-func (s *Server) SetResolverCaches(dns *dnscache.Cache, rbl *dnscache.RBLCache) {
-	s.dnsCache = dns
-	s.rblCache = rbl
 }
 
 // SetOverload registers the deployment's admission controller so
@@ -252,22 +242,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		fmt.Fprintf(w, "outbound_breakers_open %d\n", open)
 		fmt.Fprintf(w, "outbound_breakers_half_open %d\n", halfOpen)
-	}
-	if s.dnsCache != nil {
-		st := s.dnsCache.Stats()
-		fmt.Fprintf(w, "dns_cache_lookups %d\n", st.Lookups())
-		fmt.Fprintf(w, "dns_cache_hits %d\n", st.Hits)
-		fmt.Fprintf(w, "dns_cache_negative_hits %d\n", st.NegHits)
-		fmt.Fprintf(w, "dns_cache_coalesced %d\n", st.Coalesced)
-		fmt.Fprintf(w, "dns_cache_hit_rate %.4f\n", st.HitRate())
-		fmt.Fprintf(w, "dns_cache_entries %d\n", s.dnsCache.Len())
-	}
-	if s.rblCache != nil {
-		st := s.rblCache.Stats()
-		fmt.Fprintf(w, "rbl_cache_lookups %d\n", st.Lookups())
-		fmt.Fprintf(w, "rbl_cache_hits %d\n", st.Hits)
-		fmt.Fprintf(w, "rbl_cache_negative_hits %d\n", st.NegHits)
-		fmt.Fprintf(w, "rbl_cache_hit_rate %.4f\n", st.HitRate())
 	}
 	if s.ctl != nil {
 		om := s.ctl.Metrics()

@@ -72,7 +72,8 @@ type MX struct {
 }
 
 // Resolver is the query interface the CR system components use. Server
-// implements it; dnscache and the fault seam wrap it.
+// implements it and the fault seam wraps it; internal/dnscache, which
+// no product binary runs, wraps it for the benchmark's probe.
 type Resolver interface {
 	// LookupA returns the IPv4 addresses of host.
 	LookupA(host string) ([]string, error)

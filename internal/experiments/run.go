@@ -130,8 +130,16 @@ func newRun(cfg RunConfig, arm func(*workload.Config)) *Run {
 	}
 	fleet := workload.NewFleet(wcfg)
 	fleet.Run(cfg.Days)
-	return &Run{Cfg: cfg, Fleet: fleet, bounced: bounced}
+	r := &Run{Cfg: cfg, Fleet: fleet, bounced: bounced}
+	if runDone != nil {
+		runDone(r)
+	}
+	return r
 }
+
+// runDone, when non-nil, sees every run newRun completes. The package's
+// tests set it to check Fig. 1's conservation after each fleet.
+var runDone func(*Run)
 
 // AggregateMetrics sums engine metrics across the fleet, split by relay
 // configuration as the paper does (Figures 2 and 3 report open-relay and

@@ -186,9 +186,8 @@ func (f *ReverseDNS) Probe(msg *mail.Message) (Result, error) {
 }
 
 // RBLBackend is the lookup surface the RBL filter needs. *rbl.Provider
-// implements it directly; dnscache.RBLCache memoizes it with a TTL on
-// the virtual clock, and a fault plan's "rbl:<name>" target wraps it
-// (internal/faults/seam).
+// implements it and every engine queries it directly; a fault plan's
+// "rbl:<name>" target wraps it (internal/faults/seam).
 type RBLBackend interface {
 	Name() string
 	Query(ip string) (bool, error)

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/logscan"
@@ -114,16 +115,11 @@ func TestDecoderSkipMsgID(t *testing.T) {
 	}
 }
 
-// forceStream hides every random-access interface of a reader so Scan
-// takes the stdin/pipe producer path.
-type forceStream struct{ r io.Reader }
-
-func (f forceStream) Read(p []byte) (int, error) { return f.r.Read(p) }
-
 // TestWorkerCountInvariance is the determinism proof: for 1/2/4/8
-// workers, over both the range-split and the streaming path, the merged
-// aggregate is identical to each other and to the serial
-// refParseAll baseline — bit for bit, bad lines included.
+// workers, through every entry point — Scan over a bytes.Reader and over
+// a Read-only wrapper that returns short reads, ScanFile on a regular
+// file, the ScanReaderAt adapter — the aggregate is identical to the serial refParseAll
+// baseline, bit for bit, bad lines included.
 func TestWorkerCountInvariance(t *testing.T) {
 	log := genLog(t, 20000, 17)
 	// Salt the input with the hostile cases a crawler meets: blank
@@ -136,6 +132,10 @@ func TestWorkerCountInvariance(t *testing.T) {
 	sb.WriteByte('\n')
 	sb.Write(log[cut:])
 	input := sb.Bytes()
+	path := filepath.Join(t.TempDir(), "cr.log")
+	if err := os.WriteFile(path, input, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	serial, err := refParseAll(bytes.NewReader(input))
 	if err != nil {
@@ -145,49 +145,119 @@ func TestWorkerCountInvariance(t *testing.T) {
 		t.Fatalf("fixture bad lines = %d, want 2", serial.BadLines)
 	}
 
+	entries := []struct {
+		name string
+		scan func(logscan.Options) (*maillog.Aggregate, error)
+	}{
+		{"Scan(bytes.Reader)", func(o logscan.Options) (*maillog.Aggregate, error) {
+			return logscan.Scan(bytes.NewReader(input), o)
+		}},
+		{"Scan(Read-only, short reads)", func(o logscan.Options) (*maillog.Aggregate, error) {
+			return logscan.Scan(iotest.HalfReader(bytes.NewReader(input)), o)
+		}},
+		{"ScanFile", func(o logscan.Options) (*maillog.Aggregate, error) {
+			return logscan.ScanFile(path, o)
+		}},
+		{"ScanReaderAt", func(o logscan.Options) (*maillog.Aggregate, error) {
+			return logscan.ScanReaderAt(bytes.NewReader(input), int64(len(input)), o)
+		}},
+	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		opts := logscan.Options{Workers: workers}
-		ranged, err := logscan.Scan(bytes.NewReader(input), opts)
-		if err != nil {
-			t.Fatalf("workers=%d ranged: %v", workers, err)
-		}
-		if !reflect.DeepEqual(ranged, serial) {
-			t.Fatalf("workers=%d: range-split aggregate differs from serial refParseAll", workers)
-		}
-		streamed, err := logscan.Scan(forceStream{bytes.NewReader(input)}, opts)
-		if err != nil {
-			t.Fatalf("workers=%d streamed: %v", workers, err)
-		}
-		if !reflect.DeepEqual(streamed, serial) {
-			t.Fatalf("workers=%d: streaming aggregate differs from serial refParseAll", workers)
+		for _, entry := range entries {
+			got, err := entry.scan(logscan.Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("workers=%d %s: %v", workers, entry.name, err)
+			}
+			if !reflect.DeepEqual(got, serial) {
+				t.Fatalf("workers=%d %s: aggregate differs from serial refParseAll", workers, entry.name)
+			}
 		}
 	}
 }
 
-// TestRangeCutOnLineBoundary: with fixed-width lines, worker-range cuts
-// land exactly on line starts — the off-by-one case where a line could
-// be skipped by both neighbours. Every line must be counted exactly
-// once for every worker count.
-func TestRangeCutOnLineBoundary(t *testing.T) {
-	line := "2010-07-01T10:00:00Z corp web-solve msg=m-001\n"
-	const n = 4096
-	input := []byte(strings.Repeat(line, n))
-	for _, workers := range []int{1, 2, 3, 4, 5, 7, 8} {
-		agg, err := logscan.ScanReaderAt(bytes.NewReader(input), int64(len(input)), logscan.Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
+// TestStreamBlockBoundary: the producer fills 1 MiB blocks and cuts
+// each at its last newline. With 64-byte lines a full block ends
+// exactly on a newline and ships whole; with 100-byte lines every block
+// ends mid-line and the partial line is carried into the next. Either
+// way every line must be counted exactly once, for every worker count.
+func TestStreamBlockBoundary(t *testing.T) {
+	const prefix = "2010-07-01T10:00:00Z corp web-solve msg="
+	for _, width := range []int{64, 100} {
+		n := 3<<20/width + 100 // past three blocks
+		var sb strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&sb, "%s%0*d\n", prefix, width-len(prefix)-1, i)
 		}
-		if agg.Lines != n || agg.BadLines != 0 {
-			t.Fatalf("workers=%d: lines=%d bad=%d, want %d/0", workers, agg.Lines, agg.BadLines, n)
+		input := []byte(sb.String())
+		if len(input) != n*width {
+			t.Fatalf("width=%d: fixture is %d bytes, want %d", width, len(input), n*width)
 		}
-		if got := agg.Total().WebSolves; got != n {
-			t.Fatalf("workers=%d: solves=%d, want %d", workers, got, n)
+		for workers := 1; workers <= 8; workers++ {
+			var c logscan.Counters
+			agg, err := logscan.Scan(bytes.NewReader(input), logscan.Options{Workers: workers, Counter: &c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if agg.Lines != int64(n) || agg.BadLines != 0 {
+				t.Fatalf("width=%d workers=%d: lines=%d bad=%d, want %d/0", width, workers, agg.Lines, agg.BadLines, n)
+			}
+			if got := agg.Total().WebSolves; got != int64(n) {
+				t.Fatalf("width=%d workers=%d: solves=%d, want %d", width, workers, got, n)
+			}
+			if got := c.Bytes.Load(); got != int64(len(input)) {
+				t.Fatalf("width=%d workers=%d: scanned %d bytes, want %d", width, workers, got, len(input))
+			}
 		}
 	}
 }
 
-// TestScanFile: the -f path end to end, including a file small enough
-// to collapse to one worker.
+// TestMaxLineLenEdges: a valid line of exactly MaxLineLen bytes with its
+// newline is decoded and one byte longer is one bad line, at the start of
+// the input and where it straddles the producer's first block; the same
+// lines without their newline, as the last line, decode alike. The scan
+// must agree with the reference parser on each.
+func TestMaxLineLenEdges(t *testing.T) {
+	const prefix = "2010-07-01T10:00:00Z corp web-solve pad="
+	// line returns a valid line of n bytes, newline included.
+	line := func(n int) string { return prefix + strings.Repeat("x", n-len(prefix)-1) + "\n" }
+	short := strings.Repeat(line(80), 1000)
+	for _, n := range []int{logscan.MaxLineLen - 1, logscan.MaxLineLen, logscan.MaxLineLen + 1} {
+		inputs := map[string]string{
+			"first":        line(n) + short,
+			"straddling":   short + line(n) + short,
+			"unterminated": short + strings.TrimSuffix(line(n), "\n"),
+		}
+		for where, in := range inputs {
+			want, err := refParseAll(strings.NewReader(in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBad := int64(0)
+			if n > logscan.MaxLineLen {
+				wantBad = 1
+			}
+			if want.BadLines != wantBad {
+				t.Fatalf("n=%d %s: reference counts %d bad lines, want %d", n, where, want.BadLines, wantBad)
+			}
+			for _, workers := range []int{1, 3} {
+				var c logscan.Counters
+				got, err := logscan.Scan(iotest.HalfReader(strings.NewReader(in)), logscan.Options{Workers: workers, Counter: &c})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("n=%d %s workers=%d: lines=%d bad=%d, reference %d/%d", n, where, workers, got.Lines, got.BadLines, want.Lines, want.BadLines)
+				}
+				if c.Bytes.Load() != int64(len(in)) {
+					t.Errorf("n=%d %s workers=%d: scanned %d bytes, want %d", n, where, workers, c.Bytes.Load(), len(in))
+				}
+			}
+		}
+	}
+}
+
+// TestScanFile: the -f path end to end, and the error for a missing
+// file.
 func TestScanFile(t *testing.T) {
 	log := genLog(t, 5000, 3)
 	path := filepath.Join(t.TempDir(), "cr.log")
@@ -211,8 +281,7 @@ func TestScanFile(t *testing.T) {
 }
 
 // TestScanFileFIFO: -f on a FIFO (what `logstats -f <(zcat cr.log.gz)`
-// hands it) is streamed, not range-split over the zero size a pipe
-// reports.
+// hands it) reads every line the writer sends.
 func TestScanFileFIFO(t *testing.T) {
 	log := genLog(t, 5000, 3)
 	path := filepath.Join(t.TempDir(), "cr.fifo")
@@ -248,7 +317,7 @@ func TestScanFileFIFO(t *testing.T) {
 	}
 }
 
-// TestStreamAllocs: the pipe path circulates its block buffers whole,
+// TestStreamAllocs: the scan circulates its block buffers whole,
 // so a log many blocks long costs a bounded number of allocations —
 // the blocks, the read buffer, the shard aggregates — not one per line.
 // The log repeats a few lines so interner misses stay out of the count.
@@ -267,7 +336,7 @@ func TestStreamAllocs(t *testing.T) {
 		var agg *maillog.Aggregate
 		allocs := testing.AllocsPerRun(1, func() {
 			var err error
-			agg, err = logscan.Scan(forceStream{bytes.NewReader(input)}, logscan.Options{Workers: workers})
+			agg, err = logscan.Scan(bytes.NewReader(input), logscan.Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,7 +395,7 @@ func (e errReader) Read(p []byte) (int, error) {
 func TestStreamReadError(t *testing.T) {
 	log := genLog(t, 1000, 5)
 	boom := errors.New("pipe burst")
-	agg, err := logscan.Scan(forceStream{errReader{r: bytes.NewReader(log), err: boom}}, logscan.Options{Workers: 2})
+	agg, err := logscan.Scan(errReader{r: bytes.NewReader(log), err: boom}, logscan.Options{Workers: 2})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped %v", err, boom)
 	}

@@ -1,7 +1,6 @@
 package logscan
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -13,9 +12,9 @@ import (
 	"repro/internal/maillog"
 )
 
-// MaxLineLen is the longest log line a scan decodes. A longer line is
-// counted as one bad line and skipped through its newline, in both scan
-// modes, so a hostile or corrupt log costs a bounded buffer and never
+// MaxLineLen is the longest log line a scan decodes.
+// A longer line is counted as one bad line and skipped through its
+// newline, so a hostile or corrupt log costs a bounded buffer and never
 // aborts the crawl.
 const MaxLineLen = 1024 * 1024
 
@@ -23,10 +22,6 @@ const MaxLineLen = 1024 * 1024
 // into the shared progress counters. Coarse enough to keep the atomics
 // off the per-line path, fine enough for a 5-second progress ticker.
 const flushEvery = 8192
-
-// minRangeBytes is the smallest byte range worth giving a worker; tiny
-// files collapse to fewer workers rather than paying spawn overhead.
-const minRangeBytes = 64 * 1024
 
 // Counters exposes a running scan's progress. Workers flush their
 // local tallies every few thousand events, so readers see slightly
@@ -130,162 +125,26 @@ func (t *tally) flush() {
 	t.lines, t.bad = t.agg.Lines, t.agg.BadLines
 }
 
-// Scan aggregates a decision-log stream in parallel. Inputs backed by a
-// random-access source — a regular file (stdin redirected from one
-// too), bytes.Reader, strings.Reader — are range-split across workers
-// with no producer in the way; anything else (a pipe, a FIFO) falls
-// back to a bounded single-reader producer feeding worker-owned block
-// buffers. Both paths yield the same aggregate, bit for bit, for any
-// worker count.
+// Scan aggregates a decision-log stream in parallel: one producer reads
+// the input straight into worker-owned blocks, each cut at its last
+// newline; workers decode and fold into shard aggregates. The producer
+// copies only the partial line after a block's last newline into the
+// next block, so it feeds several parse workers before becoming the
+// bottleneck. Every input — a regular file, stdin, a pipe, a FIFO —
+// takes this one path, and the aggregate is the same, bit for bit, for
+// any worker count.
 func Scan(r io.Reader, opts Options) (*maillog.Aggregate, error) {
-	type sizedReaderAt interface {
-		io.ReaderAt
-		Size() int64
-	}
-	switch v := r.(type) {
-	case *os.File:
-		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
-			return ScanReaderAt(v, fi.Size(), opts)
-		}
-	case sizedReaderAt:
-		return ScanReaderAt(v, v.Size(), opts)
-	}
-	return scanStream(r, opts)
-}
-
-// ScanFile opens one log and scans it: a regular file is range-split
-// across the configured workers, anything else (a FIFO, /dev/stdin, a
-// shell process substitution) is streamed.
-func ScanFile(path string, opts Options) (*maillog.Aggregate, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Scan(f, opts)
-}
-
-// ScanReaderAt splits [0,size) into worker-count byte ranges and scans
-// them concurrently. Range boundaries are arbitrary byte offsets; each
-// worker owns exactly the lines that START inside its range (skipping
-// the partial head line, finishing a line that runs past its end), so
-// every line is decoded exactly once no matter where the cuts land.
-func ScanReaderAt(r io.ReaderAt, size int64, opts Options) (*maillog.Aggregate, error) {
 	nw := opts.workers()
-	if maxw := int(size / minRangeBytes); nw > maxw {
-		nw = max(1, maxw)
-	}
 
-	shards := make([]*tally, nw)
-	errs := make([]error, nw)
-	var wg sync.WaitGroup
-	for i := 0; i < nw; i++ {
-		start := size * int64(i) / int64(nw)
-		end := size * int64(i+1) / int64(nw)
-		t := newTally(&opts)
-		shards[i] = t
-		wg.Add(1)
-		go func(i int, start, end int64) {
-			defer wg.Done()
-			errs[i] = scanRange(r, start, end, size, t)
-			t.flush()
-		}(i, start, end)
-	}
-	wg.Wait()
-
-	agg := maillog.NewAggregate()
-	for _, t := range shards {
-		agg.Merge(t.agg)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return agg, err
-		}
-	}
-	return agg, nil
-}
-
-// scanRange processes every line starting in [start,end) of r, reading
-// past end as needed to complete the final line. size is the total
-// input length (the section reader must be allowed to run to it).
-func scanRange(r io.ReaderAt, start, end, size int64, t *tally) error {
-	br := bufio.NewReaderSize(io.NewSectionReader(r, start, size-start), MaxLineLen)
-	pos := start
-	d := NewDecoder()
-	d.SkipMsgID = true
-	var e maillog.Event
-
-	// A mid-file range usually starts inside some line owned by the
-	// previous worker: discard through its newline. The exception is a
-	// cut landing exactly on a line start (the preceding byte is a
-	// newline) — that line is ours. If the straddling line is oversized
-	// the previous worker still owns (and counts) it — the discard here
-	// must not tally anything.
-	if start > 0 {
-		var prev [1]byte
-		if _, err := r.ReadAt(prev[:], start-1); err != nil {
-			return fmt.Errorf("logscan: read error at byte %d: %w", start-1, err)
-		}
-		for prev[0] != '\n' {
-			skipped, err := br.ReadSlice('\n')
-			pos += int64(len(skipped))
-			if err == bufio.ErrBufferFull {
-				continue
-			}
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return fmt.Errorf("logscan: read error at byte %d: %w", pos, err)
-			}
-			break
-		}
-	}
-
-	for pos < end {
-		lineStart := pos
-		chunk, err := br.ReadSlice('\n')
-		pos += int64(len(chunk))
-		if err == bufio.ErrBufferFull {
-			// Oversized line owned by this range: count once, discard
-			// through its newline (which may lie past end).
-			for err == bufio.ErrBufferFull {
-				var skipped []byte
-				skipped, err = br.ReadSlice('\n')
-				pos += int64(len(skipped))
-			}
-			t.oversized(pos - lineStart)
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return fmt.Errorf("logscan: read error at byte %d: %w", pos, err)
-			}
-			continue
-		}
-		t.line(d, &e, chunk)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("logscan: read error at byte %d: %w", pos, err)
-		}
-	}
-	return nil
-}
-
-// scanStream is the non-seekable fallback: one producer frames lines
-// into worker-owned block buffers; workers decode and fold into shard
-// aggregates. The producer does only framing and memcpy, so it feeds
-// several parse workers before becoming the bottleneck.
-func scanStream(r io.Reader, opts Options) (*maillog.Aggregate, error) {
-	nw := opts.workers()
-	const blockSize = 1 << 20
-
+	// A block is MaxLineLen bytes, so a line within the bound always
+	// fits the block it starts, and one that fills a block without a
+	// newline is past the bound. The producer fills one block while each
+	// worker decodes one; filling is far cheaper than decoding, so more
+	// blocks would only add resident memory.
 	work := make(chan []byte, nw)
-	free := make(chan []byte, 2*nw)
-	for i := 0; i < 2*nw; i++ {
-		free <- make([]byte, 0, blockSize)
+	free := make(chan []byte, nw+1)
+	for i := 0; i < nw+1; i++ {
+		free <- make([]byte, 0, MaxLineLen)
 	}
 
 	shards := make([]*tally, nw)
@@ -317,50 +176,54 @@ func scanStream(r io.Reader, opts Options) (*maillog.Aggregate, error) {
 		}()
 	}
 
-	// Producer: frame complete lines into blocks. The tally here counts
-	// only oversized lines the workers never see.
+	// Producer: fill a block, ship it through its last newline and start
+	// the next block with the partial line after it. Its tally counts
+	// only the oversized lines the workers never see.
 	prodTally := newTally(&opts)
-	br := bufio.NewReaderSize(r, MaxLineLen)
 	var perr error
-	block := (<-free)[:0]
-	ship := func() {
-		if len(block) > 0 {
-			work <- block
-			block = (<-free)[:0]
-		}
-	}
+	block := <-free
+	skipped := int64(-1) // bytes of an oversized line skipped so far; -1 when not skipping
 	for {
-		lineLen := int64(0)
-		chunk, err := br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			for err == bufio.ErrBufferFull {
-				lineLen += int64(len(chunk))
-				chunk, err = br.ReadSlice('\n')
+		n, err := io.ReadFull(r, block[len(block):cap(block)])
+		block = block[:len(block)+n]
+		if skipped >= 0 {
+			if nl := bytes.IndexByte(block, '\n'); nl >= 0 {
+				prodTally.oversized(skipped + int64(nl+1))
+				skipped = -1
+				block = block[:copy(block, block[nl+1:])]
+			} else {
+				skipped += int64(len(block))
+				block = block[:0]
 			}
-			lineLen += int64(len(chunk))
-			prodTally.oversized(lineLen)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				perr = err
-				break
-			}
-			continue
-		}
-		if len(block)+len(chunk) > cap(block) {
-			ship()
-		}
-		block = append(block, chunk...)
-		if err == io.EOF {
-			break
 		}
 		if err != nil {
-			perr = err
+			if skipped >= 0 {
+				prodTally.oversized(skipped)
+			}
+			if err != io.EOF && err != io.ErrUnexpectedEOF {
+				perr = err
+			}
 			break
 		}
+		if len(block) < cap(block) {
+			continue // refilling after an oversized line
+		}
+		nl := bytes.LastIndexByte(block, '\n')
+		if nl < 0 {
+			// A full block with no newline: a line past MaxLineLen,
+			// counted once and skipped through its newline.
+			skipped = int64(len(block))
+			block = block[:0]
+			continue
+		}
+		next := <-free
+		next = append(next, block[nl+1:]...)
+		work <- block[:nl+1]
+		block = next
 	}
-	ship()
+	if len(block) > 0 {
+		work <- block
+	}
 	close(work)
 	wg.Wait()
 	prodTally.flush()
@@ -374,4 +237,21 @@ func scanStream(r io.Reader, opts Options) (*maillog.Aggregate, error) {
 		return agg, fmt.Errorf("logscan: read error after line %d: %w", agg.Lines, perr)
 	}
 	return agg, nil
+}
+
+// ScanFile opens one log and scans it.
+func ScanFile(path string, opts Options) (*maillog.Aggregate, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Scan(f, opts)
+}
+
+// ScanReaderAt scans the first size bytes of r. Its only caller is the
+// benchmark's logscan probe (benchmark/layers/batch.go), and it goes
+// together with that probe's range-split rows (ROADMAP item 2).
+func ScanReaderAt(r io.ReaderAt, size int64, opts Options) (*maillog.Aggregate, error) {
+	return Scan(io.NewSectionReader(r, 0, size), opts)
 }

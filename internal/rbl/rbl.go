@@ -97,8 +97,9 @@ func (p *Provider) Name() string { return p.name }
 
 // Gen returns the listing-state generation; it increments whenever the
 // answer IsListed could give for some IP changes (new listing, sweep,
-// static add). dnscache.RBLCache compares generations per lookup and
-// uses it as a store-after-miss guard.
+// static add). dnscache.RBLCache, which only the benchmark's probe
+// runs, compares generations per lookup and uses it as a
+// store-after-miss guard.
 func (p *Provider) Gen() uint64 { return p.gen.Load() }
 
 // Query is IsListed on the fallible lookup surface the CR filter chain
