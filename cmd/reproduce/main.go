@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		only        = fs.String("only", "", "render one artifact: "+strings.Join(artifacts(), "|"))
 		crashes     = fs.Int("crashes", 6, "crash points for -only crashrestart")
 		sensitivity = fs.Int("sensitivity", 0, "instead of one run, simulate N seeds and print the cross-seed stability table")
-		faultPlan   = fs.String("fault-plan", "", "JSON fault plan file applied to the run (default plan for -only chaos; refused by -sensitivity, -only crashrestart and the paired ablations)")
+		faultPlan   = fs.String("fault-plan", "", "JSON fault plan file applied to every company of the run (default plan for -only chaos; with -only surge its rules follow the sweep's surge latency rule; refused by -sensitivity, -only crashrestart and the paired ablations)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -215,19 +215,6 @@ func (s *Scheduler) Pending() int {
 	return len(s.pq)
 }
 
-// NextAt returns the timestamp of the earliest queued event without
-// running it. The second result is false when the queue is empty. Sparse
-// epoch barriers use it to decide whether a barrier must fire to drain
-// the shared scheduler, or the whole epoch can be skipped.
-func (s *Scheduler) NextAt() (time.Time, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.pq) == 0 {
-		return time.Time{}, false
-	}
-	return s.clock.start.Add(time.Duration(s.pq[0].at)), true
-}
-
 // pop removes and returns the earliest event at or before horizon (a
 // clock offset); ok is false if none qualifies.
 func (s *Scheduler) pop(horizon int64) (e event, ok bool) {

@@ -307,11 +307,4 @@ func TestSchedulerMatchesTimeOrder(t *testing.T) {
 	if s.Pending() != 0 {
 		t.Fatalf("Pending = %d after the run", s.Pending())
 	}
-	if at, ok := s.NextAt(); ok {
-		t.Fatalf("NextAt = %v on an empty queue", at)
-	}
-	s.At(t0.Add(2*time.Hour), func() {})
-	if at, ok := s.NextAt(); !ok || !at.Equal(t0.Add(2*time.Hour)) {
-		t.Fatalf("NextAt = %v, %v", at, ok)
-	}
 }

@@ -34,8 +34,8 @@ type ChaosSummary struct {
 
 	Delivered map[string]int64 // inbox deliveries by via
 
-	// FaultCounts is the injector's per-target injection tally (empty on
-	// the clean run).
+	// FaultCounts is the per-target injection tally, summed over the
+	// lanes' injectors (empty on the clean run).
 	FaultCounts map[string]int64
 	// StaleAnswers counts RBL queries served from injected stale data:
 	// the "rbl:<name>/stale" entries of FaultCounts, summed.
@@ -64,7 +64,7 @@ func summarizeRun(r *Run) ChaosSummary {
 		ChallengesSent:    agg.ChallengesSent,
 		ChallengeOutcomes: make(map[string]int64),
 		Delivered:         make(map[string]int64),
-		FaultCounts:       make(map[string]int64),
+		FaultCounts:       r.Fleet.FaultCounts(),
 	}
 	for via, n := range agg.Delivered {
 		s.Delivered[via.String()] += n
@@ -75,9 +75,6 @@ func summarizeRun(r *Run) ChaosSummary {
 			continue
 		}
 		s.ChallengeOutcomes[st.String()] += int64(n)
-	}
-	if r.Fleet.Injector != nil {
-		s.FaultCounts = r.Fleet.Injector.Counts()
 	}
 	for k, n := range s.FaultCounts {
 		if strings.HasPrefix(k, "rbl:") && strings.HasSuffix(k, "/"+string(faults.KindStale)) {

@@ -52,9 +52,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 // TestSurgeWorkerCountInvariance extends the determinism contract to
 // the overload path: a 10× burst with per-lane admission controllers,
 // per-lane surge injectors and shed-retry timers must produce
-// bit-for-bit identical stats for any worker count. (Unlike FaultPlan,
-// SurgePlan must not force serial execution — each lane owns a derived
-// injector stream.)
+// bit-for-bit identical stats for any worker count.
 func TestSurgeWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two surge runs")
@@ -63,7 +61,7 @@ func TestSurgeWorkerCountInvariance(t *testing.T) {
 		cfg := surgeQuick(7)
 		cfg.Workers = workers
 		cfg.Overload = SurgeOverloadConfig()
-		cfg.SurgePlan = SurgeLatencyPlan()
+		cfg.FaultPlan = SurgeLatencyPlan()
 		cfg.SurgeBursts = []workload.SurgeBurst{{Day: 1, Hour: 10, Hours: 3, Intensity: 10}}
 		run := NewRun(cfg)
 		return run.Fleet.OverloadStats(), run.Fleet.ClassCounts()
@@ -82,12 +80,12 @@ func TestSurgeWorkerCountInvariance(t *testing.T) {
 }
 
 // TestChaosSurgeWorkerCountInvariance runs the heaviest combined
-// configuration — a FaultPlan (which forces serial lane execution, since
-// the injector draws from one shared RNG) together with a SurgePlan,
-// admission controllers and a 10× burst — and checks that a requested
-// worker count still changes nothing. It also asserts the sparse-barrier
-// ledger is genuinely exercised on this path: chaos runs go through the
-// same fire/skip predicate as parallel ones.
+// configuration — the surge latency rule followed by the default chaos
+// plan, on every lane's own injector, with admission controllers and a
+// 10× burst — on one worker and on eight, and checks that the worker
+// count changes nothing, the injected-fault tallies included. It also
+// asserts the sparse-barrier ledger is genuinely exercised on this
+// path.
 func TestChaosSurgeWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two chaos+surge runs")
@@ -95,9 +93,9 @@ func TestChaosSurgeWorkerCountInvariance(t *testing.T) {
 	mk := func(workers int) *Run {
 		cfg := surgeQuick(7)
 		cfg.Workers = workers
-		cfg.FaultPlan = faults.DefaultChaosPlan()
+		cfg.FaultPlan = SurgeLatencyPlan()
+		cfg.FaultPlan.Rules = append(cfg.FaultPlan.Rules, faults.DefaultChaosPlan().Rules...)
 		cfg.Overload = SurgeOverloadConfig()
-		cfg.SurgePlan = SurgeLatencyPlan()
 		cfg.SurgeBursts = []workload.SurgeBurst{{Day: 1, Hour: 10, Hours: 3, Intensity: 10}}
 		return NewRun(cfg)
 	}
@@ -108,12 +106,21 @@ func TestChaosSurgeWorkerCountInvariance(t *testing.T) {
 	if ccA, ccB := a.Fleet.ClassCounts(), b.Fleet.ClassCounts(); !reflect.DeepEqual(ccA, ccB) {
 		t.Errorf("class counts diverge under faults:\nworkers=1: %v\nworkers=8: %v", ccA, ccB)
 	}
+	fcA, fcB := a.Fleet.FaultCounts(), b.Fleet.FaultCounts()
+	if !reflect.DeepEqual(fcA, fcB) {
+		t.Errorf("fault counts diverge:\nworkers=1: %v\nworkers=8: %v", fcA, fcB)
+	}
+	for _, key := range []string{"surge/latency", "rbl:spamhaus/outage", "dns/timeout"} {
+		if fcA[key] == 0 {
+			t.Errorf("fault %s never injected: %v", key, fcA)
+		}
+	}
 	sync := a.Fleet.SyncStats()
 	if !reflect.DeepEqual(sync, b.Fleet.SyncStats()) {
 		t.Errorf("barrier pattern diverges under faults: %+v vs %+v", sync, b.Fleet.SyncStats())
 	}
 	if sync.BarriersFired == 0 || sync.BarriersFired+sync.BarriersSkipped != sync.Epochs {
-		t.Errorf("ledger not exercised on the serial chaos path: %+v", sync)
+		t.Errorf("ledger not exercised on the chaos path: %+v", sync)
 	}
 }
 

@@ -3,10 +3,13 @@ package experiments
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/maillog"
 	"repro/internal/simnet"
 	"repro/internal/whitelist"
+	"repro/internal/workload"
 )
 
 // sharedRun is built once: the experiment drivers are read-only over it.
@@ -393,10 +396,37 @@ func TestRateCapAblation(t *testing.T) {
 		t.Fatalf("trap hits rose under the cap: %d -> %d",
 			res.TrapHitsBaseline, res.TrapHitsCapped)
 	}
-	// The cap's hard bound: at most cap * hours * companies challenges.
-	maxPossible := int64(1 * 24 * 4 * 6)
-	if res.ChallengesCapped > maxPossible {
-		t.Fatalf("capped challenges %d exceed bound %d", res.ChallengesCapped, maxPossible)
+	// What the cap bounds: each engine's limiter opens a one-hour window
+	// with a challenge and sends at most rateCapPerHour challenges in
+	// it; the first challenge an hour or more after the window opened
+	// opens the next. Replay those windows over the capped fleet's
+	// decision log.
+	sent := make(map[string][]time.Time)
+	newRun(pairedConfig(7, 6, 4), func(c *workload.Config) {
+		c.ChallengeCapPerHour = rateCapPerHour
+		c.LogSink = func(ev maillog.Event) {
+			if ev.Kind == maillog.KindChallenge {
+				sent[ev.Company] = append(sent[ev.Company], ev.Time)
+			}
+		}
+	})
+	var logged int64
+	for company, times := range sent {
+		logged += int64(len(times))
+		var opened time.Time
+		n := 0
+		for _, at := range times {
+			if n == 0 || at.Sub(opened) >= time.Hour {
+				opened, n = at, 0
+			}
+			if n++; n > rateCapPerHour {
+				t.Fatalf("%s sent %d challenges in the limiter window opened at %v, cap %d",
+					company, n, opened, rateCapPerHour)
+			}
+		}
+	}
+	if logged != res.ChallengesCapped {
+		t.Fatalf("the decision log holds %d challenges, the capped fleet sent %d", logged, res.ChallengesCapped)
 	}
 }
 

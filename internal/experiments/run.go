@@ -34,7 +34,8 @@ type RunConfig struct {
 	UserScale   float64
 	VolumeScale float64
 	// FaultPlan, when non-nil, runs the whole workload under the
-	// internal/faults injection layer (the chaos experiment).
+	// internal/faults injection layer, one injector per company (the
+	// chaos experiment; Surge adds its service-latency rule to it).
 	FaultPlan *faults.Plan
 	// Workers is the fleet's lane worker count (see workload.Config.Workers):
 	// 0 means GOMAXPROCS, 1 runs serially; results are identical for
@@ -45,10 +46,6 @@ type RunConfig struct {
 	Overload *overload.Config
 	// SurgeBursts schedules traffic-burst windows of extra botnet spam.
 	SurgeBursts []workload.SurgeBurst
-	// SurgePlan drives injected per-message service latency through the
-	// per-lane "surge" fault target. Unlike FaultPlan it does not force
-	// serial execution.
-	SurgePlan *faults.Plan
 	// EmitDSNs closes the challenge feedback loop through real RFC 3464
 	// DSN messages (workload.Config.EmitDSNs): engines learn challenge
 	// fates by parsing bounces rather than from the transport callback.
@@ -99,13 +96,11 @@ func newRun(cfg RunConfig, arm func(*workload.Config)) *Run {
 	if cfg.VolumeScale <= 0 {
 		cfg.VolumeScale = 1
 	}
-	mail.ResetIDCounter()
 	wcfg := workload.DefaultConfig(cfg.Seed, cfg.Companies)
 	wcfg.FaultPlan = cfg.FaultPlan
 	wcfg.Workers = cfg.Workers
 	wcfg.Overload = cfg.Overload
 	wcfg.SurgeBursts = cfg.SurgeBursts
-	wcfg.SurgePlan = cfg.SurgePlan
 	wcfg.EmitDSNs = cfg.EmitDSNs
 	var bounced map[string]bool
 	if cfg.EmitDSNs {

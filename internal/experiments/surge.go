@@ -82,7 +82,8 @@ type SurgeReport struct {
 
 // Surge sweeps SurgeIntensities over cfg: every run shares cfg.Seed,
 // the same controller parameters (SurgeOverloadConfig) and the same
-// injected service latency (SurgeLatencyPlan); only the burst intensity
+// injected service latency (SurgeLatencyPlan's rule, followed by the
+// rules of cfg.FaultPlan when one is set); only the burst intensity
 // varies. The burst hits every company on day 1, hours 10–13.
 func Surge(cfg RunConfig) *SurgeReport {
 	rep := &SurgeReport{}
@@ -96,7 +97,10 @@ func Surge(cfg RunConfig) *SurgeReport {
 func surgePoint(cfg RunConfig, intensity float64) SurgePoint {
 	c := cfg
 	c.Overload = SurgeOverloadConfig()
-	c.SurgePlan = SurgeLatencyPlan()
+	c.FaultPlan = SurgeLatencyPlan()
+	if cfg.FaultPlan != nil {
+		c.FaultPlan.Rules = append(c.FaultPlan.Rules, cfg.FaultPlan.Rules...)
+	}
 	c.SurgeBursts = []workload.SurgeBurst{
 		{Day: 1, Hour: 10, Hours: 3, Intensity: intensity},
 	}

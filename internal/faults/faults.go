@@ -8,8 +8,9 @@
 // This package lets an experiment (or an operator) declare those
 // misbehaviours as a composable *fault plan* — probability- or
 // schedule-driven rules targeting named dependencies — and have every
-// injection point in the pipeline consult one seeded Injector, so chaos
-// runs stay byte-for-byte reproducible.
+// injection point of one installation consult one seeded Injector (the
+// simulated fleet gives each company its own), so chaos runs stay
+// byte-for-byte reproducible.
 //
 // Targets and their owners. Where the product already consumes an
 // interface, a decorator in internal/faults/seam applies the target

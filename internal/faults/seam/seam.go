@@ -1,9 +1,9 @@
 // Package seam applies a fault plan at the interfaces the product
 // already consumes: the resolver, the blocklist backend, the antivirus
 // prober and the outbound-spool journal. Each decorator consults its
-// target once per call, immediately before delegating, so the plan's
-// single RNG draws in the order the calls arrive and a failed call never
-// reaches the backend.
+// target once per call, immediately before delegating, so the set's RNG
+// draws in the order the calls arrive and a failed call never reaches
+// the backend.
 //
 // A nil *faults.Set returns the input unchanged: a deployment without a
 // fault plan runs exactly the undecorated code.

@@ -21,7 +21,7 @@ func newDSNWorld(t *testing.T) *world {
 	w.dns = dnssim.NewServer()
 	w.provs = rbl.StandardProviders(w.clk)
 	w.traps = rbl.NewTrapRegistry(w.provs...)
-	w.net = New(w.clk, w.sched, w.dns, w.provs, w.traps, Config{Seed: 3, EmitDSNs: true})
+	w.net = New(w.dns, w.provs, w.traps, Config{EmitDSNs: true})
 
 	chain := filters.NewChain(filters.NewAntivirus(), filters.NewReverseDNS(w.dns))
 	eng := core.New(core.Config{
@@ -34,7 +34,7 @@ func newDSNWorld(t *testing.T) *world {
 	eng.AddUser(mail.MustParseAddress("bob@corp.example"))
 	w.dns.RegisterMailDomain("corp.example", "198.51.100.1")
 	w.comp = &Company{Name: "corp", Engine: eng, ChallengeIP: "198.51.100.1", MailIP: "198.51.100.1"}
-	w.net.AttachCompany(w.comp)
+	w.net.AttachCompanyLane(w.comp, w.clk, w.sched, 3, w.dns, nil)
 	return w
 }
 

@@ -103,32 +103,36 @@ type Company struct {
 	// mail from challenge-induced blacklisting (§5.1).
 	MailIP string
 
-	// lane is the company's private execution context when the fleet
-	// drives companies in parallel (AttachCompanyLane); nil for
-	// companies attached with AttachCompany, which share the network's
-	// global clock/scheduler/RNG.
+	// lane is the company's private execution context (AttachCompanyLane).
 	lane *lane
 	// records are the company's challenge records in submission order,
-	// and userMail its outbound user-mail outcome counts. A lane
-	// company's are appended on its own lane and need no lock; any
-	// other company's are written under Network.mu. Readers take
+	// and userMail its outbound user-mail outcome counts. Both are
+	// written on the company's lane and need no lock; readers take
 	// Network.mu between runs.
 	records  []*ChallengeRecord
 	userMail [UserMailFailed + 1]int64
 }
 
-// lane holds the per-company clock, scheduler, RNG stream and ID source
-// used under epoch-barrier parallel execution, plus the buffer of trap
-// hits deferred to the next barrier. A lane is only ever touched by the
-// one worker advancing its company within an epoch (and by the barrier
-// flush, which the epoch's worker join sequences after), so it needs no
+// lane holds the per-company clock, scheduler, RNG stream, ID source,
+// resolver and fault injector, plus the buffer of trap hits deferred to
+// the next barrier. A lane is only ever touched by the one worker
+// advancing its company within an epoch (and by the barrier flush,
+// which the epoch's worker join sequences after), so it needs no
 // locking of its own.
 type lane struct {
 	clk      *clock.Sim
 	sched    *clock.Scheduler
 	rng      *rand.Rand
 	ids      *mail.IDSource
+	resolver dnssim.Resolver
+	faults   *faults.Set
 	trapHits []trapHit
+}
+
+// resolvable is the delivery path's per-attempt domain probe.
+func (l *lane) resolvable(domain string) bool {
+	ok, _ := l.resolver.ResolvableErr(domain)
+	return ok
 }
 
 // trapHit is one deferred spamtrap delivery: the cross-company side
@@ -162,8 +166,6 @@ const (
 
 // Config parameterises a Network.
 type Config struct {
-	// Seed drives all persona randomness.
-	Seed int64
 	// TransitDelay is the base SMTP transit time for a challenge.
 	TransitDelay time.Duration
 	// EmitDSNs, when true, turns every bounced or expired challenge into
@@ -175,22 +177,16 @@ type Config struct {
 	// (processDSN) rather than from a direct transport-layer callback —
 	// the two paths are never both active, so bounces count once.
 	EmitDSNs bool
-	// Injector is an optional fault source. Target "outbound-dsn"
-	// garbles the machine-readable block of an emitted DSN, modelling a
-	// reporting MTA whose bounce format the parser cannot read.
-	Injector faults.Injector
 }
 
 // Network is the simulated Internet: remote servers, blocklist
-// providers, spamtraps, and the delivery agent. Events run on the
-// caller's scheduler (virtual time).
+// providers, spamtraps, and the delivery agent. Each company's events
+// run on the scheduler of the lane it was attached with (virtual time).
 //
 // Once Freeze is called the remote servers, their mailboxes and the
 // trap set are read-only: a later mutation panics, and the delivery
 // path reads them without a lock.
 type Network struct {
-	clk       *clock.Sim
-	sched     *clock.Scheduler
 	dns       *dnssim.Server
 	providers []*rbl.Provider
 	traps     *rbl.TrapRegistry
@@ -198,46 +194,27 @@ type Network struct {
 
 	mu        sync.Mutex
 	frozen    atomic.Bool
-	rng       *rand.Rand
 	remotes   map[string]*RemoteServer
 	companies map[string]*Company
 	// sorted is the companies in name order, rebuilt on attach
 	// (copy-on-write): barrier-time iteration grabs the slice under mu
 	// and walks it lock-free instead of re-sorting per barrier.
 	sorted []*Company
-	// resolver answers the delivery path's per-attempt domain probe
-	// (default: the DNS server itself).
-	resolver dnssim.Resolver
 }
 
 // New assembles a Network.
-func New(clk *clock.Sim, sched *clock.Scheduler, dns *dnssim.Server, providers []*rbl.Provider, traps *rbl.TrapRegistry, cfg Config) *Network {
+func New(dns *dnssim.Server, providers []*rbl.Provider, traps *rbl.TrapRegistry, cfg Config) *Network {
 	if cfg.TransitDelay <= 0 {
 		cfg.TransitDelay = 30 * time.Second
 	}
 	return &Network{
-		clk:       clk,
-		sched:     sched,
 		dns:       dns,
-		resolver:  dns,
 		providers: providers,
 		traps:     traps,
 		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		remotes:   make(map[string]*RemoteServer),
 		companies: make(map[string]*Company),
 	}
-}
-
-// SetResolver routes the challenge delivery path's domain probe through
-// r instead of the DNS server itself. Call it before traffic flows. The
-// fleet points it at the product's resolver, so the probe shares its
-// cache or its "dns" fault.
-func (n *Network) SetResolver(r dnssim.Resolver) { n.resolver = r }
-
-func (n *Network) domainResolvable(domain string) bool {
-	ok, _ := n.resolver.ResolvableErr(domain)
-	return ok
 }
 
 // DNS returns the network's DNS server.
@@ -291,9 +268,26 @@ func (n *Network) remote(domain string) *RemoteServer {
 	return n.remotes[domain]
 }
 
-// AttachCompany wires a company's engine to the network: its challenges
-// are delivered through the simulated Internet from its ChallengeIP.
-func (n *Network) AttachCompany(c *Company) {
+// AttachCompanyLane wires a company's engine to the network: its
+// challenges are delivered through the simulated Internet from its
+// ChallengeIP. The company's network events (challenge transit,
+// retries, recipient reactions, DSNs) run on clk and sched, all persona
+// randomness comes from a private RNG stream seeded with seed, the
+// delivery path's domain probe asks resolver, and set (nil for none)
+// answers the "outbound-dsn" target — so the company's trajectory is
+// identical regardless of how many other companies run beside it.
+// Spamtrap hits are the one cross-company side effect; they are
+// buffered on the lane and applied by FlushTrapHits at the epoch
+// barrier.
+func (n *Network) AttachCompanyLane(c *Company, clk *clock.Sim, sched *clock.Scheduler, seed int64, resolver dnssim.Resolver, set *faults.Set) {
+	c.lane = &lane{
+		clk:      clk,
+		sched:    sched,
+		rng:      rand.New(rand.NewSource(seed)),
+		ids:      mail.NewIDSource("dsn-" + c.Name),
+		resolver: resolver,
+		faults:   set,
+	}
 	n.mu.Lock()
 	n.companies[c.Name] = c
 	sorted := make([]*Company, 0, len(n.companies))
@@ -308,32 +302,6 @@ func (n *Network) AttachCompany(c *Company) {
 	})
 }
 
-// AttachCompanyLane is AttachCompany for epoch-barrier parallel
-// execution: the company's network events (challenge transit, retries,
-// recipient reactions, DSNs) run on its own clock and scheduler, and all
-// persona randomness comes from a private RNG stream seeded with seed —
-// so the company's trajectory is identical regardless of how many other
-// companies run beside it. Spamtrap hits are the one cross-company side
-// effect; they are buffered on the lane and applied by FlushTrapHits at
-// the epoch barrier.
-func (n *Network) AttachCompanyLane(c *Company, clk *clock.Sim, sched *clock.Scheduler, seed int64) {
-	c.lane = &lane{
-		clk:   clk,
-		sched: sched,
-		rng:   rand.New(rand.NewSource(seed)),
-		ids:   mail.NewIDSource("dsn-" + c.Name),
-	}
-	n.AttachCompany(c)
-}
-
-// laneCtx returns the clock and scheduler events for c must run on.
-func (n *Network) laneCtx(c *Company) (*clock.Sim, *clock.Scheduler) {
-	if c.lane != nil {
-		return c.lane.clk, c.lane.sched
-	}
-	return n.clk, n.sched
-}
-
 // FlushTrapHits applies the spamtrap hits buffered by every lane since
 // the last flush, in company-name-sorted order. The fleet calls it at
 // fired epoch barriers, after all lanes have reached the barrier and
@@ -342,9 +310,6 @@ func (n *Network) laneCtx(c *Company) (*clock.Sim, *clock.Scheduler) {
 func (n *Network) FlushTrapHits() int {
 	flushed := 0
 	for _, c := range n.companiesSorted() {
-		if c.lane == nil {
-			continue
-		}
 		for _, h := range c.lane.trapHits {
 			n.traps.Hit(h.to, h.ip)
 			flushed++
@@ -363,9 +328,7 @@ func (n *Network) FlushTrapHits() int {
 func (n *Network) StagedTrapHits() int {
 	staged := 0
 	for _, c := range n.companiesSorted() {
-		if c.lane != nil {
-			staged += len(c.lane.trapHits)
-		}
+		staged += len(c.lane.trapHits)
 	}
 	return staged
 }
@@ -405,16 +368,9 @@ func (n *Network) SubmitChallenge(c *Company, ch core.OutboundChallenge) {
 		ClientIP: ch.ClientIP,
 		Status:   StatusPending,
 	}
-	if c.lane != nil {
-		c.records = append(c.records, rec)
-	} else {
-		n.mu.Lock()
-		c.records = append(c.records, rec)
-		n.mu.Unlock()
-	}
+	c.records = append(c.records, rec)
 	d := &delivery{rec: rec, token: ch.Token, issued: ch.Issued}
-	_, sched := n.laneCtx(c)
-	sched.After(n.cfg.TransitDelay, func() { n.attemptDelivery(c, d) })
+	c.lane.sched.After(n.cfg.TransitDelay, func() { n.attemptDelivery(c, d) })
 }
 
 // delivery is a challenge in flight: its record plus what only the
@@ -432,15 +388,13 @@ func (n *Network) attemptDelivery(c *Company, d *delivery) {
 	rec := d.rec
 	rec.Attempts++
 	to := rec.To
-	clk, _ := n.laneCtx(c)
-
 	remote := n.remote(to.Domain)
 
 	// No server for the domain (or no DNS): hard bounce. Without DSNs
 	// the transport layer reports the bounce directly; with DSNs the
 	// engine learns it by parsing the notification (counting it twice
 	// would double the reputation penalty).
-	if remote == nil || !n.domainResolvable(to.Domain) {
+	if remote == nil || !c.lane.resolvable(to.Domain) {
 		rec.Status = StatusBouncedNoDomain
 		if !n.cfg.EmitDSNs {
 			c.Engine.RecordChallengeBounce(to)
@@ -449,7 +403,7 @@ func (n *Network) attemptDelivery(c *Company, d *delivery) {
 		return
 	}
 
-	if remote.Unreachable || clk.Now().Before(remote.DownUntil) {
+	if remote.Unreachable || c.lane.clk.Now().Before(remote.DownUntil) {
 		n.retryOrExpire(c, d)
 		return
 	}
@@ -463,17 +417,13 @@ func (n *Network) attemptDelivery(c *Company, d *delivery) {
 	}
 
 	// Spamtraps accept everything (that is how they lure spam) and
-	// report the sending IP to the blocklist providers. Under lane
-	// execution the provider update is deferred to the epoch barrier so
-	// listing state never depends on lane interleaving.
+	// report the sending IP to the blocklist providers. The provider
+	// update is deferred to the epoch barrier so listing state never
+	// depends on lane interleaving.
 	if n.traps != nil && n.traps.IsTrap(to) {
 		rec.Status = StatusDelivered
 		rec.TrapHit = true
-		if c.lane != nil {
-			c.lane.trapHits = append(c.lane.trapHits, trapHit{to: to, ip: c.ChallengeIP})
-		} else {
-			n.traps.Hit(to, c.ChallengeIP)
-		}
+		c.lane.trapHits = append(c.lane.trapHits, trapHit{to: to, ip: c.ChallengeIP})
 		return
 	}
 
@@ -513,31 +463,24 @@ func (n *Network) emitDSN(c *Company, rec *ChallengeRecord, srcIP, status, reaso
 		// company's own MTA-OUT.
 		srcIP = c.MailIP
 	}
-	clk, sched := n.laneCtx(c)
-	id := mail.NewID("dsn")
-	if c.lane != nil {
-		id = c.lane.ids.Next()
-	}
 	body := mail.FormatDSNBody(rec.To.String(), status, reason, rec.MsgID)
-	if n.cfg.Injector != nil {
-		if d := n.cfg.Injector.Decide("outbound-dsn", 0); d.Err != nil {
-			// A garbling reporting MTA: the machine-readable block is
-			// destroyed, so the engine sees an uncorrelatable bounce
-			// and must degrade gracefully, never crash.
-			body = "\xff\xfe<<" + reason + ">> =?garbage?= \x00"
-		}
+	if c.lane.faults.Decide("outbound-dsn", 0).Err != nil {
+		// A garbling reporting MTA: the machine-readable block is
+		// destroyed, so the engine sees an uncorrelatable bounce and
+		// must degrade gracefully, never crash.
+		body = "\xff\xfe<<" + reason + ">> =?garbage?= \x00"
 	}
 	dsn := &mail.Message{
-		ID:           id,
+		ID:           c.lane.ids.Next(),
 		EnvelopeFrom: mail.Null,
 		Rcpt:         c.Engine.Config().ChallengeFrom,
 		Subject:      "Undelivered Mail Returned to Sender",
 		Body:         body,
 		Size:         1200 + len(reason),
 		ClientIP:     srcIP,
-		Received:     clk.Now(),
+		Received:     c.lane.clk.Now(),
 	}
-	sched.After(n.cfg.TransitDelay, func() { c.Engine.Receive(dsn) })
+	c.lane.sched.After(n.cfg.TransitDelay, func() { c.Engine.Receive(dsn) })
 }
 
 func (n *Network) retryOrExpire(c *Company, d *delivery) {
@@ -547,41 +490,30 @@ func (n *Network) retryOrExpire(c *Company, d *delivery) {
 		n.emitDSN(c, d.rec, "", "4.4.7", "delivery time expired")
 		return
 	}
-	_, sched := n.laneCtx(c)
-	sched.After(resilience.MTARetrySchedule[idx], func() { n.attemptDelivery(c, d) })
+	c.lane.sched.After(resilience.MTARetrySchedule[idx], func() { n.attemptDelivery(c, d) })
 }
 
 // scheduleRecipientReaction decides, per the mailbox behavior profile,
 // whether the challenge URL gets visited and solved, and schedules those
 // actions in virtual time.
 func (n *Network) scheduleRecipientReaction(c *Company, d *delivery, b Behavior) {
-	var visit, solve bool
+	rng := c.lane.rng
+	visit := rng.Float64() < b.VisitProb
+	solve := visit && rng.Float64() < b.SolveProbGivenVisit
 	var delay time.Duration
-	attempts := 1
-	draw := func(rng *rand.Rand) {
-		visit = rng.Float64() < b.VisitProb
-		solve = visit && rng.Float64() < b.SolveProbGivenVisit
-		if b.Delay != nil {
-			delay = b.Delay(rng)
-		}
-		if len(b.AttemptsDist) > 0 {
-			attempts = sampleAttempts(rng, b.AttemptsDist)
-		}
+	if b.Delay != nil {
+		delay = b.Delay(rng)
 	}
-	if c.lane != nil {
-		// Lane RNG: single-threaded within the lane, no lock needed.
-		draw(c.lane.rng)
-	} else {
-		n.mu.Lock()
-		draw(n.rng)
-		n.mu.Unlock()
+	attempts := 1
+	if len(b.AttemptsDist) > 0 {
+		attempts = sampleAttempts(rng, b.AttemptsDist)
 	}
 
 	if !visit {
 		return
 	}
-	clk, sched := n.laneCtx(c)
-	sched.After(delay, func() {
+	clk := c.lane.clk
+	c.lane.sched.After(delay, func() {
 		svc := c.Engine.Captcha()
 		if _, err := svc.Visit(d.token); err != nil {
 			return // expired or already resolved via digest
@@ -629,13 +561,7 @@ func (n *Network) SendUserMail(c *Company, to mail.Address) UserMailOutcome {
 			outcome = UserMailBouncedNoUser
 		}
 	}
-	if c.lane != nil {
-		c.userMail[outcome]++
-	} else {
-		n.mu.Lock()
-		c.userMail[outcome]++
-		n.mu.Unlock()
-	}
+	c.userMail[outcome]++
 	return outcome
 }
 

@@ -35,7 +35,7 @@ func newWorld(t testing.TB, seed int64) *world {
 	w.dns = dnssim.NewServer()
 	w.provs = rbl.StandardProviders(w.clk)
 	w.traps = rbl.NewTrapRegistry(w.provs...)
-	w.net = New(w.clk, w.sched, w.dns, w.provs, w.traps, Config{Seed: seed})
+	w.net = New(w.dns, w.provs, w.traps, Config{})
 
 	spamhaus := w.provs[2] // the engine's RBL filter input
 	chain := filters.NewChain(
@@ -57,7 +57,7 @@ func newWorld(t testing.TB, seed int64) *world {
 	w.dns.RegisterMailDomain("corp.example", "198.51.100.1")
 
 	w.comp = &Company{Name: "corp", Engine: eng, ChallengeIP: "198.51.100.1", MailIP: "198.51.100.1"}
-	w.net.AttachCompany(w.comp)
+	w.net.AttachCompanyLane(w.comp, w.clk, w.sched, seed, w.dns, nil)
 	return w
 }
 
@@ -205,6 +205,16 @@ func TestChallengeToTrapListsServerIP(t *testing.T) {
 		w.inject(fmt.Sprintf("contact%d@lure.example", i), "192.0.2.77")
 	}
 	w.sched.RunFor(time.Hour)
+	// The hits wait on the lane until a barrier applies them.
+	if staged := w.net.StagedTrapHits(); staged != 5 {
+		t.Fatalf("staged trap hits = %d, want 5", staged)
+	}
+	if spamhaus.IsListed(w.comp.ChallengeIP) {
+		t.Fatal("challenge IP listed before the staged hits were flushed")
+	}
+	if flushed := w.net.FlushTrapHits(); flushed != 5 {
+		t.Fatalf("flushed %d trap hits, want 5", flushed)
+	}
 
 	st := w.net.DeliveryStats()
 	if st.TrapHits != 5 {
@@ -437,7 +447,7 @@ func BenchmarkChallengeRoundTrip(b *testing.B) {
 	w.dns = dnssim.NewServer()
 	w.provs = rbl.StandardProviders(w.clk)
 	w.traps = rbl.NewTrapRegistry(w.provs...)
-	w.net = New(w.clk, w.sched, w.dns, w.provs, w.traps, Config{Seed: 1})
+	w.net = New(w.dns, w.provs, w.traps, Config{})
 	wl := whitelist.NewStore(w.clk)
 	eng := core.New(core.Config{
 		Name: "bench", Domains: []string{"corp.example"},
@@ -446,7 +456,7 @@ func BenchmarkChallengeRoundTrip(b *testing.B) {
 	}, w.clk, w.dns, filters.NewChain(), wl, nil)
 	eng.AddUser(mail.MustParseAddress("bob@corp.example"))
 	w.comp = &Company{Name: "bench", Engine: eng, ChallengeIP: "198.51.100.1", MailIP: "198.51.100.1"}
-	w.net.AttachCompany(w.comp)
+	w.net.AttachCompanyLane(w.comp, w.clk, w.sched, 1, w.dns, nil)
 	r := NewRemoteServer("example.com", "192.0.2.10")
 	bh := DefaultBehavior(PersonaLegit)
 	bh.VisitProb, bh.SolveProbGivenVisit = 1, 1

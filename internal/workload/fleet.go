@@ -41,11 +41,10 @@ type Config struct {
 	// parallel, claiming lanes off one shared counter and rendezvousing
 	// at hourly epoch edges where cross-lane barriers fire only for
 	// epochs with staged effects (see ledger.go). 0 means GOMAXPROCS;
-	// 1 runs the same epoch loop serially. Results are identical for every value — each company
-	// owns its clock, scheduler and RNG streams, and cross-company
-	// effects apply only at barriers in company-name order. A FaultPlan
-	// forces 1 (the injector draws from one shared RNG whose order must
-	// stay reproducible).
+	// 1 runs the same epoch loop serially. Results are identical for
+	// every value — each company owns its clock, scheduler, RNG streams
+	// and fault injector, and cross-company effects apply only at
+	// barriers in company-name order.
 	Workers int
 
 	// World population.
@@ -110,9 +109,13 @@ type Config struct {
 	EmitDSNs bool
 
 	// FaultPlan, when non-nil, activates the internal/faults injection
-	// layer across the simulated infrastructure: the DNS resolver, every
-	// blocklist provider, and the scanner backends all consult one seeded
-	// injector, so a run under faults is exactly reproducible.
+	// layer on every lane: each company gets its own injector, seeded
+	// from (Seed, company) and timed by the lane clock, which its
+	// resolver, blocklist and scanner seams, its reputation store, its
+	// DSN generation and its admission service latency (the "surge"
+	// target) all consult. A run under faults is exactly reproducible
+	// for any worker count, and a rule's hour window is read in the
+	// lane's own time.
 	FaultPlan *faults.Plan
 
 	// Overload, when non-nil, puts an admission controller in front of
@@ -127,12 +130,6 @@ type Config struct {
 	// burst). Bursts are injected per lane, so runs stay worker-count
 	// invariant.
 	SurgeBursts []SurgeBurst
-	// SurgePlan, when non-nil, drives per-message engine service latency
-	// through the "surge" fault target. Unlike FaultPlan it does NOT
-	// force serial execution: every lane derives its own injector from
-	// (Seed, company), so decisions are lane-local and deterministic for
-	// any worker count.
-	SurgePlan *faults.Plan
 
 	// Measurement.
 	CheckerPeriod time.Duration // §5.1 blacklist polling period
@@ -185,9 +182,10 @@ type botIP struct {
 // Fleet is the fully-assembled world: simulated clock, DNS, blocklists,
 // remote servers, companies, campaigns and the day-loop driver.
 type Fleet struct {
-	Cfg       Config
+	Cfg Config
+	// Clk is the shared clock the blocklist providers run on. It moves
+	// only at fired barriers (ledger.go); each lane runs on its own.
 	Clk       *clock.Sim
-	Sched     *clock.Scheduler
 	DNS       *dnssim.Server
 	Providers []*rbl.Provider
 	Traps     *rbl.TrapRegistry
@@ -195,13 +193,9 @@ type Fleet struct {
 	Checker   *rbl.Checker
 	Companies []*simnet.Company
 	Start     time.Time
-	// Injector is the active fault source (nil without Config.FaultPlan).
-	Injector *faults.Set
 
-	lanes      []*companyLane     // company-name-sorted execution lanes
-	resolve    dnssim.Resolver    // DNS behind the "dns" seam
-	rblBackend filters.RBLBackend // the filter provider behind the "rbl:" seam
-	outIPs     []string           // cached allOutIPs result
+	lanes  []*companyLane // company-name-sorted execution lanes
+	outIPs []string       // cached allOutIPs result
 
 	rng *rand.Rand
 
@@ -244,26 +238,11 @@ func NewFleet(cfg Config) *Fleet {
 		Start: FleetStart,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
-	f.Sched = clock.NewScheduler(f.Clk)
 	f.DNS = dnssim.NewServer()
 	f.Providers = rbl.StandardProviders(f.Clk)
 	f.Traps = rbl.NewTrapRegistry(f.Providers...)
 	f.Checker = rbl.NewChecker(f.Providers...)
-	netCfg := simnet.Config{Seed: cfg.Seed + 1, EmitDSNs: cfg.EmitDSNs}
-	if cfg.FaultPlan != nil {
-		f.Injector = faults.New(cfg.FaultPlan, cfg.Seed+77, f.Clk)
-		netCfg.Injector = f.Injector
-	}
-	f.Net = simnet.New(f.Clk, f.Sched, f.DNS, f.Providers, f.Traps, netCfg)
-
-	// Every engine, probe filter, SPF checker and the workload generator
-	// read the in-memory zone and the filter blocklist directly, behind
-	// the fault seams (a no-op without a fault plan). No cache sits in
-	// front: the zone is frozen once built, and the blocklist changes
-	// only at fired barriers while every lane is parked.
-	f.resolve = seam.Resolver(f.DNS, f.Injector)
-	f.rblBackend = seam.RBL(f.filterProvider(), f.Injector)
-	f.Net.SetResolver(f.resolve)
+	f.Net = simnet.New(f.DNS, f.Providers, f.Traps, simnet.Config{EmitDSNs: cfg.EmitDSNs})
 
 	f.buildWorld()
 	f.buildCampaigns()
@@ -283,14 +262,14 @@ const (
 	saltNetLane
 	saltCampaignCovers
 	saltCampaignTargets
-	saltSurge
+	saltFaults
 )
 
 // deriveSeed hashes a base seed and salts into the seed of an
 // independent RNG stream (splitmix64 finalizer). Lanes, the per-company
-// network personas, and campaign memos each draw from streams derived
-// from (seed, company) so their randomness is identical regardless of
-// worker count or lane interleaving.
+// network personas, fault injectors and campaign memos each draw from
+// streams derived from (seed, company) so their randomness is identical
+// regardless of worker count or lane interleaving.
 func deriveSeed(base int64, salts ...int64) int64 {
 	z := uint64(base) + 0x9e3779b97f4a7c15
 	for _, s := range salts {
@@ -516,9 +495,9 @@ func (f *Fleet) drawSpoof(trapShare float64) mail.Address {
 }
 
 // companyLane is the per-company execution context: its own virtual
-// clock, scheduler, RNG stream, message-ID source, users and their
-// per-user state, sink buffers and the ground truth of the messages it
-// generated. A lane is advanced by exactly one worker per epoch, so
+// clock, scheduler, RNG stream, message-ID source, fault injector and
+// the resolver behind it, users and their per-user state, sink buffers
+// and the ground truth of the messages it generated. A lane is advanced by exactly one worker per epoch, so
 // everything here is single-threaded; the Fleet's accessors read it
 // between Run calls.
 type companyLane struct {
@@ -529,6 +508,12 @@ type companyLane struct {
 	sched   *clock.Scheduler
 	rng     *rand.Rand
 	ids     *mail.IDSource
+	// faults is the lane's injector (nil without Config.FaultPlan),
+	// seeded from (Seed, saltFaults, company) and timed by clk; resolve
+	// is the zone behind its "dns" seam, which the engine, its probe
+	// filters and simnet's delivery probe for this company share.
+	faults  *faults.Set
+	resolve dnssim.Resolver
 
 	// users are the company's protected accounts. The per-user slices
 	// beside them are indexed by a user's position in users: the seeded
@@ -590,10 +575,7 @@ type companyLane struct {
 	// Overload admission (nil unless Config.Overload): the controller
 	// runs on the lane clock and its events buffer into logBuf like the
 	// engine's, so the shed stream is worker-count invariant.
-	ctl *overload.Controller
-	// surge is the lane's private service-latency injector (nil unless
-	// Config.SurgePlan), seeded from (Seed, saltSurge, company).
-	surge      *faults.Set
+	ctl        *overload.Controller
 	surgeStats laneSurgeStats
 }
 
@@ -717,7 +699,16 @@ func (f *Fleet) buildCompany(i int, b *builtCompany) {
 	ln.sched = clock.NewScheduler(ln.clk)
 	b.ln = ln
 
-	av := seam.Antivirus(filters.NewAntivirus(), f.Injector)
+	// The engine, its probe filters and its SPF checker read the frozen
+	// zone and the filter blocklist directly, behind the lane's fault
+	// seams (which return their input without a fault plan). No cache
+	// sits in front: the zone is frozen once built, and the blocklist
+	// changes only at fired barriers while every lane is parked.
+	if f.Cfg.FaultPlan != nil {
+		ln.faults = faults.New(f.Cfg.FaultPlan, deriveSeed(f.Cfg.Seed, saltFaults, int64(i)), ln.clk)
+	}
+	ln.resolve = seam.Resolver(f.DNS, ln.faults)
+	av := seam.Antivirus(filters.NewAntivirus(), ln.faults)
 	// Every auxiliary filter runs behind a breaker + retrier with an
 	// explicit degradation policy: the scan fails closed (unscanned
 	// mail is held), the advisory lookups fail open (an outage must
@@ -732,16 +723,16 @@ func (f *Fleet) buildCompany(i int, b *builtCompany) {
 	}
 	chainFilters := []filters.Filter{
 		harden(av, filters.FailClosed, 1),
-		harden(filters.NewReverseDNS(f.resolve), filters.FailOpen, 2),
-		harden(filters.NewRBL(f.rblBackend), filters.FailOpen, 3),
+		harden(filters.NewReverseDNS(ln.resolve), filters.FailOpen, 2),
+		harden(filters.NewRBL(seam.RBL(f.filterProvider(), ln.faults)), filters.FailOpen, 3),
 	}
 	if f.Cfg.UseSPFFilter {
-		chainFilters = append(chainFilters, harden(filters.NewSPF(spf.New(f.resolve)), filters.FailOpen, 4))
+		chainFilters = append(chainFilters, harden(filters.NewSPF(spf.New(ln.resolve)), filters.FailOpen, 4))
 	}
 	if f.Cfg.UseReputation {
 		repCfg := reputation.DefaultConfig()
-		if f.Injector != nil {
-			repCfg.Injector = f.Injector
+		if ln.faults != nil {
+			repCfg.Injector = ln.faults
 		}
 		ln.rep = reputation.NewStore(repCfg, ln.clk)
 		// The reputation check heads the chain so suspect senders are
@@ -767,7 +758,7 @@ func (f *Fleet) buildCompany(i int, b *builtCompany) {
 		ChallengeSize:        1800,
 		Seed:                 f.Cfg.Seed + int64(i)*7919,
 		MaxChallengesPerHour: f.Cfg.ChallengeCapPerHour,
-	}, ln.clk, f.resolve, chain, wl, nil)
+	}, ln.clk, ln.resolve, chain, wl, nil)
 	if ln.rep != nil {
 		eng.SetReputation(ln.rep)
 	}
@@ -794,10 +785,6 @@ func (f *Fleet) buildCompany(i int, b *builtCompany) {
 		// work (fail-open degradation) before admissions themselves
 		// start tempfailing mail.
 		eng.SetPressure(ln.ctl.Pressured)
-	}
-	if f.Cfg.SurgePlan != nil {
-		ln.surge = faults.New(f.Cfg.SurgePlan,
-			deriveSeed(f.Cfg.Seed, saltSurge, int64(i)), ln.clk)
 	}
 
 	// Protected accounts plus their seeded white/blacklists.
@@ -861,7 +848,7 @@ func (f *Fleet) publishCompany(b *builtCompany) {
 	ln := b.ln
 	f.DNS.RegisterMailDomain(ln.profile.Domain, ln.comp.ChallengeIP)
 	f.Net.AttachCompanyLane(ln.comp, ln.clk, ln.sched,
-		deriveSeed(f.Cfg.Seed, saltNetLane, int64(ln.idx)))
+		deriveSeed(f.Cfg.Seed, saltNetLane, int64(ln.idx)), ln.resolve, ln.faults)
 	f.Companies = append(f.Companies, ln.comp)
 	f.lanes = append(f.lanes, ln)
 }
@@ -965,6 +952,22 @@ func (f *Fleet) ClassCounts() map[Class]int64 {
 			if n != 0 {
 				out[Class(cl)] += n
 			}
+		}
+	}
+	return out
+}
+
+// FaultCounts returns how often each "target/kind" fault fired, summed
+// over the lanes' injectors (empty without Config.FaultPlan). Call it
+// between Run calls.
+func (f *Fleet) FaultCounts() map[string]int64 {
+	out := make(map[string]int64)
+	for _, ln := range f.lanes {
+		if ln.faults == nil {
+			continue
+		}
+		for k, n := range ln.faults.Counts() {
+			out[k] += n
 		}
 	}
 	return out

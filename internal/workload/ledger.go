@@ -10,9 +10,8 @@ import (
 // cross-company side effects — spamtrap hits — in per-lane buffers
 // (simnet lane.trapHits, appended lock-free on the lane goroutine). At
 // every epoch rendezvous the coordinator consults the ledger predicate
-// (barrierDue): if no lane staged an effect, no checker poll is due and
-// the shared scheduler has nothing to drain, the barrier is skipped
-// wholesale — the shared clock stays at the watermark (the last fired
+// (barrierDue): if no lane staged an effect and no checker poll is due,
+// the barrier is skipped wholesale — the shared clock stays at the watermark (the last fired
 // barrier) and no lane pays for cross-company synchronization it does
 // not need. Determinism is preserved because the predicate depends only
 // on lane-local state that is itself worker-count-invariant, so the
@@ -77,36 +76,24 @@ func (f *Fleet) Watermark() time.Time {
 //
 //   - a lane staged a spamtrap hit (trap → blocklist propagation must
 //     apply at this epoch's timestamp, in company-name order);
-//   - the §5.1 checker poll falls on this epoch;
-//   - the shared scheduler holds an event at or before epochEnd
-//     (externally scheduled work must run at its due time).
+//   - the §5.1 checker poll falls on this epoch.
 //
-// Every input is deterministic and worker-count-invariant: trap staging
-// is a pure function of lane execution, the checker period is config,
-// and nothing inside an epoch schedules on the shared scheduler. The
-// caller must have synchronized with all lanes (epoch rendezvous).
+// Both inputs are deterministic and worker-count-invariant: trap
+// staging is a pure function of lane execution, and the checker period
+// is config. The caller must have synchronized with all lanes (epoch
+// rendezvous).
 func (f *Fleet) barrierDue(epochEnd time.Time) bool {
-	if f.Net.StagedTrapHits() > 0 {
-		return true
-	}
-	if f.Cfg.CheckerPeriod > 0 && epochEnd.Sub(f.Start)%f.Cfg.CheckerPeriod == 0 {
-		return true
-	}
-	if at, ok := f.Sched.NextAt(); ok && !at.After(epochEnd) {
-		return true
-	}
-	return false
+	return f.Net.StagedTrapHits() > 0 ||
+		f.Cfg.CheckerPeriod > 0 && epochEnd.Sub(f.Start)%f.Cfg.CheckerPeriod == 0
 }
 
 // fireBarrier runs the full cross-lane barrier at epochEnd: advance the
-// shared clock from the watermark, drain the shared scheduler, expire
-// blocklist listings eagerly (Provider.Sweep), apply staged trap hits
+// shared clock from the watermark, expire blocklist listings eagerly (Provider.Sweep), apply staged trap hits
 // in company-name order, poll the §5.1 checker when due, and flush the
 // lanes' log buffers. All lanes are parked.
 func (f *Fleet) fireBarrier(epochEnd time.Time) {
 	f.ledger.fired.Add(1)
 	f.Clk.AdvanceTo(epochEnd)
-	f.Sched.RunUntil(epochEnd)
 
 	// Provider sweeps close expired listings before the staged hits
 	// apply — the same visible order the lazy expiry used to give (an

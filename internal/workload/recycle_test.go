@@ -46,7 +46,7 @@ func recycleConfigs() map[string]Config {
 		TargetLatency: 250 * time.Millisecond,
 		QueueCapacity: 32, QueueDeadline: 30 * time.Second,
 	}
-	surge.SurgePlan = &faults.Plan{Name: "surge-latency", Rules: []faults.Rule{
+	surge.FaultPlan = &faults.Plan{Name: "surge-latency", Rules: []faults.Rule{
 		{Target: "surge", Kind: faults.KindLatency, Latency: faults.Duration(400 * time.Millisecond)},
 	}}
 	surge.SurgeBursts = []SurgeBurst{{Day: 1, Hour: 10, Hours: 3, Intensity: 10}}

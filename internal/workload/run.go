@@ -26,11 +26,10 @@ import (
 // Companies execute on independent lanes advanced in one-hour epochs by
 // Config.Workers goroutines (advanceLanes). Cross-lane synchronization
 // is *sparse*: at each epoch rendezvous the effect ledger (ledger.go)
-// decides whether any cross-company effect was staged — trap hits, a
-// due checker poll, a pending shared-scheduler event — and only then
-// does the barrier fire;
-// idle epochs are skipped with a watermark advance and the shared clock
-// stays frozen. The last epoch of every day always fires, so public
+// decides whether any cross-company effect was staged — trap hits or a
+// due checker poll — and only then does the barrier fire; idle epochs
+// are skipped with a watermark advance and the shared clock stays
+// frozen. The last epoch of every day always fires, so public
 // accessors are consistent whenever Run returns. All effects apply in
 // company-name order at deterministic virtual times, so the results are
 // bit-for-bit identical for any worker count.
@@ -102,12 +101,6 @@ func (f *Fleet) workers(n int) int {
 	w := f.Cfg.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
-	}
-	// A fault plan shares one seeded injector RNG across every consumer;
-	// parallel lanes would make its draw order depend on goroutine
-	// scheduling, so chaos runs stay serial to remain reproducible.
-	if f.Injector != nil {
-		w = 1
 	}
 	return max(1, min(w, n))
 }
@@ -347,9 +340,12 @@ func (f *Fleet) buildMessage(ln *companyLane, class Class) *mail.Message {
 	users := ln.users
 	randUser := func() mail.Address { return users[rng.Intn(len(users))] }
 	randBot := func() botIP { return f.botnet[rng.Intn(len(f.botnet))] }
+	// The generator reads the zone itself, not the product's faulted
+	// resolver: a fault plan changes how the engine sees the traffic,
+	// never which traffic arrives.
 	legitIPFor := func(domain string) string {
 		host := ln.names.concat(&ln.scratch, "mail.", domain)
-		if ips, err := f.resolve.LookupA(host); err == nil && len(ips) > 0 {
+		if ips, err := f.DNS.LookupA(host); err == nil && len(ips) > 0 {
 			return ips[0]
 		}
 		return "192.0.2.250"

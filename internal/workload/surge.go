@@ -100,15 +100,11 @@ func (f *Fleet) admitAndDeliver(ln *companyLane, msg *mail.Message, class Class,
 }
 
 // serveAdmitted holds the grant for the injected service latency (the
-// "surge" fault target; zero without a SurgePlan), then delivers and
-// releases — the release feeds the AIMD limiter the observed latency.
+// lane injector's "surge" target; zero without a fault plan), then
+// delivers and releases — the release feeds the AIMD limiter the
+// observed latency.
 func (f *Fleet) serveAdmitted(ln *companyLane, msg *mail.Message, class Class, attempt int, g *overload.Grant) {
-	var svc time.Duration
-	if ln.surge != nil {
-		if d := ln.surge.Decide("surge", 0); d.Latency > 0 {
-			svc = d.Latency
-		}
-	}
+	svc := ln.faults.Decide("surge", 0).Latency
 	deliver := func() {
 		msg.Received = ln.clk.Now()
 		f.deliverNow(ln, msg, class, attempt)
