@@ -185,10 +185,10 @@ func main() {
 			ocfg.Journal = seam.Journal(journal.Emit, set)
 		}
 		queue = outbound.NewQueue(ocfg)
-		// Re-enqueue challenges that were pending in the recovered spool:
-		// a crash between Enqueue and the terminal transition loses
-		// nothing, the journalled state transitions rebuild the queue.
-		if n := queue.Restore(); n > 0 {
+		// The queue delivers the challenges still pending in the
+		// recovered spool on its next flush: a crash between Enqueue and
+		// the terminal transition loses nothing.
+		if n := sp.Len(); n > 0 {
 			log.Printf("outbound: restored %d pending challenge(s) from the recovered spool", n)
 		}
 	}

@@ -8,7 +8,6 @@ package gateway
 
 import (
 	"repro/internal/core"
-	"repro/internal/greylist"
 	"repro/internal/mail"
 	"repro/internal/overload"
 	"repro/internal/smtp"
@@ -17,20 +16,11 @@ import (
 // Backend adapts a core.Engine to smtp.Backend.
 type Backend struct {
 	engine *core.Engine
-	grey   *greylist.Store
 	ctl    *overload.Controller
 }
 
 // Option customises a Backend.
 type Option func(*Backend)
-
-// WithGreylist enables SMTP greylisting in front of the engine: unseen
-// (network, sender, recipient) tuples get a 451 at RCPT time and must
-// retry after the configured delay — the companion technique §5.2 hints
-// at, cutting challenge volume before the CR engine even sees the spam.
-func WithGreylist(g *greylist.Store) Option {
-	return func(b *Backend) { b.grey = g }
-}
 
 // WithOverload puts an admission controller in front of Deliver: a
 // message the controller sheds is tempfailed — 451 under load, 421
@@ -79,9 +69,7 @@ func (b *Backend) anyLocal() mail.Address {
 }
 
 // ValidateRcpt implements smtp.Backend: relay policy and recipient
-// existence, rejected with the SMTP codes real MTAs use, then (when
-// enabled) greylisting. The greylist runs last so rejections for
-// non-existent users stay permanent — greylisting must never mask a 550.
+// existence, rejected with the SMTP codes real MTAs use.
 func (b *Backend) ValidateRcpt(from, rcpt mail.Address) *smtp.Reply {
 	probe := &mail.Message{EnvelopeFrom: from, Rcpt: rcpt}
 	switch b.engine.CheckMTAIn(probe) {
@@ -91,14 +79,6 @@ func (b *Backend) ValidateRcpt(from, rcpt mail.Address) *smtp.Reply {
 		return &smtp.Reply{Code: 550, Text: "no such user"}
 	case core.Malformed:
 		return &smtp.Reply{Code: 553, Text: "mailbox name not allowed"}
-	}
-	if b.grey != nil {
-		// smtp.Backend does not pass the client IP to ValidateRcpt, so
-		// the greylist keys on sender+recipient with a placeholder
-		// network. Nothing re-checks later with the real IP.
-		if b.grey.Check("0.0.0.0", from, rcpt) == greylist.TempReject {
-			return &smtp.Reply{Code: 451, Text: "greylisted, please retry later"}
-		}
 	}
 	return nil
 }

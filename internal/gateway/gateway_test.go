@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dnssim"
 	"repro/internal/filters"
-	"repro/internal/greylist"
 	"repro/internal/mail"
 	"repro/internal/smtp"
 	"repro/internal/whitelist"
@@ -142,56 +141,6 @@ func TestSenderRejectionCodes(t *testing.T) {
 	err = c.Mail(mail.MustParseAddress("x@unresolvable.example"))
 	if r, ok := err.(*smtp.Reply); !ok || r.Code != 450 || !r.Temporary() {
 		t.Fatalf("unresolvable sender err = %v", err)
-	}
-}
-
-func TestGreylistedRcptGets451ThenPasses(t *testing.T) {
-	clk := clock.Real{}
-	dns := dnssim.NewServer()
-	dns.RegisterMailDomain("example.com", "127.0.0.1")
-	wl := whitelist.NewStore(clk)
-	eng := core.New(core.Config{
-		Name:          "grey",
-		Domains:       []string{"corp.example"},
-		ChallengeFrom: mail.MustParseAddress("challenge@corp.example"),
-	}, clk, dns, filters.NewChain(), wl, func(core.OutboundChallenge) {})
-	eng.AddUser(mail.MustParseAddress("bob@corp.example"))
-
-	gl := greylist.New(greylist.Config{Delay: time.Millisecond, Window: time.Hour, PassTTL: time.Hour}, clk)
-	srv := smtp.NewServer(smtp.Config{Hostname: "mta", ReadTimeout: 5 * time.Second}, New(eng, WithGreylist(gl)))
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l) //nolint:errcheck
-	defer srv.Close()
-
-	c := dial(t, l.Addr().String())
-	alice := mail.MustParseAddress("alice@example.com")
-	bob := mail.MustParseAddress("bob@corp.example")
-	if err := c.Mail(alice); err != nil {
-		t.Fatal(err)
-	}
-	err = c.Rcpt(bob)
-	r, ok := err.(*smtp.Reply)
-	if !ok || r.Code != 451 || !r.Temporary() {
-		t.Fatalf("first contact reply = %v, want 451", err)
-	}
-	// Unknown users still get a permanent 550, not a greylist 451.
-	err = c.Rcpt(mail.MustParseAddress("ghost@corp.example"))
-	if r, ok := err.(*smtp.Reply); !ok || r.Code != 550 {
-		t.Fatalf("unknown rcpt = %v, want 550", err)
-	}
-	// Retry after the (1ms) delay passes.
-	time.Sleep(5 * time.Millisecond)
-	if err := c.Rcpt(bob); err != nil {
-		t.Fatalf("retry rejected: %v", err)
-	}
-	if err := c.Data("Subject: hello after greylist\r\n\r\nhi"); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Metrics().MTAIncoming != 1 {
-		t.Fatal("message did not reach the engine after greylist pass")
 	}
 }
 

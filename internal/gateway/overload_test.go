@@ -3,12 +3,10 @@ package gateway
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dnssim"
-	"repro/internal/greylist"
 	"repro/internal/mail"
 	"repro/internal/overload"
 	"repro/internal/whitelist"
@@ -16,7 +14,7 @@ import (
 
 // overloadBackend wires an engine behind an admission controller with a
 // single slot and no queue, so the second concurrent delivery sheds.
-func overloadBackend(t *testing.T, opts ...Option) (*Backend, *overload.Controller) {
+func overloadBackend(t *testing.T) (*Backend, *overload.Controller) {
 	t.Helper()
 	clk := clock.Real{}
 	dns := dnssim.NewServer()
@@ -33,7 +31,7 @@ func overloadBackend(t *testing.T, opts ...Option) (*Backend, *overload.Controll
 		QueueCapacity: -1, // shed immediately at the limit
 		Name:          "overloaded",
 	})
-	return New(eng, append(opts, WithOverload(ctl))...), ctl
+	return New(eng, WithOverload(ctl)), ctl
 }
 
 func TestDeliverShedsTempfail(t *testing.T) {
@@ -71,35 +69,6 @@ func TestDeliverDraining421(t *testing.T) {
 	reply := b.Deliver(grayMessage())
 	if reply == nil || reply.Code != 421 {
 		t.Fatalf("Deliver while draining = %+v, want 421", reply)
-	}
-}
-
-func TestGreylistRunsBeforeAdmission(t *testing.T) {
-	// A greylist 451 at RCPT must not consume an admission slot: the
-	// controller only guards Deliver, so greylisted first contacts are
-	// turned away before overload control is ever consulted.
-	g := greylist.New(greylist.Config{Delay: 10 * time.Minute}, clock.Real{})
-	b, ctl := overloadBackend(t, WithGreylist(g))
-	from := mail.MustParseAddress("alice@example.com")
-	rcpt := mail.MustParseAddress("bob@corp.example")
-	reply := b.ValidateRcpt(from, rcpt)
-	if reply == nil || reply.Code != 451 {
-		t.Fatalf("first contact = %+v, want greylist 451", reply)
-	}
-	m := ctl.Metrics()
-	if m.Admitted() != 0 || m.ShedTotal() != 0 {
-		t.Fatalf("controller consulted during greylisting: %+v", m)
-	}
-	// Saturate the controller: a message that passes RCPT still
-	// tempfails at DATA — overload and greylist 451s compose without
-	// masking each other.
-	hold := ctl.Submit("occupier", nil, nil)
-	defer hold.Granted.Release()
-	if reply := b.Deliver(grayMessage()); reply == nil || reply.Code != 451 {
-		t.Fatalf("Deliver = %+v, want overload 451", reply)
-	}
-	if ctl.Metrics().ShedTotal() != 1 {
-		t.Fatal("overload shed not recorded")
 	}
 }
 

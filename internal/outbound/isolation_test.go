@@ -274,8 +274,19 @@ func (j *journalTap) records() []wal.Record {
 	return append([]wal.Record(nil), j.recs...)
 }
 
+// last returns the last record journalled for msgID.
+func (j *journalTap) last(msgID string) wal.Record {
+	recs := j.records()
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].User == msgID {
+			return recs[i]
+		}
+	}
+	return wal.Record{}
+}
+
 // TestJournalReplayRebuildsQueue is the restart path: fold the journal
-// into a fresh spool, Restore a new queue from it, and finish delivery
+// into a fresh spool, build a new queue over it, and finish delivery
 // without double-sending anything already acked by the smarthost.
 func TestJournalReplayRebuildsQueue(t *testing.T) {
 	sh, addr := startSmarthost(t)
@@ -317,12 +328,12 @@ func TestJournalReplayRebuildsQueue(t *testing.T) {
 		HeloDomain: "cr.corp.example",
 		Spool:      sp2,
 	})
-	if n := q2.Restore(); n != 1 {
-		t.Fatalf("Restore = %d, want 1", n)
+	if d := q2.SpoolDepth(); d != 1 {
+		t.Fatalf("recovered spool depth = %d, want 1", d)
 	}
-	it := q2.Items()[0]
+	it := q2.Spool().Pending()[0]
 	if it.Challenge.MsgID == "" || it.Attempts != 1 || it.LastClass != ClassTempfail {
-		t.Fatalf("restored item lost its attempt state: %+v", it)
+		t.Fatalf("recovered item lost its attempt state: %+v", it)
 	}
 	sh.tempFail = map[string]bool{}
 	if _, err := q2.FlushAll(); err != nil {
@@ -333,6 +344,40 @@ func TestJournalReplayRebuildsQueue(t *testing.T) {
 	// once (after); gone@ never.
 	if got["example.com"] != 2 {
 		t.Fatalf("deliveries = %v, want exactly 2 to example.com", got)
+	}
+}
+
+// TestQueueOverRecoveredSpool: a queue built over a spool that already
+// holds pending challenges (what store.Recover rebuilds) counts them and
+// delivers them, with no call in between.
+func TestQueueOverRecoveredSpool(t *testing.T) {
+	sh, addr := startSmarthost(t)
+	sp := spool.NewState()
+	for i := 0; i < 3; i++ {
+		sp.ApplyEnqueue(toSpool(challengeTo(fmt.Sprintf("u%d@example.com", i))), uint64(i+1))
+	}
+	q := NewQueue(Config{
+		Dial:       func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
+		HeloDomain: "cr.corp.example",
+		MaxQueued:  2,
+		Spool:      sp,
+	})
+	if d := q.SpoolDepth(); d != 3 || d != q.Spool().Len() {
+		t.Fatalf("SpoolDepth = %d, spool holds %d; want 3", d, q.Spool().Len())
+	}
+	if queued, deferred := q.Stats()[StatusQueued], q.Deferred(); queued != 2 || deferred != 1 {
+		t.Fatalf("queued %d + deferred %d, want 2 + 1", queued, deferred)
+	}
+	if ds := q.DomainStats(); len(ds) != 1 || ds[0].Domain != "example.com" || ds[0].Queued != 3 {
+		t.Fatalf("DomainStats = %+v, want example.com with 3 queued", ds)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := q.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sentTo(sh)["example.com"]; got != 3 || q.SpoolDepth() != 0 {
+		t.Fatalf("delivered %d, %d left in the spool; want 3, 0", got, q.SpoolDepth())
 	}
 }
 
@@ -405,8 +450,8 @@ func TestCrashAtEveryTransition(t *testing.T) {
 			HeloDomain: "cr.corp.example",
 			Spool:      sp,
 		})
-		if n := q2.Restore(); n != len(pending) {
-			t.Fatalf("prefix %d: Restore = %d, want %d", k, n, len(pending))
+		if d := q2.SpoolDepth(); d != len(pending) {
+			t.Fatalf("prefix %d: spool depth = %d, want %d", k, d, len(pending))
 		}
 		if _, err := q2.FlushAll(); err != nil {
 			t.Fatal(err)

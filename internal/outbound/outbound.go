@@ -10,12 +10,13 @@
 //
 // Two robustness layers ride on the basic queue:
 //
-//   - Durability: every state transition (enqueue / attempt / sent /
-//     bounced / expired) is journalled through internal/spool into the
-//     WAL before the in-memory item changes, so a crash between
-//     gray-spool accept and smarthost handoff loses zero acked
-//     challenges — store.Recover rebuilds the pending spool and
-//     Restore re-admits it.
+//   - Durability: the spool (internal/spool) is the queue. Every state
+//     transition (enqueue / attempt / sent / bounced / expired) is
+//     journalled into the WAL and folded into the spool in one step,
+//     and each Flush takes its candidates from the spool's pending
+//     items, so a crash between gray-spool accept and smarthost handoff
+//     loses zero acked challenges: store.Recover rebuilds the pending
+//     spool, and a queue built over it delivers them on its next Flush.
 //   - Per-destination-domain isolation: each destination domain gets
 //     its own health ledger (a consecutive-failure circuit breaker, an
 //     independent retry ladder and a bounded per-flush in-flight
@@ -38,63 +39,36 @@ import (
 	"repro/internal/wal"
 )
 
-// Status is the delivery state of a queued challenge.
-type Status int
+// Status is the delivery state of a queued challenge: the spool's own
+// lifecycle status.
+type Status = spool.Status
 
 // Queue item states.
 const (
 	// StatusQueued: waiting for the next delivery attempt.
-	StatusQueued Status = iota
+	StatusQueued = spool.StatusQueued
 	// StatusSent: accepted by the smarthost.
-	StatusSent
+	StatusSent = spool.StatusSent
 	// StatusBounced: permanently rejected (5xx).
-	StatusBounced
+	StatusBounced = spool.StatusBounced
 	// StatusExpired: retries exhausted.
-	StatusExpired
+	StatusExpired = spool.StatusExpired
 )
 
-// String returns the state label.
-func (s Status) String() string {
-	switch s {
-	case StatusQueued:
-		return "queued"
-	case StatusSent:
-		return "sent"
-	case StatusBounced:
-		return "bounced"
-	case StatusExpired:
-		return "expired"
-	default:
-		return fmt.Sprintf("Status(%d)", int(s))
-	}
-}
-
-// ErrClass classifies the failure recorded in Item.LastError, so an
-// expired item shows which error class exhausted its retries.
-type ErrClass string
-
-// Error classes.
+// Error classes, recorded with each failed attempt (spool.Item.LastClass
+// and the journalled record's Origin), so an expired challenge shows
+// which error class exhausted its retries.
 const (
 	// ClassNone: no failure recorded yet.
-	ClassNone ErrClass = ""
+	ClassNone = ""
 	// ClassTempfail: the smarthost answered 4xx (transient rejection).
-	ClassTempfail ErrClass = "tempfail"
+	ClassTempfail = "tempfail"
 	// ClassPermfail: the smarthost answered 5xx (permanent rejection).
-	ClassPermfail ErrClass = "permfail"
+	ClassPermfail = "permfail"
 	// ClassConnection: the session itself failed (dial, I/O, injected
 	// outage) before an SMTP verdict was reached.
-	ClassConnection ErrClass = "connection"
+	ClassConnection = "connection"
 )
-
-// Item is one queued challenge with its delivery state.
-type Item struct {
-	Challenge core.OutboundChallenge
-	Status    Status
-	Attempts  int
-	LastError string
-	LastClass ErrClass
-	NextTry   time.Time
-}
 
 // Dialer opens an SMTP session to the smarthost. Tests substitute an
 // in-memory implementation.
@@ -123,19 +97,19 @@ type Config struct {
 	// Target "domain:<name>" is decided per item for the destination
 	// domain and fails only that domain (the dark-MX scenario).
 	Injector faults.Injector
-	// MaxQueued bounds the number of items in the active delivery queue
-	// (any state — the queue also holds terminal items for reporting).
-	// Overflowing challenges are deferred, not dropped: they wait in a
-	// raw FIFO (un-rendered, no Item allocated) and are promoted as
-	// Flush frees capacity. 0 means unbounded.
+	// MaxQueued bounds how many pending challenges a Flush considers:
+	// the MaxQueued oldest in spool order. The rest are deferred, not
+	// dropped: they stay in the spool and move up as older challenges
+	// reach their fate. 0 means unbounded.
 	MaxQueued int
 	// Now supplies timestamps; nil = time.Now.
 	Now func() time.Time
 
-	// Spool is the durable fold of the queue's journalled transitions.
-	// nil allocates a private in-memory one, so the accessors work
-	// uniformly; pass the store-registered State to make it part of
-	// snapshots and recovery.
+	// Spool is the durable fold of the queue's journalled transitions
+	// and the queue's only per-challenge state: challenges already
+	// pending in it (a recovered spool) are delivered by the next Flush.
+	// nil allocates a private in-memory one; pass the store-registered
+	// State to make it part of snapshots and recovery.
 	Spool *spool.State
 	// Journal appends one WAL record and returns its LSN (0 = dropped).
 	// Wire it to (*wal.Journal).Emit; nil runs the spool unjournalled.
@@ -157,7 +131,6 @@ type domainLedger struct {
 	failStreak int
 	retryAt    time.Time
 	lastError  string
-	queued     int
 	sent       int64
 	bounced    int64
 	expired    int64
@@ -187,21 +160,16 @@ type Queue struct {
 	cfg Config
 	rec *spool.Recorder
 
-	mu    sync.Mutex
-	items []*Item
-	// deferred holds challenges that overflowed MaxQueued, FIFO. They
-	// carry no Item and no rendered body yet — deferral is deliberately
-	// the cheapest possible representation of "not yet". Deferred
-	// challenges are journalled at Enqueue like active ones, so a crash
-	// loses neither.
-	deferred []core.OutboundChallenge
-	// active counts non-terminal (queued) items, so the bound check is
-	// O(1) per Enqueue.
-	active  int
+	// flushMu serializes flushes for their whole length: the spool marks
+	// nothing as in flight, so two overlapping flushes would each send
+	// the same pending challenge.
+	flushMu sync.Mutex
+	// mu guards domains, which DomainStats reads while a flush runs.
+	mu      sync.Mutex
 	domains map[string]*domainLedger
 }
 
-// NewQueue returns an empty queue.
+// NewQueue returns a queue over cfg.Spool.
 func NewQueue(cfg Config) *Queue {
 	if cfg.Dial == nil {
 		panic("outbound: Config.Dial is required")
@@ -247,20 +215,6 @@ func toSpool(ch core.OutboundChallenge) spool.Challenge {
 	}
 }
 
-// fromSpool is toSpool's inverse, for Restore.
-func fromSpool(sc spool.Challenge) core.OutboundChallenge {
-	return core.OutboundChallenge{
-		MsgID:   sc.MsgID,
-		Token:   sc.Token,
-		From:    sc.From,
-		To:      sc.To,
-		Subject: sc.Subject,
-		URL:     sc.URL,
-		Size:    sc.Size,
-		Issued:  sc.Issued,
-	}
-}
-
 // ledgerLocked returns (creating if needed) the ledger for domain.
 // Caller holds q.mu.
 func (q *Queue) ledgerLocked(domain string) *domainLedger {
@@ -275,85 +229,31 @@ func (q *Queue) ledgerLocked(domain string) *domainLedger {
 }
 
 // Enqueue adds a challenge for delivery on the next Flush, journalling
-// it first so an acked challenge survives a crash. When the bounded
-// active queue is full the challenge is deferred — generation waits, it
-// is never dropped.
+// it first so an acked challenge survives a crash. Beyond MaxQueued
+// pending challenges it is deferred — it waits its turn, it is never
+// dropped.
 func (q *Queue) Enqueue(ch core.OutboundChallenge) {
-	q.mu.Lock()
 	q.rec.Enqueue(q.cfg.Now(), toSpool(ch))
-	q.ledgerLocked(ch.To.Domain).queued++
-	if q.cfg.MaxQueued > 0 && q.active >= q.cfg.MaxQueued {
-		q.deferred = append(q.deferred, ch)
-		q.mu.Unlock()
-		return
-	}
-	q.items = append(q.items, &Item{Challenge: ch, NextTry: q.cfg.Now()})
-	q.active++
-	q.mu.Unlock()
 }
 
-// Restore re-admits the pending spool recovered from a snapshot + WAL
-// replay: every still-queued item becomes an active (or deferred) queue
-// entry with its attempt count, error state and retry timer intact.
-// Call it once at boot, after store.Recover and before the first Flush;
-// it returns the number of challenges re-admitted. Restored items are
-// not re-journalled — their transitions are already in the log.
-func (q *Queue) Restore() int {
-	pending := q.cfg.Spool.Pending()
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := 0
-	for _, sp := range pending {
-		ch := fromSpool(sp.Challenge)
-		q.ledgerLocked(ch.To.Domain).queued++
-		if q.cfg.MaxQueued > 0 && q.active >= q.cfg.MaxQueued {
-			q.deferred = append(q.deferred, ch)
-			n++
-			continue
-		}
-		it := &Item{
-			Challenge: ch,
-			Status:    StatusQueued,
-			Attempts:  sp.Attempts,
-			LastClass: ErrClass(sp.LastClass),
-			LastError: sp.LastError,
-			NextTry:   sp.NextTry,
-		}
-		q.items = append(q.items, it)
-		q.active++
-		n++
+// split divides n pending challenges into the ones a Flush considers
+// and the deferred rest.
+func (q *Queue) split(n int) (active, deferred int) {
+	if q.cfg.MaxQueued > 0 && n > q.cfg.MaxQueued {
+		return q.cfg.MaxQueued, n - q.cfg.MaxQueued
 	}
-	return n
+	return n, 0
 }
 
-// promoteLocked moves deferred challenges into the active queue while
-// capacity allows, preserving FIFO order. Caller holds q.mu.
-func (q *Queue) promoteLocked(now time.Time) {
-	for len(q.deferred) > 0 && (q.cfg.MaxQueued <= 0 || q.active < q.cfg.MaxQueued) {
-		ch := q.deferred[0]
-		q.deferred = q.deferred[1:]
-		q.items = append(q.items, &Item{Challenge: ch, NextTry: now})
-		q.active++
-	}
-	if len(q.deferred) == 0 {
-		q.deferred = nil
-	}
-}
-
-// Deferred reports how many challenges are waiting for queue capacity.
+// Deferred reports how many pending challenges wait beyond MaxQueued.
 func (q *Queue) Deferred() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.deferred)
+	_, deferred := q.split(q.cfg.Spool.Len())
+	return deferred
 }
 
 // SpoolDepth reports the number of undelivered challenges the queue is
-// responsible for: active queued items plus deferred overflow.
-func (q *Queue) SpoolDepth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.active + len(q.deferred)
-}
+// responsible for: the spool's pending items, deferred ones included.
+func (q *Queue) SpoolDepth() int { return q.cfg.Spool.Len() }
 
 // Sender returns a core.ChallengeSender that enqueues.
 func (q *Queue) Sender() core.ChallengeSender {
@@ -362,7 +262,7 @@ func (q *Queue) Sender() core.ChallengeSender {
 
 // RenderChallenge builds the RFC 5322 body of a challenge email: the
 // text a real sender reads, with the CAPTCHA URL to open.
-func RenderChallenge(ch core.OutboundChallenge) string {
+func RenderChallenge(ch spool.Challenge) string {
 	h := mail.NewHeaders()
 	h.Set("From", ch.From.String())
 	h.Set("To", ch.To.String())
@@ -380,19 +280,21 @@ func RenderChallenge(ch core.OutboundChallenge) string {
 	return h.Render() + body
 }
 
-// Flush attempts delivery of every due item over a single smarthost
-// session. It returns the number of items that reached a terminal state
-// (sent, bounced, expired). Transient errors reschedule per the retry
-// schedule; dial failures leave the queue untouched for the next Flush.
+// Flush attempts delivery of every due pending challenge over a single
+// smarthost session. It returns the number of challenges that reached a
+// terminal state (sent, bounced, expired). Transient errors reschedule
+// per the retry schedule; dial failures leave the spool untouched for
+// the next Flush. Flushes are serialized: a Flush that overlaps another
+// waits for it.
 func (q *Queue) Flush() (terminal int, err error) {
 	return q.flush(false)
 }
 
-// FlushAll is Flush ignoring item retry timers and domain-ladder waits:
-// every queued item is attempted now (open breakers still refuse their
-// domain — a dark MX stays dark even during drain). The graceful-drain
-// path uses it so a shutdown does not strand challenges waiting on a
-// backoff schedule.
+// FlushAll is Flush ignoring retry timers and domain-ladder waits:
+// every considered challenge is attempted now (open breakers still
+// refuse their domain — a dark MX stays dark even during drain). The
+// graceful-drain path uses it so a shutdown does not strand challenges
+// waiting on a backoff schedule.
 func (q *Queue) FlushAll() (terminal int, err error) {
 	return q.flush(true)
 }
@@ -401,18 +303,24 @@ func (q *Queue) FlushAll() (terminal int, err error) {
 type domGroup struct {
 	domain   string
 	led      *domainLedger
-	items    []*Item
+	items    []*spool.Item
 	probed   bool // breaker was half-open when admitted: exactly one probe item
 	recorded bool // at least one item outcome was Recorded on the breaker
 }
 
 func (q *Queue) flush(ignoreSchedule bool) (terminal int, err error) {
+	q.flushMu.Lock()
+	defer q.flushMu.Unlock()
 	now := q.cfg.Now()
-	q.mu.Lock()
-	q.promoteLocked(now)
-	perDomain := make(map[string][]*Item)
-	for _, it := range q.items {
-		if it.Status != StatusQueued || (!ignoreSchedule && it.NextTry.After(now)) {
+	// The items are copies: this flush updates them as it records each
+	// outcome through the Recorder, which folds the same transition into
+	// the spool.
+	pending := q.cfg.Spool.Pending()
+	active, _ := q.split(len(pending))
+	perDomain := make(map[string][]*spool.Item)
+	for i := range pending[:active] {
+		it := &pending[i]
+		if !ignoreSchedule && it.NextTry.After(now) {
 			continue
 		}
 		d := it.Challenge.To.Domain
@@ -424,6 +332,7 @@ func (q *Queue) flush(ignoreSchedule bool) (terminal int, err error) {
 	}
 	sort.Strings(names)
 	var groups []*domGroup
+	q.mu.Lock()
 	for _, d := range names {
 		led := q.ledgerLocked(d)
 		if !ignoreSchedule && now.Before(led.retryAt) {
@@ -498,60 +407,42 @@ func (q *Queue) flush(ignoreSchedule bool) (terminal int, err error) {
 			if sendErr == nil {
 				sendErr = client.SendMail(it.Challenge.From, []mail.Address{it.Challenge.To}, RenderChallenge(it.Challenge))
 			}
-			q.mu.Lock()
 			it.Attempts++
-			switch e := sendErr.(type) {
-			case nil:
+			outcome := sendErr // what the domain's ledger records
+			reply, isReply := sendErr.(*smtp.Reply)
+			switch {
+			case sendErr == nil:
 				it.Status = StatusSent
-				q.rec.Terminal(now, it.Challenge.MsgID, spool.StatusSent, string(it.LastClass), it.LastError, it.Attempts)
+				q.rec.Terminal(now, it.Challenge.MsgID, it.Status, it.LastClass, it.LastError, it.Attempts)
+			case isReply && !reply.Temporary():
+				it.LastClass = ClassPermfail
+				it.LastError = ClassPermfail + ": " + reply.Error()
+				it.Status = StatusBounced
+				q.rec.Terminal(now, it.Challenge.MsgID, it.Status, it.LastClass, it.LastError, it.Attempts)
+				// A permanent rejection is a definitive answer from a
+				// live path — the domain is healthy, the mailbox is not.
+				outcome = nil
+			case isReply:
+				q.fail(it, ClassTempfail, reply, now)
+			default:
+				q.fail(it, ClassConnection, sendErr, now)
+			}
+			if it.Status != StatusQueued {
 				terminal++
-				q.active--
-				q.domainOutcomeLocked(g, it, now, nil)
-			case *smtp.Reply:
-				if e.Temporary() {
-					it.LastClass = ClassTempfail
-					it.LastError = string(ClassTempfail) + ": " + e.Error()
-					q.rescheduleLocked(it, now)
-					if it.Status == StatusExpired {
-						terminal++
-						q.active--
-					}
-					q.domainOutcomeLocked(g, it, now, sendErr)
-				} else {
-					it.LastClass = ClassPermfail
-					it.LastError = string(ClassPermfail) + ": " + e.Error()
-					it.Status = StatusBounced
-					q.rec.Terminal(now, it.Challenge.MsgID, spool.StatusBounced, string(it.LastClass), it.LastError, it.Attempts)
-					terminal++
-					q.active--
-					// A permanent rejection is a definitive answer from a
-					// live path — the domain is healthy, the mailbox is not.
-					q.domainOutcomeLocked(g, it, now, nil)
-				}
+			}
+			q.mu.Lock()
+			q.domainOutcomeLocked(g, it, now, outcome)
+			q.mu.Unlock()
+			if isReply {
 				// The session survives SMTP-level rejections; reset the
 				// transaction for the next item.
-				q.mu.Unlock()
 				_ = client.Reset()
-				q.mu.Lock()
-			default:
-				it.LastClass = ClassConnection
-				it.LastError = string(ClassConnection) + ": " + sendErr.Error()
-				q.rescheduleLocked(it, now)
-				if it.Status == StatusExpired {
-					terminal++
-					q.active--
-				}
-				q.domainOutcomeLocked(g, it, now, sendErr)
-				if !domainFault {
-					// Smarthost-session failure: stop the whole flush,
-					// release any untested half-open probes, retry later.
-					q.promoteLocked(now)
-					q.mu.Unlock()
-					releaseProbes(sendErr)
-					return terminal, fmt.Errorf("outbound: session lost: %w", sendErr)
-				}
+			} else if sendErr != nil && !domainFault {
+				// Smarthost-session failure: stop the whole flush,
+				// release any untested half-open probes, retry later.
+				releaseProbes(sendErr)
+				return terminal, fmt.Errorf("outbound: session lost: %w", sendErr)
 			}
-			q.mu.Unlock()
 			if domainFault {
 				// The destination is failing, not the smarthost: skip the
 				// rest of this domain's batch and move on to the next
@@ -561,17 +452,29 @@ func (q *Queue) flush(ignoreSchedule bool) (terminal int, err error) {
 			}
 		}
 	}
-	q.mu.Lock()
-	q.promoteLocked(now)
-	q.mu.Unlock()
 	_ = client.Quit()
 	return terminal, nil
+}
+
+// fail records a failed attempt of class: a retry on the schedule, or
+// the expiry it causes once the attempts run out. Each is journalled.
+func (q *Queue) fail(it *spool.Item, class string, err error, now time.Time) {
+	it.LastClass = class
+	it.LastError = class + ": " + err.Error()
+	idx := it.Attempts - 1
+	if it.Attempts >= q.cfg.MaxAttempts || idx >= len(q.cfg.RetrySchedule) {
+		it.Status = StatusExpired
+		q.rec.Terminal(now, it.Challenge.MsgID, it.Status, it.LastClass, it.LastError, it.Attempts)
+		return
+	}
+	it.NextTry = now.Add(q.cfg.RetrySchedule[idx])
+	q.rec.Attempt(now, it.Challenge.MsgID, it.LastClass, it.LastError, it.Attempts, it.NextTry)
 }
 
 // domainOutcomeLocked feeds one item outcome into its domain's ledger:
 // the circuit breaker, the domain retry ladder and the fate counters.
 // Caller holds q.mu.
-func (q *Queue) domainOutcomeLocked(g *domGroup, it *Item, now time.Time, outcome error) {
+func (q *Queue) domainOutcomeLocked(g *domGroup, it *spool.Item, now time.Time, outcome error) {
 	led := g.led
 	g.recorded = true
 	led.breaker.Record(outcome)
@@ -591,75 +494,38 @@ func (q *Queue) domainOutcomeLocked(g *domGroup, it *Item, now time.Time, outcom
 	switch it.Status {
 	case StatusSent:
 		led.sent++
-		led.queued--
 	case StatusBounced:
 		led.bounced++
-		led.queued--
 	case StatusExpired:
 		led.expired++
-		led.queued--
 	}
 }
 
-// rescheduleLocked applies the retry schedule, journalling the attempt
-// (or the expiry it causes). Caller holds q.mu.
-func (q *Queue) rescheduleLocked(it *Item, now time.Time) {
-	idx := it.Attempts - 1
-	if it.Attempts >= q.cfg.MaxAttempts || idx >= len(q.cfg.RetrySchedule) {
-		it.Status = StatusExpired
-		q.rec.Terminal(now, it.Challenge.MsgID, spool.StatusExpired, string(it.LastClass), it.LastError, it.Attempts)
-		return
-	}
-	it.NextTry = now.Add(q.cfg.RetrySchedule[idx])
-	q.rec.Attempt(now, it.Challenge.MsgID, string(it.LastClass), it.LastError, it.Attempts, it.NextTry)
-}
-
-// Stats counts items per state.
+// Stats counts challenges per state: the spool's terminal fates, and as
+// StatusQueued its pending challenges that are not deferred.
 func (q *Queue) Stats() map[Status]int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make(map[Status]int)
-	for _, it := range q.items {
-		out[it.Status]++
-	}
-	return out
-}
-
-// ErrorClasses counts items per last-recorded error class, skipping
-// items that never failed.
-func (q *Queue) ErrorClasses() map[ErrClass]int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make(map[ErrClass]int)
-	for _, it := range q.items {
-		if it.LastClass != ClassNone {
-			out[it.LastClass]++
-		}
-	}
-	return out
-}
-
-// Items returns a snapshot of the queue.
-func (q *Queue) Items() []Item {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]Item, len(q.items))
-	for i, it := range q.items {
-		out[i] = *it
+	out := q.cfg.Spool.DoneCounts()
+	if active, _ := q.split(q.cfg.Spool.Len()); active > 0 {
+		out[StatusQueued] = active
 	}
 	return out
 }
 
 // DomainStats returns the per-destination-domain health ledgers in
-// domain order.
+// domain order, with each domain's pending challenges counted from the
+// spool. A domain no flush has reached yet has a zero (closed) ledger.
 func (q *Queue) DomainStats() []DomainStats {
+	queued := make(map[string]int)
+	for _, it := range q.cfg.Spool.Pending() {
+		queued[it.Challenge.To.Domain]++
+	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	out := make([]DomainStats, 0, len(q.domains))
 	for name, led := range q.domains {
 		out = append(out, DomainStats{
 			Domain:     name,
-			Queued:     led.queued,
+			Queued:     queued[name],
 			Sent:       led.sent,
 			Bounced:    led.bounced,
 			Expired:    led.expired,
@@ -668,6 +534,11 @@ func (q *Queue) DomainStats() []DomainStats {
 			RetryAt:    led.retryAt,
 			LastError:  led.lastError,
 		})
+	}
+	for name, n := range queued {
+		if _, ok := q.domains[name]; !ok {
+			out = append(out, DomainStats{Domain: name, Queued: n})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
 	return out

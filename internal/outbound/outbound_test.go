@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,8 @@ import (
 	"repro/internal/faults"
 	"repro/internal/mail"
 	"repro/internal/smtp"
+	"repro/internal/spool"
+	"repro/internal/wal"
 )
 
 // smarthost is a test SMTP server that can accept, 4xx or 5xx per
@@ -49,14 +52,39 @@ func (s *smarthost) Deliver(m *mail.Message) *smtp.Reply {
 func startSmarthost(t *testing.T) (*smarthost, string) {
 	t.Helper()
 	sh := &smarthost{tempFail: map[string]bool{}, permFail: map[string]bool{}}
-	srv := smtp.NewServer(smtp.Config{Hostname: "smarthost.example", ReadTimeout: 5 * time.Second}, sh)
+	return sh, serve(t, sh)
+}
+
+// serve runs an SMTP server for backend on a loopback port until the
+// test ends and returns its address.
+func serve(t *testing.T, backend smtp.Backend) string {
+	t.Helper()
+	srv := smtp.NewServer(smtp.Config{Hostname: "smarthost.example", ReadTimeout: 5 * time.Second}, backend)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go srv.Serve(l) //nolint:errcheck
 	t.Cleanup(srv.Close)
-	return sh, l.Addr().String()
+	return l.Addr().String()
+}
+
+// holdingSmarthost is a smarthost whose first delivery waits until
+// release is closed; held is closed when that delivery arrives.
+type holdingSmarthost struct {
+	smarthost
+	once    sync.Once
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (h *holdingSmarthost) Deliver(m *mail.Message) *smtp.Reply {
+	first := false
+	h.once.Do(func() { first = true; close(h.held) })
+	if first {
+		<-h.release
+	}
+	return h.smarthost.Deliver(m)
 }
 
 func challengeTo(addr string) core.OutboundChallenge {
@@ -76,6 +104,18 @@ func newQueue(addr string) *Queue {
 		Dial:       func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
 		HeloDomain: "cr.corp.example",
 	})
+}
+
+// journalledQueue is newQueue with its spool journal on a journalTap,
+// where each challenge's error class and error stay readable after it
+// leaves the spool.
+func journalledQueue(addr string) (*Queue, *journalTap) {
+	tap := &journalTap{}
+	return NewQueue(Config{
+		Dial:       func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
+		HeloDomain: "cr.corp.example",
+		Journal:    tap.emit,
+	}), tap
 }
 
 func TestFlushDelivers(t *testing.T) {
@@ -110,8 +150,9 @@ func TestFlushDelivers(t *testing.T) {
 func TestPermanentRejectionBounces(t *testing.T) {
 	sh, addr := startSmarthost(t)
 	sh.permFail["ghost@example.com"] = true
-	q := newQueue(addr)
-	q.Enqueue(challengeTo("ghost@example.com"))
+	q, tap := journalledQueue(addr)
+	ghost := challengeTo("ghost@example.com")
+	q.Enqueue(ghost)
 	q.Enqueue(challengeTo("real@example.com"))
 
 	n, err := q.Flush()
@@ -125,11 +166,9 @@ func TestPermanentRejectionBounces(t *testing.T) {
 	if st[StatusBounced] != 1 || st[StatusSent] != 1 {
 		t.Fatalf("stats = %v", st)
 	}
-	// The bounced item carries the SMTP error.
-	for _, it := range q.Items() {
-		if it.Status == StatusBounced && !strings.Contains(it.LastError, "550") {
-			t.Fatalf("bounce LastError = %q", it.LastError)
-		}
+	// The bounce record carries the SMTP error.
+	if r := tap.last(ghost.MsgID); r.Op != wal.OpSpoolBounced || !strings.Contains(r.Blob, "550") {
+		t.Fatalf("bounce record = %v %q", r.Op, r.Blob)
 	}
 }
 
@@ -213,7 +252,7 @@ func TestEmptyFlushNoDial(t *testing.T) {
 }
 
 func TestRenderChallengeHeaders(t *testing.T) {
-	body := RenderChallenge(challengeTo("alice@example.com"))
+	body := RenderChallenge(toSpool(challengeTo("alice@example.com")))
 	for _, want := range []string{
 		"From: challenge@corp.example",
 		"To: alice@example.com",
@@ -241,33 +280,43 @@ func TestErrorClassesDistinguished(t *testing.T) {
 	sh, addr := startSmarthost(t)
 	sh.tempFail[mail.MustParseAddress("busy@example.com").Key()] = true
 	sh.permFail["ghost@example.com"] = true
-	q := newQueue(addr)
-	q.Enqueue(challengeTo("busy@example.com"))
-	q.Enqueue(challengeTo("ghost@example.com"))
-	q.Enqueue(challengeTo("fine@example.com"))
+	q, tap := journalledQueue(addr)
+	local := make(map[string]string) // message ID -> recipient local part
+	for _, to := range []string{"busy@example.com", "ghost@example.com", "fine@example.com"} {
+		ch := challengeTo(to)
+		local[ch.MsgID] = ch.To.Local
+		q.Enqueue(ch)
+	}
 
 	if _, err := q.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for _, it := range q.Items() {
-		switch it.Challenge.To.Local {
+	// Each challenge's last record holds its class (Origin) and error
+	// (Blob): an attempt record for the retried one, terminal records
+	// for the others.
+	classes := make(map[string]int)
+	for id, who := range local {
+		r := tap.last(id)
+		if r.Origin != ClassNone {
+			classes[r.Origin]++
+		}
+		switch who {
 		case "busy":
-			if it.LastClass != ClassTempfail || !strings.HasPrefix(it.LastError, "tempfail: 451") {
-				t.Errorf("tempfail item: class=%q err=%q", it.LastClass, it.LastError)
+			if r.Op != wal.OpSpoolAttempt || r.Origin != ClassTempfail || !strings.HasPrefix(r.Blob, "tempfail: 451") {
+				t.Errorf("tempfail item: op=%v class=%q err=%q", r.Op, r.Origin, r.Blob)
 			}
 		case "ghost":
-			if it.LastClass != ClassPermfail || !strings.HasPrefix(it.LastError, "permfail: 550") {
-				t.Errorf("permfail item: class=%q err=%q", it.LastClass, it.LastError)
+			if r.Op != wal.OpSpoolBounced || r.Origin != ClassPermfail || !strings.HasPrefix(r.Blob, "permfail: 550") {
+				t.Errorf("permfail item: op=%v class=%q err=%q", r.Op, r.Origin, r.Blob)
 			}
 		case "fine":
-			if it.LastClass != ClassNone || it.LastError != "" {
-				t.Errorf("clean item: class=%q err=%q", it.LastClass, it.LastError)
+			if r.Op != wal.OpSpoolSent || r.Origin != ClassNone || r.Blob != "" {
+				t.Errorf("clean item: op=%v class=%q err=%q", r.Op, r.Origin, r.Blob)
 			}
 		}
 	}
-	classes := q.ErrorClasses()
 	if classes[ClassTempfail] != 1 || classes[ClassPermfail] != 1 || len(classes) != 2 {
-		t.Errorf("ErrorClasses = %v", classes)
+		t.Errorf("error classes = %v", classes)
 	}
 }
 
@@ -275,13 +324,16 @@ func TestExpiredItemRecordsExhaustingClass(t *testing.T) {
 	sh, addr := startSmarthost(t)
 	sh.tempFail[mail.MustParseAddress("busy@example.com").Key()] = true
 	now := time.Date(2010, 7, 1, 0, 0, 0, 0, time.UTC)
+	tap := &journalTap{}
 	q := NewQueue(Config{
 		Dial:          func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
 		HeloDomain:    "cr.corp.example",
 		RetrySchedule: []time.Duration{time.Minute},
 		Now:           func() time.Time { return now },
+		Journal:       tap.emit,
 	})
-	q.Enqueue(challengeTo("busy@example.com"))
+	ch := challengeTo("busy@example.com")
+	q.Enqueue(ch)
 	if _, err := q.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -289,12 +341,12 @@ func TestExpiredItemRecordsExhaustingClass(t *testing.T) {
 	if _, err := q.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	it := q.Items()[0]
-	if it.Status != StatusExpired {
-		t.Fatalf("status = %v, want expired", it.Status)
+	if fate, ok := q.Spool().Fate(ch.MsgID); !ok || fate != StatusExpired {
+		t.Fatalf("fate = %v (%v), want expired", fate, ok)
 	}
-	if it.LastClass != ClassTempfail || !strings.HasPrefix(it.LastError, "tempfail:") {
-		t.Errorf("expired item lost its error class: class=%q err=%q", it.LastClass, it.LastError)
+	r := tap.last(ch.MsgID)
+	if r.Op != wal.OpSpoolExpired || r.Origin != ClassTempfail || !strings.HasPrefix(r.Blob, "tempfail:") {
+		t.Errorf("expiry record lost its error class: op=%v class=%q err=%q", r.Op, r.Origin, r.Blob)
 	}
 }
 
@@ -302,23 +354,25 @@ func TestMaxAttemptsCapsRetrySchedule(t *testing.T) {
 	sh, addr := startSmarthost(t)
 	sh.tempFail[mail.MustParseAddress("busy@example.com").Key()] = true
 	now := time.Date(2010, 7, 1, 0, 0, 0, 0, time.UTC)
+	tap := &journalTap{}
 	q := NewQueue(Config{
 		Dial:          func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
 		HeloDomain:    "cr.corp.example",
 		RetrySchedule: []time.Duration{time.Minute, time.Minute, time.Minute, time.Minute},
 		MaxAttempts:   2,
 		Now:           func() time.Time { return now },
+		Journal:       tap.emit,
 	})
-	q.Enqueue(challengeTo("busy@example.com"))
+	ch := challengeTo("busy@example.com")
+	q.Enqueue(ch)
 	for i := 0; i < 5; i++ {
 		if _, err := q.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		now = now.Add(2 * time.Minute)
 	}
-	it := q.Items()[0]
-	if it.Status != StatusExpired || it.Attempts != 2 {
-		t.Fatalf("status=%v attempts=%d, want expired after 2", it.Status, it.Attempts)
+	if r := tap.last(ch.MsgID); r.Op != wal.OpSpoolExpired || r.Value != 2 {
+		t.Fatalf("last record op=%v attempts=%d, want expired after 2", r.Op, r.Value)
 	}
 }
 
@@ -336,7 +390,7 @@ func TestInjectedTempfailStorm(t *testing.T) {
 	if _, err := q.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	it := q.Items()[0]
+	it := q.Spool().Pending()[0]
 	if it.Status != StatusQueued || it.LastClass != ClassTempfail || !strings.HasPrefix(it.LastError, "tempfail: 421") {
 		t.Fatalf("injected tempfail: status=%v class=%q err=%q", it.Status, it.LastClass, it.LastError)
 	}
@@ -385,8 +439,9 @@ func TestBoundedQueueDefersOverflow(t *testing.T) {
 	if got := q.Stats()[StatusQueued]; got != 2 {
 		t.Fatalf("queued = %d, want 2 (bounded)", got)
 	}
-	// Each Flush delivers the active items and promotes deferred ones:
-	// nothing is ever dropped, generation is just time-shifted.
+	// Each Flush delivers the oldest pending challenges and the deferred
+	// ones move up: nothing is ever dropped, generation is just
+	// time-shifted.
 	for i := 0; i < 3; i++ {
 		if _, err := q.Flush(); err != nil {
 			t.Fatal(err)
@@ -435,5 +490,86 @@ func TestFlushAllIgnoresRetryTimers(t *testing.T) {
 	}
 	if got := q.Stats()[StatusSent]; got != 1 {
 		t.Fatalf("sent = %d, want 1 after FlushAll", got)
+	}
+}
+
+// TestOverlappingFlushesSendOnce: a FlushAll that starts while a Flush
+// is mid-session (crserver's drain racing its flush ticker) waits for
+// it, instead of sending the same pending challenges a second time.
+func TestOverlappingFlushesSendOnce(t *testing.T) {
+	sh := &holdingSmarthost{held: make(chan struct{}), release: make(chan struct{})}
+	addr := serve(t, sh)
+	dials := make(chan struct{}, 2) // one per flush at most
+	q := NewQueue(Config{
+		Dial: func() (*smtp.Client, error) {
+			dials <- struct{}{}
+			return smtp.Dial(addr, 2*time.Second)
+		},
+		HeloDomain: "cr.corp.example",
+	})
+	for i := 0; i < 3; i++ {
+		q.Enqueue(challengeTo(fmt.Sprintf("u%d@example.com", i)))
+	}
+	errs := make(chan error, 2)
+	go func() { _, err := q.Flush(); errs <- err }()
+	<-sh.held
+	<-dials
+	go func() { _, err := q.FlushAll(); errs <- err }()
+	// A second session opened while the first holds its DATA would
+	// resend every challenge the first has not finished.
+	select {
+	case <-dials:
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(sh.release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	seen := make(map[string]bool)
+	for _, m := range sh.accepted {
+		seen[m.Subject] = true
+	}
+	if len(sh.accepted) != 3 || len(seen) != 3 {
+		t.Fatalf("smarthost got %d deliveries of %d challenges, want each of 3 once", len(sh.accepted), len(seen))
+	}
+}
+
+// TestFinishedChallengesHoldNoHeap: once a challenge has reached its
+// fate, the queue keeps nothing of it — the spool is the only
+// per-challenge state. Measured as the collected heap with and without
+// the queue, the spool and the smarthost's copies alive in both.
+func TestFinishedChallengesHoldNoHeap(t *testing.T) {
+	const n = 10000
+	sh, addr := startSmarthost(t)
+	sp := spool.NewState()
+	q := NewQueue(Config{
+		Dial:       func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
+		HeloDomain: "cr.corp.example",
+		Spool:      sp,
+	})
+	for i := 0; i < n; i++ {
+		q.Enqueue(challengeTo(fmt.Sprintf("u%d@example.com", i)))
+	}
+	if got, err := q.FlushAll(); err != nil || got != n {
+		t.Fatalf("FlushAll = %d, %v; want %d", got, err, n)
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	with := heap()
+	runtime.KeepAlive(q)
+	q = nil
+	without := heap()
+	runtime.KeepAlive(sp)
+	runtime.KeepAlive(sh)
+	if per := float64(with-without) / n; per > 16 {
+		t.Fatalf("queue holds %.0f B per finished challenge, want at most 16", per)
 	}
 }

@@ -1,15 +1,17 @@
-// Package spool is the durable state behind the outbound challenge
-// queue: a fold of the WAL's spool records. The queue journals every
-// state transition (enqueue / attempt / sent / bounced / expired)
-// through a Recorder before mutating its in-memory items, so the
-// State is always exactly the fold of the journalled record sequence
-// — which is what lets store.Recover rebuild the pending spool after
-// a crash and the crash-restart experiment compare it byte-identical
-// against a shadow fold.
+// Package spool is the outbound challenge queue's state: a fold of the
+// WAL's spool records, and the only per-challenge state the queue
+// keeps. The queue journals every state transition (enqueue / attempt
+// / sent / bounced / expired) through a Recorder, which appends the
+// record and folds it into the State in one step, so the State is
+// always exactly the fold of the journalled record sequence — which is
+// what lets store.Recover rebuild the pending spool after a crash and
+// the crash-restart experiment compare it byte-identical against a
+// shadow fold.
 //
 // The package deliberately knows nothing about SMTP or scheduling;
-// internal/outbound owns the delivery mechanics and drives a Recorder,
-// and store snapshots carry State.Export().
+// internal/outbound owns the delivery mechanics, takes each flush's
+// candidates from State.Pending and drives a Recorder, and store
+// snapshots carry State.Export().
 package spool
 
 import (
@@ -23,8 +25,8 @@ import (
 	"repro/internal/wal"
 )
 
-// Status is the lifecycle state of a spool item. The values mirror
-// outbound.Status and are part of the snapshot format.
+// Status is the lifecycle state of a spool item (outbound.Status is an
+// alias). The labels are part of the snapshot format.
 type Status int
 
 const (

@@ -255,6 +255,10 @@ func NewFleet(cfg Config) *Fleet {
 	return f
 }
 
+// spamCampaignBase is the ID of the first spam campaign; spam campaign
+// k has ID spamCampaignBase+k, above every newsletter's ID.
+const spamCampaignBase = 1000
+
 // Salts for deriveSeed: each (seed, salt, ...) tuple yields an
 // independent deterministic RNG stream.
 const (
@@ -452,7 +456,7 @@ func (f *Fleet) buildCampaigns() {
 			start, end = 0, 1<<30 // background campaign
 		}
 		c := &Campaign{
-			ID:        1000 + k,
+			ID:        spamCampaignBase + k,
 			Subject:   makeSubject(f.rng, ""),
 			VirusProb: cfg.SpamVirusProb,
 			MsgSize:   3500 + f.rng.Intn(16000),
@@ -553,13 +557,14 @@ type companyLane struct {
 	// loop walks a lane-local slice instead of taking a per-campaign
 	// mutex for every campaign.
 	covering []*Campaign
-	// targets memoises this company's harvested recipient list per
-	// campaign ID. Deterministic per (seed, campaign, company), so each
-	// lane computes its own copy without cross-lane sharing. targetRNG
-	// is re-seeded for each campaign's stream, so every memo (and, in
-	// buildCompany, every covering draw) uses one source instead of
-	// allocating its own.
-	targets   map[int][]mail.Address
+	// targets memoises this company's harvested recipient list per spam
+	// campaign, indexed by the campaign's position in f.spamCamps (its ID
+	// minus spamCampaignBase). Deterministic per (seed, campaign,
+	// company), so each lane computes its own copy without cross-lane
+	// sharing. targetRNG is re-seeded for each campaign's stream, so
+	// every memo (and, in buildCompany, every covering draw) uses one
+	// source instead of allocating its own.
+	targets   [][]mail.Address
 	targetRNG *rand.Rand
 
 	// active and activeWeight are the covering campaigns active on day
@@ -691,7 +696,7 @@ func (f *Fleet) buildCompany(i int, b *builtCompany) {
 		clk:       clock.NewSim(FleetStart),
 		rng:       rand.New(rand.NewSource(deriveSeed(f.Cfg.Seed, saltLaneRNG, int64(i)))),
 		ids:       mail.NewIDSource(p.Name),
-		targets:   make(map[int][]mail.Address),
+		targets:   make([][]mail.Address, len(f.spamCamps)),
 		names:     newInterner(),
 		targetRNG: rand.New(rand.NewSource(0)),
 		activeDay: -1,

@@ -514,7 +514,8 @@ func (f *Fleet) pickSpamCampaign(ln *companyLane) *Campaign {
 // lane — or how many lanes — computes it; each lane therefore keeps its
 // own copy without cross-lane locking.
 func (f *Fleet) laneTargets(c *Campaign, ln *companyLane) []mail.Address {
-	if ts, ok := ln.targets[c.ID]; ok {
+	k := c.ID - spamCampaignBase
+	if ts := ln.targets[k]; ts != nil {
 		return ts
 	}
 	users := ln.users
@@ -525,7 +526,7 @@ func (f *Fleet) laneTargets(c *Campaign, ln *companyLane) []mail.Address {
 	for i := 0; i < n; i++ {
 		ts[i] = users[perm[i]]
 	}
-	ln.targets[c.ID] = ts
+	ln.targets[k] = ts
 	return ts
 }
 
