@@ -198,7 +198,7 @@ func CrashRestart(seed int64, crashes int) (*CrashRestartReport, error) {
 		})
 	}
 	randPending := func() (spool.Item, bool) {
-		p := live.st.Spool.Pending()
+		p := live.st.Spool.Pending(0)
 		if len(p) == 0 {
 			return spool.Item{}, false
 		}

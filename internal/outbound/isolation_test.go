@@ -331,7 +331,7 @@ func TestJournalReplayRebuildsQueue(t *testing.T) {
 	if d := q2.SpoolDepth(); d != 1 {
 		t.Fatalf("recovered spool depth = %d, want 1", d)
 	}
-	it := q2.Spool().Pending()[0]
+	it := q2.Spool().Pending(1)[0]
 	if it.Challenge.MsgID == "" || it.Attempts != 1 || it.LastClass != ClassTempfail {
 		t.Fatalf("recovered item lost its attempt state: %+v", it)
 	}
@@ -431,7 +431,7 @@ func TestCrashAtEveryTransition(t *testing.T) {
 			}
 		}
 		// Accounting: nothing enqueued before the crash vanishes.
-		pending := sp.Pending()
+		pending := sp.Pending(0)
 		accounted := len(pending)
 		for id := range enqueued {
 			if _, ok := sp.Fate(id); ok {

@@ -312,13 +312,12 @@ func (q *Queue) flush(ignoreSchedule bool) (terminal int, err error) {
 	q.flushMu.Lock()
 	defer q.flushMu.Unlock()
 	now := q.cfg.Now()
-	// The items are copies: this flush updates them as it records each
-	// outcome through the Recorder, which folds the same transition into
-	// the spool.
-	pending := q.cfg.Spool.Pending()
-	active, _ := q.split(len(pending))
+	// The items are copies of the MaxQueued oldest: this flush updates
+	// them as it records each outcome through the Recorder, which folds
+	// the same transition into the spool.
+	pending := q.cfg.Spool.Pending(q.cfg.MaxQueued)
 	perDomain := make(map[string][]*spool.Item)
-	for i := range pending[:active] {
+	for i := range pending {
 		it := &pending[i]
 		if !ignoreSchedule && it.NextTry.After(now) {
 			continue
@@ -515,10 +514,7 @@ func (q *Queue) Stats() map[Status]int {
 // domain order, with each domain's pending challenges counted from the
 // spool. A domain no flush has reached yet has a zero (closed) ledger.
 func (q *Queue) DomainStats() []DomainStats {
-	queued := make(map[string]int)
-	for _, it := range q.cfg.Spool.Pending() {
-		queued[it.Challenge.To.Domain]++
-	}
+	queued := q.cfg.Spool.PendingByDomain()
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	out := make([]DomainStats, 0, len(q.domains))

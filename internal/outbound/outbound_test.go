@@ -390,7 +390,7 @@ func TestInjectedTempfailStorm(t *testing.T) {
 	if _, err := q.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	it := q.Spool().Pending()[0]
+	it := q.Spool().Pending(1)[0]
 	if it.Status != StatusQueued || it.LastClass != ClassTempfail || !strings.HasPrefix(it.LastError, "tempfail: 421") {
 		t.Fatalf("injected tempfail: status=%v class=%q err=%q", it.Status, it.LastClass, it.LastError)
 	}
@@ -571,5 +571,77 @@ func TestFinishedChallengesHoldNoHeap(t *testing.T) {
 	runtime.KeepAlive(sh)
 	if per := float64(with-without) / n; per > 16 {
 		t.Fatalf("queue holds %.0f B per finished challenge, want at most 16", per)
+	}
+}
+
+// downQueue is a queue at MaxQueued 1000 over a spool holding n pending
+// challenges, whose smarthost refuses every dial: each Flush reads the
+// spool and groups its candidates, then stops at the dial, so flushes
+// repeat exactly.
+func downQueue(n int) *Queue {
+	q := NewQueue(Config{
+		Dial:      func() (*smtp.Client, error) { return nil, errors.New("smarthost down") },
+		MaxQueued: 1000,
+		Now:       func() time.Time { return time.Date(2011, 4, 1, 12, 0, 0, 0, time.UTC) },
+	})
+	for i := 0; i < n; i++ {
+		ch := challengeTo(fmt.Sprintf("u%d@d%d.example", i, i%20))
+		ch.MsgID = fmt.Sprintf("q-%06d", i)
+		q.Enqueue(ch)
+	}
+	return q
+}
+
+// TestFlushCostFlatInPending: a Flush at MaxQueued 1000 allocates the
+// same objects and bytes with 1,000 or 50,000 challenges pending; only
+// the 1000 it considers are copied out of the spool.
+func TestFlushCostFlatInPending(t *testing.T) {
+	cost := func(n int) (allocs, bytes float64) {
+		q := downQueue(n)
+		allocs = testing.AllocsPerRun(5, func() { q.Flush() }) //nolint:errcheck
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 5; i++ {
+			q.Flush() //nolint:errcheck
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 5
+	}
+	smallAllocs, smallBytes := cost(1000)
+	bigAllocs, bigBytes := cost(50000)
+	t.Logf("per Flush: %.0f allocs, %.0f B at 1,000 pending; %.0f allocs, %.0f B at 50,000", smallAllocs, smallBytes, bigAllocs, bigBytes)
+	if bigAllocs > smallAllocs+5 || bigBytes > 1.2*smallBytes {
+		t.Fatalf("a Flush over 50,000 pending costs %.0f allocs and %.0f B, over 1,000 %.0f and %.0f", bigAllocs, bigBytes, smallAllocs, smallBytes)
+	}
+}
+
+// TestStatsFlatInDone: Stats reads running fate counts, so its cost does
+// not grow with the number of challenges that reached their fate.
+func TestStatsFlatInDone(t *testing.T) {
+	cost := func(n int) time.Duration {
+		sp := spool.NewState()
+		for i := 0; i < n; i++ {
+			id := fmt.Sprintf("q-%06d", i)
+			sp.ApplyEnqueue(spool.Challenge{MsgID: id, To: mail.Address{Local: "u", Domain: "x.example"}}, 0)
+			sp.ApplyTerminal(id, spool.StatusSent, 1, 0)
+		}
+		q := NewQueue(Config{Dial: func() (*smtp.Client, error) { return nil, errors.New("unused") }, Spool: sp})
+		if got := q.Stats()[StatusSent]; got != n {
+			t.Fatalf("Stats counts %d sent, want %d", got, n)
+		}
+		best := time.Hour
+		for i := 0; i < 200; i++ {
+			start := time.Now()
+			q.Stats()
+			if d := time.Since(start); d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	small, big := cost(10), cost(100000)
+	t.Logf("fastest Stats: %v at 10 done, %v at 100,000", small, big)
+	if big > 20*small+10*time.Microsecond {
+		t.Fatalf("Stats takes %v at 100,000 done, %v at 10", big, small)
 	}
 }

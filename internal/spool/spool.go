@@ -10,11 +10,12 @@
 //
 // The package deliberately knows nothing about SMTP or scheduling;
 // internal/outbound owns the delivery mechanics, takes each flush's
-// candidates from State.Pending and drives a Recorder, and store
-// snapshots carry State.Export().
+// candidates from State.Pending (its MaxQueued oldest) and drives a
+// Recorder, and store snapshots carry State.Export().
 package spool
 
 import (
+	"container/heap"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -113,6 +114,9 @@ type State struct {
 	mu      sync.Mutex
 	pending map[string]*Item
 	done    map[string]doneItem
+	// doneBy counts done by status, so DoneCounts reads four numbers
+	// however many challenges have reached their fate.
+	doneBy [StatusExpired + 1]int
 }
 
 // NewState returns an empty State.
@@ -180,25 +184,71 @@ func (s *State) ApplyTerminal(msgID string, st Status, attempts int, lsn uint64)
 		return
 	}
 	delete(s.pending, msgID)
+	if d, ok := s.done[msgID]; ok {
+		s.doneBy[d.Status]--
+	}
 	s.done[msgID] = doneItem{Status: st, Attempts: attempts, LSN: lsn}
+	s.doneBy[st]++
 }
 
-// Pending returns the queued items in deterministic delivery order
-// (issue time, then message ID).
-func (s *State) Pending() []Item {
-	s.mu.Lock()
-	out := make([]Item, 0, len(s.pending))
-	for _, it := range s.pending {
-		out = append(out, *it)
+// before reports whether a is delivered before b: by issue time, then
+// message ID.
+func before(a, b *Item) bool {
+	if !a.Challenge.Issued.Equal(b.Challenge.Issued) {
+		return a.Challenge.Issued.Before(b.Challenge.Issued)
 	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if !a.Challenge.Issued.Equal(b.Challenge.Issued) {
-			return a.Challenge.Issued.Before(b.Challenge.Issued)
+	return a.Challenge.MsgID < b.Challenge.MsgID
+}
+
+// lastFirst is a heap of items whose root is the one delivered last.
+type lastFirst []*Item
+
+func (h lastFirst) Len() int           { return len(h) }
+func (h lastFirst) Less(i, j int) bool { return before(h[j], h[i]) }
+func (h lastFirst) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *lastFirst) Push(x any)        { *h = append(*h, x.(*Item)) }
+func (h *lastFirst) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// Pending returns copies of the limit first queued items in delivery
+// order (issue time, then message ID); limit <= 0 returns them all. One
+// pass over the pending items keeps the limit first in a heap, so only
+// the returned items are copied.
+func (s *State) Pending(limit int) []Item {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if limit <= 0 || limit > len(s.pending) {
+		limit = len(s.pending)
+	}
+	h := make(lastFirst, 0, limit)
+	for _, it := range s.pending {
+		if len(h) < limit {
+			heap.Push(&h, it)
+		} else if before(it, h[0]) {
+			h[0] = it
+			heap.Fix(&h, 0)
 		}
-		return a.Challenge.MsgID < b.Challenge.MsgID
-	})
+	}
+	sort.Slice(h, func(i, j int) bool { return before(h[i], h[j]) })
+	out := make([]Item, len(h))
+	for i, it := range h {
+		out[i] = *it
+	}
+	return out
+}
+
+// PendingByDomain counts the pending items per destination domain.
+func (s *State) PendingByDomain() map[string]int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string]int)
+	for _, it := range s.pending {
+		out[it.Challenge.To.Domain]++
+	}
 	return out
 }
 
@@ -214,8 +264,10 @@ func (s *State) DoneCounts() map[Status]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[Status]int)
-	for _, d := range s.done {
-		out[d.Status]++
+	for st, n := range s.doneBy {
+		if n > 0 {
+			out[Status(st)] = n
+		}
 	}
 	return out
 }
@@ -295,6 +347,7 @@ func (s *State) Export() ExportedState {
 func (s *State) Import(e ExportedState) error {
 	pending := make(map[string]*Item, len(e.Pending))
 	done := make(map[string]doneItem, len(e.Done))
+	var doneBy [StatusExpired + 1]int
 	for _, x := range e.Pending {
 		from, err := mail.ParseAddress(x.From)
 		if err != nil {
@@ -328,11 +381,16 @@ func (s *State) Import(e ExportedState) error {
 		if !ok {
 			return fmt.Errorf("spool: done %s has unknown status %q", x.MsgID, x.Status)
 		}
+		if d, ok := done[x.MsgID]; ok {
+			doneBy[d.Status]--
+		}
 		done[x.MsgID] = doneItem{Status: st, Attempts: x.Attempts, LSN: x.LSN}
+		doneBy[st]++
 	}
 	s.mu.Lock()
 	s.pending = pending
 	s.done = done
+	s.doneBy = doneBy
 	s.mu.Unlock()
 	return nil
 }

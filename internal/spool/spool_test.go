@@ -2,6 +2,10 @@ package spool
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -39,7 +43,7 @@ func TestFoldLifecycle(t *testing.T) {
 	if st, ok := s.Fate("m2"); !ok || st != StatusSent {
 		t.Fatalf("fate(m2) = %v, %v", st, ok)
 	}
-	p := s.Pending()
+	p := s.Pending(0)
 	if len(p) != 1 || p[0].Challenge.MsgID != "m1" || p[0].Attempts != 1 || p[0].LastClass != "tempfail" {
 		t.Fatalf("pending = %+v", p)
 	}
@@ -51,7 +55,7 @@ func TestLSNGuardRejectsStaleReplay(t *testing.T) {
 	s.ApplyAttempt("m1", "tempfail", "451", 2, t0.Add(time.Hour), 5)
 	// Replaying an older attempt must not roll the item backwards.
 	s.ApplyAttempt("m1", "tempfail", "451 older", 1, t0.Add(15*time.Minute), 3)
-	if p := s.Pending(); p[0].Attempts != 2 || p[0].LSN != 5 {
+	if p := s.Pending(0); p[0].Attempts != 2 || p[0].LSN != 5 {
 		t.Fatalf("stale replay applied: %+v", p[0])
 	}
 	// A terminal fate guards against everything at or below its LSN.
@@ -72,7 +76,7 @@ func TestLSNZeroIsUnguarded(t *testing.T) {
 	s := NewState()
 	s.ApplyEnqueue(chal("m1"), 7)
 	s.ApplyAttempt("m1", "tempfail", "451", 1, t0.Add(time.Hour), 0)
-	if p := s.Pending(); p[0].Attempts != 1 {
+	if p := s.Pending(0); p[0].Attempts != 1 {
 		t.Fatalf("unguarded attempt not applied: %+v", p[0])
 	}
 }
@@ -97,7 +101,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	// The guard state survives: replaying the already-applied records
 	// over the import is a no-op.
 	s2.ApplyAttempt("m1", "tempfail", "451 older", 0, t0, 2)
-	if p := s2.Pending(); p[0].Attempts != 1 {
+	if p := s2.Pending(0); p[0].Attempts != 1 {
 		t.Fatalf("import lost LSN guard: %+v", p[0])
 	}
 }
@@ -208,5 +212,68 @@ func TestRecorderFailOpen(t *testing.T) {
 	rc2.Enqueue(t0, chal("m2"))
 	if rc2.State.Len() != 1 || rc2.Dropped() != 0 {
 		t.Fatalf("in-memory mode: len=%d dropped=%d", rc2.State.Len(), rc2.Dropped())
+	}
+}
+
+// TestPendingLimitIsPrefix: Pending(limit) is the first limit items of
+// the full delivery order, whatever the map's iteration order, with
+// issue times that tie so the message ID decides.
+func TestPendingLimitIsPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := NewState()
+	for i := 0; i < 300; i++ {
+		ch := chal(fmt.Sprintf("m%03d", rng.Intn(1000)))
+		ch.Issued = t0.Add(time.Duration(rng.Intn(40)) * time.Minute)
+		s.ApplyEnqueue(ch, 0)
+		if rng.Intn(4) == 0 {
+			s.ApplyTerminal(ch.MsgID, StatusSent, 1, 0)
+		}
+	}
+	all := s.Pending(0)
+	if len(all) != s.Len() {
+		t.Fatalf("Pending(0) has %d items, Len %d", len(all), s.Len())
+	}
+	want := append([]Item(nil), all...)
+	sort.Slice(want, func(i, j int) bool {
+		if !want[i].Challenge.Issued.Equal(want[j].Challenge.Issued) {
+			return want[i].Challenge.Issued.Before(want[j].Challenge.Issued)
+		}
+		return want[i].Challenge.MsgID < want[j].Challenge.MsgID
+	})
+	for _, limit := range []int{-1, 0, 1, 2, 7, 64, len(all) - 1, len(all), len(all) + 5} {
+		got := s.Pending(limit)
+		n := len(want)
+		if limit > 0 && limit < n {
+			n = limit
+		}
+		if !reflect.DeepEqual(got, want[:n]) {
+			t.Fatalf("Pending(%d) is not the first %d items of the delivery order", limit, n)
+		}
+	}
+}
+
+// TestDoneCountsFollowFatesAndImport: the running counts match a walk
+// of the terminal fates after an unguarded fate overwrites another, and
+// Import rebuilds them.
+func TestDoneCountsFollowFatesAndImport(t *testing.T) {
+	s := NewState()
+	for i, st := range []Status{StatusSent, StatusSent, StatusBounced, StatusExpired} {
+		id := fmt.Sprintf("m%d", i)
+		s.ApplyEnqueue(chal(id), 0)
+		s.ApplyTerminal(id, st, 1, 0)
+	}
+	s.ApplyTerminal("m0", StatusBounced, 2, 0) // LSN 0 is unguarded
+	want := map[Status]int{StatusSent: 1, StatusBounced: 2, StatusExpired: 1}
+	if got := s.DoneCounts(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("DoneCounts = %v, want %v", got, want)
+	}
+	s2 := NewState()
+	s2.ApplyEnqueue(chal("stale"), 0)
+	s2.ApplyTerminal("stale", StatusExpired, 1, 0)
+	if err := s2.Import(s.Export()); err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.DoneCounts(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("DoneCounts after Import = %v, want %v", got, want)
 	}
 }

@@ -12,7 +12,10 @@ package whitelist
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -68,57 +71,181 @@ type Entry struct {
 // list is one user's whitelist (or blacklist). Not safe for concurrent
 // use on its own; Store serialises access.
 //
-// The append-only log is the only copy of an entry. index maps the
-// canonical sender Address (see mail.Address.Canonical) to the log
-// position of its current entry, so membership checks on the dispatch
-// hot path need no key-string allocation. A removal drops the index
-// entry and keeps the log: the paper counts additions only.
+// The append-only log is the only copy of an entry; the paper counts
+// additions, so a removal only flags the entry's record. slots is an
+// open-addressed hash table over the log, keyed by the canonical sender
+// (see mail.Address.Canonical), with linear probing over a power-of-two
+// size that is kept at most three-quarters full. A slot is 0 when
+// empty, else the sender's hash tag in its top 8 bits and the log
+// position of the sender's latest record plus one in its low 24, so a
+// probe reads the log only on a tag match and a membership check on the
+// dispatch hot path allocates nothing. A re-added sender appends a
+// record and repoints its slot; the slot count never exceeds the log's
+// length, which is the load the table is sized for.
 type list struct {
-	log   []Entry                // change log (additions only), in apply order
-	index map[mail.Address]int32 // canonical sender -> position in log
+	log   []record
+	slots []uint32
+}
+
+// record is one addition in a list's log: 48 bytes against the 64 of
+// an Entry.
+type record struct {
+	addr    mail.Address // as added: the spelling Export returns
+	added   int64        // Unix nanoseconds, see unixNanos
+	source  uint8        // the entry's Source, see sourceByte
+	removed bool         // removed from the list since it was added
+}
+
+const (
+	posBits = 24
+	posMask = 1<<posBits - 1
+)
+
+// maxRecords is the most records a list can hold: a slot addresses
+// log positions 0 to 2^24-2. Tests lower it to reach the limit.
+var maxRecords = posMask
+
+// collide gives every sender the same hash, all ones: one tag, and one
+// probe chain that starts at the table's last slot and wraps. Only
+// tests set it.
+var collide bool
+
+// hashSeed keys hashAddr. It differs per process, so the table's layout
+// does too; no output depends on the layout, since Export, the change
+// counts and CountBySource walk the log.
+var hashSeed = maphash.MakeSeed()
+
+// hashAddr hashes the canonical sender sk.
+func hashAddr(sk mail.Address) uint64 {
+	if collide {
+		return ^uint64(0)
+	}
+	return maphash.String(hashSeed, sk.Local) ^ maphash.String(hashSeed, sk.Domain)*0x9e3779b97f4a7c15
+}
+
+// tagOf is the slot tag of hash h: its top 8 bits, in the slot's.
+func tagOf(h uint64) uint32 { return uint32(h>>56) << posBits }
+
+// keyEquals reports whether a, as added, canonicalises to sk.
+func keyEquals(a, sk mail.Address) bool {
+	return a.Domain == sk.Domain && (a.Local == sk.Local || strings.ToLower(a.Local) == sk.Local)
+}
+
+// at returns the record slot value v points at.
+func (l *list) at(v uint32) *record { return &l.log[v&posMask-1] }
+
+// probe looks sk up: slot is the slot holding sk's latest record (hit)
+// or the empty slot that ends sk's probe chain, -1 in an empty table.
+func (l *list) probe(sk mail.Address, h uint64) (slot int, hit bool) {
+	if len(l.slots) == 0 {
+		return -1, false
+	}
+	mask := len(l.slots) - 1
+	tag := tagOf(h)
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		v := l.slots[i]
+		if v == 0 {
+			return i, false
+		}
+		if v&^posMask == tag && keyEquals(l.at(v).addr, sk) {
+			return i, true
+		}
+	}
+}
+
+// current returns the record sk's slot points at if it is still on the
+// list, nil otherwise.
+func (l *list) current(sk mail.Address) *record {
+	i, hit := l.probe(sk, hashAddr(sk))
+	if !hit {
+		return nil
+	}
+	if r := l.at(l.slots[i]); !r.removed {
+		return r
+	}
+	return nil
 }
 
 // has reports whether the canonical sender sk is on the list.
-func (l *list) has(sk mail.Address) bool {
-	_, ok := l.index[sk]
-	return ok
+func (l *list) has(sk mail.Address) bool { return l.current(sk) != nil }
+
+// add appends e to the log as the current entry of the canonical sender
+// sk unless sk is already on the list (the existing entry wins), and
+// reports whether it did. It panics rather than let a slot alias
+// another record once the log holds maxRecords.
+func (l *list) add(sk mail.Address, e Entry) bool {
+	h := hashAddr(sk)
+	i, hit := l.probe(sk, h)
+	if hit && !l.at(l.slots[i]).removed {
+		return false
+	}
+	if len(l.log) >= maxRecords {
+		panic(fmt.Sprintf("whitelist: a list holds %d records, the most its slots address", len(l.log)))
+	}
+	if !hit && (i < 0 || 4*(len(l.log)+1) > 3*len(l.slots)) {
+		l.resize(len(l.log) + 1)
+		i, _ = l.probe(sk, h)
+	}
+	l.log = append(l.log, record{addr: e.Addr, added: unixNanos(e.Added), source: sourceByte(e.Source)})
+	l.slots[i] = tagOf(h) | uint32(len(l.log))
+	return true
 }
 
-// add appends e to the log as the current entry of the canonical
-// sender sk.
-func (l *list) add(sk mail.Address, e Entry) {
-	if l.index == nil {
-		l.index = make(map[mail.Address]int32)
+// remove flags sk's current entry as removed and reports whether there
+// was one.
+func (l *list) remove(sk mail.Address) bool {
+	r := l.current(sk)
+	if r != nil {
+		r.removed = true
 	}
-	l.index[sk] = int32(len(l.log))
-	l.log = append(l.log, e)
+	return r != nil
+}
+
+// tableSize returns the smallest power-of-two slot count, at least 8,
+// that holds n senders at most three-quarters full.
+func tableSize(n int) int {
+	size := 8
+	for 4*n > 3*size {
+		size *= 2
+	}
+	return size
+}
+
+// resize rebuilds the slot table for n senders. Only add calls it, so
+// the table never changes under a reader's lock.
+func (l *list) resize(n int) {
+	old := l.slots
+	l.slots = make([]uint32, tableSize(n))
+	mask := len(l.slots) - 1
+	for _, v := range old {
+		if v == 0 {
+			continue
+		}
+		h := hashAddr(l.at(v).addr.Canonical())
+		i := int(h) & mask
+		for l.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		l.slots[i] = v
+	}
 }
 
 // reserve sizes an empty list for n entries.
 func (l *list) reserve(n int) {
-	if l.index == nil {
-		l.index = make(map[mail.Address]int32, n)
-		l.log = make([]Entry, 0, n)
-	}
-}
-
-// insert adds e under the canonical sender sk unless sk is already
-// present: on replay and import the existing entry wins.
-func (l *list) insert(sk mail.Address, e Entry) {
-	if !l.has(sk) {
-		l.add(sk, e)
+	if l.log == nil && n > 0 {
+		l.log = make([]record, 0, n)
+		l.slots = make([]uint32, tableSize(n))
 	}
 }
 
 // entries returns the current entries sorted by addition time, then
 // address; nil when there are none.
 func (l *list) entries() []Entry {
-	if len(l.index) == 0 {
-		return nil
-	}
-	out := make([]Entry, 0, len(l.index))
-	for _, i := range l.index {
-		out = append(out, l.log[i])
+	var out []Entry
+	for i := range l.log {
+		if r := &l.log[i]; !r.removed {
+			out = append(out, r.entry())
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].Added.Equal(out[j].Added) {
@@ -127,6 +254,48 @@ func (l *list) entries() []Entry {
 		return out[i].Addr.Key() < out[j].Addr.Key()
 	})
 	return out
+}
+
+// entry returns r as an Entry.
+func (r *record) entry() Entry {
+	return Entry{Addr: r.addr, Source: Source(r.source), Added: fromUnixNanos(r.added)}
+}
+
+// sourceByte stores s in a record's byte; a source that does not fit
+// (none of the defined ones) is kept as 255, which reads "unknown".
+func sourceByte(s Source) uint8 {
+	if s < 0 || s > 255 {
+		return 255
+	}
+	return uint8(s)
+}
+
+// The instants an int64 of Unix nanoseconds can hold (1677 to 2262).
+var (
+	minNanos = time.Unix(0, math.MinInt64)
+	maxNanos = time.Unix(0, math.MaxInt64)
+)
+
+// unixNanos stores t in a record: its Unix nanoseconds, saturated to
+// the int64 range, so the zero Time (year 1) is math.MinInt64.
+func unixNanos(t time.Time) int64 {
+	switch {
+	case t.Before(minNanos):
+		return math.MinInt64
+	case t.After(maxNanos):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
+}
+
+// fromUnixNanos is unixNanos' inverse, in UTC: a simulated (UTC) time
+// reads back unchanged, a real-clock one as the same instant in UTC.
+// math.MinInt64 reads back as the zero Time.
+func fromUnixNanos(n int64) time.Time {
+	if n == math.MinInt64 {
+		return time.Time{}
+	}
+	return time.Unix(0, n).UTC()
 }
 
 // account holds both of one user's lists, so a dispatch probes the
@@ -251,12 +420,12 @@ func (s *Store) Apply(r wal.Record) error {
 	defer s.mu.Unlock()
 	switch m.Op {
 	case MutAddWhite:
-		s.account(m.User).white.insert(m.Entry.Addr.Canonical(), m.Entry)
+		s.account(m.User).white.add(m.Entry.Addr.Canonical(), m.Entry)
 	case MutAddBlack:
-		s.account(m.User).black.insert(m.Entry.Addr.Canonical(), m.Entry)
+		s.account(m.User).black.add(m.Entry.Addr.Canonical(), m.Entry)
 	case MutRemoveWhite:
 		if a := s.users[m.User.Canonical()]; a != nil {
-			delete(a.white.index, m.Entry.Addr.Canonical())
+			a.white.remove(m.Entry.Addr.Canonical())
 		}
 	}
 	return nil
@@ -306,12 +475,10 @@ func (s *Store) AddBlack(user, sender mail.Address) bool {
 // add puts sender on l, one of user's lists, unless it is there, and
 // journals the addition as op. The caller holds s.mu.
 func (s *Store) add(l *list, op MutOp, user, sender mail.Address, src Source) bool {
-	sk := sender.Canonical()
-	if l.has(sk) {
+	e := Entry{Addr: sender, Source: src, Added: s.clk.Now()}
+	if !l.add(sender.Canonical(), e) {
 		return false
 	}
-	e := Entry{Addr: sender, Source: src, Added: s.clk.Now()}
-	l.add(sk, e)
 	if s.journal != nil {
 		s.journal(Mutation{Op: op, User: user, Entry: e}.record())
 	}
@@ -327,11 +494,9 @@ func (s *Store) RemoveWhite(user, sender mail.Address) bool {
 	if a == nil {
 		return false
 	}
-	sk := sender.Canonical()
-	if !a.white.has(sk) {
+	if !a.white.remove(sender.Canonical()) {
 		return false
 	}
-	delete(a.white.index, sk)
 	if s.journal != nil {
 		s.journal(Mutation{Op: MutRemoveWhite, User: user, Entry: Entry{Addr: sender, Added: s.clk.Now()}}.record())
 	}
@@ -382,9 +547,10 @@ func (s *Store) AdditionsBetween(user mail.Address, from, to time.Time, sources 
 		}
 		return false
 	}
+	lo, hi := unixNanos(from), unixNanos(to)
 	n := 0
-	for _, e := range a.white.log {
-		if !e.Added.Before(from) && e.Added.Before(to) && want(e.Source) {
+	for _, r := range a.white.log {
+		if r.added >= lo && r.added < hi && want(Source(r.source)) {
 			n++
 		}
 	}
@@ -428,10 +594,10 @@ func (s *Store) Import(lists []ExportedList) error {
 		s.mu.Lock()
 		a := s.account(user)
 		for _, e := range l.White {
-			a.white.insert(e.Addr.Canonical(), e)
+			a.white.add(e.Addr.Canonical(), e)
 		}
 		for _, e := range l.Black {
-			a.black.insert(e.Addr.Canonical(), e)
+			a.black.add(e.Addr.Canonical(), e)
 		}
 		s.mu.Unlock()
 	}
@@ -444,8 +610,8 @@ func (s *Store) CountBySource() map[Source]int {
 	defer s.mu.RUnlock()
 	out := make(map[Source]int)
 	for _, a := range s.users {
-		for _, e := range a.white.log {
-			out[e.Source]++
+		for _, r := range a.white.log {
+			out[Source(r.source)]++
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package whitelist
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -243,6 +244,38 @@ func BenchmarkIsWhite(b *testing.B) {
 	}
 }
 
+// BenchmarkClassify probes a store shaped like a fleet company
+// (heapGuardStore: 2,000 users with 28 whitelisted and 2 blacklisted
+// senders each) the way the dispatch path does: one query in eight
+// names a sender on the user's whitelist, the rest are strangers.
+func BenchmarkClassify(b *testing.B) {
+	users, contacts := heapGuardAddrs()
+	clk := clock.NewSim(t0)
+	s := NewStore(clk)
+	heapGuardStore(s, clk, users, contacts)
+	white := make(map[string][]Entry, len(users))
+	for _, l := range s.Export() {
+		white[l.User] = l.White
+	}
+	type query struct{ user, sender mail.Address }
+	rng := rand.New(rand.NewSource(2))
+	queries := make([]query, 4096)
+	for i := range queries {
+		u := users[rng.Intn(len(users))]
+		sender := contacts[rng.Intn(len(contacts))]
+		if w := white[u.Key()]; i%8 == 0 {
+			sender = w[rng.Intn(len(w))].Addr
+		}
+		queries[i] = query{u, sender}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := queries[i%len(queries)]
+		s.Classify(q.user, q.sender)
+	}
+}
+
 func BenchmarkAddWhite(b *testing.B) {
 	s := NewStore(clock.NewSim(t0))
 	b.ReportAllocs()
@@ -353,5 +386,52 @@ func TestExportEmptyStore(t *testing.T) {
 	s := NewStore(clock.NewSim(t0))
 	if got := s.Export(); len(got) != 0 {
 		t.Fatalf("empty export = %v", got)
+	}
+}
+
+// TestListRecordLimit: a slot addresses 2^24-1 log positions. A list
+// whose log is full panics on its next record, a re-add included, and
+// still holds every entry it had under its own address and no other.
+func TestListRecordLimit(t *testing.T) {
+	if maxRecords != 1<<24-1 || posMask+1 != 1<<24 {
+		t.Fatalf("a slot addresses %d records, want 2^24-1", maxRecords)
+	}
+	defer func(n int) { maxRecords = n }(maxRecords)
+	maxRecords = 40
+	addr := func(i int) mail.Address { return mail.Address{Local: fmt.Sprintf("s%d", i), Domain: "x.example"} }
+	s := NewStore(clock.NewSim(t0))
+	for i := 0; i < 39; i++ {
+		s.AddWhite(bob, addr(i), SourceSeed)
+	}
+	s.RemoveWhite(bob, addr(1))
+	if s.AddWhite(bob, addr(0), SourceDigest) {
+		t.Fatal("a present sender was added again")
+	}
+	if !s.AddWhite(bob, addr(39), SourceSeed) {
+		t.Fatal("the 40th record was refused")
+	}
+	for _, i := range []int{40, 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("record 41 (sender %d) did not panic", i)
+				}
+			}()
+			s.AddWhite(bob, addr(i), SourceSeed)
+		}()
+	}
+	white := s.Export()[0].White
+	if len(white) != 39 {
+		t.Fatalf("list holds %d entries after the refused records, want 39", len(white))
+	}
+	for i := 0; i < 41; i++ {
+		if want := i != 1 && i != 40; s.IsWhite(bob, addr(i)) != want {
+			t.Fatalf("IsWhite(sender %d) = %v, want %v", i, !want, want)
+		}
+	}
+	for _, e := range white {
+		if e.Addr == addr(1) || e.Addr == addr(40) {
+			t.Fatalf("export holds refused sender %v", e.Addr)
+		}
 	}
 }
