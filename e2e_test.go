@@ -180,8 +180,8 @@ func TestEndToEndFullDeployment(t *testing.T) {
 	}
 
 	// --- 4. The message is in bob's mailbox; alice is whitelisted. ---
-	if inboxes.Len(bob) != 1 {
-		t.Fatalf("bob's inbox = %d", inboxes.Len(bob))
+	if n := len(inboxes.Inbox(bob)); n != 1 {
+		t.Fatalf("bob's inbox = %d", n)
 	}
 	var mbox strings.Builder
 	if err := inboxes.WriteMbox(&mbox, bob); err != nil {
@@ -199,8 +199,8 @@ func TestEndToEndFullDeployment(t *testing.T) {
 		smtp.BuildMessage(alice, bob, "followup", "thanks!")); err != nil {
 		t.Fatal(err)
 	}
-	if inboxes.Len(bob) != 2 {
-		t.Fatalf("inbox after followup = %d", inboxes.Len(bob))
+	if n := len(inboxes.Inbox(bob)); n != 2 {
+		t.Fatalf("inbox after followup = %d", n)
 	}
 
 	// --- 6. Persistence: a fresh engine restored from a snapshot still

@@ -248,7 +248,7 @@ func TestOverloadPageAndMetrics(t *testing.T) {
 	if out.Granted == nil {
 		t.Fatal("first submission not granted")
 	}
-	if !ctl.Submit("m2", nil, nil).Shed() {
+	if o := ctl.Submit("m2", nil, nil); o.Granted != nil || o.Queued {
 		t.Fatal("second submission not shed")
 	}
 

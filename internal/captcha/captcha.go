@@ -77,9 +77,6 @@ type Challenge struct {
 // Solved reports whether the challenge has been solved.
 func (c *Challenge) Solved() bool { return !c.SolvedAt.IsZero() }
 
-// Visited reports whether the challenge URL was ever opened.
-func (c *Challenge) Visited() bool { return c.Visits > 0 }
-
 // SolveFunc is invoked (synchronously, without the service lock held)
 // when a challenge is solved so the dispatcher can whitelist the sender
 // and release the quarantined message.
@@ -94,11 +91,9 @@ type Service struct {
 	maxAttempts int
 	rng         *rand.Rand
 
-	mu     sync.Mutex
-	byTok  map[string]*Challenge
-	byMsg  map[string]*Challenge
-	issued int64
-	solved int64
+	mu    sync.Mutex
+	byTok map[string]*Challenge
+	byMsg map[string]*Challenge
 }
 
 // Config parameterises a Service.
@@ -169,7 +164,6 @@ func (s *Service) Issue(msgID string, recipient, sender mail.Address) *Challenge
 	}
 	s.byTok[tok] = ch
 	s.byMsg[msgID] = ch
-	s.issued++
 	return ch
 }
 
@@ -245,20 +239,12 @@ func (s *Service) Solve(token, answer string) error {
 		return ErrWrongAnswer
 	}
 	ch.SolvedAt = s.clk.Now()
-	s.solved++
 	cb := s.onSolved
 	s.mu.Unlock()
 	if cb != nil {
 		cb(ch)
 	}
 	return nil
-}
-
-// ByMessage returns the challenge guarding msgID, or nil.
-func (s *Service) ByMessage(msgID string) *Challenge {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.byMsg[msgID]
 }
 
 // Drop removes the challenge guarding msgID (quarantine expiry or digest
@@ -269,47 +255,6 @@ func (s *Service) Drop(msgID string) {
 	if ch, ok := s.byMsg[msgID]; ok {
 		delete(s.byTok, ch.Token)
 		delete(s.byMsg, msgID)
-	}
-}
-
-// Stats summarises the service state for the measurement pipeline.
-type Stats struct {
-	Issued       int64
-	Solved       int64
-	Outstanding  int
-	NeverVisited int // issued, unsolved, never opened
-	VisitedOnly  int // opened but not solved
-}
-
-// Stats returns a snapshot.
-func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := Stats{Issued: s.issued, Solved: s.solved, Outstanding: len(s.byTok)}
-	for _, ch := range s.byTok {
-		if ch.Solved() {
-			continue
-		}
-		if ch.Visited() {
-			st.VisitedOnly++
-		} else {
-			st.NeverVisited++
-		}
-	}
-	return st
-}
-
-// Each calls fn for every outstanding challenge (snapshot; fn runs
-// without the lock).
-func (s *Service) Each(fn func(*Challenge)) {
-	s.mu.Lock()
-	snapshot := make([]*Challenge, 0, len(s.byTok))
-	for _, ch := range s.byTok {
-		snapshot = append(snapshot, ch)
-	}
-	s.mu.Unlock()
-	for _, ch := range snapshot {
-		fn(ch)
 	}
 }
 

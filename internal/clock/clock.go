@@ -56,24 +56,10 @@ func (s *Sim) Advance(d time.Duration) {
 	s.off.Add(int64(d))
 }
 
-// Set jumps the clock to t. It panics if t is before the current time.
-func (s *Sim) Set(t time.Time) {
-	to := int64(t.Sub(s.start))
-	for {
-		cur := s.off.Load()
-		if to < cur {
-			panic(fmt.Sprintf("clock: Set to %v before current %v", t, s.start.Add(time.Duration(cur))))
-		}
-		if s.off.CompareAndSwap(cur, to) {
-			return
-		}
-	}
-}
-
-// AdvanceTo is a monotone Set: it jumps the clock to t if t is later
-// than the current time and is a no-op otherwise. Epoch barriers use it
-// to bring a shared clock up to the barrier time without having to know
-// whether some drained event already moved it there.
+// AdvanceTo jumps the clock to t if t is later than the current time
+// and is a no-op otherwise. Epoch barriers use it to bring a shared
+// clock up to the barrier time without having to know whether some
+// drained event already moved it there.
 func (s *Sim) AdvanceTo(t time.Time) { s.advanceOff(int64(t.Sub(s.start))) }
 
 // advanceOff moves the clock to offset to from its start if that is
@@ -172,9 +158,6 @@ func NewScheduler(c *Sim) *Scheduler {
 	return &Scheduler{clock: c}
 }
 
-// Clock returns the simulated clock this scheduler drives.
-func (s *Scheduler) Clock() *Sim { return s.clock }
-
 // At schedules fn to run when the virtual clock reaches t. Events scheduled
 // for a time already in the past run at the next RunUntil step, in order.
 func (s *Scheduler) At(t time.Time, fn func()) {
@@ -188,31 +171,6 @@ func (s *Scheduler) At(t time.Time, fn func()) {
 // After schedules fn to run d after the current virtual time.
 func (s *Scheduler) After(d time.Duration, fn func()) {
 	s.At(s.clock.Now().Add(d), fn)
-}
-
-// Every schedules fn to run repeatedly with the given period, starting one
-// period from now, until the scheduler is drained past until. A zero until
-// means "forever" (bounded only by RunUntil's horizon).
-func (s *Scheduler) Every(period time.Duration, until time.Time, fn func()) {
-	if period <= 0 {
-		panic("clock: Every with non-positive period")
-	}
-	var tick func()
-	tick = func() {
-		if !until.IsZero() && s.clock.Now().After(until) {
-			return
-		}
-		fn()
-		s.After(period, tick)
-	}
-	s.After(period, tick)
-}
-
-// Pending reports the number of queued events.
-func (s *Scheduler) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pq)
 }
 
 // pop removes and returns the earliest event at or before horizon (a
@@ -244,9 +202,4 @@ func (s *Scheduler) RunUntil(horizon time.Time) int {
 	}
 	s.clock.advanceOff(h)
 	return n
-}
-
-// RunFor is RunUntil(now + d).
-func (s *Scheduler) RunFor(d time.Duration) int {
-	return s.RunUntil(s.clock.Now().Add(d))
 }

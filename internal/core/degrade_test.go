@@ -40,7 +40,7 @@ func TestDNSDegradeFailOpenAccepts(t *testing.T) {
 		if ev.Kind == maillog.KindDegraded && ev.Field("component") == "dns-resolve" {
 			found = true
 			if ev.Field("mode") != "fail-open" || ev.Field("action") != "accept" {
-				t.Fatalf("degraded event fields = %v", ev.FieldMap())
+				t.Fatalf("degraded event fields = %s", ev.AppendFormat(nil))
 			}
 		}
 	}
@@ -86,10 +86,9 @@ func TestDNSDegradeFailClosedDrops(t *testing.T) {
 }
 
 func TestDNSRetriesAbsorbTransientFault(t *testing.T) {
-	// FailDomain with a timeout error makes ResolvableErr report a
-	// temporary failure; clearing it between engine retries is not
-	// possible (retries are immediate), so instead use a probabilistic
-	// injected fault low enough that 3 attempts almost surely pass.
+	// Engine retries are immediate, so a fault must clear between two
+	// attempts of one lookup: a probabilistic "dns" timeout through the
+	// resolver seam, low enough that 3 attempts almost surely pass.
 	e := newFaultedEnv(t, false, dnsTimeouts(0.5), 3)
 	accepted, degraded := 0, 0
 	for i := 0; i < 50; i++ {

@@ -213,7 +213,7 @@ func TestReputationEndToEnd(t *testing.T) {
 		if ev.Kind == maillog.KindReputation && ev.Field("action") == "fast-path" {
 			fastPathEvents++
 			if ev.Field("band") != "trusted" || ev.Field("keys") == "" {
-				t.Fatalf("fast-path event missing evidence fields: %v", ev.FieldMap())
+				t.Fatalf("fast-path event missing evidence fields: %s", ev.AppendFormat(nil))
 			}
 		}
 	}

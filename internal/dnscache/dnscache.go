@@ -5,18 +5,19 @@
 // Real MTAs lean on resolver caches: sender-infrastructure lookups are
 // dominated by repeated queries for the same handful of domains and IPs
 // (the same observation drives the aggregated-history spam detectors in
-// the literature). cmd/crserver runs both caches and reports their
-// counters on /metrics. The simulated fleet does not: its zone data is
-// an in-memory map fixed once the fleet is built, and its blocklist
-// changes only at epoch barriers, so a cache in front of either would
-// only add lookups (DESIGN.md §8).
+// the literature). No product binary runs either cache: cmd/crserver's
+// zone is static once it boots, and the simulated fleet's zone data is
+// an in-memory map fixed once the fleet is built, its blocklist changing
+// only at epoch barriers, so a cache in front of either would only add
+// lookups (DESIGN.md §8). The benchmark module's traced probe is the one
+// caller.
 //
 // Coherence rules (see DESIGN.md §8):
 //
 //   - Entries expire on the *virtual* clock, never the wall clock.
 //   - Both backends expose a generation counter that increments on every
-//     mutation (dnssim.Server.Gen: record changes, RemoveDomain,
-//     FailDomain; rbl.Provider.Gen: listing/delisting events). Each
+//     mutation (dnssim.Server.Gen: record registration; rbl.Provider.Gen:
+//     listing/delisting events). Each
 //     lookup compares generations and flushes the whole cache on change,
 //     so a cached answer can never mask a mutation.
 //   - Temporary failures (timeouts, injected outages) are never cached:
@@ -42,27 +43,6 @@ const (
 	DefaultNegTTL = 10 * time.Minute
 )
 
-// Stats counts cache outcomes. All counters are totals since creation.
-type Stats struct {
-	Hits      int64 // served from a live entry without touching the backend
-	NegHits   int64 // subset of Hits answered from a cached negative
-	Misses    int64 // went to the backend
-	Coalesced int64 // waited on another goroutine's in-flight fetch
-}
-
-// Lookups returns the total number of cache consultations.
-func (s Stats) Lookups() int64 { return s.Hits + s.Misses + s.Coalesced }
-
-// HitRate returns the fraction of lookups that avoided a backend query
-// (plain hits plus coalesced waiters). Zero when nothing was looked up.
-func (s Stats) HitRate() float64 {
-	t := s.Lookups()
-	if t == 0 {
-		return 0
-	}
-	return float64(s.Hits+s.Coalesced) / float64(t)
-}
-
 // Options configures a Cache.
 type Options struct {
 	// Clock supplies the (virtual) time entries age against. Required.
@@ -72,8 +52,8 @@ type Options struct {
 	// NegTTL is the authoritative-negative lifetime; DefaultNegTTL if zero.
 	NegTTL time.Duration
 	// Gen, when non-nil, is polled on every lookup; a change flushes the
-	// entire cache. Wire it to dnssim.Server.Gen so RemoveDomain and
-	// FailDomain invalidate immediately.
+	// entire cache. Wire it to dnssim.Server.Gen so a new record
+	// invalidates immediately.
 	Gen func() uint64
 }
 
@@ -138,11 +118,6 @@ type Cache struct {
 	opts    Options
 
 	shards [cacheStripes]cacheShard
-
-	hits      atomic.Int64
-	negHits   atomic.Int64
-	misses    atomic.Int64
-	coalesced atomic.Int64
 }
 
 // New returns a cache over backend. Options.Clock is required.
@@ -209,10 +184,6 @@ func (c *Cache) do(key ckey, fetch func(*entry) error) (*entry, error) {
 		if e != nil && e.ready.Load() &&
 			c.opts.Clock.Now().Before(e.exp) &&
 			(c.opts.Gen == nil || c.opts.Gen() == sh.gen.Load()) {
-			c.hits.Add(1)
-			if e.neg {
-				c.negHits.Add(1)
-			}
 			return e, e.err
 		}
 	}
@@ -224,7 +195,6 @@ func (c *Cache) do(key ckey, fetch func(*entry) error) (*entry, error) {
 			e = &entry{}
 			e.mu.Lock() // we are the fetcher; publish locked
 			sh.entries[key] = e
-			c.misses.Add(1)
 			sh.mu.Unlock()
 
 			err := fetch(e)
@@ -250,10 +220,6 @@ func (c *Cache) do(key ckey, fetch func(*entry) error) (*entry, error) {
 			e.mu.Unlock()
 			return e, err
 		}
-		coalesced := !e.readyNow()
-		if coalesced {
-			c.coalesced.Add(1)
-		}
 		sh.mu.Unlock()
 
 		e.mu.Lock() // blocks while a fetch for this key is in flight
@@ -264,7 +230,7 @@ func (c *Cache) do(key ckey, fetch func(*entry) error) (*entry, error) {
 			continue
 		}
 		expired := !c.opts.Clock.Now().Before(e.exp)
-		neg, err := e.neg, e.err
+		err := e.err
 		e.mu.Unlock()
 
 		if expired {
@@ -272,32 +238,11 @@ func (c *Cache) do(key ckey, fetch func(*entry) error) (*entry, error) {
 			if sh.entries[key] == e {
 				delete(sh.entries, key)
 			}
-			// Undo the optimistic hit/coalesced accounting? We counted
-			// nothing yet for the non-coalesced path, and a coalesced
-			// wait that lands on an expired entry still collapsed into
-			// the earlier fetch, so the counter stands.
 			sh.mu.Unlock()
 			continue
 		}
-		if !coalesced {
-			c.hits.Add(1)
-			if neg {
-				c.negHits.Add(1)
-			}
-		}
 		return e, err
 	}
-}
-
-// readyNow reports whether the entry's fetch has completed, without
-// blocking on an in-flight fetch.
-func (e *entry) readyNow() bool {
-	if !e.mu.TryLock() {
-		return false
-	}
-	r := e.ready.Load()
-	e.mu.Unlock()
-	return r
 }
 
 // LookupA implements dnssim.Resolver. Callers must not mutate the
@@ -371,29 +316,6 @@ func (c *Cache) ResolvableErr(domain string) (bool, error) {
 	return e.ok, nil
 }
 
-// Stats returns a snapshot of the cache counters.
-func (c *Cache) Stats() Stats {
-	return Stats{
-		Hits:      c.hits.Load(),
-		NegHits:   c.negHits.Load(),
-		Misses:    c.misses.Load(),
-		Coalesced: c.coalesced.Load(),
-	}
-}
-
-// Len returns the number of live entries (expired ones included until
-// their next touch).
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // rblStripes is the RBL memo's lock-stripe count: concurrent lanes
 // querying different botnet IPs proceed without a cache-wide mutex.
 const rblStripes = 8
@@ -421,10 +343,6 @@ type RBLCache struct {
 	ttl time.Duration
 
 	shards [rblStripes]rblShard
-
-	hits    atomic.Int64
-	negHits atomic.Int64
-	misses  atomic.Int64
 }
 
 type rblEntry struct {
@@ -474,10 +392,6 @@ func (c *RBLCache) Query(ip string) (bool, error) {
 		e, ok := sh.entries[ip]
 		sh.mu.RUnlock()
 		if ok && c.clk.Now().Before(e.exp) && c.p.Gen() == sh.gen.Load() {
-			c.hits.Add(1)
-			if !e.listed {
-				c.negHits.Add(1)
-			}
 			return e.listed, nil
 		}
 	}
@@ -487,7 +401,6 @@ func (c *RBLCache) Query(ip string) (bool, error) {
 		clear(sh.entries)
 	}
 	sh.mu.Unlock()
-	c.misses.Add(1)
 	gen := c.p.Gen()
 
 	listed := c.p.IsListed(ip)
@@ -501,13 +414,4 @@ func (c *RBLCache) Query(ip string) (bool, error) {
 		sh.mu.Unlock()
 	}
 	return listed, nil
-}
-
-// Stats returns a snapshot of the memo counters.
-func (c *RBLCache) Stats() Stats {
-	return Stats{
-		Hits:    c.hits.Load(),
-		NegHits: c.negHits.Load(),
-		Misses:  c.misses.Load(),
-	}
 }

@@ -5,15 +5,14 @@
 // study), the reverse-DNS filter requires a PTR record for the client IP,
 // the RBL filter queries DNS blocklists, and the offline SPF experiment of
 // §5.2 evaluates TXT records. dnssim provides all of these against a zone
-// store populated by the workload generator, with per-domain failure
-// injection so tests can exercise temporary-error paths. A zone that no
-// longer changes can be frozen (Server.Freeze): its lookups then take no
-// lock at all.
+// store populated by the workload generator. The server itself always
+// answers; temporary failures are injected around it by the fault seam
+// (internal/faults/seam). A zone that no longer changes can be frozen
+// (Server.Freeze): its lookups then take no lock at all.
 package dnssim
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -104,7 +103,6 @@ type Server struct {
 	frozen atomic.Bool
 	zones  map[string]*zone  // by lower-case domain
 	ptr    map[string]string // by dotted-quad IP
-	fail   map[string]error  // injected failure per domain
 	// gen counts zone-data mutations so caching layers (internal/dnscache)
 	// can invalidate without subscribing to every mutation site.
 	gen atomic.Uint64
@@ -115,14 +113,13 @@ func NewServer() *Server {
 	return &Server{
 		zones: make(map[string]*zone),
 		ptr:   make(map[string]string),
-		fail:  make(map[string]error),
 	}
 }
 
 // Gen returns the zone-data generation, which increments on every
-// mutation (record registration, RemoveDomain, FailDomain). A resolver
-// cache compares generations on each lookup and flushes on change, so a
-// failed or deleted domain is never masked by a stale cached answer.
+// record registration. A resolver cache compares generations on each
+// lookup and flushes on change, so a new record is never masked by a
+// stale cached answer.
 func (s *Server) Gen() uint64 { return s.gen.Load() }
 
 // Freeze makes the zone read-only: every later mutation panics, and
@@ -191,56 +188,23 @@ func (s *Server) AddTXT(domain, txt string) {
 	s.gen.Add(1)
 }
 
-// RemoveDomain deletes every record of domain, turning future queries into
-// NXDOMAIN. Used to model domains that disappear mid-simulation.
-func (s *Server) RemoveDomain(domain string) {
-	s.lock()
-	defer s.mu.Unlock()
-	delete(s.zones, key(domain))
-	s.gen.Add(1)
-}
-
-// FailDomain injects err for all queries about domain (pass nil to clear).
-// Use ErrTimeout to model an unreachable nameserver.
-func (s *Server) FailDomain(domain string, err error) {
-	s.lock()
-	defer s.mu.Unlock()
-	defer s.gen.Add(1)
-	if err == nil {
-		delete(s.fail, key(domain))
-		return
-	}
-	s.fail[key(domain)] = err
-}
-
 // ResolvableErr implements Resolver. A domain with any record at all,
 // even only an MX, is resolvable: the check the MTA-IN applies to sender
 // domains ("Unable to resolve the domain", 4.19% of drops in the study).
-// A FailDomain timeout returns a non-nil error so the caller can apply
-// its degradation policy instead of silently treating "DNS is down" as
-// "domain does not exist".
+// The in-memory zone always answers, so the error is always nil; a
+// resolver fault wraps the server to return one (seam.Resolver).
 func (s *Server) ResolvableErr(domain string) (bool, error) {
 	k := key(domain)
 	if !s.frozen.Load() {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 	}
-	if err, bad := s.fail[k]; bad {
-		if IsTemporary(err) {
-			return false, fmt.Errorf("%w (domain %s)", ErrTimeout, domain)
-		}
-		return false, nil
-	}
 	_, ok := s.zones[k]
 	return ok, nil
 }
 
 func (s *Server) pre(domain string) (*zone, error) {
-	k := key(domain)
-	if err, ok := s.fail[k]; ok {
-		return nil, fmt.Errorf("%w (domain %s)", err, domain)
-	}
-	z := s.zones[k]
+	z := s.zones[key(domain)]
 	if z == nil {
 		return nil, &lookupError{kind: ErrNXDomain, name: domain}
 	}
@@ -312,21 +276,6 @@ func (s *Server) LookupTXT(domain string) ([]string, error) {
 	out := make([]string, len(z.txt))
 	copy(out, z.txt)
 	return out, nil
-}
-
-// Domains returns all registered domain names, sorted. Intended for
-// debugging and deterministic iteration in experiments.
-func (s *Server) Domains() []string {
-	if !s.frozen.Load() {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-	}
-	out := make([]string, 0, len(s.zones))
-	for d := range s.zones {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RegisterMailDomain is a convenience that wires up the records a

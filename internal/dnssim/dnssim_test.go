@@ -111,23 +111,6 @@ func TestLookupTXT(t *testing.T) {
 	}
 }
 
-func TestFailDomainInjection(t *testing.T) {
-	s := NewServer()
-	s.AddA("flaky.example.com", "192.0.2.9")
-	s.FailDomain("flaky.example.com", ErrTimeout)
-	_, err := s.LookupA("flaky.example.com")
-	if !IsTemporary(err) {
-		t.Fatalf("injected failure not temporary: %v", err)
-	}
-	if ok, err := s.ResolvableErr("flaky.example.com"); ok || !IsTemporary(err) {
-		t.Fatalf("failed domain: resolvable %v, err %v; want a temporary error", ok, err)
-	}
-	s.FailDomain("flaky.example.com", nil)
-	if _, err := s.LookupA("flaky.example.com"); err != nil {
-		t.Fatalf("after clearing failure: %v", err)
-	}
-}
-
 func TestResolvable(t *testing.T) {
 	s := NewServer()
 	s.AddMX("mx-only.example.com", "mail.example.com", 10)
@@ -136,15 +119,6 @@ func TestResolvable(t *testing.T) {
 	}
 	if ok, err := s.ResolvableErr("ghost.example.com"); ok || err != nil {
 		t.Fatalf("unregistered domain: %v, %v; want an authoritative no", ok, err)
-	}
-}
-
-func TestRemoveDomain(t *testing.T) {
-	s := NewServer()
-	s.AddA("gone.example.com", "192.0.2.3")
-	s.RemoveDomain("gone.example.com")
-	if _, err := s.LookupA("gone.example.com"); !errors.Is(err, ErrNXDomain) {
-		t.Fatalf("after removal err = %v, want NXDOMAIN", err)
 	}
 }
 
@@ -165,16 +139,6 @@ func TestRegisterMailDomain(t *testing.T) {
 	ips, err := s.LookupA("mail.corp.example")
 	if err != nil || ips[0] != "198.51.100.1" {
 		t.Fatalf("A = %v, %v", ips, err)
-	}
-}
-
-func TestDomainsSorted(t *testing.T) {
-	s := NewServer()
-	s.AddA("zz.example.com", "192.0.2.1")
-	s.AddA("aa.example.com", "192.0.2.2")
-	d := s.Domains()
-	if len(d) != 2 || d[0] != "aa.example.com" || d[1] != "zz.example.com" {
-		t.Fatalf("Domains = %v", d)
 	}
 }
 
@@ -217,8 +181,6 @@ func TestFreezeRejectsMutations(t *testing.T) {
 		"AddMX":              func() { s.AddMX("corp.example", "mx2.corp.example", 20) },
 		"AddPTR":             func() { s.AddPTR("192.0.2.1", "new.example") },
 		"AddTXT":             func() { s.AddTXT("corp.example", "v=spf1 -all") },
-		"RemoveDomain":       func() { s.RemoveDomain("corp.example") },
-		"FailDomain":         func() { s.FailDomain("corp.example", ErrTimeout) },
 		"RegisterMailDomain": func() { s.RegisterMailDomain("other.example", "198.51.100.2") },
 	} {
 		func() {
@@ -254,7 +216,6 @@ func TestFrozenConcurrentReaders(t *testing.T) {
 			s.AddTXT(d, "v=spf1 -all")
 		}
 	}
-	s.FailDomain("d19.example", ErrTimeout)
 	answers := func() []string {
 		var out []string
 		add := func(v any, err error) { out = append(out, fmt.Sprint(v, err)) }
@@ -267,7 +228,6 @@ func TestFrozenConcurrentReaders(t *testing.T) {
 			add(s.LookupPTR(fmt.Sprintf("198.51.100.%d", i+1)))
 			add(s.ResolvableErr(d))
 		}
-		add(s.Domains(), nil)
 		return out
 	}
 	want := answers()

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/workload"
 )
@@ -24,7 +25,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		return NewRun(cfg)
 	}
 	serial := run(1)
-	lcS, gS, ccS := Lifecycle(serial), General(serial), serial.Fleet.ClassCounts()
+	lcS, gS, emS := Lifecycle(serial), General(serial), engineMetrics(serial)
 	renderS, syncS := RenderAll(serial), serial.Fleet.SyncStats()
 	for _, workers := range []int{2, 4, 8, 16} {
 		parallel := run(workers)
@@ -34,8 +35,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 		if gP := General(parallel); !reflect.DeepEqual(gS, gP) {
 			t.Errorf("General diverges:\nworkers=1: %+v\nworkers=%d: %+v", gS, workers, gP)
 		}
-		if ccP := parallel.Fleet.ClassCounts(); !reflect.DeepEqual(ccS, ccP) {
-			t.Errorf("class counts diverge:\nworkers=1: %v\nworkers=%d: %v", ccS, workers, ccP)
+		if emP := engineMetrics(parallel); !reflect.DeepEqual(emS, emP) {
+			t.Errorf("engine metrics diverge:\nworkers=1: %+v\nworkers=%d: %+v", emS, workers, emP)
 		}
 		if diff := firstDiffs(renderS, RenderAll(parallel), 5); diff != "" {
 			t.Errorf("RenderAll diverges between workers=1 and workers=%d:\n%s", workers, diff)
@@ -57,22 +58,22 @@ func TestSurgeWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two surge runs")
 	}
-	mk := func(workers int) (workload.OverloadStats, map[workload.Class]int64) {
+	mk := func(workers int) (workload.OverloadStats, []core.Metrics) {
 		cfg := surgeQuick(7)
 		cfg.Workers = workers
 		cfg.Overload = SurgeOverloadConfig()
 		cfg.FaultPlan = SurgeLatencyPlan()
 		cfg.SurgeBursts = []workload.SurgeBurst{{Day: 1, Hour: 10, Hours: 3, Intensity: 10}}
 		run := NewRun(cfg)
-		return run.Fleet.OverloadStats(), run.Fleet.ClassCounts()
+		return run.Fleet.OverloadStats(), engineMetrics(run)
 	}
-	sS, ccS := mk(1)
-	sP, ccP := mk(8)
+	sS, emS := mk(1)
+	sP, emP := mk(8)
 	if !reflect.DeepEqual(sS, sP) {
 		t.Errorf("overload stats diverge across worker counts:\nworkers=1: %+v\nworkers=8: %+v", sS, sP)
 	}
-	if !reflect.DeepEqual(ccS, ccP) {
-		t.Errorf("class counts diverge across worker counts:\nworkers=1: %v\nworkers=8: %v", ccS, ccP)
+	if !reflect.DeepEqual(emS, emP) {
+		t.Errorf("engine metrics diverge across worker counts:\nworkers=1: %+v\nworkers=8: %+v", emS, emP)
 	}
 	if sS.Ctl.ShedTotal() == 0 {
 		t.Error("surge run shed nothing; invariance check is vacuous")
@@ -103,8 +104,8 @@ func TestChaosSurgeWorkerCountInvariance(t *testing.T) {
 	if sA, sB := a.Fleet.OverloadStats(), b.Fleet.OverloadStats(); !reflect.DeepEqual(sA, sB) {
 		t.Errorf("overload stats diverge under faults:\nworkers=1: %+v\nworkers=8: %+v", sA, sB)
 	}
-	if ccA, ccB := a.Fleet.ClassCounts(), b.Fleet.ClassCounts(); !reflect.DeepEqual(ccA, ccB) {
-		t.Errorf("class counts diverge under faults:\nworkers=1: %v\nworkers=8: %v", ccA, ccB)
+	if emA, emB := engineMetrics(a), engineMetrics(b); !reflect.DeepEqual(emA, emB) {
+		t.Errorf("engine metrics diverge under faults:\nworkers=1: %+v\nworkers=8: %+v", emA, emB)
 	}
 	fcA, fcB := a.Fleet.FaultCounts(), b.Fleet.FaultCounts()
 	if !reflect.DeepEqual(fcA, fcB) {
@@ -146,4 +147,13 @@ func TestPairedAblationsPinned(t *testing.T) {
 	if got := GreylistAblation(7, 6, 4); got != wantGrey {
 		t.Errorf("GreylistAblation(7, 6, 4) =\n%+v\nwant\n%+v", got, wantGrey)
 	}
+}
+
+// engineMetrics lists every company's engine counters, in company order.
+func engineMetrics(r *Run) []core.Metrics {
+	out := make([]core.Metrics, len(r.Fleet.Companies))
+	for i, c := range r.Fleet.Companies {
+		out[i] = c.Engine.Metrics()
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/maillog"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 	"repro/internal/whitelist"
 	"repro/internal/workload"
 )
@@ -278,6 +280,17 @@ func TestDailyPendingShape(t *testing.T) {
 	}
 }
 
+// corr reads the correlation between two named columns of m, as the
+// rendered matrix shows it.
+func corr(t *testing.T, m *stats.CorrelationMatrix, a, b string) float64 {
+	t.Helper()
+	ia, ib := slices.Index(m.Names, a), slices.Index(m.Names, b)
+	if ia < 0 || ib < 0 {
+		t.Fatalf("matrix %v lacks %q or %q", m.Names, a, b)
+	}
+	return m.R[ia][ib]
+}
+
 func TestCorrelationsShape(t *testing.T) {
 	r := testRun(t)
 	co := Correlations(r)
@@ -285,15 +298,15 @@ func TestCorrelationsShape(t *testing.T) {
 		t.Fatalf("companies = %d", len(co.Companies))
 	}
 	// users vs emails: clearly positive (volume tracks size).
-	if v, _ := co.Matrix.Get("users", "emails"); v < 0.3 {
+	if v := corr(t, co.Matrix, "users", "emails"); v < 0.3 {
 		t.Fatalf("corr(users, emails) = %v, want positive", v)
 	}
 	// reflection vs users: the paper's headline is NO correlation.
-	if v, _ := co.Matrix.Get("reflection", "users"); v > 0.5 || v < -0.5 {
+	if v := corr(t, co.Matrix, "reflection", "users"); v > 0.5 || v < -0.5 {
 		t.Fatalf("corr(reflection, users) = %v; paper found none", v)
 	}
 	// reflection vs white: small inverse correlation in the paper.
-	if v, _ := co.Matrix.Get("reflection", "white"); v > 0.1 {
+	if v := corr(t, co.Matrix, "reflection", "white"); v > 0.1 {
 		t.Fatalf("corr(reflection, white) = %v, want negative-ish", v)
 	}
 }

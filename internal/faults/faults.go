@@ -335,7 +335,6 @@ type Set struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	counts map[string]int64 // "target/kind" -> fired
-	asked  int64
 }
 
 // New builds an injector for plan. The schedule-window origin is the
@@ -359,7 +358,6 @@ func (s *Set) Decide(target string, deadline time.Duration) Decision {
 	elapsed := s.clk.Now().Sub(s.start)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.asked++
 	for i := range s.plan.Rules {
 		r := &s.plan.Rules[i]
 		if !r.matches(target) || !r.active(elapsed) {
@@ -413,13 +411,6 @@ func (s *Set) Counts() map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Consulted returns the total number of Decide calls.
-func (s *Set) Consulted() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.asked
 }
 
 // TornWrite models what a crash leaves of an un-synced write: an

@@ -151,8 +151,8 @@ func TestCountsAndNilPlan(t *testing.T) {
 	if got := inj.Counts()["av/error"]; got != 3 {
 		t.Errorf("Counts[av/error] = %d, want 3", got)
 	}
-	if got := inj.Consulted(); got != 4 {
-		t.Errorf("Consulted = %d, want 4", got)
+	if got := inj.Counts(); len(got) != 1 {
+		t.Errorf("Counts = %v, want only av/error: a consultation that fires nothing is not counted", got)
 	}
 }
 

@@ -6,13 +6,13 @@
 // dropped 77.5% of gray-spool messages (Table 1: rDNS 3.53M, RBL 4.97M,
 // AV 0.27M drops). §5.2 evaluates adding a fourth, SPF, which this package
 // also provides. Filters compose into a Chain that short-circuits on the
-// first Drop and keeps per-filter counters for the measurement pipeline.
+// first Drop and report which filter dropped or degraded; the engine
+// counts both (core.Metrics).
 package filters
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/dnssim"
 	"repro/internal/rbl"
@@ -293,9 +293,6 @@ func NewReputation(store *reputation.Store) *Reputation {
 // Name implements Filter.
 func (f *Reputation) Name() string { return "reputation" }
 
-// Store returns the backing reputation store.
-func (f *Reputation) Store() *reputation.Store { return f.store }
-
 // Check implements Filter; lookup failures pass (fail-open).
 func (f *Reputation) Check(msg *mail.Message) Result {
 	r, _ := f.Probe(msg)
@@ -324,9 +321,6 @@ type Hardened struct {
 	mode    DegradeMode
 	breaker *resilience.Breaker
 	retrier *resilience.Retrier
-
-	mu       sync.Mutex
-	degraded int64
 }
 
 // HardenOpts parameterises Harden. Zero values get sensible defaults.
@@ -356,16 +350,6 @@ func (h *Hardened) Name() string { return h.inner.Name() }
 
 // Mode returns the configured degradation policy.
 func (h *Hardened) Mode() DegradeMode { return h.mode }
-
-// Degraded returns how many checks fell back to the degradation policy.
-func (h *Hardened) Degraded() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.degraded
-}
-
-// Breaker returns the guarding breaker (nil if none).
-func (h *Hardened) Breaker() *resilience.Breaker { return h.breaker }
 
 // Check implements Filter, resolving degradation per the policy.
 func (h *Hardened) Check(msg *mail.Message) Result {
@@ -398,11 +382,8 @@ func (h *Hardened) Run(msg *mail.Message) (r Result, degraded bool) {
 	return r, false
 }
 
-// fallback returns the degraded-mode result and counts it.
+// fallback returns the degraded-mode result.
 func (h *Hardened) fallback() Result {
-	h.mu.Lock()
-	h.degraded++
-	h.mu.Unlock()
 	if h.mode == FailClosed {
 		return Result{Drop, h.inner.Name() + " unavailable (fail-closed)"}
 	}
@@ -426,37 +407,16 @@ type Outcome struct {
 	Degraded []Degradation
 }
 
-// Chain runs filters in order, stopping at the first Drop, and keeps
-// per-filter pass/drop/degradation counters. It is safe for concurrent
-// use.
+// Chain runs filters in order, stopping at the first Drop. It keeps no
+// state of its own, so it is safe for concurrent use when its filters
+// are.
 type Chain struct {
 	filters []Filter
-
-	mu       sync.Mutex
-	passed   int64
-	drops    map[string]int64
-	degraded map[string]int64
 }
 
 // NewChain builds a chain over the given filters, evaluated in order.
 func NewChain(fs ...Filter) *Chain {
-	return &Chain{filters: fs, drops: make(map[string]int64), degraded: make(map[string]int64)}
-}
-
-// Names returns the filter names in evaluation order.
-func (c *Chain) Names() []string {
-	out := make([]string, len(c.filters))
-	for i, f := range c.filters {
-		out[i] = f.Name()
-	}
-	return out
-}
-
-// Check runs msg through the chain. The returned name is the filter that
-// dropped it ("" when the message passed every filter).
-func (c *Chain) Check(msg *mail.Message) (Result, string) {
-	o := c.Run(msg)
-	return o.Result, o.DroppedBy
+	return &Chain{filters: fs}
 }
 
 // Run evaluates msg against every filter in order, short-circuiting on
@@ -471,59 +431,16 @@ func (c *Chain) Run(msg *mail.Message) Outcome {
 			r, deg = h.Run(msg)
 			if deg {
 				out.Degraded = append(out.Degraded, Degradation{Filter: h.Name(), Mode: h.Mode()})
-				c.mu.Lock()
-				c.degraded[h.Name()]++
-				c.mu.Unlock()
 			}
 		} else {
 			r = f.Check(msg)
 		}
 		if r.Verdict == Drop {
-			c.mu.Lock()
-			c.drops[f.Name()]++
-			c.mu.Unlock()
 			out.Result = r
 			out.DroppedBy = f.Name()
 			return out
 		}
 	}
-	c.mu.Lock()
-	c.passed++
-	c.mu.Unlock()
 	out.Result = Result{Verdict: Pass}
 	return out
-}
-
-// Stats returns (messages passed, drops per filter name).
-func (c *Chain) Stats() (passed int64, drops map[string]int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.drops))
-	for k, v := range c.drops {
-		out[k] = v
-	}
-	return c.passed, out
-}
-
-// DegradedStats returns, per filter name, how many evaluations fell back
-// to the filter's degradation policy.
-func (c *Chain) DegradedStats() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.degraded))
-	for k, v := range c.degraded {
-		out[k] = v
-	}
-	return out
-}
-
-// TotalDropped returns the total number of messages dropped by any filter.
-func (c *Chain) TotalDropped() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n int64
-	for _, v := range c.drops {
-		n += v
-	}
-	return n
 }

@@ -120,14 +120,12 @@ func TestChainOrderShortCircuit(t *testing.T) {
 	// Virus + listed IP: antivirus is first, so it must take the drop.
 	m := msgFrom("192.0.2.1", "a@b.example")
 	m.Body = EICAR
-	_, name := chain.Check(m)
-	if name != "antivirus" {
+	if name := chain.Run(m).DroppedBy; name != "antivirus" {
 		t.Fatalf("dropped by %q, want antivirus (chain order)", name)
 	}
 	// Clean body, listed IP, PTR present: rbl takes it.
 	m2 := msgFrom("192.0.2.1", "a@b.example")
-	_, name2 := chain.Check(m2)
-	if name2 != "rbl" {
+	if name2 := chain.Run(m2).DroppedBy; name2 != "rbl" {
 		t.Fatalf("dropped by %q, want rbl", name2)
 	}
 }
@@ -137,71 +135,46 @@ func TestChainPassAndStats(t *testing.T) {
 	dns.AddPTR("192.0.2.2", "mail.fine.example")
 
 	for i := 0; i < 3; i++ {
-		r, name := chain.Check(msgFrom("192.0.2.2", "a@b.example"))
-		if r.Verdict != Pass || name != "" {
-			t.Fatalf("clean message dropped by %q", name)
+		o := chain.Run(msgFrom("192.0.2.2", "a@b.example"))
+		if o.Result.Verdict != Pass || o.DroppedBy != "" || len(o.Degraded) != 0 {
+			t.Fatalf("clean message: %+v", o)
 		}
 	}
-	// One rDNS drop.
-	chain.Check(msgFrom("198.51.100.9", "a@b.example"))
-
-	passed, drops := chain.Stats()
-	if passed != 3 {
-		t.Fatalf("passed = %d, want 3", passed)
-	}
-	if drops["reverse-dns"] != 1 {
-		t.Fatalf("drops = %v", drops)
-	}
-	if chain.TotalDropped() != 1 {
-		t.Fatalf("TotalDropped = %d", chain.TotalDropped())
-	}
-}
-
-func TestChainNames(t *testing.T) {
-	chain, _, _ := buildChain(t)
-	names := chain.Names()
-	want := []string{"antivirus", "reverse-dns", "rbl"}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Names = %v, want %v", names, want)
-		}
+	// No PTR: the reverse-DNS filter drops, with its reason.
+	o := chain.Run(msgFrom("198.51.100.9", "a@b.example"))
+	if o.Result.Verdict != Drop || o.DroppedBy != "reverse-dns" || o.Result.Reason != "no PTR for 198.51.100.9" {
+		t.Fatalf("unresolvable client: %+v", o)
 	}
 }
 
 func TestEmptyChainPassesEverything(t *testing.T) {
 	chain := NewChain()
-	r, name := chain.Check(msgFrom("1.2.3.4", "a@b.example"))
-	if r.Verdict != Pass || name != "" {
+	o := chain.Run(msgFrom("1.2.3.4", "a@b.example"))
+	if o.Result.Verdict != Pass || o.DroppedBy != "" {
 		t.Fatal("empty chain dropped a message")
 	}
 }
 
-func TestChainStatsIsolated(t *testing.T) {
-	chain, _, _ := buildChain(t)
-	_, drops := chain.Stats()
-	drops["injected"] = 99
-	_, drops2 := chain.Stats()
-	if _, ok := drops2["injected"]; ok {
-		t.Fatal("Stats returned aliased internal map")
-	}
-}
-
 func TestChainConcurrent(t *testing.T) {
-	chain, dns, _ := buildChain(t)
+	chain, dns, p := buildChain(t)
 	dns.AddPTR("192.0.2.3", "mail.x.example")
+	dns.AddPTR("192.0.2.4", "mail.y.example")
+	p.AddStatic("192.0.2.4")
 	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {
+		ip, want := "192.0.2.3", ""
+		if i%2 == 1 {
+			ip, want = "192.0.2.4", "rbl"
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			chain.Check(msgFrom("192.0.2.3", "a@b.example"))
+			if got := chain.Run(msgFrom(ip, "a@b.example")).DroppedBy; got != want {
+				t.Errorf("%s dropped by %q, want %q", ip, got, want)
+			}
 		}()
 	}
 	wg.Wait()
-	passed, _ := chain.Stats()
-	if passed != 64 {
-		t.Fatalf("passed = %d, want 64", passed)
-	}
 }
 
 func TestVerdictString(t *testing.T) {
@@ -221,6 +194,6 @@ func BenchmarkChainCleanMessage(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		chain.Check(m)
+		chain.Run(m)
 	}
 }

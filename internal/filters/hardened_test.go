@@ -71,9 +71,6 @@ func TestHardenedRetriesAbsorbTransientFaults(t *testing.T) {
 	if fp.probes != 3 {
 		t.Fatalf("probes = %d, want 3", fp.probes)
 	}
-	if h.Degraded() != 0 {
-		t.Fatalf("Degraded = %d", h.Degraded())
-	}
 }
 
 func TestHardenedFailOpenVsFailClosed(t *testing.T) {
@@ -89,18 +86,13 @@ func TestHardenedFailOpenVsFailClosed(t *testing.T) {
 	if !degraded || r.Verdict != Drop {
 		t.Fatalf("fail-closed: %+v degraded=%v", r, degraded)
 	}
-	if closed.Degraded() != 1 {
-		t.Fatalf("Degraded = %d", closed.Degraded())
-	}
 }
 
 func TestHardenedBreakerShortCircuits(t *testing.T) {
 	clk := clock.NewSim(t0)
 	fp := &flakyProber{name: "dep", failures: 1 << 30, err: errors.New("down")}
-	h := Harden(fp, FailOpen, HardenOpts{
-		Breaker: resilience.NewBreaker("dep", resilience.BreakerConfig{FailureThreshold: 2, OpenTimeout: time.Minute}, clk),
-		Seed:    1,
-	})
+	br := resilience.NewBreaker("dep", resilience.BreakerConfig{FailureThreshold: 2, OpenTimeout: time.Minute}, clk)
+	h := Harden(fp, FailOpen, HardenOpts{Breaker: br, Seed: 1})
 	m := msgFrom("192.0.2.1", "a@b.example")
 	h.Run(m)
 	h.Run(m) // trips after 2 consecutive (post-retry) failures
@@ -109,8 +101,8 @@ func TestHardenedBreakerShortCircuits(t *testing.T) {
 	if fp.probes != probesBefore {
 		t.Fatalf("probe reached a tripped dependency (%d -> %d)", probesBefore, fp.probes)
 	}
-	if h.Breaker().State() != resilience.Open {
-		t.Fatalf("breaker state = %v", h.Breaker().State())
+	if br.State() != resilience.Open {
+		t.Fatalf("breaker state = %v", br.State())
 	}
 	// Recovery: dependency heals, window elapses, probe closes the breaker.
 	fp.failures = 0
@@ -118,8 +110,8 @@ func TestHardenedBreakerShortCircuits(t *testing.T) {
 	if r, degraded := h.Run(m); degraded || r.Verdict != Pass {
 		t.Fatalf("post-recovery run: %+v degraded=%v", r, degraded)
 	}
-	if h.Breaker().State() != resilience.Closed {
-		t.Fatalf("breaker did not close after successful probe: %v", h.Breaker().State())
+	if br.State() != resilience.Closed {
+		t.Fatalf("breaker did not close after successful probe: %v", br.State())
 	}
 }
 
@@ -142,9 +134,6 @@ func TestChainRunRecordsDegradations(t *testing.T) {
 	}
 	if len(o.Degraded) != 1 || o.Degraded[0].Filter != "rbl" || o.Degraded[0].Mode != FailOpen {
 		t.Fatalf("degradations = %+v", o.Degraded)
-	}
-	if got := chain.DegradedStats()["rbl"]; got != 1 {
-		t.Fatalf("DegradedStats = %v", chain.DegradedStats())
 	}
 	// A listed IP that the outage hid: without the outage it drops.
 	backend.down = false

@@ -40,9 +40,6 @@ func New(engine *core.Engine, opts ...Option) *Backend {
 	return b
 }
 
-// Engine returns the wrapped engine.
-func (b *Backend) Engine() *core.Engine { return b.engine }
-
 // ValidateSender implements smtp.Backend: the resolvability and
 // administrative-rejection checks run at MAIL FROM so spam is refused as
 // early as possible.

@@ -49,7 +49,7 @@ func TestDeliverShedsTempfail(t *testing.T) {
 		t.Fatalf("reply text %q should say busy", reply.Text)
 	}
 	// The engine never saw the shed message: shed is pre-admission.
-	if got := b.Engine().Metrics().MTAIncoming; got != 0 {
+	if got := b.engine.Metrics().MTAIncoming; got != 0 {
 		t.Fatalf("engine saw %d messages, want 0", got)
 	}
 	// Capacity freed: the retry is admitted and accepted.

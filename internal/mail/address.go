@@ -6,6 +6,7 @@
 package mail
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strings"
@@ -62,6 +63,52 @@ func (a Address) Key() string {
 		return "<>"
 	}
 	return strings.ToLower(a.Local) + "@" + a.Domain
+}
+
+// CompareKeys orders a and b as strings.Compare orders a.Key() and
+// b.Key(), without building either key when both local parts are ASCII
+// and neither address is null. The key is lower(Local) + "@" + Domain,
+// so it is compared byte by byte across that concatenation: '.' (0x2E)
+// sorts before '@' (0x40), so "a.b@x" precedes "a@x", which a
+// (local, domain) tuple order would put the other way round.
+func CompareKeys(a, b Address) int {
+	if a.IsNull() || b.IsNull() || !isASCII(a.Local) || !isASCII(b.Local) {
+		return strings.Compare(a.Key(), b.Key())
+	}
+	la, lb := len(a.Local)+1+len(a.Domain), len(b.Local)+1+len(b.Domain)
+	for k := 0; k < la && k < lb; k++ {
+		if ca, cb := keyByte(a, k), keyByte(b, k); ca != cb {
+			if ca < cb {
+				return -1
+			}
+			return 1
+		}
+	}
+	return cmp.Compare(la, lb)
+}
+
+// keyByte returns byte k of a.Key() for an ASCII local part.
+func keyByte(a Address, k int) byte {
+	switch {
+	case k < len(a.Local):
+		c := a.Local[k]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		return c
+	case k == len(a.Local):
+		return '@'
+	}
+	return a.Domain[k-len(a.Local)-1]
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
 }
 
 // Canonical returns the address in its canonical form: the local part

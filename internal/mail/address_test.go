@@ -232,3 +232,71 @@ func BenchmarkLocalSimilarity(b *testing.B) {
 		LocalSimilarity(x, y)
 	}
 }
+
+// compareKeysCases are address pairs whose keys share prefixes, differ
+// only in case, or put '.' or '-' where the other key has '@'.
+var compareKeysCases = []Address{
+	{Local: "a", Domain: "x.example"},
+	{Local: "a.b", Domain: "x.example"},
+	{Local: "ab", Domain: "x.example"},
+	{Local: "A", Domain: "x.example"},
+	{Local: "A.B", Domain: "x.example"},
+	{Local: "aB", Domain: "x.example"},
+	{Local: "a-", Domain: "x.example"},
+	{Local: "a", Domain: "x"},
+	{Local: "a", Domain: "x.exampl"},
+	{Local: "a", Domain: "x-y.example"},
+	{Local: "Zed", Domain: "x.example"},
+	{Local: "zed", Domain: "x.example"},
+	{Local: "a@b", Domain: "x"},
+	{Local: "Ünï", Domain: "x.example"},
+	{Local: "ünï", Domain: "x.example"},
+	{Local: "", Domain: "x.example"},
+	Null,
+}
+
+func sign(n int) int {
+	switch {
+	case n < 0:
+		return -1
+	case n > 0:
+		return 1
+	}
+	return 0
+}
+
+func TestCompareKeysMatchesKeyOrder(t *testing.T) {
+	for _, a := range compareKeysCases {
+		for _, b := range compareKeysCases {
+			if got, want := CompareKeys(a, b), strings.Compare(a.Key(), b.Key()); got != want {
+				t.Errorf("CompareKeys(%q, %q) = %d, Key() order says %d", a, b, got, want)
+			}
+		}
+	}
+	// The case the tuple order gets wrong: '.' sorts before '@'.
+	if CompareKeys(Address{Local: "a.b", Domain: "x"}, Address{Local: "a", Domain: "x"}) >= 0 {
+		t.Error(`"a.b@x" must sort before "a@x"`)
+	}
+}
+
+// FuzzCompareKeys holds CompareKeys to the order of the keys it avoids
+// building, for any local parts and domains.
+func FuzzCompareKeys(f *testing.F) {
+	for i, a := range compareKeysCases {
+		b := compareKeysCases[(i+1)%len(compareKeysCases)]
+		f.Add(a.Local, a.Domain, b.Local, b.Domain)
+	}
+	f.Fuzz(func(t *testing.T, l1, d1, l2, d2 string) {
+		a, b := Address{Local: l1, Domain: d1}, Address{Local: l2, Domain: d2}
+		if got, want := CompareKeys(a, b), sign(strings.Compare(a.Key(), b.Key())); got != want {
+			t.Fatalf("CompareKeys(%q, %q) = %d, Key() order says %d", a, b, got, want)
+		}
+	})
+}
+
+func TestCompareKeysAllocatesNothingForASCII(t *testing.T) {
+	a, b := Address{Local: "Alice.Smith", Domain: "x.example"}, Address{Local: "alice", Domain: "x.example"}
+	if n := testing.AllocsPerRun(100, func() { CompareKeys(a, b) }); n != 0 {
+		t.Fatalf("CompareKeys allocated %v times", n)
+	}
+}

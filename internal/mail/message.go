@@ -2,7 +2,6 @@ package mail
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -149,13 +148,6 @@ func (s *IDSource) Next() string {
 	return string(appendID(buf[:0], s.prefix, s.n))
 }
 
-// SubjectWords returns the number of whitespace-separated words in the
-// subject. The §4.1 clustering only considers subjects of at least 10
-// words to keep the false-merge probability negligible.
-func (m *Message) SubjectWords() int {
-	return len(strings.Fields(m.Subject))
-}
-
 // Headers is a minimal ordered header collection for rendered messages
 // (challenges, digests, DSNs). Field names are matched case-insensitively
 // as RFC 5322 requires, but the stored capitalisation is preserved.
@@ -178,20 +170,6 @@ func (h *Headers) Set(key, value string) {
 	h.vals[ck] = value
 }
 
-// Get returns the value of the named field, or "" if absent.
-func (h *Headers) Get(key string) string {
-	return h.vals[strings.ToLower(key)]
-}
-
-// Has reports whether the named field is present.
-func (h *Headers) Has(key string) bool {
-	_, ok := h.vals[strings.ToLower(key)]
-	return ok
-}
-
-// Len returns the number of fields.
-func (h *Headers) Len() int { return len(h.keys) }
-
 // Render serialises the headers in insertion order, CRLF-terminated,
 // followed by the blank separator line.
 func (h *Headers) Render() string {
@@ -204,13 +182,4 @@ func (h *Headers) Render() string {
 	}
 	b.WriteString("\r\n")
 	return b.String()
-}
-
-// SortedKeys returns the field names sorted alphabetically (for
-// deterministic test assertions).
-func (h *Headers) SortedKeys() []string {
-	out := make([]string, len(h.keys))
-	copy(out, h.keys)
-	sort.Strings(out)
-	return out
 }

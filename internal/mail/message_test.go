@@ -64,40 +64,16 @@ func TestMessageClone(t *testing.T) {
 	}
 }
 
-func TestSubjectWords(t *testing.T) {
-	cases := []struct {
-		subj string
-		n    int
-	}{
-		{"", 0},
-		{"one", 1},
-		{"  spaced   out   words  ", 3},
-		{"Buy cheap meds online now best price guaranteed today only friend", 11},
-	}
-	for _, c := range cases {
-		m := &Message{Subject: c.subj}
-		if got := m.SubjectWords(); got != c.n {
-			t.Errorf("SubjectWords(%q) = %d, want %d", c.subj, got, c.n)
-		}
-	}
-}
-
-func TestHeadersSetGetCaseInsensitive(t *testing.T) {
+func TestHeadersSetReplacesCaseInsensitively(t *testing.T) {
 	h := NewHeaders()
 	h.Set("Subject", "challenge")
 	h.Set("X-CR-Token", "tok123")
-	if h.Get("subject") != "challenge" {
-		t.Fatalf("Get(subject) = %q", h.Get("subject"))
-	}
-	if !h.Has("x-cr-token") {
-		t.Fatal("Has(x-cr-token) = false")
-	}
 	h.Set("SUBJECT", "replaced")
-	if h.Get("Subject") != "replaced" {
-		t.Fatalf("replace failed: %q", h.Get("Subject"))
-	}
-	if h.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (replace must not duplicate)", h.Len())
+	h.Set("x-cr-token", "tok456")
+	// One field per name, in first-set order and capitalisation, holding
+	// the last value set under any capitalisation.
+	if got, want := h.Render(), "Subject: replaced\r\nX-CR-Token: tok456\r\n\r\n"; got != want {
+		t.Fatalf("Render = %q, want %q", got, want)
 	}
 }
 
@@ -115,16 +91,6 @@ func TestHeadersRenderOrder(t *testing.T) {
 	}
 	if !strings.HasSuffix(out, "\r\n\r\n") {
 		t.Fatalf("render must end with blank line, got %q", out[len(out)-8:])
-	}
-}
-
-func TestHeadersSortedKeys(t *testing.T) {
-	h := NewHeaders()
-	h.Set("Zeta", "1")
-	h.Set("Alpha", "2")
-	keys := h.SortedKeys()
-	if len(keys) != 2 || keys[0] != "Alpha" || keys[1] != "Zeta" {
-		t.Fatalf("SortedKeys = %v", keys)
 	}
 }
 

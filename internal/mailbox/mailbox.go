@@ -9,7 +9,6 @@ package mailbox
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -29,7 +28,6 @@ type Stored struct {
 type Store struct {
 	mu     sync.Mutex
 	byUser map[string][]Stored
-	total  int64
 }
 
 // NewStore returns an empty mailbox store.
@@ -45,7 +43,6 @@ func (s *Store) Sink() func(core.Delivery, *mail.Message) {
 		s.mu.Lock()
 		key := d.User.Key()
 		s.byUser[key] = append(s.byUser[key], Stored{Msg: m, Via: d.Via, Delivered: d.DeliveredAt})
-		s.total++
 		s.mu.Unlock()
 	}
 }
@@ -57,32 +54,6 @@ func (s *Store) Inbox(user mail.Address) []Stored {
 	src := s.byUser[user.Key()]
 	out := make([]Stored, len(src))
 	copy(out, src)
-	return out
-}
-
-// Len returns the number of messages in user's inbox.
-func (s *Store) Len(user mail.Address) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.byUser[user.Key()])
-}
-
-// Total returns the number of stored messages across all users.
-func (s *Store) Total() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
-
-// Users returns the user keys with non-empty inboxes, sorted.
-func (s *Store) Users() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.byUser))
-	for k := range s.byUser {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -139,21 +110,4 @@ func writeQuoted(w io.Writer, line string) error {
 	}
 	_, err := io.WriteString(w, line+"\n")
 	return err
-}
-
-// ParseMboxCount is a light-weight sanity parser: it counts the message
-// separators in an mbox stream (for tests and the crserver export
-// endpoint's self-check). mboxrd-quoted ">From " lines are not counted.
-func ParseMboxCount(r io.Reader) (int, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.HasPrefix(line, "From ") {
-			n++
-		}
-	}
-	return n, nil
 }

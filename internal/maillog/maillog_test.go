@@ -46,7 +46,7 @@ func TestEventFormatParseRoundTrip(t *testing.T) {
 		MsgID:   "m-123",
 		Fields:  map[string]string{"reason": "unknown-recipient", "size": "4096"},
 	}
-	line := e.Format()
+	line := string(e.AppendFormat(nil))
 	if line != "2010-07-01T10:00:00Z company-03 mta-drop msg=m-123 reason=unknown-recipient size=4096" {
 		t.Fatalf("Format = %q", line)
 	}
@@ -57,10 +57,10 @@ func TestEventFormatParseRoundTrip(t *testing.T) {
 	if !got.Time.Equal(e.Time) || got.Company != e.Company || got.Kind != e.Kind || got.MsgID != e.MsgID {
 		t.Fatalf("round trip lost header: %+v", got)
 	}
-	// The decoder fills the inline pairs, not the Fields map; Field and
-	// FieldMap are the storage-agnostic readers.
+	// The decoder fills the inline pairs, not the Fields map; Field is
+	// the storage-agnostic reader.
 	if got.Field("reason") != "unknown-recipient" || got.Field("size") != "4096" {
-		t.Fatalf("round trip lost fields: %+v", got.FieldMap())
+		t.Fatalf("round trip lost fields: %s", got.AppendFormat(nil))
 	}
 	if got.Fields != nil {
 		t.Fatalf("decoder allocated an overflow map for %d fields", got.NumFields())
@@ -72,7 +72,7 @@ func TestEventFormatDeterministicFieldOrder(t *testing.T) {
 		Time: t0, Company: "c", Kind: maillog.KindDeliver,
 		Fields: map[string]string{"zeta": "1", "alpha": "2", "mid": "3"},
 	}
-	l1, l2 := e.Format(), e.Format()
+	l1, l2 := string(e.AppendFormat(nil)), string(e.AppendFormat(nil))
 	if l1 != l2 {
 		t.Fatal("Format not deterministic")
 	}
@@ -137,13 +137,14 @@ func TestLogDerivedStatsMatchEngineCounters(t *testing.T) {
 	var sb strings.Builder
 	w := maillog.NewWriter(&sb)
 
+	tokens := map[string]string{} // message ID -> challenge token sent
 	eng := core.New(core.Config{
 		Name:             "corp",
 		Domains:          []string{"corp.example"},
 		ChallengeFrom:    mail.MustParseAddress("challenge@corp.example"),
 		ChallengeBaseURL: "http://cr.corp.example",
 	}, clk, dns, filters.NewChain(filters.NewAntivirus(), filters.NewReverseDNS(dns)),
-		whitelist.NewStore(clk), func(core.OutboundChallenge) {})
+		whitelist.NewStore(clk), func(ch core.OutboundChallenge) { tokens[ch.MsgID] = ch.Token })
 	eng.SetEventSink(w.Write)
 	bob := mail.MustParseAddress("bob@corp.example")
 	eng.AddUser(bob)
@@ -174,15 +175,15 @@ func TestLogDerivedStatsMatchEngineCounters(t *testing.T) {
 	if len(pending) != 1 {
 		t.Fatalf("pending = %d", len(pending))
 	}
-	ch := eng.Captcha().ByMessage(pending[0].MsgID)
-	if ch == nil {
+	token, ok := tokens[pending[0].MsgID]
+	if !ok {
 		t.Fatal("challenge missing")
 	}
-	if _, err := eng.Captcha().Visit(ch.Token); err != nil {
+	if _, err := eng.Captcha().Visit(token); err != nil {
 		t.Fatal(err)
 	}
-	ans, _ := eng.Captcha().Answer(ch.Token)
-	if err := eng.Captcha().Solve(ch.Token, ans); err != nil {
+	ans, _ := eng.Captcha().Answer(token)
+	if err := eng.Captcha().Solve(token, ans); err != nil {
 		t.Fatal(err)
 	}
 
@@ -248,7 +249,7 @@ func TestParseLineInlinePairSpill(t *testing.T) {
 			t.Errorf("Field(%q) = %q, want %q", kv[0], got, kv[1])
 		}
 	}
-	if got := e.Format(); got != line {
+	if got := string(e.AppendFormat(nil)); got != line {
 		t.Errorf("round trip = %q, want %q", got, line)
 	}
 }

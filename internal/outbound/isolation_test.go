@@ -317,10 +317,10 @@ func TestJournalReplayRebuildsQueue(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if fate, ok := sp2.Fate(chOK.MsgID); !ok {
+	if st, ok := fate(sp2, chOK.MsgID); !ok {
 		t.Fatal("sent challenge lost by replay")
-	} else if fate != spool.StatusSent {
-		t.Fatalf("fate = %v", fate)
+	} else if st != spool.StatusSent.String() {
+		t.Fatalf("fate = %v", st)
 	}
 
 	q2 := NewQueue(Config{
@@ -331,7 +331,7 @@ func TestJournalReplayRebuildsQueue(t *testing.T) {
 	if d := q2.SpoolDepth(); d != 1 {
 		t.Fatalf("recovered spool depth = %d, want 1", d)
 	}
-	it := q2.Spool().Pending(1)[0]
+	it := sp2.Pending(1)[0]
 	if it.Challenge.MsgID == "" || it.Attempts != 1 || it.LastClass != ClassTempfail {
 		t.Fatalf("recovered item lost its attempt state: %+v", it)
 	}
@@ -362,8 +362,8 @@ func TestQueueOverRecoveredSpool(t *testing.T) {
 		MaxQueued:  2,
 		Spool:      sp,
 	})
-	if d := q.SpoolDepth(); d != 3 || d != q.Spool().Len() {
-		t.Fatalf("SpoolDepth = %d, spool holds %d; want 3", d, q.Spool().Len())
+	if d := q.SpoolDepth(); d != 3 || d != sp.Len() {
+		t.Fatalf("SpoolDepth = %d, spool holds %d; want 3", d, sp.Len())
 	}
 	if queued, deferred := q.Stats()[StatusQueued], q.Deferred(); queued != 2 || deferred != 1 {
 		t.Fatalf("queued %d + deferred %d, want 2 + 1", queued, deferred)
@@ -434,7 +434,7 @@ func TestCrashAtEveryTransition(t *testing.T) {
 		pending := sp.Pending(0)
 		accounted := len(pending)
 		for id := range enqueued {
-			if _, ok := sp.Fate(id); ok {
+			if _, ok := fate(sp, id); ok {
 				accounted++
 			}
 		}
@@ -504,8 +504,8 @@ func TestWalSpoolFaultDropsAppendsFailOpen(t *testing.T) {
 		t.Fatalf("dropped appends = %d, want 2 (enqueue + terminal)", got)
 	}
 	// The in-memory spool still folded both transitions.
-	if q.Spool().Len() != 0 || len(q.Spool().DoneCounts()) != 1 {
-		t.Fatalf("spool pending=%d done=%v", q.Spool().Len(), q.Spool().DoneCounts())
+	if st := q.Stats(); q.SpoolDepth() != 0 || len(st) != 1 {
+		t.Fatalf("spool pending=%d stats=%v", q.SpoolDepth(), st)
 	}
 }
 
@@ -551,4 +551,15 @@ func TestConcurrentEnqueueFlush(t *testing.T) {
 	if d := q.SpoolDepth(); d != 0 {
 		t.Fatalf("spool depth = %d", d)
 	}
+}
+
+// fate returns the terminal status the spool's snapshot records for
+// msgID.
+func fate(s *spool.State, msgID string) (string, bool) {
+	for _, d := range s.Export().Done {
+		if d.MsgID == msgID {
+			return d.Status, true
+		}
+	}
+	return "", false
 }

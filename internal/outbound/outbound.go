@@ -59,8 +59,6 @@ const (
 // and the journalled record's Origin), so an expired challenge shows
 // which error class exhausted its retries.
 const (
-	// ClassNone: no failure recorded yet.
-	ClassNone = ""
 	// ClassTempfail: the smarthost answered 4xx (transient rejection).
 	ClassTempfail = "tempfail"
 	// ClassPermfail: the smarthost answered 5xx (permanent rejection).
@@ -193,9 +191,6 @@ func NewQueue(cfg Config) *Queue {
 	q.rec = &spool.Recorder{State: cfg.Spool, Emit: cfg.Journal}
 	return q
 }
-
-// Spool returns the queue's durable spool state.
-func (q *Queue) Spool() *spool.State { return q.cfg.Spool }
 
 // JournalDropped reports how many transitions lost their journal append
 // (fault injection or append failure) and were applied fail-open.

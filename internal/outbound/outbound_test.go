@@ -297,7 +297,7 @@ func TestErrorClassesDistinguished(t *testing.T) {
 	classes := make(map[string]int)
 	for id, who := range local {
 		r := tap.last(id)
-		if r.Origin != ClassNone {
+		if r.Origin != "" {
 			classes[r.Origin]++
 		}
 		switch who {
@@ -310,7 +310,7 @@ func TestErrorClassesDistinguished(t *testing.T) {
 				t.Errorf("permfail item: op=%v class=%q err=%q", r.Op, r.Origin, r.Blob)
 			}
 		case "fine":
-			if r.Op != wal.OpSpoolSent || r.Origin != ClassNone || r.Blob != "" {
+			if r.Op != wal.OpSpoolSent || r.Origin != "" || r.Blob != "" {
 				t.Errorf("clean item: op=%v class=%q err=%q", r.Op, r.Origin, r.Blob)
 			}
 		}
@@ -341,8 +341,8 @@ func TestExpiredItemRecordsExhaustingClass(t *testing.T) {
 	if _, err := q.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if fate, ok := q.Spool().Fate(ch.MsgID); !ok || fate != StatusExpired {
-		t.Fatalf("fate = %v (%v), want expired", fate, ok)
+	if st := q.Stats(); st[StatusExpired] != 1 || q.SpoolDepth() != 0 {
+		t.Fatalf("stats = %v, depth %d; want the one challenge expired", st, q.SpoolDepth())
 	}
 	r := tap.last(ch.MsgID)
 	if r.Op != wal.OpSpoolExpired || r.Origin != ClassTempfail || !strings.HasPrefix(r.Blob, "tempfail:") {
@@ -381,16 +381,18 @@ func TestInjectedTempfailStorm(t *testing.T) {
 	inj := faults.New(&faults.Plan{Rules: []faults.Rule{
 		{Target: "smarthost", Kind: faults.KindTempfail},
 	}}, 1, clock.Real{})
+	sp := spool.NewState()
 	q := NewQueue(Config{
 		Dial:       func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
 		HeloDomain: "cr.corp.example",
 		Injector:   inj,
+		Spool:      sp,
 	})
 	q.Enqueue(challengeTo("alice@example.com"))
 	if _, err := q.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	it := q.Spool().Pending(1)[0]
+	it := sp.Pending(1)[0]
 	if it.Status != StatusQueued || it.LastClass != ClassTempfail || !strings.HasPrefix(it.LastError, "tempfail: 421") {
 		t.Fatalf("injected tempfail: status=%v class=%q err=%q", it.Status, it.LastClass, it.LastError)
 	}

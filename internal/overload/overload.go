@@ -209,9 +209,6 @@ type Outcome struct {
 	t *ticket // for cancel; nil unless Queued
 }
 
-// Shed reports whether the submission was refused.
-func (o Outcome) Shed() bool { return o.Granted == nil && !o.Queued }
-
 // Controller is the admission controller. All methods are safe for
 // concurrent use.
 type Controller struct {
@@ -250,33 +247,12 @@ func New(cfg Config) *Controller {
 	}
 }
 
-// Limit returns the current integer concurrency limit.
-func (c *Controller) Limit() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.intLimitLocked()
-}
-
 func (c *Controller) intLimitLocked() int {
 	l := int(c.limit)
 	if l < 1 {
 		l = 1
 	}
 	return l
-}
-
-// InFlight returns the number of currently held grants.
-func (c *Controller) InFlight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inflight
-}
-
-// QueueDepth returns the number of queued admissions.
-func (c *Controller) QueueDepth() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.queue)
 }
 
 // QueueDeadline returns the effective queued-admission deadline, so

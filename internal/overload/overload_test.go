@@ -29,15 +29,15 @@ func TestImmediateAdmission(t *testing.T) {
 	if o1.Granted == nil || o2.Granted == nil {
 		t.Fatalf("expected both admitted: %+v %+v", o1, o2)
 	}
-	if got := c.InFlight(); got != 2 {
+	if got := c.Metrics().InFlight; got != 2 {
 		t.Fatalf("InFlight = %d, want 2", got)
 	}
 	o1.Granted.Release()
-	if got := c.InFlight(); got != 1 {
+	if got := c.Metrics().InFlight; got != 1 {
 		t.Fatalf("InFlight after release = %d, want 1", got)
 	}
 	o1.Granted.Release() // double release is a no-op
-	if got := c.InFlight(); got != 1 {
+	if got := c.Metrics().InFlight; got != 1 {
 		t.Fatalf("InFlight after double release = %d, want 1", got)
 	}
 }
@@ -64,7 +64,7 @@ func TestQueueingAndFIFOGrant(t *testing.T) {
 			t.Fatalf("submit %s: not queued: %+v", id, o)
 		}
 	}
-	if d := c.QueueDepth(); d != 3 {
+	if d := c.Metrics().QueueDepth; d != 3 {
 		t.Fatalf("QueueDepth = %d, want 3", d)
 	}
 	clk.Advance(10 * time.Millisecond)
@@ -87,7 +87,7 @@ func TestQueueFullSheds(t *testing.T) {
 	c.Submit("q1", nil, nil)
 	c.Submit("q2", nil, nil)
 	o := c.Submit("spill", nil, nil)
-	if !o.Shed() || o.Reason != ReasonQueueFull {
+	if o.Granted != nil || o.Queued || o.Reason != ReasonQueueFull {
 		t.Fatalf("expected queue-full shed, got %+v", o)
 	}
 	m := c.Metrics()
@@ -99,7 +99,7 @@ func TestQueueFullSheds(t *testing.T) {
 	}
 	e := (*events)[0]
 	if e.Kind != maillog.KindOverload || e.MsgID != "spill" || e.Field("reason") != "queue-full" {
-		t.Fatalf("bad event: %s", e.Format())
+		t.Fatalf("bad event: %s", e.AppendFormat(nil))
 	}
 }
 
@@ -165,30 +165,30 @@ func TestAIMD(t *testing.T) {
 	})
 	// Over-target latency: multiplicative decrease.
 	c.Observe(500 * time.Millisecond)
-	if l := c.Limit(); l != 5 {
+	if l := int(c.Metrics().Limit); l != 5 {
 		t.Fatalf("limit after backoff = %d, want 5", l)
 	}
 	// Second congestion signal inside the cooldown is ignored.
 	c.Observe(500 * time.Millisecond)
-	if l := c.Limit(); l != 5 {
+	if l := int(c.Metrics().Limit); l != 5 {
 		t.Fatalf("limit in cooldown = %d, want 5", l)
 	}
 	clk.Advance(2 * time.Second)
 	c.Observe(500 * time.Millisecond)
-	if l := c.Limit(); l != 2 {
+	if l := int(c.Metrics().Limit); l != 2 {
 		t.Fatalf("limit after second backoff = %d, want 2 (floor applied on next)", l)
 	}
 	// Floor.
 	clk.Advance(2 * time.Second)
 	c.Observe(500 * time.Millisecond)
-	if l := c.Limit(); l != 2 {
+	if l := int(c.Metrics().Limit); l != 2 {
 		t.Fatalf("limit below floor: %d", l)
 	}
 	// Additive increase: many fast completions grow the limit.
 	for i := 0; i < 1000; i++ {
 		c.Observe(10 * time.Millisecond)
 	}
-	if l := c.Limit(); l != 20 {
+	if l := int(c.Metrics().Limit); l != 20 {
 		t.Fatalf("limit after recovery = %d, want ceiling 20", l)
 	}
 	m := c.Metrics()
@@ -205,7 +205,7 @@ func TestReleaseFeedsAIMD(t *testing.T) {
 	o := c.Submit("slow", nil, nil)
 	clk.Advance(time.Second) // service took 1s > 100ms target
 	o.Granted.Release()
-	if l := c.Limit(); l != 4 {
+	if l := int(c.Metrics().Limit); l != 4 {
 		t.Fatalf("limit = %d, want 4 after one backoff", l)
 	}
 }
@@ -222,12 +222,12 @@ func TestDrain(t *testing.T) {
 	if reason != ReasonDraining {
 		t.Fatalf("queued ticket reason = %q, want draining", reason)
 	}
-	if o := c.Submit("new", nil, nil); !o.Shed() || o.Reason != ReasonDraining {
+	if o := c.Submit("new", nil, nil); o.Granted != nil || o.Queued || o.Reason != ReasonDraining {
 		t.Fatalf("submit during drain = %+v", o)
 	}
 	// In-flight work still completes.
 	held.Granted.Release()
-	if got := c.InFlight(); got != 0 {
+	if got := c.Metrics().InFlight; got != 0 {
 		t.Fatalf("InFlight = %d, want 0", got)
 	}
 	if !c.Draining() {
@@ -332,7 +332,7 @@ func TestWaitRealClock(t *testing.T) {
 		}
 	}()
 	// Give the waiter time to queue, then free the slot.
-	for c.QueueDepth() == 0 {
+	for c.Metrics().QueueDepth == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	g.Release()
@@ -385,8 +385,8 @@ func TestConcurrentSubmitRelease(t *testing.T) {
 	if granted+shed != 1600 {
 		t.Fatalf("granted %d + shed %d != 1600", granted, shed)
 	}
-	if c.InFlight() != 0 || c.QueueDepth() != 0 {
-		t.Fatalf("leaked state: inflight=%d queue=%d", c.InFlight(), c.QueueDepth())
+	if c.Metrics().InFlight != 0 || c.Metrics().QueueDepth != 0 {
+		t.Fatalf("leaked state: inflight=%d queue=%d", c.Metrics().InFlight, c.Metrics().QueueDepth)
 	}
 	m := c.Metrics()
 	if m.Admitted() != int64(granted) || m.ShedTotal() != int64(shed) {

@@ -53,10 +53,10 @@ func DefaultPolicy() Policy {
 const DefaultQueryTimeout = 3 * time.Second
 
 // Provider is one simulated DNS blocklist. It is safe for concurrent
-// use. Lookups (IsListed, Query, History) are pure reads under an
-// RWMutex read lock; all listing-state mutations happen in ReportTrapHit,
-// AddStatic and Sweep, so concurrent readers never serialize on each
-// other — the property the fleet's parallel lanes lean on.
+// use. Lookups (IsListed, Query) are pure reads under an RWMutex read
+// lock; all listing-state mutations happen in ReportTrapHit, AddStatic
+// and Sweep, so concurrent readers never serialize on each other — the
+// property the fleet's parallel lanes lean on.
 type Provider struct {
 	name   string
 	policy Policy
@@ -66,17 +66,10 @@ type Provider struct {
 	hits     map[string][]time.Time // recent trap hits per IP
 	listings map[string]time.Time   // IP -> listed-until
 	manual   map[string]bool        // permanently listed (known spammers)
-	history  map[string][]Interval  // completed + open listing intervals
 	// gen counts listing-state mutations (new listings, sweeps, static
 	// adds) so a memoizing lookup layer can invalidate on blacklist/delist
 	// events instead of polling.
 	gen atomic.Uint64
-}
-
-// Interval is a half-open listing period; Until is zero while still listed.
-type Interval struct {
-	From  time.Time
-	Until time.Time
 }
 
 // NewProvider returns a provider with the given name and policy.
@@ -88,7 +81,6 @@ func NewProvider(name string, policy Policy, clk clock.Clock) *Provider {
 		hits:     make(map[string][]time.Time),
 		listings: make(map[string]time.Time),
 		manual:   make(map[string]bool),
-		history:  make(map[string][]Interval),
 	}
 }
 
@@ -144,21 +136,15 @@ func (p *Provider) ReportTrapHit(ip string) {
 		return
 	}
 	if len(recent) >= p.policy.HitThreshold {
-		// Re-listing over an expired-but-unswept entry: close the stale
-		// interval at its old expiry before opening a new one.
-		if until, ok := p.listings[ip]; ok && !until.After(now) {
-			p.closeIntervalLocked(ip, until)
-		}
 		p.listings[ip] = now.Add(p.policy.ListingTTL)
-		p.history[ip] = append(p.history[ip], Interval{From: now})
 		p.gen.Add(1)
 	}
 }
 
 // IsListed reports whether ip is currently listed. It is a pure read: an
-// expired listing answers false immediately, and its removal (history
-// bookkeeping, generation bump) is deferred to the next Sweep — so
-// concurrent lookups share a read lock and never mutate provider state.
+// expired listing answers false immediately, and its removal (with its
+// generation bump) is deferred to the next Sweep — so concurrent
+// lookups share a read lock and never mutate provider state.
 func (p *Provider) IsListed(ip string) bool {
 	now := p.clk.Now()
 	p.mu.RLock()
@@ -170,13 +156,12 @@ func (p *Provider) IsListed(ip string) bool {
 	return ok && until.After(now)
 }
 
-// Sweep eagerly removes every listing that has expired at now, closing
-// its history interval at the expiry time, and returns the delisted IPs
-// sorted. A single generation bump covers the whole batch, so cache
-// layers invalidate once per sweep instead of once per lazy delist. The
-// fleet calls Sweep at fired epoch barriers (while every lane is
-// parked); standalone deployments may call it from a housekeeping tick
-// or rely on the pure-read expiry in IsListed alone.
+// Sweep eagerly removes every listing that has expired at now and
+// returns the delisted IPs sorted. A single generation bump covers the
+// whole batch, so cache layers invalidate once per sweep instead of once
+// per lazy delist. The fleet calls Sweep at fired epoch barriers (while
+// every lane is parked); standalone deployments may call it from a
+// housekeeping tick or rely on the pure-read expiry in IsListed alone.
 func (p *Provider) Sweep(now time.Time) []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -184,41 +169,12 @@ func (p *Provider) Sweep(now time.Time) []string {
 	for ip, until := range p.listings {
 		if !until.After(now) {
 			delete(p.listings, ip)
-			p.closeIntervalLocked(ip, until)
 			out = append(out, ip)
 		}
 	}
 	if len(out) > 0 {
 		sort.Strings(out)
 		p.gen.Add(1)
-	}
-	return out
-}
-
-// closeIntervalLocked closes ip's open history interval at until.
-// Caller holds p.mu.
-func (p *Provider) closeIntervalLocked(ip string, until time.Time) {
-	if h := p.history[ip]; len(h) > 0 && h[len(h)-1].Until.IsZero() {
-		h[len(h)-1].Until = until
-	}
-}
-
-// History returns the listing intervals recorded for ip, closing any
-// still-open interval at the current listed-until time for reporting.
-func (p *Provider) History(ip string) []Interval {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	h := p.history[ip]
-	out := make([]Interval, len(h))
-	copy(out, h)
-	for i := range out {
-		if out[i].Until.IsZero() {
-			if until, ok := p.listings[ip]; ok {
-				out[i].Until = until
-			} else {
-				out[i].Until = p.clk.Now()
-			}
-		}
 	}
 	return out
 }
@@ -289,13 +245,6 @@ func (t *TrapRegistry) Hit(addr mail.Address, srcIP string) bool {
 // Hits returns the total number of trap hits recorded.
 func (t *TrapRegistry) Hits() int64 { return t.hits.Load() }
 
-// Count returns the number of registered traps.
-func (t *TrapRegistry) Count() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.traps)
-}
-
 // Checker reproduces the paper's §5.1 measurement script: it polls a set
 // of providers for a set of IPs on a fixed period (the paper used 4 hours
 // for 132 days) and accumulates, per IP, the number of polls at which the
@@ -349,13 +298,6 @@ func (c *Checker) Poll(ips []string) {
 	}
 }
 
-// Polls returns the number of Poll calls so far.
-func (c *Checker) Polls() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.polls
-}
-
 // ListedFraction returns, for ip, the fraction of polls at which it was
 // listed on at least one provider.
 func (c *Checker) ListedFraction(ip string) float64 {
@@ -373,18 +315,6 @@ func (c *Checker) ListedDays(ip string, period time.Duration) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return float64(c.listedN[ip]) * period.Hours() / 24
-}
-
-// IPs returns all IPs that were listed at least once, sorted.
-func (c *Checker) IPs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.listedN))
-	for ip := range c.listedN {
-		out = append(out, ip)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // StandardProviders builds the eight-list panel from §5.1 with policies

@@ -70,6 +70,13 @@ func TestListingExpiry(t *testing.T) {
 	if p.IsListed(ip) {
 		t.Fatal("listing did not expire")
 	}
+	// A hit over the expired, unswept listing lists the IP anew, and
+	// the new listing moves the generation.
+	gen := p.Gen()
+	p.ReportTrapHit(ip)
+	if !p.IsListed(ip) || p.Gen() == gen {
+		t.Fatalf("re-listing over an unswept expiry: listed %v, gen %d -> %d", p.IsListed(ip), gen, p.Gen())
+	}
 }
 
 func TestListingExtension(t *testing.T) {
@@ -86,27 +93,6 @@ func TestListingExtension(t *testing.T) {
 	clk.Advance(5 * time.Hour)
 	if p.IsListed(ip) {
 		t.Fatal("extended listing did not expire")
-	}
-}
-
-func TestHistoryIntervals(t *testing.T) {
-	clk := clock.NewSim(t0)
-	p := NewProvider("test", Policy{HitThreshold: 1, Window: time.Hour, ListingTTL: 10 * time.Hour}, clk)
-	ip := "198.51.100.9"
-	p.ReportTrapHit(ip)
-	clk.Advance(11 * time.Hour)
-	// The expired listing was never swept; the re-listing hit must close
-	// the stale interval itself.
-	p.ReportTrapHit(ip)
-	h := p.History(ip)
-	if len(h) != 2 {
-		t.Fatalf("history intervals = %d, want 2", len(h))
-	}
-	if !h[0].From.Equal(t0) {
-		t.Fatalf("first interval from %v", h[0].From)
-	}
-	if got := h[0].Until.Sub(h[0].From); got != 10*time.Hour {
-		t.Fatalf("first interval length = %v, want 10h", got)
 	}
 }
 
@@ -140,9 +126,6 @@ func TestTrapRegistry(t *testing.T) {
 	if reg.Hits() != 1 {
 		t.Fatalf("Hits = %d, want 1", reg.Hits())
 	}
-	if reg.Count() != 1 {
-		t.Fatalf("Count = %d, want 1", reg.Count())
-	}
 }
 
 func TestTrapAddressCaseInsensitive(t *testing.T) {
@@ -165,9 +148,6 @@ func TestChecker(t *testing.T) {
 		c.Poll(ips)
 		clk.Advance(4 * time.Hour)
 	}
-	if c.Polls() != 12 {
-		t.Fatalf("Polls = %d", c.Polls())
-	}
 	f1 := c.ListedFraction("10.0.0.1")
 	if f1 != 3.0/12 {
 		t.Fatalf("ListedFraction = %v, want 0.25", f1)
@@ -177,9 +157,6 @@ func TestChecker(t *testing.T) {
 	}
 	if d := c.ListedDays("10.0.0.1", 4*time.Hour); d != 0.5 {
 		t.Fatalf("ListedDays = %v, want 0.5", d)
-	}
-	if got := c.IPs(); len(got) != 1 || got[0] != "10.0.0.1" {
-		t.Fatalf("IPs = %v", got)
 	}
 }
 
@@ -242,11 +219,6 @@ func TestSweep(t *testing.T) {
 	}
 	if p.IsListed("198.51.100.1") || !p.IsListed("198.51.100.3") {
 		t.Fatal("sweep removed the wrong listings")
-	}
-	// The closed interval ends at the listing's expiry, not the sweep time.
-	h := p.History("198.51.100.1")
-	if len(h) != 1 || !h[0].Until.Equal(t0.Add(2*time.Hour)) {
-		t.Fatalf("history after sweep = %+v", h)
 	}
 	// Nothing left to sweep: no-op, no gen bump.
 	if again := p.Sweep(clk.Now()); len(again) != 0 || p.Gen() != gen+1 {
@@ -331,9 +303,6 @@ func TestIsTrapMatchesKeyedSet(t *testing.T) {
 				if got, want := reg.IsTrap(q), ref[q.Key()]; got != want {
 					t.Errorf("traps %v frozen=%v: IsTrap(%q) = %v, the Key() set says %v", traps, frozen, q, got, want)
 				}
-			}
-			if reg.Count() != len(ref) {
-				t.Errorf("Count = %d, want %d", reg.Count(), len(ref))
 			}
 		}
 	}

@@ -23,11 +23,6 @@ type Plot struct {
 	points [][2]float64
 }
 
-// Add appends one point.
-func (p *Plot) Add(x, y float64) {
-	p.points = append(p.points, [2]float64{x, y})
-}
-
 // AddSeries appends many points.
 func (p *Plot) AddSeries(pts [][2]float64) {
 	p.points = append(p.points, pts...)

@@ -8,7 +8,7 @@ import (
 func TestPlotRendersPoints(t *testing.T) {
 	p := &Plot{Title: "test curve", Width: 40, Height: 8}
 	for i := 0; i <= 10; i++ {
-		p.Add(float64(i), float64(i)/10)
+		p.AddSeries([][2]float64{{float64(i), float64(i) / 10}})
 	}
 	out := p.Render()
 	if !strings.Contains(out, "test curve") {
@@ -47,8 +47,8 @@ func TestPlotEmpty(t *testing.T) {
 
 func TestPlotSingleValueNoDivZero(t *testing.T) {
 	p := &Plot{Width: 10, Height: 4}
-	p.Add(5, 5)
-	p.Add(5, 5)
+	p.AddSeries([][2]float64{{5, 5}})
+	p.AddSeries([][2]float64{{5, 5}})
 	out := p.Render() // must not panic
 	if !strings.Contains(out, "*") {
 		t.Fatalf("point lost:\n%s", out)
@@ -62,8 +62,8 @@ func TestPlotLogScale(t *testing.T) {
 	xs := []float64{1, 5, 30, 240, 1440, 4320}
 	for i, x := range xs {
 		y := float64(i+1) / float64(len(xs))
-		lin.Add(x, y)
-		logp.Add(x, y)
+		lin.AddSeries([][2]float64{{x, y}})
+		logp.AddSeries([][2]float64{{x, y}})
 	}
 	linOut, logOut := lin.Render(), logp.Render()
 	// On a linear axis the small-x points collapse into one column; on a

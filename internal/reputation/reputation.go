@@ -292,9 +292,6 @@ func NewStore(cfg Config, clk clock.Clock) *Store {
 	return s
 }
 
-// Config returns the effective (default-filled) configuration.
-func (s *Store) Config() Config { return s.cfg }
-
 // Key namespaces. One flat sharded map holds all three key kinds. The
 // prefixed-string form ("a:bob@x.com", "d:x.com", "i:192.0.2.1") is the
 // external representation used by exports and reports; internally keys

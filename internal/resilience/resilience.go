@@ -11,7 +11,6 @@
 package resilience
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -57,9 +56,6 @@ func (s State) String() string {
 	}
 }
 
-// ErrOpen is returned by Breaker.Do while the breaker refuses requests.
-var ErrOpen = errors.New("resilience: circuit open")
-
 // BreakerConfig parameterises a Breaker.
 type BreakerConfig struct {
 	// FailureThreshold is the number of consecutive failures that trips
@@ -90,9 +86,8 @@ type BreakerStats struct {
 // Breaker is a minimal consecutive-failure circuit breaker. It is safe
 // for concurrent use.
 type Breaker struct {
-	name string
-	cfg  BreakerConfig
-	clk  clock.Clock
+	cfg BreakerConfig
+	clk clock.Clock
 
 	mu       sync.Mutex
 	state    State
@@ -103,7 +98,9 @@ type Breaker struct {
 	stats    BreakerStats
 }
 
-// NewBreaker returns a closed breaker named for its guarded dependency.
+// NewBreaker returns a closed breaker. name identifies the guarded
+// dependency at the call site; the breaker keeps no copy of it, since
+// its owner already keys it (per filter, per destination domain).
 func NewBreaker(name string, cfg BreakerConfig, clk clock.Clock) *Breaker {
 	if cfg.FailureThreshold <= 0 {
 		cfg.FailureThreshold = 5
@@ -114,11 +111,8 @@ func NewBreaker(name string, cfg BreakerConfig, clk clock.Clock) *Breaker {
 	if cfg.HalfOpenProbes <= 0 {
 		cfg.HalfOpenProbes = 1
 	}
-	return &Breaker{name: name, cfg: cfg, clk: clk}
+	return &Breaker{cfg: cfg, clk: clk}
 }
-
-// Name returns the guarded dependency's name.
-func (b *Breaker) Name() string { return b.name }
 
 // Allow reports whether a request may proceed, transitioning
 // open → half-open once OpenTimeout has elapsed. Half-open admits one
@@ -190,17 +184,6 @@ func (b *Breaker) trip() {
 	b.probes = 0
 	b.probing = 0
 	b.stats.Trips++
-}
-
-// Do runs fn behind the breaker: ErrOpen without calling fn while open,
-// otherwise fn's error (recorded).
-func (b *Breaker) Do(fn func() error) error {
-	if !b.Allow() {
-		return fmt.Errorf("%w: %s", ErrOpen, b.name)
-	}
-	err := fn()
-	b.Record(err)
-	return err
 }
 
 // State returns the current state (resolving an elapsed open window to

@@ -90,22 +90,6 @@ func TestBreakerHalfOpenProbeFailure(t *testing.T) {
 	}
 }
 
-func TestBreakerDo(t *testing.T) {
-	clk := clock.NewSim(epoch)
-	b := NewBreaker("dep", BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Hour}, clk)
-	if err := b.Do(func() error { return errBoom }); !errors.Is(err, errBoom) {
-		t.Fatalf("Do = %v, want boom", err)
-	}
-	called := false
-	err := b.Do(func() error { called = true; return nil })
-	if !errors.Is(err, ErrOpen) {
-		t.Fatalf("Do while open = %v, want ErrOpen", err)
-	}
-	if called {
-		t.Fatal("fn called while breaker open")
-	}
-}
-
 func TestBackoffJitterBounds(t *testing.T) {
 	bo := Backoff{Base: time.Second, Max: 5 * time.Minute, Factor: 2, Jitter: 0.2}
 	rng := rand.New(rand.NewSource(1))

@@ -29,7 +29,7 @@ func TestTargetedAttackBypassesCRByDesign(t *testing.T) {
 
 	// The hand-crafted spear-phish.
 	w.inject("mallory@attacker.example", "192.0.2.200")
-	w.sched.RunFor(7 * 24 * time.Hour)
+	w.sched.RunUntil(w.clk.Now().Add(7 * 24 * time.Hour))
 
 	eng := w.comp.Engine
 	if got := eng.Metrics().Delivered[core.ViaChallenge]; got != 1 {

@@ -21,7 +21,7 @@ func newDSNWorld(t *testing.T) *world {
 	w.dns = dnssim.NewServer()
 	w.provs = rbl.StandardProviders(w.clk)
 	w.traps = rbl.NewTrapRegistry(w.provs...)
-	w.net = New(w.dns, w.provs, w.traps, Config{EmitDSNs: true})
+	w.net = New(w.dns, w.traps, Config{EmitDSNs: true})
 
 	chain := filters.NewChain(filters.NewAntivirus(), filters.NewReverseDNS(w.dns))
 	eng := core.New(core.Config{
@@ -42,7 +42,7 @@ func TestBouncedChallengeProducesDSN(t *testing.T) {
 	w := newDSNWorld(t)
 	w.addRemote("example.com", "192.0.2.10") // mailbox will not exist
 	w.inject("ghost@example.com", "192.0.2.10")
-	w.sched.RunFor(time.Hour)
+	w.sched.RunUntil(w.clk.Now().Add(time.Hour))
 
 	rec := w.net.Records()[0]
 	if rec.Status != StatusBouncedNoUser {
@@ -74,7 +74,7 @@ func TestExpiredChallengeProducesDSN(t *testing.T) {
 	r := w.addRemote("deadmx.example", "192.0.2.66")
 	r.Unreachable = true
 	w.inject("x@deadmx.example", "192.0.2.66")
-	w.sched.RunFor(10 * 24 * time.Hour)
+	w.sched.RunUntil(w.clk.Now().Add(10 * 24 * time.Hour))
 
 	if w.net.Records()[0].Status != StatusExpired {
 		t.Fatalf("status = %v", w.net.Records()[0].Status)
@@ -89,7 +89,7 @@ func TestDeliveredChallengeProducesNoDSN(t *testing.T) {
 	r := w.addRemote("example.com", "192.0.2.10")
 	r.AddMailbox("alice", PersonaRobot) // delivered, ignored
 	w.inject("alice@example.com", "192.0.2.10")
-	w.sched.RunFor(time.Hour)
+	w.sched.RunUntil(w.clk.Now().Add(time.Hour))
 
 	if got := w.comp.Engine.Metrics().MTAIncoming; got != 1 {
 		t.Fatalf("MTAIncoming = %d, want 1 (no DSN for delivered challenges)", got)
@@ -100,7 +100,7 @@ func TestDSNDisabledByDefault(t *testing.T) {
 	w := newWorld(t, 44) // EmitDSNs false
 	w.addRemote("example.com", "192.0.2.10")
 	w.inject("ghost@example.com", "192.0.2.10")
-	w.sched.RunFor(time.Hour)
+	w.sched.RunUntil(w.clk.Now().Add(time.Hour))
 	if got := w.comp.Engine.Metrics().MTAIncoming; got != 1 {
 		t.Fatalf("MTAIncoming = %d; DSNs should be off by default", got)
 	}

@@ -179,18 +179,18 @@ type Config struct {
 	EmitDSNs bool
 }
 
-// Network is the simulated Internet: remote servers, blocklist
-// providers, spamtraps, and the delivery agent. Each company's events
-// run on the scheduler of the lane it was attached with (virtual time).
+// Network is the simulated Internet: remote servers, spamtraps (which
+// feed the blocklist providers), and the delivery agent. Each company's
+// events run on the scheduler of the lane it was attached with (virtual
+// time).
 //
 // Once Freeze is called the remote servers, their mailboxes and the
 // trap set are read-only: a later mutation panics, and the delivery
 // path reads them without a lock.
 type Network struct {
-	dns       *dnssim.Server
-	providers []*rbl.Provider
-	traps     *rbl.TrapRegistry
-	cfg       Config
+	dns   *dnssim.Server
+	traps *rbl.TrapRegistry
+	cfg   Config
 
 	mu        sync.Mutex
 	frozen    atomic.Bool
@@ -203,28 +203,18 @@ type Network struct {
 }
 
 // New assembles a Network.
-func New(dns *dnssim.Server, providers []*rbl.Provider, traps *rbl.TrapRegistry, cfg Config) *Network {
+func New(dns *dnssim.Server, traps *rbl.TrapRegistry, cfg Config) *Network {
 	if cfg.TransitDelay <= 0 {
 		cfg.TransitDelay = 30 * time.Second
 	}
 	return &Network{
 		dns:       dns,
-		providers: providers,
 		traps:     traps,
 		cfg:       cfg,
 		remotes:   make(map[string]*RemoteServer),
 		companies: make(map[string]*Company),
 	}
 }
-
-// DNS returns the network's DNS server.
-func (n *Network) DNS() *dnssim.Server { return n.dns }
-
-// Traps returns the spamtrap registry.
-func (n *Network) Traps() *rbl.TrapRegistry { return n.traps }
-
-// Providers returns the blocklist providers.
-func (n *Network) Providers() []*rbl.Provider { return n.providers }
 
 // AddRemote registers a remote mail server and its DNS records. An
 // unreachable server still has DNS records (the spammer's spoofed domain
@@ -333,28 +323,12 @@ func (n *Network) StagedTrapHits() int {
 	return staged
 }
 
-// Company returns the attached company by name, or nil.
-func (n *Network) Company(name string) *Company {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.companies[name]
-}
-
 // companiesSorted returns the shared name-sorted slice (callers must
 // not mutate it).
 func (n *Network) companiesSorted() []*Company {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.sorted
-}
-
-// Companies returns the attached companies sorted by name.
-func (n *Network) Companies() []*Company {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]*Company, len(n.sorted))
-	copy(out, n.sorted)
-	return out
 }
 
 // SubmitChallenge queues a challenge for delivery after the transit

@@ -35,7 +35,7 @@ func newWorld(t testing.TB, seed int64) *world {
 	w.dns = dnssim.NewServer()
 	w.provs = rbl.StandardProviders(w.clk)
 	w.traps = rbl.NewTrapRegistry(w.provs...)
-	w.net = New(w.dns, w.provs, w.traps, Config{})
+	w.net = New(w.dns, w.traps, Config{})
 
 	spamhaus := w.provs[2] // the engine's RBL filter input
 	chain := filters.NewChain(
@@ -114,7 +114,7 @@ func TestChallengeDeliveredAndSolvedByLegitSender(t *testing.T) {
 			if got := len(w.net.Records()); got != 1 {
 				t.Fatalf("records = %d, want 1", got)
 			}
-			w.sched.RunFor(7 * 24 * time.Hour)
+			w.sched.RunUntil(w.clk.Now().Add(7 * 24 * time.Hour))
 
 			rec := w.net.Records()[0]
 			if rec.Status != StatusDelivered {
@@ -142,7 +142,7 @@ func TestChallengeBouncesNoUser(t *testing.T) {
 	w := newWorld(t, 2)
 	w.addRemote("example.com", "192.0.2.10") // domain exists, mailbox doesn't
 	w.inject("ghost@example.com", "192.0.2.10")
-	w.sched.RunFor(time.Hour)
+	w.sched.RunUntil(w.clk.Now().Add(time.Hour))
 	rec := w.net.Records()[0]
 	if rec.Status != StatusBouncedNoUser {
 		t.Fatalf("status = %v, want bounced-no-user", rec.Status)
@@ -159,7 +159,7 @@ func TestChallengeBouncesNoDomain(t *testing.T) {
 	w.dns.RegisterMailDomain("phantom.example", "203.0.113.99")
 	w.dns.AddPTR("203.0.113.50", "mail.phantom.example")
 	w.inject("x@phantom.example", "203.0.113.50")
-	w.sched.RunFor(time.Hour)
+	w.sched.RunUntil(w.clk.Now().Add(time.Hour))
 	rec := w.net.Records()[0]
 	if rec.Status != StatusBouncedNoDomain {
 		t.Fatalf("status = %v, want bounced-no-domain", rec.Status)
@@ -171,7 +171,7 @@ func TestChallengeExpiresForUnreachableServer(t *testing.T) {
 	r := w.addRemote("deadmx.example", "192.0.2.66")
 	r.Unreachable = true
 	w.inject("x@deadmx.example", "192.0.2.66")
-	w.sched.RunFor(10 * 24 * time.Hour)
+	w.sched.RunUntil(w.clk.Now().Add(10 * 24 * time.Hour))
 	rec := w.net.Records()[0]
 	if rec.Status != StatusExpired {
 		t.Fatalf("status = %v, want expired", rec.Status)
@@ -204,7 +204,7 @@ func TestChallengeToTrapListsServerIP(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		w.inject(fmt.Sprintf("contact%d@lure.example", i), "192.0.2.77")
 	}
-	w.sched.RunFor(time.Hour)
+	w.sched.RunUntil(w.clk.Now().Add(time.Hour))
 	// The hits wait on the lane until a barrier applies them.
 	if staged := w.net.StagedTrapHits(); staged != 5 {
 		t.Fatalf("staged trap hits = %d, want 5", staged)
@@ -236,7 +236,7 @@ func TestChallengeToTrapListsServerIP(t *testing.T) {
 		t.Fatalf("user mail while listed = %v, want bounced-blacklisted", got)
 	}
 	// ...until the listing expires with no further hits.
-	w.sched.RunFor(spamhausTTL)
+	w.sched.RunUntil(w.clk.Now().Add(spamhausTTL))
 	if spamhaus.IsListed(w.comp.MailIP) {
 		t.Fatalf("still listed %v after the last trap hit", spamhausTTL)
 	}
@@ -253,7 +253,7 @@ func TestChallengeBouncedWhenBlacklisted(t *testing.T) {
 	// Pre-list the company's challenge IP on the screened provider.
 	w.provs[0].AddStatic(w.comp.ChallengeIP)
 	w.inject("user@careful.example", "192.0.2.88")
-	w.sched.RunFor(time.Hour)
+	w.sched.RunUntil(w.clk.Now().Add(time.Hour))
 	rec := w.net.Records()[0]
 	if rec.Status != StatusBouncedBlacklisted {
 		t.Fatalf("status = %v, want bounced-blacklisted", rec.Status)
@@ -265,7 +265,7 @@ func TestRobotNeverReacts(t *testing.T) {
 	r := w.addRemote("notifier.example", "192.0.2.99")
 	r.AddMailbox("noreply", PersonaRobot)
 	w.inject("noreply@notifier.example", "192.0.2.99")
-	w.sched.RunFor(30 * 24 * time.Hour)
+	w.sched.RunUntil(w.clk.Now().Add(30 * 24 * time.Hour))
 	rec := w.net.Records()[0]
 	if rec.Status != StatusDelivered || rec.Visited || rec.Solved {
 		t.Fatalf("robot record = %+v", rec)
@@ -285,7 +285,7 @@ func TestInnocentAlmostAlwaysIgnores(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		w.inject(fmt.Sprintf("victim%d@bystander.example", i), "203.0.113.5")
 	}
-	w.sched.RunFor(30 * 24 * time.Hour)
+	w.sched.RunUntil(w.clk.Now().Add(30 * 24 * time.Hour))
 	st := w.net.DeliveryStats()
 	if st.ByStatus[StatusDelivered] != 300 {
 		t.Fatalf("delivered = %d", st.ByStatus[StatusDelivered])
@@ -353,7 +353,7 @@ func TestAttemptsHistogramNeverExceedsFive(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		w.inject(fmt.Sprintf("s%d@example.com", i), "192.0.2.10")
 	}
-	w.sched.RunFor(14 * 24 * time.Hour)
+	w.sched.RunUntil(w.clk.Now().Add(14 * 24 * time.Hour))
 	hist := w.net.AttemptsHistogram()
 	total := 0
 	for attempts, n := range hist {
@@ -382,7 +382,7 @@ func TestDeliveryStatsAggregation(t *testing.T) {
 	w.inject("real@example.com", "192.0.2.10")  // delivered+solved
 	w.inject("ghost@example.com", "192.0.2.10") // bounce no-user
 	w.inject("x@deadmx.example", "192.0.2.66")  // expired
-	w.sched.RunFor(10 * 24 * time.Hour)
+	w.sched.RunUntil(w.clk.Now().Add(10 * 24 * time.Hour))
 
 	st := w.net.DeliveryStats()
 	if st.Total != 3 {
@@ -430,7 +430,7 @@ func TestDeterministicRuns(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			w.inject(fmt.Sprintf("s%d@example.com", i), "192.0.2.10")
 		}
-		w.sched.RunFor(7 * 24 * time.Hour)
+		w.sched.RunUntil(w.clk.Now().Add(7 * 24 * time.Hour))
 		st := w.net.DeliveryStats()
 		return st.Solved, st.NeverVisited
 	}
@@ -447,7 +447,7 @@ func BenchmarkChallengeRoundTrip(b *testing.B) {
 	w.dns = dnssim.NewServer()
 	w.provs = rbl.StandardProviders(w.clk)
 	w.traps = rbl.NewTrapRegistry(w.provs...)
-	w.net = New(w.dns, w.provs, w.traps, Config{})
+	w.net = New(w.dns, w.traps, Config{})
 	wl := whitelist.NewStore(w.clk)
 	eng := core.New(core.Config{
 		Name: "bench", Domains: []string{"corp.example"},
@@ -478,7 +478,7 @@ func BenchmarkChallengeRoundTrip(b *testing.B) {
 			Received:     w.clk.Now(),
 		}
 		eng.Receive(m)
-		w.sched.RunFor(time.Hour)
+		w.sched.RunUntil(w.clk.Now().Add(time.Hour))
 	}
 }
 
@@ -495,7 +495,7 @@ func BenchmarkChallengeStatusAggregation(b *testing.B) {
 	for i := 0; i < 3000; i++ {
 		w.inject(fmt.Sprintf("s%d@example.com", i), "192.0.2.10")
 	}
-	w.sched.RunFor(7 * 24 * time.Hour)
+	w.sched.RunUntil(w.clk.Now().Add(7 * 24 * time.Hour))
 	if st := w.net.DeliveryStats(); st.Total != 3000 || st.Solved == 0 {
 		b.Fatalf("setup recorded %d challenges, %d solved; want 3000 with some solved", st.Total, st.Solved)
 	}
@@ -518,7 +518,7 @@ func TestTransientOutageDeliversLate(t *testing.T) {
 	r.DownUntil = w.clk.Now().Add(3 * time.Hour) // outage window
 
 	w.inject("carol@flaky.example", "192.0.2.44")
-	w.sched.RunFor(10 * 24 * time.Hour)
+	w.sched.RunUntil(w.clk.Now().Add(10 * 24 * time.Hour))
 
 	rec := w.net.Records()[0]
 	if rec.Status != StatusDelivered {

@@ -17,9 +17,6 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
-
-	// Extensions advertised by the server's EHLO reply.
-	ext map[string]string
 }
 
 // Dial connects to addr (host:port) and consumes the greeting. The
@@ -52,7 +49,6 @@ func NewClient(conn net.Conn) (*Client, error) {
 		conn: conn,
 		br:   bufio.NewReader(conn),
 		bw:   bufio.NewWriter(conn),
-		ext:  make(map[string]string),
 	}
 	if _, err := c.readReply(220); err != nil {
 		conn.Close()
@@ -109,33 +105,14 @@ func (c *Client) readReply(want int) (*Reply, error) {
 	return r, nil
 }
 
-// Hello sends EHLO (falling back to HELO) and records extensions.
+// Hello sends EHLO, falling back to HELO.
 func (c *Client) Hello(domain string) error {
 	r, err := c.cmd(0, "EHLO %s", domain)
-	if err != nil {
+	if err != nil || r.Code == 250 {
 		return err
 	}
-	if r.Code == 250 {
-		for i, line := range strings.Split(r.Text, "\n") {
-			if i == 0 {
-				continue // greeting line
-			}
-			name, arg, _ := strings.Cut(line, " ")
-			c.ext[strings.ToUpper(name)] = arg
-		}
-		return nil
-	}
-	if _, err := c.cmd(250, "HELO %s", domain); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Extension returns the parameter of an advertised EHLO extension and
-// whether it was advertised at all.
-func (c *Client) Extension(name string) (string, bool) {
-	v, ok := c.ext[strings.ToUpper(name)]
-	return v, ok
+	_, err = c.cmd(250, "HELO %s", domain)
+	return err
 }
 
 // Mail starts a transaction. A zero Address sends the null reverse-path.

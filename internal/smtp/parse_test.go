@@ -2,6 +2,7 @@ package smtp
 
 import (
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -120,8 +121,9 @@ func TestExtractHeadersCaseInsensitive(t *testing.T) {
 	}
 }
 
-// TestClientMultilineReply verifies the client parses multi-line replies
-// (which EHLO produces) including the final space-separated line.
+// TestClientMultilineReply verifies the client reads a multi-line reply
+// (which EHLO produces) through its final space-separated line, so the
+// next command reads its own reply.
 func TestClientMultilineReply(t *testing.T) {
 	server, client := net.Pipe()
 	done := make(chan error, 1)
@@ -138,7 +140,16 @@ func TestClientMultilineReply(t *testing.T) {
 			done <- err
 			return
 		}
-		_, err := server.Write([]byte("250-test greets you\r\n250-SIZE 1000\r\n250-PIPELINING\r\n250 HELP\r\n"))
+		if _, err := server.Write([]byte("250-test greets you\r\n250-SIZE 1000\r\n250-PIPELINING\r\n250 HELP\r\n")); err != nil {
+			done <- err
+			return
+		}
+		// Read MAIL and refuse it.
+		if _, err := server.Read(buf); err != nil {
+			done <- err
+			return
+		}
+		_, err := server.Write([]byte("550 5.7.1 sender refused\r\n"))
 		done <- err
 	}()
 
@@ -150,11 +161,10 @@ func TestClientMultilineReply(t *testing.T) {
 	if err := c.Hello("client.example"); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := c.Extension("SIZE"); !ok || v != "1000" {
-		t.Fatalf("SIZE ext = %q, %v", v, ok)
-	}
-	if _, ok := c.Extension("HELP"); !ok {
-		t.Fatal("final multiline line lost")
+	// Had the client stopped before "250 HELP", MAIL would read that
+	// line as its 250 and succeed.
+	if err := c.Mail(mail.MustParseAddress("a@b.example")); err == nil || !strings.Contains(err.Error(), "550") {
+		t.Fatalf("MAIL after a multi-line EHLO = %v, want the 550", err)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)

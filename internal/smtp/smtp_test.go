@@ -1,6 +1,7 @@
 package smtp
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"strings"
@@ -147,12 +148,40 @@ func TestMultipleRecipients(t *testing.T) {
 func TestEHLOExtensions(t *testing.T) {
 	b := newBackend()
 	addr, _ := startServer(t, b)
-	c := dialOK(t, addr)
-	if _, ok := c.Extension("SIZE"); !ok {
-		t.Fatal("SIZE not advertised")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := c.Extension("pipelining"); !ok {
-		t.Fatal("extension lookup must be case-insensitive")
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	if _, err := br.ReadString('\n'); err != nil { // greeting
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte("EHLO client.example.com\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	advertised := map[string]bool{}
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(line) < 4 || line[:3] != "250" {
+			t.Fatalf("EHLO reply line %q", line)
+		}
+		name, _, _ := strings.Cut(strings.TrimSpace(line[4:]), " ")
+		advertised[name] = true
+		if line[3] == ' ' {
+			break
+		}
+	}
+	for _, ext := range []string{"SIZE", "PIPELINING"} {
+		if !advertised[ext] {
+			t.Errorf("%s not advertised: %v", ext, advertised)
+		}
 	}
 }
 

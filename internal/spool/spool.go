@@ -272,14 +272,6 @@ func (s *State) DoneCounts() map[Status]int {
 	return out
 }
 
-// Fate returns the terminal status of msgID, if it has one.
-func (s *State) Fate(msgID string) (Status, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.done[msgID]
-	return d.Status, ok
-}
-
 // ExportedItem is one pending spool entry in snapshot form.
 type ExportedItem struct {
 	MsgID     string    `json:"msg_id"`

@@ -40,7 +40,7 @@ func TestFoldLifecycle(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("pending after terminal = %d", s.Len())
 	}
-	if st, ok := s.Fate("m2"); !ok || st != StatusSent {
+	if st, ok := fate(s, "m2"); !ok || st != StatusSent.String() {
 		t.Fatalf("fate(m2) = %v, %v", st, ok)
 	}
 	p := s.Pending(0)
@@ -65,7 +65,7 @@ func TestLSNGuardRejectsStaleReplay(t *testing.T) {
 		t.Fatal("terminal item resurrected by stale enqueue")
 	}
 	s.ApplyTerminal("m1", StatusSent, 9, 4) // stale conflicting fate
-	if st, _ := s.Fate("m1"); st != StatusBounced {
+	if st, _ := fate(s, "m1"); st != StatusBounced.String() {
 		t.Fatalf("stale terminal overwrote fate: %v", st)
 	}
 }
@@ -201,7 +201,7 @@ func TestRecorderFailOpen(t *testing.T) {
 		t.Fatal("dropped enqueue lost the in-memory transition")
 	}
 	rc.Terminal(t0, "m1", StatusSent, "", "", 1)
-	if _, ok := st.Fate("m1"); !ok {
+	if _, ok := fate(st, "m1"); !ok {
 		t.Fatal("dropped append lost the terminal transition")
 	}
 	if rc.Dropped() != 2 {
@@ -276,4 +276,14 @@ func TestDoneCountsFollowFatesAndImport(t *testing.T) {
 	if got := s2.DoneCounts(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("DoneCounts after Import = %v, want %v", got, want)
 	}
+}
+
+// fate returns the terminal status the snapshot records for msgID.
+func fate(s *State, msgID string) (string, bool) {
+	for _, d := range s.Export().Done {
+		if d.MsgID == msgID {
+			return d.Status, true
+		}
+	}
+	return "", false
 }

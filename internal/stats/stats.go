@@ -37,9 +37,6 @@ func (s *Summary) Add(x float64) {
 	s.m2 += d * (x - s.mean)
 }
 
-// N returns the number of observations.
-func (s *Summary) N() int64 { return s.n }
-
 // Mean returns the running mean (0 with no observations).
 func (s *Summary) Mean() float64 { return s.mean }
 
@@ -56,31 +53,6 @@ func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
 
 // Min returns the smallest observation (0 with none).
 func (s *Summary) Min() float64 { return s.min }
-
-// Merge folds another summary into s as if every observation behind o
-// had been Added here, using the parallel Welford combination (Chan et
-// al.), so shard-local summaries reduce to the serial result. o is left
-// untouched.
-func (s *Summary) Merge(o *Summary) {
-	if o == nil || o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	s.mean += d * float64(o.n) / float64(n)
-	s.n = n
-}
 
 // Max returns the largest observation (0 with none).
 func (s *Summary) Max() float64 { return s.max }
@@ -139,13 +111,6 @@ func (h *Histogram) Merge(o *Histogram) error {
 	return nil
 }
 
-// Counts returns a copy of the per-bucket counts (len(bounds)+1).
-func (h *Histogram) Counts() []int64 {
-	out := make([]int64, len(h.counts))
-	copy(out, h.counts)
-	return out
-}
-
 // Fractions returns the per-bucket fractions (0s when empty).
 func (h *Histogram) Fractions() []float64 {
 	out := make([]float64, len(h.counts))
@@ -154,25 +119,6 @@ func (h *Histogram) Fractions() []float64 {
 	}
 	for i, c := range h.counts {
 		out[i] = float64(c) / float64(h.total)
-	}
-	return out
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Labels renders human-readable bucket labels using unit as suffix.
-func (h *Histogram) Labels(unit string) []string {
-	out := make([]string, len(h.counts))
-	for i := range out {
-		switch {
-		case i == 0:
-			out[i] = fmt.Sprintf("<%g%s", h.bounds[0], unit)
-		case i == len(h.bounds):
-			out[i] = fmt.Sprintf(">=%g%s", h.bounds[len(h.bounds)-1], unit)
-		default:
-			out[i] = fmt.Sprintf("%g-%g%s", h.bounds[i-1], h.bounds[i], unit)
-		}
 	}
 	return out
 }
@@ -196,17 +142,6 @@ func (c *CDF) Add(x float64) {
 // N returns the sample count.
 func (c *CDF) N() int { return len(c.samples) }
 
-// Merge appends another CDF's samples, leaving o untouched. Quantiles
-// over the merged CDF equal quantiles over the concatenated samples,
-// regardless of how they were sharded.
-func (c *CDF) Merge(o *CDF) {
-	if o == nil || len(o.samples) == 0 {
-		return
-	}
-	c.samples = append(c.samples, o.samples...)
-	c.sorted = false
-}
-
 func (c *CDF) sort() {
 	if !c.sorted {
 		sort.Float64s(c.samples)
@@ -226,25 +161,6 @@ func (c *CDF) FractionBelow(x float64) float64 {
 		i++
 	}
 	return float64(i) / float64(len(c.samples))
-}
-
-// Quantile returns the q-quantile (0<=q<=1) by nearest-rank.
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	c.sort()
-	if q <= 0 {
-		return c.samples[0]
-	}
-	if q >= 1 {
-		return c.samples[len(c.samples)-1]
-	}
-	rank := int(math.Ceil(q*float64(len(c.samples)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return c.samples[rank]
 }
 
 // Points returns up to n evenly-spaced (x, P(X<=x)) pairs for plotting.
@@ -358,21 +274,4 @@ func NewCorrelationMatrix(names []string, cols [][]float64) *CorrelationMatrix {
 		}
 	}
 	return &CorrelationMatrix{Names: names, R: r}
-}
-
-// Get returns the correlation between the named columns.
-func (m *CorrelationMatrix) Get(a, b string) (float64, bool) {
-	ia, ib := -1, -1
-	for i, n := range m.Names {
-		if n == a {
-			ia = i
-		}
-		if n == b {
-			ib = i
-		}
-	}
-	if ia < 0 || ib < 0 {
-		return 0, false
-	}
-	return m.R[ia][ib], true
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -241,17 +242,26 @@ func (l *list) reserve(n int) {
 // entries returns the current entries sorted by addition time, then
 // address; nil when there are none.
 func (l *list) entries() []Entry {
-	var out []Entry
+	n := 0
+	for i := range l.log {
+		if !l.log[i].removed {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Entry, 0, n)
 	for i := range l.log {
 		if r := &l.log[i]; !r.removed {
 			out = append(out, r.entry())
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Added.Equal(out[j].Added) {
-			return out[i].Added.Before(out[j].Added)
+	slices.SortFunc(out, func(a, b Entry) int {
+		if c := a.Added.Compare(b.Added); c != 0 {
+			return c
 		}
-		return out[i].Addr.Key() < out[j].Addr.Key()
+		return mail.CompareKeys(a.Addr, b.Addr)
 	})
 	return out
 }

@@ -435,3 +435,28 @@ func TestListRecordLimit(t *testing.T) {
 		}
 	}
 }
+
+// TestExportTiedAllocs: seeded lists stamp every entry at one instant,
+// so Export's sort breaks every tie on the sender's key. It compares
+// the keys in place: the allocations of one Export do not grow with the
+// number of comparisons.
+func TestExportTiedAllocs(t *testing.T) {
+	s := NewStore(clock.NewSim(t0)) // the clock never moves: every entry ties
+	for i := 0; i < 5000; i++ {
+		s.AddWhite(bob, mail.Address{Local: fmt.Sprintf("Sender.%d", (i*7919)%5000), Domain: "x.example"}, SourceSeed)
+	}
+	var got []ExportedList
+	allocs := testing.AllocsPerRun(3, func() { got = s.Export() })
+	white := got[0].White
+	for i := 1; i < len(white); i++ {
+		if white[i-1].Addr.Key() >= white[i].Addr.Key() {
+			t.Fatalf("entries %d and %d out of key order: %s, %s", i-1, i, white[i-1].Addr, white[i].Addr)
+		}
+	}
+	// One Export of one user: the result, its user key and one entry
+	// slice per list. Comparing keys by building them cost two strings
+	// per comparison, about 120,000 here.
+	if allocs > 10 {
+		t.Fatalf("Export of %d tied entries allocated %v times", len(white), allocs)
+	}
+}

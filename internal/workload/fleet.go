@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/clock"
@@ -210,14 +209,13 @@ type Fleet struct {
 	spamCamps     []*Campaign
 	newsCamps     []*Campaign
 
-	// mu guards the day counter, written only between days with every
-	// lane parked. Per-message measurement state lives on the lanes.
-	mu  sync.RWMutex
+	// day is the current day index. Run writes it between days, with
+	// every lane parked; per-message measurement state lives on the
+	// lanes.
 	day int
 
 	// ledger is the sparse-barrier bookkeeping (ledger.go): epoch,
-	// fired/skipped-barrier and trap-hit counters plus the shared-clock
-	// watermark.
+	// fired/skipped-barrier and trap-hit counters.
 	ledger syncLedger
 }
 
@@ -242,7 +240,7 @@ func NewFleet(cfg Config) *Fleet {
 	f.Providers = rbl.StandardProviders(f.Clk)
 	f.Traps = rbl.NewTrapRegistry(f.Providers...)
 	f.Checker = rbl.NewChecker(f.Providers...)
-	f.Net = simnet.New(f.DNS, f.Providers, f.Traps, simnet.Config{EmitDSNs: cfg.EmitDSNs})
+	f.Net = simnet.New(f.DNS, f.Traps, simnet.Config{EmitDSNs: cfg.EmitDSNs})
 
 	f.buildWorld()
 	f.buildCampaigns()
@@ -547,8 +545,7 @@ type companyLane struct {
 	// Ground truth, one byte per generated message: truth[n-1] is the
 	// class of the message ids minted as sequence number n (ids mints
 	// nothing else).
-	truth       []Class
-	classCounts [ClassSpam + 1]int64
+	truth []Class
 
 	// covering is the precomputed subset of spam campaigns whose
 	// harvested lists include this company, in f.spamCamps order. It is
@@ -858,13 +855,6 @@ func (f *Fleet) publishCompany(b *builtCompany) {
 	f.lanes = append(f.lanes, ln)
 }
 
-// Day returns the current simulation day index (0-based).
-func (f *Fleet) Day() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.day
-}
-
 // lane returns the lane of the named company, or nil.
 func (f *Fleet) lane(company string) *companyLane {
 	i, found := slices.BinarySearchFunc(f.lanes, company, func(ln *companyLane, name string) int {
@@ -948,20 +938,6 @@ func (f *Fleet) Delayed() DelayedDeliveries {
 	return out
 }
 
-// ClassCounts returns how many messages of each class were generated
-// (classes never generated are absent). Call it between Run calls.
-func (f *Fleet) ClassCounts() map[Class]int64 {
-	out := make(map[Class]int64)
-	for _, ln := range f.lanes {
-		for cl, n := range ln.classCounts {
-			if n != 0 {
-				out[Class(cl)] += n
-			}
-		}
-	}
-	return out
-}
-
 // FaultCounts returns how often each "target/kind" fault fired, summed
 // over the lanes' injectors (empty without Config.FaultPlan). Call it
 // between Run calls.
@@ -1024,18 +1000,6 @@ func (f *Fleet) SpamCampaigns() []*Campaign { return f.spamCamps }
 
 // NewsletterCampaigns returns the newsletter campaign list.
 func (f *Fleet) NewsletterCampaigns() []*Campaign { return f.newsCamps }
-
-// LegitPool returns the population of real correspondent addresses.
-func (f *Fleet) LegitPool() []mail.Address { return f.legitPool }
-
-// Greylist returns a company's greylist store (nil unless
-// UseGreylisting).
-func (f *Fleet) Greylist(company string) *greylist.Store {
-	if ln := f.lane(company); ln != nil {
-		return ln.gl
-	}
-	return nil
-}
 
 // Reputation returns a company's sender-reputation store (nil unless
 // UseReputation).

@@ -11,9 +11,9 @@ import (
 // (simnet lane.trapHits, appended lock-free on the lane goroutine). At
 // every epoch rendezvous the coordinator consults the ledger predicate
 // (barrierDue): if no lane staged an effect and no checker poll is due,
-// the barrier is skipped wholesale — the shared clock stays at the watermark (the last fired
-// barrier) and no lane pays for cross-company synchronization it does
-// not need. Determinism is preserved because the predicate depends only
+// the barrier is skipped wholesale — the shared clock stays at the last
+// fired barrier and no lane pays for cross-company synchronization it
+// does not need. Determinism is preserved because the predicate depends only
 // on lane-local state that is itself worker-count-invariant, so the
 // fire/skip pattern — and with it every effect's virtual apply time —
 // is identical for any worker count.
@@ -28,7 +28,7 @@ type SyncStats struct {
 	// poll, sink flush).
 	BarriersFired int64
 	// BarriersSkipped counts epochs with no staged effect, skipped with
-	// only a watermark bookkeeping update.
+	// no work beyond counting them.
 	BarriersSkipped int64
 	// Steals is always 0: lanes are no longer dealt to workers, so none
 	// is stolen. It stays only because the benchmark module reports it
@@ -46,10 +46,6 @@ type syncLedger struct {
 	fired       atomic.Int64
 	skipped     atomic.Int64
 	trapApplied atomic.Int64
-	// watermark is the virtual time of the last fired barrier, i.e. how
-	// far the *shared* clock has advanced (lanes may be ahead of it
-	// between fired barriers).
-	watermark atomic.Int64 // unix nanos
 }
 
 // SyncStats returns the sparse-barrier counters.
@@ -60,15 +56,6 @@ func (f *Fleet) SyncStats() SyncStats {
 		BarriersSkipped: f.ledger.skipped.Load(),
 		TrapHitsApplied: f.ledger.trapApplied.Load(),
 	}
-}
-
-// Watermark returns the virtual time of the last fired barrier (the
-// fleet start before any barrier fired).
-func (f *Fleet) Watermark() time.Time {
-	if ns := f.ledger.watermark.Load(); ns != 0 {
-		return time.Unix(0, ns).UTC()
-	}
-	return f.Start
 }
 
 // barrierDue reports whether the epoch ending at epochEnd produced or
@@ -88,9 +75,10 @@ func (f *Fleet) barrierDue(epochEnd time.Time) bool {
 }
 
 // fireBarrier runs the full cross-lane barrier at epochEnd: advance the
-// shared clock from the watermark, expire blocklist listings eagerly (Provider.Sweep), apply staged trap hits
-// in company-name order, poll the §5.1 checker when due, and flush the
-// lanes' log buffers. All lanes are parked.
+// shared clock from the last fired barrier, expire blocklist listings
+// eagerly (Provider.Sweep), apply staged trap hits in company-name
+// order, poll the §5.1 checker when due, and flush the lanes' log
+// buffers. All lanes are parked.
 func (f *Fleet) fireBarrier(epochEnd time.Time) {
 	f.ledger.fired.Add(1)
 	f.Clk.AdvanceTo(epochEnd)
@@ -111,5 +99,4 @@ func (f *Fleet) fireBarrier(epochEnd time.Time) {
 		}
 	}
 	f.flushSinks()
-	f.ledger.watermark.Store(epochEnd.UnixNano())
 }

@@ -39,7 +39,7 @@ func TestLiveHeapPerEmail(t *testing.T) {
 	f := NewFleet(heapGuardConfig())
 	f.Run(6)
 	var emails int64
-	for _, n := range f.ClassCounts() {
+	for _, n := range generated(f) {
 		emails += n
 	}
 	runtime.GC()

@@ -43,17 +43,6 @@ type Mix struct {
 	NullSender float64
 }
 
-// SpamToKnown returns the residual probability: spam campaigns aimed at
-// existing protected users.
-func (m Mix) SpamToKnown() float64 {
-	s := 1 - m.Malformed - m.UnresolvableSender - m.RelayAttempt - m.RejectedSender -
-		m.UnknownRecipient - m.WhiteKnown - m.BlackKnown - m.LegitNew - m.Newsletter - m.NullSender
-	if s < 0 {
-		return 0
-	}
-	return s
-}
-
 // DefaultMix is calibrated so the MTA-IN and dispatcher proportions land
 // near the paper's Figure 1 (per 1,000 incoming: 757 dropped at MTA,
 // 31 white, 4 black, 208 gray).
@@ -70,23 +59,6 @@ func DefaultMix() Mix {
 		Newsletter:         0.0035,
 		NullSender:         0.002,
 	}
-}
-
-// Validate checks that the class probabilities are sane.
-func (m Mix) Validate() error {
-	total := m.Malformed + m.UnresolvableSender + m.RelayAttempt + m.RejectedSender +
-		m.UnknownRecipient + m.WhiteKnown + m.BlackKnown + m.LegitNew + m.Newsletter + m.NullSender
-	if total > 1+1e-9 {
-		return fmt.Errorf("workload: mix sums to %v > 1", total)
-	}
-	for _, p := range []float64{m.Malformed, m.UnresolvableSender, m.RelayAttempt,
-		m.RejectedSender, m.UnknownRecipient, m.WhiteKnown, m.BlackKnown,
-		m.LegitNew, m.Newsletter, m.NullSender} {
-		if p < 0 {
-			return fmt.Errorf("workload: negative class probability")
-		}
-	}
-	return nil
 }
 
 // jitterMix returns a copy of m with each class probability scaled by a

@@ -101,7 +101,7 @@ func recycleRun(t *testing.T, cfg Config, hook func(*msgFree)) (log []byte, summ
 	for _, c := range f.Companies {
 		fmt.Fprintln(&sum, c.Name, c.Engine.Metrics(), f.DigestSeries(c.Name))
 	}
-	fmt.Fprintln(&sum, f.ClassCounts(), f.Delayed(), f.OverloadStats(), f.Net.UserMailStats())
+	fmt.Fprintln(&sum, generated(f), f.Delayed(), f.OverloadStats(), f.Net.UserMailStats())
 	for _, ln := range f.lanes {
 		free += len(ln.free.list)
 	}

@@ -53,9 +53,7 @@ func (f *Fleet) Run(days int) {
 				f.ledger.skipped.Add(1)
 			}
 		}
-		f.mu.Lock()
 		f.day++
-		f.mu.Unlock()
 	}
 }
 
@@ -109,9 +107,7 @@ func (f *Fleet) workers(n int) int {
 // returns the day's start time. It runs between epochs, with every lane
 // parked at the previous day's final (always-fired) barrier.
 func (f *Fleet) scheduleDay() time.Time {
-	f.mu.Lock()
 	dayIdx := f.day
-	f.mu.Unlock()
 	dayStart := f.Start.Add(time.Duration(dayIdx) * day)
 
 	// Schedule each company's hourly traffic batches and end-of-day
@@ -270,7 +266,6 @@ func (f *Fleet) injectOne(ln *companyLane) {
 func (f *Fleet) injectClass(ln *companyLane, class Class) {
 	comp := ln.comp
 	msg := f.buildMessage(ln, class)
-	ln.classCounts[class]++
 
 	// Greylisting (when enabled) gates messages that would otherwise be
 	// accepted: real senders' MTAs retry after the delay, botnet cannons

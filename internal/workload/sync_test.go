@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -8,8 +9,8 @@ import (
 
 // TestSparseBarrierLedger pins the sparse-synchronization accounting:
 // every one-hour epoch is either fired or skipped, a stock run skips a
-// meaningful fraction (that is the point of the ledger), and the
-// watermark lands on the last fired barrier — the end of the run.
+// meaningful fraction (that is the point of the ledger), and the shared
+// clock is parked on the last fired barrier — the end of the run.
 func TestSparseBarrierLedger(t *testing.T) {
 	f := NewFleet(smallConfig(3))
 	days := 3
@@ -34,12 +35,8 @@ func TestSparseBarrierLedger(t *testing.T) {
 	if min := int64(days * 6); st.BarriersFired < min {
 		t.Fatalf("fired = %d, want >= %d (checker-period barriers)", st.BarriersFired, min)
 	}
-	if got, want := f.Watermark(), f.Start.Add(time.Duration(days)*24*time.Hour); !got.Equal(want) {
-		t.Fatalf("watermark = %v, want %v", got, want)
-	}
-	// The shared clock is parked on the watermark between Run calls.
-	if !f.Clk.Now().Equal(f.Watermark()) {
-		t.Fatalf("clock %v != watermark %v", f.Clk.Now(), f.Watermark())
+	if got, want := f.Clk.Now(), f.Start.Add(time.Duration(days)*24*time.Hour); !got.Equal(want) {
+		t.Fatalf("shared clock = %v, want the last barrier %v", got, want)
 	}
 }
 
@@ -80,7 +77,7 @@ func TestBuildWorkerInvariance(t *testing.T) {
 		name   string
 		s1, s4 any
 	}{
-		{"DNS domains", serial.DNS.Domains(), parallel.DNS.Domains()},
+		{"DNS answers", zoneAnswers(serial), zoneAnswers(parallel)},
 		{"DNS gen", serial.DNS.Gen(), parallel.DNS.Gen()},
 		{"outIPs", serial.outIPs, parallel.outIPs},
 	} {
@@ -102,7 +99,7 @@ func TestBuildWorkerInvariance(t *testing.T) {
 			t.Errorf("%s: whitelist export differs", c.Name)
 		}
 		if (serial.Reputation(c.Name) == nil) != (parallel.Reputation(c.Name) == nil) ||
-			(serial.Greylist(c.Name) == nil) != (parallel.Greylist(c.Name) == nil) {
+			(serial.lane(c.Name).gl == nil) != (parallel.lane(c.Name).gl == nil) {
 			t.Errorf("%s: reputation or greylist store missing on one side", c.Name)
 		}
 	}
@@ -146,4 +143,33 @@ func TestBuildWorkerInvariance(t *testing.T) {
 		t.Fatalf("build produced %d companies, %d seeded contacts, %d coverings",
 			len(serial.lanes), seeded, covered)
 	}
+}
+
+// zoneAnswers asks the fleet's zone about every domain the build
+// registers: each company's, every legitimate correspondent's, the
+// unreachable and unresolvable ones, and every mail IP's PTR.
+func zoneAnswers(f *Fleet) []string {
+	var out []string
+	add := func(v any, err error) { out = append(out, fmt.Sprint(v, err)) }
+	var domains []string
+	for _, ln := range f.lanes {
+		domains = append(domains, ln.profile.Domain)
+	}
+	for _, a := range f.legitPool {
+		domains = append(domains, a.Domain)
+	}
+	domains = append(domains, f.unreachable...)
+	domains = append(domains, f.unresolvable...)
+	for _, d := range domains {
+		add(f.DNS.ResolvableErr(d))
+		add(f.DNS.LookupA(d))
+		add(f.DNS.LookupMX(d))
+		add(f.DNS.LookupA("mail." + d))
+		add(f.DNS.LookupTXT(d))
+	}
+	for _, c := range f.Companies {
+		add(f.DNS.LookupPTR(c.MailIP))
+		add(f.DNS.LookupPTR(c.ChallengeIP))
+	}
+	return out
 }
