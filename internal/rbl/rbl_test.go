@@ -70,13 +70,6 @@ func TestListingExpiry(t *testing.T) {
 	if p.IsListed(ip) {
 		t.Fatal("listing did not expire")
 	}
-	// A hit over the expired, unswept listing lists the IP anew, and
-	// the new listing moves the generation.
-	gen := p.Gen()
-	p.ReportTrapHit(ip)
-	if !p.IsListed(ip) || p.Gen() == gen {
-		t.Fatalf("re-listing over an unswept expiry: listed %v, gen %d -> %d", p.IsListed(ip), gen, p.Gen())
-	}
 }
 
 func TestListingExtension(t *testing.T) {
@@ -93,6 +86,37 @@ func TestListingExtension(t *testing.T) {
 	clk.Advance(5 * time.Hour)
 	if p.IsListed(ip) {
 		t.Fatal("extended listing did not expire")
+	}
+}
+
+func TestHistoryIntervals(t *testing.T) {
+	clk := clock.NewSim(t0)
+	p := NewProvider("test", Policy{HitThreshold: 1, Window: time.Hour, ListingTTL: 10 * time.Hour}, clk)
+	ip := "198.51.100.9"
+	p.ReportTrapHit(ip)
+	clk.Advance(11 * time.Hour)
+	if p.IsListed(ip) {
+		t.Fatal("first listing outlived its 10h TTL")
+	}
+	// The expired listing was never swept; the re-listing hit opens a
+	// new interval over it and moves the generation.
+	gen := p.Gen()
+	p.ReportTrapHit(ip)
+	if !p.IsListed(ip) || p.Gen() == gen {
+		t.Fatalf("re-listing over an unswept expiry: listed %v, gen %d -> %d", p.IsListed(ip), gen, p.Gen())
+	}
+	// The second interval runs a full TTL from the re-listing hit, not
+	// from the first listing's expiry.
+	clk.Advance(10*time.Hour - time.Second)
+	if !p.IsListed(ip) {
+		t.Fatal("second interval ended before its 10h TTL")
+	}
+	clk.Advance(time.Second)
+	if p.IsListed(ip) {
+		t.Fatal("second interval outlived its 10h TTL")
+	}
+	if got := p.Sweep(clk.Now()); len(got) != 1 || got[0] != ip {
+		t.Fatalf("sweep after the second interval = %v, want [%s]", got, ip)
 	}
 }
 
