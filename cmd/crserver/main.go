@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/adminui"
+	"repro/internal/bodystore"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dnssim"
@@ -160,6 +161,15 @@ func main() {
 		}
 	}
 
+	// Quarantined and delivered bodies live in unlinked files next to
+	// the WAL (or in the temporary directory), not on the heap. They are
+	// not durable: like the quarantine and the inboxes, they are lost on
+	// restart.
+	bodyDir := *walDir
+	if bodyDir == "" {
+		bodyDir = os.TempDir()
+	}
+	bodies := bodystore.New(bodyDir)
 	cfg := core.Config{
 		Name:             "crserver",
 		Domains:          []string{*domain},
@@ -167,6 +177,7 @@ func main() {
 		QuarantineTTL:    30 * 24 * time.Hour,
 		ChallengeFrom:    mail.Address{Local: "challenge", Domain: *domain},
 		ChallengeBaseURL: challengeBase(*httpAddr),
+		Bodies:           bodies,
 	}
 	if *relayFor != "" {
 		cfg.RelayDomains = strings.Split(*relayFor, ",")
@@ -202,6 +213,7 @@ func main() {
 	eng.SetServiceObserver(ctl.Observe)
 	eng.SetPressure(ctl.Pressured)
 	inboxes := mailbox.NewStore()
+	inboxes.SetBodies(bodies)
 	eng.SetInboxSink(inboxes.Sink())
 	for _, u := range strings.Split(*users, ",") {
 		u = strings.TrimSpace(u)
@@ -221,38 +233,19 @@ func main() {
 	}
 
 	// Challenge web server + quarantine digest UI + metrics.
+	ui := adminui.New(eng)
+	ui.SetOverload(ctl)
+	ui.SetSaver(saver)
+	ui.SetBodies(bodies)
+	if walLog != nil {
+		ui.SetWAL(walLog)
+	}
+	if queue != nil {
+		ui.SetOutbound(queue)
+	}
+	mux := webMux(eng, ui, inboxes)
 	go func() {
 		log.Printf("web server on %s (challenge pages, /digest/<user>, /mbox/<user>, /reputation, /overload, /metrics)", *httpAddr)
-		mux := http.NewServeMux()
-		mux.Handle("/challenge/", eng.Captcha().Handler())
-		ui := adminui.New(eng)
-		ui.SetOverload(ctl)
-		ui.SetSaver(saver)
-		if walLog != nil {
-			ui.SetWAL(walLog)
-		}
-		if queue != nil {
-			ui.SetOutbound(queue)
-		}
-		admin := ui.Handler()
-		mux.Handle("/digest/", admin)
-		mux.Handle("/metrics", admin)
-		mux.Handle("/reputation", admin)
-		mux.Handle("/overload", admin)
-		mux.Handle("/wal", admin)
-		mux.Handle("/outbound", admin)
-		mux.HandleFunc("/mbox/", func(w http.ResponseWriter, r *http.Request) {
-			userRaw := strings.TrimPrefix(r.URL.Path, "/mbox/")
-			user, err := mail.ParseAddress(userRaw)
-			if err != nil {
-				http.Error(w, "bad user address", http.StatusBadRequest)
-				return
-			}
-			w.Header().Set("Content-Type", "application/mbox")
-			if err := inboxes.WriteMbox(w, user); err != nil {
-				log.Printf("mbox export: %v", err)
-			}
-		})
 		log.Fatal(http.ListenAndServe(*httpAddr, mux))
 	}()
 
@@ -305,6 +298,30 @@ func main() {
 		select {} // Serve returned because drain closed the listener; let the drain goroutine exit the process
 	}
 	log.Fatal(err)
+}
+
+// webMux routes the web server: the challenge pages, the admin UI and
+// each user's mailbox as mbox.
+func webMux(eng *core.Engine, ui *adminui.Server, inboxes *mailbox.Store) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/challenge/", eng.Captcha().Handler())
+	admin := ui.Handler()
+	for _, p := range []string{"/digest/", "/metrics", "/reputation", "/overload", "/wal", "/outbound"} {
+		mux.Handle(p, admin)
+	}
+	mux.HandleFunc("/mbox/", func(w http.ResponseWriter, r *http.Request) {
+		userRaw := strings.TrimPrefix(r.URL.Path, "/mbox/")
+		user, err := mail.ParseAddress(userRaw)
+		if err != nil {
+			http.Error(w, "bad user address", http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", "application/mbox")
+		if err := inboxes.WriteMbox(w, user); err != nil {
+			log.Printf("mbox export: %v", err)
+		}
+	})
+	return mux
 }
 
 // drain is the graceful-shutdown sequence, in order: shed new

@@ -31,8 +31,10 @@ type smarthostFake struct {
 func (s *smarthostFake) ValidateSender(mail.Address) *smtp.Reply    { return nil }
 func (s *smarthostFake) ValidateRcpt(_, _ mail.Address) *smtp.Reply { return nil }
 func (s *smarthostFake) Deliver(m *mail.Message) *smtp.Reply {
+	kept := *m
+	kept.Body = strings.Clone(m.Body) // the body is borrowed
 	s.mu.Lock()
-	s.accepted = append(s.accepted, m)
+	s.accepted = append(s.accepted, &kept)
 	s.mu.Unlock()
 	return nil
 }

@@ -57,8 +57,10 @@ func (r *remoteMX) ValidateRcpt(_, rcpt mail.Address) *smtp.Reply {
 	return nil
 }
 func (r *remoteMX) Deliver(m *mail.Message) *smtp.Reply {
+	kept := *m
+	kept.Body = strings.Clone(m.Body) // the body is borrowed
 	r.mu.Lock()
-	r.accepted = append(r.accepted, m)
+	r.accepted = append(r.accepted, &kept)
 	r.mu.Unlock()
 	return nil
 }

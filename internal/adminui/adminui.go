@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/bodystore"
 	"repro/internal/core"
 	"repro/internal/logscan"
 	"repro/internal/mail"
@@ -44,6 +45,7 @@ type Server struct {
 	wal    *wal.Log
 	saver  *store.Saver
 	outQ   *outbound.Queue
+	bodies *bodystore.Store
 }
 
 // New returns the admin UI over engine.
@@ -62,6 +64,10 @@ func (s *Server) SetWAL(l *wal.Log) { s.wal = l }
 // SetSaver registers the snapshot saver so /metrics exports the
 // store_save_* counters.
 func (s *Server) SetSaver(sv *store.Saver) { s.saver = sv }
+
+// SetBodies registers the store the engine keeps message bodies in so
+// /metrics exports the body_store_* counters.
+func (s *Server) SetBodies(b *bodystore.Store) { s.bodies = b }
 
 // SetOutbound registers the installation's outbound challenge queue so
 // /metrics exports the spool counters and /outbound renders per-domain
@@ -269,6 +275,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "wal_durable_lsn %d\n", wm.DurableLSN)
 		fmt.Fprintf(w, "wal_segments %d\n", wm.Segments)
 		fmt.Fprintf(w, "wal_pending_bytes %d\n", wm.PendingBytes)
+	}
+	if s.bodies != nil {
+		bs := s.bodies.Stats()
+		fmt.Fprintf(w, "body_store_bytes %d\n", bs.Bytes)
+		fmt.Fprintf(w, "body_store_live %d\n", bs.Live)
+		fmt.Fprintf(w, "body_store_errors %d\n", bs.Errors)
 	}
 	if s.saver != nil {
 		st := s.saver.Stats()

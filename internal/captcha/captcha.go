@@ -151,7 +151,8 @@ func (s *Service) Issue(msgID string, recipient, sender mail.Address) *Challenge
 	}
 	now := s.clk.Now()
 	a, b := s.rng.Intn(90)+10, s.rng.Intn(9)+1
-	tok := fmt.Sprintf("tok-%08x-%04x", s.rng.Uint32(), len(s.byTok))
+	var buf [32]byte
+	tok := string(appendToken(buf[:0], s.rng.Uint32(), len(s.byTok)))
 	ch := &Challenge{
 		Token:     tok,
 		MsgID:     msgID,
@@ -165,6 +166,24 @@ func (s *Service) Issue(msgID string, recipient, sender mail.Address) *Challenge
 	s.byTok[tok] = ch
 	s.byMsg[msgID] = ch
 	return ch
+}
+
+// appendToken appends the token "tok-%08x-%04x" of (r, n) to dst.
+func appendToken(dst []byte, r uint32, n int) []byte {
+	dst = append(dst, "tok-"...)
+	dst = appendHex(dst, uint64(r), 8)
+	dst = append(dst, '-')
+	return appendHex(dst, uint64(n), 4)
+}
+
+// appendHex appends v in lower-case hex, zero-padded to width digits.
+func appendHex(dst []byte, v uint64, width int) []byte {
+	var tmp [16]byte
+	digits := strconv.AppendUint(tmp[:0], v, 16)
+	for i := len(digits); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
 }
 
 // URL returns the challenge URL to embed in the challenge email, given

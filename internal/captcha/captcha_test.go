@@ -353,3 +353,21 @@ func BenchmarkIssueSolve(b *testing.B) {
 		}
 	}
 }
+
+// TestAppendTokenMatchesSprintf: the token is the "tok-%08x-%04x" it
+// always was, formatted without fmt and without allocating.
+func TestAppendTokenMatchesSprintf(t *testing.T) {
+	for _, c := range []struct {
+		r uint32
+		n int
+	}{{0, 0}, {1, 1}, {0xdeadbeef, 0xabc}, {0xffffffff, 0xffff}, {0x10, 0x10000}, {7, 123456789}} {
+		want := fmt.Sprintf("tok-%08x-%04x", c.r, c.n)
+		if got := string(appendToken(nil, c.r, c.n)); got != want {
+			t.Errorf("appendToken(%#x, %#x) = %q, want %q", c.r, c.n, got, want)
+		}
+	}
+	var buf [32]byte
+	if allocs := testing.AllocsPerRun(100, func() { appendToken(buf[:0], 0xdeadbeef, 42) }); allocs != 0 {
+		t.Fatalf("appendToken allocates %v times", allocs)
+	}
+}

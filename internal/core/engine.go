@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bodystore"
 	"repro/internal/captcha"
 	"repro/internal/clock"
 	"repro/internal/digest"
@@ -154,6 +155,10 @@ type Delivery struct {
 	Via         DeliveryVia
 	QueuedAt    time.Time // when the MTA accepted the message
 	DeliveredAt time.Time
+	// Body refers to the message's body in Config.Bodies; the zero Ref
+	// when the body stays on the message. The inbox sink owns it from
+	// here: it keeps it or frees it.
+	Body bodystore.Ref
 }
 
 // Delay returns how long the message waited before delivery.
@@ -223,14 +228,32 @@ type Config struct {
 	// DNSRetries bounds the in-line resolvability retries before the
 	// degradation policy applies (default 2).
 	DNSRetries int
+	// Bodies keeps the body of every message that outlives Receive: the
+	// quarantined ones, and the ones handed to the inbox sink. nil copies
+	// each such body onto the heap, which is right for a caller whose
+	// bodies are borrowed, as smtp.Backend.Deliver's are.
+	Bodies Bodies
 }
 
-// quarantined is one message waiting in the gray spool.
+// Bodies keeps message bodies past Receive. A *bodystore.Store keeps them
+// on disk. Implementations must be safe for concurrent use.
+type Bodies interface {
+	// Put keeps body, which the caller may reuse once Receive returns,
+	// and returns a reference to it; or the zero Ref and the string the
+	// message holds instead.
+	Put(body string) (bodystore.Ref, string)
+	// Free releases a non-zero reference Put returned.
+	Free(bodystore.Ref)
+}
+
+// quarantined is one message waiting in the gray spool. The field order
+// packs it into 112 bytes.
 type quarantined struct {
 	msg        *mail.Message
 	queuedAt   time.Time
+	pk         pairKey       // pending-challenge pair when challenged or suppressed
+	body       bodystore.Ref // msg's body in Config.Bodies, if it took it
 	challenged bool
-	pk         pairKey // pending-challenge pair when challenged or suppressed
 	hasPK      bool
 }
 
@@ -804,7 +827,7 @@ func (e *Engine) dispatch(msg *mail.Message) {
 	case white:
 		e.c.spoolWhite.Add(1)
 		e.emit(maillog.KindDispatch, msg.ID, "spool", White.String())
-		e.deliver(msg, ViaWhitelist)
+		e.deliver(msg, ViaWhitelist, bodystore.Ref{})
 	default:
 		e.c.spoolGray.Add(1)
 		e.emit(maillog.KindDispatch, msg.ID, "spool", Gray.String())
@@ -886,9 +909,9 @@ func (e *Engine) emitReputation(msgID, action string, v reputation.Verdict) {
 	if !e.logging() {
 		return
 	}
-	keys := make([]string, len(v.Keys))
-	for i, k := range v.Keys {
-		keys[i] = k.Key
+	keys := make([]string, len(v.Keys()))
+	for i, k := range v.Keys() {
+		keys[i] = k.Key()
 	}
 	e.emit(maillog.KindReputation, msgID,
 		"action", action,
@@ -930,14 +953,17 @@ func (e *Engine) delQuarLocked(q *quarantined) {
 // null-sender, pending-pair and rate-cap rules).
 func (e *Engine) challengeOrQuarantine(msg *mail.Message) GrayOutcome {
 	now := e.clk.Now()
-	q := &quarantined{msg: msg, queuedAt: now}
+	if msg.EnvelopeFrom.IsNull() {
+		// A bounce: if it parses as a DSN for one of our own challenges,
+		// close the feedback loop first — the fate of the challenge is
+		// negative evidence about the (very possibly spoofed) original
+		// sender.
+		e.processDSN(msg)
+	}
+	q := &quarantined{msg: msg, queuedAt: now, body: e.keepBody(msg)}
 
 	if msg.EnvelopeFrom.IsNull() {
-		// A bounce: quarantine for the digest but never challenge. If it
-		// parses as a DSN for one of our own challenges, close the
-		// feedback loop first — the fate of the challenge is negative
-		// evidence about the (very possibly spoofed) original sender.
-		e.processDSN(msg)
+		// Quarantine the bounce for the digest but never challenge it.
 		e.mu.Lock()
 		e.addQuarLocked(q)
 		e.mu.Unlock()
@@ -1023,6 +1049,26 @@ func (e *Engine) challengeOrQuarantine(msg *mail.Message) GrayOutcome {
 	return GrayChallenged
 }
 
+// keepBody makes msg's body outlive Receive: it puts the body in
+// Config.Bodies and returns the reference, leaving on msg what the store
+// did not take; without Config.Bodies it copies the body onto the heap.
+func (e *Engine) keepBody(msg *mail.Message) bodystore.Ref {
+	if e.cfg.Bodies == nil {
+		msg.Body = strings.Clone(msg.Body)
+		return bodystore.Ref{}
+	}
+	ref, kept := e.cfg.Bodies.Put(msg.Body)
+	msg.Body = kept
+	return ref
+}
+
+// freeBody releases a body keepBody kept.
+func (e *Engine) freeBody(ref bodystore.Ref) {
+	if ref != (bodystore.Ref{}) {
+		e.cfg.Bodies.Free(ref)
+	}
+}
+
 // processDSN closes the challenge feedback loop for one inbound
 // null-sender message. If the message parses as a delivery status
 // notification whose original message ID matches an outstanding
@@ -1072,33 +1118,44 @@ func (e *Engine) processDSN(msg *mail.Message) bool {
 		if id == "" {
 			id = msg.ID
 		}
-		e.emit(maillog.KindBounce, id,
-			"class", class, "status", d.Status, "domain", domain)
+		// The fields are slices of the body, which the sink may keep
+		// longer than the caller keeps the body.
+		e.emit(maillog.KindBounce, strings.Clone(id),
+			"class", class, "status", strings.Clone(d.Status), "domain", strings.Clone(domain))
 	}
 	return true
 }
 
 // deliver hands a message to the user's inbox: it is counted, logged
-// and passed to the inbox sink, if one is installed.
-func (e *Engine) deliver(msg *mail.Message, via DeliveryVia) {
+// and passed to the inbox sink, if one is installed, with body, the
+// reference keepBody took when the message was quarantined. A white
+// message was not: its body is kept here, once, and only for a sink.
+func (e *Engine) deliver(msg *mail.Message, via DeliveryVia, body bodystore.Ref) {
 	e.c.delivered[via].Add(1)
 	e.emit(maillog.KindDeliver, msg.ID, "via", via.String())
 	e.recordRep(msg.EnvelopeFrom, msg.ClientIP, reputation.Delivered)
-	if inbox := e.inbox.Load(); inbox != nil {
-		now := e.clk.Now()
-		queued := msg.Received
-		if queued.IsZero() {
-			queued = now
-		}
-		(*inbox)(Delivery{
-			MsgID:       msg.ID,
-			User:        msg.Rcpt,
-			Sender:      msg.EnvelopeFrom,
-			Via:         via,
-			QueuedAt:    queued,
-			DeliveredAt: now,
-		}, msg)
+	inbox := e.inbox.Load()
+	if inbox == nil {
+		e.freeBody(body)
+		return
 	}
+	if via == ViaWhitelist {
+		body = e.keepBody(msg)
+	}
+	now := e.clk.Now()
+	queued := msg.Received
+	if queued.IsZero() {
+		queued = now
+	}
+	(*inbox)(Delivery{
+		MsgID:       msg.ID,
+		User:        msg.Rcpt,
+		Sender:      msg.EnvelopeFrom,
+		Via:         via,
+		QueuedAt:    queued,
+		DeliveredAt: now,
+		Body:        body,
+	}, msg)
 }
 
 // onChallengeSolved is the captcha service's solve callback: whitelist the
@@ -1127,7 +1184,7 @@ func (e *Engine) onChallengeSolved(ch *captcha.Challenge) {
 	}
 	e.mu.Unlock()
 	for _, q := range release {
-		e.deliver(q.msg, ViaChallenge)
+		e.deliver(q.msg, ViaChallenge, q.body)
 		e.captcha.Drop(q.msg.ID)
 	}
 }
@@ -1171,7 +1228,7 @@ func (e *Engine) AuthorizeFromDigest(user mail.Address, msgID string) error {
 	if !q.msg.EnvelopeFrom.IsNull() {
 		e.wl.AddWhite(user, q.msg.EnvelopeFrom, whitelist.SourceDigest)
 	}
-	e.deliver(q.msg, ViaDigest)
+	e.deliver(q.msg, ViaDigest, q.body)
 	e.captcha.Drop(msgID)
 	return nil
 }
@@ -1192,6 +1249,7 @@ func (e *Engine) DeleteFromDigest(user mail.Address, msgID string) error {
 	if !ok {
 		return fmt.Errorf("core: no quarantined message %s for %s", msgID, user)
 	}
+	e.freeBody(q.body)
 	e.captcha.Drop(msgID)
 	return nil
 }
@@ -1211,19 +1269,20 @@ func (e *Engine) AddManualWhitelist(user, sender mail.Address) {
 // returns how many were dropped. Run it from a daily sweep.
 func (e *Engine) ExpireQuarantine() int {
 	now := e.clk.Now()
-	var expired []string
+	var expired []*quarantined
 	e.mu.Lock()
-	for id, q := range e.quarantine {
+	for _, q := range e.quarantine {
 		if now.Sub(q.queuedAt) > e.cfg.QuarantineTTL {
-			expired = append(expired, id)
+			expired = append(expired, q)
 			e.delQuarLocked(q)
 			e.removePendingLocked(q)
 		}
 	}
 	e.mu.Unlock()
 	e.c.quarantineExpired.Add(int64(len(expired)))
-	for _, id := range expired {
-		e.captcha.Drop(id)
+	for _, q := range expired {
+		e.freeBody(q.body)
+		e.captcha.Drop(q.msg.ID)
 	}
 	return len(expired)
 }

@@ -212,11 +212,12 @@ func CheckDomain(domain string) error {
 	if domain == "" || len(domain) > maxDomainLen {
 		return ErrBadDomain
 	}
-	labels := strings.Split(domain, ".")
-	if len(labels) < 2 {
+	if !strings.Contains(domain, ".") {
 		return ErrBadDomain
 	}
-	for _, l := range labels {
+	for rest, more := domain, true; more; {
+		var l string
+		l, rest, more = strings.Cut(rest, ".")
 		if l == "" || len(l) > maxLabelLen {
 			return ErrBadDomain
 		}

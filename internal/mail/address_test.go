@@ -300,3 +300,11 @@ func TestCompareKeysAllocatesNothingForASCII(t *testing.T) {
 		t.Fatalf("CompareKeys allocated %v times", n)
 	}
 }
+
+func TestCheckDomainAllocatesNothing(t *testing.T) {
+	for _, d := range []string{"mail.example.com", "a.b.c.d.e.example", "nodot", "bad..example"} {
+		if allocs := testing.AllocsPerRun(100, func() { _ = CheckDomain(d) }); allocs != 0 {
+			t.Errorf("CheckDomain(%q) allocates %v times", d, allocs)
+		}
+	}
+}

@@ -3,16 +3,19 @@
 // in-memory per-user inbox with mbox-format export (RFC 4155 "mboxrd"
 // quoting), so a live deployment's users can actually read what the
 // filter let through — and tests can assert on inbox contents rather
-// than counters.
+// than counters. A body the engine kept in its body store stays there:
+// the inbox holds its reference and reads it back only for the export.
 package mailbox
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/bodystore"
 	"repro/internal/core"
 	"repro/internal/mail"
 )
@@ -22,18 +25,27 @@ type Stored struct {
 	Msg       *mail.Message
 	Via       core.DeliveryVia
 	Delivered time.Time
+	// body refers to Msg's body in the store's body store; zero when
+	// the body is on Msg.
+	body bodystore.Ref
 }
 
 // Store is the per-user inbox collection. Safe for concurrent use.
 type Store struct {
 	mu     sync.Mutex
 	byUser map[string][]Stored
+	bodies *bodystore.Store
 }
 
 // NewStore returns an empty mailbox store.
 func NewStore() *Store {
 	return &Store{byUser: make(map[string][]Stored)}
 }
+
+// SetBodies registers the body store the engine keeps bodies in
+// (core.Config.Bodies), so WriteMbox can read the bodies of the
+// deliveries that refer to it. Call it before the first delivery.
+func (s *Store) SetBodies(b *bodystore.Store) { s.bodies = b }
 
 // Sink returns the engine hook that files deliveries into the store:
 //
@@ -42,7 +54,7 @@ func (s *Store) Sink() func(core.Delivery, *mail.Message) {
 	return func(d core.Delivery, m *mail.Message) {
 		s.mu.Lock()
 		key := d.User.Key()
-		s.byUser[key] = append(s.byUser[key], Stored{Msg: m, Via: d.Via, Delivered: d.DeliveredAt})
+		s.byUser[key] = append(s.byUser[key], Stored{Msg: m, Via: d.Via, Delivered: d.DeliveredAt, body: d.Body})
 		s.mu.Unlock()
 	}
 }
@@ -60,16 +72,35 @@ func (s *Store) Inbox(user mail.Address) []Stored {
 // WriteMbox renders user's inbox in mbox format to w: each message gets
 // a "From " separator line, reconstructed headers, and an mboxrd-quoted
 // body ("From " at line start becomes ">From ", and the quoting nests).
+// A body that cannot be read from the body store is not skipped: its
+// message is written with an X-CR-Body-Error header and an empty body,
+// the rest of the inbox follows, and WriteMbox returns the read errors.
 func (s *Store) WriteMbox(w io.Writer, user mail.Address) error {
+	var readErrs []error
 	for _, st := range s.Inbox(user) {
-		if err := writeOne(w, st); err != nil {
+		body, err := s.body(st)
+		if err != nil {
+			readErrs = append(readErrs, fmt.Errorf("mailbox: body of %s: %w", st.Msg.ID, err))
+		}
+		if err := writeOne(w, st, body, err); err != nil {
 			return err
 		}
 	}
-	return nil
+	return errors.Join(readErrs...)
 }
 
-func writeOne(w io.Writer, st Stored) error {
+// body returns st's body, from the body store when it is there.
+func (s *Store) body(st Stored) (string, error) {
+	if st.body == (bodystore.Ref{}) {
+		return st.Msg.Body, nil
+	}
+	if s.bodies == nil {
+		return "", errors.New("no body store")
+	}
+	return s.bodies.Get(st.body)
+}
+
+func writeOne(w io.Writer, st Stored, body string, bodyErr error) error {
 	m := st.Msg
 	envFrom := m.EnvelopeFrom.String()
 	if m.EnvelopeFrom.IsNull() {
@@ -85,11 +116,14 @@ func writeOne(w io.Writer, st Stored) error {
 	h.Set("Date", st.Delivered.UTC().Format(time.RFC1123Z))
 	h.Set("Message-ID", "<"+m.ID+"@crspam.local>")
 	h.Set("X-CR-Delivered-Via", st.Via.String())
+	if bodyErr != nil {
+		h.Set("X-CR-Body-Error", bodyErr.Error())
+	}
 	// The headers render CRLF-terminated; mbox convention is bare LF.
 	if _, err := io.WriteString(w, strings.ReplaceAll(h.Render(), "\r\n", "\n")); err != nil {
 		return err
 	}
-	body := strings.ReplaceAll(m.Body, "\r\n", "\n")
+	body = strings.ReplaceAll(body, "\r\n", "\n")
 	for _, line := range strings.Split(body, "\n") {
 		if err := writeQuoted(w, line); err != nil {
 			return err

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bodystore"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dnssim"
@@ -175,4 +176,50 @@ func separators(mbox string) int {
 		}
 	}
 	return n
+}
+
+// TestWriteMboxReadsTheBodyStore: a delivery whose body the engine kept
+// in the body store is filed by reference and read back for the export.
+func TestWriteMboxReadsTheBodyStore(t *testing.T) {
+	bodies := bodystore.New(t.TempDir())
+	s := NewStore()
+	s.SetBodies(bodies)
+	st := stored("alice@example.com", "stored", "", core.ViaDigest)
+	ref, _ := bodies.Put("Kept in the body store.\r\n")
+	s.Sink()(core.Delivery{User: bob, DeliveredAt: t0, Via: core.ViaDigest, Body: ref}, st.Msg)
+	var sb strings.Builder
+	if err := s.WriteMbox(&sb, bob); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "\n\nKept in the body store.\n") {
+		t.Fatalf("mbox missing the stored body:\n%s", sb.String())
+	}
+}
+
+// TestWriteMboxKeepsAMessageWhoseBodyFailsToRead: a body the store cannot
+// read does not drop its message from the export; the message is marked,
+// the rest of the inbox follows, and the error is returned.
+func TestWriteMboxKeepsAMessageWhoseBodyFailsToRead(t *testing.T) {
+	s := NewStore()
+	s.SetBodies(bodystore.New(t.TempDir()))
+	// A reference from another store names nothing in this one.
+	ref, _ := bodystore.New(t.TempDir()).Put("lost")
+	lost := stored("alice@example.com", "unreadable", "", core.ViaChallenge)
+	s.Sink()(core.Delivery{User: bob, DeliveredAt: t0, Via: core.ViaChallenge, Body: ref}, lost.Msg)
+	next := stored("carol@example.com", "readable", "still here\r\n", core.ViaWhitelist)
+	s.Sink()(core.Delivery{User: bob, DeliveredAt: t0}, next.Msg)
+	var sb strings.Builder
+	err := s.WriteMbox(&sb, bob)
+	if err == nil || !strings.Contains(err.Error(), lost.Msg.ID) {
+		t.Fatalf("WriteMbox error = %v, want one naming %s", err, lost.Msg.ID)
+	}
+	out := sb.String()
+	for _, want := range []string{"Subject: unreadable\n", "X-CR-Body-Error: ", "Subject: readable\n", "still here\n"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("mbox missing %q:\n%s", want, out)
+		}
+	}
+	if n := separators(out); n != 2 {
+		t.Fatalf("mbox holds %d messages, want 2", n)
+	}
 }

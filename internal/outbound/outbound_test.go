@@ -43,8 +43,10 @@ func (s *smarthost) ValidateRcpt(_, rcpt mail.Address) *smtp.Reply {
 }
 
 func (s *smarthost) Deliver(m *mail.Message) *smtp.Reply {
+	kept := *m
+	kept.Body = strings.Clone(m.Body) // the body is borrowed
 	s.mu.Lock()
-	s.accepted = append(s.accepted, m)
+	s.accepted = append(s.accepted, &kept)
 	s.mu.Unlock()
 	return nil
 }

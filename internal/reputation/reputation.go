@@ -478,10 +478,13 @@ func (s *Store) Apply(r wal.Record) error {
 
 // KeyScore is one key's contribution to a verdict.
 type KeyScore struct {
-	Key   string
+	key   repKey
 	Score float64
 	Mass  float64
 }
+
+// Key returns the key's name ("a:user@domain", "d:domain", "i:ip").
+func (k KeyScore) Key() string { return k.key.String() }
 
 // Verdict is the folded reputation of one (sender, IP) pair.
 type Verdict struct {
@@ -489,9 +492,14 @@ type Verdict struct {
 	Score float64
 	// Mass is the total decayed evidence behind the verdict.
 	Mass float64
-	// Keys lists the contributing keys (only those with history).
-	Keys []KeyScore
+	// keys[:nKeys] are the contributing keys (only those with history),
+	// inline so a lookup allocates nothing.
+	keys  [3]KeyScore
+	nKeys int
 }
+
+// Keys lists the contributing keys (only those with history).
+func (v *Verdict) Keys() []KeyScore { return v.keys[:v.nKeys] }
 
 // Lookup folds the sender's three keys into a verdict. The error path
 // exists only under fault injection (store unavailable); callers treat
@@ -533,14 +541,15 @@ func (s *Store) verdict(sender mail.Address, ip string) Verdict {
 		found := false
 		if e != nil {
 			score, mass := e.scoredAt(now, s.cfg.HalfLife)
-			ks = KeyScore{Key: key.String(), Score: score, Mass: mass}
+			ks = KeyScore{key: key, Score: score, Mass: mass}
 			found = true
 		}
 		sh.mu.Unlock()
 		if !found {
 			continue
 		}
-		v.Keys = append(v.Keys, ks)
+		v.keys[v.nKeys] = ks
+		v.nKeys++
 		v.Mass += ks.Mass
 		acc += weight * ks.Score
 		wsum += weight

@@ -45,8 +45,8 @@ func TestBandsFromHistory(t *testing.T) {
 	if v.Band != Trusted {
 		t.Fatalf("after 5 deliveries + solve: %+v, want trusted", v)
 	}
-	if len(v.Keys) != 3 {
-		t.Fatalf("contributing keys = %v, want addr+domain+ip", v.Keys)
+	if len(v.Keys()) != 3 {
+		t.Fatalf("contributing keys = %v, want addr+domain+ip", v.Keys())
 	}
 
 	// Negative history demotes to suspect.
@@ -261,7 +261,7 @@ func TestNullSenderAndEmptyIPIgnored(t *testing.T) {
 	if st := s.Stats(); st.Entries != 0 || st.Records != 0 {
 		t.Fatalf("null-sender record should be a no-op: %+v", st)
 	}
-	if v := s.Score(mail.Null, ""); v.Band != Neutral || len(v.Keys) != 0 {
+	if v := s.Score(mail.Null, ""); v.Band != Neutral || len(v.Keys()) != 0 {
 		t.Fatalf("null-sender verdict = %+v", v)
 	}
 }
@@ -295,4 +295,29 @@ func BenchmarkReputationLookup(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// TestLookupAllocatesNothing: a verdict keeps its keys inline and names
+// them only when asked, so a lookup over three keys with history
+// allocates nothing.
+func TestLookupAllocatesNothing(t *testing.T) {
+	s := newStore(clock.NewSim(t0))
+	sender := addr("alice@partner.example")
+	for i := 0; i < 5; i++ {
+		s.Record(sender, "192.0.2.1", Delivered)
+	}
+	var v Verdict
+	allocs := testing.AllocsPerRun(100, func() {
+		v, _ = s.Lookup(sender, "192.0.2.1")
+	})
+	if allocs != 0 {
+		t.Fatalf("Lookup allocates %v times", allocs)
+	}
+	var names []string
+	for _, k := range v.Keys() {
+		names = append(names, k.Key())
+	}
+	if got := strings.Join(names, ","); got != "a:alice@partner.example,d:partner.example,i:192.0.2.1" {
+		t.Fatalf("keys = %q", got)
+	}
 }

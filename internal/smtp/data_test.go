@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // refReadData is the DATA reader this package had before the session read
@@ -169,4 +170,39 @@ func FuzzReadData(f *testing.F) {
 	f.Fuzz(func(t *testing.T, wire []byte, max uint16) {
 		checkReadData(t, wire, int(max)+1)
 	})
+}
+
+// TestReadDataReusesTheSessionBuffer: every transaction of a session
+// reads its body into the one DATA buffer, so a body is borrowed until the
+// next readData; a buffer that grew past maxBodyReserve is dropped, not
+// kept for the next transaction.
+func TestReadDataReusesTheSessionBuffer(t *testing.T) {
+	big := strings.Repeat("y", maxBodyReserve+10)
+	wire := "first\r\n.\r\nsecond\r\n.\r\n" + big + "\r\n.\r\nthird\r\n.\r\n"
+	conn := &chunkConn{data: []byte(wire), chunk: 4096}
+	s := &session{srv: NewServer(Config{}, nil), conn: conn, bw: bufio.NewWriter(conn), buf: make([]byte, readBufSize)}
+	read := func(want string) string {
+		t.Helper()
+		got, err := s.readData()
+		if err != nil || got != want {
+			t.Fatalf("readData = %d bytes, %v; want %q...", len(got), err, want[:min(len(want), 10)])
+		}
+		return got
+	}
+	first := read("first\r\n")
+	second := read("second\r\n")
+	if unsafe.StringData(first) != unsafe.StringData(second) || first != "second\r" {
+		t.Fatalf("the second body did not reuse the first's buffer (first now %q)", first)
+	}
+	large := read(big + "\r\n")
+	if s.body != nil {
+		t.Fatalf("session kept a %d-byte DATA buffer", cap(s.body))
+	}
+	read("third\r\n")
+	if large != big+"\r\n" {
+		t.Fatal("a dropped buffer was reused")
+	}
+	if cap(s.body) > maxBodyReserve {
+		t.Fatalf("session keeps a %d-byte DATA buffer", cap(s.body))
+	}
 }

@@ -2,9 +2,11 @@ package smtp
 
 import (
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/mail"
 )
@@ -74,6 +76,48 @@ func TestParamInt(t *testing.T) {
 		if n, ok := paramInt(c.params, "SIZE"); ok != c.ok || (ok && n != c.n) {
 			t.Errorf("paramInt(%q) = %d, %v; want %d, %v", c.params, n, ok, c.n, c.ok)
 		}
+		// A bad value allocates strconv's error; a good one nothing.
+		if allocs := testing.AllocsPerRun(20, func() { paramInt(c.params, "SIZE") }); c.ok && allocs != 0 {
+			t.Errorf("paramInt(%q) allocates %v times", c.params, allocs)
+		}
+	}
+}
+
+// TestParamIntSplitsLikeFields: parameters split at the white space
+// strings.Fields splits at, Unicode spaces and invalid UTF-8 included.
+func TestParamIntSplitsLikeFields(t *testing.T) {
+	ref := func(params, key string) (int, bool) {
+		for _, p := range strings.Fields(params) {
+			k, v, _ := strings.Cut(p, "=")
+			if strings.EqualFold(k, key) {
+				u, err := strconv.ParseUint(v, 10, strconv.IntSize-1)
+				return int(u), err == nil
+			}
+		}
+		return 0, true
+	}
+	for _, params := range []string{
+		"  SIZE=5  ", "\tSIZE=7\tBODY=8BITMIME", "BODY=x\u00a0SIZE=9", "SIZE=9\u2003",
+		"BODY=\xff\xfeSIZE=3", "\xffSIZE=3 SIZE=4", "X=1\u0085SIZE=12", "SIZE=1\x00",
+	} {
+		n, ok := paramInt(params, "SIZE")
+		wn, wok := ref(params, "SIZE")
+		if n != wn || ok != wok {
+			t.Errorf("paramInt(%q) = %d, %v; strings.Fields gives %d, %v", params, n, ok, wn, wok)
+		}
+	}
+}
+
+// TestExtractHeadersCopiesFields: the fields outlive the body they were
+// read from, which the session overwrites with the next transaction.
+func TestExtractHeadersCopiesFields(t *testing.T) {
+	buf := []byte("From: A <alice@example.com>\r\nSubject: first\r\nAuto-Submitted: auto-replied\r\n\r\nbody")
+	subject, from, autoSub := extractHeaders(unsafe.String(&buf[0], len(buf)))
+	for i := range buf {
+		buf[i] = 'X'
+	}
+	if subject != "first" || from.String() != "alice@example.com" || autoSub != "auto-replied" {
+		t.Fatalf("after the body was overwritten: subject=%q from=%v auto=%q", subject, from, autoSub)
 	}
 }
 

@@ -21,6 +21,9 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode"
+	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/mail"
 )
@@ -62,7 +65,10 @@ type Backend interface {
 	// ValidateRcpt is called at each RCPT TO.
 	ValidateRcpt(from, rcpt mail.Address) *Reply
 	// Deliver is called once per accepted recipient after DATA completes.
-	// The message carries that recipient in Rcpt.
+	// The message carries that recipient in Rcpt. Its Body is borrowed:
+	// it aliases the session's DATA buffer, which the next transaction
+	// overwrites, so it is valid only until Deliver returns. A backend
+	// that keeps the body keeps a copy.
 	Deliver(msg *mail.Message) *Reply
 }
 
@@ -217,7 +223,8 @@ const (
 	readBufSize = 4096
 	// maxBodyReserve is the most a transaction's SIZE= may reserve for the
 	// body before the bytes arrive: the value is the peer's claim, not a
-	// fact, so a session never holds more than this on its say-so.
+	// fact, so a session never holds more than this on its say-so. It is
+	// also the largest DATA buffer a session keeps between transactions.
 	maxBodyReserve = 64 << 10
 )
 
@@ -243,6 +250,9 @@ type session struct {
 	// size is the transaction's SIZE= declaration, 0 when absent.
 	size  int
 	rcpts []mail.Address
+	// body is the DATA buffer every transaction of the session reuses;
+	// the Body a Backend receives aliases it.
+	body []byte
 }
 
 // ServeConn runs one SMTP session on conn. Exposed so tests and the
@@ -476,7 +486,17 @@ func (s *session) handleMail(args string) {
 // is absent. ok is false when key is there with anything but an unsigned
 // decimal that fits an int.
 func paramInt(params, key string) (n int, ok bool) {
-	for _, p := range strings.Fields(params) {
+	for params != "" {
+		// The next field, split at white space as strings.Fields does.
+		p := params
+		params = ""
+		if i := strings.IndexFunc(p, unicode.IsSpace); i >= 0 {
+			_, w := utf8.DecodeRuneInString(p[i:])
+			p, params = p[:i], p[i+w:]
+		}
+		if p == "" {
+			continue
+		}
 		k, v, _ := strings.Cut(p, "=")
 		if strings.EqualFold(k, key) {
 			u, err := strconv.ParseUint(v, 10, strconv.IntSize-1)
@@ -574,17 +594,27 @@ var errTooBig = errors.New("smtp: message too large")
 // refilling it as needed, and leaves whatever follows the terminator
 // unread. Once the body outgrows MaxMessageBytes it keeps consuming to the
 // terminator, storing nothing, and returns errTooBig.
+//
+// The body is read into the session's DATA buffer and the string returned
+// aliases it: it is valid until the next readData. A buffer that grew past
+// maxBodyReserve is not kept for the next transaction.
 func (s *session) readData() (string, error) {
-	d := dataReader{max: s.srv.cfg.MaxMessageBytes}
-	d.body.Grow(min(s.size, maxBodyReserve))
+	d := dataReader{body: s.body[:0], max: s.srv.cfg.MaxMessageBytes}
+	if reserve := min(s.size, maxBodyReserve); cap(d.body) < reserve {
+		d.body = make([]byte, 0, reserve)
+	}
 	for {
 		n, done := d.feed(s.buf[s.r:s.w])
 		s.r += n
 		if done {
+			s.body = d.body[:0]
+			if cap(d.body) > maxBodyReserve {
+				s.body = nil
+			}
 			if d.tooBig {
 				return "", errTooBig
 			}
-			return d.body.String(), nil
+			return unsafe.String(unsafe.SliceData(d.body), len(d.body)), nil
 		}
 		if err := s.fill(); err != nil {
 			return "", err
@@ -598,7 +628,7 @@ func (s *session) readData() (string, error) {
 // Per line (RFC 5321 §4.5.2): one leading dot is dropped, a line that is
 // only that dot ends the body, trailing CRs and the LF become one CRLF.
 type dataReader struct {
-	body   strings.Builder
+	body   []byte
 	max    int
 	tooBig bool
 	// midLine: the previous piece ended inside the current line.
@@ -638,9 +668,9 @@ func (d *dataReader) feed(p []byte) (n int, done bool) {
 			d.dotOnly = false
 			if d.reserve(d.heldCR + len(text)) {
 				for ; d.heldCR > 0; d.heldCR-- {
-					d.body.WriteByte('\r')
+					d.body = append(d.body, '\r')
 				}
-				d.body.Write(text)
+				d.body = append(d.body, text...)
 			}
 			d.heldCR = 0
 		}
@@ -652,7 +682,7 @@ func (d *dataReader) feed(p []byte) (n int, done bool) {
 			}
 			d.heldCR = 0
 			if d.reserve(0) {
-				d.body.WriteString("\r\n")
+				d.body = append(d.body, '\r', '\n')
 			}
 		}
 	}
@@ -661,11 +691,11 @@ func (d *dataReader) feed(p []byte) (n int, done bool) {
 
 // reserve reports whether k more bytes of the current line may be stored:
 // they and the line's CRLF must fit in max. The first time they do not,
-// what was stored is released and nothing is stored again.
+// what was stored is dropped and nothing is stored again.
 func (d *dataReader) reserve(k int) bool {
-	if !d.tooBig && d.body.Len()+k+2 > d.max {
+	if !d.tooBig && len(d.body)+k+2 > d.max {
 		d.tooBig = true
-		d.body.Reset()
+		d.body = d.body[:0]
 	}
 	return !d.tooBig
 }
@@ -673,7 +703,9 @@ func (d *dataReader) reserve(k int) bool {
 // extractHeaders pulls Subject, From and Auto-Submitted out of a raw
 // message body, reading no further than the header block. Auto-Submitted
 // normalises "no" (and absence) to "" so consumers can treat any non-empty
-// value as "this is automated mail".
+// value as "this is automated mail". The fields are copies: the body is
+// borrowed, and the fields may outlive it (a quarantined message's
+// Subject rides in its pending challenge).
 func extractHeaders(body string) (subject string, headerFrom mail.Address, autoSubmitted string) {
 	for body != "" {
 		var line string
@@ -696,7 +728,8 @@ func extractHeaders(body string) (subject string, headerFrom mail.Address, autoS
 			}
 		}
 	}
-	return subject, headerFrom, autoSubmitted
+	headerFrom = mail.Address{Local: strings.Clone(headerFrom.Local), Domain: strings.Clone(headerFrom.Domain)}
+	return strings.Clone(subject), headerFrom, strings.Clone(autoSubmitted)
 }
 
 func cutHeaderField(line, name string) (string, bool) {

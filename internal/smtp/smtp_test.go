@@ -41,8 +41,10 @@ func (b *recordingBackend) Deliver(msg *mail.Message) *Reply {
 	if b.deliverErr != nil {
 		return b.deliverErr
 	}
+	kept := *msg
+	kept.Body = strings.Clone(msg.Body) // the body is borrowed
 	b.mu.Lock()
-	b.delivered = append(b.delivered, msg)
+	b.delivered = append(b.delivered, &kept)
 	b.mu.Unlock()
 	return nil
 }

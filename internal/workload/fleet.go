@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/bodystore"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dnssim"
@@ -760,6 +761,7 @@ func (f *Fleet) buildCompany(i int, b *builtCompany) {
 		ChallengeSize:        1800,
 		Seed:                 f.Cfg.Seed + int64(i)*7919,
 		MaxChallengesPerHour: f.Cfg.ChallengeCapPerHour,
+		Bodies:               keepBodies{},
 	}, ln.clk, ln.resolve, chain, wl, nil)
 	if ln.rep != nil {
 		eng.SetReputation(ln.rep)
@@ -903,6 +905,14 @@ func (f *Fleet) Truth(msgID string) (Class, bool) {
 	}
 	return ln.truthOf(seq)
 }
+
+// keepBodies is the lanes' core.Bodies. A generated body is a constant,
+// a slice of one, or built once for its message, and never changes, so
+// the engine keeps the message's own string instead of a copy.
+type keepBodies struct{}
+
+func (keepBodies) Put(body string) (bodystore.Ref, string) { return bodystore.Ref{}, body }
+func (keepBodies) Free(bodystore.Ref)                      {}
 
 // DelayedDeliveries holds the inbox deliveries that waited in
 // quarantine (Figure 7, §6): one delay per delivery via a solved
