@@ -30,22 +30,26 @@ import (
 
 // Service errors.
 var (
-	// ErrUnknownToken is returned for a token that does not exist.
-	ErrUnknownToken = errors.New("captcha: unknown challenge token")
-	// ErrExpired is returned when the challenge's quarantine window ended.
-	ErrExpired = errors.New("captcha: challenge expired")
-	// ErrAlreadySolved is returned on a second solve of the same token.
-	ErrAlreadySolved = errors.New("captcha: challenge already solved")
-	// ErrWrongAnswer is returned for an incorrect CAPTCHA answer.
-	ErrWrongAnswer = errors.New("captcha: wrong answer")
-	// ErrLocked is returned once a challenge used up its attempt budget.
+	// errUnknownToken is returned for a token that does not exist.
+	errUnknownToken = errors.New("captcha: unknown challenge token")
+	// errExpired is returned when the challenge's quarantine window ended.
+	errExpired = errors.New("captcha: challenge expired")
+	// errAlreadySolved is returned on a second solve of the same token.
+	errAlreadySolved = errors.New("captcha: challenge already solved")
+	// errWrongAnswer is returned for an incorrect CAPTCHA answer.
+	errWrongAnswer = errors.New("captcha: wrong answer")
+	// errLocked is returned once a challenge used up its attempt budget.
 	// The paper never observed more than five attempts on a solve —
 	// evidence nobody brute-forced the CAPTCHAs — and a lockout is the
 	// corresponding defence if someone tried.
-	ErrLocked = errors.New("captcha: too many failed attempts")
+	errLocked = errors.New("captcha: too many failed attempts")
 )
 
-// Challenge is the server-side state of one outstanding challenge.
+// Challenge is the server-side state of one outstanding challenge. It
+// keeps only what no other record holds: the puzzle is two operands, its
+// question and answer are formatted from them when asked for, and the
+// expiry is Created plus the service's TTL. The field order packs it
+// into 160 bytes.
 type Challenge struct {
 	// Token is the unguessable identifier embedded in the challenge URL.
 	Token string
@@ -58,42 +62,40 @@ type Challenge struct {
 	Sender mail.Address
 	// Created is when the dispatcher issued the challenge.
 	Created time.Time
-	// Expires is when the quarantined message is dropped (30 days in the
-	// product under study).
-	Expires time.Time
-
-	// Question is the human-readable puzzle; answer is kept private.
-	Question string
-	answer   string
-
-	// Visits counts GETs of the challenge URL.
-	Visits int
-	// Attempts counts answer submissions (right or wrong).
-	Attempts int
 	// SolvedAt is the solve time (zero if unsolved).
 	SolvedAt time.Time
+
+	// Visits counts GETs of the challenge URL.
+	Visits int32
+	// Attempts counts answer submissions (right or wrong).
+	Attempts int32
+
+	// a and b are the puzzle's operands: the question asks for a + b.
+	a, b uint8
 }
 
-// Solved reports whether the challenge has been solved.
-func (c *Challenge) Solved() bool { return !c.SolvedAt.IsZero() }
+// question is the human-readable puzzle.
+func (c *Challenge) question() string {
+	return fmt.Sprintf("What is %d plus %d? (digits only)", c.a, c.b)
+}
 
-// SolveFunc is invoked (synchronously, without the service lock held)
-// when a challenge is solved so the dispatcher can whitelist the sender
-// and release the quarantined message.
-type SolveFunc func(ch *Challenge)
+// answer is the expected answer to the puzzle.
+func (c *Challenge) answer() string { return strconv.Itoa(int(c.a) + int(c.b)) }
+
+// solved reports whether the challenge has been solved.
+func (c *Challenge) solved() bool { return !c.SolvedAt.IsZero() }
 
 // Service stores challenges and verifies solutions. Safe for concurrent use.
 type Service struct {
 	clk         clock.Clock
 	ttl         time.Duration
-	onSolved    SolveFunc
-	onVisit     SolveFunc
+	onSolved    func(ch *Challenge)
+	onVisit     func(ch *Challenge)
 	maxAttempts int
 	rng         *rand.Rand
 
 	mu    sync.Mutex
 	byTok map[string]*Challenge
-	byMsg map[string]*Challenge
 }
 
 // Config parameterises a Service.
@@ -102,12 +104,15 @@ type Config struct {
 	Clock clock.Clock
 	// TTL is the challenge lifetime; the product used 30 days.
 	TTL time.Duration
-	// OnSolved is called for each successful solve; may be nil.
-	OnSolved SolveFunc
-	// OnVisit is called on each challenge-page visit; may be nil. The
-	// measurement pipeline uses it to reproduce the web server's access
-	// log, which is where the paper's visit/solve statistics came from.
-	OnVisit SolveFunc
+	// OnSolved is called for each successful solve, synchronously and
+	// without the service lock held, so the dispatcher can whitelist the
+	// sender and release the quarantined message; may be nil.
+	OnSolved func(ch *Challenge)
+	// OnVisit is called on each challenge-page visit, like OnSolved; may
+	// be nil. The measurement pipeline uses it to reproduce the web
+	// server's access log, which is where the paper's visit/solve
+	// statistics came from.
+	OnVisit func(ch *Challenge)
 	// Seed drives puzzle generation; runs with equal seeds issue
 	// identical puzzles (for reproducibility).
 	Seed int64
@@ -136,20 +141,16 @@ func NewService(cfg Config) *Service {
 		maxAttempts: cfg.MaxAttempts,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		byTok:       make(map[string]*Challenge),
-		byMsg:       make(map[string]*Challenge),
 	}
 }
 
 // Issue creates a challenge guarding msgID, addressed to sender on behalf
-// of recipient, and returns it. One challenge exists per message; issuing
-// twice for the same msgID returns the existing challenge.
+// of recipient, and returns it. Each call issues a new challenge: the
+// caller, which keeps the challenge with its message, issues at most one
+// per message.
 func (s *Service) Issue(msgID string, recipient, sender mail.Address) *Challenge {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ch, ok := s.byMsg[msgID]; ok {
-		return ch
-	}
-	now := s.clk.Now()
 	a, b := s.rng.Intn(90)+10, s.rng.Intn(9)+1
 	var buf [32]byte
 	tok := string(appendToken(buf[:0], s.rng.Uint32(), len(s.byTok)))
@@ -158,13 +159,11 @@ func (s *Service) Issue(msgID string, recipient, sender mail.Address) *Challenge
 		MsgID:     msgID,
 		Recipient: recipient,
 		Sender:    sender,
-		Created:   now,
-		Expires:   now.Add(s.ttl),
-		Question:  fmt.Sprintf("What is %d plus %d? (digits only)", a, b),
-		answer:    strconv.Itoa(a + b),
+		Created:   s.clk.Now(),
+		a:         uint8(a),
+		b:         uint8(b),
 	}
 	s.byTok[tok] = ch
-	s.byMsg[msgID] = ch
 	return ch
 }
 
@@ -196,31 +195,45 @@ func (s *Service) URL(base, token string) string {
 func (s *Service) get(token string) (*Challenge, error) {
 	ch, ok := s.byTok[token]
 	if !ok {
-		return nil, ErrUnknownToken
+		return nil, errUnknownToken
 	}
-	if s.clk.Now().After(ch.Expires) {
-		return nil, fmt.Errorf("%w: token %s", ErrExpired, token)
+	if s.clk.Now().After(ch.Created.Add(s.ttl)) {
+		return nil, fmt.Errorf("%w: token %s", errExpired, token)
 	}
 	return ch, nil
+}
+
+// page is what the challenge page shows.
+type page struct {
+	Recipient string
+	Question  string
 }
 
 // Visit records that the challenge URL was opened and returns the puzzle
 // question. This is the server-side equivalent of a GET.
 func (s *Service) Visit(token string) (string, error) {
+	p, err := s.visit(token)
+	return p.Question, err
+}
+
+// visit is Visit returning the whole page, read under the same lock that
+// counts the visit: once the lock is released a solve or a drop may
+// remove the challenge.
+func (s *Service) visit(token string) (page, error) {
 	s.mu.Lock()
 	ch, err := s.get(token)
 	if err != nil {
 		s.mu.Unlock()
-		return "", err
+		return page{}, err
 	}
 	ch.Visits++
-	question := ch.Question
+	p := page{Recipient: ch.Recipient.String(), Question: ch.question()}
 	cb := s.onVisit
 	s.mu.Unlock()
 	if cb != nil {
 		cb(ch)
 	}
-	return question, nil
+	return p, nil
 }
 
 // Answer returns the expected answer for token. Test and simulation
@@ -232,7 +245,7 @@ func (s *Service) Answer(token string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return ch.answer, nil
+	return ch.answer(), nil
 }
 
 // Solve submits an answer. On success it marks the challenge solved and
@@ -244,18 +257,18 @@ func (s *Service) Solve(token, answer string) error {
 		s.mu.Unlock()
 		return err
 	}
-	if ch.Solved() {
+	if ch.solved() {
 		s.mu.Unlock()
-		return ErrAlreadySolved
+		return errAlreadySolved
 	}
-	if s.maxAttempts > 0 && ch.Attempts >= s.maxAttempts {
+	if s.maxAttempts > 0 && int(ch.Attempts) >= s.maxAttempts {
 		s.mu.Unlock()
-		return fmt.Errorf("%w (limit %d)", ErrLocked, s.maxAttempts)
+		return fmt.Errorf("%w (limit %d)", errLocked, s.maxAttempts)
 	}
 	ch.Attempts++
-	if strings.TrimSpace(answer) != ch.answer {
+	if strings.TrimSpace(answer) != ch.answer() {
 		s.mu.Unlock()
-		return ErrWrongAnswer
+		return errWrongAnswer
 	}
 	ch.SolvedAt = s.clk.Now()
 	cb := s.onSolved
@@ -266,14 +279,17 @@ func (s *Service) Solve(token, answer string) error {
 	return nil
 }
 
-// Drop removes the challenge guarding msgID (quarantine expiry or digest
-// delete). It is a no-op for unknown IDs.
-func (s *Service) Drop(msgID string) {
+// Drop removes ch, once its message leaves the quarantine (a solve,
+// quarantine expiry or a digest action). Its token stops working. It is a
+// no-op for nil and for a challenge already dropped.
+func (s *Service) Drop(ch *Challenge) {
+	if ch == nil {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ch, ok := s.byMsg[msgID]; ok {
+	if s.byTok[ch.Token] == ch {
 		delete(s.byTok, ch.Token)
-		delete(s.byMsg, msgID)
 	}
 }
 
@@ -303,19 +319,13 @@ func (s *Service) Handler() http.Handler {
 		}
 		switch r.Method {
 		case http.MethodGet:
-			question, err := s.Visit(token)
+			p, err := s.visit(token)
 			if err != nil {
 				httpError(w, err)
 				return
 			}
-			s.mu.Lock()
-			ch := s.byTok[token]
-			s.mu.Unlock()
 			w.Header().Set("Content-Type", "text/html; charset=utf-8")
-			_ = pageTmpl.Execute(w, map[string]string{
-				"Recipient": ch.Recipient.String(),
-				"Question":  question,
-			})
+			_ = pageTmpl.Execute(w, p)
 		case http.MethodPost:
 			if err := r.ParseForm(); err != nil {
 				http.Error(w, "bad form", http.StatusBadRequest)
@@ -325,11 +335,11 @@ func (s *Service) Handler() http.Handler {
 			switch {
 			case err == nil:
 				fmt.Fprintln(w, "Thank you. Your message has been delivered.")
-			case errors.Is(err, ErrWrongAnswer):
+			case errors.Is(err, errWrongAnswer):
 				http.Error(w, "wrong answer, try again", http.StatusForbidden)
-			case errors.Is(err, ErrLocked):
+			case errors.Is(err, errLocked):
 				http.Error(w, "too many failed attempts", http.StatusTooManyRequests)
-			case errors.Is(err, ErrAlreadySolved):
+			case errors.Is(err, errAlreadySolved):
 				fmt.Fprintln(w, "Already confirmed.")
 			default:
 				httpError(w, err)
@@ -343,9 +353,9 @@ func (s *Service) Handler() http.Handler {
 
 func httpError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, ErrUnknownToken):
+	case errors.Is(err, errUnknownToken):
 		http.Error(w, "no such challenge", http.StatusNotFound)
-	case errors.Is(err, ErrExpired):
+	case errors.Is(err, errExpired):
 		http.Error(w, "challenge expired", http.StatusGone)
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -23,7 +23,7 @@ var (
 	sendr = mail.MustParseAddress("alice@example.com")
 )
 
-func newSvc(clk clock.Clock, onSolved SolveFunc) *Service {
+func newSvc(clk clock.Clock, onSolved func(*Challenge)) *Service {
 	return NewService(Config{Clock: clk, TTL: DefaultTTL, OnSolved: onSolved, Seed: 42})
 }
 
@@ -33,11 +33,17 @@ func TestIssueAndSolve(t *testing.T) {
 	s := newSvc(clk, func(ch *Challenge) { solvedCh = ch })
 
 	ch := s.Issue("m-1", rcpt, sendr)
-	if ch.Token == "" || ch.Solved() || ch.Visits > 0 {
+	if ch.Token == "" || ch.solved() || ch.Visits > 0 {
 		t.Fatalf("fresh challenge state wrong: %+v", ch)
 	}
-	if !ch.Expires.Equal(t0.Add(DefaultTTL)) {
-		t.Fatalf("Expires = %v", ch.Expires)
+	if !ch.Created.Equal(t0) {
+		t.Fatalf("Created = %v", ch.Created)
+	}
+	if want := fmt.Sprintf("What is %d plus %d? (digits only)", ch.a, ch.b); ch.question() != want {
+		t.Fatalf("question = %q, want %q", ch.question(), want)
+	}
+	if ch.a < 10 || ch.a > 99 || ch.b < 1 || ch.b > 9 {
+		t.Fatalf("operands %d, %d out of range", ch.a, ch.b)
 	}
 
 	q, err := s.Visit(ch.Token)
@@ -63,20 +69,11 @@ func TestIssueAndSolve(t *testing.T) {
 	}
 }
 
-func TestIssueIdempotentPerMessage(t *testing.T) {
-	s := newSvc(clock.NewSim(t0), nil)
-	ch1 := s.Issue("m-1", rcpt, sendr)
-	ch2 := s.Issue("m-1", rcpt, sendr)
-	if ch1 != ch2 {
-		t.Fatal("second Issue for same message returned a new challenge")
-	}
-}
-
 func TestWrongAnswerCountsAttempt(t *testing.T) {
 	s := newSvc(clock.NewSim(t0), nil)
 	ch := s.Issue("m-1", rcpt, sendr)
-	if err := s.Solve(ch.Token, "999999"); !errors.Is(err, ErrWrongAnswer) {
-		t.Fatalf("err = %v, want ErrWrongAnswer", err)
+	if err := s.Solve(ch.Token, "999999"); !errors.Is(err, errWrongAnswer) {
+		t.Fatalf("err = %v, want errWrongAnswer", err)
 	}
 	ans, _ := s.Answer(ch.Token)
 	if err := s.Solve(ch.Token, ans); err != nil {
@@ -95,7 +92,7 @@ func TestSolveTwice(t *testing.T) {
 	if err := s.Solve(ch.Token, ans); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Solve(ch.Token, ans); !errors.Is(err, ErrAlreadySolved) {
+	if err := s.Solve(ch.Token, ans); !errors.Is(err, errAlreadySolved) {
 		t.Fatalf("second solve err = %v", err)
 	}
 	if solves != 1 {
@@ -117,16 +114,16 @@ func TestAttemptLockout(t *testing.T) {
 	s := NewService(Config{Clock: clk, MaxAttempts: 5, Seed: 9})
 	ch := s.Issue("m-1", rcpt, sendr)
 	for i := 0; i < 5; i++ {
-		if err := s.Solve(ch.Token, "wrong"); !errors.Is(err, ErrWrongAnswer) {
+		if err := s.Solve(ch.Token, "wrong"); !errors.Is(err, errWrongAnswer) {
 			t.Fatalf("attempt %d err = %v", i+1, err)
 		}
 	}
 	// Sixth attempt — even with the right answer — is locked out.
 	ans, _ := s.Answer(ch.Token)
-	if err := s.Solve(ch.Token, ans); !errors.Is(err, ErrLocked) {
+	if err := s.Solve(ch.Token, ans); !errors.Is(err, errLocked) {
 		t.Fatalf("locked solve err = %v", err)
 	}
-	if ch.Solved() {
+	if ch.solved() {
 		t.Fatal("locked challenge marked solved")
 	}
 	if ch.Attempts != 5 {
@@ -138,7 +135,7 @@ func TestNoLockoutByDefault(t *testing.T) {
 	s := newSvc(clock.NewSim(t0), nil)
 	ch := s.Issue("m-1", rcpt, sendr)
 	for i := 0; i < 20; i++ {
-		if err := s.Solve(ch.Token, "wrong"); !errors.Is(err, ErrWrongAnswer) {
+		if err := s.Solve(ch.Token, "wrong"); !errors.Is(err, errWrongAnswer) {
 			t.Fatalf("attempt %d err = %v", i+1, err)
 		}
 	}
@@ -152,18 +149,23 @@ func TestExpiry(t *testing.T) {
 	clk := clock.NewSim(t0)
 	s := NewService(Config{Clock: clk, TTL: 30 * 24 * time.Hour, Seed: 1})
 	ch := s.Issue("m-1", rcpt, sendr)
-	clk.Advance(31 * 24 * time.Hour)
-	if _, err := s.Visit(ch.Token); !errors.Is(err, ErrExpired) {
+	// The challenge expires TTL after it was issued, and not before.
+	clk.Advance(30 * 24 * time.Hour)
+	if _, err := s.Visit(ch.Token); err != nil {
+		t.Fatalf("Visit at the TTL: %v", err)
+	}
+	clk.Advance(time.Nanosecond)
+	if _, err := s.Visit(ch.Token); !errors.Is(err, errExpired) {
 		t.Fatalf("Visit after expiry err = %v", err)
 	}
-	if err := s.Solve(ch.Token, "1"); !errors.Is(err, ErrExpired) {
+	if err := s.Solve(ch.Token, "1"); !errors.Is(err, errExpired) {
 		t.Fatalf("Solve after expiry err = %v", err)
 	}
 }
 
 func TestUnknownToken(t *testing.T) {
 	s := newSvc(clock.NewSim(t0), nil)
-	if _, err := s.Visit("tok-nope"); !errors.Is(err, ErrUnknownToken) {
+	if _, err := s.Visit("tok-nope"); !errors.Is(err, errUnknownToken) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -171,14 +173,18 @@ func TestUnknownToken(t *testing.T) {
 func TestDrop(t *testing.T) {
 	s := newSvc(clock.NewSim(t0), nil)
 	ch := s.Issue("m-1", rcpt, sendr)
-	s.Drop("m-1")
-	if _, err := s.Visit(ch.Token); !errors.Is(err, ErrUnknownToken) {
+	other := s.Issue("m-2", rcpt, sendr)
+	s.Drop(ch)
+	if _, err := s.Visit(ch.Token); !errors.Is(err, errUnknownToken) {
 		t.Fatal("token survives Drop")
 	}
-	if s.Issue("m-1", rcpt, sendr) == ch {
-		t.Fatal("challenge survives Drop: Issue returned it again")
+	s.Drop(ch) // a second drop is a no-op
+	if _, err := s.Visit(other.Token); err != nil {
+		t.Fatalf("Drop removed another challenge: %v", err)
 	}
-	s.Drop("m-unknown") // must not panic
+	if len(s.byTok) != 1 {
+		t.Fatalf("%d live tokens, want 1", len(s.byTok))
+	}
 }
 
 func TestURL(t *testing.T) {
@@ -193,7 +199,7 @@ func TestDeterministicPuzzles(t *testing.T) {
 	s2 := NewService(Config{Clock: clock.NewSim(t0), Seed: 7})
 	c1 := s1.Issue("m-1", rcpt, sendr)
 	c2 := s2.Issue("m-1", rcpt, sendr)
-	if c1.Question != c2.Question || c1.Token != c2.Token {
+	if c1.question() != c2.question() || c1.Token != c2.Token {
 		t.Fatal("equal seeds produced different challenges")
 	}
 }
@@ -239,6 +245,31 @@ func TestHTTPHandlerFlow(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !solved {
 		t.Fatalf("solve status = %d solved=%v", resp.StatusCode, solved)
+	}
+}
+
+// TestHTTPHandlerPageOutlivesDrop: the page shows the challenge as the
+// visit found it, even when the visit callback drops the challenge before
+// the page is written.
+func TestHTTPHandlerPageOutlivesDrop(t *testing.T) {
+	var s *Service
+	s = NewService(Config{Clock: clock.NewSim(t0), Seed: 42, OnVisit: func(ch *Challenge) { s.Drop(ch) }})
+	ch := s.Issue("m-1", rcpt, sendr)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/challenge/" + ch.Token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), rcpt.String()) ||
+		!strings.Contains(string(body), ch.question()) {
+		t.Fatalf("GET status=%d body=%q", resp.StatusCode, body)
+	}
+	if _, err := s.Visit(ch.Token); !errors.Is(err, errUnknownToken) {
+		t.Fatalf("second visit err = %v, want errUnknownToken", err)
 	}
 }
 

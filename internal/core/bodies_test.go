@@ -68,12 +68,6 @@ func overwrite(buf []byte) {
 	}
 }
 
-func TestQuarantinedFitsItsSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(quarantined{}); n > 112 {
-		t.Fatalf("quarantined is %d bytes, want at most 112", n)
-	}
-}
-
 // TestBodiesLifecycle: the engine puts each quarantined body in
 // Config.Bodies once and leaves none of it on the message; expiry and a
 // digest delete free it; a solve or an authorize hands the reference to

@@ -135,3 +135,61 @@ func TestDigestAuthorizeWithQueuedSiblings(t *testing.T) {
 		t.Fatal("m1 not released by solve")
 	}
 }
+
+// TestMessageChallengedAtMostOnce: the engine issues a challenge only
+// when it first quarantines a message, and one at that, so each
+// outbound challenge names a different message and token. Holding,
+// solving, a digest action or expiry issues none, and the solve drops
+// the token with the message.
+func TestMessageChallengedAtMostOnce(t *testing.T) {
+	e := newEnv(t, false)
+	e.dns.AddPTR("192.0.2.10", "mail.example.com")
+	bob := mail.MustParseAddress("bob@corp.example")
+	svc := e.eng.Captcha()
+
+	first := e.goodMsg("alice@example.com", "bob@corp.example")
+	held := e.goodMsg("alice@example.com", "bob@corp.example")
+	other := e.goodMsg("carol@example.com", "bob@corp.example")
+	auto := e.goodMsg("dave@example.com", "bob@corp.example")
+	auto.AutoSubmitted = "auto-replied"
+	bounce := e.goodMsg("erin@example.com", "bob@corp.example")
+	bounce.EnvelopeFrom = mail.Null
+	for _, m := range []*mail.Message{first, held, other, auto, bounce} {
+		e.eng.Receive(m)
+	}
+	if len(e.sent) != 2 || e.sent[0].MsgID != first.ID || e.sent[1].MsgID != other.ID ||
+		e.sent[0].Token == e.sent[1].Token {
+		t.Fatalf("challenges sent: %+v, want one for %s and one for %s", e.sent, first.ID, other.ID)
+	}
+
+	tok := e.sent[0].Token
+	ans, err := svc.Answer(tok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Solve(tok, ans); err != nil {
+		t.Fatal(err)
+	}
+	if e.eng.Quarantined(first.ID) || e.eng.Quarantined(held.ID) {
+		t.Fatal("the solve left its pair's messages quarantined")
+	}
+	if _, err := svc.Answer(tok); err == nil {
+		t.Fatal("the solved challenge's token still answers")
+	}
+	if err := e.eng.AuthorizeFromDigest(bob, auto.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.eng.DeleteFromDigest(bob, other.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Answer(e.sent[1].Token); err == nil {
+		t.Fatal("a deleted message's token still answers")
+	}
+	e.clk.Advance(31 * 24 * time.Hour)
+	if n := e.eng.ExpireQuarantine(); n != 1 {
+		t.Fatalf("expired %d, want the bounce", n)
+	}
+	if len(e.sent) != 2 {
+		t.Fatalf("%d challenges sent, want still 2", len(e.sent))
+	}
+}

@@ -77,48 +77,6 @@ func (r MTAReason) String() string {
 	}
 }
 
-// Category is the dispatcher's spool decision.
-type Category int
-
-// Dispatcher spools.
-const (
-	// White: sender on the recipient's whitelist; delivered instantly.
-	White Category = iota
-	// Black: sender on the recipient's blacklist; dropped immediately.
-	Black
-	// Gray: unknown sender; filtered and possibly challenged.
-	Gray
-)
-
-// String returns the spool name.
-func (c Category) String() string {
-	switch c {
-	case White:
-		return "white"
-	case Black:
-		return "black"
-	case Gray:
-		return "gray"
-	default:
-		return fmt.Sprintf("Category(%d)", int(c))
-	}
-}
-
-// GrayOutcome refines what happened to a gray message.
-type GrayOutcome int
-
-// Gray-spool outcomes.
-const (
-	// GrayDropped: an auxiliary filter dropped the message.
-	GrayDropped GrayOutcome = iota
-	// GrayChallenged: a challenge was sent and the message quarantined.
-	GrayChallenged
-	// GrayQuarantinedOnly: quarantined without a challenge (null envelope
-	// sender — challenging a bounce would mail-loop); rescueable only
-	// from the digest.
-	GrayQuarantinedOnly
-)
-
 // DeliveryVia records how a message reached the user's inbox, for the
 // delay analysis of Figures 7 and 8.
 type DeliveryVia int
@@ -246,15 +204,28 @@ type Bodies interface {
 	Free(bodystore.Ref)
 }
 
-// quarantined is one message waiting in the gray spool. The field order
-// packs it into 112 bytes.
+// quarantined is one message waiting in the gray spool, and the engine's
+// one record of it: the quarantine map finds it by ID, and the recipient
+// and pending-challenge indexes are links through it. The field order
+// packs it into 80 bytes.
 type quarantined struct {
-	msg        *mail.Message
-	queuedAt   time.Time
-	pk         pairKey       // pending-challenge pair when challenged or suppressed
-	body       bodystore.Ref // msg's body in Config.Bodies, if it took it
-	challenged bool
-	hasPK      bool
+	msg      *mail.Message
+	ch       *captcha.Challenge // the challenge guarding msg; nil if none was sent
+	queuedAt time.Time
+	// prev and next link the recipient's list (rcptList).
+	prev, next *quarantined
+	// held links the ring of messages held under msg's (recipient,
+	// sender) pair in pendingChallenge, when pending.
+	held    *quarantined
+	body    bodystore.Ref // msg's body in Config.Bodies, if it took it
+	pending bool
+}
+
+// rcptList is one recipient's quarantined messages, doubly linked
+// through quarantined.prev and next, with their count.
+type rcptList struct {
+	head *quarantined
+	n    int
 }
 
 // Metrics is a snapshot of the engine's counters. All counters are
@@ -358,8 +329,8 @@ func strHash(s string) uint32 {
 	return h
 }
 
-// Add increments the named counter by delta.
-func (sc *stripedCounts) Add(key string, delta int64) {
+// add increments the named counter by delta.
+func (sc *stripedCounts) add(key string, delta int64) {
 	sh := &sc.shards[strHash(key)%counterStripes]
 	sh.mu.RLock()
 	c := sh.m[key]
@@ -375,8 +346,8 @@ func (sc *stripedCounts) Add(key string, delta int64) {
 	c.Add(delta)
 }
 
-// Snapshot copies the counters into a fresh map.
-func (sc *stripedCounts) Snapshot() map[string]int64 {
+// snapshot copies the counters into a fresh map.
+func (sc *stripedCounts) snapshot() map[string]int64 {
 	out := make(map[string]int64)
 	for i := range sc.shards {
 		sh := &sc.shards[i]
@@ -432,8 +403,9 @@ type counters struct {
 // challenge sender, reputation store) are atomic pointers loaded without
 // locking; the read-mostly account tables (users, rejected) sit behind an
 // RWMutex; and e.mu — the only remaining exclusive lock — guards just the
-// quarantine state machine (quarantine + byRcpt index + pendingChallenge)
-// and the challenge rate window.
+// quarantine state machine (quarantine, its byRcpt and pendingChallenge
+// links, and each quarantined record's challenge) and the challenge rate
+// window.
 type Engine struct {
 	cfg      Config
 	clk      clock.Clock
@@ -455,14 +427,16 @@ type Engine struct {
 
 	mu         sync.Mutex
 	quarantine map[string]*quarantined
-	// byRcpt indexes quarantine by canonical recipient so digest
+	// byRcpt lists the quarantine by canonical recipient so digest
 	// assembly touches only the user's own items instead of scanning
 	// the whole spool.
-	byRcpt map[mail.Address]map[string]*quarantined
+	byRcpt map[mail.Address]*rcptList
 	// pendingChallenge tracks outstanding challenges per (recipient,
 	// sender) pair so a sender is challenged at most once per mailbox
-	// at a time; later messages queue behind the first.
-	pendingChallenge map[pairKey][]string // pair -> quarantined msg IDs
+	// at a time; later messages queue behind the first. The queue is a
+	// ring through quarantined.held: the map holds its last message,
+	// whose held link is the first, so appending takes no walk.
+	pendingChallenge map[pairKey]*quarantined
 	// rate limiting window state.
 	rateWindowStart time.Time
 	rateWindowCount int
@@ -507,8 +481,8 @@ func New(cfg Config, clk clock.Clock, resolver dnssim.Resolver, chain *filters.C
 		users:            make(map[mail.Address]bool),
 		rejected:         make(map[mail.Address]bool),
 		quarantine:       make(map[string]*quarantined),
-		byRcpt:           make(map[mail.Address]map[string]*quarantined),
-		pendingChallenge: make(map[pairKey][]string),
+		byRcpt:           make(map[mail.Address]*rcptList),
+		pendingChallenge: make(map[pairKey]*quarantined),
 	}
 	if sendCh != nil {
 		e.sendCh.Store(&sendCh)
@@ -822,15 +796,15 @@ func (e *Engine) dispatch(msg *mail.Message) {
 	switch {
 	case black: // a sender on both lists is blacklisted
 		e.c.spoolBlack.Add(1)
-		e.emit(maillog.KindDispatch, msg.ID, "spool", Black.String())
+		e.emit(maillog.KindDispatch, msg.ID, "spool", "black")
 		e.recordRep(sender, msg.ClientIP, reputation.Spam)
 	case white:
 		e.c.spoolWhite.Add(1)
-		e.emit(maillog.KindDispatch, msg.ID, "spool", White.String())
+		e.emit(maillog.KindDispatch, msg.ID, "spool", "white")
 		e.deliver(msg, ViaWhitelist, bodystore.Ref{})
 	default:
 		e.c.spoolGray.Add(1)
-		e.emit(maillog.KindDispatch, msg.ID, "spool", Gray.String())
+		e.emit(maillog.KindDispatch, msg.ID, "spool", "gray")
 		e.handleGray(msg)
 	}
 }
@@ -841,15 +815,16 @@ func (e *Engine) dispatch(msg *mail.Message) {
 // proceeds straight to the challenge/quarantine stage. The skip is
 // never silent — a maillog "reputation" event records the band, score
 // and contributing keys, and Metrics.ReputationFastPath counts it.
-func (e *Engine) handleGray(msg *mail.Message) GrayOutcome {
+func (e *Engine) handleGray(msg *mail.Message) {
 	if p := e.pressure.Load(); p != nil && (*p)() && e.chain != nil {
 		// Overload pressure: shed the probe chain fail-open. The message
 		// still goes through challenge/quarantine — the CR core — so no
 		// mail is lost, only auxiliary filtering deferred.
-		e.c.filterDegraded.Add("overload", 1)
+		e.c.filterDegraded.add("overload", 1)
 		e.emit(maillog.KindDegraded, msg.ID,
 			"component", "overload", "mode", filters.FailOpen.String(), "action", "pass")
-		return e.challengeOrQuarantine(msg)
+		e.challengeOrQuarantine(msg)
+		return
 	}
 	rep := e.rep.Load()
 	if rep != nil && e.chain != nil && !msg.EnvelopeFrom.IsNull() {
@@ -858,19 +833,20 @@ func (e *Engine) handleGray(msg *mail.Message) GrayOutcome {
 		case err != nil:
 			// Store unavailable: reputation is advisory, so fail open to
 			// the full filter chain — never block or drop on its account.
-			e.c.filterDegraded.Add("reputation", 1)
+			e.c.filterDegraded.add("reputation", 1)
 			e.emit(maillog.KindDegraded, msg.ID,
 				"component", "reputation", "mode", filters.FailOpen.String(), "action", "pass")
 		case v.Band == reputation.Trusted:
 			e.c.reputationFastPath.Add(1)
 			e.emitReputation(msg.ID, "fast-path", v)
-			return e.challengeOrQuarantine(msg)
+			e.challengeOrQuarantine(msg)
+			return
 		}
 	}
 	if e.chain != nil {
 		o := e.chain.Run(msg)
 		for _, d := range o.Degraded {
-			e.c.filterDegraded.Add(d.Filter, 1)
+			e.c.filterDegraded.add(d.Filter, 1)
 			action := "pass"
 			if d.Mode == filters.FailClosed {
 				action = "drop"
@@ -879,7 +855,7 @@ func (e *Engine) handleGray(msg *mail.Message) GrayOutcome {
 				"component", d.Filter, "mode", d.Mode.String(), "action", action)
 		}
 		if o.Result.Verdict == filters.Drop {
-			e.c.filterDropped.Add(o.DroppedBy, 1)
+			e.c.filterDropped.add(o.DroppedBy, 1)
 			if o.DroppedBy == "reputation" {
 				e.c.reputationSuspect.Add(1)
 			}
@@ -898,10 +874,10 @@ func (e *Engine) handleGray(msg *mail.Message) GrayOutcome {
 			default:
 				e.recordRep(msg.EnvelopeFrom, msg.ClientIP, reputation.Spam)
 			}
-			return GrayDropped
+			return
 		}
 	}
-	return e.challengeOrQuarantine(msg)
+	e.challengeOrQuarantine(msg)
 }
 
 // emitReputation logs one reputation decision with its evidence.
@@ -920,38 +896,86 @@ func (e *Engine) emitReputation(msgID, action string, v reputation.Verdict) {
 		"keys", strings.Join(keys, ","))
 }
 
-// addQuarLocked inserts q into the quarantine and its recipient index.
+// addQuarLocked inserts q into the quarantine and its recipient's list.
 // Callers must hold e.mu.
 func (e *Engine) addQuarLocked(q *quarantined) {
-	id := q.msg.ID
-	e.quarantine[id] = q
+	e.quarantine[q.msg.ID] = q
 	rk := q.msg.Rcpt.Canonical()
-	byID := e.byRcpt[rk]
-	if byID == nil {
-		byID = make(map[string]*quarantined)
-		e.byRcpt[rk] = byID
+	l := e.byRcpt[rk]
+	if l == nil {
+		l = &rcptList{}
+		e.byRcpt[rk] = l
 	}
-	byID[id] = q
+	q.next = l.head
+	if l.head != nil {
+		l.head.prev = q
+	}
+	l.head = q
+	l.n++
 }
 
-// delQuarLocked removes q from the quarantine and its recipient index.
-// Callers must hold e.mu.
+// delQuarLocked removes q from the quarantine, its recipient's list and,
+// if it is held there, its pair's pending queue. Callers must hold e.mu.
 func (e *Engine) delQuarLocked(q *quarantined) {
-	id := q.msg.ID
-	delete(e.quarantine, id)
+	delete(e.quarantine, q.msg.ID)
 	rk := q.msg.Rcpt.Canonical()
-	if byID := e.byRcpt[rk]; byID != nil {
-		delete(byID, id)
-		if len(byID) == 0 {
+	if l := e.byRcpt[rk]; l != nil {
+		if q.prev != nil {
+			q.prev.next = q.next
+		} else {
+			l.head = q.next
+		}
+		if q.next != nil {
+			q.next.prev = q.prev
+		}
+		q.prev, q.next = nil, nil
+		if l.n--; l.n == 0 {
 			delete(e.byRcpt, rk)
 		}
 	}
+	if q.pending {
+		e.unholdLocked(q)
+	}
+}
+
+// holdLocked appends q to the pending queue of pair pk, whose last message
+// is last (nil for a new queue). Callers must hold e.mu.
+func (e *Engine) holdLocked(pk pairKey, last, q *quarantined) {
+	if last != nil {
+		q.held, last.held = last.held, q
+	} else {
+		q.held = q
+	}
+	q.pending = true
+	e.pendingChallenge[pk] = q
+}
+
+// unholdLocked removes q from its pair's pending queue. The pair is
+// recomputed from q's message: removal off the solve path (a digest
+// action, expiry) is rare. Callers must hold e.mu.
+func (e *Engine) unholdLocked(q *quarantined) {
+	pk := makePairKey(q.msg.Rcpt, q.msg.EnvelopeFrom)
+	last := e.pendingChallenge[pk]
+	prev := last
+	for prev.held != q {
+		prev = prev.held
+	}
+	switch {
+	case prev == q:
+		delete(e.pendingChallenge, pk)
+	case last == q:
+		prev.held = q.held
+		e.pendingChallenge[pk] = prev
+	default:
+		prev.held = q.held
+	}
+	q.held, q.pending = nil, false
 }
 
 // challengeOrQuarantine is the post-filter half of the gray path:
 // quarantine the message and challenge its sender (subject to the
 // null-sender, pending-pair and rate-cap rules).
-func (e *Engine) challengeOrQuarantine(msg *mail.Message) GrayOutcome {
+func (e *Engine) challengeOrQuarantine(msg *mail.Message) {
 	now := e.clk.Now()
 	if msg.EnvelopeFrom.IsNull() {
 		// A bounce: if it parses as a DSN for one of our own challenges,
@@ -968,7 +992,7 @@ func (e *Engine) challengeOrQuarantine(msg *mail.Message) GrayOutcome {
 		e.addQuarLocked(q)
 		e.mu.Unlock()
 		e.c.quarantineOnly.Add(1)
-		return GrayQuarantinedOnly
+		return
 	}
 
 	if msg.AutoSubmitted != "" {
@@ -985,20 +1009,19 @@ func (e *Engine) challengeOrQuarantine(msg *mail.Message) GrayOutcome {
 			e.emit(maillog.KindLoopSuppressed, msg.ID,
 				"from", msg.EnvelopeFrom.Key(), "auto", msg.AutoSubmitted)
 		}
-		return GrayQuarantinedOnly
+		return
 	}
 
 	pk := makePairKey(msg.Rcpt, msg.EnvelopeFrom)
-	q.pk, q.hasPK = pk, true
 	e.mu.Lock()
-	if ids := e.pendingChallenge[pk]; len(ids) > 0 {
+	if last := e.pendingChallenge[pk]; last != nil {
 		// A challenge for this sender/mailbox pair is already out; hold
 		// the message behind it instead of sending another challenge.
-		e.pendingChallenge[pk] = append(ids, msg.ID)
+		e.holdLocked(pk, last, q)
 		e.addQuarLocked(q)
 		e.mu.Unlock()
 		e.c.challengeSuppressed.Add(1)
-		return GrayQuarantinedOnly
+		return
 	}
 	if e.cfg.MaxChallengesPerHour > 0 {
 		now := e.clk.Now()
@@ -1010,20 +1033,20 @@ func (e *Engine) challengeOrQuarantine(msg *mail.Message) GrayOutcome {
 			// Over the cap: hold the message without challenging. The
 			// pending entry stays so a later message from the same pair
 			// does not slip a challenge through either.
-			e.pendingChallenge[pk] = []string{msg.ID}
+			e.holdLocked(pk, nil, q)
 			e.addQuarLocked(q)
 			e.mu.Unlock()
 			e.c.challengeRateLimited.Add(1)
-			return GrayQuarantinedOnly
+			return
 		}
 		e.rateWindowCount++
 	}
-	e.pendingChallenge[pk] = []string{msg.ID}
+	e.holdLocked(pk, nil, q)
 	e.mu.Unlock()
 
 	ch := e.captcha.Issue(msg.ID, msg.Rcpt, msg.EnvelopeFrom)
-	q.challenged = true
 	e.mu.Lock()
+	q.ch = ch
 	e.addQuarLocked(q)
 	e.mu.Unlock()
 	e.c.challengesSent.Add(1)
@@ -1046,7 +1069,6 @@ func (e *Engine) challengeOrQuarantine(msg *mail.Message) GrayOutcome {
 			Issued:   e.clk.Now(),
 		})
 	}
-	return GrayChallenged
 }
 
 // keepBody makes msg's body outlive Receive: it puts the body in
@@ -1091,7 +1113,7 @@ func (e *Engine) processDSN(msg *mail.Message) bool {
 	correlated := false
 	if d.OriginalMessageID != "" {
 		e.mu.Lock()
-		if q, ok := e.quarantine[d.OriginalMessageID]; ok && q.challenged {
+		if q, ok := e.quarantine[d.OriginalMessageID]; ok && q.ch != nil {
 			correlated = true
 			sender = q.msg.EnvelopeFrom
 		}
@@ -1099,7 +1121,7 @@ func (e *Engine) processDSN(msg *mail.Message) bool {
 	}
 
 	if correlated {
-		e.c.challengeBounced.Add(class, 1)
+		e.c.challengeBounced.add(class, 1)
 		if d.Class == mail.DSNNoUser || d.Class == mail.DSNNoDomain {
 			e.recordRep(sender, "", reputation.Bounced)
 		}
@@ -1161,23 +1183,31 @@ func (e *Engine) deliver(msg *mail.Message, via DeliveryVia, body bodystore.Ref)
 // onChallengeSolved is the captcha service's solve callback: whitelist the
 // sender for the recipient and release the quarantined message.
 func (e *Engine) onChallengeSolved(ch *captcha.Challenge) {
-	e.emit(maillog.KindWebSolve, ch.MsgID, "token", ch.Token, "attempts", itoa(ch.Attempts))
+	e.emit(maillog.KindWebSolve, ch.MsgID, "token", ch.Token, "attempts", itoa(int(ch.Attempts)))
 	e.wl.AddWhite(ch.Recipient, ch.Sender, whitelist.SourceChallenge)
 	e.recordRep(ch.Sender, "", reputation.Solved)
 
 	pk := makePairKey(ch.Recipient, ch.Sender)
 	e.mu.Lock()
-	ids := e.pendingChallenge[pk]
-	delete(e.pendingChallenge, pk)
 	var release []*quarantined
-	for _, id := range ids {
-		if q, ok := e.quarantine[id]; ok {
-			release = append(release, q)
-			e.delQuarLocked(q)
+	if last := e.pendingChallenge[pk]; last != nil {
+		// Release the pair's whole queue, first to last. A message whose
+		// challenge is still being issued is not quarantined yet: it is
+		// unheld, not released.
+		delete(e.pendingChallenge, pk)
+		for q, done := last.held, false; !done; {
+			next := q.held
+			done = q == last
+			q.held, q.pending = nil, false
+			if e.quarantine[q.msg.ID] == q {
+				release = append(release, q)
+				e.delQuarLocked(q)
+			}
+			q = next
 		}
 	}
-	// The solved message itself may predate the pending machinery (or
-	// have been queued under another key); make sure it is released.
+	// The solved message is released even when no longer held: a solve
+	// of its pair may have unheld it while its challenge was issued.
 	if q, ok := e.quarantine[ch.MsgID]; ok {
 		release = append(release, q)
 		e.delQuarLocked(q)
@@ -1185,27 +1215,7 @@ func (e *Engine) onChallengeSolved(ch *captcha.Challenge) {
 	e.mu.Unlock()
 	for _, q := range release {
 		e.deliver(q.msg, ViaChallenge, q.body)
-		e.captcha.Drop(q.msg.ID)
-	}
-}
-
-// removePendingLocked drops id from the pair's pending-challenge queue.
-// Callers must hold e.mu.
-func (e *Engine) removePendingLocked(q *quarantined) {
-	if !q.hasPK {
-		return
-	}
-	ids := e.pendingChallenge[q.pk]
-	for i, id := range ids {
-		if id == q.msg.ID {
-			ids = append(ids[:i], ids[i+1:]...)
-			break
-		}
-	}
-	if len(ids) == 0 {
-		delete(e.pendingChallenge, q.pk)
-	} else {
-		e.pendingChallenge[q.pk] = ids
+		e.captcha.Drop(q.ch)
 	}
 }
 
@@ -1219,7 +1229,6 @@ func (e *Engine) AuthorizeFromDigest(user mail.Address, msgID string) error {
 	}
 	if ok {
 		e.delQuarLocked(q)
-		e.removePendingLocked(q)
 	}
 	e.mu.Unlock()
 	if !ok {
@@ -1229,7 +1238,7 @@ func (e *Engine) AuthorizeFromDigest(user mail.Address, msgID string) error {
 		e.wl.AddWhite(user, q.msg.EnvelopeFrom, whitelist.SourceDigest)
 	}
 	e.deliver(q.msg, ViaDigest, q.body)
-	e.captcha.Drop(msgID)
+	e.captcha.Drop(q.ch)
 	return nil
 }
 
@@ -1242,7 +1251,6 @@ func (e *Engine) DeleteFromDigest(user mail.Address, msgID string) error {
 	}
 	if ok {
 		e.delQuarLocked(q)
-		e.removePendingLocked(q)
 		e.c.digestDeleted.Add(1)
 	}
 	e.mu.Unlock()
@@ -1250,7 +1258,7 @@ func (e *Engine) DeleteFromDigest(user mail.Address, msgID string) error {
 		return fmt.Errorf("core: no quarantined message %s for %s", msgID, user)
 	}
 	e.freeBody(q.body)
-	e.captcha.Drop(msgID)
+	e.captcha.Drop(q.ch)
 	return nil
 }
 
@@ -1275,14 +1283,13 @@ func (e *Engine) ExpireQuarantine() int {
 		if now.Sub(q.queuedAt) > e.cfg.QuarantineTTL {
 			expired = append(expired, q)
 			e.delQuarLocked(q)
-			e.removePendingLocked(q)
 		}
 	}
 	e.mu.Unlock()
 	e.c.quarantineExpired.Add(int64(len(expired)))
 	for _, q := range expired {
 		e.freeBody(q.body)
-		e.captcha.Drop(q.msg.ID)
+		e.captcha.Drop(q.ch)
 	}
 	return len(expired)
 }
@@ -1293,11 +1300,11 @@ func (e *Engine) PendingForUser(user mail.Address) []digest.Item {
 	rk := user.Canonical()
 	e.mu.Lock()
 	var out []digest.Item
-	if byID := e.byRcpt[rk]; len(byID) > 0 {
-		out = make([]digest.Item, 0, len(byID))
-		for id, q := range byID {
+	if l := e.byRcpt[rk]; l != nil {
+		out = make([]digest.Item, 0, l.n)
+		for q := l.head; q != nil; q = q.next {
 			out = append(out, digest.Item{
-				MsgID:   id,
+				MsgID:   q.msg.ID,
 				Sender:  q.msg.EnvelopeFrom,
 				Subject: q.msg.Subject,
 				Queued:  q.queuedAt,
@@ -1320,7 +1327,10 @@ func (e *Engine) PendingCount(user mail.Address) int {
 	rk := user.Canonical()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.byRcpt[rk])
+	if l := e.byRcpt[rk]; l != nil {
+		return l.n
+	}
+	return 0
 }
 
 // Quarantined reports whether the message msgID sits in the quarantine.
@@ -1360,16 +1370,16 @@ func (e *Engine) Metrics() Metrics {
 		SpoolGray:     e.c.spoolGray.Load(),
 		DispatchBytes: e.c.dispatchBytes.Load(),
 
-		FilterDropped:           e.c.filterDropped.Snapshot(),
+		FilterDropped:           e.c.filterDropped.snapshot(),
 		ChallengesSent:          e.c.challengesSent.Load(),
 		ChallengeBytes:          e.c.challengeBytes.Load(),
 		QuarantineOnly:          e.c.quarantineOnly.Load(),
 		ChallengeSuppressed:     e.c.challengeSuppressed.Load(),
 		ChallengeRateLimited:    e.c.challengeRateLimited.Load(),
 		ChallengeLoopSuppressed: e.c.challengeLoopSuppressed.Load(),
-		ChallengeBounced:        e.c.challengeBounced.Snapshot(),
+		ChallengeBounced:        e.c.challengeBounced.snapshot(),
 		DSNOrphaned:             e.c.dsnOrphaned.Load(),
-		FilterDegraded:          e.c.filterDegraded.Snapshot(),
+		FilterDegraded:          e.c.filterDegraded.snapshot(),
 		MTADegradedAccept:       e.c.mtaDegradedAccept.Load(),
 		MTADegradedDrop:         e.c.mtaDegradedDrop.Load(),
 

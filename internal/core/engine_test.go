@@ -507,9 +507,6 @@ func TestStringers(t *testing.T) {
 	if Accepted.String() != "accepted" || UnknownRecipient.String() != "unknown-recipient" {
 		t.Fatal("MTAReason.String wrong")
 	}
-	if White.String() != "white" || Black.String() != "black" || Gray.String() != "gray" {
-		t.Fatal("Category.String wrong")
-	}
 	if ViaChallenge.String() != "challenge" {
 		t.Fatal("DeliveryVia.String wrong")
 	}
