@@ -7,9 +7,12 @@
 // The audit type-checks every non-test package of this module and of the
 // benchmark module with go/types (std comes from the gc export data), and
 // sorts each exported func, method, type, const and var under internal/
-// by who refers to it. testdata/api-allowlist.txt names the exceptions,
-// one per line with its reason; a line that names nothing, or names an
-// export that has since gained a product caller, fails too.
+// by who refers to it. It also sorts each exported field of an exported
+// struct under internal/ by who writes it: a field that no non-test code
+// of this module sets is a knob with one value, which belongs in a
+// constant. testdata/api-allowlist.txt names the exceptions, one per
+// line with its reason; a line that names nothing, or names an export
+// that has since gained a product caller or writer, fails too.
 //
 // Run it alone with: go test -run TestAPIAudit -count=1 .
 package repro_test
@@ -27,6 +30,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -47,6 +51,9 @@ func TestAPIAudit(t *testing.T) {
 	for _, name := range rep.benchOnly {
 		t.Errorf("%s is referred to only by the benchmark module: the benchmark must measure what the product runs", name)
 	}
+	for _, name := range rep.unwritten {
+		t.Errorf("%s is a field that no non-test code of this module writes: make its one value a constant, or delete it", name)
+	}
 	for _, line := range rep.stale {
 		t.Errorf("testdata/api-allowlist.txt: %s", line)
 	}
@@ -55,6 +62,8 @@ func TestAPIAudit(t *testing.T) {
 	// package's share only when it touches that package anyway.
 	t.Logf("%d exports are used only inside their own package:\n\t%s",
 		len(rep.ownOnly), strings.Join(rep.ownOnly, "\n\t"))
+	t.Logf("%d fields are written only inside their own package:\n\t%s",
+		len(rep.ownWritten), strings.Join(rep.ownWritten, "\n\t"))
 }
 
 // TestAPIAuditFixture runs the audit over a two-module fixture whose
@@ -76,18 +85,24 @@ func TestAPIAuditFixture(t *testing.T) {
 	}
 	check("unused", rep.unused, "fixture/internal/lib.Unused")
 	check("benchmark-only", rep.benchOnly, "fixture/internal/lib.BenchOnly")
+	check("unwritten", rep.unwritten,
+		"fixture/internal/lib.Knobs.BenchSet", "fixture/internal/lib.Knobs.Unset")
 	check("stale", rep.stale,
+		`fixture/internal/lib.Knobs.Assigned: has a product writer; delete the line ("kept for an old reason")`,
 		`fixture/internal/lib.Used: has a product caller; delete the line ("kept for an old reason")`)
-	check("own-package only", rep.ownOnly, "fixture/internal/lib.Helper")
+	check("own-package only", rep.ownOnly, "fixture/internal/lib.Counter", "fixture/internal/lib.Helper")
+	check("written in own package only", rep.ownWritten, "fixture/internal/lib.Knobs.Defaulted")
 }
 
 // auditReport sorts the audited exports that are not used by the product
 // from other packages or through an interface. Each list is sorted.
 type auditReport struct {
-	unused    []string // no non-test reference at all
-	benchOnly []string // referred to only from a second module
-	stale     []string // allowlist lines that no longer hold
-	ownOnly   []string // used only inside their own package (report only)
+	unused     []string // no non-test reference at all
+	benchOnly  []string // referred to only from a second module
+	unwritten  []string // fields no non-test code of the first module writes
+	stale      []string // allowlist lines that no longer hold
+	ownOnly    []string // used only inside their own package (report only)
+	ownWritten []string // fields written only inside their own package (report only)
 }
 
 // readAllowlist reads "<export> <reason>" lines; blank lines and lines
@@ -182,6 +197,26 @@ func auditExports(dirs []string, allow map[string]string) (auditReport, error) {
 		}
 	}
 
+	// The audited fields: exported, not embedded, with no json tag (the
+	// decoder writes those), of exported structs under internal/.
+	field := map[types.Object]string{}
+	for obj, n := range name {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if _, tagged := reflect.StructTag(st.Tag(i)).Lookup("json"); f.Exported() && !f.Embedded() && !tagged {
+				field[f] = n + "." + f.Name()
+			}
+		}
+	}
+
 	const (
 		usedOwn = 1 << iota
 		usedOther
@@ -189,6 +224,7 @@ func auditExports(dirs []string, allow map[string]string) (auditReport, error) {
 		usedIface
 	)
 	use := map[types.Object]int{}
+	written := map[types.Object]int{}
 	for _, p := range paths {
 		pkg := l.pkgs[p]
 		for _, f := range pkg.files {
@@ -221,6 +257,19 @@ func auditExports(dirs []string, allow map[string]string) (auditReport, error) {
 						}
 						return true
 					})
+				}
+			}
+			for _, fv := range fieldWrites(pkg.info, f) {
+				if _, audited := field[fv]; !audited {
+					continue
+				}
+				switch {
+				case pkg.mod != 0:
+					written[fv] |= usedSecond
+				case fv.Pkg() == pkg.types:
+					written[fv] |= usedOwn
+				default:
+					written[fv] |= usedOther
 				}
 			}
 		}
@@ -281,6 +330,21 @@ func auditExports(dirs []string, allow map[string]string) (auditReport, error) {
 			}
 		}
 	}
+	for obj, n := range field {
+		w := written[obj]
+		_, allowed := allow[n]
+		listed[n] = true
+		switch {
+		case w&(usedOwn|usedOther) == 0:
+			if !allowed {
+				rep.unwritten = append(rep.unwritten, n)
+			}
+		case allowed:
+			rep.stale = append(rep.stale, fmt.Sprintf("%s: has a product writer; delete the line (%q)", n, allow[n]))
+		case w&usedOther == 0:
+			rep.ownWritten = append(rep.ownWritten, n)
+		}
+	}
 	for n, reason := range allow {
 		if !listed[n] {
 			rep.stale = append(rep.stale, fmt.Sprintf("%s: no such export; delete the line (%q)", n, reason))
@@ -288,9 +352,95 @@ func auditExports(dirs []string, allow map[string]string) (auditReport, error) {
 	}
 	sort.Strings(rep.unused)
 	sort.Strings(rep.benchOnly)
+	sort.Strings(rep.unwritten)
 	sort.Strings(rep.stale)
 	sort.Strings(rep.ownOnly)
+	sort.Strings(rep.ownWritten)
 	return rep, nil
+}
+
+// fieldWrites returns the struct fields that file writes, once per write:
+// each key or position of a struct literal, each field on the path to the
+// target of an assignment, ++/-- or &, and each field on the path to the
+// receiver of a pointer method called on a value. A call through a
+// pointer or an interface held in a field reads the field.
+func fieldWrites(info *types.Info, file *ast.File) []*types.Var {
+	var out []*types.Var
+	// base adds every field selected on the way down to e's root:
+	// x.F.G[i].H = v writes H, G and F.
+	base := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				sel := info.Selections[x]
+				if sel == nil || sel.Kind() != types.FieldVal {
+					return
+				}
+				out = append(out, sel.Obj().(*types.Var).Origin())
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.CompositeLit:
+			tv, ok := info.Types[x]
+			if !ok {
+				return true
+			}
+			t := tv.Type.Underlying()
+			if p, ok := t.(*types.Pointer); ok { // an elided &T in []*T{{...}}
+				t = p.Elem().Underlying()
+			}
+			st, ok := t.(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, elt := range x.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						out = append(out, f.Origin())
+					}
+				} else {
+					out = append(out, st.Field(i).Origin())
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				base(lhs)
+			}
+		case *ast.IncDecStmt:
+			base(x.X)
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				base(x.X)
+			}
+		case *ast.CallExpr:
+			// x.F.M() with a pointer method M on a value F takes &x.F.
+			fn, ok := x.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			sel := info.Selections[fn]
+			if sel == nil || sel.Kind() != types.MethodVal {
+				return true
+			}
+			_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+			if _, ptrX := info.Types[fn.X].Type.Underlying().(*types.Pointer); ptrRecv && !ptrX {
+				base(fn.X)
+			}
+		}
+		return true
+	})
+	return out
 }
 
 // origin maps an instantiated generic func or method to its declaration.
@@ -454,9 +604,10 @@ func (l *auditLoader) Import(path string) (*types.Package, error) {
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: l}
 	tp, err := conf.Check(path, l.fset, files, info)

@@ -105,7 +105,6 @@ func main() {
 	harden := func(pr filters.Prober, mode filters.DegradeMode) filters.Filter {
 		return filters.Harden(pr, mode, filters.HardenOpts{
 			Breaker: resilience.NewBreaker(pr.Name(), resilience.DefaultBreakerConfig(), clk),
-			Seed:    *faultSeed,
 		})
 	}
 	repCfg := reputation.DefaultConfig()
@@ -388,40 +387,22 @@ func challengeBase(httpAddr string) string {
 	return "http://" + httpAddr
 }
 
-// saveState snapshots the whitelists and reputation counters, logging
-// rather than failing — the mail path must survive a full state disk
-// (or an injected write error), and the atomic save keeps the previous
-// snapshot intact.
-//
-// With a WAL attached this is also the compaction cycle: the cut is
-// sampled BEFORE exporting (mutations journalled during the export
-// replay idempotently on top), the active segment is sealed so the cut
-// lives in a compactable segment, and after a successful save every
-// sealed segment wholly at or below the cut is deleted.
+// saveState snapshots the whitelists and reputation counters through
+// store.Checkpoint, which with a WAL attached is also the compaction
+// cycle. It logs rather than fails — the mail path must survive a full
+// state disk (or an injected write error), and the atomic save keeps
+// the previous snapshot intact.
 func saveState(s *store.Saver, st store.Stores, walLog *wal.Log) {
 	if s.Path == "" {
 		return
 	}
-	var cut uint64
-	if walLog != nil {
-		cut = walLog.LastLSN()
-		if err := walLog.Sync(); err != nil {
-			log.Printf("wal sync before snapshot failed: %v (skipping snapshot)", err)
-			return
-		}
-		if err := walLog.Rotate(); err != nil {
-			log.Printf("wal rotate failed: %v", err)
-		}
+	cut, n, err := store.Checkpoint(walLog, func(cut uint64) error {
+		return s.Save(st, cut, time.Now())
+	})
+	if err != nil {
+		log.Printf("state checkpoint failed: %v", err)
 	}
-	if err := s.Save(st, cut, time.Now()); err != nil {
-		log.Printf("state save failed: %v", err)
-		return
-	}
-	if walLog != nil {
-		if n, err := walLog.CompactThrough(cut); err != nil {
-			log.Printf("wal compaction failed: %v", err)
-		} else if n > 0 {
-			log.Printf("wal: compacted %d sealed segment(s) behind LSN %d", n, cut)
-		}
+	if n > 0 {
+		log.Printf("wal: compacted %d sealed segment(s) behind LSN %d", n, cut)
 	}
 }

@@ -38,12 +38,17 @@ var (
 	errAlreadySolved = errors.New("captcha: challenge already solved")
 	// errWrongAnswer is returned for an incorrect CAPTCHA answer.
 	errWrongAnswer = errors.New("captcha: wrong answer")
-	// errLocked is returned once a challenge used up its attempt budget.
-	// The paper never observed more than five attempts on a solve —
-	// evidence nobody brute-forced the CAPTCHAs — and a lockout is the
-	// corresponding defence if someone tried.
+	// errLocked is returned once a challenge used up its maxAttempts.
 	errLocked = errors.New("captcha: too many failed attempts")
 )
+
+// maxAttempts locks a challenge after this many answer submissions. The
+// paper never observed more than five attempts on a solve (Fig. 4(b)) —
+// evidence nobody brute-forced the CAPTCHAs — and the lock is the
+// corresponding defence if someone tried: every answer lies in 11..107,
+// so without it 97 blind guesses solve any challenge. Locked challenges
+// stay quarantined and can still be rescued from the digest.
+const maxAttempts = 5
 
 // Challenge is the server-side state of one outstanding challenge. It
 // keeps only what no other record holds: the puzzle is two operands, its
@@ -87,12 +92,11 @@ func (c *Challenge) solved() bool { return !c.SolvedAt.IsZero() }
 
 // Service stores challenges and verifies solutions. Safe for concurrent use.
 type Service struct {
-	clk         clock.Clock
-	ttl         time.Duration
-	onSolved    func(ch *Challenge)
-	onVisit     func(ch *Challenge)
-	maxAttempts int
-	rng         *rand.Rand
+	clk      clock.Clock
+	ttl      time.Duration
+	onSolved func(ch *Challenge)
+	onVisit  func(ch *Challenge)
+	rng      *rand.Rand
 
 	mu    sync.Mutex
 	byTok map[string]*Challenge
@@ -116,10 +120,6 @@ type Config struct {
 	// Seed drives puzzle generation; runs with equal seeds issue
 	// identical puzzles (for reproducibility).
 	Seed int64
-	// MaxAttempts locks a challenge after this many answer submissions
-	// (0 = unlimited). Locked challenges stay quarantined and can still
-	// be rescued from the digest.
-	MaxAttempts int
 }
 
 // DefaultTTL is the product's 30-day quarantine window.
@@ -134,13 +134,12 @@ func NewService(cfg Config) *Service {
 		cfg.TTL = DefaultTTL
 	}
 	return &Service{
-		clk:         cfg.Clock,
-		ttl:         cfg.TTL,
-		onSolved:    cfg.OnSolved,
-		onVisit:     cfg.OnVisit,
-		maxAttempts: cfg.MaxAttempts,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		byTok:       make(map[string]*Challenge),
+		clk:      cfg.Clock,
+		ttl:      cfg.TTL,
+		onSolved: cfg.OnSolved,
+		onVisit:  cfg.OnVisit,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		byTok:    make(map[string]*Challenge),
 	}
 }
 
@@ -261,9 +260,9 @@ func (s *Service) Solve(token, answer string) error {
 		s.mu.Unlock()
 		return errAlreadySolved
 	}
-	if s.maxAttempts > 0 && int(ch.Attempts) >= s.maxAttempts {
+	if ch.Attempts >= maxAttempts {
 		s.mu.Unlock()
-		return fmt.Errorf("%w (limit %d)", errLocked, s.maxAttempts)
+		return fmt.Errorf("%w (limit %d)", errLocked, maxAttempts)
 	}
 	ch.Attempts++
 	if strings.TrimSpace(answer) != ch.answer() {

@@ -111,7 +111,17 @@ func TestAnswerWhitespaceTolerant(t *testing.T) {
 
 func TestAttemptLockout(t *testing.T) {
 	clk := clock.NewSim(t0)
-	s := NewService(Config{Clock: clk, MaxAttempts: 5, Seed: 9})
+	s := NewService(Config{Clock: clk, Seed: 9})
+	// Four wrong answers leave the fifth free to solve.
+	early := s.Issue("m-0", rcpt, sendr)
+	for i := 0; i < maxAttempts-1; i++ {
+		if err := s.Solve(early.Token, "wrong"); !errors.Is(err, errWrongAnswer) {
+			t.Fatalf("attempt %d err = %v", i+1, err)
+		}
+	}
+	if ans, _ := s.Answer(early.Token); s.Solve(early.Token, ans) != nil {
+		t.Fatal("fifth attempt with the right answer refused")
+	}
 	ch := s.Issue("m-1", rcpt, sendr)
 	for i := 0; i < 5; i++ {
 		if err := s.Solve(ch.Token, "wrong"); !errors.Is(err, errWrongAnswer) {
@@ -128,20 +138,6 @@ func TestAttemptLockout(t *testing.T) {
 	}
 	if ch.Attempts != 5 {
 		t.Fatalf("attempts = %d, want capped at 5", ch.Attempts)
-	}
-}
-
-func TestNoLockoutByDefault(t *testing.T) {
-	s := newSvc(clock.NewSim(t0), nil)
-	ch := s.Issue("m-1", rcpt, sendr)
-	for i := 0; i < 20; i++ {
-		if err := s.Solve(ch.Token, "wrong"); !errors.Is(err, errWrongAnswer) {
-			t.Fatalf("attempt %d err = %v", i+1, err)
-		}
-	}
-	ans, _ := s.Answer(ch.Token)
-	if err := s.Solve(ch.Token, ans); err != nil {
-		t.Fatalf("unlimited-attempt solve failed: %v", err)
 	}
 }
 
@@ -318,7 +314,7 @@ func TestHTTPHandlerErrors(t *testing.T) {
 
 func TestHTTPHandlerLockout(t *testing.T) {
 	clk := clock.NewSim(t0)
-	s := NewService(Config{Clock: clk, MaxAttempts: 2, Seed: 3})
+	s := NewService(Config{Clock: clk, Seed: 3})
 	ch := s.Issue("m-1", rcpt, sendr)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -331,11 +327,10 @@ func TestHTTPHandlerLockout(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if code := postAnswer("wrong"); code != http.StatusForbidden {
-		t.Fatalf("attempt 1 = %d", code)
-	}
-	if code := postAnswer("wrong"); code != http.StatusForbidden {
-		t.Fatalf("attempt 2 = %d", code)
+	for i := 0; i < maxAttempts; i++ {
+		if code := postAnswer("wrong"); code != http.StatusForbidden {
+			t.Fatalf("attempt %d = %d", i+1, code)
+		}
 	}
 	// Locked: even the correct answer is 429 now.
 	ans, _ := s.Answer(ch.Token)

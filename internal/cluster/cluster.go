@@ -28,40 +28,20 @@ type Item struct {
 	Solved bool
 }
 
-// Config holds the clustering thresholds. The zero value is replaced by
-// the paper's choices.
-type Config struct {
-	// MinWords is the minimum subject length in words (paper: 10).
-	MinWords int
-	// MinSize is the minimum cluster size in messages (paper: 50).
-	MinSize int
-	// SimilarityThreshold splits high- from low-sender-similarity
+// The paper's clustering thresholds (§4.1).
+const (
+	// minWords is the minimum subject length in words (paper: 10).
+	minWords = 10
+	// MinSize is the paper's minimum cluster size in messages; a
+	// scaled-down run passes Build a smaller one.
+	MinSize = 50
+	// similarityThreshold splits high- from low-sender-similarity
 	// clusters.
-	SimilarityThreshold float64
-	// MaxPairs caps the number of sender pairs sampled per cluster when
+	similarityThreshold = 0.55
+	// maxPairs caps the number of sender pairs sampled per cluster when
 	// estimating similarity (full pairwise comparison is quadratic).
-	MaxPairs int
-}
-
-// DefaultConfig returns the paper's thresholds.
-func DefaultConfig() Config {
-	return Config{MinWords: 10, MinSize: 50, SimilarityThreshold: 0.55, MaxPairs: 500}
-}
-
-func (c *Config) fill() {
-	if c.MinWords <= 0 {
-		c.MinWords = 10
-	}
-	if c.MinSize <= 0 {
-		c.MinSize = 50
-	}
-	if c.SimilarityThreshold <= 0 {
-		c.SimilarityThreshold = 0.55
-	}
-	if c.MaxPairs <= 0 {
-		c.MaxPairs = 500
-	}
-}
+	maxPairs = 500
+)
 
 // Cluster is a group of messages sharing a subject.
 type Cluster struct {
@@ -119,32 +99,31 @@ func (c *Cluster) SolvedFraction() float64 {
 	return float64(c.Solved()) / float64(len(c.Items))
 }
 
-// Build groups items into clusters per cfg and computes the sender
-// similarity split. Clusters are returned sorted by size (descending),
-// ties by subject.
-func Build(items []Item, cfg Config) []*Cluster {
-	cfg.fill()
+// Build groups items into clusters of at least minSize messages and
+// computes the sender similarity split. Clusters are returned sorted by
+// size (descending), ties by subject.
+func Build(items []Item, minSize int) []*Cluster {
 	bySubject := make(map[string][]Item)
 	for _, it := range items {
-		if wordCount(it.Subject) < cfg.MinWords {
+		if wordCount(it.Subject) < minWords {
 			continue
 		}
 		bySubject[it.Subject] = append(bySubject[it.Subject], it)
 	}
 	var out []*Cluster
 	for subj, group := range bySubject {
-		if len(group) < cfg.MinSize {
+		if len(group) < minSize {
 			continue
 		}
 		c := &Cluster{Subject: subj, Items: group}
-		c.SenderSimilarity = senderSimilarity(group, cfg.MaxPairs)
+		c.SenderSimilarity = senderSimilarity(group)
 		c.DomainDiversity = domainDiversity(group)
 		c.DistinctSenders = distinctSenders(group)
 		// The paper's first group: "clusters where emails are sent by a
 		// very limited number of senders, or in which the sender
 		// addresses are very similar to each other".
 		c.HighSimilarity = c.DistinctSenders <= 8 ||
-			c.SenderSimilarity >= cfg.SimilarityThreshold
+			c.SenderSimilarity >= similarityThreshold
 		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -171,7 +150,7 @@ func wordCount(s string) int {
 // senderSimilarity estimates the mean pairwise local-part similarity by
 // comparing consecutive pairs plus a deterministic stride sample, capped
 // at maxPairs comparisons.
-func senderSimilarity(items []Item, maxPairs int) float64 {
+func senderSimilarity(items []Item) float64 {
 	if len(items) < 2 {
 		return 1
 	}

@@ -48,7 +48,7 @@ func newsletterItems(n int, subject string, rng *rand.Rand) []Item {
 func TestBuildGroupsBySubject(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	items := append(botnetItems(100, longSubject, rng), botnetItems(80, otherSubject, rng)...)
-	clusters := Build(items, DefaultConfig())
+	clusters := Build(items, MinSize)
 	if len(clusters) != 2 {
 		t.Fatalf("clusters = %d, want 2", len(clusters))
 	}
@@ -61,7 +61,7 @@ func TestBuildGroupsBySubject(t *testing.T) {
 func TestShortSubjectsIgnored(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	items := botnetItems(100, "short subject", rng)
-	if got := Build(items, DefaultConfig()); len(got) != 0 {
+	if got := Build(items, MinSize); len(got) != 0 {
 		t.Fatalf("short-subject cluster formed: %d", len(got))
 	}
 }
@@ -69,11 +69,11 @@ func TestShortSubjectsIgnored(t *testing.T) {
 func TestSmallClustersDiscarded(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	items := botnetItems(49, longSubject, rng)
-	if got := Build(items, DefaultConfig()); len(got) != 0 {
+	if got := Build(items, MinSize); len(got) != 0 {
 		t.Fatalf("sub-threshold cluster kept: %d", len(got))
 	}
 	items = botnetItems(50, longSubject, rng)
-	if got := Build(items, DefaultConfig()); len(got) != 1 {
+	if got := Build(items, MinSize); len(got) != 1 {
 		t.Fatalf("at-threshold cluster dropped")
 	}
 }
@@ -82,7 +82,7 @@ func TestSenderSimilaritySplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	clusters := Build(append(
 		newsletterItems(100, longSubject, rng),
-		botnetItems(100, otherSubject, rng)...), DefaultConfig())
+		botnetItems(100, otherSubject, rng)...), MinSize)
 	if len(clusters) != 2 {
 		t.Fatalf("clusters = %d", len(clusters))
 	}
@@ -118,7 +118,7 @@ func TestClusterCountsAndFractions(t *testing.T) {
 			Solved:  i == 59,
 		})
 	}
-	clusters := Build(items, DefaultConfig())
+	clusters := Build(items, MinSize)
 	if len(clusters) != 1 {
 		t.Fatalf("clusters = %d", len(clusters))
 	}
@@ -138,7 +138,7 @@ func TestSummarize(t *testing.T) {
 	third := "important notice about your account payment statement update required immediately today"
 	items = append(items, botnetItems(75, third, rng)...)
 
-	st := Summarize(Build(items, DefaultConfig()))
+	st := Summarize(Build(items, MinSize))
 	if st.Clusters != 3 {
 		t.Fatalf("clusters = %d", st.Clusters)
 	}
@@ -184,11 +184,12 @@ func TestWordCount(t *testing.T) {
 	}
 }
 
+// TestConfigFillDefaults pins the thresholds to the paper's §4.1
+// choices: subjects of at least 10 words, clusters of at least 50
+// messages.
 func TestConfigFillDefaults(t *testing.T) {
-	var cfg Config
-	cfg.fill()
-	if cfg.MinWords != 10 || cfg.MinSize != 50 || cfg.MaxPairs != 500 {
-		t.Fatalf("fill() = %+v", cfg)
+	if minWords != 10 || MinSize != 50 || maxPairs != 500 {
+		t.Fatalf("thresholds = %d words, %d messages, %d pairs", minWords, MinSize, maxPairs)
 	}
 }
 
@@ -197,8 +198,7 @@ func TestSimilaritySamplingCaps(t *testing.T) {
 	// 10k items must not take quadratic time; just verify it runs and
 	// returns a sane value.
 	items := botnetItems(10000, longSubject, rng)
-	cfg := DefaultConfig()
-	clusters := Build(items, cfg)
+	clusters := Build(items, MinSize)
 	if len(clusters) != 1 {
 		t.Fatal("cluster missing")
 	}
@@ -218,6 +218,6 @@ func BenchmarkBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(items, DefaultConfig())
+		Build(items, MinSize)
 	}
 }

@@ -141,7 +141,6 @@ func newPeer(t *testing.T, name, domain, user string) *crPeer {
 		QuarantineTTL:    30 * 24 * time.Hour,
 		ChallengeFrom:    mail.Address{Local: "challenge", Domain: domain},
 		ChallengeBaseURL: "http://cr." + domain,
-		ChallengeSize:    1800,
 		Seed:             11,
 	}
 	p.eng = New(cfg, p.clk, dns, chain, whitelist.NewStore(p.clk), nil)

@@ -146,6 +146,17 @@ type OutboundChallenge struct {
 // ChallengeSender delivers outbound challenges.
 type ChallengeSender func(ch OutboundChallenge)
 
+// The engine's fixed parameters.
+const (
+	// challengeSize is the on-the-wire size in bytes of one challenge
+	// email with its headers, counted for the RT traffic ratio (the
+	// paper's RT sensor measured sizes from headers).
+	challengeSize = 1800
+	// dnsRetries bounds the in-line resolvability retries before the
+	// DNSDegrade policy applies.
+	dnsRetries = 2
+)
+
 // Config parameterises an Engine.
 type Config struct {
 	// Name identifies the installation in reports (e.g. "company-07").
@@ -165,9 +176,6 @@ type Config struct {
 	ChallengeFrom mail.Address
 	// ChallengeBaseURL is the public base of the CAPTCHA web server.
 	ChallengeBaseURL string
-	// ChallengeSize is the on-the-wire size of one challenge email in
-	// bytes (the paper's RT sensor measured sizes from headers).
-	ChallengeSize int
 	// Seed makes CAPTCHA generation deterministic per installation.
 	Seed int64
 	// MaxChallengesPerHour caps outbound challenge volume (0 = no cap).
@@ -183,9 +191,6 @@ type Config struct {
 	// the whole mail stream; the unresolvable-domain drop (§2) only
 	// applies to authoritative negatives.
 	DNSDegrade filters.DegradeMode
-	// DNSRetries bounds the in-line resolvability retries before the
-	// degradation policy applies (default 2).
-	DNSRetries int
 	// Bodies keeps the body of every message that outlives Receive: the
 	// quarantined ones, and the ones handed to the inbox sink. nil copies
 	// each such body onto the heap, which is right for a caller whose
@@ -466,12 +471,6 @@ func New(cfg Config, clk clock.Clock, resolver dnssim.Resolver, chain *filters.C
 	if cfg.QuarantineTTL <= 0 {
 		cfg.QuarantineTTL = captcha.DefaultTTL
 	}
-	if cfg.ChallengeSize <= 0 {
-		cfg.ChallengeSize = 1800 // typical challenge email incl. headers
-	}
-	if cfg.DNSRetries <= 0 {
-		cfg.DNSRetries = 2
-	}
 	e := &Engine{
 		cfg:              cfg,
 		clk:              clk,
@@ -728,7 +727,7 @@ func (e *Engine) checkMTAIn(msg *mail.Message) (reason MTAReason, degraded bool)
 // the DNSDegrade policy decides (degraded=true): fail-open treats the
 // domain as resolvable, fail-closed as unresolvable.
 func (e *Engine) resolverOK(domain string) (ok, degraded bool) {
-	attempts := e.cfg.DNSRetries + 1
+	attempts := dnsRetries + 1
 	for i := 0; i < attempts; i++ {
 		ok, err := e.resolver.ResolvableErr(domain)
 		if err == nil {
@@ -1050,7 +1049,7 @@ func (e *Engine) challengeOrQuarantine(msg *mail.Message) {
 	e.addQuarLocked(q)
 	e.mu.Unlock()
 	e.c.challengesSent.Add(1)
-	e.c.challengeBytes.Add(int64(e.cfg.ChallengeSize))
+	e.c.challengeBytes.Add(challengeSize)
 
 	if e.logging() {
 		e.emit(maillog.KindChallenge, msg.ID, "to", msg.EnvelopeFrom.Key())
@@ -1065,7 +1064,7 @@ func (e *Engine) challengeOrQuarantine(msg *mail.Message) {
 			ClientIP: msg.ClientIP,
 			Subject:  msg.Subject,
 			URL:      e.captcha.URL(e.cfg.ChallengeBaseURL, ch.Token),
-			Size:     e.cfg.ChallengeSize,
+			Size:     challengeSize,
 			Issued:   e.clk.Now(),
 		})
 	}

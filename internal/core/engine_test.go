@@ -60,7 +60,6 @@ func newFaultedEnv(t *testing.T, openRelay bool, plan *faults.Plan, seed int64) 
 		QuarantineTTL:    30 * 24 * time.Hour,
 		ChallengeFrom:    mail.MustParseAddress("challenge@corp.example"),
 		ChallengeBaseURL: "http://cr.corp.example",
-		ChallengeSize:    1800,
 		Seed:             7,
 	}
 	e.eng = New(cfg, e.clk, resolver, chain, wl, nil)

@@ -238,21 +238,13 @@ func CrashRestart(seed int64, crashes int) (*CrashRestartReport, error) {
 		clk.Advance(time.Duration(1+rng.Intn(600)) * time.Second)
 	}
 
-	// snapshotCycle is the server's saveState protocol: cut sampled
-	// before the export, active segment sealed, snapshot saved, sealed
-	// segments behind the cut deleted.
+	// snapshotCycle is the server's checkpoint: cut sampled before the
+	// export, active segment sealed, snapshot saved, sealed segments
+	// behind the cut deleted.
 	snapshotCycle := func() error {
-		cut := live.log.LastLSN()
-		if err := live.log.Sync(); err != nil {
-			return err
-		}
-		if err := live.log.Rotate(); err != nil {
-			return err
-		}
-		if err := store.SaveFile(live.snapPath(), "crash-restart", live.st, cut, clk.Now()); err != nil {
-			return err
-		}
-		_, err := live.log.CompactThrough(cut)
+		_, _, err := store.Checkpoint(live.log, func(cut uint64) error {
+			return store.SaveFile(live.snapPath(), "crash-restart", live.st, cut, clk.Now())
+		})
 		return err
 	}
 

@@ -71,7 +71,7 @@ func Clustering(r *Run) ClusteringResult {
 	if out.TruthBounced > 0 {
 		out.BounceAgreement = float64(out.ObservedBounced) / float64(out.TruthBounced)
 	}
-	cfg := cluster.DefaultConfig()
+	minSize := cluster.MinSize
 	// Scaled-down runs produce proportionally smaller campaigns; keep
 	// the paper's >=10-word rule but scale the >=50-message threshold
 	// with volume so the same campaigns qualify. The items clustered here
@@ -79,9 +79,9 @@ func Clustering(r *Run) ClusteringResult {
 	// sender, so cluster sizes grow sub-linearly in volume — scale the
 	// threshold less than proportionally.
 	if r.Cfg.VolumeScale < 1 {
-		cfg.MinSize = max(10, int(50*r.Cfg.VolumeScale*3))
+		minSize = max(10, int(cluster.MinSize*r.Cfg.VolumeScale*3))
 	}
-	clusters := cluster.Build(items, cfg)
+	clusters := cluster.Build(items, minSize)
 	out.Stats = cluster.Summarize(clusters)
 
 	for _, id := range r.Fleet.Delayed().ChallengeIDs {

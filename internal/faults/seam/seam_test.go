@@ -294,7 +294,7 @@ func TestAntivirusConsultsOnceBeforeEachProbe(t *testing.T) {
 		t.Fatal("a failed scan still reached the scanner")
 	}
 	// The hardened chain turns the backend error into fail-closed.
-	h := filters.Harden(av, filters.FailClosed, filters.HardenOpts{Seed: 1})
+	h := filters.Harden(av, filters.FailClosed, filters.HardenOpts{})
 	if r, degraded := h.Run(clean); !degraded || r.Verdict != filters.Drop {
 		t.Fatalf("hardened scan = %+v degraded=%v", r, degraded)
 	}

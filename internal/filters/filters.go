@@ -312,37 +312,35 @@ func (f *Reputation) Probe(msg *mail.Message) (Result, error) {
 	return Result{Verdict: Pass}, nil
 }
 
+// probeAttempts bounds the calls Hardened.Run makes to a failing probe
+// for one message. The attempts follow each other at once: a filter
+// runs inside an SMTP transaction, which has no time to wait out an
+// outage, and the breaker and the DegradeMode handle the outages that
+// three attempts do not absorb.
+const probeAttempts = 3
+
 // Hardened wraps a Prober with the full degradation path: a circuit
-// breaker guarding the dependency, bounded retries with jittered backoff
-// for transient errors, and an explicit DegradeMode for when both give
-// up. It is safe for concurrent use.
+// breaker guarding the dependency, up to probeAttempts immediate
+// attempts for transient errors, and an explicit DegradeMode for when
+// both give up. It is safe for concurrent use.
 type Hardened struct {
 	inner   Prober
 	mode    DegradeMode
 	breaker *resilience.Breaker
-	retrier *resilience.Retrier
 }
 
-// HardenOpts parameterises Harden. Zero values get sensible defaults.
+// HardenOpts parameterises Harden.
 type HardenOpts struct {
-	// Breaker guards the dependency; nil builds one from
-	// resilience.DefaultBreakerConfig (requires Clock).
+	// Breaker guards the dependency; nil runs without one.
 	Breaker *resilience.Breaker
-	// Retrier bounds in-line retries; nil builds a 3-attempt retrier
-	// with the default backoff and no sleeping (safe in simulation).
-	Retrier *resilience.Retrier
-	// Seed seeds the default retrier's jitter source.
+	// Seed is read by nothing: the attempts are immediate, so there is
+	// no jitter to draw. benchmark/layers still sets it.
 	Seed int64
 }
 
 // Harden wraps inner with the given degradation policy.
 func Harden(inner Prober, mode DegradeMode, opts HardenOpts) *Hardened {
-	br := opts.Breaker
-	rt := opts.Retrier
-	if rt == nil {
-		rt = resilience.NewRetrier(3, resilience.DefaultBackoff(), opts.Seed)
-	}
-	return &Hardened{inner: inner, mode: mode, breaker: br, retrier: rt}
+	return &Hardened{inner: inner, mode: mode, breaker: opts.Breaker}
 }
 
 // Name implements Filter (the wrapper is transparent in reports).
@@ -361,18 +359,21 @@ func (h *Hardened) Check(msg *mail.Message) Result {
 // (unguarded) probe; the guarded path is Run.
 func (h *Hardened) Probe(msg *mail.Message) (Result, error) { return h.inner.Probe(msg) }
 
-// Run evaluates the filter behind the breaker and retrier. degraded is
-// true when the dependency stayed unavailable and the returned Result is
-// the policy's fallback (Pass for FailOpen, Drop for FailClosed).
+// Run evaluates the filter behind the breaker, probing up to
+// probeAttempts times and recording one outcome with the breaker.
+// degraded is true when the dependency stayed unavailable and the
+// returned Result is the policy's fallback (Pass for FailOpen, Drop for
+// FailClosed).
 func (h *Hardened) Run(msg *mail.Message) (r Result, degraded bool) {
 	if h.breaker != nil && !h.breaker.Allow() {
 		return h.fallback(), true
 	}
-	err := h.retrier.Do(func() error {
-		var perr error
-		r, perr = h.inner.Probe(msg)
-		return perr
-	})
+	var err error
+	for i := 0; i < probeAttempts; i++ {
+		if r, err = h.inner.Probe(msg); err == nil {
+			break
+		}
+	}
 	if h.breaker != nil {
 		h.breaker.Record(err)
 	}

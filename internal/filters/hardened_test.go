@@ -63,7 +63,7 @@ func (r *downResolver) LookupPTR(ip string) (string, error) {
 
 func TestHardenedRetriesAbsorbTransientFaults(t *testing.T) {
 	fp := &flakyProber{name: "dep", failures: 2, err: errors.New("flap")}
-	h := Harden(fp, FailOpen, HardenOpts{Seed: 1})
+	h := Harden(fp, FailOpen, HardenOpts{})
 	r, degraded := h.Run(msgFrom("192.0.2.1", "a@b.example"))
 	if degraded || r.Verdict != Pass {
 		t.Fatalf("2 transient failures not absorbed by 3 attempts: %+v degraded=%v", r, degraded)
@@ -75,16 +75,22 @@ func TestHardenedRetriesAbsorbTransientFaults(t *testing.T) {
 
 func TestHardenedFailOpenVsFailClosed(t *testing.T) {
 	persistent := errors.New("down")
-	open := Harden(&flakyProber{name: "advisory", failures: 1 << 30, err: persistent}, FailOpen, HardenOpts{Seed: 1})
+	advisory := &flakyProber{name: "advisory", failures: 1 << 30, err: persistent}
+	open := Harden(advisory, FailOpen, HardenOpts{})
 	r, degraded := open.Run(msgFrom("192.0.2.1", "a@b.example"))
 	if !degraded || r.Verdict != Pass {
 		t.Fatalf("fail-open: %+v degraded=%v", r, degraded)
 	}
 
-	closed := Harden(&flakyProber{name: "scanner", failures: 1 << 30, err: persistent}, FailClosed, HardenOpts{Seed: 1})
+	scanner := &flakyProber{name: "scanner", failures: 1 << 30, err: persistent}
+	closed := Harden(scanner, FailClosed, HardenOpts{})
 	r, degraded = closed.Run(msgFrom("192.0.2.1", "a@b.example"))
 	if !degraded || r.Verdict != Drop {
 		t.Fatalf("fail-closed: %+v degraded=%v", r, degraded)
+	}
+	// Each message probes a dead dependency exactly three times.
+	if advisory.probes != 3 || scanner.probes != 3 {
+		t.Fatalf("probes per message = %d (open), %d (closed), want 3", advisory.probes, scanner.probes)
 	}
 }
 
@@ -92,7 +98,7 @@ func TestHardenedBreakerShortCircuits(t *testing.T) {
 	clk := clock.NewSim(t0)
 	fp := &flakyProber{name: "dep", failures: 1 << 30, err: errors.New("down")}
 	br := resilience.NewBreaker("dep", resilience.BreakerConfig{FailureThreshold: 2, OpenTimeout: time.Minute}, clk)
-	h := Harden(fp, FailOpen, HardenOpts{Breaker: br, Seed: 1})
+	h := Harden(fp, FailOpen, HardenOpts{Breaker: br})
 	m := msgFrom("192.0.2.1", "a@b.example")
 	h.Run(m)
 	h.Run(m) // trips after 2 consecutive (post-retry) failures
@@ -126,7 +132,7 @@ func TestChainRunRecordsDegradations(t *testing.T) {
 
 	chain := NewChain(
 		NewAntivirus(),
-		Harden(NewRBL(backend), FailOpen, HardenOpts{Seed: 1}),
+		Harden(NewRBL(backend), FailOpen, HardenOpts{}),
 	)
 	o := chain.Run(msgFrom("198.51.100.66", "a@b.example"))
 	if o.Result.Verdict != Pass || o.DroppedBy != "" {

@@ -44,32 +44,23 @@ func (v Verdict) String() string {
 	return "accept"
 }
 
-// Config parameterises a Store.
-type Config struct {
-	// Delay is the minimum age of a tuple before a retry is accepted
+// The greylist's timers, common production settings.
+const (
+	// delay is the minimum age of a tuple before a retry is accepted
 	// (typical deployments use 5–30 minutes).
-	Delay time.Duration
-	// Window is how long a greylisted tuple waits for its retry; with no
-	// retry within the window the tuple is forgotten.
-	Window time.Duration
-	// PassTTL is how long a passed tuple stays whitelisted (subsequent
+	delay = 15 * time.Minute
+	// window is how long a greylisted tuple waits for its retry; with
+	// no retry within the window the tuple is forgotten.
+	window = 24 * time.Hour
+	// passTTL is how long a passed tuple stays whitelisted (subsequent
 	// deliveries are accepted immediately).
-	PassTTL time.Duration
-}
-
-// DefaultConfig mirrors common production settings.
-func DefaultConfig() Config {
-	return Config{
-		Delay:   15 * time.Minute,
-		Window:  24 * time.Hour,
-		PassTTL: 36 * 24 * time.Hour,
-	}
-}
+	passTTL = 36 * 24 * time.Hour
+)
 
 // Stats counts greylisting outcomes.
 type Stats struct {
 	FirstSeen   int64 // tuples temp-rejected on first contact
-	EarlyRetry  int64 // retries before Delay elapsed (still rejected)
+	EarlyRetry  int64 // retries before delay elapsed (still rejected)
 	Passed      int64 // retries that promoted the tuple
 	KnownAccept int64 // deliveries on already-passed tuples
 }
@@ -82,7 +73,6 @@ type entry struct {
 
 // Store is the greylist database. Safe for concurrent use.
 type Store struct {
-	cfg Config
 	clk clock.Clock
 
 	mu      sync.Mutex
@@ -92,17 +82,8 @@ type Store struct {
 }
 
 // New returns an empty greylist.
-func New(cfg Config, clk clock.Clock) *Store {
-	if cfg.Delay <= 0 {
-		cfg.Delay = 15 * time.Minute
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 24 * time.Hour
-	}
-	if cfg.PassTTL <= 0 {
-		cfg.PassTTL = 36 * 24 * time.Hour
-	}
-	return &Store{cfg: cfg, clk: clk, tuples: make(map[string]*entry)}
+func New(clk clock.Clock) *Store {
+	return &Store{clk: clk, tuples: make(map[string]*entry)}
 }
 
 // key builds the greylisting tuple: the client's /24 network (retries
@@ -137,7 +118,7 @@ func (s *Store) Check(clientIP string, from, to mail.Address) Verdict {
 		return TempReject
 	}
 	if !e.passedAt.IsZero() {
-		if now.Sub(e.passedAt) <= s.cfg.PassTTL {
+		if now.Sub(e.passedAt) <= passTTL {
 			s.stats.KnownAccept++
 			e.passedAt = now // sliding TTL
 			return Accept
@@ -150,11 +131,11 @@ func (s *Store) Check(clientIP string, from, to mail.Address) Verdict {
 	}
 	age := now.Sub(e.firstSeen)
 	switch {
-	case age < s.cfg.Delay:
+	case age < delay:
 		// No state change.
 		s.stats.EarlyRetry++
 		return TempReject
-	case age > s.cfg.Window:
+	case age > window:
 		// The retry came absurdly late; treat as first contact.
 		e.firstSeen = now
 		s.stats.FirstSeen++
@@ -176,9 +157,9 @@ func (s *Store) maybeSweep(now time.Time) {
 	for k, e := range s.tuples {
 		stale := false
 		if e.passedAt.IsZero() {
-			stale = now.Sub(e.firstSeen) > s.cfg.Window
+			stale = now.Sub(e.firstSeen) > window
 		} else {
-			stale = now.Sub(e.passedAt) > s.cfg.PassTTL
+			stale = now.Sub(e.passedAt) > passTTL
 		}
 		if stale {
 			delete(s.tuples, k)

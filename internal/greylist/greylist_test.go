@@ -18,7 +18,7 @@ var (
 )
 
 func newStore(clk clock.Clock) *Store {
-	return New(Config{Delay: 15 * time.Minute, Window: 24 * time.Hour, PassTTL: 36 * 24 * time.Hour}, clk)
+	return New(clk)
 }
 
 func TestFirstContactTempRejected(t *testing.T) {
@@ -98,13 +98,13 @@ func TestWindowExpiryRestarts(t *testing.T) {
 
 func TestPassTTLExpiry(t *testing.T) {
 	clk := clock.NewSim(t0)
-	g := New(Config{Delay: time.Minute, Window: time.Hour, PassTTL: 48 * time.Hour}, clk)
+	g := newStore(clk)
 	g.Check("192.0.2.1", alice, bob)
-	clk.Advance(2 * time.Minute)
+	clk.Advance(delay + time.Minute)
 	if g.Check("192.0.2.1", alice, bob) != Accept {
 		t.Fatal("promotion failed")
 	}
-	clk.Advance(49 * time.Hour) // pass expired
+	clk.Advance(passTTL + time.Hour) // pass expired
 	if v := g.Check("192.0.2.1", alice, bob); v != TempReject {
 		t.Fatal("expired pass still accepted")
 	}
@@ -133,12 +133,12 @@ func TestDistinctTuplesIndependent(t *testing.T) {
 
 func TestSweepDropsStaleTuples(t *testing.T) {
 	clk := clock.NewSim(t0)
-	g := New(Config{Delay: time.Minute, Window: time.Hour, PassTTL: 24 * time.Hour}, clk)
+	g := newStore(clk)
 	for i := 0; i < 50; i++ {
 		from := mail.Address{Local: fmt.Sprintf("s%d", i), Domain: "spam.example"}
 		g.Check("100.64.0.9", from, bob) // never retried
 	}
-	clk.Advance(3 * time.Hour)
+	clk.Advance(window + 2*time.Hour)
 	g.Check("192.0.2.1", alice, bob) // triggers the hourly sweep
 	if got := g.Len(); got != 1 {
 		t.Fatalf("tuples after sweep = %d, want 1", got)

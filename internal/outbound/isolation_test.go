@@ -41,16 +41,6 @@ func (d *darkInjector) Decide(target string, _ time.Duration) faults.Decision {
 	return faults.Decision{}
 }
 
-// flatSchedule is an n-rung retry ladder of equal waits: enough rungs
-// that nothing expires during a breaker-lifecycle test.
-func flatSchedule(n int, wait time.Duration) []time.Duration {
-	out := make([]time.Duration, n)
-	for i := range out {
-		out[i] = wait
-	}
-	return out
-}
-
 // sentTo counts smarthost deliveries per destination domain.
 func sentTo(sh *smarthost) map[string]int {
 	sh.mu.Lock()
@@ -108,6 +98,10 @@ func TestDarkDomainDoesNotStallHealthy(t *testing.T) {
 	}
 }
 
+// day is past every rung of resilience.MTARetrySchedule and the
+// breaker's open window, so a flush a day later finds every timer due.
+const day = 25 * time.Hour
+
 // TestDarkDomainBreakerLifecycle drives one domain's circuit breaker
 // through closed → open → half-open (single probe) → closed on a
 // virtual clock.
@@ -118,39 +112,41 @@ func TestDarkDomainBreakerLifecycle(t *testing.T) {
 	inj.set("dark.example", true)
 	dials := 0
 	q := NewQueue(Config{
-		Dial:          func() (*smtp.Client, error) { dials++; return smtp.Dial(addr, 2*time.Second) },
-		HeloDomain:    "cr.corp.example",
-		Injector:      inj,
-		RetrySchedule: flatSchedule(10, time.Minute),
-		Breaker:       resilience.BreakerConfig{FailureThreshold: 3, OpenTimeout: 5 * time.Minute, HalfOpenProbes: 1},
-		Now:           func() time.Time { return now },
+		Dial:       func() (*smtp.Client, error) { dials++; return smtp.Dial(addr, 2*time.Second) },
+		HeloDomain: "cr.corp.example",
+		Injector:   inj,
+		Now:        func() time.Time { return now },
 	})
 	for i := 0; i < 4; i++ {
 		q.Enqueue(challengeTo(fmt.Sprintf("victim%d@dark.example", i)))
 	}
 
-	// Three failing rounds trip the breaker (each round attempts one
+	// Five failing rounds trip the breaker (each round attempts one
 	// item, fails on the domain fault, and abandons the batch).
-	for i := 0; i < 3; i++ {
+	threshold := resilience.DefaultBreakerConfig().FailureThreshold
+	for i := 0; i < threshold; i++ {
+		if i > 0 {
+			now = now.Add(day)
+		}
 		if _, err := q.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		now = now.Add(2 * time.Minute)
 	}
 	ds := q.DomainStats()
 	if len(ds) != 1 || ds[0].Domain != "dark.example" {
 		t.Fatalf("domains = %+v", ds)
 	}
-	if ds[0].Breaker.State != resilience.Open || ds[0].Breaker.Trips != 1 || ds[0].FailStreak != 3 {
-		t.Fatalf("after 3 failures: %+v", ds[0].Breaker)
+	if ds[0].Breaker.State != resilience.Open || ds[0].Breaker.Trips != 1 || ds[0].FailStreak != threshold {
+		t.Fatalf("after %d failures: %+v", threshold, ds[0])
 	}
 	if ds[0].LastError == "" || ds[0].RetryAt.IsZero() {
 		t.Fatalf("ledger missing error state: %+v", ds[0])
 	}
 
-	// While open the domain is skipped entirely — not even a dial.
+	// While open the domain is skipped entirely — not even a dial, even
+	// by a FlushAll, which ignores the retry ladder.
 	dials = 0
-	if _, err := q.Flush(); err != nil {
+	if _, err := q.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	if dials != 0 {
@@ -159,7 +155,7 @@ func TestDarkDomainBreakerLifecycle(t *testing.T) {
 
 	// Past the open window a healed domain gets exactly one probe.
 	inj.set("dark.example", false)
-	now = now.Add(6 * time.Minute)
+	now = now.Add(day)
 	if _, err := q.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +168,7 @@ func TestDarkDomainBreakerLifecycle(t *testing.T) {
 	}
 
 	// Closed again: the rest of the backlog drains in one flush.
-	now = now.Add(2 * time.Minute)
+	now = now.Add(day)
 	if _, err := q.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -192,26 +188,28 @@ func TestHalfOpenProbeFailureReopens(t *testing.T) {
 	inj := &darkInjector{}
 	inj.set("dark.example", true)
 	q := NewQueue(Config{
-		Dial:          func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
-		HeloDomain:    "cr.corp.example",
-		Injector:      inj,
-		RetrySchedule: flatSchedule(10, time.Minute),
-		Breaker:       resilience.BreakerConfig{FailureThreshold: 2, OpenTimeout: 5 * time.Minute, HalfOpenProbes: 1},
-		Now:           func() time.Time { return now },
+		Dial:       func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
+		HeloDomain: "cr.corp.example",
+		Injector:   inj,
+		Now:        func() time.Time { return now },
 	})
 	q.Enqueue(challengeTo("victim@dark.example"))
 	q.Enqueue(challengeTo("victim2@dark.example"))
-	for i := 0; i < 2; i++ {
+	for i := 0; i < resilience.DefaultBreakerConfig().FailureThreshold; i++ {
+		if i > 0 {
+			now = now.Add(day)
+		}
 		if _, err := q.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		now = now.Add(2 * time.Minute)
 	}
 	if st := q.DomainStats()[0].Breaker; st.State != resilience.Open {
 		t.Fatalf("breaker = %+v, want open", st)
 	}
 	// Probe while still dark: breaker must trip straight back to open.
-	now = now.Add(6 * time.Minute)
+	// The probe is the first challenge's sixth attempt, past the last
+	// rung, so it expires; the second was never attempted and waits.
+	now = now.Add(day)
 	if _, err := q.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -219,38 +217,8 @@ func TestHalfOpenProbeFailureReopens(t *testing.T) {
 	if st.State != resilience.Open || st.Trips != 2 {
 		t.Fatalf("after failed probe: %+v", st)
 	}
-	if got := q.Stats()[StatusQueued]; got != 2 {
-		t.Fatalf("queued = %d, want 2 (nothing lost)", got)
-	}
-}
-
-// TestPerDomainInFlightBound caps how much of one domain's backlog a
-// single flush attempts.
-func TestPerDomainInFlightBound(t *testing.T) {
-	sh, addr := startSmarthost(t)
-	q := NewQueue(Config{
-		Dial:                 func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
-		HeloDomain:           "cr.corp.example",
-		MaxPerDomainInFlight: 2,
-	})
-	for i := 0; i < 5; i++ {
-		q.Enqueue(challengeTo(fmt.Sprintf("u%d@big.example", i)))
-	}
-	q.Enqueue(challengeTo("only@small.example"))
-	if _, err := q.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got := sentTo(sh)
-	if got["big.example"] != 2 || got["small.example"] != 1 {
-		t.Fatalf("first flush delivered %v, want big:2 small:1", got)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := q.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := q.Stats()[StatusSent]; got != 6 {
-		t.Fatalf("sent = %d, want all 6", got)
+	if got := q.Stats(); got[StatusQueued] != 1 || got[StatusExpired] != 1 {
+		t.Fatalf("stats = %v, want 1 queued (untouched) and 1 expired", got)
 	}
 }
 

@@ -18,10 +18,16 @@
 //     loses zero acked challenges: store.Recover rebuilds the pending
 //     spool, and a queue built over it delivers them on its next Flush.
 //   - Per-destination-domain isolation: each destination domain gets
-//     its own health ledger (a consecutive-failure circuit breaker, an
-//     independent retry ladder and a bounded per-flush in-flight
-//     batch), so one dead or RBL-listed destination MX cannot starve
-//     retries or head-of-line-block delivery to healthy domains.
+//     its own health ledger (a consecutive-failure circuit breaker and
+//     an independent retry ladder), so one dead or RBL-listed
+//     destination MX cannot starve retries or head-of-line-block
+//     delivery to healthy domains.
+//
+// Items and domains both retry on resilience.MTARetrySchedule: an item
+// expires after len(MTARetrySchedule)+1 attempts, and after k
+// consecutive domain-level failures the whole domain waits the k-th rung
+// (capped at the last) before its next batch. Each domain's breaker
+// takes resilience.DefaultBreakerConfig.
 package outbound
 
 import (
@@ -78,15 +84,6 @@ type Config struct {
 	Dial Dialer
 	// HeloDomain is announced on each session.
 	HeloDomain string
-	// RetrySchedule are the waits between attempts; when exhausted the
-	// item expires. Defaults to resilience.MTARetrySchedule. The same
-	// ladder paces a failing destination domain: after k consecutive
-	// domain-level failures, the whole domain waits RetrySchedule[k-1]
-	// (capped at the last rung) before its next batch.
-	RetrySchedule []time.Duration
-	// MaxAttempts caps delivery attempts per item regardless of the
-	// schedule length; 0 means len(RetrySchedule)+1.
-	MaxAttempts int
 	// Injector is an optional fault source consulted on the smarthost
 	// path. Target "smarthost-dial" is decided once per session before
 	// the dial and any fault fails the whole session; target "smarthost"
@@ -112,14 +109,6 @@ type Config struct {
 	// Journal appends one WAL record and returns its LSN (0 = dropped).
 	// Wire it to (*wal.Journal).Emit; nil runs the spool unjournalled.
 	Journal func(wal.Record) uint64
-	// Breaker parameterises the per-domain circuit breakers; zero
-	// values take resilience defaults (5 consecutive failures to open,
-	// 30s open window, 1 half-open probe).
-	Breaker resilience.BreakerConfig
-	// MaxPerDomainInFlight bounds how many items of one destination
-	// domain a single Flush attempts (0 = unbounded). A domain in
-	// half-open always gets exactly one probe item.
-	MaxPerDomainInFlight int
 }
 
 // domainLedger is the per-destination-domain health state: the circuit
@@ -175,12 +164,6 @@ func NewQueue(cfg Config) *Queue {
 	if cfg.HeloDomain == "" {
 		cfg.HeloDomain = "cr.invalid"
 	}
-	if len(cfg.RetrySchedule) == 0 {
-		cfg.RetrySchedule = resilience.MTARetrySchedule
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = len(cfg.RetrySchedule) + 1
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -216,7 +199,7 @@ func (q *Queue) ledgerLocked(domain string) *domainLedger {
 	led, ok := q.domains[domain]
 	if !ok {
 		led = &domainLedger{
-			breaker: resilience.NewBreaker("outbound:"+domain, q.cfg.Breaker, nowClock{q.cfg.Now}),
+			breaker: resilience.NewBreaker(domain, resilience.DefaultBreakerConfig(), nowClock{q.cfg.Now}),
 		}
 		q.domains[domain] = led
 	}
@@ -339,8 +322,6 @@ func (q *Queue) flush(ignoreSchedule bool) (terminal int, err error) {
 		if led.breaker.State() == resilience.HalfOpen {
 			g.probed = true
 			g.items = g.items[:1]
-		} else if q.cfg.MaxPerDomainInFlight > 0 && len(g.items) > q.cfg.MaxPerDomainInFlight {
-			g.items = g.items[:q.cfg.MaxPerDomainInFlight]
 		}
 		groups = append(groups, g)
 	}
@@ -456,12 +437,12 @@ func (q *Queue) fail(it *spool.Item, class string, err error, now time.Time) {
 	it.LastClass = class
 	it.LastError = class + ": " + err.Error()
 	idx := it.Attempts - 1
-	if it.Attempts >= q.cfg.MaxAttempts || idx >= len(q.cfg.RetrySchedule) {
+	if idx >= len(resilience.MTARetrySchedule) {
 		it.Status = StatusExpired
 		q.rec.Terminal(now, it.Challenge.MsgID, it.Status, it.LastClass, it.LastError, it.Attempts)
 		return
 	}
-	it.NextTry = now.Add(q.cfg.RetrySchedule[idx])
+	it.NextTry = now.Add(resilience.MTARetrySchedule[idx])
 	q.rec.Attempt(now, it.Challenge.MsgID, it.LastClass, it.LastError, it.Attempts, it.NextTry)
 }
 
@@ -479,10 +460,10 @@ func (q *Queue) domainOutcomeLocked(g *domGroup, it *spool.Item, now time.Time, 
 	} else {
 		led.failStreak++
 		idx := led.failStreak - 1
-		if idx >= len(q.cfg.RetrySchedule) {
-			idx = len(q.cfg.RetrySchedule) - 1
+		if idx >= len(resilience.MTARetrySchedule) {
+			idx = len(resilience.MTARetrySchedule) - 1
 		}
-		led.retryAt = now.Add(q.cfg.RetrySchedule[idx])
+		led.retryAt = now.Add(resilience.MTARetrySchedule[idx])
 		led.lastError = it.LastError
 	}
 	switch it.Status {

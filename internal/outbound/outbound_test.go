@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/mail"
+	"repro/internal/resilience"
 	"repro/internal/smtp"
 	"repro/internal/spool"
 	"repro/internal/wal"
@@ -180,30 +181,28 @@ func TestTemporaryRejectionRetriesAndExpires(t *testing.T) {
 
 	now := time.Date(2010, 7, 1, 0, 0, 0, 0, time.UTC)
 	q := NewQueue(Config{
-		Dial:          func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
-		HeloDomain:    "cr.corp.example",
-		RetrySchedule: []time.Duration{time.Minute, time.Minute},
-		Now:           func() time.Time { return now },
+		Dial:       func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
+		HeloDomain: "cr.corp.example",
+		Now:        func() time.Time { return now },
 	})
 	q.Enqueue(challengeTo("busy@example.com"))
 
-	// Attempt 1: rescheduled.
-	if n, err := q.Flush(); err != nil || n != 0 {
-		t.Fatalf("flush1 = %d, %v", n, err)
+	// One attempt per rung of the ladder, each rescheduled by its wait.
+	for i, wait := range resilience.MTARetrySchedule {
+		if n, err := q.Flush(); err != nil || n != 0 {
+			t.Fatalf("flush %d = %d, %v", i+1, n, err)
+		}
+		if q.Stats()[StatusQueued] != 1 {
+			t.Fatalf("stats after flush %d = %v", i+1, q.Stats())
+		}
+		// Not due yet: Flush is a no-op.
+		now = now.Add(wait - time.Second)
+		if n, _ := q.Flush(); n != 0 || q.Stats()[StatusQueued] != 1 {
+			t.Fatalf("premature retry before rung %d", i+1)
+		}
+		now = now.Add(time.Second)
 	}
-	if q.Stats()[StatusQueued] != 1 {
-		t.Fatalf("stats after flush1 = %v", q.Stats())
-	}
-	// Not due yet: Flush is a no-op.
-	if n, _ := q.Flush(); n != 0 {
-		t.Fatalf("premature retry")
-	}
-	// Attempt 2 and 3: second reschedule, then expiry.
-	now = now.Add(2 * time.Minute)
-	if _, err := q.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(2 * time.Minute)
+	// The attempt after the last rung expires the challenge.
 	if n, err := q.Flush(); err != nil || n != 1 {
 		t.Fatalf("final flush = %d, %v", n, err)
 	}
@@ -328,20 +327,19 @@ func TestExpiredItemRecordsExhaustingClass(t *testing.T) {
 	now := time.Date(2010, 7, 1, 0, 0, 0, 0, time.UTC)
 	tap := &journalTap{}
 	q := NewQueue(Config{
-		Dial:          func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
-		HeloDomain:    "cr.corp.example",
-		RetrySchedule: []time.Duration{time.Minute},
-		Now:           func() time.Time { return now },
-		Journal:       tap.emit,
+		Dial:       func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
+		HeloDomain: "cr.corp.example",
+		Now:        func() time.Time { return now },
+		Journal:    tap.emit,
 	})
 	ch := challengeTo("busy@example.com")
 	q.Enqueue(ch)
-	if _, err := q.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(2 * time.Minute)
-	if _, err := q.Flush(); err != nil {
-		t.Fatal(err)
+	attempts := len(resilience.MTARetrySchedule) + 1
+	for i := 0; i < attempts; i++ {
+		if _, err := q.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		now = now.Add(25 * time.Hour) // past every rung
 	}
 	if st := q.Stats(); st[StatusExpired] != 1 || q.SpoolDepth() != 0 {
 		t.Fatalf("stats = %v, depth %d; want the one challenge expired", st, q.SpoolDepth())
@@ -350,31 +348,8 @@ func TestExpiredItemRecordsExhaustingClass(t *testing.T) {
 	if r.Op != wal.OpSpoolExpired || r.Origin != ClassTempfail || !strings.HasPrefix(r.Blob, "tempfail:") {
 		t.Errorf("expiry record lost its error class: op=%v class=%q err=%q", r.Op, r.Origin, r.Blob)
 	}
-}
-
-func TestMaxAttemptsCapsRetrySchedule(t *testing.T) {
-	sh, addr := startSmarthost(t)
-	sh.tempFail[mail.MustParseAddress("busy@example.com").Key()] = true
-	now := time.Date(2010, 7, 1, 0, 0, 0, 0, time.UTC)
-	tap := &journalTap{}
-	q := NewQueue(Config{
-		Dial:          func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
-		HeloDomain:    "cr.corp.example",
-		RetrySchedule: []time.Duration{time.Minute, time.Minute, time.Minute, time.Minute},
-		MaxAttempts:   2,
-		Now:           func() time.Time { return now },
-		Journal:       tap.emit,
-	})
-	ch := challengeTo("busy@example.com")
-	q.Enqueue(ch)
-	for i := 0; i < 5; i++ {
-		if _, err := q.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		now = now.Add(2 * time.Minute)
-	}
-	if r := tap.last(ch.MsgID); r.Op != wal.OpSpoolExpired || r.Value != 2 {
-		t.Fatalf("last record op=%v attempts=%d, want expired after 2", r.Op, r.Value)
+	if r.Value != int64(attempts) {
+		t.Errorf("expired after %d attempts, want %d", r.Value, attempts)
 	}
 }
 

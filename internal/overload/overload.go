@@ -53,6 +53,16 @@ const (
 	ReasonDraining Reason = "draining"
 )
 
+// The AIMD limiter's fixed steps. The limit grows by increase/limit per
+// under-target completion, ≈ +increase per full window of completions,
+// and shrinks by the factor backoff on a congestion signal. Decreases
+// are at least TargetLatency apart, so that one burst of slow
+// completions counts as one signal.
+const (
+	increase = 1
+	backoff  = 0.7
+)
+
 // Config parameterises a Controller. Zero fields take the defaults
 // documented on each field.
 type Config struct {
@@ -68,17 +78,6 @@ type Config struct {
 	// TargetLatency is the per-message service-latency target (default
 	// 250ms). Completions above it are congestion signals.
 	TargetLatency time.Duration
-	// Increase is the additive-increase constant (default 1): the limit
-	// grows by Increase/limit per under-target completion, ≈ +Increase
-	// per full window of completions.
-	Increase float64
-	// Backoff is the multiplicative-decrease factor in (0,1) (default
-	// 0.7).
-	Backoff float64
-	// Cooldown is the minimum time between multiplicative decreases
-	// (default TargetLatency). It makes one burst of slow completions
-	// count as one congestion signal.
-	Cooldown time.Duration
 	// QueueCapacity bounds the admission queue (default 64). Negative
 	// disables queueing: over-limit submissions shed immediately with
 	// ReasonLimit.
@@ -117,15 +116,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.TargetLatency <= 0 {
 		out.TargetLatency = 250 * time.Millisecond
-	}
-	if out.Increase <= 0 {
-		out.Increase = 1
-	}
-	if out.Backoff <= 0 || out.Backoff >= 1 {
-		out.Backoff = 0.7
-	}
-	if out.Cooldown <= 0 {
-		out.Cooldown = out.TargetLatency
 	}
 	if out.QueueCapacity == 0 {
 		out.QueueCapacity = 64
@@ -466,8 +456,8 @@ func (c *Controller) StartDrain() {
 func (c *Controller) observeLocked(lat time.Duration, now time.Time) {
 	c.observations++
 	if lat > c.cfg.TargetLatency {
-		if !c.decreaseSet || now.Sub(c.lastDecrease) >= c.cfg.Cooldown {
-			c.limit *= c.cfg.Backoff
+		if !c.decreaseSet || now.Sub(c.lastDecrease) >= c.cfg.TargetLatency {
+			c.limit *= backoff
 			if c.limit < float64(c.cfg.MinLimit) {
 				c.limit = float64(c.cfg.MinLimit)
 			}
@@ -477,7 +467,7 @@ func (c *Controller) observeLocked(lat time.Duration, now time.Time) {
 		}
 		return
 	}
-	c.limit += c.cfg.Increase / c.limit
+	c.limit += increase / c.limit
 	if c.limit > float64(c.cfg.MaxLimit) {
 		c.limit = float64(c.cfg.MaxLimit)
 	}

@@ -161,28 +161,28 @@ func TestAIMD(t *testing.T) {
 	c, clk, _ := simController(t, Config{
 		InitialLimit: 10, MinLimit: 2, MaxLimit: 20,
 		TargetLatency: 100 * time.Millisecond,
-		Backoff:       0.5, Cooldown: time.Second,
 	})
-	// Over-target latency: multiplicative decrease.
+	// Over-target latency: multiplicative decrease, 10 × 0.7.
 	c.Observe(500 * time.Millisecond)
-	if l := int(c.Metrics().Limit); l != 5 {
-		t.Fatalf("limit after backoff = %d, want 5", l)
+	if l := int(c.Metrics().Limit); l != 7 {
+		t.Fatalf("limit after backoff = %d, want 7", l)
 	}
 	// Second congestion signal inside the cooldown is ignored.
 	c.Observe(500 * time.Millisecond)
-	if l := int(c.Metrics().Limit); l != 5 {
-		t.Fatalf("limit in cooldown = %d, want 5", l)
+	if l := int(c.Metrics().Limit); l != 7 {
+		t.Fatalf("limit in cooldown = %d, want 7", l)
 	}
-	clk.Advance(2 * time.Second)
-	c.Observe(500 * time.Millisecond)
-	if l := int(c.Metrics().Limit); l != 2 {
-		t.Fatalf("limit after second backoff = %d, want 2 (floor applied on next)", l)
+	// Past the cooldown (TargetLatency) each signal backs off again:
+	// 4.9, 3.43, 2.401, then the floor.
+	for i, want := range []int{4, 3, 2, 2} {
+		clk.Advance(time.Second)
+		c.Observe(500 * time.Millisecond)
+		if l := int(c.Metrics().Limit); l != want {
+			t.Fatalf("limit after backoff %d = %d, want %d", i+2, l, want)
+		}
 	}
-	// Floor.
-	clk.Advance(2 * time.Second)
-	c.Observe(500 * time.Millisecond)
-	if l := int(c.Metrics().Limit); l != 2 {
-		t.Fatalf("limit below floor: %d", l)
+	if l := c.Metrics().Limit; l != 2 {
+		t.Fatalf("limit below floor: %v", l)
 	}
 	// Additive increase: many fast completions grow the limit.
 	for i := 0; i < 1000; i++ {
@@ -192,21 +192,21 @@ func TestAIMD(t *testing.T) {
 		t.Fatalf("limit after recovery = %d, want ceiling 20", l)
 	}
 	m := c.Metrics()
-	if m.Decreases != 3 {
-		t.Fatalf("decreases = %d, want 3", m.Decreases)
+	if m.Decreases != 5 {
+		t.Fatalf("decreases = %d, want 5", m.Decreases)
 	}
 }
 
 func TestReleaseFeedsAIMD(t *testing.T) {
 	c, clk, _ := simController(t, Config{
 		InitialLimit: 8, MinLimit: 2,
-		TargetLatency: 100 * time.Millisecond, Backoff: 0.5,
+		TargetLatency: 100 * time.Millisecond,
 	})
 	o := c.Submit("slow", nil, nil)
 	clk.Advance(time.Second) // service took 1s > 100ms target
 	o.Granted.Release()
-	if l := int(c.Metrics().Limit); l != 4 {
-		t.Fatalf("limit = %d, want 4 after one backoff", l)
+	if l := int(c.Metrics().Limit); l != 5 {
+		t.Fatalf("limit = %d, want 5 (8 × 0.7) after one backoff", l)
 	}
 }
 

@@ -6,6 +6,9 @@ import (
 	"strings"
 )
 
+// marker is the glyph Plot draws each point with.
+const marker = '*'
+
 // Plot renders an ASCII scatter/step plot of (x, y) points on a
 // width×height character grid, with min/max axis annotations — enough to
 // eyeball the shape of a CDF (Figure 7) or a time series the way the
@@ -17,8 +20,6 @@ type Plot struct {
 	// XLog plots x on a log10 scale (useful for delay CDFs spanning
 	// minutes to days).
 	XLog bool
-	// Marker is the point glyph (default '*').
-	Marker byte
 
 	points [][2]float64
 }
@@ -36,10 +37,6 @@ func (p *Plot) Render() string {
 	}
 	if h <= 0 {
 		h = 12
-	}
-	marker := p.Marker
-	if marker == 0 {
-		marker = '*'
 	}
 	var b strings.Builder
 	if p.Title != "" {

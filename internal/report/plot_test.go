@@ -88,10 +88,10 @@ func TestPlotLogScale(t *testing.T) {
 }
 
 func TestPlotAddSeriesAndClamp(t *testing.T) {
-	p := &Plot{Width: 20, Height: 5, Marker: '#'}
+	p := &Plot{Width: 20, Height: 5}
 	p.AddSeries([][2]float64{{0, 0}, {1, 0.5}, {2, 1}})
 	out := p.Render()
-	if strings.Count(out, "#") != 3 {
-		t.Fatalf("markers = %d:\n%s", strings.Count(out, "#"), out)
+	if strings.Count(out, "*") != 3 {
+		t.Fatalf("markers = %d:\n%s", strings.Count(out, "*"), out)
 	}
 }

@@ -122,77 +122,40 @@ var outcomeWeights = [nOutcomes]float64{
 	RBLHit:     -2.0,
 }
 
-// Config parameterises a Store. Zero values get defaults.
+// The store's fixed parameters.
+const (
+	// shardCount is the lock-stripe count, a power of two so the shard
+	// index is a mask. More shards means less contention under
+	// parallel Record/Lookup load.
+	shardCount = 16
+	// halfLife is the exponential-decay half-life of every counter:
+	// evidence older than ~7 half-lives carries <1% weight, so a
+	// sender's past neither dooms nor blesses it forever.
+	halfLife = 7 * 24 * time.Hour
+	// trustThreshold is the minimum folded score for Trusted, and
+	// suspectThreshold the maximum for Suspect.
+	trustThreshold   = 0.5
+	suspectThreshold = -0.4
+	// minObservations is the minimum decayed evidence mass (across all
+	// contributing keys) before leaving Neutral: one lucky delivery
+	// must not open the fast path.
+	minObservations = 4
+	// addrWeight, domainWeight and ipWeight fold the three key scores.
+	// Keys without history are excluded and the remaining weights
+	// renormalised.
+	addrWeight, domainWeight, ipWeight = 0.6, 0.25, 0.15
+)
+
+// Config parameterises a Store.
 type Config struct {
-	// Shards is the lock-stripe count, rounded up to a power of two
-	// (default 16). More shards means less contention under parallel
-	// Record/Lookup load.
-	Shards int
-	// HalfLife is the exponential-decay half-life of every counter
-	// (default 7 days): evidence older than ~7 half-lives carries <1%
-	// weight, so a sender's past neither dooms nor blesses it forever.
-	HalfLife time.Duration
-	// TrustThreshold is the minimum folded score for Trusted (default
-	// 0.5) and SuspectThreshold the maximum for Suspect (default -0.4).
-	TrustThreshold   float64
-	SuspectThreshold float64
-	// MinObservations is the minimum decayed evidence mass (across all
-	// contributing keys) before leaving Neutral (default 4): one lucky
-	// delivery must not open the fast path.
-	MinObservations float64
-	// AddrWeight/DomainWeight/IPWeight fold the three key scores
-	// (defaults 0.6/0.25/0.15). Keys without history are excluded and
-	// the remaining weights renormalised.
-	AddrWeight, DomainWeight, IPWeight float64
 	// Injector is an optional fault source (target "reputation"):
 	// injected faults drop writes and error lookups, exercising the
 	// fail-open advisory path.
 	Injector faults.Injector
 }
 
-// DefaultConfig returns the stock parameters.
-func DefaultConfig() Config {
-	return Config{
-		Shards:           16,
-		HalfLife:         7 * 24 * time.Hour,
-		TrustThreshold:   0.5,
-		SuspectThreshold: -0.4,
-		MinObservations:  4,
-		AddrWeight:       0.6,
-		DomainWeight:     0.25,
-		IPWeight:         0.15,
-	}
-}
-
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.Shards <= 0 {
-		c.Shards = d.Shards
-	}
-	// Round up to a power of two so the shard index is a mask.
-	n := 1
-	for n < c.Shards {
-		n <<= 1
-	}
-	c.Shards = n
-	if c.HalfLife <= 0 {
-		c.HalfLife = d.HalfLife
-	}
-	if c.TrustThreshold == 0 {
-		c.TrustThreshold = d.TrustThreshold
-	}
-	if c.SuspectThreshold == 0 {
-		c.SuspectThreshold = d.SuspectThreshold
-	}
-	if c.MinObservations <= 0 {
-		c.MinObservations = d.MinObservations
-	}
-	if c.AddrWeight <= 0 && c.DomainWeight <= 0 && c.IPWeight <= 0 {
-		c.AddrWeight, c.DomainWeight, c.IPWeight = d.AddrWeight, d.DomainWeight, d.IPWeight
-	}
-	return c
-}
+// DefaultConfig returns a Config with no fault source.
+func DefaultConfig() Config { return Config{} }
 
 // entry is one key's decayed counter vector. counts are normalised to
 // `last`: reading at time t scales them by 2^(-(t-last)/halfLife).
@@ -206,7 +169,7 @@ type entry struct {
 }
 
 // decayTo folds elapsed time into the counters.
-func (e *entry) decayTo(now time.Time, halfLife time.Duration) {
+func (e *entry) decayTo(now time.Time) {
 	dt := now.Sub(e.last)
 	if dt <= 0 {
 		return
@@ -249,8 +212,8 @@ func (e *entry) score() float64 {
 // untouched. Read paths (Lookup, TopSenders) must stay pure so stored
 // bits are exactly the fold of the recorded observation sequence — the
 // invariant the WAL crash-recovery experiment checks byte-for-byte.
-func (e entry) scoredAt(now time.Time, halfLife time.Duration) (score, mass float64) {
-	(&e).decayTo(now, halfLife)
+func (e entry) scoredAt(now time.Time) (score, mass float64) {
+	(&e).decayTo(now)
 	return e.score(), e.mass()
 }
 
@@ -263,7 +226,7 @@ type shard struct {
 // Store is the sharded reputation store. It is safe for concurrent use;
 // Record and Lookup touch only the shards owning the consulted keys.
 type Store struct {
-	cfg Config
+	inj faults.Injector // Config.Injector
 	clk clock.Clock
 
 	shards []shard
@@ -284,8 +247,7 @@ type Store struct {
 
 // NewStore builds a store on the given clock.
 func NewStore(cfg Config, clk clock.Clock) *Store {
-	cfg = cfg.withDefaults()
-	s := &Store{cfg: cfg, clk: clk, shards: make([]shard, cfg.Shards), mask: uint32(cfg.Shards - 1)}
+	s := &Store{inj: cfg.Injector, clk: clk, shards: make([]shard, shardCount), mask: shardCount - 1}
 	for i := range s.shards {
 		s.shards[i].entries = make(map[repKey]*entry)
 	}
@@ -383,8 +345,8 @@ func (s *Store) Record(sender mail.Address, ip string, o Outcome) {
 	if n == 0 {
 		return
 	}
-	if inj := s.cfg.Injector; inj != nil {
-		if d := inj.Decide("reputation", 0); d.Err != nil {
+	if s.inj != nil {
+		if d := s.inj.Decide("reputation", 0); d.Err != nil {
 			s.droppedWrites.Add(1)
 			return
 		}
@@ -431,7 +393,7 @@ func (s *Store) apply(keys []repKey, o Outcome, at time.Time, lsn uint64) {
 			e = &entry{last: at}
 			sh.entries[key] = e
 		}
-		e.decayTo(at, s.cfg.HalfLife)
+		e.decayTo(at)
 		e.counts[o]++
 		if lsn > e.lsn {
 			e.lsn = lsn
@@ -467,7 +429,7 @@ func (s *Store) Apply(r wal.Record) error {
 			sh.entries[key] = e
 		}
 		if r.LSN > e.lsn {
-			e.decayTo(r.Time, s.cfg.HalfLife)
+			e.decayTo(r.Time)
 			e.counts[Outcome(r.Value)]++
 			e.lsn = r.LSN
 		}
@@ -506,8 +468,8 @@ func (v *Verdict) Keys() []KeyScore { return v.keys[:v.nKeys] }
 // it as Neutral / fail-open.
 func (s *Store) Lookup(sender mail.Address, ip string) (Verdict, error) {
 	s.lookups.Add(1)
-	if inj := s.cfg.Injector; inj != nil {
-		if d := inj.Decide("reputation", 0); d.Err != nil {
+	if s.inj != nil {
+		if d := s.inj.Decide("reputation", 0); d.Err != nil {
 			s.failedLookups.Add(1)
 			return Verdict{}, fmt.Errorf("reputation: store unavailable: %w", d.Err)
 		}
@@ -522,12 +484,12 @@ func (s *Store) verdict(sender mail.Address, ip string) Verdict {
 	var weights [3]float64
 	n := 0
 	if !sender.IsNull() {
-		keys[0], weights[0] = addrKey(sender), s.cfg.AddrWeight
-		keys[1], weights[1] = repKey{kind: 'd', name: sender.Domain}, s.cfg.DomainWeight
+		keys[0], weights[0] = addrKey(sender), addrWeight
+		keys[1], weights[1] = repKey{kind: 'd', name: sender.Domain}, domainWeight
 		n = 2
 	}
 	if ip != "" {
-		keys[n], weights[n] = repKey{kind: 'i', name: ip}, s.cfg.IPWeight
+		keys[n], weights[n] = repKey{kind: 'i', name: ip}, ipWeight
 		n++
 	}
 	var v Verdict
@@ -540,7 +502,7 @@ func (s *Store) verdict(sender mail.Address, ip string) Verdict {
 		var ks KeyScore
 		found := false
 		if e != nil {
-			score, mass := e.scoredAt(now, s.cfg.HalfLife)
+			score, mass := e.scoredAt(now)
 			ks = KeyScore{key: key, Score: score, Mass: mass}
 			found = true
 		}
@@ -557,17 +519,22 @@ func (s *Store) verdict(sender mail.Address, ip string) Verdict {
 	if wsum > 0 {
 		v.Score = acc / wsum
 	}
-	switch {
-	case v.Mass < s.cfg.MinObservations:
-		v.Band = Neutral
-	case v.Score >= s.cfg.TrustThreshold:
-		v.Band = Trusted
-	case v.Score <= s.cfg.SuspectThreshold:
-		v.Band = Suspect
-	default:
-		v.Band = Neutral
-	}
+	v.Band = band(v.Score, v.Mass)
 	return v
+}
+
+// band places a folded score with its evidence mass in a band.
+func band(score, mass float64) Band {
+	switch {
+	case mass < minObservations:
+		return Neutral
+	case score >= trustThreshold:
+		return Trusted
+	case score <= suspectThreshold:
+		return Suspect
+	default:
+		return Neutral
+	}
 }
 
 // Score is Lookup for callers that do not care about the fault channel
@@ -615,7 +582,7 @@ type EntrySummary struct {
 // the given band, ordered by decayed evidence mass (ties by key). Each
 // entry is banded on its own score with the store thresholds — the
 // per-key view the /reputation admin page shows.
-func (s *Store) TopSenders(band Band, k int) []EntrySummary {
+func (s *Store) TopSenders(want Band, k int) []EntrySummary {
 	now := s.clk.Now()
 	var out []EntrySummary
 	for i := range s.shards {
@@ -625,19 +592,9 @@ func (s *Store) TopSenders(band Band, k int) []EntrySummary {
 			if key.kind != 'a' {
 				continue
 			}
-			score, mass := e.scoredAt(now, s.cfg.HalfLife)
-			sum := EntrySummary{Key: key.local + "@" + key.name, Score: score, Mass: mass}
-			switch {
-			case sum.Mass < s.cfg.MinObservations:
-				sum.Band = Neutral
-			case sum.Score >= s.cfg.TrustThreshold:
-				sum.Band = Trusted
-			case sum.Score <= s.cfg.SuspectThreshold:
-				sum.Band = Suspect
-			default:
-				sum.Band = Neutral
-			}
-			if sum.Band == band {
+			score, mass := e.scoredAt(now)
+			sum := EntrySummary{Key: key.local + "@" + key.name, Band: band(score, mass), Score: score, Mass: mass}
+			if sum.Band == want {
 				out = append(out, sum)
 			}
 		}

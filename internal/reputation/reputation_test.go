@@ -18,9 +18,7 @@ import (
 var t0 = time.Date(2010, 7, 1, 0, 0, 0, 0, time.UTC)
 
 func newStore(clk clock.Clock) *Store {
-	cfg := DefaultConfig()
-	cfg.MinObservations = 3
-	return NewStore(cfg, clk)
+	return NewStore(DefaultConfig(), clk)
 }
 
 func addr(s string) mail.Address { return mail.MustParseAddress(s) }
@@ -85,9 +83,7 @@ func TestDomainAndIPCarryOver(t *testing.T) {
 // recorded at virtual t=0 must carry <1% weight after 7 half-lives.
 func TestDecaySevenHalfLives(t *testing.T) {
 	clk := clock.NewSim(t0)
-	cfg := DefaultConfig()
-	cfg.HalfLife = 24 * time.Hour
-	s := NewStore(cfg, clk)
+	s := NewStore(DefaultConfig(), clk)
 	a := addr("alice@partner.example")
 	for i := 0; i < 100; i++ {
 		s.Record(a, "192.0.2.1", Delivered)
@@ -97,7 +93,7 @@ func TestDecaySevenHalfLives(t *testing.T) {
 		t.Fatalf("initial mass = %v, want ~300", before.Mass)
 	}
 
-	clk.Advance(7 * cfg.HalfLife)
+	clk.Advance(7 * halfLife)
 	after := s.Score(a, "192.0.2.1")
 	if after.Mass >= before.Mass*0.01 {
 		t.Fatalf("mass after 7 half-lives = %v (was %v); want <1%% weight", after.Mass, before.Mass)
@@ -110,14 +106,12 @@ func TestDecaySevenHalfLives(t *testing.T) {
 
 func TestDecayIsHalfPerHalfLife(t *testing.T) {
 	clk := clock.NewSim(t0)
-	cfg := DefaultConfig()
-	cfg.HalfLife = 24 * time.Hour
-	s := NewStore(cfg, clk)
+	s := NewStore(DefaultConfig(), clk)
 	a := addr("alice@partner.example")
 	for i := 0; i < 8; i++ {
 		s.Record(a, "", Delivered)
 	}
-	clk.Advance(cfg.HalfLife)
+	clk.Advance(halfLife)
 	v := s.Score(a, "")
 	// 8 per key over 2 keys (addr+domain), halved: 8 total.
 	if v.Mass < 7.99 || v.Mass > 8.01 {
@@ -200,8 +194,8 @@ func TestConcurrentRecordAndLookup(t *testing.T) {
 	if st.Entries == 0 || st.Records == 0 || st.Lookups == 0 {
 		t.Fatalf("stats after concurrent load: %+v", st)
 	}
-	if len(st.ShardOccupancy) != s.cfg.Shards {
-		t.Fatalf("shard occupancy length %d, want %d", len(st.ShardOccupancy), s.cfg.Shards)
+	if len(st.ShardOccupancy) != shardCount {
+		t.Fatalf("shard occupancy length %d, want %d", len(st.ShardOccupancy), shardCount)
 	}
 	var occ int
 	for _, n := range st.ShardOccupancy {

@@ -1,18 +1,16 @@
 // Package resilience provides the small hardening primitives the CR
 // pipeline wraps around its network-dependent components: a three-state
-// circuit breaker (closed → open → half-open), a jittered exponential
-// backoff for bounded retries, and the MTA queue's retry ladder.
+// circuit breaker (closed → open → half-open) and the MTA queue's retry
+// ladder.
 //
-// The breaker and the backoff are clock-injected so the simulation
-// exercises them in virtual time — breaker trip/recovery cycles and
-// backoff schedules are tested without a single real sleep — and both
-// are safe for concurrent use, as a live deployment shares them across
-// SMTP sessions.
+// The breaker is clock-injected so the simulation exercises it in
+// virtual time — trip/recovery cycles are tested without a single real
+// sleep — and it is safe for concurrent use, as a live deployment shares
+// it across SMTP sessions.
 package resilience
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -204,114 +202,4 @@ func (b *Breaker) Stats() BreakerStats {
 	st := b.stats
 	st.State = b.state
 	return st
-}
-
-// Backoff computes jittered exponential retry delays:
-//
-//	delay(n) = min(Max, Base·Factor^n) · uniform(1-Jitter, 1+Jitter)
-//
-// for attempt n = 0, 1, 2, ... Jitter de-synchronises retry storms: when
-// a smarthost tempfails a whole queue, the retries must not arrive as one
-// thundering herd.
-type Backoff struct {
-	// Base is the attempt-0 delay (default 1s).
-	Base time.Duration
-	// Max caps the un-jittered delay (default 5m).
-	Max time.Duration
-	// Factor is the exponential growth rate (default 2).
-	Factor float64
-	// Jitter is the ± fraction of randomisation (default 0.2; 0 disables).
-	Jitter float64
-}
-
-// DefaultBackoff returns the stock schedule: 1s·2ⁿ capped at 5m, ±20%.
-func DefaultBackoff() Backoff {
-	return Backoff{Base: time.Second, Max: 5 * time.Minute, Factor: 2, Jitter: 0.2}
-}
-
-// Delay returns the wait before retry attempt n (0-based), drawing the
-// jitter from rng (a nil rng disables jitter). The result is always in
-// [base·(1-Jitter), min(Max, Base·Factor^n)·(1+Jitter)].
-func (bo Backoff) Delay(attempt int, rng *rand.Rand) time.Duration {
-	base := bo.Base
-	if base <= 0 {
-		base = time.Second
-	}
-	max := bo.Max
-	if max <= 0 {
-		max = 5 * time.Minute
-	}
-	factor := bo.Factor
-	if factor < 1 {
-		factor = 2
-	}
-	d := float64(base)
-	for i := 0; i < attempt; i++ {
-		d *= factor
-		if d >= float64(max) {
-			d = float64(max)
-			break
-		}
-	}
-	if d > float64(max) {
-		d = float64(max)
-	}
-	if bo.Jitter > 0 && rng != nil {
-		d *= 1 - bo.Jitter + 2*bo.Jitter*rng.Float64()
-	}
-	return time.Duration(d)
-}
-
-// Retrier runs an operation with bounded retries. Waits between attempts
-// go through Sleep, so the simulation (which must never block the event
-// loop) injects a no-op while live deployments pass a real sleeper.
-type Retrier struct {
-	// MaxAttempts bounds total calls (default 3; 1 means no retry).
-	MaxAttempts int
-	// Backoff computes the inter-attempt delays.
-	Backoff Backoff
-	// Sleep waits between attempts; nil retries immediately.
-	Sleep func(time.Duration)
-	// Retryable reports whether err is worth retrying; nil retries all
-	// non-nil errors.
-	Retryable func(error) bool
-
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-// NewRetrier returns a Retrier with a seeded jitter source.
-func NewRetrier(maxAttempts int, bo Backoff, seed int64) *Retrier {
-	if maxAttempts <= 0 {
-		maxAttempts = 3
-	}
-	return &Retrier{MaxAttempts: maxAttempts, Backoff: bo, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Do calls fn up to MaxAttempts times, sleeping the backoff delay between
-// attempts, and returns the last error.
-func (r *Retrier) Do(fn func() error) error {
-	attempts := r.MaxAttempts
-	if attempts <= 0 {
-		attempts = 3
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		if err = fn(); err == nil {
-			return nil
-		}
-		if r.Retryable != nil && !r.Retryable(err) {
-			return err
-		}
-		if i == attempts-1 {
-			break
-		}
-		r.mu.Lock()
-		d := r.Backoff.Delay(i, r.rng)
-		r.mu.Unlock()
-		if r.Sleep != nil {
-			r.Sleep(d)
-		}
-	}
-	return err
 }

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -87,90 +86,6 @@ func TestBreakerHalfOpenProbeFailure(t *testing.T) {
 	clk.Advance(time.Minute)
 	if !b.Allow() {
 		t.Fatal("second probe window never opened")
-	}
-}
-
-func TestBackoffJitterBounds(t *testing.T) {
-	bo := Backoff{Base: time.Second, Max: 5 * time.Minute, Factor: 2, Jitter: 0.2}
-	rng := rand.New(rand.NewSource(1))
-	for attempt := 0; attempt < 12; attempt++ {
-		raw := float64(time.Second) * pow2(attempt)
-		if raw > float64(5*time.Minute) {
-			raw = float64(5 * time.Minute)
-		}
-		lo := time.Duration(raw * 0.8)
-		hi := time.Duration(raw * 1.2)
-		for i := 0; i < 200; i++ {
-			d := bo.Delay(attempt, rng)
-			if d < lo || d > hi {
-				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, lo, hi)
-			}
-		}
-	}
-	// Nil rng disables jitter: exact exponential values.
-	if d := bo.Delay(3, nil); d != 8*time.Second {
-		t.Errorf("unjittered delay(3) = %v, want 8s", d)
-	}
-	if d := bo.Delay(20, nil); d != 5*time.Minute {
-		t.Errorf("unjittered delay(20) = %v, want the 5m cap", d)
-	}
-}
-
-func pow2(n int) float64 {
-	f := 1.0
-	for i := 0; i < n; i++ {
-		f *= 2
-	}
-	return f
-}
-
-func TestRetrierBoundedAttemptsNoSleep(t *testing.T) {
-	r := NewRetrier(4, DefaultBackoff(), 7)
-	var slept []time.Duration
-	r.Sleep = func(d time.Duration) { slept = append(slept, d) }
-
-	calls := 0
-	err := r.Do(func() error { calls++; return errBoom })
-	if !errors.Is(err, errBoom) {
-		t.Fatalf("Do = %v", err)
-	}
-	if calls != 4 {
-		t.Errorf("calls = %d, want 4", calls)
-	}
-	// Sleeps happen between attempts only, with growing jittered delays.
-	if len(slept) != 3 {
-		t.Fatalf("sleeps = %d, want 3", len(slept))
-	}
-	for i, d := range slept {
-		raw := float64(time.Second) * pow2(i)
-		if d < time.Duration(raw*0.8) || d > time.Duration(raw*1.2) {
-			t.Errorf("sleep %d = %v outside ±20%% of %v", i, d, time.Duration(raw))
-		}
-	}
-
-	// Success on attempt 2 stops the loop.
-	calls = 0
-	err = r.Do(func() error {
-		calls++
-		if calls < 2 {
-			return errBoom
-		}
-		return nil
-	})
-	if err != nil || calls != 2 {
-		t.Errorf("retry-then-succeed: err=%v calls=%d", err, calls)
-	}
-}
-
-func TestRetrierRetryablePredicate(t *testing.T) {
-	r := NewRetrier(5, DefaultBackoff(), 1)
-	r.Retryable = func(err error) bool { return !errors.Is(err, errBoom) }
-	calls := 0
-	if err := r.Do(func() error { calls++; return errBoom }); !errors.Is(err, errBoom) {
-		t.Fatalf("Do = %v", err)
-	}
-	if calls != 1 {
-		t.Errorf("non-retryable error retried %d times", calls)
 	}
 }
 

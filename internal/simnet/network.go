@@ -164,10 +164,12 @@ const (
 	UserMailFailed
 )
 
+// transitDelay is the SMTP transit time of a challenge, and of a DSN on
+// its way back.
+const transitDelay = 30 * time.Second
+
 // Config parameterises a Network.
 type Config struct {
-	// TransitDelay is the base SMTP transit time for a challenge.
-	TransitDelay time.Duration
 	// EmitDSNs, when true, turns every bounced or expired challenge into
 	// a real delivery-status-notification message delivered back to the
 	// originating company's MTA-IN (null envelope sender, per RFC 3464).
@@ -204,9 +206,6 @@ type Network struct {
 
 // New assembles a Network.
 func New(dns *dnssim.Server, traps *rbl.TrapRegistry, cfg Config) *Network {
-	if cfg.TransitDelay <= 0 {
-		cfg.TransitDelay = 30 * time.Second
-	}
 	return &Network{
 		dns:       dns,
 		traps:     traps,
@@ -235,7 +234,7 @@ func (n *Network) AddRemote(r *RemoteServer) {
 // mailboxes and the trap set read-only: AddRemote, AddMailbox and
 // AddTrap panic from here on, and lookups take no lock. Call it once
 // the world is built, before traffic flows; freezing twice is harmless.
-// A server's Screen, Unreachable and DownUntil fields are not covered.
+// A server's Screen and Unreachable fields are not covered.
 func (n *Network) Freeze() {
 	n.mu.Lock()
 	n.frozen.Store(true)
@@ -344,7 +343,7 @@ func (n *Network) SubmitChallenge(c *Company, ch core.OutboundChallenge) {
 	}
 	c.records = append(c.records, rec)
 	d := &delivery{rec: rec, token: ch.Token, issued: ch.Issued}
-	c.lane.sched.After(n.cfg.TransitDelay, func() { n.attemptDelivery(c, d) })
+	c.lane.sched.After(transitDelay, func() { n.attemptDelivery(c, d) })
 }
 
 // delivery is a challenge in flight: its record plus what only the
@@ -377,7 +376,7 @@ func (n *Network) attemptDelivery(c *Company, d *delivery) {
 		return
 	}
 
-	if remote.Unreachable || c.lane.clk.Now().Before(remote.DownUntil) {
+	if remote.Unreachable {
 		n.retryOrExpire(c, d)
 		return
 	}
@@ -454,7 +453,7 @@ func (n *Network) emitDSN(c *Company, rec *ChallengeRecord, srcIP, status, reaso
 		ClientIP:     srcIP,
 		Received:     c.lane.clk.Now(),
 	}
-	c.lane.sched.After(n.cfg.TransitDelay, func() { c.Engine.Receive(dsn) })
+	c.lane.sched.After(transitDelay, func() { c.Engine.Receive(dsn) })
 }
 
 func (n *Network) retryOrExpire(c *Company, d *delivery) {

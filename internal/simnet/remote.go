@@ -175,10 +175,6 @@ type RemoteServer struct {
 	// transiently; challenges to it eventually expire (Figure 4a's
 	// "expired" slice). Spammers routinely spoof such domains.
 	Unreachable bool
-	// DownUntil models a transient outage: delivery attempts before this
-	// instant fail temporarily and are retried; once the server is back,
-	// queued challenges get through (late, but delivered).
-	DownUntil time.Time
 
 	// mailboxes is keyed by canonical address (local part lower-cased),
 	// so a lookup builds no string. Until Freeze, lookups take the read

@@ -50,7 +50,6 @@ func newWorld(t testing.TB, seed int64) *world {
 		QuarantineTTL:    30 * 24 * time.Hour,
 		ChallengeFrom:    mail.MustParseAddress("challenge@corp.example"),
 		ChallengeBaseURL: "http://cr.corp.example",
-		ChallengeSize:    1800,
 		Seed:             seed,
 	}, w.clk, w.dns, chain, wl, nil)
 	eng.AddUser(mail.MustParseAddress("bob@corp.example"))
@@ -515,7 +514,10 @@ func TestTransientOutageDeliversLate(t *testing.T) {
 	b := DefaultBehavior(PersonaLegit)
 	b.VisitProb, b.SolveProbGivenVisit = 1, 1
 	r.AddMailboxBehavior("carol", PersonaLegit, b)
-	r.DownUntil = w.clk.Now().Add(3 * time.Hour) // outage window
+	// A three-hour outage: unreachable until a scheduled recovery.
+	downUntil := t0.Add(3 * time.Hour)
+	r.Unreachable = true
+	w.sched.At(downUntil, func() { r.Unreachable = false })
 
 	w.inject("carol@flaky.example", "192.0.2.44")
 	w.sched.RunUntil(w.clk.Now().Add(10 * 24 * time.Hour))
@@ -535,13 +537,12 @@ func TestTransientOutageDeliversLate(t *testing.T) {
 	// attempt k leaves at submission + transit + the first k-1 waits of
 	// the retry ladder.
 	attemptAt := func(k int) time.Time {
-		at := t0.Add(w.net.cfg.TransitDelay)
+		at := t0.Add(transitDelay)
 		for _, wait := range resilience.MTARetrySchedule[:k-1] {
 			at = at.Add(wait)
 		}
 		return at
 	}
-	downUntil := t0.Add(3 * time.Hour)
 	k := int(rec.Attempts)
 	if at := attemptAt(k); at.Before(downUntil) {
 		t.Fatalf("delivered on attempt %d at %v, during the outage", k, at)

@@ -72,14 +72,16 @@ type Backend interface {
 	Deliver(msg *mail.Message) *Reply
 }
 
+// maxRecipients caps the RCPT count of one transaction, at RFC 5321
+// §4.5.3.1.8's minimum of 100; further RCPTs answer 452.
+const maxRecipients = 100
+
 // Config parameterises a Server.
 type Config struct {
 	// Hostname is announced in the greeting and HELO replies.
 	Hostname string
 	// MaxMessageBytes caps DATA size (advertised via SIZE). 0 = 10 MiB.
 	MaxMessageBytes int
-	// MaxRecipients caps RCPT count per transaction. 0 = 100.
-	MaxRecipients int
 	// ReadTimeout bounds each wait for the client to send more: a peer
 	// silent for this long is disconnected. 0 = 5 minutes.
 	ReadTimeout time.Duration
@@ -105,9 +107,6 @@ func NewServer(cfg Config, backend Backend) *Server {
 	}
 	if cfg.MaxMessageBytes <= 0 {
 		cfg.MaxMessageBytes = 10 << 20
-	}
-	if cfg.MaxRecipients <= 0 {
-		cfg.MaxRecipients = 100
 	}
 	if cfg.ReadTimeout <= 0 {
 		cfg.ReadTimeout = 5 * time.Minute
@@ -511,7 +510,7 @@ func (s *session) handleRcpt(args string) {
 		s.reply(replyBadSequence)
 		return
 	}
-	if len(s.rcpts) >= s.srv.cfg.MaxRecipients {
+	if len(s.rcpts) >= maxRecipients {
 		s.reply(&Reply{452, "too many recipients"})
 		return
 	}

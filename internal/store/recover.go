@@ -1,6 +1,11 @@
 package store
 
-import "repro/internal/wal"
+import (
+	"errors"
+	"fmt"
+
+	"repro/internal/wal"
+)
 
 // Recovery is the result of a boot-time Recover.
 type Recovery struct {
@@ -56,4 +61,35 @@ func Recover(snapPath string, walOpts wal.Options, st Stores) (*Recovery, error)
 		Truncated: stats.Truncated,
 		TornBytes: stats.TornBytes,
 	}, nil
+}
+
+// Checkpoint is the snapshot protocol over a WAL, the counterpart of
+// Recover. It samples the cut BEFORE save exports the stores (mutations
+// journalled during the export replay idempotently on top), syncs the
+// log so the cut is durable, seals the active segment so the cut lives
+// in a compactable segment, calls save with the cut, and then deletes
+// every sealed segment wholly at or below the cut. It returns the cut
+// and the number of segments deleted.
+//
+// A failed sync or save ends the checkpoint with nothing deleted. A
+// failed rotation does not: the snapshot is still good, and compaction
+// never deletes the unsealed segment; its error is returned with
+// compaction's. With a nil log Checkpoint only saves, at cut 0.
+func Checkpoint(l *wal.Log, save func(cut uint64) error) (cut uint64, compacted int, err error) {
+	if l == nil {
+		return 0, 0, save(0)
+	}
+	cut = l.LastLSN()
+	if err := l.Sync(); err != nil {
+		return cut, 0, fmt.Errorf("store: wal sync before snapshot (snapshot skipped): %w", err)
+	}
+	rotateErr := l.Rotate()
+	if rotateErr != nil {
+		rotateErr = fmt.Errorf("store: wal rotate: %w", rotateErr)
+	}
+	if err := save(cut); err != nil {
+		return cut, 0, errors.Join(rotateErr, err)
+	}
+	compacted, err = l.CompactThrough(cut)
+	return cut, compacted, errors.Join(rotateErr, err)
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -172,5 +173,47 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 	}
 	if !cold.Whitelist.IsWhite(user, mail.MustParseAddress("s8@remote.example")) {
 		t.Fatal("intact prefix record lost")
+	}
+}
+
+// TestCheckpointCompactsOnlyAfterSave: a checkpoint whose save fails
+// deletes no segment; one whose save succeeds records the cut it
+// sampled before the save and deletes the sealed segments behind it.
+func TestCheckpointCompactsOnlyAfterSave(t *testing.T) {
+	dir := t.TempDir()
+	snapPath := filepath.Join(dir, "state.json")
+	clk := clock.NewSim(t0)
+	wl := whitelist.NewStore(clk)
+	live := Stores{Whitelist: wl}
+	log, _, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Manual: true}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	wal.NewJournal(log).Attach(wl)
+	user := mail.MustParseAddress("alice@corp.example")
+	for i := 0; i < 5; i++ {
+		wl.AddWhite(user, mail.MustParseAddress(fmt.Sprintf("s%d@remote.example", i)), whitelist.SourceManual)
+	}
+
+	full := errors.New("disk full")
+	if _, n, err := Checkpoint(log, func(uint64) error { return full }); !errors.Is(err, full) || n != 0 {
+		t.Fatalf("failed save: compacted %d, err %v; want 0 and the save's error", n, err)
+	}
+	want := log.LastLSN()
+	cut, n, err := Checkpoint(log, func(cut uint64) error {
+		return SaveFile(snapPath, "corp", live, cut, clk.Now())
+	})
+	if err != nil || cut != want || n == 0 {
+		t.Fatalf("checkpoint = cut %d, %d compacted, %v; want cut %d and a compaction", cut, n, err, want)
+	}
+	snap, err := LoadFile(snapPath, Stores{Whitelist: whitelist.NewStore(clk)})
+	if err != nil || snap.WalLSN != cut {
+		t.Fatalf("snapshot WalLSN = %v, %v; want %d", snap, err, cut)
+	}
+
+	var saved []uint64
+	if _, _, err := Checkpoint(nil, func(cut uint64) error { saved = append(saved, cut); return nil }); err != nil || len(saved) != 1 || saved[0] != 0 {
+		t.Fatalf("checkpoint without a log saved at %v (%v); want one save at cut 0", saved, err)
 	}
 }

@@ -21,13 +21,11 @@ package store
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
-	"syscall"
 	"time"
 
 	"repro/internal/faults"
@@ -193,20 +191,8 @@ func SaveFile(path, name string, st Stores, walLSN uint64, now time.Time) error 
 	if err := os.Rename(tmpName, path); err != nil {
 		return fmt.Errorf("store: rename: %w", err)
 	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed entry is durable. Some
-// platforms refuse to fsync directories; those errors are ignored —
-// the rename already happened, durability is simply best-effort there.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("store: open dir: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return fmt.Errorf("store: sync dir: %w", err)
+	if err := wal.SyncDir(dir); err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 	return nil
 }

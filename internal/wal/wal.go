@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/faults"
@@ -144,14 +145,20 @@ func parseSegName(name string) (uint64, bool) {
 	return v, true
 }
 
-// syncDir fsyncs a directory so created/removed entries are durable.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so the entries just created, renamed or
+// removed in it are durable. Some platforms refuse to fsync directories;
+// those errors are ignored — the entry change already happened, and
+// durability is simply best-effort there.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return err
+		return fmt.Errorf("open dir: %w", err)
 	}
 	defer d.Close()
-	return d.Sync()
+	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
+		return fmt.Errorf("sync dir: %w", err)
+	}
+	return nil
 }
 
 // Open replays the log in dir and opens it for appending. Every valid
@@ -307,7 +314,7 @@ func (l *Log) createSegment(first uint64) error {
 		f.Close()
 		return fmt.Errorf("wal: segment header sync: %w", err)
 	}
-	if err := syncDir(l.opts.Dir); err != nil {
+	if err := SyncDir(l.opts.Dir); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: dir sync: %w", err)
 	}
@@ -561,7 +568,7 @@ func (l *Log) CompactThrough(lsn uint64) (removed int, err error) {
 		removed++
 	}
 	if removed > 0 {
-		if serr := syncDir(dir); serr != nil && err == nil {
+		if serr := SyncDir(dir); serr != nil && err == nil {
 			err = fmt.Errorf("wal: compact dir sync: %w", serr)
 		}
 	}

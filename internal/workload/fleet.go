@@ -712,25 +712,23 @@ func (f *Fleet) buildCompany(i int, b *builtCompany) {
 	}
 	ln.resolve = seam.Resolver(f.DNS, ln.faults)
 	av := seam.Antivirus(filters.NewAntivirus(), ln.faults)
-	// Every auxiliary filter runs behind a breaker + retrier with an
-	// explicit degradation policy: the scan fails closed (unscanned
-	// mail is held), the advisory lookups fail open (an outage must
-	// not silently drop real mail). Without a fault plan the probes
-	// never fail, so the hardened chain behaves identically.
-	seed := f.Cfg.Seed + int64(i)*7919
-	harden := func(pr filters.Prober, mode filters.DegradeMode, n int64) filters.Filter {
+	// Every auxiliary filter runs behind a breaker and three attempts
+	// with an explicit degradation policy: the scan fails closed
+	// (unscanned mail is held), the advisory lookups fail open (an
+	// outage must not silently drop real mail). Without a fault plan
+	// the probes never fail, so the hardened chain behaves identically.
+	harden := func(pr filters.Prober, mode filters.DegradeMode) filters.Filter {
 		return filters.Harden(pr, mode, filters.HardenOpts{
-			Breaker: resilience.NewBreaker(p.Name+"/"+pr.Name(), resilience.DefaultBreakerConfig(), ln.clk),
-			Seed:    seed + n,
+			Breaker: resilience.NewBreaker(pr.Name(), resilience.DefaultBreakerConfig(), ln.clk),
 		})
 	}
 	chainFilters := []filters.Filter{
-		harden(av, filters.FailClosed, 1),
-		harden(filters.NewReverseDNS(ln.resolve), filters.FailOpen, 2),
-		harden(filters.NewRBL(seam.RBL(f.filterProvider(), ln.faults)), filters.FailOpen, 3),
+		harden(av, filters.FailClosed),
+		harden(filters.NewReverseDNS(ln.resolve), filters.FailOpen),
+		harden(filters.NewRBL(seam.RBL(f.filterProvider(), ln.faults)), filters.FailOpen),
 	}
 	if f.Cfg.UseSPFFilter {
-		chainFilters = append(chainFilters, harden(filters.NewSPF(spf.New(ln.resolve)), filters.FailOpen, 4))
+		chainFilters = append(chainFilters, harden(filters.NewSPF(spf.New(ln.resolve)), filters.FailOpen))
 	}
 	if f.Cfg.UseReputation {
 		repCfg := reputation.DefaultConfig()
@@ -741,7 +739,7 @@ func (f *Fleet) buildCompany(i int, b *builtCompany) {
 		// The reputation check heads the chain so suspect senders are
 		// dropped before any probe filter spends a lookup on them.
 		chainFilters = append([]filters.Filter{
-			harden(filters.NewReputation(ln.rep), filters.FailOpen, 5),
+			harden(filters.NewReputation(ln.rep), filters.FailOpen),
 		}, chainFilters...)
 	}
 	chain := filters.NewChain(chainFilters...)
@@ -758,7 +756,6 @@ func (f *Fleet) buildCompany(i int, b *builtCompany) {
 		QuarantineTTL:        30 * day,
 		ChallengeFrom:        mail.Address{Local: "challenge", Domain: p.Domain},
 		ChallengeBaseURL:     "http://cr." + p.Domain,
-		ChallengeSize:        1800,
 		Seed:                 f.Cfg.Seed + int64(i)*7919,
 		MaxChallengesPerHour: f.Cfg.ChallengeCapPerHour,
 		Bodies:               keepBodies{},
@@ -775,7 +772,7 @@ func (f *Fleet) buildCompany(i int, b *builtCompany) {
 	}
 	eng.SetInboxSink(ln.delayed.add)
 	if f.Cfg.UseGreylisting {
-		ln.gl = greylist.New(greylist.DefaultConfig(), ln.clk)
+		ln.gl = greylist.New(ln.clk)
 	}
 	if f.Cfg.Overload != nil {
 		oc := *f.Cfg.Overload

@@ -3,4 +3,9 @@ package main
 
 import "fixture/internal/lib"
 
-func main() { lib.BenchOnly() }
+func main() {
+	lib.BenchOnly()
+	var k lib.Knobs
+	k.BenchSet = 1
+	println(k.BenchSet)
+}
