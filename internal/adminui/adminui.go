@@ -33,7 +33,6 @@ import (
 	"repro/internal/outbound"
 	"repro/internal/overload"
 	"repro/internal/reputation"
-	"repro/internal/resilience"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
@@ -237,17 +236,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "outbound_spool_depth %d\n", s.outQ.SpoolDepth())
 		fmt.Fprintf(w, "outbound_deferred %d\n", s.outQ.Deferred())
 		fmt.Fprintf(w, "outbound_journal_dropped %d\n", s.outQ.JournalDropped())
-		var open, halfOpen int
-		for _, d := range s.outQ.DomainStats() {
-			switch d.Breaker.State {
-			case resilience.Open:
-				open++
-			case resilience.HalfOpen:
-				halfOpen++
-			}
-		}
-		fmt.Fprintf(w, "outbound_breakers_open %d\n", open)
-		fmt.Fprintf(w, "outbound_breakers_half_open %d\n", halfOpen)
 	}
 	if s.ctl != nil {
 		om := s.ctl.Metrics()
@@ -426,13 +414,13 @@ var outboundTmpl = template.Must(template.New("outbound").Parse(`<!DOCTYPE html>
 </table>{{else}}<p>none — no challenge bounces observed</p>{{end}}
 <h2>Destination domains ({{len .Domains}})</h2>
 {{if .Domains}}<table border="1" cellpadding="4">
-<tr><th>domain</th><th>queued</th><th>breaker</th><th>trips</th><th>fail streak</th><th>sent</th><th>bounced</th><th>expired</th><th>next retry</th><th>last error</th></tr>
-{{range .Domains}}<tr><td>{{.Domain}}</td><td>{{.Queued}}</td><td>{{.Breaker.State}}</td><td>{{.Breaker.Trips}}</td><td>{{.FailStreak}}</td><td>{{.Sent}}</td><td>{{.Bounced}}</td><td>{{.Expired}}</td><td>{{.RetryText}}</td><td>{{.LastError}}</td></tr>
+<tr><th>domain</th><th>queued</th><th>fail streak</th><th>sent</th><th>bounced</th><th>expired</th><th>next retry</th><th>last error</th></tr>
+{{range .Domains}}<tr><td>{{.Domain}}</td><td>{{.Queued}}</td><td>{{.FailStreak}}</td><td>{{.Sent}}</td><td>{{.Bounced}}</td><td>{{.Expired}}</td><td>{{.RetryText}}</td><td>{{.LastError}}</td></tr>
 {{end}}</table>{{else}}<p>none — no challenges have been enqueued</p>{{end}}
-<p>Each destination domain has an independent circuit breaker and retry
-ladder, so one dark domain cannot stall challenge delivery to healthy
-ones. Bounce classes come from parsing RFC 3464 delivery status
-notifications back into the originating gray message.</p>
+<p>Each destination domain has an independent retry ladder, so one dark
+domain cannot stall challenge delivery to healthy ones. Bounce classes
+come from parsing RFC 3464 delivery status notifications back into the
+originating gray message.</p>
 </body></html>
 `))
 

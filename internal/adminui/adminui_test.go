@@ -1,7 +1,9 @@
 package adminui
 
 import (
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,8 +15,10 @@ import (
 	"repro/internal/dnssim"
 	"repro/internal/filters"
 	"repro/internal/mail"
+	"repro/internal/outbound"
 	"repro/internal/overload"
 	"repro/internal/reputation"
+	"repro/internal/smtp"
 	"repro/internal/whitelist"
 )
 
@@ -282,6 +286,74 @@ func TestOverloadPageAndMetrics(t *testing.T) {
 	_, body = get(t, srv.URL+"/overload")
 	if !strings.Contains(body, "draining") {
 		t.Error("/overload does not show draining state")
+	}
+}
+
+// busyMX is a smarthost that answers every recipient 451.
+type busyMX struct{}
+
+func (busyMX) ValidateSender(mail.Address) *smtp.Reply { return nil }
+func (busyMX) ValidateRcpt(_, _ mail.Address) *smtp.Reply {
+	return &smtp.Reply{Code: 451, Text: "try later"}
+}
+func (busyMX) Deliver(*mail.Message) *smtp.Reply { return nil }
+
+// TestOutboundPageAndMetrics exercises /outbound and the outbound lines
+// of /metrics over a queue whose one destination domain is failing with
+// one challenge pending.
+func TestOutboundPageAndMetrics(t *testing.T) {
+	eng, clk, _, _ := fixture(t)
+	mx := smtp.NewServer(smtp.Config{Hostname: "smarthost.example", ReadTimeout: 5 * time.Second}, busyMX{})
+	q := outbound.NewQueue(outbound.Config{
+		Dial: func() (*smtp.Client, error) {
+			client, server := net.Pipe()
+			go mx.ServeConn(server)
+			return smtp.NewClient(client)
+		},
+		HeloDomain: "cr.corp.example",
+		Now:        clk.Now,
+	})
+	q.Enqueue(core.OutboundChallenge{
+		MsgID: "smtp-000001",
+		From:  mail.MustParseAddress("challenge@corp.example"),
+		To:    mail.MustParseAddress("sender@busy.example"),
+		URL:   "http://cr.corp.example/challenge/tok",
+	})
+	if _, err := q.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ui := New(eng)
+	ui.SetOutbound(q)
+	srv := httptest.NewServer(ui.Handler())
+	t.Cleanup(srv.Close)
+
+	code, body := get(t, srv.URL+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics = %d", code)
+	}
+	// Exactly the spool lines (crbench reads the first two): no
+	// per-domain gauge, and no bounce line before any bounce.
+	var lines []string
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "outbound_") {
+			lines = append(lines, line)
+		}
+	}
+	want := "[outbound_spool_depth 1 outbound_deferred 0 outbound_journal_dropped 0]"
+	if got := fmt.Sprint(lines); got != want {
+		t.Errorf("/metrics outbound lines = %s, want %s", got, want)
+	}
+
+	code, body = get(t, srv.URL+"/outbound")
+	if code != http.StatusOK {
+		t.Fatalf("/outbound = %d", code)
+	}
+	// domain, queued, fail streak, sent, bounced, expired, next retry
+	// (the first rung), last error.
+	row := fmt.Sprintf("<tr><td>busy.example</td><td>1</td><td>1</td><td>0</td><td>0</td><td>0</td><td>%s</td><td>tempfail: 451",
+		t0.Add(15*time.Minute).Format("2006-01-02 15:04:05"))
+	if !strings.Contains(body, row) {
+		t.Errorf("/outbound missing the busy.example row %q:\n%s", row, body)
 	}
 }
 

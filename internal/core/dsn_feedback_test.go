@@ -164,7 +164,7 @@ func TestTwoCRDeploymentsDoNotLoop(t *testing.T) {
 
 	// deliver renders an outbound challenge as the mail message the
 	// peer's MTA receives — Auto-Submitted and all, like outbound's
-	// RenderChallenge does on the wire.
+	// renderChallenge does on the wire.
 	deliver := func(from *crPeer, to *crPeer, srcIP string) func(OutboundChallenge) {
 		return func(ch OutboundChallenge) {
 			from.sent = append(from.sent, ch)

@@ -33,10 +33,11 @@
 //	outbound-dsn    simnet.Network    DSN generation at the remote MTA (malformed bounces)
 //	surge           workload lanes    per-message engine service latency (overload runs)
 //
-// Why those stay: outbound.Dialer returns a concrete *smtp.Client, so the
-// smarthost path has no interface to wrap; the engine holds a concrete
-// *reputation.Store; outbound-dsn and surge are on the simulator's side
-// of the wire, not the product's; and wal and store write files directly.
+// Why those stay: outbound.Config.Dial returns a concrete
+// *smtp.Client, so the smarthost path has no interface to wrap; the
+// engine holds a concrete *reputation.Store; outbound-dsn and surge are
+// on the simulator's side of the wire, not the product's; and wal and
+// store write files directly.
 // Because wal keeps importing this package (filters reaches it through
 // reputation), the decorators live in the seam subpackage.
 //

@@ -103,21 +103,27 @@ func TestHardenedBreakerShortCircuits(t *testing.T) {
 	h.Run(m)
 	h.Run(m) // trips after 2 consecutive (post-retry) failures
 	probesBefore := fp.probes
-	h.Run(m) // breaker open: no probe at all
+	// Breaker open for the whole window: no probe at all, the fallback.
+	for _, wait := range []time.Duration{0, time.Minute - time.Second} {
+		clk.Advance(wait)
+		if r, degraded := h.Run(m); !degraded || r.Verdict != Pass {
+			t.Fatalf("open-breaker run: %+v degraded=%v", r, degraded)
+		}
+	}
 	if fp.probes != probesBefore {
 		t.Fatalf("probe reached a tripped dependency (%d -> %d)", probesBefore, fp.probes)
 	}
-	if br.State() != resilience.Open {
-		t.Fatalf("breaker state = %v", br.State())
-	}
-	// Recovery: dependency heals, window elapses, probe closes the breaker.
+	// Recovery: dependency heals, window elapses, one probe succeeds and
+	// closes the breaker, so the next message probes again at once.
 	fp.failures = 0
-	clk.Advance(time.Minute)
-	if r, degraded := h.Run(m); degraded || r.Verdict != Pass {
-		t.Fatalf("post-recovery run: %+v degraded=%v", r, degraded)
-	}
-	if br.State() != resilience.Closed {
-		t.Fatalf("breaker did not close after successful probe: %v", br.State())
+	clk.Advance(time.Second)
+	for i := 1; i <= 2; i++ {
+		if r, degraded := h.Run(m); degraded || r.Verdict != Pass {
+			t.Fatalf("post-recovery run %d: %+v degraded=%v", i, r, degraded)
+		}
+		if got := fp.probes - probesBefore; got != i {
+			t.Fatalf("post-recovery run %d: %d probe(s) in all, want %d", i, got, i)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/faults"
 	"repro/internal/faults/seam"
+	"repro/internal/mail"
 	"repro/internal/resilience"
 	"repro/internal/smtp"
 	"repro/internal/spool"
@@ -17,10 +18,12 @@ import (
 )
 
 // darkInjector fails every delivery to the domains in dark, via the
-// queue's "domain:<name>" fault target, and can heal mid-test.
+// queue's "domain:<name>" fault target, and can heal mid-test. tries
+// counts the delivery attempts per domain.
 type darkInjector struct {
-	mu   sync.Mutex
-	dark map[string]bool
+	mu    sync.Mutex
+	dark  map[string]bool
+	tries map[string]int
 }
 
 func (d *darkInjector) set(domain string, failing bool) {
@@ -35,10 +38,33 @@ func (d *darkInjector) set(domain string, failing bool) {
 func (d *darkInjector) Decide(target string, _ time.Duration) faults.Decision {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if name, ok := strings.CutPrefix(target, "domain:"); ok && d.dark[name] {
+	name, ok := strings.CutPrefix(target, "domain:")
+	if !ok {
+		return faults.Decision{}
+	}
+	if d.tries == nil {
+		d.tries = make(map[string]int)
+	}
+	d.tries[name]++
+	if d.dark[name] {
 		return faults.Decision{Kind: faults.KindTempfail}
 	}
 	return faults.Decision{}
+}
+
+func (d *darkInjector) triesTo(domain string) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.tries[domain]
+}
+
+// attempts returns the attempt counts of q's pending items.
+func attempts(q *Queue) []int {
+	var out []int
+	for _, it := range q.cfg.Spool.Pending(0) {
+		out = append(out, it.Attempts)
+	}
+	return out
 }
 
 // sentTo counts smarthost deliveries per destination domain.
@@ -98,15 +124,12 @@ func TestDarkDomainDoesNotStallHealthy(t *testing.T) {
 	}
 }
 
-// day is past every rung of resilience.MTARetrySchedule and the
-// breaker's open window, so a flush a day later finds every timer due.
-const day = 25 * time.Hour
-
-// TestDarkDomainBreakerLifecycle drives one domain's circuit breaker
-// through closed → open → half-open (single probe) → closed on a
-// virtual clock.
-func TestDarkDomainBreakerLifecycle(t *testing.T) {
-	sh, addr := startSmarthost(t)
+// TestDomainLadderRungs: the k-th consecutive failure of a domain holds
+// the whole domain for the k-th rung of resilience.MTARetrySchedule,
+// capped at the last; a flush one second early does not touch it, and
+// one success resets the streak.
+func TestDomainLadderRungs(t *testing.T) {
+	_, addr := startSmarthost(t)
 	now := time.Date(2011, 4, 1, 12, 0, 0, 0, time.UTC)
 	inj := &darkInjector{}
 	inj.set("dark.example", true)
@@ -117,72 +140,113 @@ func TestDarkDomainBreakerLifecycle(t *testing.T) {
 		Injector:   inj,
 		Now:        func() time.Time { return now },
 	})
+	sched := resilience.MTARetrySchedule
+	// Enough items that the domain outlives the first one's expiry and
+	// climbs past the last rung.
+	for i := 0; i < len(sched)+3; i++ {
+		q.Enqueue(challengeTo(fmt.Sprintf("victim%d@dark.example", i)))
+	}
+	for k := 1; k <= len(sched)+2; k++ {
+		if _, err := q.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		ds := q.DomainStats()[0]
+		rung := sched[min(k, len(sched))-1]
+		if ds.FailStreak != k || !ds.RetryAt.Equal(now.Add(rung)) || ds.LastError == "" {
+			t.Fatalf("failure %d: %+v, want streak %d held for %v", k, ds, k, rung)
+		}
+		before := fmt.Sprint(attempts(q))
+		now = ds.RetryAt.Add(-time.Second)
+		dials = 0
+		if _, err := q.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if after := fmt.Sprint(attempts(q)); dials != 0 || after != before {
+			t.Fatalf("failure %d: a flush 1s before the rung ended dialed %d time(s), attempts %s -> %s", k, dials, before, after)
+		}
+		now = ds.RetryAt
+	}
+
+	inj.set("dark.example", false)
+	if _, err := q.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if ds := q.DomainStats()[0]; ds.FailStreak != 0 || !ds.RetryAt.IsZero() || ds.LastError != "" {
+		t.Fatalf("after a success: %+v, want a reset ladder", ds)
+	}
+	// The next failure starts again from the first rung.
+	inj.set("dark.example", true)
+	q.Enqueue(challengeTo("late@dark.example"))
+	if _, err := q.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if ds := q.DomainStats()[0]; ds.FailStreak != 1 || !ds.RetryAt.Equal(now.Add(sched[0])) {
+		t.Fatalf("first failure after a reset: %+v, want streak 1 held for %v", ds, sched[0])
+	}
+}
+
+// TestDarkDomainLadderLifecycle: a still-dark domain costs one attempt
+// per flush — the ladder's and the drain's alike, past any failure
+// count — and once healed it drains its whole backlog in the first
+// flush its rung allows.
+func TestDarkDomainLadderLifecycle(t *testing.T) {
+	sh, addr := startSmarthost(t)
+	now := time.Date(2011, 4, 1, 12, 0, 0, 0, time.UTC)
+	inj := &darkInjector{}
+	inj.set("dark.example", true)
+	q := NewQueue(Config{
+		Dial:       func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
+		HeloDomain: "cr.corp.example",
+		Injector:   inj,
+		Now:        func() time.Time { return now },
+	})
 	for i := 0; i < 4; i++ {
 		q.Enqueue(challengeTo(fmt.Sprintf("victim%d@dark.example", i)))
 	}
 
-	// Five failing rounds trip the breaker (each round attempts one
-	// item, fails on the domain fault, and abandons the batch).
-	threshold := resilience.DefaultBreakerConfig().FailureThreshold
-	for i := 0; i < threshold; i++ {
-		if i > 0 {
-			now = now.Add(day)
+	// Six failures: each round a ladder flush when the rung ends, then a
+	// drain at once. The sixth expires the first challenge.
+	for round := 0; round < 3; round++ {
+		for _, flush := range []func() (int, error){q.Flush, q.FlushAll} {
+			tries := inj.triesTo("dark.example")
+			if _, err := flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got := inj.triesTo("dark.example") - tries; got != 1 {
+				t.Fatalf("round %d: a flush of the dark domain tried %d item(s), want 1", round, got)
+			}
 		}
-		if _, err := q.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		now = q.DomainStats()[0].RetryAt
 	}
-	ds := q.DomainStats()
-	if len(ds) != 1 || ds[0].Domain != "dark.example" {
-		t.Fatalf("domains = %+v", ds)
-	}
-	if ds[0].Breaker.State != resilience.Open || ds[0].Breaker.Trips != 1 || ds[0].FailStreak != threshold {
-		t.Fatalf("after %d failures: %+v", threshold, ds[0])
-	}
-	if ds[0].LastError == "" || ds[0].RetryAt.IsZero() {
-		t.Fatalf("ledger missing error state: %+v", ds[0])
+	if got := q.Stats(); got[StatusQueued] != 3 || got[statusExpired] != 1 {
+		t.Fatalf("stats = %v, want 3 queued and 1 expired", got)
 	}
 
-	// While open the domain is skipped entirely — not even a dial, even
-	// by a FlushAll, which ignores the retry ladder.
-	dials = 0
-	if _, err := q.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if dials != 0 {
-		t.Fatalf("dialed %d time(s) for an open-breaker domain", dials)
-	}
-
-	// Past the open window a healed domain gets exactly one probe.
+	// Healed, but one second inside its rung: still held.
 	inj.set("dark.example", false)
-	now = now.Add(day)
+	now = now.Add(-time.Second)
 	if _, err := q.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sentTo(sh)["dark.example"]; got != 1 {
-		t.Fatalf("half-open flush delivered %d, want exactly 1 probe", got)
+	if got := sentTo(sh)["dark.example"]; got != 0 {
+		t.Fatalf("delivered %d while the rung held the domain", got)
 	}
-	ds = q.DomainStats()
-	if ds[0].Breaker.State != resilience.Closed || ds[0].FailStreak != 0 {
-		t.Fatalf("after successful probe: %+v", ds[0])
-	}
-
-	// Closed again: the rest of the backlog drains in one flush.
-	now = now.Add(day)
+	now = now.Add(time.Second)
 	if _, err := q.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sentTo(sh)["dark.example"]; got != 4 {
-		t.Fatalf("delivered %d of 4 after recovery", got)
+	if got := sentTo(sh)["dark.example"]; got != 3 || q.SpoolDepth() != 0 {
+		t.Fatalf("first flush after recovery delivered %d of 3, %d left", got, q.SpoolDepth())
 	}
-	if got := q.Stats()[StatusSent]; got != 4 {
-		t.Fatalf("sent = %d", got)
+	if ds := q.DomainStats()[0]; ds.FailStreak != 0 || ds.Sent != 3 || ds.Expired != 1 {
+		t.Fatalf("after recovery: %+v", ds)
 	}
 }
 
-// TestHalfOpenProbeFailureReopens: a failing probe re-opens the breaker
-// without burning the rest of the backlog.
-func TestHalfOpenProbeFailureReopens(t *testing.T) {
+// TestFailingDomainKeepsBacklog: a failing domain spends one challenge's
+// attempts, not its backlog's; the untried challenges keep no attempt
+// until the first has expired.
+func TestFailingDomainKeepsBacklog(t *testing.T) {
 	_, addr := startSmarthost(t)
 	now := time.Date(2011, 4, 1, 12, 0, 0, 0, time.UTC)
 	inj := &darkInjector{}
@@ -193,32 +257,58 @@ func TestHalfOpenProbeFailureReopens(t *testing.T) {
 		Injector:   inj,
 		Now:        func() time.Time { return now },
 	})
-	q.Enqueue(challengeTo("victim@dark.example"))
-	q.Enqueue(challengeTo("victim2@dark.example"))
-	for i := 0; i < resilience.DefaultBreakerConfig().FailureThreshold; i++ {
-		if i > 0 {
-			now = now.Add(day)
-		}
+	for i := 0; i < 3; i++ {
+		q.Enqueue(challengeTo(fmt.Sprintf("victim%d@dark.example", i)))
+	}
+	for k := 1; k <= len(resilience.MTARetrySchedule); k++ {
 		if _, err := q.Flush(); err != nil {
 			t.Fatal(err)
 		}
+		if got := fmt.Sprint(attempts(q)); got != fmt.Sprintf("[%d 0 0]", k) {
+			t.Fatalf("after %d failing flush(es): attempts %s, want one item at %d and two untried", k, got, k)
+		}
+		now = q.DomainStats()[0].RetryAt
 	}
-	if st := q.DomainStats()[0].Breaker; st.State != resilience.Open {
-		t.Fatalf("breaker = %+v, want open", st)
-	}
-	// Probe while still dark: breaker must trip straight back to open.
-	// The probe is the first challenge's sixth attempt, past the last
-	// rung, so it expires; the second was never attempted and waits.
-	now = now.Add(day)
+	// The next attempt is the first challenge's last: it expires, and the
+	// other two are still untried.
 	if _, err := q.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st := q.DomainStats()[0].Breaker
-	if st.State != resilience.Open || st.Trips != 2 {
-		t.Fatalf("after failed probe: %+v", st)
+	if got := q.Stats(); got[StatusQueued] != 2 || got[statusExpired] != 1 {
+		t.Fatalf("stats = %v, want 2 queued and 1 expired", got)
 	}
-	if got := q.Stats(); got[StatusQueued] != 1 || got[StatusExpired] != 1 {
-		t.Fatalf("stats = %v, want 1 queued (untouched) and 1 expired", got)
+	if got := fmt.Sprint(attempts(q)); got != "[0 0]" {
+		t.Fatalf("untried challenges' attempts = %s, want [0 0]", got)
+	}
+}
+
+// TestTempfailingDomainRetriesEveryDueItem: a smarthost that answers 4xx
+// per item is no domain fault, so however long the streak, each flush
+// its rung allows tries every due item.
+func TestTempfailingDomainRetriesEveryDueItem(t *testing.T) {
+	sh, addr := startSmarthost(t)
+	now := time.Date(2011, 4, 1, 12, 0, 0, 0, time.UTC)
+	q := NewQueue(Config{
+		Dial:       func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
+		HeloDomain: "cr.corp.example",
+		Now:        func() time.Time { return now },
+	})
+	for i := 0; i < 3; i++ {
+		rcpt := fmt.Sprintf("busy%d@busy.example", i)
+		sh.tempFail[mail.MustParseAddress(rcpt).Key()] = true
+		q.Enqueue(challengeTo(rcpt))
+	}
+	for k := 1; k <= 3; k++ {
+		if _, err := q.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(attempts(q)), fmt.Sprintf("[%d %d %d]", k, k, k); got != want {
+			t.Fatalf("flush %d: attempts %s, want %s", k, got, want)
+		}
+		if ds := q.DomainStats()[0]; ds.FailStreak != 3*k {
+			t.Fatalf("flush %d: fail streak %d, want %d", k, ds.FailStreak, 3*k)
+		}
+		now = q.DomainStats()[0].RetryAt
 	}
 }
 
@@ -300,7 +390,7 @@ func TestJournalReplayRebuildsQueue(t *testing.T) {
 		t.Fatalf("recovered spool depth = %d, want 1", d)
 	}
 	it := sp2.Pending(1)[0]
-	if it.Challenge.MsgID == "" || it.Attempts != 1 || it.LastClass != ClassTempfail {
+	if it.Challenge.MsgID == "" || it.Attempts != 1 || it.LastClass != classTempfail {
 		t.Fatalf("recovered item lost its attempt state: %+v", it)
 	}
 	sh.tempFail = map[string]bool{}
@@ -459,7 +549,7 @@ func TestWalSpoolFaultDropsAppendsFailOpen(t *testing.T) {
 	if _, err := q.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := q.Stats()[StatusSent]; got != 1 {
+	if got := q.Stats()[statusSent]; got != 1 {
 		t.Fatalf("sent = %d — a journal fault must not block delivery", got)
 	}
 	if len(sh.accepted) != 1 {
@@ -513,7 +603,7 @@ func TestConcurrentEnqueueFlush(t *testing.T) {
 	if _, err := q.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if got := q.Stats()[StatusSent]; got != 40 {
+	if got := q.Stats()[statusSent]; got != 40 {
 		t.Fatalf("sent = %d, want 40", got)
 	}
 	if d := q.SpoolDepth(); d != 0 {

@@ -18,16 +18,14 @@
 //     loses zero acked challenges: store.Recover rebuilds the pending
 //     spool, and a queue built over it delivers them on its next Flush.
 //   - Per-destination-domain isolation: each destination domain gets
-//     its own health ledger (a consecutive-failure circuit breaker and
-//     an independent retry ladder), so one dead or RBL-listed
-//     destination MX cannot starve retries or head-of-line-block
-//     delivery to healthy domains.
+//     its own retry ladder, and a domain fault ends only that domain's
+//     batch, so one dead or RBL-listed destination MX cannot starve
+//     retries or head-of-line-block delivery to healthy domains.
 //
 // Items and domains both retry on resilience.MTARetrySchedule: an item
 // expires after len(MTARetrySchedule)+1 attempts, and after k
 // consecutive domain-level failures the whole domain waits the k-th rung
-// (capped at the last) before its next batch. Each domain's breaker
-// takes resilience.DefaultBreakerConfig.
+// (capped at the last) before its next batch.
 package outbound
 
 import (
@@ -53,35 +51,31 @@ type Status = spool.Status
 const (
 	// StatusQueued: waiting for the next delivery attempt.
 	StatusQueued = spool.StatusQueued
-	// StatusSent: accepted by the smarthost.
-	StatusSent = spool.StatusSent
-	// StatusBounced: permanently rejected (5xx).
-	StatusBounced = spool.StatusBounced
-	// StatusExpired: retries exhausted.
-	StatusExpired = spool.StatusExpired
+	// statusSent: accepted by the smarthost.
+	statusSent = spool.StatusSent
+	// statusBounced: permanently rejected (5xx).
+	statusBounced = spool.StatusBounced
+	// statusExpired: retries exhausted.
+	statusExpired = spool.StatusExpired
 )
 
 // Error classes, recorded with each failed attempt (spool.Item.LastClass
 // and the journalled record's Origin), so an expired challenge shows
 // which error class exhausted its retries.
 const (
-	// ClassTempfail: the smarthost answered 4xx (transient rejection).
-	ClassTempfail = "tempfail"
-	// ClassPermfail: the smarthost answered 5xx (permanent rejection).
-	ClassPermfail = "permfail"
-	// ClassConnection: the session itself failed (dial, I/O, injected
+	// classTempfail: the smarthost answered 4xx (transient rejection).
+	classTempfail = "tempfail"
+	// classPermfail: the smarthost answered 5xx (permanent rejection).
+	classPermfail = "permfail"
+	// classConnection: the session itself failed (dial, I/O, injected
 	// outage) before an SMTP verdict was reached.
-	ClassConnection = "connection"
+	classConnection = "connection"
 )
-
-// Dialer opens an SMTP session to the smarthost. Tests substitute an
-// in-memory implementation.
-type Dialer func() (*smtp.Client, error)
 
 // Config parameterises a Queue.
 type Config struct {
-	// Dial opens the smarthost connection; required.
-	Dial Dialer
+	// Dial opens an SMTP session to the smarthost; required.
+	Dial func() (*smtp.Client, error)
 	// HeloDomain is announced on each session.
 	HeloDomain string
 	// Injector is an optional fault source consulted on the smarthost
@@ -111,10 +105,9 @@ type Config struct {
 	Journal func(wal.Record) uint64
 }
 
-// domainLedger is the per-destination-domain health state: the circuit
-// breaker, the domain-level retry ladder position, and fate counters.
+// domainLedger is the per-destination-domain health state: the
+// domain-level retry ladder position and fate counters.
 type domainLedger struct {
-	breaker    *resilience.Breaker
 	failStreak int
 	retryAt    time.Time
 	lastError  string
@@ -130,16 +123,10 @@ type DomainStats struct {
 	Sent       int64
 	Bounced    int64
 	Expired    int64
-	Breaker    resilience.BreakerStats
 	FailStreak int
 	RetryAt    time.Time
 	LastError  string
 }
-
-// nowClock adapts Config.Now to clock.Clock for the breakers.
-type nowClock struct{ f func() time.Time }
-
-func (c nowClock) Now() time.Time { return c.f() }
 
 // Queue is the outbound challenge queue. Enqueue is cheap; Flush drives
 // delivery (call it from a ticker or after Enqueue for immediate mode).
@@ -198,9 +185,7 @@ func toSpool(ch core.OutboundChallenge) spool.Challenge {
 func (q *Queue) ledgerLocked(domain string) *domainLedger {
 	led, ok := q.domains[domain]
 	if !ok {
-		led = &domainLedger{
-			breaker: resilience.NewBreaker(domain, resilience.DefaultBreakerConfig(), nowClock{q.cfg.Now}),
-		}
+		led = &domainLedger{}
 		q.domains[domain] = led
 	}
 	return led
@@ -238,9 +223,9 @@ func (q *Queue) Sender() core.ChallengeSender {
 	return func(ch core.OutboundChallenge) { q.Enqueue(ch) }
 }
 
-// RenderChallenge builds the RFC 5322 body of a challenge email: the
+// renderChallenge builds the RFC 5322 body of a challenge email: the
 // text a real sender reads, with the CAPTCHA URL to open.
-func RenderChallenge(ch spool.Challenge) string {
+func renderChallenge(ch spool.Challenge) string {
 	h := mail.NewHeaders()
 	h.Set("From", ch.From.String())
 	h.Set("To", ch.To.String())
@@ -269,21 +254,19 @@ func (q *Queue) Flush() (terminal int, err error) {
 }
 
 // FlushAll is Flush ignoring retry timers and domain-ladder waits:
-// every considered challenge is attempted now (open breakers still
-// refuse their domain — a dark MX stays dark even during drain). The
-// graceful-drain path uses it so a shutdown does not strand challenges
-// waiting on a backoff schedule.
+// every considered challenge is attempted now, except that a domain
+// fault still ends its domain's batch, so a dark MX costs a drain one
+// attempt. The graceful-drain path uses it so a shutdown does not
+// strand challenges waiting on a backoff schedule.
 func (q *Queue) FlushAll() (terminal int, err error) {
 	return q.flush(true)
 }
 
 // domGroup is one destination domain's batch of a flush.
 type domGroup struct {
-	domain   string
-	led      *domainLedger
-	items    []*spool.Item
-	probed   bool // breaker was half-open when admitted: exactly one probe item
-	recorded bool // at least one item outcome was Recorded on the breaker
+	domain string
+	led    *domainLedger
+	items  []*spool.Item
 }
 
 func (q *Queue) flush(ignoreSchedule bool) (terminal int, err error) {
@@ -315,31 +298,11 @@ func (q *Queue) flush(ignoreSchedule bool) (terminal int, err error) {
 		if !ignoreSchedule && now.Before(led.retryAt) {
 			continue
 		}
-		if !led.breaker.Allow() {
-			continue
-		}
-		g := &domGroup{domain: d, led: led, items: perDomain[d]}
-		if led.breaker.State() == resilience.HalfOpen {
-			g.probed = true
-			g.items = g.items[:1]
-		}
-		groups = append(groups, g)
+		groups = append(groups, &domGroup{domain: d, led: led, items: perDomain[d]})
 	}
 	q.mu.Unlock()
 	if len(groups) == 0 {
 		return 0, nil
-	}
-
-	// releaseProbes re-opens the breaker of any admitted half-open
-	// domain whose probe item never reached an outcome because the
-	// whole session failed — otherwise the claimed probe slot would
-	// wedge the breaker in half-open forever.
-	releaseProbes := func(sessionErr error) {
-		for _, g := range groups {
-			if g.probed && !g.recorded {
-				g.led.breaker.Record(sessionErr)
-			}
-		}
 	}
 
 	if inj := q.cfg.Injector; inj != nil {
@@ -347,18 +310,15 @@ func (q *Queue) flush(ignoreSchedule bool) (terminal int, err error) {
 		// target: consulting "smarthost" here would count (and burn an RNG
 		// draw on) per-item tempfail rules whose decision is then ignored.
 		if d := inj.Decide("smarthost-dial", 0); d.Err != nil {
-			releaseProbes(d.Err)
 			return 0, fmt.Errorf("outbound: dial smarthost: %w", d.Err)
 		}
 	}
 	client, err := q.cfg.Dial()
 	if err != nil {
-		releaseProbes(err)
 		return 0, fmt.Errorf("outbound: dial smarthost: %w", err)
 	}
 	defer client.Close()
 	if err := client.Hello(q.cfg.HeloDomain); err != nil {
-		releaseProbes(err)
 		return 0, fmt.Errorf("outbound: HELO: %w", err)
 	}
 
@@ -380,42 +340,41 @@ func (q *Queue) flush(ignoreSchedule bool) (terminal int, err error) {
 				}
 			}
 			if sendErr == nil {
-				sendErr = client.SendMail(it.Challenge.From, []mail.Address{it.Challenge.To}, RenderChallenge(it.Challenge))
+				sendErr = client.SendMail(it.Challenge.From, []mail.Address{it.Challenge.To}, renderChallenge(it.Challenge))
 			}
 			it.Attempts++
 			outcome := sendErr // what the domain's ledger records
 			reply, isReply := sendErr.(*smtp.Reply)
 			switch {
 			case sendErr == nil:
-				it.Status = StatusSent
+				it.Status = statusSent
 				q.rec.Terminal(now, it.Challenge.MsgID, it.Status, it.LastClass, it.LastError, it.Attempts)
 			case isReply && !reply.Temporary():
-				it.LastClass = ClassPermfail
-				it.LastError = ClassPermfail + ": " + reply.Error()
-				it.Status = StatusBounced
+				it.LastClass = classPermfail
+				it.LastError = classPermfail + ": " + reply.Error()
+				it.Status = statusBounced
 				q.rec.Terminal(now, it.Challenge.MsgID, it.Status, it.LastClass, it.LastError, it.Attempts)
 				// A permanent rejection is a definitive answer from a
 				// live path — the domain is healthy, the mailbox is not.
 				outcome = nil
 			case isReply:
-				q.fail(it, ClassTempfail, reply, now)
+				q.fail(it, classTempfail, reply, now)
 			default:
-				q.fail(it, ClassConnection, sendErr, now)
+				q.fail(it, classConnection, sendErr, now)
 			}
 			if it.Status != StatusQueued {
 				terminal++
 			}
 			q.mu.Lock()
-			q.domainOutcomeLocked(g, it, now, outcome)
+			q.domainOutcomeLocked(g.led, it, now, outcome)
 			q.mu.Unlock()
 			if isReply {
 				// The session survives SMTP-level rejections; reset the
 				// transaction for the next item.
 				_ = client.Reset()
 			} else if sendErr != nil && !domainFault {
-				// Smarthost-session failure: stop the whole flush,
-				// release any untested half-open probes, retry later.
-				releaseProbes(sendErr)
+				// Smarthost-session failure: stop the whole flush and
+				// retry later.
 				return terminal, fmt.Errorf("outbound: session lost: %w", sendErr)
 			}
 			if domainFault {
@@ -438,7 +397,7 @@ func (q *Queue) fail(it *spool.Item, class string, err error, now time.Time) {
 	it.LastError = class + ": " + err.Error()
 	idx := it.Attempts - 1
 	if idx >= len(resilience.MTARetrySchedule) {
-		it.Status = StatusExpired
+		it.Status = statusExpired
 		q.rec.Terminal(now, it.Challenge.MsgID, it.Status, it.LastClass, it.LastError, it.Attempts)
 		return
 	}
@@ -447,12 +406,8 @@ func (q *Queue) fail(it *spool.Item, class string, err error, now time.Time) {
 }
 
 // domainOutcomeLocked feeds one item outcome into its domain's ledger:
-// the circuit breaker, the domain retry ladder and the fate counters.
-// Caller holds q.mu.
-func (q *Queue) domainOutcomeLocked(g *domGroup, it *spool.Item, now time.Time, outcome error) {
-	led := g.led
-	g.recorded = true
-	led.breaker.Record(outcome)
+// the domain retry ladder and the fate counters. Caller holds q.mu.
+func (q *Queue) domainOutcomeLocked(led *domainLedger, it *spool.Item, now time.Time, outcome error) {
 	if outcome == nil {
 		led.failStreak = 0
 		led.retryAt = time.Time{}
@@ -467,11 +422,11 @@ func (q *Queue) domainOutcomeLocked(g *domGroup, it *spool.Item, now time.Time, 
 		led.lastError = it.LastError
 	}
 	switch it.Status {
-	case StatusSent:
+	case statusSent:
 		led.sent++
-	case StatusBounced:
+	case statusBounced:
 		led.bounced++
-	case StatusExpired:
+	case statusExpired:
 		led.expired++
 	}
 }
@@ -488,7 +443,7 @@ func (q *Queue) Stats() map[Status]int {
 
 // DomainStats returns the per-destination-domain health ledgers in
 // domain order, with each domain's pending challenges counted from the
-// spool. A domain no flush has reached yet has a zero (closed) ledger.
+// spool. A domain no flush has reached yet has a zero ledger.
 func (q *Queue) DomainStats() []DomainStats {
 	queued := q.cfg.Spool.PendingByDomain()
 	q.mu.Lock()
@@ -501,7 +456,6 @@ func (q *Queue) DomainStats() []DomainStats {
 			Sent:       led.sent,
 			Bounced:    led.bounced,
 			Expired:    led.expired,
-			Breaker:    led.breaker.Stats(),
 			FailStreak: led.failStreak,
 			RetryAt:    led.retryAt,
 			LastError:  led.lastError,

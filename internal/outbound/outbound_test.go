@@ -131,7 +131,7 @@ func TestFlushDelivers(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("Flush = %d, %v", n, err)
 	}
-	if got := q.Stats()[StatusSent]; got != 2 {
+	if got := q.Stats()[statusSent]; got != 2 {
 		t.Fatalf("sent = %d", got)
 	}
 	sh.mu.Lock()
@@ -166,7 +166,7 @@ func TestPermanentRejectionBounces(t *testing.T) {
 		t.Fatalf("terminal = %d, want 2", n)
 	}
 	st := q.Stats()
-	if st[StatusBounced] != 1 || st[StatusSent] != 1 {
+	if st[statusBounced] != 1 || st[statusSent] != 1 {
 		t.Fatalf("stats = %v", st)
 	}
 	// The bounce record carries the SMTP error.
@@ -206,7 +206,7 @@ func TestTemporaryRejectionRetriesAndExpires(t *testing.T) {
 	if n, err := q.Flush(); err != nil || n != 1 {
 		t.Fatalf("final flush = %d, %v", n, err)
 	}
-	if q.Stats()[StatusExpired] != 1 {
+	if q.Stats()[statusExpired] != 1 {
 		t.Fatalf("stats = %v", q.Stats())
 	}
 }
@@ -253,7 +253,7 @@ func TestEmptyFlushNoDial(t *testing.T) {
 }
 
 func TestRenderChallengeHeaders(t *testing.T) {
-	body := RenderChallenge(toSpool(challengeTo("alice@example.com")))
+	body := renderChallenge(toSpool(challengeTo("alice@example.com")))
 	for _, want := range []string{
 		"From: challenge@corp.example",
 		"To: alice@example.com",
@@ -261,15 +261,15 @@ func TestRenderChallengeHeaders(t *testing.T) {
 		"X-CR-Token: tok-xyz",
 	} {
 		if !strings.Contains(body, want) {
-			t.Fatalf("RenderChallenge missing %q", want)
+			t.Fatalf("renderChallenge missing %q", want)
 		}
 	}
 }
 
 func TestStatusString(t *testing.T) {
 	for s, want := range map[Status]string{
-		StatusQueued: "queued", StatusSent: "sent",
-		StatusBounced: "bounced", StatusExpired: "expired",
+		StatusQueued: "queued", statusSent: "sent",
+		statusBounced: "bounced", statusExpired: "expired",
 	} {
 		if s.String() != want {
 			t.Errorf("Status(%d) = %q, want %q", int(s), s.String(), want)
@@ -303,11 +303,11 @@ func TestErrorClassesDistinguished(t *testing.T) {
 		}
 		switch who {
 		case "busy":
-			if r.Op != wal.OpSpoolAttempt || r.Origin != ClassTempfail || !strings.HasPrefix(r.Blob, "tempfail: 451") {
+			if r.Op != wal.OpSpoolAttempt || r.Origin != classTempfail || !strings.HasPrefix(r.Blob, "tempfail: 451") {
 				t.Errorf("tempfail item: op=%v class=%q err=%q", r.Op, r.Origin, r.Blob)
 			}
 		case "ghost":
-			if r.Op != wal.OpSpoolBounced || r.Origin != ClassPermfail || !strings.HasPrefix(r.Blob, "permfail: 550") {
+			if r.Op != wal.OpSpoolBounced || r.Origin != classPermfail || !strings.HasPrefix(r.Blob, "permfail: 550") {
 				t.Errorf("permfail item: op=%v class=%q err=%q", r.Op, r.Origin, r.Blob)
 			}
 		case "fine":
@@ -316,7 +316,7 @@ func TestErrorClassesDistinguished(t *testing.T) {
 			}
 		}
 	}
-	if classes[ClassTempfail] != 1 || classes[ClassPermfail] != 1 || len(classes) != 2 {
+	if classes[classTempfail] != 1 || classes[classPermfail] != 1 || len(classes) != 2 {
 		t.Errorf("error classes = %v", classes)
 	}
 }
@@ -341,11 +341,11 @@ func TestExpiredItemRecordsExhaustingClass(t *testing.T) {
 		}
 		now = now.Add(25 * time.Hour) // past every rung
 	}
-	if st := q.Stats(); st[StatusExpired] != 1 || q.SpoolDepth() != 0 {
+	if st := q.Stats(); st[statusExpired] != 1 || q.SpoolDepth() != 0 {
 		t.Fatalf("stats = %v, depth %d; want the one challenge expired", st, q.SpoolDepth())
 	}
 	r := tap.last(ch.MsgID)
-	if r.Op != wal.OpSpoolExpired || r.Origin != ClassTempfail || !strings.HasPrefix(r.Blob, "tempfail:") {
+	if r.Op != wal.OpSpoolExpired || r.Origin != classTempfail || !strings.HasPrefix(r.Blob, "tempfail:") {
 		t.Errorf("expiry record lost its error class: op=%v class=%q err=%q", r.Op, r.Origin, r.Blob)
 	}
 	if r.Value != int64(attempts) {
@@ -370,7 +370,7 @@ func TestInjectedTempfailStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	it := sp.Pending(1)[0]
-	if it.Status != StatusQueued || it.LastClass != ClassTempfail || !strings.HasPrefix(it.LastError, "tempfail: 421") {
+	if it.Status != StatusQueued || it.LastClass != classTempfail || !strings.HasPrefix(it.LastError, "tempfail: 421") {
 		t.Fatalf("injected tempfail: status=%v class=%q err=%q", it.Status, it.LastClass, it.LastError)
 	}
 	sh.mu.Lock()
@@ -429,7 +429,7 @@ func TestBoundedQueueDefersOverflow(t *testing.T) {
 	if got := q.Deferred(); got != 0 {
 		t.Fatalf("Deferred after flushes = %d, want 0", got)
 	}
-	if got := q.Stats()[StatusSent]; got != 5 {
+	if got := q.Stats()[statusSent]; got != 5 {
 		t.Fatalf("sent = %d, want all 5", got)
 	}
 	if got := len(sh.accepted); got != 5 {
@@ -467,7 +467,7 @@ func TestFlushAllIgnoresRetryTimers(t *testing.T) {
 	if _, err := q.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if got := q.Stats()[StatusSent]; got != 1 {
+	if got := q.Stats()[statusSent]; got != 1 {
 		t.Fatalf("sent = %d, want 1 after FlushAll", got)
 	}
 }
@@ -605,7 +605,7 @@ func TestStatsFlatInDone(t *testing.T) {
 			sp.ApplyTerminal(id, spool.StatusSent, 1, 0)
 		}
 		q := NewQueue(Config{Dial: func() (*smtp.Client, error) { return nil, errors.New("unused") }, Spool: sp})
-		if got := q.Stats()[StatusSent]; got != n {
+		if got := q.Stats()[statusSent]; got != n {
 			t.Fatalf("Stats counts %d sent, want %d", got, n)
 		}
 		best := time.Hour

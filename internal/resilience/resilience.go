@@ -10,7 +10,6 @@
 package resilience
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -27,32 +26,18 @@ var MTARetrySchedule = []time.Duration{
 	15 * time.Minute, time.Hour, 4 * time.Hour, 12 * time.Hour, 24 * time.Hour,
 }
 
-// State is a circuit breaker's position.
-type State int
+// state is a circuit breaker's position.
+type state int
 
 // Breaker states.
 const (
-	// Closed: requests flow; failures are counted.
-	Closed State = iota
-	// Open: requests are refused outright until OpenTimeout elapses.
-	Open
-	// HalfOpen: a limited number of probe requests test recovery.
-	HalfOpen
+	// closed: requests flow; failures are counted.
+	closed state = iota
+	// open: requests are refused outright until OpenTimeout elapses.
+	open
+	// halfOpen: a limited number of probe requests test recovery.
+	halfOpen
 )
-
-// String returns the state label.
-func (s State) String() string {
-	switch s {
-	case Closed:
-		return "closed"
-	case Open:
-		return "open"
-	case HalfOpen:
-		return "half-open"
-	default:
-		return fmt.Sprintf("State(%d)", int(s))
-	}
-}
 
 // BreakerConfig parameterises a Breaker.
 type BreakerConfig struct {
@@ -72,15 +57,6 @@ func DefaultBreakerConfig() BreakerConfig {
 	return BreakerConfig{FailureThreshold: 5, OpenTimeout: 30 * time.Second, HalfOpenProbes: 1}
 }
 
-// BreakerStats is a snapshot of a breaker's counters.
-type BreakerStats struct {
-	State     State
-	Trips     int64 // closed/half-open -> open transitions
-	Rejected  int64 // requests refused while open
-	Successes int64
-	Failures  int64
-}
-
 // Breaker is a minimal consecutive-failure circuit breaker. It is safe
 // for concurrent use.
 type Breaker struct {
@@ -88,17 +64,16 @@ type Breaker struct {
 	clk clock.Clock
 
 	mu       sync.Mutex
-	state    State
+	state    state
 	fails    int // consecutive failures (closed) / probe failures (half-open)
 	probes   int // consecutive probe successes (half-open)
 	probing  int // half-open probes currently in flight (at most 1)
 	openedAt time.Time
-	stats    BreakerStats
 }
 
 // NewBreaker returns a closed breaker. name identifies the guarded
 // dependency at the call site; the breaker keeps no copy of it, since
-// its owner already keys it (per filter, per destination domain).
+// its owner already keys it (per probe filter).
 func NewBreaker(name string, cfg BreakerConfig, clk clock.Clock) *Breaker {
 	if cfg.FailureThreshold <= 0 {
 		cfg.FailureThreshold = 5
@@ -121,19 +96,16 @@ func NewBreaker(name string, cfg BreakerConfig, clk clock.Clock) *Breaker {
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == Open {
-		if b.clk.Now().Sub(b.openedAt) >= b.cfg.OpenTimeout {
-			b.state = HalfOpen
-			b.probes = 0
-			b.probing = 0
-		} else {
-			b.stats.Rejected++
+	if b.state == open {
+		if b.clk.Now().Sub(b.openedAt) < b.cfg.OpenTimeout {
 			return false
 		}
+		b.state = halfOpen
+		b.probes = 0
+		b.probing = 0
 	}
-	if b.state == HalfOpen {
+	if b.state == halfOpen {
 		if b.probing > 0 {
-			b.stats.Rejected++
 			return false
 		}
 		b.probing++
@@ -145,16 +117,15 @@ func (b *Breaker) Allow() bool {
 func (b *Breaker) Record(err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == HalfOpen && b.probing > 0 {
+	if b.state == halfOpen && b.probing > 0 {
 		b.probing--
 	}
 	if err == nil {
-		b.stats.Successes++
 		switch b.state {
-		case HalfOpen:
+		case halfOpen:
 			b.probes++
 			if b.probes >= b.cfg.HalfOpenProbes {
-				b.state = Closed
+				b.state = closed
 				b.fails = 0
 			}
 		default:
@@ -162,11 +133,10 @@ func (b *Breaker) Record(err error) {
 		}
 		return
 	}
-	b.stats.Failures++
 	switch b.state {
-	case HalfOpen:
+	case halfOpen:
 		b.trip()
-	default: // Closed
+	default: // closed
 		b.fails++
 		if b.fails >= b.cfg.FailureThreshold {
 			b.trip()
@@ -176,30 +146,9 @@ func (b *Breaker) Record(err error) {
 
 // trip opens the breaker. Caller holds b.mu.
 func (b *Breaker) trip() {
-	b.state = Open
+	b.state = open
 	b.openedAt = b.clk.Now()
 	b.fails = 0
 	b.probes = 0
 	b.probing = 0
-	b.stats.Trips++
-}
-
-// State returns the current state (resolving an elapsed open window to
-// half-open, as Allow would).
-func (b *Breaker) State() State {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == Open && b.clk.Now().Sub(b.openedAt) >= b.cfg.OpenTimeout {
-		return HalfOpen
-	}
-	return b.state
-}
-
-// Stats returns a snapshot of the breaker's counters.
-func (b *Breaker) Stats() BreakerStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	st := b.stats
-	st.State = b.state
-	return st
 }

@@ -15,6 +15,13 @@ var (
 	errBoom = errors.New("boom")
 )
 
+// stateOf reads b's position as Allow last left it.
+func stateOf(b *Breaker) state {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
+}
+
 func TestBreakerClosedToOpen(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	b := NewBreaker("dep", BreakerConfig{FailureThreshold: 3, OpenTimeout: 30 * time.Second}, clk)
@@ -26,18 +33,18 @@ func TestBreakerClosedToOpen(t *testing.T) {
 	b.Record(nil)
 	b.Record(errBoom)
 	b.Record(errBoom)
-	if got := b.State(); got != Closed {
-		t.Fatalf("state after interleaved failures = %v, want closed", got)
+	if got := stateOf(b); got != closed {
+		t.Fatalf("state after interleaved failures = %d, want closed", got)
 	}
 	b.Record(errBoom) // third consecutive
-	if got := b.State(); got != Open {
-		t.Fatalf("state after threshold = %v, want open", got)
+	if got := stateOf(b); got != open {
+		t.Fatalf("state after threshold = %d, want open", got)
 	}
 	if b.Allow() {
 		t.Fatal("open breaker allowed a request")
 	}
-	if st := b.Stats(); st.Trips != 1 || st.Rejected != 1 {
-		t.Errorf("stats = %+v, want 1 trip / 1 rejection", st)
+	if got := stateOf(b); got != open {
+		t.Fatalf("state after a refused request = %d, want open", got)
 	}
 }
 
@@ -53,16 +60,16 @@ func TestBreakerHalfOpenProbeSuccess(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("breaker refused the half-open probe after OpenTimeout")
 	}
-	if got := b.State(); got != HalfOpen {
-		t.Fatalf("state after timeout = %v, want half-open", got)
+	if got := stateOf(b); got != halfOpen {
+		t.Fatalf("state after timeout = %d, want half-open", got)
 	}
 	b.Record(nil)
-	if got := b.State(); got != HalfOpen {
-		t.Fatalf("state after 1/2 probes = %v, want half-open", got)
+	if got := stateOf(b); got != halfOpen {
+		t.Fatalf("state after 1/2 probes = %d, want half-open", got)
 	}
 	b.Record(nil)
-	if got := b.State(); got != Closed {
-		t.Fatalf("state after 2/2 probes = %v, want closed", got)
+	if got := stateOf(b); got != closed {
+		t.Fatalf("state after 2/2 probes = %d, want closed", got)
 	}
 }
 
@@ -76,14 +83,18 @@ func TestBreakerHalfOpenProbeFailure(t *testing.T) {
 		t.Fatal("probe refused")
 	}
 	b.Record(errBoom) // probe fails: re-open immediately
+	if got := stateOf(b); got != open {
+		t.Fatalf("state after a failed probe = %d, want open", got)
+	}
 	if b.Allow() {
 		t.Fatal("breaker closed again after a failed probe")
 	}
-	if st := b.Stats(); st.Trips != 2 {
-		t.Errorf("trips = %d, want 2", st.Trips)
-	}
 	// The re-opened window starts fresh.
-	clk.Advance(time.Minute)
+	clk.Advance(time.Minute - time.Second)
+	if b.Allow() {
+		t.Fatal("re-opened window measured from the first trip")
+	}
+	clk.Advance(time.Second)
 	if !b.Allow() {
 		t.Fatal("second probe window never opened")
 	}
@@ -93,7 +104,7 @@ func TestHalfOpenAdmitsSingleConcurrentProbe(t *testing.T) {
 	clk := clock.NewSim(epoch)
 	b := NewBreaker("dep", BreakerConfig{FailureThreshold: 1, OpenTimeout: 30 * time.Second}, clk)
 	b.Record(errBoom) // trip
-	if b.State() != Open {
+	if stateOf(b) != open {
 		t.Fatal("breaker not open")
 	}
 	clk.Advance(time.Minute) // past OpenTimeout: next Allow goes half-open
@@ -120,15 +131,15 @@ func TestHalfOpenAdmitsSingleConcurrentProbe(t *testing.T) {
 	if admitted != 1 {
 		t.Fatalf("half-open admitted %d concurrent probes, want exactly 1", admitted)
 	}
-	if b.State() != HalfOpen {
-		t.Fatalf("state = %v, want half-open while probe in flight", b.State())
+	if got := stateOf(b); got != halfOpen {
+		t.Fatalf("state = %d, want half-open while probe in flight", got)
 	}
 
 	// The single probe fails: the breaker re-opens immediately and
 	// everyone is refused again.
 	b.Record(errBoom)
-	if b.State() != Open {
-		t.Fatalf("state after failed probe = %v, want open", b.State())
+	if got := stateOf(b); got != open {
+		t.Fatalf("state after failed probe = %d, want open", got)
 	}
 	if b.Allow() {
 		t.Fatal("request admitted right after a failed probe re-opened the breaker")
@@ -140,8 +151,8 @@ func TestHalfOpenAdmitsSingleConcurrentProbe(t *testing.T) {
 		t.Fatal("probe not admitted in new half-open window")
 	}
 	b.Record(nil)
-	if b.State() != Closed {
-		t.Fatalf("state after successful probe = %v, want closed", b.State())
+	if got := stateOf(b); got != closed {
+		t.Fatalf("state after successful probe = %d, want closed", got)
 	}
 	var wg2 sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
