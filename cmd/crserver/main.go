@@ -55,6 +55,18 @@ import (
 	"repro/internal/whitelist"
 )
 
+// Settings every deployment runs with.
+const (
+	// walFsyncInterval is the WAL's group-commit window: how long the
+	// flusher waits to batch concurrent appends into one fsync.
+	walFsyncInterval = 2 * time.Millisecond
+	// walSegmentBytes is the WAL segment rotation threshold.
+	walSegmentBytes = 4 << 20
+	// maxOutbound bounds how many pending challenges one outbound flush
+	// considers; the rest are deferred, never dropped.
+	maxOutbound = 1000
+)
+
 func main() {
 	var (
 		smtpAddr  = flag.String("smtp", ":2525", "SMTP listen address")
@@ -66,13 +78,10 @@ func main() {
 		permitAll = flag.Bool("resolve-all", true, "treat every sender domain as resolvable (no real DNS in the sandbox)")
 		statePath = flag.String("state", "", "whitelist snapshot file (loaded at boot, saved periodically and on SIGINT)")
 		smarthost = flag.String("smarthost", "", "next-hop SMTP server for outgoing challenges (host:port); empty = log only")
-		faultPlan = flag.String("fault-plan", "", "JSON fault plan file; injects faults into DNS (dns), the blocklist (rbl:local-dnsbl), the scanner (av), the reputation store (reputation), the smarthost path (smarthost, smarthost-dial, domain:<d>), the outbound-spool journal (wal-spool, with -smarthost and -wal-dir), the WAL (wal-append, wal-fsync, with -wal-dir) and state saves (store)")
+		faultPlan = flag.String("fault-plan", "", "JSON fault plan file; injects faults into DNS (dns), the blocklist (rbl:local-dnsbl), the scanner (av), the reputation store (reputation), the smarthost path (smarthost, smarthost-dial, domain:<d>), the outbound-spool journal (wal-spool, with -smarthost and -wal-dir), WAL appends and group-commit fsyncs (wal-append, wal-fsync, with -wal-dir) and the snapshot's fsync (store, with -state)")
 		faultSeed = flag.Int64("fault-seed", 1, "seed for the fault injector's RNG (with -fault-plan)")
-		maxQueued = flag.Int("max-outbound", 1000, "bound on in-flight outbound challenges; overflow defers (0 = unbounded)")
 		drainWait = flag.Duration("drain-timeout", 10*time.Second, "how long SIGTERM waits for in-flight SMTP sessions before force-closing")
 		walDir    = flag.String("wal-dir", "", "write-ahead-log directory; every whitelist/reputation mutation is journalled and replayed over the snapshot at boot (empty = snapshots only)")
-		walFsync  = flag.Duration("wal-fsync-interval", 2*time.Millisecond, "group-commit window: how long the flusher waits to batch concurrent appends into one fsync (0 = fsync eagerly)")
-		walSeg    = flag.Int64("wal-segment-bytes", 4<<20, "WAL segment rotation threshold in bytes")
 	)
 	flag.Parse()
 
@@ -82,7 +91,7 @@ func main() {
 
 	// Without a plan set stays nil, so every seam returns its input, and
 	// inj stays a nil interface for the owners that consult the plan
-	// themselves (reputation, the WAL, state saves, the smarthost path).
+	// themselves (reputation and the smarthost path).
 	var set *faults.Set
 	var inj faults.Injector
 	if *faultPlan != "" {
@@ -118,7 +127,7 @@ func main() {
 	wl := whitelist.NewStore(clk)
 	sp := spool.NewState()
 	st := store.Stores{Whitelist: wl, Reputation: rep, Spool: sp}
-	saver := &store.Saver{Path: *statePath, Name: "crserver", Injector: inj}
+	saver := &store.Saver{Path: *statePath, Name: "crserver", Fsync: seam.Fsync(set, "store")}
 	var walLog *wal.Log
 	var journal *wal.Journal
 	if *walDir != "" {
@@ -130,9 +139,9 @@ func main() {
 		}
 		rec, err := store.Recover(*statePath, wal.Options{
 			Dir:           *walDir,
-			FsyncInterval: *walFsync,
-			SegmentBytes:  *walSeg,
-			Injector:      inj,
+			FsyncInterval: walFsyncInterval,
+			SegmentBytes:  walSegmentBytes,
+			Fsync:         seam.Fsync(set, "wal-fsync"),
 		}, st)
 		if err != nil {
 			log.Fatalf("recovery: %v", err)
@@ -147,7 +156,7 @@ func main() {
 		if rec.Truncated {
 			log.Printf("wal: truncated torn tail (%d byte(s) discarded) — expected after a crash", rec.TornBytes)
 		}
-		journal = wal.NewJournal(walLog)
+		journal = wal.NewJournal(seam.Appender(walLog, set))
 		journal.Attach(wl, rep, nil)
 	} else if *statePath != "" {
 		snap, err := store.LoadFile(*statePath, st)
@@ -188,7 +197,7 @@ func main() {
 			Dial:       func() (*smtp.Client, error) { return smtp.Dial(*smarthost, 10*time.Second) },
 			HeloDomain: *domain,
 			Injector:   inj,
-			MaxQueued:  *maxQueued,
+			MaxQueued:  maxOutbound,
 			Spool:      sp,
 		}
 		if journal != nil {

@@ -257,7 +257,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "wal_bytes_total %d\n", wm.Bytes)
 		fmt.Fprintf(w, "wal_replayed_records %d\n", wm.Replayed)
 		fmt.Fprintf(w, "wal_compactions_total %d\n", wm.Compactions)
-		fmt.Fprintf(w, "wal_dropped_appends %d\n", wm.DroppedAppends)
 		fmt.Fprintf(w, "wal_fsync_errors %d\n", wm.FsyncErrors)
 		fmt.Fprintf(w, "wal_last_lsn %d\n", wm.LastLSN)
 		fmt.Fprintf(w, "wal_durable_lsn %d\n", wm.DurableLSN)
@@ -360,7 +359,7 @@ var walTmpl = template.Must(template.New("wal").Parse(`<!DOCTYPE html>
 <table border="1" cellpadding="4">
 <tr><th>last LSN (appended)</th><td>{{.M.LastLSN}}</td></tr>
 <tr><th>durable LSN (fsynced)</th><td>{{.M.DurableLSN}}</td></tr>
-<tr><th>appends</th><td>{{.M.Appends}} ({{.M.DroppedAppends}} dropped by fault injection)</td></tr>
+<tr><th>appends</th><td>{{.M.Appends}}</td></tr>
 <tr><th>fsyncs</th><td>{{.M.Fsyncs}} ({{.M.FsyncErrors}} errors)</td></tr>
 <tr><th>bytes written</th><td>{{.M.Bytes}}</td></tr>
 <tr><th>pending bytes</th><td>{{.M.PendingBytes}}</td></tr>

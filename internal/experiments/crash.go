@@ -198,7 +198,7 @@ func CrashRestart(seed int64, crashes int) (*CrashRestartReport, error) {
 		})
 	}
 	randPending := func() (spool.Item, bool) {
-		p := live.st.Spool.Pending(0)
+		p := live.st.Spool.Pending(0, nil)
 		if len(p) == 0 {
 			return spool.Item{}, false
 		}

@@ -13,13 +13,16 @@
 // byte-for-byte reproducible.
 //
 // Targets and their owners. Where the product already consumes an
-// interface, a decorator in internal/faults/seam applies the target
-// around it and the leaf package knows nothing of faults:
+// interface or a hook, a decorator in internal/faults/seam applies the
+// target around it and the leaf package knows nothing of faults:
 //
 //	dns             seam.Resolver     every resolver lookup (timeout / outage / latency)
 //	rbl:<name>      seam.RBL          one blocklist backend's query (outage / stale); rbl:* every provider
 //	av              seam.Antivirus    the scanner backend (clamd-style daemon down)
 //	wal-spool       seam.Journal      outbound-spool journal appends (per-transition drops)
+//	wal-append      seam.Appender     write-ahead-log record appends through the journal
+//	wal-fsync       seam.Fsync        group-commit fsyncs (wal.Options.Fsync; durability stalls)
+//	store           seam.Fsync        the snapshot temp file's fsync (store.Saver.Fsync)
 //
 // The rest have no such seam and are consulted by their owner:
 //
@@ -27,19 +30,15 @@
 //	smarthost-dial  outbound.Queue    the smarthost session/dial; "smarthost*" covers both
 //	domain:<name>   outbound.Queue    one destination domain's delivery path (dark MX)
 //	reputation      reputation.Store  sender-reputation lookups and writes
-//	wal-append      wal.Log           write-ahead-log record appends
-//	wal-fsync       wal.Log           group-commit fsyncs (durability stalls)
-//	store           store.Saver       durable-state snapshot writes
 //	outbound-dsn    simnet.Network    DSN generation at the remote MTA (malformed bounces)
 //	surge           workload lanes    per-message engine service latency (overload runs)
 //
 // Why those stay: outbound.Config.Dial returns a concrete
 // *smtp.Client, so the smarthost path has no interface to wrap; the
-// engine holds a concrete *reputation.Store; outbound-dsn and surge are
-// on the simulator's side of the wire, not the product's; and wal and
-// store write files directly.
-// Because wal keeps importing this package (filters reaches it through
-// reputation), the decorators live in the seam subpackage.
+// engine holds a concrete *reputation.Store; and outbound-dsn and surge
+// are on the simulator's side of the wire, not the product's. Because
+// reputation keeps importing this package (and filters reaches it
+// through reputation), the decorators live in the seam subpackage.
 //
 // Unknown targets are rejected at plan load: Validate checks every
 // rule's target against this list (plus "rbl:<name>" and prefix

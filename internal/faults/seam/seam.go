@@ -1,6 +1,7 @@
 // Package seam applies a fault plan at the interfaces the product
 // already consumes: the resolver, the blocklist backend, the antivirus
-// prober and the outbound-spool journal. Each decorator consults its
+// prober, the outbound-spool journal, the WAL appender and the fsync
+// hooks of the WAL and the snapshot saver. Each decorator consults its
 // target once per call, immediately before delegating, so the set's RNG
 // draws in the order the calls arrive and a failed call never reaches
 // the backend.
@@ -8,13 +9,14 @@
 // A nil *faults.Set returns the input unchanged: a deployment without a
 // fault plan runs exactly the undecorated code.
 //
-// The decorators live here rather than in faults because wal imports
-// faults (its wal-append and wal-fsync targets have no interface seam),
-// and filters depends on wal through reputation.
+// The decorators live here rather than in faults because reputation
+// still consults faults itself and filters depends on reputation, so
+// faults cannot import filters.
 package seam
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/dnssim"
 	"repro/internal/faults"
@@ -154,5 +156,44 @@ func Journal(emit func(wal.Record) uint64, set *faults.Set) func(wal.Record) uin
 			return 0
 		}
 		return emit(r)
+	}
+}
+
+// Appender returns a with target "wal-append" consulted before every
+// append: a fault rejects the append, which the journal treats as any
+// rejected append (LSN 0, no tap, the mutation still applies).
+func Appender(a wal.Appender, set *faults.Set) wal.Appender {
+	if set == nil {
+		return a
+	}
+	return appender{a, set}
+}
+
+type appender struct {
+	inner wal.Appender
+	set   *faults.Set
+}
+
+func (a appender) Append(r wal.Record) (uint64, error) {
+	if d := a.set.Decide("wal-append", 0); d.Err != nil {
+		return 0, fmt.Errorf("wal: append: %w", d.Err)
+	}
+	return a.inner.Append(r)
+}
+
+// Fsync returns an fsync hook for wal.Options.Fsync ("wal-fsync") or
+// store.Saver.Fsync ("store") that consults target before every
+// (*os.File).Sync: a fault fails the fsync, and the caller takes its
+// real fsync-failure branch. A nil set returns nil, which both callers
+// read as (*os.File).Sync.
+func Fsync(set *faults.Set, target string) func(*os.File) error {
+	if set == nil {
+		return nil
+	}
+	return func(f *os.File) error {
+		if d := set.Decide(target, 0); d.Err != nil {
+			return d.Err
+		}
+		return f.Sync()
 	}
 }

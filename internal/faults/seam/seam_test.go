@@ -2,6 +2,7 @@ package seam_test
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -124,6 +125,17 @@ func TestNilSetReturnsInput(t *testing.T) {
 	}
 	if seam.Journal(nil, newSet()) != nil {
 		t.Fatal("Journal(nil emit) must stay nil: no journal, no consultation")
+	}
+	l, _, err := wal.Open(wal.Options{Dir: t.TempDir(), Manual: true}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if a := seam.Appender(l, nil); a != wal.Appender(l) {
+		t.Fatalf("Appender(nil set) = %T, want the log", a)
+	}
+	if seam.Fsync(nil, "wal-fsync") != nil {
+		t.Fatal("Fsync(nil set) must be nil, which its callers read as (*os.File).Sync")
 	}
 }
 
@@ -337,5 +349,52 @@ func TestJournalDropsAppendFailOpen(t *testing.T) {
 	if len(records) != 0 || q.JournalDropped() != 1 || q.SpoolDepth() != 1 {
 		t.Fatalf("journalled %d, dropped %d, spool depth %d; want 0, 1, 1",
 			len(records), q.JournalDropped(), q.SpoolDepth())
+	}
+}
+
+// TestSpoolJournalConsultsSpoolBeforeAppend wires the outbound spool's
+// journal as crserver does, seam.Journal over a journal whose appender
+// is seam.Appender, and checks that "wal-spool" is consulted first: a
+// spool fault drops the record without consulting "wal-append", and an
+// append fault behind a passing spool consultation drops it too. Either
+// way the transition applies in memory and counts as dropped.
+func TestSpoolJournalConsultsSpoolBeforeAppend(t *testing.T) {
+	passing := faults.Rule{Kind: faults.KindLatency, Latency: faults.Duration(time.Millisecond)}
+	failing := faults.Rule{Kind: faults.KindError}
+	for _, tc := range []struct {
+		name          string
+		spool, append faults.Rule
+		want          map[string]int64
+	}{
+		{"spool fault", failing, failing, map[string]int64{"wal-spool/error": 1}},
+		{"append fault", passing, failing, map[string]int64{"wal-spool/latency": 1, "wal-append/error": 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.spool.Target, tc.append.Target = "wal-spool", "wal-append"
+			set := newSet(tc.spool, tc.append)
+			l, _, err := wal.Open(wal.Options{Dir: t.TempDir(), Manual: true}, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			j := wal.NewJournal(seam.Appender(l, set))
+			q := outbound.NewQueue(outbound.Config{
+				Dial:    func() (*smtp.Client, error) { return nil, errors.New("no smarthost") },
+				Journal: seam.Journal(j.Emit, set),
+			})
+			q.Enqueue(core.OutboundChallenge{
+				MsgID: "m1",
+				From:  mail.MustParseAddress("challenge@corp.example"),
+				To:    mail.MustParseAddress("alice@example.com"),
+				Token: "t",
+			})
+			if got := set.Counts(); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("consultations fired %v, want %v", got, tc.want)
+			}
+			if l.LastLSN() != 0 || q.JournalDropped() != 1 || q.SpoolDepth() != 1 {
+				t.Fatalf("last LSN %d, dropped %d, spool depth %d; want 0, 1, 1",
+					l.LastLSN(), q.JournalDropped(), q.SpoolDepth())
+			}
+		})
 	}
 }

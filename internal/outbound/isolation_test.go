@@ -61,7 +61,7 @@ func (d *darkInjector) triesTo(domain string) int {
 // attempts returns the attempt counts of q's pending items.
 func attempts(q *Queue) []int {
 	var out []int
-	for _, it := range q.cfg.Spool.Pending(0) {
+	for _, it := range q.cfg.Spool.Pending(0, nil) {
 		out = append(out, it.Attempts)
 	}
 	return out
@@ -389,7 +389,7 @@ func TestJournalReplayRebuildsQueue(t *testing.T) {
 	if d := q2.SpoolDepth(); d != 1 {
 		t.Fatalf("recovered spool depth = %d, want 1", d)
 	}
-	it := sp2.Pending(1)[0]
+	it := sp2.Pending(1, nil)[0]
 	if it.Challenge.MsgID == "" || it.Attempts != 1 || it.LastClass != classTempfail {
 		t.Fatalf("recovered item lost its attempt state: %+v", it)
 	}
@@ -489,7 +489,7 @@ func TestCrashAtEveryTransition(t *testing.T) {
 			}
 		}
 		// Accounting: nothing enqueued before the crash vanishes.
-		pending := sp.Pending(0)
+		pending := sp.Pending(0, nil)
 		accounted := len(pending)
 		for id := range enqueued {
 			if _, ok := fate(sp, id); ok {
@@ -620,4 +620,43 @@ func fate(s *spool.State, msgID string) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// TestDarkDomainCannotFillTheWindow: with MaxQueued 2, two challenges
+// to a dark domain and then one to a healthy domain, the dark domain's
+// held challenges leave the window to the healthy one, which the
+// second flush, 30 s after the first, delivers. Deferred still counts
+// the pending challenges beyond the bound.
+func TestDarkDomainCannotFillTheWindow(t *testing.T) {
+	sh, addr := startSmarthost(t)
+	now := time.Date(2011, 4, 1, 12, 0, 0, 0, time.UTC)
+	inj := &darkInjector{}
+	inj.set("dark.example", true)
+	q := NewQueue(Config{
+		Dial:       func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
+		HeloDomain: "cr.corp.example",
+		Injector:   inj,
+		MaxQueued:  2,
+		Now:        func() time.Time { return now },
+	})
+	for i, rcpt := range []string{"a@dark.example", "b@dark.example", "c@healthy.example"} {
+		ch := challengeTo(rcpt)
+		ch.Issued = now.Add(time.Duration(i-3) * time.Second)
+		q.Enqueue(ch)
+	}
+	if q.Deferred() != 1 {
+		t.Fatalf("Deferred = %d, want 1", q.Deferred())
+	}
+	for flush := 1; flush <= 2; flush++ {
+		if _, err := q.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		now = now.Add(30 * time.Second)
+	}
+	if got := sentTo(sh)["healthy.example"]; got != 1 {
+		t.Fatalf("healthy deliveries after two flushes = %d, want 1 (attempts %v)", got, attempts(q))
+	}
+	if got := fmt.Sprint(attempts(q)); got != "[1 0]" || inj.triesTo("dark.example") != 1 {
+		t.Fatalf("dark attempts %s over %d tries, want [1 0] over 1", got, inj.triesTo("dark.example"))
+	}
 }

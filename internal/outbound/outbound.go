@@ -87,9 +87,12 @@ type Config struct {
 	// domain and fails only that domain (the dark-MX scenario).
 	Injector faults.Injector
 	// MaxQueued bounds how many pending challenges a Flush considers:
-	// the MaxQueued oldest in spool order. The rest are deferred, not
-	// dropped: they stay in the spool and move up as older challenges
-	// reach their fate. 0 means unbounded.
+	// the MaxQueued oldest in spool order among those it may attempt
+	// (due, to a domain whose ladder does not hold it), so challenges
+	// that wait cannot crowd out those that need not. FlushAll takes
+	// the MaxQueued oldest. Challenges beyond the bound are deferred,
+	// not dropped: they stay in the spool and move up as older
+	// challenges reach their fate. 0 means unbounded.
 	MaxQueued int
 	// Now supplies timestamps; nil = time.Now.
 	Now func() time.Time
@@ -273,16 +276,32 @@ func (q *Queue) flush(ignoreSchedule bool) (terminal int, err error) {
 	q.flushMu.Lock()
 	defer q.flushMu.Unlock()
 	now := q.cfg.Now()
-	// The items are copies of the MaxQueued oldest: this flush updates
-	// them as it records each outcome through the Recorder, which folds
-	// the same transition into the spool.
-	pending := q.cfg.Spool.Pending(q.cfg.MaxQueued)
+	// A Flush leaves out of its window the items that are not due and
+	// those of domains their ladder holds. The held domains are read
+	// under q.mu before the spool is read under its own lock; only
+	// flushes change ledgers, and they are serialized, so the set stays
+	// true for this flush.
+	var skip func(*spool.Item) bool
+	if !ignoreSchedule {
+		held := make(map[string]bool)
+		q.mu.Lock()
+		for d, led := range q.domains {
+			if now.Before(led.retryAt) {
+				held[d] = true
+			}
+		}
+		q.mu.Unlock()
+		skip = func(it *spool.Item) bool {
+			return it.NextTry.After(now) || held[it.Challenge.To.Domain]
+		}
+	}
+	// The items are copies of the window: this flush updates them as it
+	// records each outcome through the Recorder, which folds the same
+	// transition into the spool.
+	pending := q.cfg.Spool.Pending(q.cfg.MaxQueued, skip)
 	perDomain := make(map[string][]*spool.Item)
 	for i := range pending {
 		it := &pending[i]
-		if !ignoreSchedule && it.NextTry.After(now) {
-			continue
-		}
 		d := it.Challenge.To.Domain
 		perDomain[d] = append(perDomain[d], it)
 	}
@@ -291,14 +310,10 @@ func (q *Queue) flush(ignoreSchedule bool) (terminal int, err error) {
 		names = append(names, d)
 	}
 	sort.Strings(names)
-	var groups []*domGroup
+	groups := make([]*domGroup, 0, len(names))
 	q.mu.Lock()
 	for _, d := range names {
-		led := q.ledgerLocked(d)
-		if !ignoreSchedule && now.Before(led.retryAt) {
-			continue
-		}
-		groups = append(groups, &domGroup{domain: d, led: led, items: perDomain[d]})
+		groups = append(groups, &domGroup{domain: d, led: q.ledgerLocked(d), items: perDomain[d]})
 	}
 	q.mu.Unlock()
 	if len(groups) == 0 {

@@ -369,7 +369,7 @@ func TestInjectedTempfailStorm(t *testing.T) {
 	if _, err := q.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	it := sp.Pending(1)[0]
+	it := sp.Pending(1, nil)[0]
 	if it.Status != StatusQueued || it.LastClass != classTempfail || !strings.HasPrefix(it.LastError, "tempfail: 421") {
 		t.Fatalf("injected tempfail: status=%v class=%q err=%q", it.Status, it.LastClass, it.LastError)
 	}

@@ -215,10 +215,12 @@ func (h *lastFirst) Pop() any {
 }
 
 // Pending returns copies of the limit first queued items in delivery
-// order (issue time, then message ID); limit <= 0 returns them all. One
-// pass over the pending items keeps the limit first in a heap, so only
-// the returned items are copied.
-func (s *State) Pending(limit int) []Item {
+// order (issue time, then message ID), leaving out the items skip
+// reports true for (nil skips none); limit <= 0 returns them all. skip
+// runs under the state's lock and must not take another. One pass over
+// the pending items keeps the limit first in a heap, so only the
+// returned items are copied.
+func (s *State) Pending(limit int, skip func(*Item) bool) []Item {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if limit <= 0 || limit > len(s.pending) {
@@ -226,6 +228,9 @@ func (s *State) Pending(limit int) []Item {
 	}
 	h := make(lastFirst, 0, limit)
 	for _, it := range s.pending {
+		if skip != nil && skip(it) {
+			continue
+		}
 		if len(h) < limit {
 			heap.Push(&h, it)
 		} else if before(it, h[0]) {

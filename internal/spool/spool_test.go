@@ -43,7 +43,7 @@ func TestFoldLifecycle(t *testing.T) {
 	if st, ok := fate(s, "m2"); !ok || st != StatusSent.String() {
 		t.Fatalf("fate(m2) = %v, %v", st, ok)
 	}
-	p := s.Pending(0)
+	p := s.Pending(0, nil)
 	if len(p) != 1 || p[0].Challenge.MsgID != "m1" || p[0].Attempts != 1 || p[0].LastClass != "tempfail" {
 		t.Fatalf("pending = %+v", p)
 	}
@@ -55,7 +55,7 @@ func TestLSNGuardRejectsStaleReplay(t *testing.T) {
 	s.ApplyAttempt("m1", "tempfail", "451", 2, t0.Add(time.Hour), 5)
 	// Replaying an older attempt must not roll the item backwards.
 	s.ApplyAttempt("m1", "tempfail", "451 older", 1, t0.Add(15*time.Minute), 3)
-	if p := s.Pending(0); p[0].Attempts != 2 || p[0].LSN != 5 {
+	if p := s.Pending(0, nil); p[0].Attempts != 2 || p[0].LSN != 5 {
 		t.Fatalf("stale replay applied: %+v", p[0])
 	}
 	// A terminal fate guards against everything at or below its LSN.
@@ -76,7 +76,7 @@ func TestLSNZeroIsUnguarded(t *testing.T) {
 	s := NewState()
 	s.ApplyEnqueue(chal("m1"), 7)
 	s.ApplyAttempt("m1", "tempfail", "451", 1, t0.Add(time.Hour), 0)
-	if p := s.Pending(0); p[0].Attempts != 1 {
+	if p := s.Pending(0, nil); p[0].Attempts != 1 {
 		t.Fatalf("unguarded attempt not applied: %+v", p[0])
 	}
 }
@@ -101,7 +101,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	// The guard state survives: replaying the already-applied records
 	// over the import is a no-op.
 	s2.ApplyAttempt("m1", "tempfail", "451 older", 0, t0, 2)
-	if p := s2.Pending(0); p[0].Attempts != 1 {
+	if p := s2.Pending(0, nil); p[0].Attempts != 1 {
 		t.Fatalf("import lost LSN guard: %+v", p[0])
 	}
 }
@@ -229,7 +229,7 @@ func TestPendingLimitIsPrefix(t *testing.T) {
 			s.ApplyTerminal(ch.MsgID, StatusSent, 1, 0)
 		}
 	}
-	all := s.Pending(0)
+	all := s.Pending(0, nil)
 	if len(all) != s.Len() {
 		t.Fatalf("Pending(0) has %d items, Len %d", len(all), s.Len())
 	}
@@ -241,7 +241,7 @@ func TestPendingLimitIsPrefix(t *testing.T) {
 		return want[i].Challenge.MsgID < want[j].Challenge.MsgID
 	})
 	for _, limit := range []int{-1, 0, 1, 2, 7, 64, len(all) - 1, len(all), len(all) + 5} {
-		got := s.Pending(limit)
+		got := s.Pending(limit, nil)
 		n := len(want)
 		if limit > 0 && limit < n {
 			n = limit

@@ -11,12 +11,15 @@
 // sealed segments wholly below the cut. See DESIGN.md's persistence
 // section for the recovery invariants.
 //
-// Quarantined messages are deliberately NOT persisted: they are 30-day
-// transient state, and losing them on failover is survivable — senders
-// simply get re-challenged. Outstanding *outbound* challenges are
-// different: the engine has already acked the gray message and decided
-// to challenge, so the pending spool (internal/spool) IS durable state
-// — it rides in the snapshot and its transitions replay from the WAL.
+// What survives a restart is what Stores holds: the whitelists, the
+// sender-reputation counters and the pending outbound-challenge spool
+// (internal/spool), each in the snapshot with its transitions replayed
+// from the WAL. What does not is everything else an installation keeps
+// in memory: the quarantined messages, their CAPTCHA challenges, the
+// inboxes and the message bodies. A gray message the server already
+// accepted with a 250 is therefore lost on restart, and its sender is
+// not re-challenged; ROADMAP item 22 plans to make a restart lose
+// nothing acknowledged.
 package store
 
 import (
@@ -28,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/reputation"
 	"repro/internal/spool"
 	"repro/internal/wal"
@@ -169,6 +171,12 @@ func Load(r io.Reader, st Stores) (*Snapshot, error) {
 // to the old entry — or to none — losing the snapshot the caller was
 // just told is safe. The directory fsync pins the rename itself.
 func SaveFile(path, name string, st Stores, walLSN uint64, now time.Time) error {
+	return saveFile(path, name, st, walLSN, now, (*os.File).Sync)
+}
+
+// saveFile is SaveFile with the temp file's fsync supplied. A failed
+// fsync removes the temp file and leaves path as it was.
+func saveFile(path, name string, st Stores, walLSN uint64, now time.Time, fsync func(*os.File) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".crstate-*")
 	if err != nil {
@@ -181,7 +189,7 @@ func SaveFile(path, name string, st Stores, walLSN uint64, now time.Time) error 
 		tmp.Close()
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
+	if err := fsync(tmp); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: sync: %w", err)
 	}
@@ -197,17 +205,16 @@ func SaveFile(path, name string, st Stores, walLSN uint64, now time.Time) error 
 	return nil
 }
 
-// Saver persists periodic snapshots to one path, optionally guarded by
-// a fault injector (target "store"): an injected write error aborts the
-// save before any bytes hit disk, so the previous snapshot stays intact
-// — the failure mode the atomic temp-file+rename protocol exists for.
+// Saver persists periodic snapshots to one path and counts the saves.
 type Saver struct {
 	// Path is the snapshot file; required.
 	Path string
 	// Name labels the snapshot (installation name).
 	Name string
-	// Injector is an optional fault source for the save path.
-	Injector faults.Injector
+	// Fsync is the snapshot temp file's fsync; nil means
+	// (*os.File).Sync. Its error fails the save before the rename, so
+	// the previous snapshot stays intact.
+	Fsync func(*os.File) error
 
 	mu           sync.Mutex
 	attempts     int64
@@ -216,32 +223,24 @@ type Saver struct {
 	lastSuccess  time.Time
 }
 
-// Save writes one snapshot, consulting the injector first. walLSN is
-// the WAL cut sampled before this call (0 without a WAL).
+// Save writes one snapshot. walLSN is the WAL cut sampled before this
+// call (0 without a WAL).
 func (s *Saver) Save(st Stores, walLSN uint64, now time.Time) error {
-	s.mu.Lock()
-	s.attempts++
-	inj := s.Injector
-	s.mu.Unlock()
-	if inj != nil {
-		if d := inj.Decide("store", 0); d.Err != nil {
-			s.mu.Lock()
-			s.failed++
-			s.mu.Unlock()
-			return fmt.Errorf("store: save %s: %w", s.Path, d.Err)
-		}
+	fsync := s.Fsync
+	if fsync == nil {
+		fsync = (*os.File).Sync
 	}
 	start := time.Now()
-	if err := SaveFile(s.Path, s.Name, st, walLSN, now); err != nil {
-		s.mu.Lock()
+	err := saveFile(s.Path, s.Name, st, walLSN, now, fsync)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.attempts++
+	if err != nil {
 		s.failed++
-		s.mu.Unlock()
 		return err
 	}
-	s.mu.Lock()
 	s.lastDuration = time.Since(start)
 	s.lastSuccess = now
-	s.mu.Unlock()
 	return nil
 }
 

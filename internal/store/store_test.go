@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/faults"
+	"repro/internal/faults/seam"
 	"repro/internal/mail"
 	"repro/internal/reputation"
 	"repro/internal/whitelist"
@@ -269,13 +270,16 @@ func TestSaverRecordsDuration(t *testing.T) {
 	}
 }
 
-// TestSaverStoreFaultKeepsPreviousSnapshot: under a "store" error plan
-// (the target crserver wires into its Saver) Save fails and counts the
-// failure, and the snapshot already on disk stays byte-identical.
+// TestSaverStoreFaultKeepsPreviousSnapshot: under a "store" error plan,
+// applied by the fsync seam crserver wires into its Saver, Save takes
+// the real fsync-failure path: it fails and counts the failure, the
+// snapshot already on disk stays byte-identical, and the temp file is
+// gone.
 func TestSaverStoreFaultKeepsPreviousSnapshot(t *testing.T) {
 	clk := clock.NewSim(t0)
 	wl := populated(clk)
-	path := filepath.Join(t.TempDir(), "state.json")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
 	if err := SaveFile(path, "corp", Stores{Whitelist: wl}, 0, clk.Now()); err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +293,7 @@ func TestSaverStoreFaultKeepsPreviousSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := faults.New(plan, 1, clk)
-	s := &Saver{Path: path, Name: "corp", Injector: set}
+	s := &Saver{Path: path, Name: "corp", Fsync: seam.Fsync(set, "store")}
 	wl.AddWhite(bob, mail.MustParseAddress("erin@example.com"), whitelist.SourceDigest)
 	clk.Advance(time.Hour)
 	if err := s.Save(Stores{Whitelist: wl}, 0, clk.Now()); !errors.Is(err, faults.ErrInjected) {
@@ -307,5 +311,8 @@ func TestSaverStoreFaultKeepsPreviousSnapshot(t *testing.T) {
 	}
 	if string(after) != string(before) {
 		t.Fatal("a failed save changed the previous snapshot")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, ".crstate-*")); len(left) != 0 {
+		t.Fatalf("a failed save left %v behind", left)
 	}
 }

@@ -10,18 +10,25 @@ type Journaled interface {
 	SetJournal(func(Record) uint64)
 }
 
+// Appender is what a Journal appends through: a *Log, or a decorator
+// around one (internal/faults/seam applies the "wal-append" target so).
+type Appender interface {
+	Append(Record) (uint64, error)
+}
+
 // Journal connects the durable stores' change-journal hooks to a Log:
 // every mutation becomes one appended record. Appends are fail-open — a
-// rejected append (fault injection) is counted by the log and the
-// in-memory mutation proceeds, mirroring how the rest of the pipeline
-// degrades rather than blocks.
+// rejected append (a closed log, or an injected fault) returns LSN 0,
+// is not tapped, and the in-memory mutation proceeds, mirroring how the
+// rest of the pipeline degrades rather than blocks. Nothing counts the
+// rejections; the spool's Recorder counts its own (JournalDropped).
 type Journal struct {
-	log *Log
+	log Appender
 	tap func(Record)
 }
 
 // NewJournal wraps log.
-func NewJournal(log *Log) *Journal { return &Journal{log: log} }
+func NewJournal(log Appender) *Journal { return &Journal{log: log} }
 
 // SetTap installs a callback invoked with every successfully appended
 // record (LSN filled in). The crash-restart experiment uses it to keep

@@ -13,8 +13,6 @@ import (
 	"sync"
 	"syscall"
 	"time"
-
-	"repro/internal/faults"
 )
 
 // Segment file format constants.
@@ -33,17 +31,18 @@ type Options struct {
 	SegmentBytes int64
 	// FsyncInterval is the group-commit window: after the first append
 	// of a batch the flusher waits this long for more appenders before
-	// the single write+fsync (default 5ms; 0 = fsync as fast as appends
-	// arrive, still batching whatever accumulates during each fsync).
+	// the single write+fsync. 0 (the default) fsyncs as fast as appends
+	// arrive, still batching whatever accumulates during each fsync.
 	// Sync() always short-circuits the window.
 	FsyncInterval time.Duration
 	// Manual disables the background flusher: nothing reaches disk until
 	// Sync or Close. Deterministic tests and the crash-restart experiment
 	// use this to control exactly which records are durable.
 	Manual bool
-	// Injector is an optional fault source (targets "wal-append" and
-	// "wal-fsync").
-	Injector faults.Injector
+	// Fsync is the group commit's fsync of the active segment; nil means
+	// (*os.File).Sync. Its error takes the same path as a real one. The
+	// segment header's fsync, at open and rotation, calls Sync directly.
+	Fsync func(*os.File) error
 }
 
 func (o Options) withDefaults() Options {
@@ -52,6 +51,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FsyncInterval < 0 {
 		o.FsyncInterval = 0
+	}
+	if o.Fsync == nil {
+		o.Fsync = (*os.File).Sync
 	}
 	return o
 }
@@ -70,17 +72,16 @@ type ReplayStats struct {
 
 // Metrics is an operational snapshot of the log.
 type Metrics struct {
-	Appends        int64
-	Fsyncs         int64
-	Bytes          int64 // payload+frame bytes durably written
-	Replayed       int64 // records replayed at Open
-	Compactions    int64 // CompactThrough calls that removed segments
-	DroppedAppends int64 // appends rejected by fault injection
-	FsyncErrors    int64 // failed or fault-injected fsyncs
-	LastLSN        uint64
-	DurableLSN     uint64
-	Segments       int
-	PendingBytes   int64 // encoded but not yet written
+	Appends      int64
+	Fsyncs       int64
+	Bytes        int64 // payload+frame bytes written to segments
+	Replayed     int64 // records replayed at Open
+	Compactions  int64 // CompactThrough calls that removed segments
+	FsyncErrors  int64 // failed group-commit fsyncs
+	LastLSN      uint64
+	DurableLSN   uint64
+	Segments     int
+	PendingBytes int64 // encoded but not yet written
 }
 
 // segInfo tracks one on-disk segment.
@@ -114,10 +115,10 @@ type Log struct {
 	segBytes int64     // active segment size including header
 	closed   bool
 
-	appends, fsyncs, bytes   int64
-	replayed                 int64
-	compactions              int64
-	droppedAppends, fsyncErr int64
+	appends, fsyncs, bytes int64
+	replayed               int64
+	compactions            int64
+	fsyncErr               int64
 
 	stopCh  chan struct{}
 	flushCh chan struct{}
@@ -329,17 +330,9 @@ func (l *Log) createSegment(first uint64) error {
 
 // Append frames r, assigns its LSN and queues it for the next group
 // commit. It returns immediately; durability requires Sync (or trust in
-// the flush interval). The only error paths are fault injection and a
-// closed log. Allocation-free in steady state.
+// the flush interval). The only error path is a closed log.
+// Allocation-free in steady state.
 func (l *Log) Append(r Record) (uint64, error) {
-	if inj := l.opts.Injector; inj != nil {
-		if d := inj.Decide("wal-append", 0); d.Err != nil {
-			l.mu.Lock()
-			l.droppedAppends++
-			l.mu.Unlock()
-			return 0, fmt.Errorf("wal: append: %w", d.Err)
-		}
-	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -426,39 +419,32 @@ func (l *Log) flushOnce() {
 		l.mu.Lock()
 		rest := append([]byte(nil), batch[n:]...)
 		l.buf = append(rest, l.buf...)
+		l.bytes += int64(n)
+		l.segBytes += int64(n)
 		l.spare = batch[:0]
 		l.finishFlush(fmt.Errorf("wal: write: %w", err))
 		l.mu.Unlock()
 		return
 	}
 
-	if inj := l.opts.Injector; inj != nil {
-		if d := inj.Decide("wal-fsync", 0); d.Err != nil {
-			l.mu.Lock()
-			l.written = target
-			l.fsyncErr++
-			l.spare = batch[:0]
-			l.finishFlush(fmt.Errorf("wal: fsync: %w", d.Err))
-			l.mu.Unlock()
-			return
-		}
-	}
-	serr := seg.Sync()
+	serr := l.opts.Fsync(seg)
 
+	// The batch is in the segment whether or not the fsync succeeded: a
+	// failed fsync leaves it written but not durable, and the next flush
+	// fsyncs it with nothing new to write.
 	l.mu.Lock()
 	l.written = target
+	l.bytes += int64(len(batch))
+	l.segBytes += int64(len(batch))
+	l.spare = batch[:0]
 	if serr != nil {
 		l.fsyncErr++
-		l.spare = batch[:0]
 		l.finishFlush(fmt.Errorf("wal: fsync: %w", serr))
 		l.mu.Unlock()
 		return
 	}
 	l.durable = target
 	l.fsyncs++
-	l.bytes += int64(len(batch))
-	l.segBytes += int64(len(batch))
-	l.spare = batch[:0]
 	rotate := l.segBytes >= l.opts.SegmentBytes
 	l.finishFlush(nil)
 	if rotate && !l.closed {
@@ -594,17 +580,16 @@ func (l *Log) Metrics() Metrics {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return Metrics{
-		Appends:        l.appends,
-		Fsyncs:         l.fsyncs,
-		Bytes:          l.bytes,
-		Replayed:       l.replayed,
-		Compactions:    l.compactions,
-		DroppedAppends: l.droppedAppends,
-		FsyncErrors:    l.fsyncErr,
-		LastLSN:        l.appended,
-		DurableLSN:     l.durable,
-		Segments:       len(l.segs),
-		PendingBytes:   int64(len(l.buf)),
+		Appends:      l.appends,
+		Fsyncs:       l.fsyncs,
+		Bytes:        l.bytes,
+		Replayed:     l.replayed,
+		Compactions:  l.compactions,
+		FsyncErrors:  l.fsyncErr,
+		LastLSN:      l.appended,
+		DurableLSN:   l.durable,
+		Segments:     len(l.segs),
+		PendingBytes: int64(len(l.buf)),
 	}
 }
 

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -358,71 +357,6 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	if count != goroutines*per {
 		t.Fatalf("replayed %d, want %d", count, goroutines*per)
 	}
-}
-
-// flakyInjector fires a given kind for one target while armed.
-type flakyInjector struct {
-	mu     sync.Mutex
-	target string
-	armed  bool
-}
-
-func (f *flakyInjector) Decide(target string, _ time.Duration) faults.Decision {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.armed && target == f.target {
-		return faults.Decision{Err: faults.ErrInjected, Kind: faults.KindError}
-	}
-	return faults.Decision{}
-}
-
-func TestFaultInjection(t *testing.T) {
-	t.Run("append", func(t *testing.T) {
-		inj := &flakyInjector{target: "wal-append", armed: true}
-		l, _, err := Open(Options{Dir: t.TempDir(), Manual: true, Injector: inj}, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		if _, err := l.Append(testRecord(0)); !errors.Is(err, faults.ErrInjected) {
-			t.Fatalf("Append under fault = %v, want injected error", err)
-		}
-		inj.mu.Lock()
-		inj.armed = false
-		inj.mu.Unlock()
-		if _, err := l.Append(testRecord(1)); err != nil {
-			t.Fatalf("Append after recovery: %v", err)
-		}
-		if m := l.Metrics(); m.DroppedAppends != 1 {
-			t.Fatalf("DroppedAppends = %d, want 1", m.DroppedAppends)
-		}
-	})
-	t.Run("fsync", func(t *testing.T) {
-		inj := &flakyInjector{target: "wal-fsync", armed: true}
-		l, _, err := Open(Options{Dir: t.TempDir(), Manual: true, Injector: inj}, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Append(testRecord(0))
-		if err := l.Sync(); !errors.Is(err, faults.ErrInjected) {
-			t.Fatalf("Sync under fsync fault = %v, want injected error", err)
-		}
-		if m := l.Metrics(); m.DurableLSN != 0 || m.FsyncErrors == 0 {
-			t.Fatalf("fault advanced durability: %+v", m)
-		}
-		inj.mu.Lock()
-		inj.armed = false
-		inj.mu.Unlock()
-		if err := l.Sync(); err != nil {
-			t.Fatalf("Sync after fault cleared: %v", err)
-		}
-		if m := l.Metrics(); m.DurableLSN != 1 {
-			t.Fatalf("DurableLSN = %d after retry, want 1", m.DurableLSN)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-	})
 }
 
 func TestDump(t *testing.T) {
