@@ -78,7 +78,7 @@ func main() {
 		permitAll = flag.Bool("resolve-all", true, "treat every sender domain as resolvable (no real DNS in the sandbox)")
 		statePath = flag.String("state", "", "whitelist snapshot file (loaded at boot, saved periodically and on SIGINT)")
 		smarthost = flag.String("smarthost", "", "next-hop SMTP server for outgoing challenges (host:port); empty = log only")
-		faultPlan = flag.String("fault-plan", "", "JSON fault plan file; injects faults into DNS (dns), the blocklist (rbl:local-dnsbl), the scanner (av), the reputation store (reputation), the smarthost path (smarthost, smarthost-dial, domain:<d>), the outbound-spool journal (wal-spool, with -smarthost and -wal-dir), WAL appends and group-commit fsyncs (wal-append, wal-fsync, with -wal-dir) and the snapshot's fsync (store, with -state)")
+		faultPlan = flag.String("fault-plan", "", "JSON fault plan file; injects faults into DNS (dns), the blocklist (rbl:local-dnsbl), the scanner (av), the reputation store (reputation), the smarthost path (smarthost, smarthost-dial, domain:<d>), the outbound-spool journal (wal-spool, with -smarthost and -wal-dir), WAL appends and fsyncs (wal-append, wal-fsync, with -wal-dir) and the snapshot's fsync (store, with -state)")
 		faultSeed = flag.Int64("fault-seed", 1, "seed for the fault injector's RNG (with -fault-plan)")
 		drainWait = flag.Duration("drain-timeout", 10*time.Second, "how long SIGTERM waits for in-flight SMTP sessions before force-closing")
 		walDir    = flag.String("wal-dir", "", "write-ahead-log directory; every whitelist/reputation mutation is journalled and replayed over the snapshot at boot (empty = snapshots only)")

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"log"
 	"net"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -13,12 +15,15 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dnssim"
+	"repro/internal/faults"
+	"repro/internal/faults/seam"
 	"repro/internal/gateway"
 	"repro/internal/mail"
 	"repro/internal/outbound"
 	"repro/internal/overload"
 	"repro/internal/smtp"
 	"repro/internal/store"
+	"repro/internal/wal"
 	"repro/internal/whitelist"
 )
 
@@ -240,5 +245,69 @@ func TestChallengeTokenStaysOutOfLog(t *testing.T) {
 	challengeSender(nil)(issued[0])
 	if !strings.Contains(logged.String(), issued[0].URL) {
 		t.Errorf("log-only mode did not log the solve URL; log:\n%s", logged.String())
+	}
+}
+
+// TestFailedWALDegradesToSnapshots: once a WAL fsync fails the log
+// takes no more records, and the state checkpoint still saves a
+// snapshot, so recovery holds the mutations the log refused as well as
+// those it never made durable: the server runs on as it does without
+// -wal-dir.
+func TestFailedWALDegradesToSnapshots(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+
+	dir := t.TempDir()
+	statePath, walDir := filepath.Join(dir, "state.json"), filepath.Join(dir, "wal")
+	clk := clock.NewSim(time.Date(2011, 4, 1, 12, 0, 0, 0, time.UTC))
+	set := faults.New(&faults.Plan{Rules: []faults.Rule{{Target: "wal-fsync", Kind: faults.KindError}}}, 1, clk)
+	wl := whitelist.NewStore(clk)
+	st := store.Stores{Whitelist: wl}
+	saver := &store.Saver{Path: statePath, Name: "crserver", Fsync: seam.Fsync(set, "store")}
+	rec, err := store.Recover(statePath, wal.Options{
+		Dir:           walDir,
+		FsyncInterval: walFsyncInterval,
+		SegmentBytes:  walSegmentBytes,
+		Fsync:         seam.Fsync(set, "wal-fsync"),
+	}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walLog := rec.Log
+	wal.NewJournal(seam.Appender(walLog, set)).Attach(wl)
+
+	bob := mail.MustParseAddress("bob@corp.example")
+	alice, carol := mail.MustParseAddress("alice@example.com"), mail.MustParseAddress("carol@example.com")
+	wl.AddWhite(bob, alice, whitelist.SourceDigest)
+	if err := walLog.Sync(); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("Sync under the fsync fault = %v, want the injected error", err)
+	}
+	wl.AddWhite(bob, carol, whitelist.SourceDigest)
+	if got := walLog.LastLSN(); got != 1 {
+		t.Fatalf("the failed log assigned LSN %d to the second pair, want it dropped at LSN 1", got)
+	}
+
+	saveState(saver, st, walLog)
+	if !strings.Contains(logged.String(), "compaction skipped") {
+		t.Errorf("the checkpoint did not report the failed log; log:\n%s", logged.String())
+	}
+	if err := walLog.Close(); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("Close of the failed log = %v, want the injected error", err)
+	}
+
+	cold := whitelist.NewStore(clk)
+	rec, err = store.Recover(statePath, wal.Options{Dir: walDir}, store.Stores{Whitelist: cold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Log.Close()
+	if rec.Snapshot == nil || rec.Snapshot.WalLSN != 1 {
+		t.Fatalf("recovered snapshot %+v, want one at WAL cut 1", rec.Snapshot)
+	}
+	for _, sender := range []mail.Address{alice, carol} {
+		if !cold.IsWhite(bob, sender) {
+			t.Errorf("recovery lost the whitelist pair (%s, %s)", bob, sender)
+		}
 	}
 }

@@ -21,7 +21,7 @@
 //	av              seam.Antivirus    the scanner backend (clamd-style daemon down)
 //	wal-spool       seam.Journal      outbound-spool journal appends (per-transition drops)
 //	wal-append      seam.Appender     write-ahead-log record appends through the journal
-//	wal-fsync       seam.Fsync        group-commit fsyncs (wal.Options.Fsync; durability stalls)
+//	wal-fsync       seam.Fsync        WAL flush fsyncs (wal.Options.Fsync; the first failure fails the log)
 //	store           seam.Fsync        the snapshot temp file's fsync (store.Saver.Fsync)
 //
 // The rest have no such seam and are consulted by their owner:

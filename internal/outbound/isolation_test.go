@@ -660,3 +660,42 @@ func TestDarkDomainCannotFillTheWindow(t *testing.T) {
 		t.Fatalf("dark attempts %s over %d tries, want [1 0] over 1", got, inj.triesTo("dark.example"))
 	}
 }
+
+// TestDrainReachesHealthyBehindDarkBacklog: with MaxQueued 2, two
+// challenges to a dark domain and then one to a healthy domain, a drain
+// loop written like crserver's (FlushAll until nothing is left or a
+// pass makes no progress) delivers the healthy one: the dark backlog
+// costs each pass one attempt and does not stall the drain before it.
+func TestDrainReachesHealthyBehindDarkBacklog(t *testing.T) {
+	sh, addr := startSmarthost(t)
+	now := time.Date(2011, 4, 1, 12, 0, 0, 0, time.UTC)
+	inj := &darkInjector{}
+	inj.set("dark.example", true)
+	q := NewQueue(Config{
+		Dial:       func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },
+		HeloDomain: "cr.corp.example",
+		Injector:   inj,
+		MaxQueued:  2,
+		Now:        func() time.Time { return now },
+	})
+	for i, rcpt := range []string{"a@dark.example", "b@dark.example", "c@healthy.example"} {
+		ch := challengeTo(rcpt)
+		ch.Issued = now.Add(time.Duration(i-3) * time.Second)
+		q.Enqueue(ch)
+	}
+	for pass := 1; ; pass++ {
+		n, err := q.FlushAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Stats()[StatusQueued]+q.Deferred() == 0 || n == 0 || pass == 10 {
+			break
+		}
+	}
+	if got := sentTo(sh)["healthy.example"]; got != 1 {
+		t.Fatalf("healthy deliveries after the drain = %d, want 1 (dark tries %d)", got, inj.triesTo("dark.example"))
+	}
+	if got := q.SpoolDepth(); got != 2 {
+		t.Fatalf("%d challenges left after the drain, want the 2 to the dark domain", got)
+	}
+}

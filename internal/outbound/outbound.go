@@ -89,8 +89,9 @@ type Config struct {
 	// MaxQueued bounds how many pending challenges a Flush considers:
 	// the MaxQueued oldest in spool order among those it may attempt
 	// (due, to a domain whose ladder does not hold it), so challenges
-	// that wait cannot crowd out those that need not. FlushAll takes
-	// the MaxQueued oldest. Challenges beyond the bound are deferred,
+	// that wait cannot crowd out those that need not. FlushAll is not
+	// bounded: a dark domain costs it one attempt however many of its
+	// challenges wait. Challenges beyond the bound are deferred,
 	// not dropped: they stay in the spool and move up as older
 	// challenges reach their fate. 0 means unbounded.
 	MaxQueued int
@@ -256,11 +257,12 @@ func (q *Queue) Flush() (terminal int, err error) {
 	return q.flush(false)
 }
 
-// FlushAll is Flush ignoring retry timers and domain-ladder waits:
-// every considered challenge is attempted now, except that a domain
-// fault still ends its domain's batch, so a dark MX costs a drain one
-// attempt. The graceful-drain path uses it so a shutdown does not
-// strand challenges waiting on a backoff schedule.
+// FlushAll is Flush ignoring retry timers, domain-ladder waits and
+// MaxQueued: every pending challenge is attempted now, except that a
+// domain fault still ends its domain's batch, so a dark MX costs a
+// drain one attempt and its backlog cannot keep the drain from the
+// healthy domains behind it. The graceful-drain path uses it so a
+// shutdown does not strand challenges waiting on a backoff schedule.
 func (q *Queue) FlushAll() (terminal int, err error) {
 	return q.flush(true)
 }
@@ -282,7 +284,9 @@ func (q *Queue) flush(ignoreSchedule bool) (terminal int, err error) {
 	// flushes change ledgers, and they are serialized, so the set stays
 	// true for this flush.
 	var skip func(*spool.Item) bool
+	limit := 0
 	if !ignoreSchedule {
+		limit = q.cfg.MaxQueued
 		held := make(map[string]bool)
 		q.mu.Lock()
 		for d, led := range q.domains {
@@ -298,7 +302,7 @@ func (q *Queue) flush(ignoreSchedule bool) (terminal int, err error) {
 	// The items are copies of the window: this flush updates them as it
 	// records each outcome through the Recorder, which folds the same
 	// transition into the spool.
-	pending := q.cfg.Spool.Pending(q.cfg.MaxQueued, skip)
+	pending := q.cfg.Spool.Pending(limit, skip)
 	perDomain := make(map[string][]*spool.Item)
 	for i := range pending {
 		it := &pending[i]

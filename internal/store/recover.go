@@ -65,31 +65,28 @@ func Recover(snapPath string, walOpts wal.Options, st Stores) (*Recovery, error)
 
 // Checkpoint is the snapshot protocol over a WAL, the counterpart of
 // Recover. It samples the cut BEFORE save exports the stores (mutations
-// journalled during the export replay idempotently on top), syncs the
-// log so the cut is durable, seals the active segment so the cut lives
-// in a compactable segment, calls save with the cut, and then deletes
-// every sealed segment wholly at or below the cut. It returns the cut
-// and the number of segments deleted.
+// journalled during the export replay idempotently on top), seals the
+// active segment with Rotate, which first makes the cut durable, calls
+// save with the cut, and then deletes every sealed segment wholly at or
+// below the cut. It returns the cut and the number of segments deleted.
 //
-// A failed sync or save ends the checkpoint with nothing deleted. A
-// failed rotation does not: the snapshot is still good, and compaction
-// never deletes the unsealed segment; its error is returned with
-// compaction's. With a nil log Checkpoint only saves, at cut 0.
+// A failed save ends the checkpoint with nothing deleted. A failed
+// rotation, a failed log's included, skips only the compaction: every
+// record at or below the cut is in the snapshot whether or not it
+// reached the log, so a failed WAL degrades the installation to the
+// snapshot-only persistence it has without one. With a nil log
+// Checkpoint only saves, at cut 0.
 func Checkpoint(l *wal.Log, save func(cut uint64) error) (cut uint64, compacted int, err error) {
 	if l == nil {
 		return 0, 0, save(0)
 	}
 	cut = l.LastLSN()
-	if err := l.Sync(); err != nil {
-		return cut, 0, fmt.Errorf("store: wal sync before snapshot (snapshot skipped): %w", err)
-	}
-	rotateErr := l.Rotate()
-	if rotateErr != nil {
-		rotateErr = fmt.Errorf("store: wal rotate: %w", rotateErr)
+	if err := l.Rotate(); err != nil {
+		return cut, 0, errors.Join(fmt.Errorf("store: wal rotate (compaction skipped): %w", err), save(cut))
 	}
 	if err := save(cut); err != nil {
-		return cut, 0, errors.Join(rotateErr, err)
+		return cut, 0, err
 	}
 	compacted, err = l.CompactThrough(cut)
-	return cut, compacted, errors.Join(rotateErr, err)
+	return cut, compacted, err
 }

@@ -37,8 +37,8 @@ import (
 	"repro/internal/whitelist"
 )
 
-// FormatVersion identifies the snapshot schema.
-const FormatVersion = 1
+// formatVersion identifies the snapshot schema.
+const formatVersion = 1
 
 // maxSnapshotBytes caps how much of a snapshot file the decoder will
 // read: a snapshot is operator-supplied input, and a corrupt or hostile
@@ -104,7 +104,7 @@ type Snapshot struct {
 // WAL.
 func Save(w io.Writer, name string, st Stores, walLSN uint64, now time.Time) error {
 	snap := Snapshot{
-		Version: FormatVersion,
+		Version: formatVersion,
 		Name:    name,
 		SavedAt: now.UTC(),
 		WalLSN:  walLSN,
@@ -128,7 +128,7 @@ func Save(w io.Writer, name string, st Stores, walLSN uint64, now time.Time) err
 }
 
 // Load reads a snapshot from r and merges it into the stores. Snapshots
-// from a newer build (Version > FormatVersion) are rejected with a
+// from a newer build (Version > formatVersion) are rejected with a
 // descriptive error rather than misread, and the reader is capped at
 // maxSnapshotBytes so corrupt input cannot trigger unbounded reads.
 func Load(r io.Reader, st Stores) (*Snapshot, error) {
@@ -136,9 +136,9 @@ func Load(r io.Reader, st Stores) (*Snapshot, error) {
 	if err := json.NewDecoder(io.LimitReader(r, maxSnapshotBytes)).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("store: decode: %w", err)
 	}
-	if snap.Version > FormatVersion {
+	if snap.Version > formatVersion {
 		return nil, fmt.Errorf("store: snapshot format version %d is newer than this build supports (max %d); refusing to load it partially — upgrade the binary or restore an older snapshot",
-			snap.Version, FormatVersion)
+			snap.Version, formatVersion)
 	}
 	if snap.Version < 1 {
 		return nil, fmt.Errorf("store: invalid snapshot version %d", snap.Version)

@@ -46,7 +46,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Name != "corp" || snap.Version != FormatVersion {
+	if snap.Name != "corp" || snap.Version != formatVersion {
 		t.Fatalf("snapshot header = %+v", snap)
 	}
 

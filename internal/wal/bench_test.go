@@ -33,8 +33,8 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // BenchmarkWALAppendSync measures the full durability round trip: every
-// append followed by a Sync barrier, so the group-commit window is what
-// sets the latency floor.
+// append followed by a Sync, which flushes inline: the fsync sets the
+// latency floor, and Syncs that queue behind one flush share the next.
 func BenchmarkWALAppendSync(b *testing.B) {
 	l, _, err := Open(Options{Dir: b.TempDir(), FsyncInterval: 200 * time.Microsecond, SegmentBytes: 64 << 20}, 0, nil)
 	if err != nil {

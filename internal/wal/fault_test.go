@@ -16,7 +16,7 @@ import (
 
 // TestFaultInjection drives the WAL's fault targets through the seams
 // crserver wires: "wal-append" around the journal's appender and
-// "wal-fsync" as the group commit's fsync hook. Each rule holds for the
+// "wal-fsync" as the flush's fsync hook. Each rule holds for the
 // first hour of the set's clock, so a test ends a fault by advancing it.
 func TestFaultInjection(t *testing.T) {
 	t0 := time.Date(2006, 10, 1, 0, 0, 0, 0, time.UTC)
@@ -66,6 +66,29 @@ func TestFaultInjection(t *testing.T) {
 		}
 	})
 
+	// A failed fsync fails the log for good: a later fsync could report
+	// success over pages the failed one dropped, so nothing becomes
+	// durable after it, even once the fault has ended.
+	failedForGood := func(t *testing.T, l *wal.Log, clk *clock.Sim) {
+		t.Helper()
+		clk.Advance(time.Hour)
+		if err := l.Sync(); !errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("Sync after the fault ended = %v, want the first failure", err)
+		}
+		if _, err := l.Append(wal.Record{Op: wal.OpWhiteAdd}); !errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("Append on a failed log = %v, want the first failure", err)
+		}
+		if err := l.Rotate(); !errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("Rotate on a failed log = %v, want the first failure", err)
+		}
+		if m := l.Metrics(); m.DurableLSN != 0 || m.LastLSN != 1 || m.FsyncErrors != 1 || m.Fsyncs != 0 {
+			t.Fatalf("after the fault: %+v, want durable LSN 0 of 1, one fsync error, no fsync", m)
+		}
+		if err := l.Close(); !errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("Close on a failed log = %v, want the first failure", err)
+		}
+	}
+
 	t.Run("fsync", func(t *testing.T) {
 		set, clk := firstHour("wal-fsync")
 		hook := seam.Fsync(set, "wal-fsync")
@@ -86,25 +109,27 @@ func TestFaultInjection(t *testing.T) {
 		if err := l.Sync(); !errors.Is(err, faults.ErrInjected) {
 			t.Fatalf("Sync under fsync fault = %v, want the injected error", err)
 		}
-		if m := l.Metrics(); m.DurableLSN != 0 || m.FsyncErrors != 1 || m.Fsyncs != 0 {
-			t.Fatalf("a failed fsync advanced durability: %+v", m)
+		failedForGood(t, l, clk)
+		if calls != 1 {
+			t.Fatalf("fsync hook called %d times, want 1: a failed log fsyncs no more", calls)
 		}
+	})
 
-		clk.Advance(time.Hour)
-		if err := l.Sync(); err != nil {
-			t.Fatalf("Sync after the fault ended: %v", err)
-		}
-		if m := l.Metrics(); m.DurableLSN != 1 || m.FsyncErrors != 1 || m.Fsyncs != 1 {
-			t.Fatalf("after the fault: %+v, want durable LSN 1, one error, one fsync", m)
-		}
-		if err := l.Rotate(); err != nil {
+	t.Run("fsync-idle", func(t *testing.T) {
+		set, clk := firstHour("wal-fsync")
+		l, _, err := wal.Open(wal.Options{Dir: t.TempDir(), Fsync: seam.Fsync(set, "wal-fsync")}, 0, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if calls != 2 || len(l.Segments()) != 2 {
-			t.Fatalf("fsync hook called %d times over %d segments; want 2 calls (the group commits) over 2", calls, len(l.Segments()))
-		}
-		if err := l.Close(); err != nil {
+		if _, err := l.Append(wal.Record{Op: wal.OpWhiteAdd}); err != nil {
 			t.Fatal(err)
 		}
+		// The background flusher takes the failure; then the log idles.
+		for deadline := time.Now().Add(5 * time.Second); l.Metrics().FsyncErrors == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the flusher never fsynced the append")
+			}
+		}
+		failedForGood(t, l, clk)
 	})
 }

@@ -17,11 +17,12 @@ type Appender interface {
 }
 
 // Journal connects the durable stores' change-journal hooks to a Log:
-// every mutation becomes one appended record. Appends are fail-open — a
-// rejected append (a closed log, or an injected fault) returns LSN 0,
-// is not tapped, and the in-memory mutation proceeds, mirroring how the
-// rest of the pipeline degrades rather than blocks. Nothing counts the
-// rejections; the spool's Recorder counts its own (JournalDropped).
+// every mutation becomes one appended record. Appends are fail-open —
+// a rejected append (a closed or failed log, or an injected fault)
+// returns LSN 0, is not tapped, and the in-memory mutation proceeds,
+// mirroring how the rest of the pipeline degrades rather than blocks.
+// Nothing counts the rejections; the spool's Recorder counts its own
+// (JournalDropped).
 type Journal struct {
 	log Appender
 	tap func(Record)

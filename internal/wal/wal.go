@@ -33,14 +33,14 @@ type Options struct {
 	// of a batch the flusher waits this long for more appenders before
 	// the single write+fsync. 0 (the default) fsyncs as fast as appends
 	// arrive, still batching whatever accumulates during each fsync.
-	// Sync() always short-circuits the window.
+	// Sync does not wait for the window: it flushes inline.
 	FsyncInterval time.Duration
 	// Manual disables the background flusher: nothing reaches disk until
 	// Sync or Close. Deterministic tests and the crash-restart experiment
 	// use this to control exactly which records are durable.
 	Manual bool
-	// Fsync is the group commit's fsync of the active segment; nil means
-	// (*os.File).Sync. Its error takes the same path as a real one. The
+	// Fsync is the flush's fsync of the active segment; nil means
+	// (*os.File).Sync. Its error fails the log like a real one. The
 	// segment header's fsync, at open and rotation, calls Sync directly.
 	Fsync func(*os.File) error
 }
@@ -77,7 +77,7 @@ type Metrics struct {
 	Bytes        int64 // payload+frame bytes written to segments
 	Replayed     int64 // records replayed at Open
 	Compactions  int64 // CompactThrough calls that removed segments
-	FsyncErrors  int64 // failed group-commit fsyncs
+	FsyncErrors  int64 // failed fsyncs: at most 1, the failure fails the log
 	LastLSN      uint64
 	DurableLSN   uint64
 	Segments     int
@@ -92,8 +92,12 @@ type segInfo struct {
 
 // Log is the append-only write-ahead log. Append is safe for concurrent
 // use and never blocks on the disk: records are framed into an
-// in-memory batch that a single flusher goroutine writes and fsyncs
-// (group commit). Sync is the durability barrier.
+// in-memory batch that the background flusher writes and fsyncs (group
+// commit). Sync is the durability barrier, flushing on its caller's
+// goroutine. The log fails stop: its first failed write or fsync is
+// kept, the durable LSN never moves again, and Append, Sync, Rotate and
+// Close return that error, because a retried fsync can report success
+// over pages the failed one dropped.
 type Log struct {
 	opts Options
 
@@ -101,15 +105,12 @@ type Log struct {
 	flushMu sync.Mutex
 
 	mu       sync.Mutex
-	cond     *sync.Cond // broadcast on durable/flushErr progress
-	buf      []byte     // encoded frames not yet handed to the flusher
-	spare    []byte     // recycled batch buffer
+	buf      []byte // encoded frames not yet flushed
+	spare    []byte // recycled batch buffer
 	nextLSN  uint64
 	appended uint64 // last assigned LSN
-	written  uint64 // last LSN fully written to the OS
 	durable  uint64 // last LSN fsynced
-	flushErr error  // latest flush outcome (nil on success)
-	flushSeq uint64 // bumped after every flush attempt
+	err      error  // first failed write or fsync; the log takes no more work
 	seg      *os.File
 	segs     []segInfo // oldest first; last entry is the active segment
 	segBytes int64     // active segment size including header
@@ -122,7 +123,6 @@ type Log struct {
 
 	stopCh  chan struct{}
 	flushCh chan struct{}
-	syncCh  chan struct{}
 	done    chan struct{}
 }
 
@@ -180,10 +180,8 @@ func Open(opts Options, fromLSN uint64, apply func(Record) error) (*Log, ReplayS
 		opts:    opts,
 		stopCh:  make(chan struct{}),
 		flushCh: make(chan struct{}, 1),
-		syncCh:  make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
-	l.cond = sync.NewCond(&l.mu)
 
 	names, err := filepath.Glob(filepath.Join(opts.Dir, segPattern))
 	if err != nil {
@@ -228,7 +226,6 @@ func Open(opts Options, fromLSN uint64, apply func(Record) error) (*Log, ReplayS
 
 	l.nextLSN = max(stats.LastLSN, fromLSN) + 1
 	l.appended = l.nextLSN - 1
-	l.written = l.appended
 	l.durable = l.appended
 	l.replayed = int64(stats.Replayed)
 
@@ -328,192 +325,121 @@ func (l *Log) createSegment(first uint64) error {
 	return nil
 }
 
-// Append frames r, assigns its LSN and queues it for the next group
-// commit. It returns immediately; durability requires Sync (or trust in
-// the flush interval). The only error path is a closed log.
-// Allocation-free in steady state.
+// Append frames r, assigns its LSN and queues it for the next flush. It
+// returns at once; durability requires Sync (or trust in the flush
+// interval). It fails only on a closed or failed log. Allocation-free
+// in steady state.
 func (l *Log) Append(r Record) (uint64, error) {
 	l.mu.Lock()
-	if l.closed {
+	if err := l.stoppedLocked(); err != nil {
 		l.mu.Unlock()
-		return 0, errors.New("wal: log closed")
+		return 0, err
 	}
 	r.LSN = l.nextLSN
 	l.nextLSN++
 	l.appended = r.LSN
 	l.buf = appendFrame(l.buf, &r)
 	l.appends++
-	manual := l.opts.Manual
 	l.mu.Unlock()
-	if !manual {
-		select {
-		case l.flushCh <- struct{}{}:
-		default:
-		}
+	select { // a Manual log has no flusher to read the wake-up
+	case l.flushCh <- struct{}{}:
+	default:
 	}
 	return r.LSN, nil
 }
 
+// stoppedLocked returns why the log takes no more appends: its first
+// failure, or Close. Caller holds l.mu.
+func (l *Log) stoppedLocked() error {
+	if l.err != nil {
+		return l.err
+	}
+	if l.closed {
+		return errors.New("wal: log closed")
+	}
+	return nil
+}
+
 // run is the group-commit flusher: woken by the first append of a
-// batch, it waits FsyncInterval for co-travellers (Sync short-circuits
-// the wait), then writes and fsyncs the whole batch once.
+// batch, it waits FsyncInterval for co-travellers, then writes and
+// fsyncs the whole batch once. It stops with the log; Close flushes
+// the rest.
 func (l *Log) run() {
 	defer close(l.done)
 	for {
 		select {
 		case <-l.stopCh:
-			l.flushOnce()
 			return
-		case <-l.syncCh:
 		case <-l.flushCh:
-			if iv := l.opts.FsyncInterval; iv > 0 {
-				t := time.NewTimer(iv)
-				select {
-				case <-t.C:
-				case <-l.syncCh:
-					t.Stop()
-				case <-l.stopCh:
-					t.Stop()
-					l.flushOnce()
-					return
-				}
+		}
+		if iv := l.opts.FsyncInterval; iv > 0 {
+			t := time.NewTimer(iv)
+			select {
+			case <-t.C:
+			case <-l.stopCh:
+				t.Stop()
+				return
 			}
 		}
-		l.flushOnce()
+		l.flushOnce() // a failure is kept in l.err; Append, Sync and Close report it
 	}
 }
 
-// flushOnce writes and fsyncs everything queued. It is the single
-// writer of segment files; concurrency comes from batching, not from
-// parallel writes.
-func (l *Log) flushOnce() {
+// flushOnce writes and fsyncs everything appended so far, then seals
+// the active segment once it reaches SegmentBytes. It is the single
+// writer of segment files. The first failed write or fsync fails the
+// log: the batch is neither retried nor counted durable, because a
+// failed fsync may already have dropped its pages, and every later
+// call returns that error.
+func (l *Log) flushOnce() error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
 
 	l.mu.Lock()
-	batch := l.buf
-	target := l.appended
-	if len(batch) == 0 && l.written == l.durable {
-		l.flushSeq++
-		l.cond.Broadcast()
+	if err := l.err; err != nil || len(l.buf) == 0 {
 		l.mu.Unlock()
-		return
+		return err
 	}
-	if l.spare != nil {
-		l.buf = l.spare[:0]
-		l.spare = nil
-	} else {
-		l.buf = nil
-	}
-	seg := l.seg
+	batch, target, seg := l.buf, l.appended, l.seg
+	l.buf, l.spare = l.spare[:0], nil
 	l.mu.Unlock()
 
-	var n int
-	var err error
-	if len(batch) > 0 {
-		n, err = seg.Write(batch)
-	}
-	if err != nil {
-		// Keep the unwritten remainder at the front of the queue: frames
-		// must land contiguously after whatever partial bytes made it out.
-		l.mu.Lock()
-		rest := append([]byte(nil), batch[n:]...)
-		l.buf = append(rest, l.buf...)
-		l.bytes += int64(n)
-		l.segBytes += int64(n)
-		l.spare = batch[:0]
-		l.finishFlush(fmt.Errorf("wal: write: %w", err))
-		l.mu.Unlock()
-		return
+	_, werr := seg.Write(batch)
+	var serr error
+	if werr == nil {
+		serr = l.opts.Fsync(seg)
 	}
 
-	serr := l.opts.Fsync(seg)
-
-	// The batch is in the segment whether or not the fsync succeeded: a
-	// failed fsync leaves it written but not durable, and the next flush
-	// fsyncs it with nothing new to write.
-	l.mu.Lock()
-	l.written = target
-	l.bytes += int64(len(batch))
-	l.segBytes += int64(len(batch))
-	l.spare = batch[:0]
-	if serr != nil {
-		l.fsyncErr++
-		l.finishFlush(fmt.Errorf("wal: fsync: %w", serr))
-		l.mu.Unlock()
-		return
-	}
-	l.durable = target
-	l.fsyncs++
-	rotate := l.segBytes >= l.opts.SegmentBytes
-	l.finishFlush(nil)
-	if rotate && !l.closed {
-		if cerr := l.createSegment(target + 1); cerr != nil {
-			l.flushErr = cerr
-		}
-	}
-	l.mu.Unlock()
-}
-
-// finishFlush records a flush outcome. Caller holds l.mu.
-func (l *Log) finishFlush(err error) {
-	l.flushErr = err
-	l.flushSeq++
-	l.cond.Broadcast()
-}
-
-// Sync blocks until every record appended before the call is fsynced
-// (the durability barrier), or returns the error that prevented it.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	target := l.appended
-	l.mu.Unlock()
-	return l.syncTo(target)
-}
-
-func (l *Log) syncTo(target uint64) error {
-	if l.opts.Manual {
-		for {
-			l.mu.Lock()
-			if l.durable >= target {
-				l.mu.Unlock()
-				return nil
-			}
-			l.mu.Unlock()
-			l.flushOnce()
-			l.mu.Lock()
-			done, err := l.durable >= target, l.flushErr
-			l.mu.Unlock()
-			if done {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-	select {
-	case l.syncCh <- struct{}{}:
-	default:
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	start := l.flushSeq
-	for l.durable < target {
-		if l.closed {
-			return errors.New("wal: log closed")
+	l.spare = batch[:0]
+	switch {
+	case werr != nil:
+		l.err = fmt.Errorf("wal: write: %w", werr)
+	case serr != nil:
+		l.fsyncErr++
+		l.err = fmt.Errorf("wal: fsync: %w", serr)
+	default:
+		l.bytes += int64(len(batch))
+		l.segBytes += int64(len(batch))
+		l.durable = target
+		l.fsyncs++
+		if l.segBytes >= l.opts.SegmentBytes && !l.closed {
+			l.err = l.createSegment(target + 1)
 		}
-		if l.flushErr != nil && l.flushSeq > start {
-			return l.flushErr
-		}
-		l.cond.Wait()
 	}
-	return nil
+	return l.err
 }
+
+// Sync flushes every record appended before the call on the caller's
+// goroutine and returns once they are durable. On a failed log it
+// returns the failure.
+func (l *Log) Sync() error { return l.flushOnce() }
 
 // Rotate flushes and seals the active segment, starting a fresh one, so
 // a following CompactThrough can delete everything already snapshotted.
-// A still-empty active segment is left alone.
+// A still-empty active segment is left alone. Failing to start the new
+// segment fails the log.
 func (l *Log) Rotate() error {
 	if err := l.Sync(); err != nil {
 		return err
@@ -522,13 +448,14 @@ func (l *Log) Rotate() error {
 	defer l.flushMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return errors.New("wal: log closed")
+	if err := l.stoppedLocked(); err != nil {
+		return err
 	}
 	if l.segBytes == int64(segHeaderSize) {
 		return nil
 	}
-	return l.createSegment(l.durable + 1)
+	l.err = l.createSegment(l.durable + 1)
+	return l.err
 }
 
 // CompactThrough deletes sealed segments all of whose records have
@@ -616,34 +543,25 @@ type SegmentInfo struct {
 	Active   bool
 }
 
-// Close flushes everything and releases the log. Safe to call once.
+// Close flushes everything and releases the log, returning the log's
+// failure if it has one. Safe to call once.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil
 	}
-	l.mu.Unlock()
-	if !l.opts.Manual {
-		close(l.stopCh)
-		<-l.done
-	} else {
-		l.flushOnce()
-	}
-	l.mu.Lock()
 	l.closed = true
-	err := l.flushErr
-	if l.durable < l.appended && err == nil {
-		err = errors.New("wal: close with undurable tail")
-	}
+	l.mu.Unlock()
+	close(l.stopCh)
+	<-l.done
+	err := l.flushOnce()
+	l.mu.Lock()
 	seg := l.seg
 	l.seg = nil
-	l.cond.Broadcast()
 	l.mu.Unlock()
-	if seg != nil {
-		if cerr := seg.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if cerr := seg.Close(); cerr != nil && err == nil {
+		err = cerr
 	}
 	return err
 }
