@@ -214,11 +214,10 @@ func main() {
 	eng := core.New(cfg, clk, resolver, chain, wl, challengeSender(queue))
 	eng.SetReputation(rep)
 	// Admission control: the gateway consults ctl before accepting DATA
-	// (shed mail gets 451/421, never a silent drop), the engine feeds
-	// per-message service latency into the AIMD limiter, and probe-filter
-	// work is shed while the admission queue is pressured.
+	// (shed mail gets 451/421, never a silent drop) under the default
+	// fixed limit, and probe-filter work is shed while the admission
+	// queue is pressured.
 	ctl := overload.New(overload.Config{Name: "crserver", Clock: clk})
-	eng.SetServiceObserver(ctl.Observe)
 	eng.SetPressure(ctl.Pressured)
 	inboxes := mailbox.NewStore()
 	inboxes.SetBodies(bodies)

@@ -92,7 +92,6 @@ func TestDrainGraceful(t *testing.T) {
 	eng.AddUser(mail.MustParseAddress("bob@corp.example"))
 
 	ctl := overload.New(overload.Config{Name: "drain-test", Clock: clk})
-	eng.SetServiceObserver(ctl.Observe)
 	eng.SetPressure(ctl.Pressured)
 
 	srv := smtp.NewServer(smtp.Config{Hostname: "mta.corp.example", ReadTimeout: 5 * time.Second},

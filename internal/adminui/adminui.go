@@ -241,7 +241,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		om := s.ctl.Metrics()
 		fmt.Fprintf(w, "overload_shed_total %d\n", om.ShedTotal())
 		fmt.Fprintf(w, "admission_queue_depth %d\n", om.QueueDepth)
-		fmt.Fprintf(w, "admission_limit %.2f\n", om.Limit)
+		fmt.Fprintf(w, "admission_limit %d\n", om.Limit)
 		fmt.Fprintf(w, "admission_inflight %d\n", om.InFlight)
 		fmt.Fprintf(w, "admission_admitted_total %d\n", om.Admitted())
 		draining := 0
@@ -302,12 +302,11 @@ var overloadTmpl = template.Must(template.New("overload").Parse(`<!DOCTYPE html>
 <h1>Admission control</h1>
 <p>State: {{if .Draining}}<b>draining</b> (shutdown in progress; new mail gets 421){{else}}accepting{{end}}</p>
 <table border="1" cellpadding="4">
-<tr><th>limit (AIMD)</th><td>{{printf "%.2f" .M.Limit}}</td></tr>
+<tr><th>limit</th><td>{{.M.Limit}}</td></tr>
 <tr><th>in flight</th><td>{{.M.InFlight}}</td></tr>
 <tr><th>queue depth</th><td>{{.M.QueueDepth}} (max {{.M.MaxQueueDepth}})</td></tr>
 <tr><th>admitted</th><td>{{.Admitted}} ({{.M.AdmittedNow}} immediate, {{.M.AdmittedQueued}} queued)</td></tr>
 <tr><th>shed total</th><td>{{.ShedTotal}}</td></tr>
-<tr><th>latency observations</th><td>{{.M.Observations}} ({{.M.Decreases}} backoffs)</td></tr>
 <tr><th>admission delay p50 / p99</th><td>{{.P50}} / {{.P99}}</td></tr>
 </table>
 <h2>Shed by reason</h2>

@@ -238,22 +238,22 @@ func TestOverloadPageAndMetrics(t *testing.T) {
 		Domains: []string{"corp.example"},
 	}, clk, dns, nil, whitelist.NewStore(clk), nil)
 
-	ctl := overload.New(overload.Config{
-		MinLimit: 1, InitialLimit: 1, MaxLimit: 1,
-		QueueCapacity: -1, Clock: clk, Name: "ui-overload",
-	})
+	ctl := overload.New(overload.Config{Limit: 1, QueueCapacity: 1, Clock: clk, Name: "ui-overload"})
 	ui := New(eng)
 	ui.SetOverload(ctl)
 	srv := httptest.NewServer(ui.Handler())
 	t.Cleanup(srv.Close)
 
-	// One admission held, one shed at the limit.
+	// One admission held, one queued, one shed on the full queue.
 	out := ctl.Submit("m1", nil, nil)
 	if out.Granted == nil {
 		t.Fatal("first submission not granted")
 	}
-	if o := ctl.Submit("m2", nil, nil); o.Granted != nil || o.Queued {
-		t.Fatal("second submission not shed")
+	if o := ctl.Submit("m2", nil, nil); !o.Queued {
+		t.Fatal("second submission not queued")
+	}
+	if o := ctl.Submit("m3", nil, nil); o.Granted != nil || o.Queued {
+		t.Fatal("third submission not shed")
 	}
 
 	code, body := get(t, srv.URL+"/metrics")
@@ -262,8 +262,8 @@ func TestOverloadPageAndMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		"overload_shed_total 1",
-		"admission_queue_depth 0",
-		"admission_limit 1.00",
+		"admission_queue_depth 1",
+		"admission_limit 1\n",
 		"admission_inflight 1",
 		"admission_draining 0",
 	} {
@@ -276,7 +276,7 @@ func TestOverloadPageAndMetrics(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/overload = %d", code)
 	}
-	for _, want := range []string{"accepting", "limit", "tempfailed"} {
+	for _, want := range []string{"accepting", "limit", "queue-full", "tempfailed"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/overload missing %q", want)
 		}

@@ -554,10 +554,10 @@ func (e *Engine) Reputation() *reputation.Store {
 }
 
 // SetServiceObserver installs a per-message service-latency observer:
-// every Receive reports its wall (or virtual) duration, which an
-// admission controller (internal/overload) feeds to its AIMD limiter.
-// The observation uses the engine's injected clock, so simulated
-// latency windows are observed exactly.
+// every Receive reports its wall (or virtual) duration, read from the
+// engine's injected clock, so simulated latency windows are observed
+// exactly. No product path installs one; with none installed, Receive
+// reads no clock for it.
 func (e *Engine) SetServiceObserver(fn func(time.Duration)) {
 	if fn == nil {
 		e.svcObs.Store(nil)

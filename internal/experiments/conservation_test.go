@@ -34,10 +34,12 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// checkConservation holds each engine of r to Fig. 1's two counter
+// checkConservation holds each engine of r to Fig. 1's three counter
 // equalities: every message the MTA-IN sees is dropped there or lands in
-// exactly one spool, and every gray-spool message meets exactly one gray
-// fate.
+// exactly one spool, every gray-spool message meets exactly one gray
+// fate, and every quarantined message leaves the quarantine exactly once
+// (released by a solved challenge or the digest, deleted from the
+// digest, or expired) or is still there.
 func checkConservation(r *Run) []string {
 	var errs []string
 	run := fmt.Sprintf("seed %d, %d companies, %d days", r.Cfg.Seed, r.Cfg.Companies, r.Cfg.Days)
@@ -49,13 +51,27 @@ func checkConservation(r *Run) []string {
 		if gray, fates := m.SpoolGray, grayFates(m); gray != fates {
 			errs = append(errs, fmt.Sprintf("%s, %s: SpoolGray %d != gray fates %d", run, c.Name, gray, fates))
 		}
+		if in, out := quarantined(m), quarantineFates(m)+int64(c.Engine.QuarantineLen()); in != out {
+			errs = append(errs, fmt.Sprintf("%s, %s: quarantined %d != quarantine fates + still quarantined %d", run, c.Name, in, out))
+		}
 	}
 	return errs
 }
 
 func grayFates(m core.Metrics) int64 {
-	return sum(m.FilterDropped) + m.ChallengesSent + m.QuarantineOnly +
-		m.ChallengeSuppressed + m.ChallengeRateLimited + m.ChallengeLoopSuppressed
+	return sum(m.FilterDropped) + quarantined(m)
+}
+
+// quarantined counts the gray fates that put the message in quarantine:
+// every gray fate but a filter drop.
+func quarantined(m core.Metrics) int64 {
+	return m.ChallengesSent + m.QuarantineOnly + m.ChallengeSuppressed +
+		m.ChallengeRateLimited + m.ChallengeLoopSuppressed
+}
+
+func quarantineFates(m core.Metrics) int64 {
+	return m.Delivered[core.ViaChallenge] + m.Delivered[core.ViaDigest] +
+		m.DigestDeleted + m.QuarantineExpired
 }
 
 func sum[K comparable](counts map[K]int64) int64 {

@@ -78,3 +78,14 @@ func firstDiffs(want, got string, limit int) string {
 	}
 	return b.String()
 }
+
+// TestSurgeGolden pins the overload surge sweep's render for the quick
+// preset at seed 7: every intensity's admitted, shed and delay columns
+// and the ham-safety verdict. A change to the admission controller or
+// the fleet's overload path that moves a single number shows here.
+func TestSurgeGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four Quick runs")
+	}
+	checkGolden(t, filepath.Join("testdata", "surge-quick-seed7.txt"), Surge(Quick(7)).Render())
+}

@@ -1,8 +1,8 @@
 // Surge experiment: the overload-control acceptance run. The same fleet
 // is simulated at increasing campaign-burst intensities with an
 // admission controller in front of every engine and injected
-// per-message service latency above the AIMD target, so the controllers
-// genuinely congest. The report measures what the fail-safe shed policy
+// per-message service latency that a two-slot limit cannot keep up
+// with, so the controllers genuinely congest. The report measures what the fail-safe shed policy
 // promises: shed rate grows with intensity, queue depth stays bounded,
 // admission delay stays within the queue deadline, and not one piece of
 // ham is lost — shed mail is tempfailed and delivered on retry.
@@ -23,23 +23,20 @@ import (
 var SurgeIntensities = []float64{1, 2, 5, 10}
 
 // SurgeOverloadConfig is the controller configuration the surge runs
-// use: a small limiter window so bursts congest at experiment scale,
-// and a queue sized to make both queueing and queue-full shedding
-// observable.
+// use: two admissions in flight per company so bursts congest at
+// experiment scale, and a queue sized to make both queueing and
+// queue-full shedding observable.
 func SurgeOverloadConfig() *overload.Config {
 	return &overload.Config{
-		MinLimit:      2,
-		MaxLimit:      64,
-		InitialLimit:  8,
-		TargetLatency: 250 * time.Millisecond,
+		Limit:         2,
 		QueueCapacity: 32,
 		QueueDeadline: 30 * time.Second,
 	}
 }
 
 // SurgeLatencyPlan injects the per-message service latency: every
-// admitted message holds its slot for 400ms of virtual time, above the
-// 250ms AIMD target, so sustained bursts force multiplicative backoff.
+// admitted message holds its slot for 400ms of virtual time, so two
+// slots serve at most five messages a second and a burst queues.
 func SurgeLatencyPlan() *faults.Plan {
 	return &faults.Plan{
 		Name: "surge-latency",

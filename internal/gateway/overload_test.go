@@ -3,6 +3,7 @@ package gateway
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -13,7 +14,8 @@ import (
 )
 
 // overloadBackend wires an engine behind an admission controller with a
-// single slot and no queue, so the second concurrent delivery sheds.
+// single slot and a one-slot queue, so the third concurrent delivery
+// sheds.
 func overloadBackend(t *testing.T) (*Backend, *overload.Controller) {
 	t.Helper()
 	clk := clock.Real{}
@@ -26,11 +28,7 @@ func overloadBackend(t *testing.T) (*Backend, *overload.Controller) {
 		ChallengeFrom: mail.MustParseAddress("challenge@corp.example"),
 	}, clk, dns, nil, wl, func(core.OutboundChallenge) {})
 	eng.AddUser(mail.MustParseAddress("bob@corp.example"))
-	ctl := overload.New(overload.Config{
-		MinLimit: 1, InitialLimit: 1, MaxLimit: 1,
-		QueueCapacity: -1, // shed immediately at the limit
-		Name:          "overloaded",
-	})
+	ctl := overload.New(overload.Config{Limit: 1, QueueCapacity: 1, Name: "overloaded"})
 	return New(eng, WithOverload(ctl)), ctl
 }
 
@@ -39,6 +37,10 @@ func TestDeliverShedsTempfail(t *testing.T) {
 	hold := ctl.Submit("occupier", nil, nil)
 	if hold.Granted == nil {
 		t.Fatal("could not occupy the only slot")
+	}
+	// The queued filler releases its slot as soon as it is granted.
+	if o := ctl.Submit("filler", func(g *overload.Grant, _ time.Duration) { g.Release() }, nil); !o.Queued {
+		t.Fatalf("filler not queued: %+v", o)
 	}
 	msg := grayMessage()
 	reply := b.Deliver(msg)
@@ -52,13 +54,14 @@ func TestDeliverShedsTempfail(t *testing.T) {
 	if got := b.engine.Metrics().MTAIncoming; got != 0 {
 		t.Fatalf("engine saw %d messages, want 0", got)
 	}
-	// Capacity freed: the retry is admitted and accepted.
+	// Capacity freed (the filler takes the slot and returns it): the
+	// retry is admitted and accepted.
 	hold.Granted.Release()
 	if reply := b.Deliver(msg); reply != nil {
 		t.Fatalf("Deliver after release = %+v, want accept", reply)
 	}
 	m := ctl.Metrics()
-	if m.ShedTotal() != 1 || m.Shed[overload.ReasonLimit] != 1 {
+	if m.ShedTotal() != 1 || m.Shed["queue-full"] != 1 {
 		t.Fatalf("controller sheds = %+v", m.Shed)
 	}
 }

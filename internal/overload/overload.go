@@ -1,6 +1,5 @@
-// Package overload implements admission control for the CR gateway: an
-// adaptive concurrency limiter (AIMD on observed per-message service
-// latency against a target), a bounded FIFO admission queue with
+// Package overload implements admission control for the CR gateway: a
+// fixed concurrency limit, a bounded FIFO admission queue with
 // deadline-based shedding, and a strictly fail-safe shed policy.
 //
 // The cardinal rule of the studied product is that legitimate mail must
@@ -13,15 +12,13 @@
 // measurement pipeline (§2) can account for shed traffic exactly like
 // any other disposition.
 //
-// The limiter is classic AIMD keyed on service latency: completions
-// under the target grow the concurrency limit additively (+increase/limit
-// per completion, ≈ +increase per window), completions over the target
-// shrink it multiplicatively (×backoff), at most once per cooldown so a
-// burst of equally-slow completions at one instant counts as a single
-// congestion signal. Queued admissions carry a deadline; because every
-// deadline is enqueue-time + a fixed patience, deadlines are monotone
-// along the queue and expired entries are always at the head — a queued
-// item past its deadline is shed whole, never half-processed.
+// At most Config.Limit admissions are in flight at once; the rest wait
+// in the queue. The limit is fixed because an adaptive one measured no
+// better than the best fixed value (EXPERIMENTS.md, surge experiment).
+// Queued admissions carry a deadline; because every deadline is
+// enqueue-time + a fixed patience, deadlines are monotone along the
+// queue and expired entries are always at the head — a queued item past
+// its deadline is shed whole, never half-processed.
 //
 // The controller is clock-injected: cmd/crserver runs it on the wall
 // clock, the fleet simulation runs one controller per company lane on
@@ -31,6 +28,7 @@ package overload
 
 import (
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -43,44 +41,21 @@ type Reason string
 
 // Shed reasons, attached to maillog overload events and metrics.
 const (
-	// ReasonLimit: concurrency at limit and no queue space configured.
-	ReasonLimit Reason = "limit"
-	// ReasonQueueFull: the bounded admission queue is at capacity.
-	ReasonQueueFull Reason = "queue-full"
-	// ReasonDeadline: the item waited past its queue deadline.
-	ReasonDeadline Reason = "deadline"
+	// reasonQueueFull: the bounded admission queue is at capacity.
+	reasonQueueFull Reason = "queue-full"
+	// reasonDeadline: the item waited past its queue deadline.
+	reasonDeadline Reason = "deadline"
 	// ReasonDraining: the controller is draining for shutdown.
 	ReasonDraining Reason = "draining"
-)
-
-// The AIMD limiter's fixed steps. The limit grows by increase/limit per
-// under-target completion, ≈ +increase per full window of completions,
-// and shrinks by the factor backoff on a congestion signal. Decreases
-// are at least TargetLatency apart, so that one burst of slow
-// completions counts as one signal.
-const (
-	increase = 1
-	backoff  = 0.7
 )
 
 // Config parameterises a Controller. Zero fields take the defaults
 // documented on each field.
 type Config struct {
-	// MinLimit is the AIMD floor (default 2). The limiter never backs
-	// off below it, so progress is guaranteed even under sustained
-	// congestion.
-	MinLimit int
-	// MaxLimit is the AIMD ceiling (default 256).
-	MaxLimit int
-	// InitialLimit seeds the limiter (default 16, clamped to
-	// [MinLimit, MaxLimit]).
-	InitialLimit int
-	// TargetLatency is the per-message service-latency target (default
-	// 250ms). Completions above it are congestion signals.
-	TargetLatency time.Duration
-	// QueueCapacity bounds the admission queue (default 64). Negative
-	// disables queueing: over-limit submissions shed immediately with
-	// ReasonLimit.
+	// Limit is the most admissions in flight at once (default 256);
+	// further submissions queue.
+	Limit int
+	// QueueCapacity bounds the admission queue (default 64).
 	QueueCapacity int
 	// QueueDeadline is how long a queued admission may wait before it
 	// is shed (default 30s).
@@ -96,31 +71,11 @@ type Config struct {
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.MinLimit <= 0 {
-		out.MinLimit = 2
+	if out.Limit <= 0 {
+		out.Limit = 256
 	}
-	if out.MaxLimit <= 0 {
-		out.MaxLimit = 256
-	}
-	if out.MaxLimit < out.MinLimit {
-		out.MaxLimit = out.MinLimit
-	}
-	if out.InitialLimit <= 0 {
-		out.InitialLimit = 16
-	}
-	if out.InitialLimit < out.MinLimit {
-		out.InitialLimit = out.MinLimit
-	}
-	if out.InitialLimit > out.MaxLimit {
-		out.InitialLimit = out.MaxLimit
-	}
-	if out.TargetLatency <= 0 {
-		out.TargetLatency = 250 * time.Millisecond
-	}
-	if out.QueueCapacity == 0 {
+	if out.QueueCapacity <= 0 {
 		out.QueueCapacity = 64
-	} else if out.QueueCapacity < 0 {
-		out.QueueCapacity = 0 // negative: queueing disabled
 	}
 	if out.QueueDeadline <= 0 {
 		out.QueueDeadline = 30 * time.Second
@@ -157,22 +112,20 @@ type ticket struct {
 }
 
 // Grant is a held admission slot. Release it exactly once when the
-// message's service completes; the elapsed time feeds the AIMD limiter.
+// message's service completes.
 type Grant struct {
 	c        *Controller
-	acquired time.Time
 	released bool
 }
 
-// Release returns the slot, records acquired→now as the service-latency
-// observation, and grants queued admissions freed capacity allows.
+// Release returns the slot and grants the queued admission it frees.
+// It reads the clock only when a queued admission waits for the slot.
 // Releasing twice is a no-op.
 func (g *Grant) Release() {
 	if g == nil {
 		return
 	}
 	c := g.c
-	now := c.cfg.Clock.Now()
 	c.mu.Lock()
 	if g.released {
 		c.mu.Unlock()
@@ -180,8 +133,10 @@ func (g *Grant) Release() {
 	}
 	g.released = true
 	c.inflight--
-	c.observeLocked(now.Sub(g.acquired), now)
-	cbs := c.grantNextLocked(now)
+	var cbs []func()
+	if len(c.queue) > 0 {
+		cbs = c.grantNextLocked(c.cfg.Clock.Now())
+	}
 	c.mu.Unlock()
 	c.run(cbs)
 }
@@ -204,21 +159,16 @@ type Outcome struct {
 type Controller struct {
 	cfg Config
 
-	mu           sync.Mutex
-	limit        float64
-	inflight     int
-	queue        []*ticket
-	draining     bool
-	lastDecrease time.Time
-	decreaseSet  bool
+	mu       sync.Mutex
+	inflight int
+	queue    []*ticket
+	draining bool
 
 	// metrics (under mu)
 	admittedNow    int64
 	admittedQueued int64
 	shed           map[Reason]int64
 	maxQueueDepth  int
-	observations   int64
-	decreases      int64
 	delayHist      [numDelayBuckets]int64
 
 	// callback trampoline (own lock; never held across c.mu)
@@ -229,20 +179,10 @@ type Controller struct {
 
 // New returns a Controller for cfg.
 func New(cfg Config) *Controller {
-	c := cfg.withDefaults()
 	return &Controller{
-		cfg:   c,
-		limit: float64(c.InitialLimit),
-		shed:  make(map[Reason]int64),
+		cfg:  cfg.withDefaults(),
+		shed: make(map[Reason]int64),
 	}
-}
-
-func (c *Controller) intLimitLocked() int {
-	l := int(c.limit)
-	if l < 1 {
-		l = 1
-	}
-	return l
 }
 
 // QueueDeadline returns the effective queued-admission deadline, so
@@ -290,26 +230,22 @@ func (c *Controller) Submit(id string, onGrant func(g *Grant, waited time.Durati
 	// never jumps an occupied queue.
 	cbs := c.expireLocked(now)
 	cbs = append(cbs, c.grantNextLocked(now)...)
-	if c.inflight < c.intLimitLocked() && len(c.queue) == 0 {
+	if c.inflight < c.cfg.Limit && len(c.queue) == 0 {
 		c.inflight++
 		c.admittedNow++
 		c.delayHist[bucketFor(0)]++
-		g := &Grant{c: c, acquired: now}
+		g := &Grant{c: c}
 		c.mu.Unlock()
 		c.run(cbs)
 		return Outcome{Granted: g}
 	}
 	if len(c.queue) >= c.cfg.QueueCapacity {
-		reason := ReasonQueueFull
-		if c.cfg.QueueCapacity == 0 {
-			reason = ReasonLimit // queueing disabled: at-limit is the cause
-		}
-		c.shedLocked(reason)
+		c.shedLocked(reasonQueueFull)
 		depth := len(c.queue)
 		c.mu.Unlock()
 		c.run(cbs)
-		c.emit(now, id, reason, depth)
-		return Outcome{Reason: reason}
+		c.emit(now, id, reasonQueueFull, depth)
+		return Outcome{Reason: reasonQueueFull}
 	}
 	t := &ticket{
 		id:       id,
@@ -327,11 +263,11 @@ func (c *Controller) Submit(id string, onGrant func(g *Grant, waited time.Durati
 	return Outcome{Queued: true, t: t}
 }
 
-// Cancel withdraws a queued submission (e.g. the waiting SMTP session
+// cancel withdraws a queued submission (e.g. the waiting SMTP session
 // gave up). It returns true if the ticket was still queued — the caller
 // owns the shed decision — and false if it was already granted or shed,
 // in which case the ticket's callback has fired or will fire.
-func (c *Controller) Cancel(o Outcome) bool {
+func (c *Controller) cancel(o Outcome) bool {
 	if o.t == nil {
 		return false
 	}
@@ -348,10 +284,10 @@ func (c *Controller) Cancel(o Outcome) bool {
 			break
 		}
 	}
-	c.shedLocked(ReasonDeadline)
+	c.shedLocked(reasonDeadline)
 	depth := len(c.queue)
 	c.mu.Unlock()
-	c.emit(now, o.t.id, ReasonDeadline, depth)
+	c.emit(now, o.t.id, reasonDeadline, depth)
 	return true
 }
 
@@ -398,8 +334,8 @@ func (c *Controller) Wait(id string) (*Grant, Reason, bool) {
 		}
 		return nil, res.reason, false
 	case <-timer.C:
-		if c.Cancel(out) {
-			return nil, ReasonDeadline, false
+		if c.cancel(out) {
+			return nil, reasonDeadline, false
 		}
 		// Lost the race: a callback already fired.
 		res := <-ch
@@ -410,17 +346,10 @@ func (c *Controller) Wait(id string) (*Grant, Reason, bool) {
 	}
 }
 
-// Observe feeds an externally-measured service latency to the AIMD
-// limiter (e.g. the engine's own per-message service time when the
-// controller fronts a path it cannot wrap with a Grant).
-func (c *Controller) Observe(lat time.Duration) {
-	now := c.cfg.Clock.Now()
-	c.mu.Lock()
-	c.observeLocked(lat, now)
-	cbs := c.grantNextLocked(now)
-	c.mu.Unlock()
-	c.run(cbs)
-}
+// Observe discards a service-latency sample: the limit is fixed, so
+// nothing reads service latency. It stays for callers that still wire
+// it to core.Engine.SetServiceObserver.
+func (c *Controller) Observe(time.Duration) {}
 
 // StartDrain flips the controller into drain mode: every queued
 // admission is shed with ReasonDraining and every future Submit sheds
@@ -452,33 +381,12 @@ func (c *Controller) StartDrain() {
 	c.run(cbs)
 }
 
-// observeLocked applies one latency sample to the AIMD limiter.
-func (c *Controller) observeLocked(lat time.Duration, now time.Time) {
-	c.observations++
-	if lat > c.cfg.TargetLatency {
-		if !c.decreaseSet || now.Sub(c.lastDecrease) >= c.cfg.TargetLatency {
-			c.limit *= backoff
-			if c.limit < float64(c.cfg.MinLimit) {
-				c.limit = float64(c.cfg.MinLimit)
-			}
-			c.lastDecrease = now
-			c.decreaseSet = true
-			c.decreases++
-		}
-		return
-	}
-	c.limit += increase / c.limit
-	if c.limit > float64(c.cfg.MaxLimit) {
-		c.limit = float64(c.cfg.MaxLimit)
-	}
-}
-
 // grantNextLocked admits queued tickets up to the limit, shedding any
 // whose deadline has passed. It returns the callbacks to run after the
 // lock is dropped.
 func (c *Controller) grantNextLocked(now time.Time) []func() {
 	var cbs []func()
-	for len(c.queue) > 0 && c.inflight < c.intLimitLocked() {
+	for len(c.queue) > 0 && c.inflight < c.cfg.Limit {
 		t := c.queue[0]
 		c.queue = c.queue[1:]
 		if t.done {
@@ -486,19 +394,19 @@ func (c *Controller) grantNextLocked(now time.Time) []func() {
 		}
 		t.done = true
 		if now.After(t.deadline) {
-			c.shedLocked(ReasonDeadline)
+			c.shedLocked(reasonDeadline)
 			if t.onShed != nil {
 				t := t
-				cbs = append(cbs, func() { t.onShed(ReasonDeadline) })
+				cbs = append(cbs, func() { t.onShed(reasonDeadline) })
 			}
-			c.emitLater(&cbs, now, t.id, ReasonDeadline, len(c.queue))
+			c.emitLater(&cbs, now, t.id, reasonDeadline, len(c.queue))
 			continue
 		}
 		c.inflight++
 		c.admittedQueued++
 		waited := now.Sub(t.enqueued)
 		c.delayHist[bucketFor(waited)]++
-		g := &Grant{c: c, acquired: now}
+		g := &Grant{c: c}
 		if t.onGrant != nil {
 			t := t
 			cbs = append(cbs, func() { t.onGrant(g, waited) })
@@ -522,12 +430,12 @@ func (c *Controller) expireLocked(now time.Time) []func() {
 		}
 		c.queue = c.queue[1:]
 		t.done = true
-		c.shedLocked(ReasonDeadline)
+		c.shedLocked(reasonDeadline)
 		if t.onShed != nil {
 			t := t
-			cbs = append(cbs, func() { t.onShed(ReasonDeadline) })
+			cbs = append(cbs, func() { t.onShed(reasonDeadline) })
 		}
-		c.emitLater(&cbs, now, t.id, ReasonDeadline, len(c.queue))
+		c.emitLater(&cbs, now, t.id, reasonDeadline, len(c.queue))
 	}
 	return cbs
 }
@@ -543,7 +451,7 @@ func (c *Controller) emit(now time.Time, id string, r Reason, depth int) {
 		return
 	}
 	sink(maillog.MakeEvent(now, c.cfg.Name, maillog.KindOverload, id,
-		"reason", string(r), "queue", itoa(depth)))
+		"reason", string(r), "queue", strconv.Itoa(depth)))
 }
 
 // emitLater appends an emit to cbs so it runs after the lock drops.
@@ -580,29 +488,6 @@ func (c *Controller) run(cbs []func()) {
 	c.cbMu.Unlock()
 }
 
-// itoa is strconv.Itoa without the import churn for small counts.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
 // bucketFor maps a delay to its histogram bucket index.
 func bucketFor(d time.Duration) int {
 	i := sort.Search(len(delayBuckets), func(i int) bool { return d <= delayBuckets[i] })
@@ -611,17 +496,16 @@ func bucketFor(d time.Duration) int {
 
 // Metrics is a point-in-time snapshot of the controller's counters.
 type Metrics struct {
-	Limit          float64
+	Limit          int
 	InFlight       int
 	QueueDepth     int
 	MaxQueueDepth  int
 	AdmittedNow    int64
 	AdmittedQueued int64
 	Shed           map[Reason]int64
-	Observations   int64
-	Decreases      int64
-	DelayHist      [numDelayBuckets]int64
 	Draining       bool
+
+	delayHist [numDelayBuckets]int64
 }
 
 // Metrics returns a snapshot.
@@ -629,16 +513,14 @@ func (c *Controller) Metrics() Metrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m := Metrics{
-		Limit:          c.limit,
+		Limit:          c.cfg.Limit,
 		InFlight:       c.inflight,
 		QueueDepth:     len(c.queue),
 		MaxQueueDepth:  c.maxQueueDepth,
 		AdmittedNow:    c.admittedNow,
 		AdmittedQueued: c.admittedQueued,
 		Shed:           make(map[Reason]int64, len(c.shed)),
-		Observations:   c.observations,
-		Decreases:      c.decreases,
-		DelayHist:      c.delayHist,
+		delayHist:      c.delayHist,
 		Draining:       c.draining,
 	}
 	for k, v := range c.shed {
@@ -661,16 +543,13 @@ func (m Metrics) Admitted() int64 { return m.AdmittedNow + m.AdmittedQueued }
 
 // Merge adds other's counters into m (for fleet-wide aggregation).
 // Point-in-time gauges take the max (MaxQueueDepth) or sum (QueueDepth,
-// InFlight); Limit keeps the minimum, the most conservative lane.
+// InFlight); Limit takes the max, which is every lane's limit when the
+// lanes share one config.
 func (m *Metrics) Merge(other Metrics) {
 	if m.Shed == nil {
 		m.Shed = make(map[Reason]int64)
 	}
-	if m.Observations == 0 && m.AdmittedNow == 0 && m.AdmittedQueued == 0 && len(m.Shed) == 0 {
-		m.Limit = other.Limit
-	} else if other.Limit < m.Limit {
-		m.Limit = other.Limit
-	}
+	m.Limit = max(m.Limit, other.Limit)
 	m.InFlight += other.InFlight
 	m.QueueDepth += other.QueueDepth
 	if other.MaxQueueDepth > m.MaxQueueDepth {
@@ -681,10 +560,8 @@ func (m *Metrics) Merge(other Metrics) {
 	for k, v := range other.Shed {
 		m.Shed[k] += v
 	}
-	m.Observations += other.Observations
-	m.Decreases += other.Decreases
-	for i := range other.DelayHist {
-		m.DelayHist[i] += other.DelayHist[i]
+	for i := range other.delayHist {
+		m.delayHist[i] += other.delayHist[i]
 	}
 }
 
@@ -694,7 +571,7 @@ func (m *Metrics) Merge(other Metrics) {
 // samples it returns 0.
 func (m Metrics) DelayQuantile(q float64) time.Duration {
 	var total int64
-	for _, v := range m.DelayHist {
+	for _, v := range m.delayHist {
 		total += v
 	}
 	if total == 0 {
@@ -705,7 +582,7 @@ func (m Metrics) DelayQuantile(q float64) time.Duration {
 		want = total - 1
 	}
 	var cum int64
-	for i, v := range m.DelayHist {
+	for i, v := range m.delayHist {
 		cum += v
 		if cum > want {
 			if i < len(delayBuckets) {

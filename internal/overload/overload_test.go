@@ -23,7 +23,7 @@ func simController(t *testing.T, cfg Config) (*Controller, *clock.Sim, *[]maillo
 }
 
 func TestImmediateAdmission(t *testing.T) {
-	c, _, _ := simController(t, Config{InitialLimit: 2})
+	c, _, _ := simController(t, Config{Limit: 2})
 	o1 := c.Submit("m1", nil, nil)
 	o2 := c.Submit("m2", nil, nil)
 	if o1.Granted == nil || o2.Granted == nil {
@@ -42,8 +42,31 @@ func TestImmediateAdmission(t *testing.T) {
 	}
 }
 
+func TestFixedLimit(t *testing.T) {
+	if got := New(Config{}).Metrics().Limit; got != 256 {
+		t.Fatalf("default limit = %d, want 256", got)
+	}
+	// Service time has no say: a slow completion leaves the limit as
+	// it was, and the slot it frees goes to the queue head.
+	c, clk, _ := simController(t, Config{Limit: 2, QueueCapacity: 4, QueueDeadline: time.Minute})
+	o1 := c.Submit("m1", nil, nil)
+	c.Submit("m2", nil, nil)
+	var granted []string
+	if o := c.Submit("m3", func(g *Grant, _ time.Duration) { granted = append(granted, "m3") }, nil); !o.Queued {
+		t.Fatalf("third submission at limit 2 not queued: %+v", o)
+	}
+	clk.Advance(10 * time.Second)
+	c.Observe(10 * time.Second)
+	o1.Granted.Release()
+	m := c.Metrics()
+	if m.Limit != 2 || m.InFlight != 2 || m.QueueDepth != 0 || len(granted) != 1 {
+		t.Fatalf("after a slow release: limit %d, in flight %d, queue %d, granted %v",
+			m.Limit, m.InFlight, m.QueueDepth, granted)
+	}
+}
+
 func TestQueueingAndFIFOGrant(t *testing.T) {
-	c, clk, _ := simController(t, Config{InitialLimit: 1, MinLimit: 1, QueueCapacity: 4, QueueDeadline: time.Minute})
+	c, clk, _ := simController(t, Config{Limit: 1, QueueCapacity: 4, QueueDeadline: time.Minute})
 	o1 := c.Submit("m1", nil, nil)
 	if o1.Granted == nil {
 		t.Fatal("first submit not admitted")
@@ -82,16 +105,16 @@ func TestQueueingAndFIFOGrant(t *testing.T) {
 }
 
 func TestQueueFullSheds(t *testing.T) {
-	c, _, events := simController(t, Config{InitialLimit: 1, MinLimit: 1, QueueCapacity: 2, QueueDeadline: time.Minute})
+	c, _, events := simController(t, Config{Limit: 1, QueueCapacity: 2, QueueDeadline: time.Minute})
 	c.Submit("held", nil, nil)
 	c.Submit("q1", nil, nil)
 	c.Submit("q2", nil, nil)
 	o := c.Submit("spill", nil, nil)
-	if o.Granted != nil || o.Queued || o.Reason != ReasonQueueFull {
+	if o.Granted != nil || o.Queued || o.Reason != reasonQueueFull {
 		t.Fatalf("expected queue-full shed, got %+v", o)
 	}
 	m := c.Metrics()
-	if m.Shed[ReasonQueueFull] != 1 || m.MaxQueueDepth != 2 {
+	if m.Shed[reasonQueueFull] != 1 || m.MaxQueueDepth != 2 {
 		t.Fatalf("metrics: %+v", m)
 	}
 	if len(*events) != 1 {
@@ -104,7 +127,7 @@ func TestQueueFullSheds(t *testing.T) {
 }
 
 func TestDeadlineShedding(t *testing.T) {
-	c, clk, events := simController(t, Config{InitialLimit: 1, MinLimit: 1, QueueCapacity: 4, QueueDeadline: 30 * time.Second})
+	c, clk, events := simController(t, Config{Limit: 1, QueueCapacity: 4, QueueDeadline: 30 * time.Second})
 	held := c.Submit("held", nil, nil)
 	var sheds []Reason
 	o := c.Submit("late", func(g *Grant, _ time.Duration) {
@@ -116,7 +139,7 @@ func TestDeadlineShedding(t *testing.T) {
 	}
 	clk.Advance(31 * time.Second)
 	c.Expire()
-	if len(sheds) != 1 || sheds[0] != ReasonDeadline {
+	if len(sheds) != 1 || sheds[0] != reasonDeadline {
 		t.Fatalf("sheds = %v, want [deadline]", sheds)
 	}
 	// The expired ticket is gone: releasing the held grant grants nothing.
@@ -138,14 +161,14 @@ func TestDeadlineShedding(t *testing.T) {
 func TestDeadlineShedOnLateGrant(t *testing.T) {
 	// A queued ticket whose deadline passes is shed at grant time too
 	// (never half-processed), even without an explicit Expire call.
-	c, clk, _ := simController(t, Config{InitialLimit: 1, MinLimit: 1, QueueCapacity: 4, QueueDeadline: 10 * time.Second})
+	c, clk, _ := simController(t, Config{Limit: 1, QueueCapacity: 4, QueueDeadline: 10 * time.Second})
 	held := c.Submit("held", nil, nil)
 	shed := false
 	c.Submit("late", func(g *Grant, _ time.Duration) {
 		t.Error("granted past deadline")
 		g.Release()
 	}, func(r Reason) {
-		if r != ReasonDeadline {
+		if r != reasonDeadline {
 			t.Errorf("reason = %s", r)
 		}
 		shed = true
@@ -157,61 +180,8 @@ func TestDeadlineShedOnLateGrant(t *testing.T) {
 	}
 }
 
-func TestAIMD(t *testing.T) {
-	c, clk, _ := simController(t, Config{
-		InitialLimit: 10, MinLimit: 2, MaxLimit: 20,
-		TargetLatency: 100 * time.Millisecond,
-	})
-	// Over-target latency: multiplicative decrease, 10 × 0.7.
-	c.Observe(500 * time.Millisecond)
-	if l := int(c.Metrics().Limit); l != 7 {
-		t.Fatalf("limit after backoff = %d, want 7", l)
-	}
-	// Second congestion signal inside the cooldown is ignored.
-	c.Observe(500 * time.Millisecond)
-	if l := int(c.Metrics().Limit); l != 7 {
-		t.Fatalf("limit in cooldown = %d, want 7", l)
-	}
-	// Past the cooldown (TargetLatency) each signal backs off again:
-	// 4.9, 3.43, 2.401, then the floor.
-	for i, want := range []int{4, 3, 2, 2} {
-		clk.Advance(time.Second)
-		c.Observe(500 * time.Millisecond)
-		if l := int(c.Metrics().Limit); l != want {
-			t.Fatalf("limit after backoff %d = %d, want %d", i+2, l, want)
-		}
-	}
-	if l := c.Metrics().Limit; l != 2 {
-		t.Fatalf("limit below floor: %v", l)
-	}
-	// Additive increase: many fast completions grow the limit.
-	for i := 0; i < 1000; i++ {
-		c.Observe(10 * time.Millisecond)
-	}
-	if l := int(c.Metrics().Limit); l != 20 {
-		t.Fatalf("limit after recovery = %d, want ceiling 20", l)
-	}
-	m := c.Metrics()
-	if m.Decreases != 5 {
-		t.Fatalf("decreases = %d, want 5", m.Decreases)
-	}
-}
-
-func TestReleaseFeedsAIMD(t *testing.T) {
-	c, clk, _ := simController(t, Config{
-		InitialLimit: 8, MinLimit: 2,
-		TargetLatency: 100 * time.Millisecond,
-	})
-	o := c.Submit("slow", nil, nil)
-	clk.Advance(time.Second) // service took 1s > 100ms target
-	o.Granted.Release()
-	if l := int(c.Metrics().Limit); l != 5 {
-		t.Fatalf("limit = %d, want 5 (8 × 0.7) after one backoff", l)
-	}
-}
-
 func TestDrain(t *testing.T) {
-	c, _, events := simController(t, Config{InitialLimit: 1, MinLimit: 1, QueueCapacity: 4, QueueDeadline: time.Minute})
+	c, _, events := simController(t, Config{Limit: 1, QueueCapacity: 4, QueueDeadline: time.Minute})
 	held := c.Submit("held", nil, nil)
 	var reason Reason
 	c.Submit("queued", func(g *Grant, _ time.Duration) {
@@ -245,26 +215,26 @@ func TestDrain(t *testing.T) {
 }
 
 func TestCancel(t *testing.T) {
-	c, _, _ := simController(t, Config{InitialLimit: 1, MinLimit: 1, QueueCapacity: 4, QueueDeadline: time.Minute})
+	c, _, _ := simController(t, Config{Limit: 1, QueueCapacity: 4, QueueDeadline: time.Minute})
 	held := c.Submit("held", nil, nil)
 	o := c.Submit("waiting", func(g *Grant, _ time.Duration) {
 		t.Error("granted after cancel")
 		g.Release()
 	}, func(Reason) { t.Error("shed callback after cancel") })
-	if !c.Cancel(o) {
+	if !c.cancel(o) {
 		t.Fatal("cancel failed")
 	}
-	if c.Cancel(o) {
+	if c.cancel(o) {
 		t.Fatal("double cancel succeeded")
 	}
 	held.Granted.Release() // must not grant the cancelled ticket
-	if m := c.Metrics(); m.Shed[ReasonDeadline] != 1 {
+	if m := c.Metrics(); m.Shed[reasonDeadline] != 1 {
 		t.Fatalf("shed = %+v", m.Shed)
 	}
 }
 
 func TestPressured(t *testing.T) {
-	c, _, _ := simController(t, Config{InitialLimit: 1, MinLimit: 1, QueueCapacity: 4, QueueDeadline: time.Minute})
+	c, _, _ := simController(t, Config{Limit: 1, QueueCapacity: 4, QueueDeadline: time.Minute})
 	if c.Pressured() {
 		t.Fatal("pressured while idle")
 	}
@@ -280,7 +250,7 @@ func TestPressured(t *testing.T) {
 }
 
 func TestDelayHistogramQuantile(t *testing.T) {
-	c, clk, _ := simController(t, Config{InitialLimit: 1, MinLimit: 1, QueueCapacity: 100, QueueDeadline: time.Hour})
+	c, clk, _ := simController(t, Config{Limit: 1, QueueCapacity: 100, QueueDeadline: time.Hour})
 	held := c.Submit("held", nil, nil)
 	for i := 0; i < 10; i++ {
 		c.Submit(fmt.Sprintf("q%d", i), func(g *Grant, _ time.Duration) { g.Release() }, nil)
@@ -298,24 +268,24 @@ func TestDelayHistogramQuantile(t *testing.T) {
 }
 
 func TestMetricsMerge(t *testing.T) {
-	a := Metrics{Limit: 10, AdmittedNow: 5, MaxQueueDepth: 3,
-		Shed: map[Reason]int64{ReasonLimit: 2}}
+	a := Metrics{Limit: 4, AdmittedNow: 5, MaxQueueDepth: 3,
+		Shed: map[Reason]int64{reasonQueueFull: 2}}
 	b := Metrics{Limit: 4, AdmittedQueued: 7, MaxQueueDepth: 9,
-		Shed: map[Reason]int64{ReasonLimit: 1, ReasonDeadline: 4}}
+		Shed: map[Reason]int64{reasonQueueFull: 1, reasonDeadline: 4}}
 	var m Metrics
 	m.Merge(a)
 	m.Merge(b)
 	if m.Limit != 4 || m.Admitted() != 12 || m.MaxQueueDepth != 9 {
 		t.Fatalf("merged: %+v", m)
 	}
-	if m.ShedTotal() != 7 || m.Shed[ReasonDeadline] != 4 {
+	if m.ShedTotal() != 7 || m.Shed[reasonDeadline] != 4 {
 		t.Fatalf("merged sheds: %+v", m.Shed)
 	}
 }
 
 func TestWaitRealClock(t *testing.T) {
 	// Wait is the live-gateway path: real clock, real goroutines.
-	c := New(Config{InitialLimit: 1, MinLimit: 1, QueueCapacity: 2, QueueDeadline: 200 * time.Millisecond})
+	c := New(Config{Limit: 1, QueueCapacity: 2, QueueDeadline: 200 * time.Millisecond})
 	g, _, ok := c.Wait("first")
 	if !ok {
 		t.Fatal("first Wait refused")
@@ -343,22 +313,21 @@ func TestWaitRealClock(t *testing.T) {
 }
 
 func TestWaitDeadlineTimeout(t *testing.T) {
-	c := New(Config{InitialLimit: 1, MinLimit: 1, QueueCapacity: 2, QueueDeadline: 50 * time.Millisecond})
+	c := New(Config{Limit: 1, QueueCapacity: 2, QueueDeadline: 50 * time.Millisecond})
 	g, _, ok := c.Wait("held")
 	if !ok {
 		t.Fatal("first Wait refused")
 	}
 	defer g.Release()
 	_, reason, ok := c.Wait("starved")
-	if ok || reason != ReasonDeadline {
+	if ok || reason != reasonDeadline {
 		t.Fatalf("Wait = ok=%v reason=%s, want deadline shed", ok, reason)
 	}
 }
 
 func TestConcurrentSubmitRelease(t *testing.T) {
 	// Hammer the controller from many goroutines under -race.
-	c := New(Config{InitialLimit: 4, MaxLimit: 8, QueueCapacity: 16,
-		QueueDeadline: time.Second, TargetLatency: time.Hour})
+	c := New(Config{Limit: 4, QueueCapacity: 16, QueueDeadline: time.Second})
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	granted, shed := 0, 0

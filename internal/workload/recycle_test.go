@@ -42,9 +42,7 @@ func recycleConfigs() map[string]Config {
 
 	surge := smallConfig(62)
 	surge.Overload = &overload.Config{
-		MinLimit: 2, MaxLimit: 64, InitialLimit: 8,
-		TargetLatency: 250 * time.Millisecond,
-		QueueCapacity: 32, QueueDeadline: 30 * time.Second,
+		Limit: 2, QueueCapacity: 32, QueueDeadline: 30 * time.Second,
 	}
 	surge.FaultPlan = &faults.Plan{Name: "surge-latency", Rules: []faults.Rule{
 		{Target: "surge", Kind: faults.KindLatency, Latency: faults.Duration(400 * time.Millisecond)},

@@ -101,8 +101,7 @@ func (f *Fleet) admitAndDeliver(ln *companyLane, msg *mail.Message, class Class,
 
 // serveAdmitted holds the grant for the injected service latency (the
 // lane injector's "surge" target; zero without a fault plan), then
-// delivers and releases — the release feeds the AIMD limiter the
-// observed latency.
+// delivers and releases, which admits the next queued message.
 func (f *Fleet) serveAdmitted(ln *companyLane, msg *mail.Message, class Class, attempt int, g *overload.Grant) {
 	svc := ln.faults.Decide("surge", 0).Latency
 	deliver := func() {
