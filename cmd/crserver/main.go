@@ -23,6 +23,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -67,24 +68,126 @@ const (
 	maxOutbound = 1000
 )
 
+// options are crserver's flags.
+type options struct {
+	smtpAddr, httpAddr, domain, users string
+	openRelay                         bool
+	relayFor                          string
+	permitAll                         bool
+	statePath, smarthost, walDir      string
+	faultPlan                         string
+	faultSeed                         int64
+	drainWait                         time.Duration
+}
+
 func main() {
-	var (
-		smtpAddr  = flag.String("smtp", ":2525", "SMTP listen address")
-		httpAddr  = flag.String("http", ":8080", "challenge web server listen address")
-		domain    = flag.String("domain", "corp.example", "local mail domain")
-		users     = flag.String("users", "bob,alice,admin", "comma-separated protected local parts")
-		openRelay = flag.Bool("open-relay", false, "accept mail for relay domains")
-		relayFor  = flag.String("relay-for", "", "comma-separated relayed domains (with -open-relay)")
-		permitAll = flag.Bool("resolve-all", true, "treat every sender domain as resolvable (no real DNS in the sandbox)")
-		statePath = flag.String("state", "", "whitelist snapshot file (loaded at boot, saved periodically and on SIGINT)")
-		smarthost = flag.String("smarthost", "", "next-hop SMTP server for outgoing challenges (host:port); empty = log only")
-		faultPlan = flag.String("fault-plan", "", "JSON fault plan file; injects faults into DNS (dns), the blocklist (rbl:local-dnsbl), the scanner (av), the reputation store (reputation), the smarthost path (smarthost, smarthost-dial, domain:<d>), the outbound-spool journal (wal-spool, with -smarthost and -wal-dir), WAL appends and fsyncs (wal-append, wal-fsync, with -wal-dir) and the snapshot's fsync (store, with -state)")
-		faultSeed = flag.Int64("fault-seed", 1, "seed for the fault injector's RNG (with -fault-plan)")
-		drainWait = flag.Duration("drain-timeout", 10*time.Second, "how long SIGTERM waits for in-flight SMTP sessions before force-closing")
-		walDir    = flag.String("wal-dir", "", "write-ahead-log directory; every whitelist/reputation mutation is journalled and replayed over the snapshot at boot (empty = snapshots only)")
-	)
+	var o options
+	flag.StringVar(&o.smtpAddr, "smtp", ":2525", "SMTP listen address")
+	flag.StringVar(&o.httpAddr, "http", ":8080", "challenge web server listen address")
+	flag.StringVar(&o.domain, "domain", "corp.example", "local mail domain")
+	flag.StringVar(&o.users, "users", "bob,alice,admin", "comma-separated protected local parts")
+	flag.BoolVar(&o.openRelay, "open-relay", false, "accept mail for relay domains")
+	flag.StringVar(&o.relayFor, "relay-for", "", "comma-separated relayed domains (with -open-relay)")
+	flag.BoolVar(&o.permitAll, "resolve-all", true, "treat every sender domain as resolvable (no real DNS in the sandbox)")
+	flag.StringVar(&o.statePath, "state", "", "whitelist snapshot file (loaded at boot, saved periodically and on SIGINT)")
+	flag.StringVar(&o.smarthost, "smarthost", "", "next-hop SMTP server for outgoing challenges (host:port); empty = log only")
+	flag.StringVar(&o.faultPlan, "fault-plan", "", "JSON fault plan file; injects faults into DNS (dns), the blocklist (rbl:local-dnsbl), the scanner (av), the reputation store (reputation), the smarthost path (smarthost, smarthost-dial, domain:<d>), the outbound-spool journal (wal-spool, with -smarthost and -wal-dir), WAL appends and fsyncs (wal-append, wal-fsync, with -wal-dir) and the snapshot's fsync (store, with -state)")
+	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for the fault injector's RNG (with -fault-plan)")
+	flag.DurationVar(&o.drainWait, "drain-timeout", 10*time.Second, "how long SIGTERM waits for in-flight SMTP sessions before force-closing")
+	flag.StringVar(&o.walDir, "wal-dir", "", "write-ahead-log directory; every whitelist/reputation mutation is journalled and replayed over the snapshot at boot (empty = snapshots only)")
 	flag.Parse()
 
+	s, err := build(o)
+	if err != nil {
+		log.Fatal(err)
+	}
+	eng, queue, ctl := s.eng, s.queue, s.ctl
+
+	// Challenge web server + quarantine digest UI + metrics.
+	ui := adminui.New(eng)
+	ui.SetOverload(ctl)
+	ui.SetSaver(s.saver)
+	ui.SetBodies(s.bodies)
+	if s.walLog != nil {
+		ui.SetWAL(s.walLog)
+	}
+	if queue != nil {
+		ui.SetOutbound(queue)
+	}
+	mux := webMux(eng, ui, s.inboxes)
+	go func() {
+		log.Printf("web server on %s (challenge pages, /digest/<user>, /mbox/<user>, /reputation, /overload, /metrics)", o.httpAddr)
+		log.Fatal(http.ListenAndServe(o.httpAddr, mux))
+	}()
+
+	// Daily quarantine sweep + periodic state snapshots.
+	go func() {
+		for range time.Tick(time.Hour) {
+			if n := eng.ExpireQuarantine(); n > 0 {
+				log.Printf("expired %d quarantined message(s)", n)
+			}
+			saveState(s.saver, s.st, s.walLog)
+		}
+	}()
+
+	// Outbound challenge queue runner.
+	if queue != nil {
+		go func() {
+			for range time.Tick(30 * time.Second) {
+				if n, err := queue.Flush(); err != nil {
+					log.Printf("outbound flush: %v", err)
+				} else if n > 0 {
+					log.Printf("outbound: %d challenge(s) reached terminal state; queue now %v", n, queue.Stats())
+				}
+			}
+		}()
+	}
+
+	srv := smtp.NewServer(smtp.Config{Hostname: "mta." + o.domain}, s.backend)
+	l, err := net.Listen("tcp", o.smtpAddr)
+	if err != nil {
+		log.Fatalf("smtp listen: %v", err)
+	}
+
+	// Graceful drain on SIGINT/SIGTERM: stop admitting (new mail is
+	// tempfailed 421), let in-flight SMTP sessions finish, flush the
+	// outbound challenge queue, write the final snapshot, exit.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		sig := <-sigc
+		log.Printf("%v received; draining", sig)
+		drain(ctl, srv, queue, s.saver, s.st, s.walLog, o.drainWait)
+		log.Printf("drain complete; exiting")
+		os.Exit(0)
+	}()
+
+	log.Printf("SMTP MTA-IN on %s (domain %s, open-relay=%v)", o.smtpAddr, o.domain, o.openRelay)
+	err = srv.Serve(l)
+	if ctl.Draining() {
+		select {} // Serve returned because drain closed the listener; let the drain goroutine exit the process
+	}
+	log.Fatal(err)
+}
+
+// server is one installation's mail path, built by build: everything
+// between the SMTP listener and the web server.
+type server struct {
+	eng     *core.Engine
+	backend *gateway.Backend // what the SMTP listener delivers to
+	queue   *outbound.Queue  // nil without -smarthost
+	ctl     *overload.Controller
+	st      store.Stores
+	saver   *store.Saver
+	walLog  *wal.Log // nil without -wal-dir
+	bodies  *bodystore.Store
+	inboxes *mailbox.Store
+}
+
+// build recovers the durable state and wires the mail path: filters,
+// stores, WAL journal, body store, outbound queue, engine and admission
+// control.
+func build(o options) (*server, error) {
 	clk := clock.Real{}
 	dns := dnssim.NewServer()
 	provider := rbl.NewProvider("local-dnsbl", rbl.DefaultPolicy(), clk)
@@ -94,14 +197,14 @@ func main() {
 	// themselves (reputation and the smarthost path).
 	var set *faults.Set
 	var inj faults.Injector
-	if *faultPlan != "" {
-		plan, err := faults.LoadFile(*faultPlan)
+	if o.faultPlan != "" {
+		plan, err := faults.LoadFile(o.faultPlan)
 		if err != nil {
-			log.Fatalf("fault plan: %v", err)
+			return nil, fmt.Errorf("fault plan: %v", err)
 		}
-		set = faults.New(plan, *faultSeed, clk)
+		set = faults.New(plan, o.faultSeed, clk)
 		inj = set
-		log.Printf("fault injection active (seed %d):\n%s", *faultSeed, plan.Describe())
+		log.Printf("fault injection active (seed %d):\n%s", o.faultSeed, plan.Describe())
 	}
 
 	// The zone and the blocklist are read directly: the zone is static
@@ -126,42 +229,43 @@ func main() {
 	)
 	wl := whitelist.NewStore(clk)
 	sp := spool.NewState()
-	st := store.Stores{Whitelist: wl, Reputation: rep, Spool: sp}
-	saver := &store.Saver{Path: *statePath, Name: "crserver", Fsync: seam.Fsync(set, "store")}
-	var walLog *wal.Log
+	s := &server{
+		st:    store.Stores{Whitelist: wl, Reputation: rep, Spool: sp},
+		saver: &store.Saver{Path: o.statePath, Name: "crserver", Fsync: seam.Fsync(set, "store")},
+	}
 	var journal *wal.Journal
-	if *walDir != "" {
+	if o.walDir != "" {
 		// Crash recovery: newest snapshot first, then the WAL suffix past
 		// its cut. A torn tail (the normal aftermath of a crash) is
 		// truncated, never fatal.
-		if err := os.MkdirAll(*walDir, 0o755); err != nil {
-			log.Fatalf("wal dir: %v", err)
+		if err := os.MkdirAll(o.walDir, 0o755); err != nil {
+			return nil, fmt.Errorf("wal dir: %v", err)
 		}
-		rec, err := store.Recover(*statePath, wal.Options{
-			Dir:           *walDir,
+		rec, err := store.Recover(o.statePath, wal.Options{
+			Dir:           o.walDir,
 			FsyncInterval: walFsyncInterval,
 			SegmentBytes:  walSegmentBytes,
 			Fsync:         seam.Fsync(set, "wal-fsync"),
-		}, st)
+		}, s.st)
 		if err != nil {
-			log.Fatalf("recovery: %v", err)
+			return nil, fmt.Errorf("recovery: %v", err)
 		}
-		walLog = rec.Log
+		s.walLog = rec.Log
 		if rec.Snapshot != nil {
 			log.Printf("restored snapshot %q (wal cut %d, %d reputation entries) from %s",
 				rec.Snapshot.Name, rec.Snapshot.WalLSN, len(rec.Snapshot.Reputation),
 				rec.Snapshot.SavedAt.Format(time.RFC3339))
 		}
-		log.Printf("wal: replayed %d record(s), last LSN %d", rec.Replayed, walLog.LastLSN())
+		log.Printf("wal: replayed %d record(s), last LSN %d", rec.Replayed, s.walLog.LastLSN())
 		if rec.Truncated {
 			log.Printf("wal: truncated torn tail (%d byte(s) discarded) — expected after a crash", rec.TornBytes)
 		}
-		journal = wal.NewJournal(seam.Appender(walLog, set))
+		journal = wal.NewJournal(seam.Appender(s.walLog, set))
 		journal.Attach(wl, rep, nil)
-	} else if *statePath != "" {
-		snap, err := store.LoadFile(*statePath, st)
+	} else if o.statePath != "" {
+		snap, err := store.LoadFile(o.statePath, s.st)
 		if err != nil {
-			log.Fatalf("state load: %v", err)
+			return nil, fmt.Errorf("state load: %v", err)
 		}
 		if snap != nil {
 			log.Printf("restored snapshot %q (%d reputation entries) from %s",
@@ -173,29 +277,28 @@ func main() {
 	// the WAL (or in the temporary directory), not on the heap. They are
 	// not durable: like the quarantine and the inboxes, they are lost on
 	// restart.
-	bodyDir := *walDir
+	bodyDir := o.walDir
 	if bodyDir == "" {
 		bodyDir = os.TempDir()
 	}
-	bodies := bodystore.New(bodyDir)
+	s.bodies = bodystore.New(bodyDir)
 	cfg := core.Config{
 		Name:             "crserver",
-		Domains:          []string{*domain},
-		OpenRelay:        *openRelay,
+		Domains:          []string{o.domain},
+		OpenRelay:        o.openRelay,
 		QuarantineTTL:    30 * 24 * time.Hour,
-		ChallengeFrom:    mail.Address{Local: "challenge", Domain: *domain},
-		ChallengeBaseURL: challengeBase(*httpAddr),
-		Bodies:           bodies,
+		ChallengeFrom:    mail.Address{Local: "challenge", Domain: o.domain},
+		ChallengeBaseURL: challengeBase(o.httpAddr),
+		Bodies:           s.bodies,
 	}
-	if *relayFor != "" {
-		cfg.RelayDomains = strings.Split(*relayFor, ",")
+	if o.relayFor != "" {
+		cfg.RelayDomains = strings.Split(o.relayFor, ",")
 	}
 
-	var queue *outbound.Queue
-	if *smarthost != "" {
+	if o.smarthost != "" {
 		ocfg := outbound.Config{
-			Dial:       func() (*smtp.Client, error) { return smtp.Dial(*smarthost, 10*time.Second) },
-			HeloDomain: *domain,
+			Dial:       func() (*smtp.Client, error) { return smtp.Dial(o.smarthost, 10*time.Second) },
+			HeloDomain: o.domain,
 			Injector:   inj,
 			MaxQueued:  maxOutbound,
 			Spool:      sp,
@@ -203,7 +306,7 @@ func main() {
 		if journal != nil {
 			ocfg.Journal = seam.Journal(journal.Emit, set)
 		}
-		queue = outbound.NewQueue(ocfg)
+		s.queue = outbound.NewQueue(ocfg)
 		// The queue delivers the challenges still pending in the
 		// recovered spool on its next flush: a crash between Enqueue and
 		// the terminal transition loses nothing.
@@ -211,100 +314,35 @@ func main() {
 			log.Printf("outbound: restored %d pending challenge(s) from the recovered spool", n)
 		}
 	}
-	eng := core.New(cfg, clk, resolver, chain, wl, challengeSender(queue))
-	eng.SetReputation(rep)
+	s.eng = core.New(cfg, clk, resolver, chain, wl, challengeSender(s.queue))
+	s.eng.SetReputation(rep)
 	// Admission control: the gateway consults ctl before accepting DATA
 	// (shed mail gets 451/421, never a silent drop) under the default
 	// fixed limit, and probe-filter work is shed while the admission
 	// queue is pressured.
-	ctl := overload.New(overload.Config{Name: "crserver", Clock: clk})
-	eng.SetPressure(ctl.Pressured)
-	inboxes := mailbox.NewStore()
-	inboxes.SetBodies(bodies)
-	eng.SetInboxSink(inboxes.Sink())
-	for _, u := range strings.Split(*users, ",") {
+	s.ctl = overload.New(overload.Config{Name: "crserver", Clock: clk})
+	s.eng.SetPressure(s.ctl.Pressured)
+	s.inboxes = mailbox.NewStore()
+	s.inboxes.SetBodies(s.bodies)
+	s.eng.SetInboxSink(s.inboxes.Sink())
+	for _, u := range strings.Split(o.users, ",") {
 		u = strings.TrimSpace(u)
 		if u == "" {
 			continue
 		}
-		addr := mail.Address{Local: u, Domain: *domain}
-		eng.AddUser(addr)
+		addr := mail.Address{Local: u, Domain: o.domain}
+		s.eng.AddUser(addr)
 		log.Printf("protected user: %s", addr)
 	}
-	if *permitAll {
+	if o.permitAll {
 		// Without real DNS every sender would bounce as unresolvable;
 		// pre-register common test domains and let operators add more.
 		for _, d := range []string{"example.com", "example.org", "gmail.example", "test.example"} {
 			dns.RegisterMailDomain(d, "192.0.2.1")
 		}
 	}
-
-	// Challenge web server + quarantine digest UI + metrics.
-	ui := adminui.New(eng)
-	ui.SetOverload(ctl)
-	ui.SetSaver(saver)
-	ui.SetBodies(bodies)
-	if walLog != nil {
-		ui.SetWAL(walLog)
-	}
-	if queue != nil {
-		ui.SetOutbound(queue)
-	}
-	mux := webMux(eng, ui, inboxes)
-	go func() {
-		log.Printf("web server on %s (challenge pages, /digest/<user>, /mbox/<user>, /reputation, /overload, /metrics)", *httpAddr)
-		log.Fatal(http.ListenAndServe(*httpAddr, mux))
-	}()
-
-	// Daily quarantine sweep + periodic state snapshots.
-	go func() {
-		for range time.Tick(time.Hour) {
-			if n := eng.ExpireQuarantine(); n > 0 {
-				log.Printf("expired %d quarantined message(s)", n)
-			}
-			saveState(saver, st, walLog)
-		}
-	}()
-
-	// Outbound challenge queue runner.
-	if queue != nil {
-		go func() {
-			for range time.Tick(30 * time.Second) {
-				if n, err := queue.Flush(); err != nil {
-					log.Printf("outbound flush: %v", err)
-				} else if n > 0 {
-					log.Printf("outbound: %d challenge(s) reached terminal state; queue now %v", n, queue.Stats())
-				}
-			}
-		}()
-	}
-
-	srv := smtp.NewServer(smtp.Config{Hostname: "mta." + *domain},
-		gateway.New(eng, gateway.WithOverload(ctl)))
-	l, err := net.Listen("tcp", *smtpAddr)
-	if err != nil {
-		log.Fatalf("smtp listen: %v", err)
-	}
-
-	// Graceful drain on SIGINT/SIGTERM: stop admitting (new mail is
-	// tempfailed 421), let in-flight SMTP sessions finish, flush the
-	// outbound challenge queue, write the final snapshot, exit.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig := <-sigc
-		log.Printf("%v received; draining", sig)
-		drain(ctl, srv, queue, saver, st, walLog, *drainWait)
-		log.Printf("drain complete; exiting")
-		os.Exit(0)
-	}()
-
-	log.Printf("SMTP MTA-IN on %s (domain %s, open-relay=%v)", *smtpAddr, *domain, *openRelay)
-	err = srv.Serve(l)
-	if ctl.Draining() {
-		select {} // Serve returned because drain closed the listener; let the drain goroutine exit the process
-	}
-	log.Fatal(err)
+	s.backend = gateway.New(s.eng, gateway.WithOverload(s.ctl))
+	return s, nil
 }
 
 // webMux routes the web server: the challenge pages, the admin UI and

@@ -53,8 +53,8 @@ const maxAttempts = 5
 // Challenge is the server-side state of one outstanding challenge. It
 // keeps only what no other record holds: the puzzle is two operands, its
 // question and answer are formatted from them when asked for, and the
-// expiry is Created plus the service's TTL. The field order packs it
-// into 160 bytes.
+// expiry is created plus the service's TTL. Its times are Unix
+// nanoseconds, which packs it into 128 bytes.
 type Challenge struct {
 	// Token is the unguessable identifier embedded in the challenge URL.
 	Token string
@@ -65,13 +65,13 @@ type Challenge struct {
 	// Sender is the (possibly spoofed) envelope sender the challenge
 	// email was sent to.
 	Sender mail.Address
-	// Created is when the dispatcher issued the challenge.
-	Created time.Time
-	// SolvedAt is the solve time (zero if unsolved).
-	SolvedAt time.Time
+	// created is when the dispatcher issued the challenge.
+	created int64
+	// solvedAt is the solve time; 0 while unsolved.
+	solvedAt int64
 
-	// Visits counts GETs of the challenge URL.
-	Visits int32
+	// visits counts GETs of the challenge URL.
+	visits int32
 	// Attempts counts answer submissions (right or wrong).
 	Attempts int32
 
@@ -88,7 +88,7 @@ func (c *Challenge) question() string {
 func (c *Challenge) answer() string { return strconv.Itoa(int(c.a) + int(c.b)) }
 
 // solved reports whether the challenge has been solved.
-func (c *Challenge) solved() bool { return !c.SolvedAt.IsZero() }
+func (c *Challenge) solved() bool { return c.solvedAt != 0 }
 
 // Service stores challenges and verifies solutions. Safe for concurrent use.
 type Service struct {
@@ -158,7 +158,7 @@ func (s *Service) Issue(msgID string, recipient, sender mail.Address) *Challenge
 		MsgID:     msgID,
 		Recipient: recipient,
 		Sender:    sender,
-		Created:   s.clk.Now(),
+		created:   s.clk.Now().UnixNano(),
 		a:         uint8(a),
 		b:         uint8(b),
 	}
@@ -196,7 +196,7 @@ func (s *Service) get(token string) (*Challenge, error) {
 	if !ok {
 		return nil, errUnknownToken
 	}
-	if s.clk.Now().After(ch.Created.Add(s.ttl)) {
+	if s.clk.Now().UnixNano() > ch.created+int64(s.ttl) {
 		return nil, fmt.Errorf("%w: token %s", errExpired, token)
 	}
 	return ch, nil
@@ -225,7 +225,7 @@ func (s *Service) visit(token string) (page, error) {
 		s.mu.Unlock()
 		return page{}, err
 	}
-	ch.Visits++
+	ch.visits++
 	p := page{Recipient: ch.Recipient.String(), Question: ch.question()}
 	cb := s.onVisit
 	s.mu.Unlock()
@@ -269,7 +269,7 @@ func (s *Service) Solve(token, answer string) error {
 		s.mu.Unlock()
 		return errWrongAnswer
 	}
-	ch.SolvedAt = s.clk.Now()
+	ch.solvedAt = s.clk.Now().UnixNano()
 	cb := s.onSolved
 	s.mu.Unlock()
 	if cb != nil {

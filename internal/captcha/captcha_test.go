@@ -33,11 +33,11 @@ func TestIssueAndSolve(t *testing.T) {
 	s := newSvc(clk, func(ch *Challenge) { solvedCh = ch })
 
 	ch := s.Issue("m-1", rcpt, sendr)
-	if ch.Token == "" || ch.solved() || ch.Visits > 0 {
+	if ch.Token == "" || ch.solved() || ch.visits > 0 {
 		t.Fatalf("fresh challenge state wrong: %+v", ch)
 	}
-	if !ch.Created.Equal(t0) {
-		t.Fatalf("Created = %v", ch.Created)
+	if ch.created != t0.UnixNano() {
+		t.Fatalf("created = %v", time.Unix(0, ch.created).UTC())
 	}
 	if want := fmt.Sprintf("What is %d plus %d? (digits only)", ch.a, ch.b); ch.question() != want {
 		t.Fatalf("question = %q, want %q", ch.question(), want)
@@ -61,11 +61,11 @@ func TestIssueAndSolve(t *testing.T) {
 	if solvedCh == nil || solvedCh.MsgID != "m-1" {
 		t.Fatal("OnSolved callback not invoked")
 	}
-	if !ch.SolvedAt.Equal(t0.Add(17 * time.Minute)) {
-		t.Fatalf("SolvedAt = %v", ch.SolvedAt)
+	if ch.solvedAt != t0.Add(17*time.Minute).UnixNano() {
+		t.Fatalf("solvedAt = %v", time.Unix(0, ch.solvedAt).UTC())
 	}
-	if ch.Attempts != 1 || ch.Visits != 1 {
-		t.Fatalf("attempts=%d visits=%d", ch.Attempts, ch.Visits)
+	if ch.Attempts != 1 || ch.visits != 1 {
+		t.Fatalf("attempts=%d visits=%d", ch.Attempts, ch.visits)
 	}
 }
 
@@ -218,8 +218,8 @@ func TestHTTPHandlerFlow(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "plus") {
 		t.Fatalf("GET status=%d body=%q", resp.StatusCode, body)
 	}
-	if ch.Visits != 1 {
-		t.Fatalf("Visits = %d after GET", ch.Visits)
+	if ch.visits != 1 {
+		t.Fatalf("visits = %d after GET", ch.visits)
 	}
 
 	// POST wrong answer: 403.

@@ -439,26 +439,14 @@ type Engine struct {
 	// pendingChallenge tracks outstanding challenges per (recipient,
 	// sender) pair so a sender is challenged at most once per mailbox
 	// at a time; later messages queue behind the first. The queue is a
-	// ring through quarantined.held: the map holds its last message,
+	// ring through quarantined.held: the index holds its last message,
 	// whose held link is the first, so appending takes no walk.
-	pendingChallenge map[pairKey]*quarantined
+	pendingChallenge pairIndex
 	// rate limiting window state.
 	rateWindowStart time.Time
 	rateWindowCount int
 
 	c counters
-}
-
-// pairKey identifies a (recipient, sender) challenge relationship. Both
-// addresses are stored canonicalised, so the struct is directly usable
-// as a comparable map key with no string concatenation.
-type pairKey struct {
-	rcpt   mail.Address
-	sender mail.Address
-}
-
-func makePairKey(rcpt, sender mail.Address) pairKey {
-	return pairKey{rcpt: rcpt.Canonical(), sender: sender.Canonical()}
 }
 
 // New constructs an Engine.
@@ -472,16 +460,15 @@ func New(cfg Config, clk clock.Clock, resolver dnssim.Resolver, chain *filters.C
 		cfg.QuarantineTTL = captcha.DefaultTTL
 	}
 	e := &Engine{
-		cfg:              cfg,
-		clk:              clk,
-		resolver:         resolver,
-		chain:            chain,
-		wl:               wl,
-		users:            make(map[mail.Address]bool),
-		rejected:         make(map[mail.Address]bool),
-		quarantine:       make(map[string]*quarantined),
-		byRcpt:           make(map[mail.Address]*rcptList),
-		pendingChallenge: make(map[pairKey]*quarantined),
+		cfg:        cfg,
+		clk:        clk,
+		resolver:   resolver,
+		chain:      chain,
+		wl:         wl,
+		users:      make(map[mail.Address]bool),
+		rejected:   make(map[mail.Address]bool),
+		quarantine: make(map[string]*quarantined),
+		byRcpt:     make(map[mail.Address]*rcptList),
 	}
 	if sendCh != nil {
 		e.sendCh.Store(&sendCh)
@@ -937,34 +924,37 @@ func (e *Engine) delQuarLocked(q *quarantined) {
 	}
 }
 
-// holdLocked appends q to the pending queue of pair pk, whose last message
-// is last (nil for a new queue). Callers must hold e.mu.
-func (e *Engine) holdLocked(pk pairKey, last, q *quarantined) {
+// holdLocked appends q to the pending queue of pair p, whose last
+// message is last, at slot of pendingChallenge; last is nil for a new
+// queue, and slot is then where find left p's probe. Callers must hold
+// e.mu.
+func (e *Engine) holdLocked(p *pair, slot int, last, q *quarantined) {
 	if last != nil {
 		q.held, last.held = last.held, q
+		e.pendingChallenge.slots[slot] = q
 	} else {
 		q.held = q
+		e.pendingChallenge.insert(p, slot, q)
 	}
 	q.pending = true
-	e.pendingChallenge[pk] = q
 }
 
 // unholdLocked removes q from its pair's pending queue. The pair is
 // recomputed from q's message: removal off the solve path (a digest
 // action, expiry) is rare. Callers must hold e.mu.
 func (e *Engine) unholdLocked(q *quarantined) {
-	pk := makePairKey(q.msg.Rcpt, q.msg.EnvelopeFrom)
-	last := e.pendingChallenge[pk]
+	p := pairOf(q)
+	slot, last := e.pendingChallenge.find(&p)
 	prev := last
 	for prev.held != q {
 		prev = prev.held
 	}
 	switch {
 	case prev == q:
-		delete(e.pendingChallenge, pk)
+		e.pendingChallenge.remove(slot)
 	case last == q:
 		prev.held = q.held
-		e.pendingChallenge[pk] = prev
+		e.pendingChallenge.slots[slot] = prev
 	default:
 		prev.held = q.held
 	}
@@ -1011,12 +1001,13 @@ func (e *Engine) challengeOrQuarantine(msg *mail.Message) {
 		return
 	}
 
-	pk := makePairKey(msg.Rcpt, msg.EnvelopeFrom)
+	p := makePair(msg.Rcpt, msg.EnvelopeFrom)
 	e.mu.Lock()
-	if last := e.pendingChallenge[pk]; last != nil {
+	slot, last := e.pendingChallenge.find(&p)
+	if last != nil {
 		// A challenge for this sender/mailbox pair is already out; hold
 		// the message behind it instead of sending another challenge.
-		e.holdLocked(pk, last, q)
+		e.holdLocked(&p, slot, last, q)
 		e.addQuarLocked(q)
 		e.mu.Unlock()
 		e.c.challengeSuppressed.Add(1)
@@ -1032,7 +1023,7 @@ func (e *Engine) challengeOrQuarantine(msg *mail.Message) {
 			// Over the cap: hold the message without challenging. The
 			// pending entry stays so a later message from the same pair
 			// does not slip a challenge through either.
-			e.holdLocked(pk, nil, q)
+			e.holdLocked(&p, slot, nil, q)
 			e.addQuarLocked(q)
 			e.mu.Unlock()
 			e.c.challengeRateLimited.Add(1)
@@ -1040,7 +1031,7 @@ func (e *Engine) challengeOrQuarantine(msg *mail.Message) {
 		}
 		e.rateWindowCount++
 	}
-	e.holdLocked(pk, nil, q)
+	e.holdLocked(&p, slot, nil, q)
 	e.mu.Unlock()
 
 	ch := e.captcha.Issue(msg.ID, msg.Rcpt, msg.EnvelopeFrom)
@@ -1186,14 +1177,14 @@ func (e *Engine) onChallengeSolved(ch *captcha.Challenge) {
 	e.wl.AddWhite(ch.Recipient, ch.Sender, whitelist.SourceChallenge)
 	e.recordRep(ch.Sender, "", reputation.Solved)
 
-	pk := makePairKey(ch.Recipient, ch.Sender)
+	p := makePair(ch.Recipient, ch.Sender)
 	e.mu.Lock()
 	var release []*quarantined
-	if last := e.pendingChallenge[pk]; last != nil {
+	if slot, last := e.pendingChallenge.find(&p); last != nil {
 		// Release the pair's whole queue, first to last. A message whose
 		// challenge is still being issued is not quarantined yet: it is
 		// unheld, not released.
-		delete(e.pendingChallenge, pk)
+		e.pendingChallenge.remove(slot)
 		for q, done := last.held, false; !done; {
 			next := q.held
 			done = q == last

@@ -15,15 +15,17 @@ import (
 
 // liveBytesPerGray bounds the engine's and the challenge service's live
 // heap per challenged gray message on heapGuardGray's workload: the
-// quarantine record, its challenge and token, and one entry in each of
-// the quarantine, token and pending-pair maps; the message itself is
-// the caller's. Kept once, with the recipient and pending-pair indexes
-// as links through the record, it measures 474 B. When the challenge
-// also kept its question text, a message-ID map and an expiry, and the
-// indexes were a map per recipient and an ID slice per pair, it measured
-// 743 B. The bound is 474 B plus 15 %, so a fourth map entry or a second
-// copy of either record fails it.
-const liveBytesPerGray = 545
+// quarantine record, its challenge and token, one entry in each of the
+// quarantine and token maps, and a slot of the pending-pair index; the
+// message itself is the caller's. With the pair index a hash table of
+// pointers into the records and the challenge's times in int64, it
+// measures 331 B. With the index a map keyed by the two canonical
+// addresses and the times as time.Time, it measured 474 B; when the
+// challenge also kept its question text, a message-ID map and an
+// expiry, and the indexes were a map per recipient and an ID slice per
+// pair, 743 B. The bound is 331 B plus 15 %, so a third map entry or a
+// second copy of either record fails it.
+const liveBytesPerGray = 381
 
 // heapGuardGray returns an engine, with no filter chain and
 // no body store, and n gray messages with empty bodies from n distinct
@@ -65,8 +67,8 @@ func TestLiveHeapPerGrayMessage(t *testing.T) {
 	if n := unsafe.Sizeof(quarantined{}); n != 80 {
 		t.Fatalf("quarantined is %d bytes, want 80", n)
 	}
-	if n := unsafe.Sizeof(captcha.Challenge{}); n != 160 {
-		t.Fatalf("captcha.Challenge is %d bytes, want 160", n)
+	if n := unsafe.Sizeof(captcha.Challenge{}); n != 128 {
+		t.Fatalf("captcha.Challenge is %d bytes, want 128", n)
 	}
 	const n = 20000
 	eng, msgs := heapGuardGray(n)

@@ -51,6 +51,14 @@ type refQuarantine struct {
 	rateCount  int
 }
 
+// pairKey is the reference's key for a (recipient, sender) pair: both
+// addresses canonicalised.
+type pairKey struct{ rcpt, sender mail.Address }
+
+func makePairKey(rcpt, sender mail.Address) pairKey {
+	return pairKey{rcpt: rcpt.Canonical(), sender: sender.Canonical()}
+}
+
 type refMsg struct {
 	msg    *mail.Message
 	queued time.Time
@@ -361,10 +369,38 @@ func runQuarantineOps(t *testing.T, data []byte) {
 
 // compareQuarantine compares every read of the engine's quarantine with
 // the reference: each user's digest and count under each spelling, the
-// quarantine's size, and the number of live challenge tokens, which a
-// probe challenge carries as its token's last field.
+// quarantine's size, the pending pairs, each found from its own pair,
+// and the number of live challenge tokens, which a probe challenge
+// carries as its token's last field.
 func compareQuarantine(t *testing.T, step int, op string, eng *Engine, ref *refQuarantine) {
 	t.Helper()
+	idx := &eng.pendingChallenge
+	if idx.n != len(ref.pending) {
+		t.Fatalf("step %d %s: %d pending pairs, want %d", step, op, idx.n, len(ref.pending))
+	}
+	held := 0
+	for i, q := range idx.slots {
+		if q == nil {
+			if idx.tags[i] != 0 {
+				t.Fatalf("step %d %s: empty slot %d has tag %#x", step, op, i, idx.tags[i])
+			}
+			continue
+		}
+		held++
+		p := pairOf(q)
+		if idx.tags[i] != p.tag() {
+			t.Fatalf("step %d %s: slot %d of %s has tag %#x, want %#x", step, op, i, q.msg.ID, idx.tags[i], p.tag())
+		}
+		if slot, _ := idx.find(&p); slot != i {
+			t.Fatalf("step %d %s: pair of %s is in slot %d, found at %d", step, op, q.msg.ID, i, slot)
+		}
+		if ids := ref.pending[makePairKey(q.msg.Rcpt, q.msg.EnvelopeFrom)]; len(ids) == 0 || ids[len(ids)-1] != q.msg.ID {
+			t.Fatalf("step %d %s: pair's last message is %s, want the last of %v", step, op, q.msg.ID, ids)
+		}
+	}
+	if held != idx.n {
+		t.Fatalf("step %d %s: %d slots hold a pair, count %d", step, op, held, idx.n)
+	}
 	for _, u := range quarRcpts {
 		got, want := eng.PendingForUser(u), ref.pendingFor(u)
 		if !slices.Equal(got, want) {
@@ -392,6 +428,22 @@ func compareQuarantine(t *testing.T, step int, op string, eng *Engine, ref *refQ
 // pending-challenge queues to refQuarantine on every input the fuzzer
 // finds.
 func FuzzQuarantineOps(f *testing.F) {
+	addQuarantineSeeds(f)
+	f.Fuzz(runQuarantineOps)
+}
+
+// FuzzQuarantineOpsColliding is FuzzQuarantineOps with every pair given
+// one hash: all pending pairs share one probe chain, so a lookup must
+// tell them apart by their addresses and every removal shifts the chain.
+func FuzzQuarantineOpsColliding(f *testing.F) {
+	collidePairs = true
+	f.Cleanup(func() { collidePairs = false })
+	addQuarantineSeeds(f)
+	f.Fuzz(runQuarantineOps)
+}
+
+// addQuarantineSeeds adds the quarantine fuzzers' seed inputs.
+func addQuarantineSeeds(f *testing.F) {
 	f.Add([]byte{})
 	// Two messages from one pair, a solve releasing both, then the pair
 	// whitelisted.
@@ -403,18 +455,21 @@ func FuzzQuarantineOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 5, 0, 3, 1, 1, 4, 0, 0, 2, 0})
 	// Null senders, an auto-reply and a case-variant sender.
 	f.Add([]byte{0, 0, 4, 0, 0, 1, 4, 0, 3, 2, 0, 2, 1, 6, 5, 63, 6})
-	f.Fuzz(runQuarantineOps)
 }
 
 // TestQuarantineOpsRandom runs runQuarantineOps over random inputs, so
 // every test run checks the engine against the reference beyond the
-// fuzz seeds.
+// fuzz seeds, with seeded hashes and with every pair colliding.
 func TestQuarantineOpsRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 300; i++ {
-		data := make([]byte, 2*maxQuarOps)
-		rng.Read(data)
-		runQuarantineOps(t, data)
+	defer func() { collidePairs = false }()
+	for _, collide := range []bool{false, true} {
+		collidePairs = collide
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 300; i++ {
+			data := make([]byte, 2*maxQuarOps)
+			rng.Read(data)
+			runQuarantineOps(t, data)
+		}
 	}
 }
 
@@ -517,8 +572,8 @@ func TestQuarantineConcurrent(t *testing.T) {
 		t.Fatalf("%d delivered + %d deleted + %d expired = %d fates for %d messages",
 			delivered, m.DigestDeleted, m.QuarantineExpired, got, receivers*perReceiver)
 	}
-	if n := eng.QuarantineLen(); n != 0 || len(eng.byRcpt) != 0 || len(eng.pendingChallenge) != 0 {
-		t.Fatalf("after expiry: quarantine %d, %d recipient lists, %d pending pairs", n, len(eng.byRcpt), len(eng.pendingChallenge))
+	if n := eng.QuarantineLen(); n != 0 || len(eng.byRcpt) != 0 || eng.pendingChallenge.n != 0 {
+		t.Fatalf("after expiry: quarantine %d, %d recipient lists, %d pending pairs", n, len(eng.byRcpt), eng.pendingChallenge.n)
 	}
 	for _, u := range quarRcpts {
 		if n := eng.PendingCount(u); n != 0 {

@@ -411,8 +411,10 @@ func TestJournalReplayRebuildsQueue(t *testing.T) {
 func TestQueueOverRecoveredSpool(t *testing.T) {
 	sh, addr := startSmarthost(t)
 	sp := spool.NewState()
+	var lsn uint64
+	rec := &spool.Recorder{State: sp, Emit: func(wal.Record) uint64 { lsn++; return lsn }}
 	for i := 0; i < 3; i++ {
-		sp.ApplyEnqueue(toSpool(challengeTo(fmt.Sprintf("u%d@example.com", i))), uint64(i+1))
+		rec.Enqueue(time.Now(), toSpool(challengeTo(fmt.Sprintf("u%d@example.com", i))))
 	}
 	q := NewQueue(Config{
 		Dial:       func() (*smtp.Client, error) { return smtp.Dial(addr, 2*time.Second) },

@@ -283,7 +283,7 @@ func (q *Queue) flush(ignoreSchedule bool) (terminal int, err error) {
 	// under q.mu before the spool is read under its own lock; only
 	// flushes change ledgers, and they are serialized, so the set stays
 	// true for this flush.
-	var skip func(*spool.Item) bool
+	var skip func(domain string, nextTry time.Time) bool
 	limit := 0
 	if !ignoreSchedule {
 		limit = q.cfg.MaxQueued
@@ -295,8 +295,8 @@ func (q *Queue) flush(ignoreSchedule bool) (terminal int, err error) {
 			}
 		}
 		q.mu.Unlock()
-		skip = func(it *spool.Item) bool {
-			return it.NextTry.After(now) || held[it.Challenge.To.Domain]
+		skip = func(domain string, nextTry time.Time) bool {
+			return nextTry.After(now) || held[domain]
 		}
 	}
 	// The items are copies of the window: this flush updates them as it

@@ -599,10 +599,11 @@ func TestFlushCostFlatInPending(t *testing.T) {
 func TestStatsFlatInDone(t *testing.T) {
 	cost := func(n int) time.Duration {
 		sp := spool.NewState()
+		rec := &spool.Recorder{State: sp}
 		for i := 0; i < n; i++ {
 			id := fmt.Sprintf("q-%06d", i)
-			sp.ApplyEnqueue(spool.Challenge{MsgID: id, To: mail.Address{Local: "u", Domain: "x.example"}}, 0)
-			sp.ApplyTerminal(id, spool.StatusSent, 1, 0)
+			rec.Enqueue(time.Time{}, spool.Challenge{MsgID: id, To: mail.Address{Local: "u", Domain: "x.example"}})
+			rec.Terminal(time.Time{}, id, spool.StatusSent, "", "", 1)
 		}
 		q := NewQueue(Config{Dial: func() (*smtp.Client, error) { return nil, errors.New("unused") }, Spool: sp})
 		if got := q.Stats()[statusSent]; got != n {

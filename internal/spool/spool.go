@@ -18,7 +18,9 @@ import (
 	"container/heap"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -98,6 +100,59 @@ type Item struct {
 	LSN uint64
 }
 
+// record is one pending item as a State keeps it: 112 bytes against an
+// Item's 240. What its challenge shares with the State's other items
+// (the sender, the URL up to the token, the size) is a shape index; its
+// URL is rebuilt from the token; its times are Unix nanoseconds; and a
+// pending item's status is always StatusQueued. Its retry state costs a
+// pointer until its first failed attempt.
+type record struct {
+	msgID   string
+	token   string
+	to      mail.Address
+	subject string
+	issued  int64 // see unixNanos
+	lsn     uint64
+	retry   *retry
+	shape   uint32 // index into State.shapes
+	zone    int32  // issued's UTC offset, see unixNanos
+}
+
+// retry is a pending item's state after a failed attempt.
+type retry struct {
+	class    string
+	err      string
+	nextTry  int64 // see unixNanos
+	attempts int
+	zone     int32 // nextTry's UTC offset
+}
+
+// shapeKey is what a challenge shares with the others of its State: in
+// crserver, one value for every challenge.
+type shapeKey struct {
+	from mail.Address
+	// prefix is the URL up to the token; or, when whole, the URL itself,
+	// which does not end in the token.
+	prefix string
+	whole  bool
+	size   int
+}
+
+// url returns the URL of the challenge with token.
+func (k *shapeKey) url(token string) string {
+	if k.whole {
+		return k.prefix
+	}
+	return k.prefix + token
+}
+
+// shape is one distinct shapeKey of a State with the number of pending
+// items that use it; a slot with no users is reused.
+type shape struct {
+	key  shapeKey
+	refs int
+}
+
 // doneItem is the terminal fate of an item. Terminal items stay in the
 // done map (not the pending map) so replaying their records over a
 // snapshot that already contains them is a no-op rather than a
@@ -112,19 +167,152 @@ type doneItem struct {
 // for concurrent use.
 type State struct {
 	mu      sync.Mutex
-	pending map[string]*Item
+	pending map[string]*record
 	done    map[string]doneItem
 	// doneBy counts done by status, so DoneCounts reads four numbers
 	// however many challenges have reached their fate.
 	doneBy [StatusExpired + 1]int
+	// shapes holds each distinct shapeKey of the pending items once, and
+	// shapeAt finds its slot; free lists the slots no item uses.
+	shapes  []shape
+	shapeAt map[shapeKey]uint32
+	free    []uint32
 }
 
 // NewState returns an empty State.
 func NewState() *State {
-	return &State{pending: make(map[string]*Item), done: make(map[string]doneItem)}
+	return &State{pending: make(map[string]*record), done: make(map[string]doneItem), shapeAt: make(map[shapeKey]uint32)}
 }
 
-// guard reports whether a record with lsn should be applied to msgID.
+// acquireShapeLocked returns the slot of ch's shape, adding it if no
+// pending item uses it, and counts one more user.
+func (s *State) acquireShapeLocked(ch *Challenge) uint32 {
+	k := shapeKey{from: ch.From, size: ch.Size}
+	if p, ok := strings.CutSuffix(ch.URL, ch.Token); ok {
+		k.prefix = p
+	} else {
+		k.prefix, k.whole = ch.URL, true
+	}
+	i, ok := s.shapeAt[k]
+	if !ok {
+		if n := len(s.free); n > 0 {
+			i, s.free = s.free[n-1], s.free[:n-1]
+			s.shapes[i] = shape{key: k}
+		} else {
+			i = uint32(len(s.shapes))
+			s.shapes = append(s.shapes, shape{key: k})
+		}
+		s.shapeAt[k] = i
+	}
+	s.shapes[i].refs++
+	return i
+}
+
+// releaseShapeLocked counts one user of shape slot i fewer, freeing the
+// slot when it has none.
+func (s *State) releaseShapeLocked(i uint32) {
+	sh := &s.shapes[i]
+	if sh.refs--; sh.refs == 0 {
+		delete(s.shapeAt, sh.key)
+		*sh = shape{}
+		s.free = append(s.free, i)
+	}
+}
+
+// newRecordLocked returns ch as a record with the given retry state.
+func (s *State) newRecordLocked(ch *Challenge, rt *retry, lsn uint64) *record {
+	issued, zone := unixNanos(ch.Issued)
+	return &record{
+		msgID:   ch.MsgID,
+		token:   ch.Token,
+		to:      ch.To,
+		subject: ch.Subject,
+		issued:  issued,
+		zone:    zone,
+		lsn:     lsn,
+		retry:   rt,
+		shape:   s.acquireShapeLocked(ch),
+	}
+}
+
+// newRetry returns the retry state of an attempt, or nil for one that
+// carries none.
+func newRetry(class, lastErr string, attempts int, nextTry time.Time) *retry {
+	if class == "" && lastErr == "" && attempts == 0 && nextTry.IsZero() {
+		return nil
+	}
+	next, zone := unixNanos(nextTry)
+	return &retry{class: class, err: lastErr, nextTry: next, attempts: attempts, zone: zone}
+}
+
+// itemLocked returns r as an Item. Callers must hold s.mu.
+func (s *State) itemLocked(r *record) Item {
+	k := &s.shapes[r.shape].key
+	it := Item{
+		Challenge: Challenge{
+			MsgID:   r.msgID,
+			Token:   r.token,
+			From:    k.from,
+			To:      r.to,
+			Subject: r.subject,
+			URL:     k.url(r.token),
+			Size:    k.size,
+			Issued:  fromUnixNanos(r.issued, r.zone),
+		},
+		Status: StatusQueued,
+		LSN:    r.lsn,
+	}
+	if rt := r.retry; rt != nil {
+		it.Attempts = rt.attempts
+		it.LastClass = rt.class
+		it.LastError = rt.err
+		it.NextTry = fromUnixNanos(rt.nextTry, rt.zone)
+	}
+	return it
+}
+
+// unixZero is unixNanos' value for the zero Time.
+const unixZero = math.MinInt64
+
+// unixNanos stores t as its Unix nanoseconds, saturated to the int64
+// range so the zero Time (year 1) is unixZero, and the UTC offset in
+// seconds it reads with.
+func unixNanos(t time.Time) (int64, int32) {
+	_, off := t.Zone()
+	switch {
+	case t.Before(minNanos):
+		return unixZero, int32(off)
+	case t.After(maxNanos):
+		return math.MaxInt64, int32(off)
+	}
+	return t.UnixNano(), int32(off)
+}
+
+// The instants an int64 of Unix nanoseconds can hold (1677 to 2262).
+var (
+	minNanos = time.Unix(0, math.MinInt64)
+	maxNanos = time.Unix(0, math.MaxInt64)
+)
+
+// fromUnixNanos is unixNanos' inverse. It reads offset 0 as UTC, the
+// Local zone's offset at that instant as Local, and any other as a
+// fixed zone: the locations a snapshot's JSON parses to, so a time
+// reads back Equal and with the same JSON text it went in with.
+func fromUnixNanos(ns int64, off int32) time.Time {
+	var t time.Time
+	if ns != unixZero {
+		t = time.Unix(0, ns)
+		if _, local := t.Zone(); off != 0 && int32(local) == off {
+			return t
+		}
+	}
+	if off == 0 {
+		return t.UTC()
+	}
+	return t.In(time.FixedZone("", int(off)))
+}
+
+// guardLocked reports whether a record with lsn should be applied to msgID.
 // LSN 0 (journal dropped or disabled) is unguarded and always applies.
 func (s *State) guardLocked(msgID string, lsn uint64) bool {
 	if lsn == 0 {
@@ -133,15 +321,15 @@ func (s *State) guardLocked(msgID string, lsn uint64) bool {
 	if d, ok := s.done[msgID]; ok && d.LSN >= lsn {
 		return false
 	}
-	if it, ok := s.pending[msgID]; ok && it.LSN >= lsn {
+	if r, ok := s.pending[msgID]; ok && r.lsn >= lsn {
 		return false
 	}
 	return true
 }
 
-// ApplyEnqueue admits ch into the pending spool. Idempotent: an item
+// applyEnqueue admits ch into the pending spool. Idempotent: an item
 // already pending or terminal is left alone.
-func (s *State) ApplyEnqueue(ch Challenge, lsn uint64) {
+func (s *State) applyEnqueue(ch Challenge, lsn uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.done[ch.MsgID]; ok {
@@ -150,31 +338,28 @@ func (s *State) ApplyEnqueue(ch Challenge, lsn uint64) {
 	if _, ok := s.pending[ch.MsgID]; ok {
 		return
 	}
-	s.pending[ch.MsgID] = &Item{Challenge: ch, Status: StatusQueued, LSN: lsn}
+	s.pending[ch.MsgID] = s.newRecordLocked(&ch, nil, lsn)
 }
 
-// ApplyAttempt records a non-terminal delivery attempt.
-func (s *State) ApplyAttempt(msgID, class, lastErr string, attempts int, nextTry time.Time, lsn uint64) {
+// applyAttempt records a non-terminal delivery attempt.
+func (s *State) applyAttempt(msgID, class, lastErr string, attempts int, nextTry time.Time, lsn uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.guardLocked(msgID, lsn) {
 		return
 	}
-	it, ok := s.pending[msgID]
+	r, ok := s.pending[msgID]
 	if !ok {
 		return
 	}
-	it.Attempts = attempts
-	it.LastClass = class
-	it.LastError = lastErr
-	it.NextTry = nextTry
-	if lsn > it.LSN {
-		it.LSN = lsn
+	r.retry = newRetry(class, lastErr, attempts, nextTry)
+	if lsn > r.lsn {
+		r.lsn = lsn
 	}
 }
 
-// ApplyTerminal moves an item to its terminal fate.
-func (s *State) ApplyTerminal(msgID string, st Status, attempts int, lsn uint64) {
+// applyTerminal moves an item to its terminal fate.
+func (s *State) applyTerminal(msgID string, st Status, attempts int, lsn uint64) {
 	if st == StatusQueued {
 		return
 	}
@@ -183,7 +368,10 @@ func (s *State) ApplyTerminal(msgID string, st Status, attempts int, lsn uint64)
 	if !s.guardLocked(msgID, lsn) {
 		return
 	}
-	delete(s.pending, msgID)
+	if r, ok := s.pending[msgID]; ok {
+		delete(s.pending, msgID)
+		s.releaseShapeLocked(r.shape)
+	}
 	if d, ok := s.done[msgID]; ok {
 		s.doneBy[d.Status]--
 	}
@@ -193,55 +381,62 @@ func (s *State) ApplyTerminal(msgID string, st Status, attempts int, lsn uint64)
 
 // before reports whether a is delivered before b: by issue time, then
 // message ID.
-func before(a, b *Item) bool {
-	if !a.Challenge.Issued.Equal(b.Challenge.Issued) {
-		return a.Challenge.Issued.Before(b.Challenge.Issued)
+func before(a, b *record) bool {
+	if a.issued != b.issued {
+		return a.issued < b.issued
 	}
-	return a.Challenge.MsgID < b.Challenge.MsgID
+	return a.msgID < b.msgID
 }
 
-// lastFirst is a heap of items whose root is the one delivered last.
-type lastFirst []*Item
+// lastFirst is a heap of records whose root is the one delivered last.
+type lastFirst []*record
 
 func (h lastFirst) Len() int           { return len(h) }
 func (h lastFirst) Less(i, j int) bool { return before(h[j], h[i]) }
 func (h lastFirst) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *lastFirst) Push(x any)        { *h = append(*h, x.(*Item)) }
+func (h *lastFirst) Push(x any)        { *h = append(*h, x.(*record)) }
 func (h *lastFirst) Pop() any {
 	old := *h
-	it := old[len(old)-1]
+	r := old[len(old)-1]
 	*h = old[:len(old)-1]
-	return it
+	return r
 }
 
-// Pending returns copies of the limit first queued items in delivery
-// order (issue time, then message ID), leaving out the items skip
-// reports true for (nil skips none); limit <= 0 returns them all. skip
-// runs under the state's lock and must not take another. One pass over
-// the pending items keeps the limit first in a heap, so only the
-// returned items are copied.
-func (s *State) Pending(limit int, skip func(*Item) bool) []Item {
+// Pending returns the limit first queued items in delivery order (issue
+// time, then message ID), leaving out the items skip reports true for,
+// given the domain of the item's destination and its next retry time
+// (nil skips none); limit <= 0 returns them all. skip runs under the
+// state's lock and must not take another. One pass over the pending
+// items keeps the limit first in a heap, so only the returned items are
+// built.
+func (s *State) Pending(limit int, skip func(domain string, nextTry time.Time) bool) []Item {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if limit <= 0 || limit > len(s.pending) {
 		limit = len(s.pending)
 	}
 	h := make(lastFirst, 0, limit)
-	for _, it := range s.pending {
-		if skip != nil && skip(it) {
-			continue
+	for _, r := range s.pending {
+		if skip != nil {
+			var next time.Time
+			if r.retry != nil {
+				next = fromUnixNanos(r.retry.nextTry, r.retry.zone)
+			}
+			if skip(r.to.Domain, next) {
+				continue
+			}
 		}
 		if len(h) < limit {
-			heap.Push(&h, it)
-		} else if before(it, h[0]) {
-			h[0] = it
+			heap.Push(&h, r)
+		} else if before(r, h[0]) {
+			h[0] = r
 			heap.Fix(&h, 0)
 		}
 	}
 	sort.Slice(h, func(i, j int) bool { return before(h[i], h[j]) })
 	out := make([]Item, len(h))
-	for i, it := range h {
-		out[i] = *it
+	for i, r := range h {
+		out[i] = s.itemLocked(r)
 	}
 	return out
 }
@@ -251,8 +446,8 @@ func (s *State) PendingByDomain() map[string]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[string]int)
-	for _, it := range s.pending {
-		out[it.Challenge.To.Domain]++
+	for _, r := range s.pending {
+		out[r.to.Domain]++
 	}
 	return out
 }
@@ -277,8 +472,8 @@ func (s *State) DoneCounts() map[Status]int {
 	return out
 }
 
-// ExportedItem is one pending spool entry in snapshot form.
-type ExportedItem struct {
+// exportedItem is one pending spool entry in snapshot form.
+type exportedItem struct {
 	MsgID     string    `json:"msg_id"`
 	Token     string    `json:"token"`
 	From      string    `json:"from"`
@@ -294,8 +489,8 @@ type ExportedItem struct {
 	LSN       uint64    `json:"lsn,omitempty"`
 }
 
-// ExportedDone is one terminal fate in snapshot form.
-type ExportedDone struct {
+// exportedDone is one terminal fate in snapshot form.
+type exportedDone struct {
 	MsgID    string `json:"msg_id"`
 	Status   string `json:"status"`
 	Attempts int    `json:"attempts,omitempty"`
@@ -306,24 +501,26 @@ type ExportedDone struct {
 // plus the terminal fates (kept for idempotent replay), both in
 // message-ID order so exports are deterministic and comparable.
 type ExportedState struct {
-	Pending []ExportedItem `json:"pending,omitempty"`
-	Done    []ExportedDone `json:"done,omitempty"`
+	Pending []exportedItem `json:"pending,omitempty"`
+	Done    []exportedDone `json:"done,omitempty"`
 }
 
 // Export returns the deterministic snapshot form of s.
 func (s *State) Export() ExportedState {
 	s.mu.Lock()
 	out := ExportedState{}
-	for _, it := range s.pending {
-		out.Pending = append(out.Pending, ExportedItem{
-			MsgID:     it.Challenge.MsgID,
-			Token:     it.Challenge.Token,
-			From:      it.Challenge.From.String(),
-			To:        it.Challenge.To.String(),
-			Subject:   it.Challenge.Subject,
-			URL:       it.Challenge.URL,
-			Size:      it.Challenge.Size,
-			Issued:    it.Challenge.Issued,
+	for _, r := range s.pending {
+		it := s.itemLocked(r)
+		ch := &it.Challenge
+		out.Pending = append(out.Pending, exportedItem{
+			MsgID:     ch.MsgID,
+			Token:     ch.Token,
+			From:      ch.From.String(),
+			To:        ch.To.String(),
+			Subject:   ch.Subject,
+			URL:       ch.URL,
+			Size:      ch.Size,
+			Issued:    ch.Issued,
 			Attempts:  it.Attempts,
 			LastClass: it.LastClass,
 			LastError: it.LastError,
@@ -332,7 +529,7 @@ func (s *State) Export() ExportedState {
 		})
 	}
 	for id, d := range s.done {
-		out.Done = append(out.Done, ExportedDone{MsgID: id, Status: d.Status.String(), Attempts: d.Attempts, LSN: d.LSN})
+		out.Done = append(out.Done, exportedDone{MsgID: id, Status: d.Status.String(), Attempts: d.Attempts, LSN: d.LSN})
 	}
 	s.mu.Unlock()
 	sort.Slice(out.Pending, func(i, j int) bool { return out.Pending[i].MsgID < out.Pending[j].MsgID })
@@ -342,9 +539,7 @@ func (s *State) Export() ExportedState {
 
 // Import replaces s's contents with a previously exported state.
 func (s *State) Import(e ExportedState) error {
-	pending := make(map[string]*Item, len(e.Pending))
-	done := make(map[string]doneItem, len(e.Done))
-	var doneBy [StatusExpired + 1]int
+	fresh := NewState()
 	for _, x := range e.Pending {
 		from, err := mail.ParseAddress(x.From)
 		if err != nil {
@@ -354,40 +549,35 @@ func (s *State) Import(e ExportedState) error {
 		if err != nil {
 			return fmt.Errorf("spool: pending %s to %q: %v", x.MsgID, x.To, err)
 		}
-		pending[x.MsgID] = &Item{
-			Challenge: Challenge{
-				MsgID:   x.MsgID,
-				Token:   x.Token,
-				From:    from,
-				To:      to,
-				Subject: x.Subject,
-				URL:     x.URL,
-				Size:    x.Size,
-				Issued:  x.Issued,
-			},
-			Status:    StatusQueued,
-			Attempts:  x.Attempts,
-			LastClass: x.LastClass,
-			LastError: x.LastError,
-			NextTry:   x.NextTry,
-			LSN:       x.LSN,
+		ch := Challenge{
+			MsgID:   x.MsgID,
+			Token:   x.Token,
+			From:    from,
+			To:      to,
+			Subject: x.Subject,
+			URL:     x.URL,
+			Size:    x.Size,
+			Issued:  x.Issued,
 		}
+		if old, ok := fresh.pending[x.MsgID]; ok {
+			fresh.releaseShapeLocked(old.shape)
+		}
+		fresh.pending[x.MsgID] = fresh.newRecordLocked(&ch, newRetry(x.LastClass, x.LastError, x.Attempts, x.NextTry), x.LSN)
 	}
 	for _, x := range e.Done {
 		st, ok := parseStatus(x.Status)
 		if !ok {
 			return fmt.Errorf("spool: done %s has unknown status %q", x.MsgID, x.Status)
 		}
-		if d, ok := done[x.MsgID]; ok {
-			doneBy[d.Status]--
+		if d, ok := fresh.done[x.MsgID]; ok {
+			fresh.doneBy[d.Status]--
 		}
-		done[x.MsgID] = doneItem{Status: st, Attempts: x.Attempts, LSN: x.LSN}
-		doneBy[st]++
+		fresh.done[x.MsgID] = doneItem{Status: st, Attempts: x.Attempts, LSN: x.LSN}
+		fresh.doneBy[st]++
 	}
 	s.mu.Lock()
-	s.pending = pending
-	s.done = done
-	s.doneBy = doneBy
+	s.pending, s.done, s.doneBy = fresh.pending, fresh.done, fresh.doneBy
+	s.shapes, s.shapeAt, s.free = fresh.shapes, fresh.shapeAt, fresh.free
 	s.mu.Unlock()
 	return nil
 }
@@ -416,8 +606,8 @@ func EnqueueRecord(at time.Time, ch Challenge) wal.Record {
 	}
 }
 
-// AttemptRecord encodes a non-terminal attempt transition.
-func AttemptRecord(at time.Time, msgID, class, lastErr string, attempts int, nextTry time.Time) wal.Record {
+// attemptRecord encodes a non-terminal attempt transition.
+func attemptRecord(at time.Time, msgID, class, lastErr string, attempts int, nextTry time.Time) wal.Record {
 	r := wal.Record{
 		Time:   at,
 		Op:     wal.OpSpoolAttempt,
@@ -432,8 +622,8 @@ func AttemptRecord(at time.Time, msgID, class, lastErr string, attempts int, nex
 	return r
 }
 
-// TerminalRecord encodes a sent/bounced/expired transition.
-func TerminalRecord(at time.Time, msgID string, st Status, class, lastErr string, attempts int) wal.Record {
+// terminalRecord encodes a sent/bounced/expired transition.
+func terminalRecord(at time.Time, msgID string, st Status, class, lastErr string, attempts int) wal.Record {
 	r := wal.Record{Time: at, User: msgID, Origin: class, Value: int64(attempts), Blob: lastErr}
 	switch st {
 	case StatusSent:
@@ -463,7 +653,7 @@ func (s *State) Apply(r wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("spool: record %d to %q: %v", r.LSN, r.Sender, err)
 		}
-		s.ApplyEnqueue(Challenge{
+		s.applyEnqueue(Challenge{
 			MsgID:   r.User,
 			Token:   b.Token,
 			From:    from,
@@ -478,13 +668,13 @@ func (s *State) Apply(r wal.Record) error {
 		if r.Aux != 0 {
 			next = time.Unix(0, r.Aux).UTC()
 		}
-		s.ApplyAttempt(r.User, r.Origin, r.Blob, int(r.Value), next, r.LSN)
+		s.applyAttempt(r.User, r.Origin, r.Blob, int(r.Value), next, r.LSN)
 	case wal.OpSpoolSent:
-		s.ApplyTerminal(r.User, StatusSent, int(r.Value), r.LSN)
+		s.applyTerminal(r.User, StatusSent, int(r.Value), r.LSN)
 	case wal.OpSpoolBounced:
-		s.ApplyTerminal(r.User, StatusBounced, int(r.Value), r.LSN)
+		s.applyTerminal(r.User, StatusBounced, int(r.Value), r.LSN)
 	case wal.OpSpoolExpired:
-		s.ApplyTerminal(r.User, StatusExpired, int(r.Value), r.LSN)
+		s.applyTerminal(r.User, StatusExpired, int(r.Value), r.LSN)
 	}
 	return nil
 }
@@ -527,17 +717,17 @@ func (rc *Recorder) emit(r wal.Record) uint64 {
 // Enqueue journals and applies an enqueue transition.
 func (rc *Recorder) Enqueue(at time.Time, ch Challenge) {
 	lsn := rc.emit(EnqueueRecord(at, ch))
-	rc.State.ApplyEnqueue(ch, lsn)
+	rc.State.applyEnqueue(ch, lsn)
 }
 
 // Attempt journals and applies a non-terminal attempt transition.
 func (rc *Recorder) Attempt(at time.Time, msgID, class, lastErr string, attempts int, nextTry time.Time) {
-	lsn := rc.emit(AttemptRecord(at, msgID, class, lastErr, attempts, nextTry))
-	rc.State.ApplyAttempt(msgID, class, lastErr, attempts, nextTry, lsn)
+	lsn := rc.emit(attemptRecord(at, msgID, class, lastErr, attempts, nextTry))
+	rc.State.applyAttempt(msgID, class, lastErr, attempts, nextTry, lsn)
 }
 
 // Terminal journals and applies a sent/bounced/expired transition.
 func (rc *Recorder) Terminal(at time.Time, msgID string, st Status, class, lastErr string, attempts int) {
-	lsn := rc.emit(TerminalRecord(at, msgID, st, class, lastErr, attempts))
-	rc.State.ApplyTerminal(msgID, st, attempts, lsn)
+	lsn := rc.emit(terminalRecord(at, msgID, st, class, lastErr, attempts))
+	rc.State.applyTerminal(msgID, st, attempts, lsn)
 }

@@ -30,13 +30,13 @@ func chal(id string) Challenge {
 
 func TestFoldLifecycle(t *testing.T) {
 	s := NewState()
-	s.ApplyEnqueue(chal("m1"), 1)
-	s.ApplyEnqueue(chal("m2"), 2)
+	s.applyEnqueue(chal("m1"), 1)
+	s.applyEnqueue(chal("m2"), 2)
 	if s.Len() != 2 {
 		t.Fatalf("pending = %d", s.Len())
 	}
-	s.ApplyAttempt("m1", "tempfail", "451 try later", 1, t0.Add(15*time.Minute), 3)
-	s.ApplyTerminal("m2", StatusSent, 1, 4)
+	s.applyAttempt("m1", "tempfail", "451 try later", 1, t0.Add(15*time.Minute), 3)
+	s.applyTerminal("m2", StatusSent, 1, 4)
 	if s.Len() != 1 {
 		t.Fatalf("pending after terminal = %d", s.Len())
 	}
@@ -51,20 +51,20 @@ func TestFoldLifecycle(t *testing.T) {
 
 func TestLSNGuardRejectsStaleReplay(t *testing.T) {
 	s := NewState()
-	s.ApplyEnqueue(chal("m1"), 1)
-	s.ApplyAttempt("m1", "tempfail", "451", 2, t0.Add(time.Hour), 5)
+	s.applyEnqueue(chal("m1"), 1)
+	s.applyAttempt("m1", "tempfail", "451", 2, t0.Add(time.Hour), 5)
 	// Replaying an older attempt must not roll the item backwards.
-	s.ApplyAttempt("m1", "tempfail", "451 older", 1, t0.Add(15*time.Minute), 3)
+	s.applyAttempt("m1", "tempfail", "451 older", 1, t0.Add(15*time.Minute), 3)
 	if p := s.Pending(0, nil); p[0].Attempts != 2 || p[0].LSN != 5 {
 		t.Fatalf("stale replay applied: %+v", p[0])
 	}
 	// A terminal fate guards against everything at or below its LSN.
-	s.ApplyTerminal("m1", StatusBounced, 3, 6)
-	s.ApplyEnqueue(chal("m1"), 2) // resurrection attempt
+	s.applyTerminal("m1", StatusBounced, 3, 6)
+	s.applyEnqueue(chal("m1"), 2) // resurrection attempt
 	if s.Len() != 0 {
 		t.Fatal("terminal item resurrected by stale enqueue")
 	}
-	s.ApplyTerminal("m1", StatusSent, 9, 4) // stale conflicting fate
+	s.applyTerminal("m1", StatusSent, 9, 4) // stale conflicting fate
 	if st, _ := fate(s, "m1"); st != StatusBounced.String() {
 		t.Fatalf("stale terminal overwrote fate: %v", st)
 	}
@@ -74,8 +74,8 @@ func TestLSNZeroIsUnguarded(t *testing.T) {
 	// Journal-dropped records (LSN 0) always apply: fail-open means the
 	// in-memory state stays ahead of the journal, never behind it.
 	s := NewState()
-	s.ApplyEnqueue(chal("m1"), 7)
-	s.ApplyAttempt("m1", "tempfail", "451", 1, t0.Add(time.Hour), 0)
+	s.applyEnqueue(chal("m1"), 7)
+	s.applyAttempt("m1", "tempfail", "451", 1, t0.Add(time.Hour), 0)
 	if p := s.Pending(0, nil); p[0].Attempts != 1 {
 		t.Fatalf("unguarded attempt not applied: %+v", p[0])
 	}
@@ -83,10 +83,10 @@ func TestLSNZeroIsUnguarded(t *testing.T) {
 
 func TestExportImportRoundTrip(t *testing.T) {
 	s := NewState()
-	s.ApplyEnqueue(chal("m1"), 1)
-	s.ApplyEnqueue(chal("m2"), 2)
-	s.ApplyAttempt("m1", "tempfail", "451 busy", 1, t0.Add(15*time.Minute), 3)
-	s.ApplyTerminal("m2", StatusBounced, 1, 4)
+	s.applyEnqueue(chal("m1"), 1)
+	s.applyEnqueue(chal("m2"), 2)
+	s.applyAttempt("m1", "tempfail", "451 busy", 1, t0.Add(15*time.Minute), 3)
+	s.applyTerminal("m2", StatusBounced, 1, 4)
 
 	exp := s.Export()
 	s2 := NewState()
@@ -100,7 +100,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 	// The guard state survives: replaying the already-applied records
 	// over the import is a no-op.
-	s2.ApplyAttempt("m1", "tempfail", "451 older", 0, t0, 2)
+	s2.applyAttempt("m1", "tempfail", "451 older", 0, t0, 2)
 	if p := s2.Pending(0, nil); p[0].Attempts != 1 {
 		t.Fatalf("import lost LSN guard: %+v", p[0])
 	}
@@ -108,10 +108,10 @@ func TestExportImportRoundTrip(t *testing.T) {
 
 func TestImportRejectsBadData(t *testing.T) {
 	s := NewState()
-	if err := s.Import(ExportedState{Pending: []ExportedItem{{MsgID: "m", From: "not-an-address", To: "a@b.example"}}}); err == nil {
+	if err := s.Import(ExportedState{Pending: []exportedItem{{MsgID: "m", From: "not-an-address", To: "a@b.example"}}}); err == nil {
 		t.Fatal("imported an unparsable from address")
 	}
-	if err := s.Import(ExportedState{Done: []ExportedDone{{MsgID: "m", Status: "vanished"}}}); err == nil {
+	if err := s.Import(ExportedState{Done: []exportedDone{{MsgID: "m", Status: "vanished"}}}); err == nil {
 		t.Fatal("imported an unknown terminal status")
 	}
 }
@@ -124,15 +124,15 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	recs := []wal.Record{
 		EnqueueRecord(t0, chal("m1")),
 		EnqueueRecord(t0, chal("m2")),
-		AttemptRecord(t0.Add(time.Minute), "m1", "tempfail", "451 busy", 1, t0.Add(time.Hour)),
-		TerminalRecord(t0.Add(2*time.Minute), "m2", StatusSent, "", "", 1),
-		TerminalRecord(t0.Add(3*time.Minute), "m1", StatusExpired, "exhausted", "451 busy", 2),
+		attemptRecord(t0.Add(time.Minute), "m1", "tempfail", "451 busy", 1, t0.Add(time.Hour)),
+		terminalRecord(t0.Add(2*time.Minute), "m2", StatusSent, "", "", 1),
+		terminalRecord(t0.Add(3*time.Minute), "m1", StatusExpired, "exhausted", "451 busy", 2),
 	}
-	direct.ApplyEnqueue(chal("m1"), 1)
-	direct.ApplyEnqueue(chal("m2"), 2)
-	direct.ApplyAttempt("m1", "tempfail", "451 busy", 1, t0.Add(time.Hour), 3)
-	direct.ApplyTerminal("m2", StatusSent, 1, 4)
-	direct.ApplyTerminal("m1", StatusExpired, 2, 5)
+	direct.applyEnqueue(chal("m1"), 1)
+	direct.applyEnqueue(chal("m2"), 2)
+	direct.applyAttempt("m1", "tempfail", "451 busy", 1, t0.Add(time.Hour), 3)
+	direct.applyTerminal("m2", StatusSent, 1, 4)
+	direct.applyTerminal("m1", StatusExpired, 2, 5)
 	for i, r := range recs {
 		r.LSN = uint64(i + 1)
 		if err := replayed.Apply(r); err != nil {
@@ -224,9 +224,9 @@ func TestPendingLimitIsPrefix(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		ch := chal(fmt.Sprintf("m%03d", rng.Intn(1000)))
 		ch.Issued = t0.Add(time.Duration(rng.Intn(40)) * time.Minute)
-		s.ApplyEnqueue(ch, 0)
+		s.applyEnqueue(ch, 0)
 		if rng.Intn(4) == 0 {
-			s.ApplyTerminal(ch.MsgID, StatusSent, 1, 0)
+			s.applyTerminal(ch.MsgID, StatusSent, 1, 0)
 		}
 	}
 	all := s.Pending(0, nil)
@@ -259,17 +259,17 @@ func TestDoneCountsFollowFatesAndImport(t *testing.T) {
 	s := NewState()
 	for i, st := range []Status{StatusSent, StatusSent, StatusBounced, StatusExpired} {
 		id := fmt.Sprintf("m%d", i)
-		s.ApplyEnqueue(chal(id), 0)
-		s.ApplyTerminal(id, st, 1, 0)
+		s.applyEnqueue(chal(id), 0)
+		s.applyTerminal(id, st, 1, 0)
 	}
-	s.ApplyTerminal("m0", StatusBounced, 2, 0) // LSN 0 is unguarded
+	s.applyTerminal("m0", StatusBounced, 2, 0) // LSN 0 is unguarded
 	want := map[Status]int{StatusSent: 1, StatusBounced: 2, StatusExpired: 1}
 	if got := s.DoneCounts(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("DoneCounts = %v, want %v", got, want)
 	}
 	s2 := NewState()
-	s2.ApplyEnqueue(chal("stale"), 0)
-	s2.ApplyTerminal("stale", StatusExpired, 1, 0)
+	s2.applyEnqueue(chal("stale"), 0)
+	s2.applyTerminal("stale", StatusExpired, 1, 0)
 	if err := s2.Import(s.Export()); err != nil {
 		t.Fatal(err)
 	}
